@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .constructs import ConstructId, extract_constructs
+from .constructs import extract_constructs
 from .errors import ManifestError, MissingDependency
 from .jx import parse_unit, resolve
 
@@ -54,12 +55,6 @@ class BOM:
                 return depth
         return None
 
-    def owner_of(self, cid: ConstructId) -> Optional[Archive]:
-        for arc, _ in self.archives():
-            if cid in arc.constructs:
-                return arc
-        return None
-
 
 def parse_source_root(root: Path, origin_base: Path = None) -> list:
     """Parse every .jx file under root. Unit origins are paths relative to
@@ -95,6 +90,8 @@ def _read_manifest(path: Path) -> dict:
         raise ManifestError("manifest %s not found" % path)
     except json.JSONDecodeError as exc:
         raise ManifestError("manifest %s: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise ManifestError("manifest %s: not a JSON object" % path)
     for key in ("name", "version", "sourceRoot"):
         if key not in data:
             raise ManifestError("manifest %s: missing %r" % (path, key))
@@ -102,49 +99,63 @@ def _read_manifest(path: Path) -> dict:
     if not isinstance(deps, list):
         raise ManifestError("manifest %s: dependencies must be a list" % path)
     for d in deps:
-        if "name" not in d or "version" not in d:
+        if not isinstance(d, dict) or "name" not in d or "version" not in d:
             raise ManifestError("manifest %s: dependency entries need name and version" % path)
     return data
 
 
-def build_bom(manifest: Path, workspace: Path) -> BOM:
-    """Build the BOM: breadth-first transitive resolution over the library
-    store, nearest version winning on name conflicts (ties: first declared)."""
-    manifest = Path(manifest)
-    workspace = Path(workspace)
-    app_data = _read_manifest(manifest)
-    app = load_archive(app_data["name"], app_data["version"], APPLICATION,
-                       (manifest.parent / app_data["sourceRoot"]).resolve(),
-                       [(d["name"], d["version"]) for d in app_data.get("dependencies", [])],
-                       origin_base=workspace)
+def resolve_dependencies(workspace: Path, root_deps) -> tuple:
+    """Breadth-first transitive resolution over the manifests of the library
+    store, nearest version winning on name conflicts (ties: first declared).
 
-    resolved = {}  # name -> (Archive, depth)
+    Returns ([(library dir, manifest data, depth)] in resolution order,
+    conflict warnings). Raises MissingDependency for a (name, version) absent
+    from the store and ManifestError for a malformed manifest.
+    """
+    resolved = {}  # name -> (manifest data, depth)
     order = []
     warnings = []
-    queue = [(name, version, 1) for name, version in app.declared_deps]
+    queue = deque((name, version, 1) for name, version in root_deps)
     while queue:
-        name, version, depth = queue.pop(0)
+        name, version, depth = queue.popleft()
         if name in resolved:
             kept, kept_depth = resolved[name]
-            if kept.version != version:
+            if kept["version"] != version:
                 warnings.append(
                     "version conflict for %s: keeping %s (depth %d), dropping %s (depth %d)"
-                    % (name, kept.version, kept_depth, version, depth))
+                    % (name, kept["version"], kept_depth, version, depth))
             continue
         lib_dir = workspace / "libs" / name / version
         lib_manifest = lib_dir / "lib.json"
         if not lib_manifest.is_file():
             raise MissingDependency(name, version)
         data = _read_manifest(lib_manifest)
-        arc = load_archive(data["name"], data["version"], DEPENDENCY,
-                           (lib_dir / data["sourceRoot"]).resolve(),
-                           [(d["name"], d["version"]) for d in data.get("dependencies", [])],
-                           origin_base=workspace)
-        resolved[name] = (arc, depth)
-        order.append(name)
-        for dep_name, dep_version in arc.declared_deps:
-            queue.append((dep_name, dep_version, depth + 1))
-    return BOM(app, [resolved[n] for n in order], warnings)
+        resolved[name] = (data, depth)
+        order.append((lib_dir, data, depth))
+        for d in data.get("dependencies", []):
+            queue.append((d["name"], d["version"], depth + 1))
+    return order, warnings
+
+
+def _declared_deps(data: dict) -> list:
+    return [(d["name"], d["version"]) for d in data.get("dependencies", [])]
+
+
+def build_bom(manifest: Path, workspace: Path) -> BOM:
+    """Build the BOM: the application plus every archive of its resolved
+    transitive dependency closure (see resolve_dependencies)."""
+    manifest = Path(manifest)
+    workspace = Path(workspace)
+    app_data = _read_manifest(manifest)
+    app = load_archive(app_data["name"], app_data["version"], APPLICATION,
+                       (manifest.parent / app_data["sourceRoot"]).resolve(),
+                       _declared_deps(app_data), origin_base=workspace)
+    resolved, warnings = resolve_dependencies(workspace, app.declared_deps)
+    dependencies = [(load_archive(data["name"], data["version"], DEPENDENCY,
+                                  (lib_dir / data["sourceRoot"]).resolve(),
+                                  _declared_deps(data), origin_base=workspace), depth)
+                    for lib_dir, data, depth in resolved]
+    return BOM(app, dependencies, warnings)
 
 
 def corpus_program(bom: BOM):

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .constructs import CONSTRUCTOR, METHOD, ConstructId
-from .errors import NotReached
+from .errors import MalformedArtifact, NotReached
 from .jx import ast
 from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
+from .traces import guess_ctype
 
 STATIC_DISPATCH = "STATIC_DISPATCH"
 VIRTUAL_DISPATCH = "VIRTUAL_DISPATCH"
@@ -215,6 +216,44 @@ def witness_path(result: ReachResult, target: ConstructId) -> list:
     path.append((node, None))
     path.reverse()
     return path
+
+
+def reach_to_json(result: ReachResult) -> dict:
+    return {
+        "seeds": sorted(c.qname for c in result.seeds),
+        "skippedSeeds": sorted(c.qname for c in result.skipped_seeds),
+        "reached": [{"ctype": c.ctype, "qname": c.qname}
+                    for c in sorted(result.reached)],
+        "parents": {c.qname: {"caller": caller.qname, "site": site}
+                    for c, (caller, site) in sorted(result.parent.items())},
+    }
+
+
+def reach_from_json(data, artifact: str) -> ReachResult:
+    """Inverse of reach_to_json; seeds and parents are looked up in the
+    reached list, which carries the ctypes. Raises MalformedArtifact, naming
+    the artifact, unless every reached construct has a parent chain back to
+    a seed."""
+    try:
+        reached = {e["qname"]: ConstructId(e["ctype"], e["qname"]) for e in data["reached"]}
+        seeds = {reached[q] for q in data["seeds"]}
+        parent = {reached[q]: (reached[p["caller"]], p["site"])
+                  for q, p in data["parents"].items()}
+        skipped = [ConstructId(guess_ctype(q), q) for q in data["skippedSeeds"]]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise MalformedArtifact("%s: malformed reachability artifact: %r" % (artifact, exc))
+    grounded = set(seeds)
+    for target in reached.values():
+        chain = {}
+        node = target
+        while node not in grounded:
+            if node in chain or node not in parent:
+                raise MalformedArtifact("%s: no parent chain leads from a seed to %s"
+                                        % (artifact, target.qname))
+            chain[node] = None
+            node = parent[node][0]
+        grounded.update(chain)
+    return ReachResult(seeds, set(reached.values()), parent, skipped)
 
 
 def app_reachability(bom, graph: CallGraph, restrict=None) -> ReachResult:

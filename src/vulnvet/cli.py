@@ -12,7 +12,8 @@ from pathlib import Path
 
 from . import __version__
 from .bom import build_bom, bom_to_json, corpus_program
-from .callgraph import app_reachability, build_call_graph, graph_to_json
+from .callgraph import (app_reachability, build_call_graph, graph_to_json,
+                        reach_to_json)
 from .combined import combined_reachable
 from .constructs import (CLASS, CONSTRUCTOR, INTERFACE, METHOD, PACKAGE,
                          ConstructId)
@@ -22,7 +23,7 @@ from .interp import run_tests
 from .jx.errors import JxError
 from .kb import KnowledgeBase
 from .metrics import deep_update_advice, metrics_csv, metrics_to_json, recommend
-from .report import assemble_report, exit_code_for, reach_to_json, render_html
+from .report import assemble_report, exit_code_for, render_html
 from .traces import TraceLog, ingest_traces, to_jsonl
 from .workspace import Workspace
 

@@ -1,15 +1,14 @@
-"""Combination of static and dynamic analysis, and evidence assignment.
+"""Combination of static and dynamic analysis.
 
 Traced constructs become the seeds of a second static pass; trace-observed
 call edges (reflection targets, framework-to-application calls) are folded
 into the graph first, so the closure can continue past the gaps static
-analysis cannot cross.
+analysis cannot cross. Evidence levels are attached in the report.
 """
 
 from __future__ import annotations
 
-from .callgraph import DYNAMIC, CallGraph, Edge, ReachResult, reachable, witness_path
-from .detection import COMBINED, DYNAMIC as EV_DYNAMIC, NONE, STATIC
+from .callgraph import DYNAMIC, CallGraph, Edge, ReachResult, reachable
 from .traces import TraceLog
 
 
@@ -31,48 +30,3 @@ def combined_reachable(graph: CallGraph, traces: TraceLog) -> ReachResult:
     """Closure over the trace-augmented graph, seeded from executed constructs."""
     augmented = graph.with_extra_edges(dynamic_edges(traces))
     return reachable(augmented, traces.executed)
-
-
-def _path_json(result: ReachResult, target) -> list:
-    return [{"qname": cid.qname, "site": site} for cid, site in witness_path(result, target)]
-
-
-def assess(findings, r_a: ReachResult, traces: TraceLog, r_t: ReachResult):
-    """Assign per-construct and per-finding evidence levels.
-
-    DYNAMIC: actually executed (strongest); STATIC: reachable from the
-    application seeds; COMBINED: reachable only from the traced seeds;
-    NONE otherwise. Mutates and returns the findings.
-    """
-    executed = traces.executed
-    for f in findings:
-        strongest = NONE
-        for m in f.matched:
-            if not m.present:
-                continue
-            cid = m.change.construct
-            if cid in executed:
-                event = traces.first_event_for(cid)
-                level = EV_DYNAMIC
-                witness = {"trace": {"test": event.test, "ts": event.ts,
-                                     "caller": event.caller.qname if event.caller else None,
-                                     "site": event.site}}
-            elif cid in r_a.reached:
-                level = STATIC
-                witness = {"path": _path_json(r_a, cid)}
-            elif cid in r_t.reached:
-                level = COMBINED
-                witness = {"path": _path_json(r_t, cid)}
-            else:
-                continue
-            f.construct_evidence[cid] = (level, witness)
-            strongest = _stronger(strongest, level)
-        f.evidence = strongest
-    return findings
-
-
-_STRENGTH = {NONE: 0, STATIC: 1, COMBINED: 2, EV_DYNAMIC: 3}
-
-
-def _stronger(a: str, b: str) -> str:
-    return a if _STRENGTH[a] >= _STRENGTH[b] else b

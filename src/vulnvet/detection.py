@@ -1,4 +1,8 @@
-"""Per-archive vulnerability detection via construct-set intersection."""
+"""Per-archive vulnerability detection via construct-set intersection.
+
+Findings leave detection without evidence (NONE); the report attaches the
+evidence levels defined here from the trace log and reachability artifacts.
+"""
 
 from __future__ import annotations
 
@@ -38,9 +42,6 @@ class Finding:
     archive_version: str
     verdict: str
     matched: list = field(default_factory=list)  # MatchEntry per record change
-    evidence: str = NONE
-    # ConstructId -> (level, witness dict); filled by combined_analysis.assess
-    construct_evidence: dict = field(default_factory=dict)
 
 
 _VULN_SIDE = (EQUALS_VULNERABLE, CLOSER_TO_VULNERABLE)
@@ -112,14 +113,11 @@ def finding_to_json(f: Finding) -> dict:
                 "distVuln": m.classification.dist_vuln,
                 "distFixed": m.classification.dist_fixed,
             }
-        ev = f.construct_evidence.get(m.change.construct)
-        if ev is not None:
-            entry["evidence"] = {"level": ev[0], "witness": ev[1]}
         matched.append(entry)
     return {
         "vulnId": f.vuln_id,
         "archive": {"name": f.archive_name, "version": f.archive_version},
         "verdict": f.verdict,
-        "evidence": f.evidence,
+        "evidence": NONE,
         "matched": matched,
     }

@@ -41,6 +41,10 @@ class NotReached(VetError):
     pass
 
 
+class MalformedArtifact(VetError):
+    pass
+
+
 class NoTestsMatched(VetError):
     pass
 

@@ -8,14 +8,14 @@ dependencies and frameworks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+from .bom import resolve_dependencies
 from .constructs import CALLABLE_CTYPES, version_key, version_newer
-from .errors import (EmptyConstructSet, NoCandidates, NoTouchPoints,
-                     UnknownArchive, UnknownLibrary)
+from .errors import (EmptyConstructSet, MissingDependency, NoCandidates,
+                     NoTouchPoints, UnknownArchive, UnknownLibrary)
 from .kb import KnowledgeBase, LibraryIndex
 
 
@@ -190,24 +190,6 @@ def metrics_to_json(rows: list) -> list:
     return out
 
 
-def _resolve_store_versions(workspace: Path, root_deps) -> dict:
-    """Manifest-only breadth-first resolution: name -> version, nearest wins."""
-    resolved = {}
-    queue = [(n, v) for n, v in root_deps]
-    while queue:
-        name, version = queue.pop(0)
-        if name in resolved:
-            continue
-        manifest = workspace / "libs" / name / version / "lib.json"
-        if not manifest.is_file():
-            continue
-        resolved[name] = version
-        data = json.loads(manifest.read_text(encoding="utf-8"))
-        for d in data.get("dependencies", []):
-            queue.append((d["name"], d["version"]))
-    return resolved
-
-
 def deep_update_advice(workspace: Path, bom, kb: KnowledgeBase, lib: str) -> list:
     """For a vulnerable transitive dependency, name newer versions of the
     direct dependency that pull in a non-vulnerable version of it."""
@@ -229,9 +211,13 @@ def deep_update_advice(workspace: Path, bom, kb: KnowledgeBase, lib: str) -> lis
                            key=version_key):
             if current is not None and not version_newer(vdir, current.version):
                 continue
-            resolved = _resolve_store_versions(workspace, [(direct_name, vdir)])
-            if lib in resolved and resolved[lib] in safe:
+            try:
+                closure, _ = resolve_dependencies(workspace, [(direct_name, vdir)])
+            except MissingDependency:
+                continue  # this version cannot be installed from the store
+            versions = {data["name"]: data["version"] for _, data, _ in closure}
+            if versions.get(lib) in safe:
                 notes.append("updating direct dependency %s to %s pulls in "
                              "non-vulnerable %s:%s"
-                             % (direct_name, vdir, lib, resolved[lib]))
+                             % (direct_name, vdir, lib, versions[lib]))
     return notes

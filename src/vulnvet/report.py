@@ -1,74 +1,37 @@
 """Report assembly over the persisted workspace artifacts.
 
 The report is built from the artifact files alone, so it reflects exactly
-what the analysis steps ran so far produced. Evidence levels are recomputed
-here from the trace log and the reachability closures, which lets a scan,
-trace and reachability steps run in any order and still converge on the
-same report.
+what the analysis steps ran so far produced. Evidence levels are attached
+here, from the trace log and the persisted reachability closures, which lets
+scan, trace and reachability steps run in any order and still converge on
+the same report.
 """
 
 from __future__ import annotations
 
 import html
 import json
+from collections import Counter
 
 from . import __version__
-from .callgraph import ReachResult
-from .detection import COMBINED, DYNAMIC, NONE, STATIC
+from .callgraph import ReachResult, reach_from_json, witness_path
+from .constructs import ConstructId
+from .detection import COMBINED, DYNAMIC, EVIDENCE_ORDER, NONE, STATIC
 from .kb import KnowledgeBase
+from .traces import read_trace_lines
 from .workspace import Workspace
 
-_STRENGTH = {NONE: 0, STATIC: 1, COMBINED: 2, DYNAMIC: 3}
 
+def attach_evidence(findings, trace_lines, r_static: ReachResult,
+                    r_combined: ReachResult):
+    """Attach the strongest evidence per contained construct and per finding.
 
-def reach_to_json(result: ReachResult) -> dict:
-    return {
-        "seeds": sorted(c.qname for c in result.seeds),
-        "skippedSeeds": sorted(c.qname for c in result.skipped_seeds),
-        "reached": [{"ctype": c.ctype, "qname": c.qname}
-                    for c in sorted(result.reached)],
-        "parents": {c.qname: {"caller": caller.qname, "site": site}
-                    for c, (caller, site) in sorted(result.parent.items())},
-    }
-
-
-class _ReachView:
-    """Read-only view of a persisted reachability artifact."""
-
-    def __init__(self, data):
-        data = data or {}
-        self.seeds = set(data.get("seeds", ()))
-        self.reached = {e["qname"] for e in data.get("reached", ())}
-        self.parents = {q: (p["caller"], p["site"])
-                        for q, p in data.get("parents", {}).items()}
-
-    def path_to(self, qname):
-        path = []
-        node = qname
-        while node not in self.seeds:
-            if node not in self.parents:
-                return None
-            caller, site = self.parents[node]
-            path.append({"qname": node, "site": site})
-            node = caller
-        path.append({"qname": node, "site": None})
-        path.reverse()
-        return path
-
-
-def _load_trace_lines(ws: Workspace):
-    path = ws.artifact("traces.jsonl")
-    if not path.is_file():
-        return []
-    out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            out.append(json.loads(line))
-    return out
-
-
-def _attach_evidence(findings, trace_lines, r_static: _ReachView, r_combined: _ReachView):
-    """Recompute per-construct and per-finding evidence on the JSON shapes."""
+    findings are finding_to_json dicts, trace_lines trace event dicts.
+    DYNAMIC: executed, with the first trace event as witness; STATIC:
+    reachable from the application; COMBINED: reachable only from the traced
+    constructs, both with a seed-to-construct witness path; NONE otherwise.
+    Mutates and returns the findings.
+    """
     first_event = {}
     for ev in trace_lines:
         first_event.setdefault(ev["callee"], ev)
@@ -78,44 +41,51 @@ def _attach_evidence(findings, trace_lines, r_static: _ReachView, r_combined: _R
             m.pop("evidence", None)
             if not m.get("contained"):
                 continue
-            qname = m["qname"]
-            if qname in first_event:
-                ev = first_event[qname]
+            cid = ConstructId(m["ctype"], m["qname"])
+            ev = first_event.get(cid.qname)
+            if ev is not None:
                 level = DYNAMIC
-                witness = {"trace": {"test": ev["test"], "ts": ev["ts"],
+                witness = {"trace": {"test": ev.get("test", ""), "ts": ev["ts"],
                                      "caller": ev.get("caller"),
                                      "site": ev.get("site")}}
-            elif qname in r_static.reached:
-                level = STATIC
-                witness = {"path": r_static.path_to(qname)}
-            elif qname in r_combined.reached:
-                level = COMBINED
-                witness = {"path": r_combined.path_to(qname)}
+            elif cid in r_static.reached:
+                level, witness = STATIC, _path_witness(r_static, cid)
+            elif cid in r_combined.reached:
+                level, witness = COMBINED, _path_witness(r_combined, cid)
             else:
                 continue
             m["evidence"] = {"level": level, "witness": witness}
-            if _STRENGTH[level] > _STRENGTH[strongest]:
-                strongest = level
+            strongest = max(strongest, level, key=EVIDENCE_ORDER.index)
         f["evidence"] = strongest
     return findings
 
 
-def _reached_counts(view: _ReachView, data) -> dict:
-    counts = {}
-    for e in (data or {}).get("reached", ()):
-        counts[e["ctype"]] = counts.get(e["ctype"], 0) + 1
-    return counts
+def _path_witness(result: ReachResult, cid: ConstructId) -> dict:
+    return {"path": [{"qname": c.qname, "site": site}
+                     for c, site in witness_path(result, cid)]}
+
+
+def _read_reach(ws: Workspace, name: str) -> tuple:
+    """(artifact present, ReachResult); an absent artifact reaches nothing."""
+    data = ws.read_json(name)
+    if data is None:
+        return False, ReachResult(set(), set(), {})
+    return True, reach_from_json(data, name)
+
+
+def _reached_counts(result: ReachResult) -> dict:
+    return dict(Counter(c.ctype for c in result.reached))
 
 
 def assemble_report(ws: Workspace) -> dict:
     bom = ws.read_json("bom.json") or {"archives": [], "resolutionWarnings": []}
     findings = ws.read_json("findings.json") or []
-    static_data = ws.read_json("reach-static.json")
-    combined_data = ws.read_json("reach-combined.json")
-    r_static = _ReachView(static_data)
-    r_combined = _ReachView(combined_data)
-    trace_lines = _load_trace_lines(ws)
-    findings = _attach_evidence(findings, trace_lines, r_static, r_combined)
+    static_present, r_static = _read_reach(ws, "reach-static.json")
+    combined_present, r_combined = _read_reach(ws, "reach-combined.json")
+    traces_path = ws.artifact("traces.jsonl")
+    trace_lines = ([data for _, data in read_trace_lines(traces_path)]
+                   if traces_path.is_file() else [])
+    findings = attach_evidence(findings, trace_lines, r_static, r_combined)
 
     archives = []
     for a in bom.get("archives", ()):
@@ -126,8 +96,7 @@ def assemble_report(ws: Workspace) -> dict:
     mitigation = {}
     if ws.artifact_dir.is_dir():
         for path in sorted(ws.artifact_dir.glob("mitigation-*.json")):
-            lib = path.stem[len("mitigation-"):]
-            mitigation[lib] = json.loads(path.read_text(encoding="utf-8"))
+            mitigation[path.stem[len("mitigation-"):]] = ws.read_json(path.name)
 
     kb = KnowledgeBase(ws.kb_path)
     kb_digest = kb.digest() if ws.kb_path.is_dir() else None
@@ -139,10 +108,10 @@ def assemble_report(ws: Workspace) -> dict:
                 "resolutionWarnings": bom.get("resolutionWarnings", [])},
         "findings": findings,
         "reachability": {
-            "static": {"present": static_data is not None,
-                       "reachedByCtype": _reached_counts(r_static, static_data)},
-            "combined": {"present": combined_data is not None,
-                         "reachedByCtype": _reached_counts(r_combined, combined_data)},
+            "static": {"present": static_present,
+                       "reachedByCtype": _reached_counts(r_static)},
+            "combined": {"present": combined_present,
+                         "reachedByCtype": _reached_counts(r_combined)},
             "tracedConstructs": len({e["callee"] for e in trace_lines}),
         },
         "mitigation": mitigation,

@@ -32,16 +32,6 @@ class TraceLog:
     def executed(self) -> set:
         return {e.callee for e in self.events}
 
-    @property
-    def dynamic_edges(self) -> set:
-        return {(e.caller, e.callee) for e in self.events if e.caller is not None}
-
-    def first_event_for(self, cid: ConstructId) -> Optional[TraceEvent]:
-        for e in self.events:
-            if e.callee == cid:
-                return e
-        return None
-
     def merge(self, other: "TraceLog") -> "TraceLog":
         """Order-normalized union; events of re-run tests replace old ones."""
         rerun = {e.test for e in other.events}
@@ -81,14 +71,13 @@ def to_jsonl(log: TraceLog) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def ingest_traces(path: Path, known_ids=None) -> tuple:
-    """Parse a trace file; returns (TraceLog, warnings). Unknown qualified
-    names are warned about but kept."""
-    warnings = []
-    events = []
-    known = {cid.qname: cid for cid in known_ids} if known_ids else {}
-    text = Path(path).read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), 1):
+def read_trace_lines(path: Path):
+    """Yield (line number, event dict) for every non-blank line of a trace
+    file. Raises MalformedTraceLine at the first line that is not a valid
+    event."""
+    # only the lines stay alive, not the whole text too: trace files are large
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
@@ -99,6 +88,22 @@ def ingest_traces(path: Path, known_ids=None) -> tuple:
             raise MalformedTraceLine(line_no, "missing callee or ts")
         if not isinstance(data["ts"], int):
             raise MalformedTraceLine(line_no, "ts must be an integer")
+        if not isinstance(data["callee"], str) or not isinstance(data.get("test", ""), str):
+            raise MalformedTraceLine(line_no, "callee and test must be text")
+        for key in ("caller", "site", "ctype"):
+            value = data.get(key)
+            if value is not None and not isinstance(value, str):
+                raise MalformedTraceLine(line_no, "%s must be text or null" % key)
+        yield line_no, data
+
+
+def ingest_traces(path: Path, known_ids=None) -> tuple:
+    """Parse a trace file; returns (TraceLog, warnings). Unknown qualified
+    names are warned about but kept."""
+    warnings = []
+    events = []
+    known = {cid.qname: cid for cid in known_ids} if known_ids else {}
+    for line_no, data in read_trace_lines(path):
         callee_q = data["callee"]
         if known and callee_q not in known:
             warnings.append("line %d: unknown construct %s" % (line_no, callee_q))

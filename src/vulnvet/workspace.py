@@ -12,6 +12,8 @@ import json
 import os
 from pathlib import Path
 
+from .errors import MalformedArtifact
+
 ARTIFACT_DIR = ".vet"
 
 
@@ -51,7 +53,7 @@ class Workspace:
         path = self.artifact(name)
         if not path.is_file():
             return default
-        return json.loads(path.read_text(encoding="utf-8"))
-
-    def has_artifact(self, name: str) -> bool:
-        return self.artifact(name).is_file()
+        try:
+            return json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise MalformedArtifact("%s: %s" % (name, exc))

@@ -111,11 +111,16 @@ def test_criterion_1_golden_corpus_end_to_end(tmp_path):
     assert [c.qname for c, _ in path_omega] == [
         "lib2.Core.delta()", "lib3.Scan.omega()"]
 
-    from vulnvet.combined import assess
-    from vulnvet.detection import COMBINED, DYNAMIC
-    assess(findings, r_static, traces, r_combined)
-    for f in (by_id["VULN-J1"], by_id["VULN-J2"]):
-        assert f.evidence in (COMBINED, DYNAMIC)
+    from vulnvet.detection import COMBINED, DYNAMIC, finding_to_json
+    from vulnvet.report import attach_evidence
+    from vulnvet.traces import read_trace_lines, to_jsonl
+    trace_file = tmp_path / "traces.jsonl"
+    trace_file.write_text(to_jsonl(traces))
+    trace_lines = [data for _, data in read_trace_lines(trace_file)]
+    reported = attach_evidence([finding_to_json(f) for f in findings],
+                               trace_lines, r_static, r_combined)
+    for f in reported:
+        assert f["evidence"] in (COMBINED, DYNAMIC)
 
     elapsed = time.monotonic() - started
     assert elapsed < 5.0

@@ -6,7 +6,6 @@ import pytest
 
 from helpers import GOLDEN, copy_workspace
 from vulnvet.bom import bom_to_json, build_bom, corpus_program
-from vulnvet.constructs import ConstructId, METHOD
 from vulnvet.errors import ManifestError, MissingDependency
 
 
@@ -19,13 +18,6 @@ def test_transitive_resolution_and_depths(tmp_path):
     _, bom = _golden_bom(tmp_path)
     depths = {arc.name: depth for arc, depth in bom.archives()}
     assert depths == {"demo-app": 0, "fw": 1, "lib1": 1, "lib2": 2, "lib3": 3}
-
-
-def test_owner_lookup(tmp_path):
-    _, bom = _golden_bom(tmp_path)
-    cid = ConstructId(METHOD, "lib2.Core.delta()")
-    assert bom.owner_of(cid).name == "lib2"
-    assert bom.owner_of(ConstructId(METHOD, "no.Such.m()")) is None
 
 
 def test_version_conflict_nearest_wins(tmp_path):
@@ -57,9 +49,12 @@ def test_missing_dependency_is_an_error(tmp_path):
 
 def test_malformed_manifest(tmp_path):
     bad = tmp_path / "app.json"
-    bad.write_text('{"name": "x"}')
-    with pytest.raises(ManifestError):
-        build_bom(bad, tmp_path)
+    for text in ('{"name": "x"}', '["name", "version", "sourceRoot"]',
+                 '{"name": "x", "version": "1", "sourceRoot": "src", '
+                 '"dependencies": ["name version"]}'):
+        bad.write_text(text)
+        with pytest.raises(ManifestError):
+            build_bom(bad, tmp_path)
 
 
 def test_unit_origins_are_workspace_relative(tmp_path):

@@ -1,5 +1,6 @@
 """Call graph construction and reachability."""
 
+import json
 import random
 
 import pytest
@@ -7,9 +8,10 @@ import pytest
 from helpers import closure_oracle
 from vulnvet.callgraph import (CONSTRUCTOR_CALL, STATIC_DISPATCH,
                                VIRTUAL_DISPATCH, CallGraph, Edge,
-                               build_call_graph, reachable, witness_path)
+                               build_call_graph, reach_from_json, reach_to_json,
+                               reachable, witness_path)
 from vulnvet.constructs import CONSTRUCTOR, METHOD, ConstructId
-from vulnvet.errors import NotReached
+from vulnvet.errors import MalformedArtifact, NotReached
 from vulnvet.jx import parse_unit, resolve
 
 
@@ -136,3 +138,33 @@ def test_random_graphs_match_oracle():
                                  "g.jx:%d" % rng.randint(1, 30), STATIC_DISPATCH))
         seeds = set(rng.sample(nodes, rng.randint(1, len(nodes))))
         assert reachable(graph, seeds).reached == closure_oracle(graph, seeds)
+
+
+def _chain_graph():
+    a, b, c = (ConstructId(METHOD, "p.A.%s()" % n) for n in "abc")
+    graph = CallGraph(nodes={a, b, c})
+    graph.edges.add(Edge(a, b, "p.jx:1", STATIC_DISPATCH))
+    graph.edges.add(Edge(b, c, "p.jx:2", STATIC_DISPATCH))
+    return graph, a, c
+
+
+def test_reach_json_round_trip():
+    graph, a, c = _chain_graph()
+    result = reachable(graph, {a, ConstructId(METHOD, "q.Gone.g()")})
+    back = reach_from_json(json.loads(json.dumps(reach_to_json(result))), "r.json")
+    assert back == result
+    assert witness_path(back, c) == witness_path(result, c)
+
+
+def test_reach_from_json_rejects_broken_parent_chains():
+    graph, a, _ = _chain_graph()
+    data = reach_to_json(reachable(graph, {a}))
+    cyclic = json.loads(json.dumps(data))
+    cyclic["parents"]["p.A.b()"]["caller"] = "p.A.c()"
+    orphan = json.loads(json.dumps(data))
+    del orphan["parents"]["p.A.b()"]
+    unknown = json.loads(json.dumps(data))
+    unknown["seeds"] = ["p.A.zzz()"]
+    for bad in (cyclic, orphan, unknown, {"seeds": []}, [1, 2]):
+        with pytest.raises(MalformedArtifact, match="reach-x.json"):
+            reach_from_json(bad, "reach-x.json")

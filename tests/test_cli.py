@@ -140,3 +140,38 @@ def test_no_timestamps_in_artifacts(tmp_path):
         text = (ws / ".vet" / name).read_text()
         for marker in ("timestamp", "generatedAt", "20%d" % 26):
             assert marker not in text
+
+
+def test_report_rejects_malformed_trace_line(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    assert vet(["--workspace", str(ws), "trace", "run", "--pattern", "test"]) == 0
+    traces = ws / ".vet/traces.jsonl"
+    lines = traces.read_text().splitlines()
+    lines[1] = lines[1][:-1]  # truncated JSON object
+    traces.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for step in (["report"], ["reach", "combined"]):
+        assert vet(["--workspace", str(ws), *step]) == 3
+        err = capsys.readouterr().err
+        assert "trace line 2:" in err and "Traceback" not in err
+
+
+def test_report_rejects_reach_artifact_without_seed_chain(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    for step in (["scan"], ["trace", "run", "--pattern", "itest"], ["reach", "combined"]):
+        vet(["--workspace", str(ws), *step])
+    assert vet(["--workspace", str(ws), "report"]) == 2
+    path = ws / ".vet/reach-combined.json"
+    data = json.loads(path.read_text())
+    # hand edit: renderError stays reached but loses the edge to its caller
+    del data["parents"]["fw.Engine.renderError()"]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "report"]) == 3
+    err = capsys.readouterr().err
+    assert "reach-combined.json" in err and "fw.Engine.renderError()" in err
+    assert "Traceback" not in err
+    path.write_text(path.read_text()[:-10])  # truncated file
+    assert vet(["--workspace", str(ws), "report"]) == 3
+    assert "reach-combined.json" in capsys.readouterr().err

@@ -1,13 +1,14 @@
-"""Evidence assignment and the combined static+dynamic pass."""
+"""The combined static+dynamic pass, and evidence attached to its results."""
 
 from helpers import GOLDEN, build_golden_kb, copy_workspace
 from vulnvet.bom import build_bom, corpus_program
 from vulnvet.callgraph import DYNAMIC as DYN_EDGE, app_reachability, build_call_graph
-from vulnvet.combined import assess, combined_reachable, dynamic_edges
+from vulnvet.combined import combined_reachable, dynamic_edges
 from vulnvet.constructs import METHOD, ConstructId
-from vulnvet.detection import COMBINED, DYNAMIC, NONE, STATIC, detect
+from vulnvet.detection import COMBINED, DYNAMIC, NONE, detect, finding_to_json
 from vulnvet.interp import run_tests
-from vulnvet.traces import TraceLog
+from vulnvet.report import attach_evidence
+from vulnvet.traces import TraceLog, read_trace_lines, to_jsonl
 
 
 def _pipeline(tmp_path):
@@ -37,35 +38,44 @@ def test_combined_pass_with_empty_traces_reaches_nothing(tmp_path):
     assert result.reached == set()
 
 
+def _evidence(tmp_path, bom, kb, traces, r_a, r_t):
+    """Findings as the report sees them: finding_to_json dicts, trace lines
+    read back from traces.jsonl, and both closures."""
+    path = tmp_path / "traces.jsonl"
+    path.write_text(to_jsonl(traces))
+    trace_lines = [data for _, data in read_trace_lines(path)]
+    findings = [finding_to_json(f) for f in detect(bom, kb)]
+    return {f["vulnId"]: f for f in attach_evidence(findings, trace_lines, r_a, r_t)}
+
+
+def _matched(finding, qname):
+    return next(m for m in finding["matched"] if m["qname"] == qname)
+
+
 def test_evidence_levels(tmp_path):
     bom, kb, graph, traces = _pipeline(tmp_path)
-    findings = detect(bom, kb)
     r_a = app_reachability(bom, graph)
     r_t = combined_reachable(graph, traces)
-    assess(findings, r_a, traces, r_t)
-    by_id = {f.vuln_id: f for f in findings}
+    by_id = _evidence(tmp_path, bom, kb, traces, r_a, r_t)
 
     f1 = by_id["VULN-J1"]
-    assert f1.evidence == COMBINED
-    eta = ConstructId(METHOD, "fw.Engine.renderError()")
-    level, witness = f1.construct_evidence[eta]
-    assert level == COMBINED
-    assert [hop["qname"] for hop in witness["path"]] == [
+    assert f1["evidence"] == COMBINED
+    eta = _matched(f1, "fw.Engine.renderError()")["evidence"]
+    assert eta["level"] == COMBINED
+    assert [hop["qname"] for hop in eta["witness"]["path"]] == [
         "fw.Engine.dispatch(int)", "fw.Engine.renderError()"]
 
     f2 = by_id["VULN-J2"]
-    assert f2.evidence == COMBINED
-    omega = ConstructId(METHOD, "lib3.Scan.omega()")
-    assert f2.construct_evidence[omega][0] == COMBINED
+    assert f2["evidence"] == COMBINED
+    assert _matched(f2, "lib3.Scan.omega()")["evidence"]["level"] == COMBINED
     # check(int) is contained but never reached, so it carries no evidence
-    check = ConstructId(METHOD, "lib3.Scan.check(int)")
-    assert check not in f2.construct_evidence
+    check = _matched(f2, "lib3.Scan.check(int)")
+    assert check["contained"] and "evidence" not in check
 
 
 def test_dynamic_beats_combined(tmp_path):
     # a construct both executed and reachable reports DYNAMIC with a trace witness
     bom, kb, graph, traces = _pipeline(tmp_path)
-    findings = detect(bom, kb)
     r_a = app_reachability(bom, graph)
     r_t = combined_reachable(graph, traces)
 
@@ -76,25 +86,23 @@ def test_dynamic_beats_combined(tmp_path):
     from vulnvet.canonical import CTree, digest
     from vulnvet.kb import CODE_CHANGE, VulnerabilityRecord
     delta = ConstructId(METHOD, "lib2.Core.delta()")
+    assert delta in r_t.reached
     arc = bom.archive_named("lib2")
     observed = arc.constructs[delta]
     other = CTree("other")
     change = dif.ConstructChange(delta, dif.MOD, observed.body, other,
                                  observed.fingerprint, digest(other))
     kb2.save_record(VulnerabilityRecord("VULN-D", "", CODE_CHANGE, changes=[change]))
-    findings = detect(bom, kb2)
-    assess(findings, r_a, traces, r_t)
-    fd = next(f for f in findings if f.vuln_id == "VULN-D")
-    assert fd.evidence == DYNAMIC
-    level, witness = fd.construct_evidence[delta]
-    assert level == DYNAMIC and "trace" in witness
+    fd = _evidence(tmp_path, bom, kb2, traces, r_a, r_t)["VULN-D"]
+    assert fd["evidence"] == DYNAMIC
+    ev = _matched(fd, delta.qname)["evidence"]
+    assert ev["level"] == DYNAMIC and "trace" in ev["witness"]
 
 
 def test_static_evidence_without_traces(tmp_path):
     bom, kb, graph, _ = _pipeline(tmp_path)
-    findings = detect(bom, kb)
     r_a = app_reachability(bom, graph)
     r_t = combined_reachable(graph, TraceLog())
-    assess(findings, r_a, TraceLog(), r_t)
+    by_id = _evidence(tmp_path, bom, kb, TraceLog(), r_a, r_t)
     # nothing in fw or lib3 is statically reachable: no evidence at all
-    assert {f.evidence for f in findings} == {NONE}
+    assert {f["evidence"] for f in by_id.values()} == {NONE}

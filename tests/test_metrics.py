@@ -8,8 +8,9 @@ from helpers import GOLDEN, UPDATE, build_golden_kb, copy_workspace
 from vulnvet.bom import build_bom, corpus_program
 from vulnvet.callgraph import app_reachability, build_call_graph
 from vulnvet.combined import combined_reachable
-from vulnvet.errors import (EmptyConstructSet, NoCandidates, NoTouchPoints,
-                            UnknownArchive)
+from vulnvet.cli import main as vet
+from vulnvet.errors import (EmptyConstructSet, ManifestError, NoCandidates,
+                            NoTouchPoints, UnknownArchive)
 from vulnvet.kb import KnowledgeBase
 from vulnvet.metrics import (Ratio, body_stability, callee_stability,
                              deep_update_advice, development_effort,
@@ -169,3 +170,44 @@ def test_metrics_csv_shape(tmp_path):
     lines = csv.strip().splitlines()
     assert lines[0] == "version,cs_num,cs_den,de,rbs_num,rbs_den,obs_num,obs_den"
     assert lines[1].startswith("2.0,1,2,3,")
+
+
+def _store_lib(ws, name, version, deps, manifest=None):
+    d = ws / "libs" / name / version
+    d.mkdir(parents=True)
+    (d / "lib.json").write_text(manifest if manifest is not None else json.dumps({
+        "name": name, "version": version, "sourceRoot": "src",
+        "dependencies": [{"name": n, "version": v} for n, v in deps]}))
+
+
+def _deep_update_setup(tmp_path):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    kb = build_golden_kb(tmp_path / "kb")
+    kb.index_library("lib3", {
+        "1.0": ws / "libs/lib3/1.0/src",
+        "2.0": GOLDEN / "fixes/j2/after",
+    })
+    _store_lib(ws, "lib2", "2.0", [("lib3", "2.0")])
+    _store_lib(ws, "lib3", "2.0", [])
+    return ws, kb, build_bom(ws / "app.json", ws)
+
+
+def test_deep_update_advice_skips_unresolvable_candidates(tmp_path):
+    ws, kb, bom = _deep_update_setup(tmp_path)
+    # lib1 2.0 would pull in the fixed lib3, but also a dependency the store lacks
+    _store_lib(ws, "lib1", "2.0", [("lib2", "2.0"), ("ghost", "9.9")])
+    _store_lib(ws, "lib1", "2.1", [("lib2", "2.0")])
+    notes = deep_update_advice(ws, bom, kb, "lib3")
+    assert notes == ["updating direct dependency lib1 to 2.1 pulls in "
+                     "non-vulnerable lib3:2.0"]
+
+
+def test_deep_update_advice_rejects_malformed_store_manifest(tmp_path, capsys):
+    ws, kb, bom = _deep_update_setup(tmp_path)
+    _store_lib(ws, "lib1", "3.0", [], manifest='{"name": "lib1", ')
+    with pytest.raises(ManifestError, match="libs/lib1/3.0/lib.json"):
+        deep_update_advice(ws, bom, kb, "lib3")
+    assert vet(["--workspace", str(ws), "--kb", str(tmp_path / "kb"),
+                "mitigate", "--lib", "lib3"]) == 3
+    err = capsys.readouterr().err
+    assert "libs/lib1/3.0/lib.json" in err and "Traceback" not in err

@@ -2,6 +2,7 @@
 
 import pytest
 
+from vulnvet.combined import dynamic_edges
 from vulnvet.constructs import CONSTRUCTOR, METHOD, ConstructId
 from vulnvet.errors import MalformedTraceLine
 from vulnvet.traces import (TraceEvent, TraceLog, guess_ctype, ingest_traces,
@@ -18,7 +19,8 @@ def test_executed_and_edges():
     log = TraceLog([_ev("p.A.a()", 1, "t"),
                     _ev("p.B.b()", 2, "t", caller="p.A.a()", site="u.jx:3")])
     assert {c.qname for c in log.executed} == {"p.A.a()", "p.B.b()"}
-    assert len(log.dynamic_edges) == 1
+    assert [(e.caller.qname, e.callee.qname, e.site) for e in dynamic_edges(log)] == [
+        ("p.A.a()", "p.B.b()", "u.jx:3")]
 
 
 def test_normalize_orders_and_renumbers():
@@ -60,9 +62,12 @@ def test_ingest_rejects_malformed_lines(tmp_path):
     path.write_text('{"callee": "p.A.a()"}\n')
     with pytest.raises(MalformedTraceLine):
         ingest_traces(path)
-    path.write_text("not json\n")
-    with pytest.raises(MalformedTraceLine):
-        ingest_traces(path)
+    for line in ("not json", '{"callee": ["p.A.a()"], "ts": 1}',
+                 '{"callee": "p.A.a()", "ts": 1, "test": null}',
+                 '{"callee": "p.A.a()", "ts": 1, "caller": 7}'):
+        path.write_text('{"callee": "p.A.a()", "ts": 1}\n\n' + line + "\n")
+        with pytest.raises(MalformedTraceLine, match="trace line 3:"):
+            ingest_traces(path)
 
 
 def test_guess_ctype_spots_constructors():
