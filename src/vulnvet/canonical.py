@@ -8,6 +8,7 @@ identically, so a digest over the serialization is a content fingerprint.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 
 
@@ -17,7 +18,12 @@ class CTree:
     children: tuple["CTree", ...] = field(default=())
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            node = stack.pop()
+            count += 1
+            stack.extend(node.children)
+        return count
 
     def preorder(self):
         yield self
@@ -36,70 +42,54 @@ def serialize(tree: CTree) -> str:
     return "(%s %s)" % (_escape(tree.label), " ".join(serialize(c) for c in tree.children))
 
 
+_ESCAPE = re.compile(r"\\(.)", re.S)
+# A label runs to the next unescaped space or parenthesis; an escape pair
+# takes any second character, and a backslash that ends the text stands for
+# itself. Spaces between tokens match nothing and are skipped.
+_TOKENS = re.compile(r"\(|\)|(?:\\.|\\\Z|[^ ()\\])+", re.S)
+
+
 def _unescape_token(tok: str) -> str:
-    out = []
-    i = 0
-    while i < len(tok):
-        ch = tok[i]
-        if ch == "\\" and i + 1 < len(tok):
-            nxt = tok[i + 1]
-            out.append(" " if nxt == "s" else nxt)
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return _ESCAPE.sub(lambda m: " " if m.group(1) == "s" else m.group(1), tok)
 
 
 def deserialize(text: str) -> CTree:
-    """Inverse of :func:`serialize`. Raises ValueError on malformed input."""
-    pos = 0
+    """Inverse of :func:`serialize`. Raises ValueError on malformed input.
 
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos] == " ":
-            pos += 1
-
-    def parse_node() -> CTree:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise ValueError("unexpected end of canonical form")
-        if text[pos] == "(":
-            pos += 1
-            label = parse_token()
-            kids = []
-            while True:
-                skip_ws()
-                if pos >= len(text):
-                    raise ValueError("unterminated canonical node")
-                if text[pos] == ")":
-                    pos += 1
-                    return CTree(label, tuple(kids))
-                kids.append(parse_node())
-        return CTree(parse_token())
-
-    def parse_token() -> str:
-        nonlocal pos
-        skip_ws()
-        start = pos
-        raw = []
-        while pos < len(text) and text[pos] not in " ()":
-            if text[pos] == "\\" and pos + 1 < len(text):
-                raw.append(text[pos:pos + 2])
-                pos += 2
-            else:
-                raw.append(text[pos])
-                pos += 1
-        if pos == start:
-            raise ValueError("empty label at offset %d" % pos)
-        return _unescape_token("".join(raw))
-
-    node = parse_node()
-    skip_ws()
-    if pos != len(text):
-        raise ValueError("trailing data in canonical form")
-    return node
+    Iterative, so nesting depth is bounded by memory only.
+    """
+    stack = []        # (label, children) of the open nodes
+    root = None
+    opened = False    # an opening parenthesis waits for its label
+    for m in _TOKENS.finditer(text):
+        tok = m.group()
+        if root is not None:
+            raise ValueError("trailing data in canonical form")
+        if opened and tok in ("(", ")"):
+            raise ValueError("empty label at offset %d" % m.start())
+        if tok == "(":
+            opened = True
+            continue
+        if tok == ")":
+            if not stack:
+                raise ValueError("unbalanced ')' at offset %d" % m.start())
+            label, kids = stack.pop()
+            node = CTree(label, tuple(kids))
+        elif opened:
+            stack.append((_unescape_token(tok), []))
+            opened = False
+            continue
+        else:
+            node = CTree(_unescape_token(tok))
+        if stack:
+            stack[-1][1].append(node)
+        else:
+            root = node
+    if opened or stack:
+        raise ValueError("unterminated canonical node")
+    if root is None:
+        raise ValueError("unexpected end of canonical form")
+    return root
 
 
 def digest(tree: CTree) -> str:

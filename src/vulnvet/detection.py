@@ -71,19 +71,16 @@ def detect(bom: BOM, kb: KnowledgeBase) -> list:
     construct ids and fingerprints, never on archive metadata.
     """
     findings = []
-    records = kb.records()
+    records = [(r, {ch.construct for ch in r.changes}) for r in kb.records()]
     for arc, _depth in bom.archives():
         ids = arc.construct_ids()
-        for record in records:
+        for record, changed_ids in records:
             if record.kind == WHOLE_LIBRARY:
                 if record.covers_version(arc.name, arc.version):
                     findings.append(Finding(record.vuln_id, arc.name, arc.version,
                                             WHOLE_LIBRARY_AFFECTED))
                 continue
-            if record.kind != CODE_CHANGE:
-                continue
-            changed_ids = {ch.construct for ch in record.changes}
-            if not (changed_ids & ids):
+            if record.kind != CODE_CHANGE or changed_ids.isdisjoint(ids):
                 continue
             matched = []
             for ch in sorted(record.changes, key=lambda c: c.construct):

@@ -23,14 +23,39 @@ CLOSER_TO_FIXED = "CLOSER_TO_FIXED"
 TIE = "TIE"
 
 
-@dataclass
 class ConstructChange:
-    construct: ConstructId
-    op: str
-    ast_vuln: Optional[object] = None   # CTree; absent for ADD
-    ast_fixed: Optional[object] = None  # CTree; absent for DEL
-    fp_vuln: Optional[str] = None
-    fp_fixed: Optional[str] = None
+    """One construct's entry in a fix's change set.
+
+    ``ast_vuln`` and ``ast_fixed`` are the bodies before and after the fix
+    (CTrees; absent for ADD and DEL respectively). A side may be given as a
+    function of no arguments that returns its CTree: it is called on the
+    first access, so a knowledge-base scan decodes only the bodies whose
+    distances it computes.
+    """
+
+    __slots__ = ("construct", "op", "fp_vuln", "fp_fixed", "_sides")
+
+    def __init__(self, construct: ConstructId, op: str, ast_vuln=None, ast_fixed=None,
+                 fp_vuln: Optional[str] = None, fp_fixed: Optional[str] = None):
+        self.construct = construct
+        self.op = op
+        self.fp_vuln = fp_vuln
+        self.fp_fixed = fp_fixed
+        self._sides = [ast_vuln, ast_fixed]
+
+    def _side(self, k: int):
+        tree = self._sides[k]
+        if callable(tree):
+            tree = self._sides[k] = tree()
+        return tree
+
+    @property
+    def ast_vuln(self):
+        return self._side(0)
+
+    @property
+    def ast_fixed(self):
+        return self._side(1)
 
     @property
     def informative(self) -> bool:

@@ -45,6 +45,10 @@ class MalformedArtifact(VetError):
     pass
 
 
+class MalformedRecord(VetError):
+    """A knowledge-base document that does not hold what its format requires."""
+
+
 class NoTestsMatched(VetError):
     pass
 

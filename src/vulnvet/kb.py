@@ -16,7 +16,8 @@ from pathlib import Path
 from .canonical import deserialize, serialize
 from .constructs import ConstructId, version_key
 from .diffing import ADD, DEL, EQUALS_FIXED, EQUALS_VULNERABLE, ConstructChange
-from .errors import DuplicateVuln, EmptyChangeSet, UnknownLibrary, VetError
+from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
+                     UnknownLibrary, VetError)
 
 CODE_CHANGE = "CODE_CHANGE"
 WHOLE_LIBRARY = "WHOLE_LIBRARY"
@@ -57,12 +58,52 @@ def _change_to_json(ch: ConstructChange) -> dict:
     }
 
 
-def _change_from_json(data: dict) -> ConstructChange:
+def _check_versions(what: str, versions):
+    """Raise MalformedRecord naming ``what`` unless every version is a
+    dot-separated numeric version (the form version ranges compare)."""
+    for version in versions:
+        try:
+            version_key(version)
+        except ValueError as exc:
+            raise MalformedRecord("%s: %s" % (what, exc)) from None
+
+
+def _check_fields(obj, required, optional, where: str):
+    """Require an object whose ``required`` keys hold text and whose
+    ``optional`` keys hold text or null."""
+    if not isinstance(obj, dict):
+        raise MalformedRecord("%s: expected an object" % where)
+    for key in required:
+        if not isinstance(obj.get(key), str):
+            raise MalformedRecord("%s: %s is missing or not text" % (where, key))
+    for key in optional:
+        if obj.get(key) is not None and not isinstance(obj[key], str):
+            raise MalformedRecord("%s: %s is not text" % (where, key))
+
+
+def _stored_tree(text, where: str, cid: ConstructId, key: str):
+    """The canonical text of one stored body, decoded when first needed."""
+    if not text:
+        return None
+
+    def decode():
+        try:
+            return deserialize(text)
+        except ValueError as exc:
+            raise MalformedRecord("%s: %s of %s does not decode: %s"
+                                  % (where, key, cid, exc)) from None
+    return decode
+
+
+def _change_from_json(data, where: str) -> ConstructChange:
+    _check_fields(data, ("ctype", "qname", "op"),
+                  ("astVuln", "astFixed", "fpVuln", "fpFixed"), where)
+    cid = ConstructId(data["ctype"], data["qname"])
     return ConstructChange(
-        construct=ConstructId(data["ctype"], data["qname"]),
+        construct=cid,
         op=data["op"],
-        ast_vuln=deserialize(data["astVuln"]) if data.get("astVuln") else None,
-        ast_fixed=deserialize(data["astFixed"]) if data.get("astFixed") else None,
+        ast_vuln=_stored_tree(data.get("astVuln"), where, cid, "astVuln"),
+        ast_fixed=_stored_tree(data.get("astFixed"), where, cid, "astFixed"),
         fp_vuln=data.get("fpVuln"),
         fp_fixed=data.get("fpFixed"),
     )
@@ -120,6 +161,9 @@ class KnowledgeBase:
         affected = [(n, lo, hi) for n, lo, hi in affected]
         if not affected:
             raise VetError("WHOLE_LIBRARY record needs at least one affected range")
+        for n, lo, hi in affected:
+            _check_versions("kb record %s: affected range %s:%s:%s" % (vuln_id, n, lo, hi),
+                            (lo, hi))
         record = VulnerabilityRecord(vuln_id, description, WHOLE_LIBRARY,
                                      affected=affected, source_note=meta)
         self.save_record(record)
@@ -138,14 +182,32 @@ class KnowledgeBase:
         _dump(self._vuln_path(record.vuln_id), data)
 
     def load_record(self, vuln_id: str) -> VulnerabilityRecord:
-        data = json.loads(self._vuln_path(vuln_id).read_text(encoding="utf-8"))
+        """Read one record. Stored bodies stay canonical text until a
+        change's ``ast_vuln``/``ast_fixed`` is first read. Raises
+        MalformedRecord naming the file for a document that is not a record."""
+        path = self._vuln_path(vuln_id)
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise MalformedRecord("kb record %s: not JSON: %s" % (path, exc)) from None
+        where = "kb record %s" % path
+        _check_fields(data, ("vulnId", "kind"), ("description", "sourceNote"), where)
+        changes, affected = data.get("changes", []), data.get("affected", [])
+        if not isinstance(changes, list) or not isinstance(affected, list):
+            raise MalformedRecord("%s: changes and affected must be lists" % where)
+        where = "kb record %s (%s)" % (data["vulnId"], path)
+        ranges = []
+        for a in affected:
+            _check_fields(a, ("library", "low", "high"), (), where)
+            lib, lo, hi = a["library"], a["low"], a["high"]
+            _check_versions("%s: affected range %s:%s:%s" % (where, lib, lo, hi), (lo, hi))
+            ranges.append((lib, lo, hi))
         return VulnerabilityRecord(
             vuln_id=data["vulnId"],
             description=data.get("description", ""),
             kind=data["kind"],
-            changes=[_change_from_json(c) for c in data.get("changes", [])],
-            affected=[(a["library"], a["low"], a["high"])
-                      for a in data.get("affected", [])],
+            changes=[_change_from_json(c, where) for c in changes],
+            affected=ranges,
             source_note=data.get("sourceNote", ""),
         )
 
@@ -162,6 +224,7 @@ class KnowledgeBase:
         from .diffing import extract_root
         if not version_roots:
             raise VetError("no versions given for library %s" % name)
+        _check_versions("library %s" % name, version_roots)
         versions = {}
         for version in sorted(version_roots, key=version_key):
             constructs = extract_root(Path(version_roots[version]))

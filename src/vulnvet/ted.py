@@ -2,6 +2,13 @@
 
 Unit-cost node insertion, deletion, and relabel; the minimum edit-script
 cost between two canonical trees.
+
+Zhang-Shasha decomposes both trees along their leftmost paths and fills one
+forest-distance table per pair of keyroots. Mirroring both trees (reversing
+every child list) leaves the distance unchanged and turns the left
+decomposition into the right one, so the distance is computed on whichever
+orientation fills fewer cells: the simplest of the path strategies of
+RTED/APTED (Pawlik & Augsten, Inf. Syst. 2016).
 """
 
 from __future__ import annotations
@@ -9,67 +16,101 @@ from __future__ import annotations
 from .canonical import CTree
 
 
-class _Annotated:
-    """Post-order arrays: labels, leftmost-leaf descendants, keyroots."""
+def _decompose(root: CTree, mirrored: bool):
+    """Post-order labels, leftmost-leaf indices and keyroots of a tree, and
+    the forest-distance rows that its keyroots span.
 
-    def __init__(self, root: CTree):
-        self.labels = []
-        self.lmld = []
-        self._walk(root)
-        n = len(self.labels)
-        seen = set()
-        keyroots = []
-        for i in range(n - 1, -1, -1):
-            if self.lmld[i] not in seen:
-                seen.add(self.lmld[i])
-                keyroots.append(i)
-        self.keyroots = sorted(keyroots)
-
-    def _walk(self, node: CTree) -> int:
-        first_leaf = None
-        for child in node.children:
-            leaf = self._walk(child)
-            if first_leaf is None:
-                first_leaf = leaf
-        index = len(self.labels)
-        self.labels.append(node.label)
-        self.lmld.append(first_leaf if first_leaf is not None else index)
-        return self.lmld[index]
+    ``mirrored`` walks every child list back to front. Iterative, so tree
+    depth is bounded by memory only.
+    """
+    labels, lml = [], []
+    order = reversed if mirrored else iter
+    stack = [(root, order(root.children))]
+    starts = [0]  # post-order index of the open nodes' leftmost leaves
+    while stack:
+        node, kids = stack[-1]
+        child = next(kids, None)
+        if child is not None:
+            stack.append((child, order(child.children)))
+            starts.append(len(labels))
+        else:
+            stack.pop()
+            lml.append(starts.pop())
+            labels.append(node.label)
+    # A keyroot is the highest node on its leftmost path.
+    seen = set()
+    keyroots = []
+    for k in range(len(labels) - 1, -1, -1):
+        if lml[k] not in seen:
+            seen.add(lml[k])
+            keyroots.append(k)
+    keyroots.reverse()
+    rows = sum(k - lml[k] + 1 for k in keyroots)
+    return labels, lml, keyroots, rows
 
 
 def tree_edit_distance(a: CTree, b: CTree) -> int:
-    ta, tb = _Annotated(a), _Annotated(b)
-    m, n = len(ta.labels), len(tb.labels)
+    left = _decompose(a, False), _decompose(b, False)
+    right = _decompose(a, True), _decompose(b, True)
+    # The cells a decomposition fills are the product of both trees' rows.
+    if right[0][3] * right[1][3] < left[0][3] * left[1][3]:
+        return _zhang_shasha(*right)
+    return _zhang_shasha(*left)
+
+
+def _zhang_shasha(ta, tb) -> int:
+    a_labels, a_lml, a_keyroots, _ = ta
+    b_labels, b_lml, b_keyroots, _ = tb
+    m, n = len(a_labels), len(b_labels)
     treedist = [[0] * n for _ in range(m)]
+    # fd[x][y]: distance between the first x nodes of a's keyroot forest and
+    # the first y of b's; one buffer serves every keyroot pair.
+    fd = [[0] * (n + 1) for _ in range(m + 1)]
+    first = fd[0]
+    # Per b keyroot: forest width, and per forest node its index, label and
+    # the fd column of its leftmost leaf (0 on the keyroot's leftmost path).
+    b_plan = []
+    for j in b_keyroots:
+        lj = b_lml[j]
+        cols = range(1, j - lj + 2)
+        nodes = range(lj, j + 1)
+        b_plan.append((j - lj + 2, cols, nodes, b_labels[lj:j + 1],
+                       [b_lml[bj] - lj for bj in nodes]))
 
-    for i in ta.keyroots:
-        for j in tb.keyroots:
-            _compute(ta, tb, i, j, treedist)
+    for i in a_keyroots:
+        li = a_lml[i]
+        for width, cols, nodes, labels, leaf_cols in b_plan:
+            first[:width] = range(width)
+            for x in range(1, i - li + 2):
+                ai = li + x - 1
+                prev, cur = fd[x - 1], fd[x]
+                row = treedist[ai]
+                left = cur[0] = x
+                xa = a_lml[ai] - li
+                if xa == 0:
+                    # ai is on the keyroot's leftmost path: its subtree
+                    # distances to b's leftmost-path nodes are set here.
+                    label = a_labels[ai]
+                    diag = prev[0]
+                    for y, bj, lab, yb in zip(cols, nodes, labels, leaf_cols):
+                        up = prev[y]
+                        if yb == 0:
+                            d = diag if label == lab else diag + 1
+                            row[bj] = d = min(d, up + 1, left + 1)
+                        else:  # fd[0][yb] is yb
+                            d = min(yb + row[bj], up + 1, left + 1)
+                        cur[y] = left = d
+                        diag = up
+                else:
+                    # The hottest loop: comparisons instead of min().
+                    fa = fd[xa]
+                    for y, bj, yb in zip(cols, nodes, leaf_cols):
+                        d = fa[yb] + row[bj]
+                        up = prev[y]
+                        if up < left:
+                            if up + 1 < d:
+                                d = up + 1
+                        elif left + 1 < d:
+                            d = left + 1
+                        cur[y] = left = d
     return treedist[m - 1][n - 1]
-
-
-def _compute(ta, tb, i, j, treedist):
-    li, lj = ta.lmld[i], tb.lmld[j]
-    m = i - li + 2
-    n = j - lj + 2
-    fd = [[0] * n for _ in range(m)]
-    for x in range(1, m):
-        fd[x][0] = fd[x - 1][0] + 1
-    for y in range(1, n):
-        fd[0][y] = fd[0][y - 1] + 1
-    for x in range(1, m):
-        for y in range(1, n):
-            ai = li + x - 1
-            bj = lj + y - 1
-            if ta.lmld[ai] == li and tb.lmld[bj] == lj:
-                relabel = 0 if ta.labels[ai] == tb.labels[bj] else 1
-                fd[x][y] = min(fd[x - 1][y] + 1,
-                               fd[x][y - 1] + 1,
-                               fd[x - 1][y - 1] + relabel)
-                treedist[ai][bj] = fd[x][y]
-            else:
-                xa = ta.lmld[ai] - li
-                yb = tb.lmld[bj] - lj
-                fd[x][y] = min(fd[x - 1][y] + 1,
-                               fd[x][y - 1] + 1,
-                               fd[xa][yb] + treedist[ai][bj])

@@ -47,3 +47,12 @@ def test_serialization_is_injective_on_structure():
     deep = CTree("a", (CTree("b", (CTree("c"),)),))
     assert serialize(flat) != serialize(deep)
     assert digest(flat) != digest(deep)
+
+
+def test_deserialize_deep_nesting():
+    tree = deserialize("(a " * 5000 + "b" + ")" * 5000)
+    depth = 1
+    while tree.children:
+        (tree,) = tree.children
+        depth += 1
+    assert depth == 5001 and tree.label == "b"

@@ -175,3 +175,58 @@ def test_report_rejects_reach_artifact_without_seed_chain(tmp_path, capsys):
     path.write_text(path.read_text()[:-10])  # truncated file
     assert vet(["--workspace", str(ws), "report"]) == 3
     assert "reach-combined.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"vulnId": "BAD", "kind": ',                                  # not JSON
+    '["BAD", "CODE_CHANGE"]',                                      # not an object
+    '{"kind": "CODE_CHANGE", "changes": []}',                      # no vulnId
+    '{"vulnId": "BAD", "changes": []}',                            # no kind
+    '{"vulnId": "BAD", "kind": "CODE_CHANGE", "changes": [{"ctype": "METHOD", "op": "MOD"}]}',
+])
+def test_scan_rejects_malformed_kb_record(tmp_path, capsys, text):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    (ws / "kb/vulns/BAD.json").write_text(text)
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "scan"]) == 3
+    err = capsys.readouterr().err
+    assert "BAD.json" in err and "Traceback" not in err
+
+
+def test_scan_rejects_stored_tree_that_does_not_decode(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    path = ws / "kb/vulns/VULN-J1.json"
+    data = json.loads(path.read_text())
+    for change in data["changes"]:
+        change["astVuln"] = "(" + change["astVuln"]
+    path.write_text(json.dumps(data))
+    # the installed body equals the vulnerable side by digest: nothing decodes
+    assert vet(["--workspace", str(ws), "scan"]) == 1
+    eng = ws / "libs/fw/1.0/src/engine.jx"
+    eng.write_text(eng.read_text().replace("width = 640;", "width = 642;"))
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "scan"]) == 3
+    err = capsys.readouterr().err
+    assert "VULN-J1" in err and "fw.Engine.renderError()" in err
+    assert "Traceback" not in err
+
+
+def test_bad_versions_are_rejected_when_ingested(tmp_path, capsys):
+    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+    assert vet(["--workspace", str(ws), "kb", "add-range", "--id", "VULN-W",
+                "--affected", "libA:1.0:2.x"]) == 3
+    assert vet(["--workspace", str(ws), "kb", "index-lib", "--name", "libA",
+                "--root", "1.0=%s" % (ws / "libs/libA/1.0/src"),
+                "--root", "2.x=%s" % (UPDATE / "versions/2.0")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (ws / "kb").exists()
+    # a bad range stored by other means fails the scan, naming the record
+    (ws / "kb/vulns").mkdir(parents=True)
+    (ws / "kb/vulns/VULN-W.json").write_text(json.dumps({
+        "vulnId": "VULN-W", "kind": "WHOLE_LIBRARY", "changes": [],
+        "affected": [{"library": "libA", "low": "1.0", "high": "2.x"}]}))
+    assert vet(["--workspace", str(ws), "scan"]) == 3
+    err = capsys.readouterr().err
+    assert "VULN-W" in err and "2.x" in err and "Traceback" not in err

@@ -3,13 +3,17 @@
 from pathlib import Path
 
 from helpers import GOLDEN, build_golden_kb, copy_workspace
+from vulnvet import kb as kb_module
 from vulnvet.bom import APPLICATION, Archive, BOM, build_bom
+from vulnvet.canonical import CTree, deserialize, digest, serialize
+from vulnvet.constructs import METHOD, ConstructId
 from vulnvet.detection import (FIXED, MANUAL_REVIEW, VULNERABLE,
                                WHOLE_LIBRARY_AFFECTED, aggregate_verdict,
                                detect, finding_to_json)
 from vulnvet.diffing import (CLOSER_TO_FIXED, CLOSER_TO_VULNERABLE,
-                             EQUALS_FIXED, EQUALS_VULNERABLE, TIE,
-                             Classification)
+                             EQUALS_FIXED, EQUALS_VULNERABLE, MOD, TIE,
+                             Classification, ConstructChange)
+from vulnvet.kb import CODE_CHANGE, VulnerabilityRecord
 
 
 def _c(v):
@@ -85,3 +89,34 @@ def test_application_archive_is_scanned_too(tmp_path):
     hits = {(f.vuln_id, f.archive_name) for f in findings}
     assert ("VULN-J2", "demo-app") in hits
     assert ("VULN-J2", "lib3") in hits
+
+
+def test_scan_decodes_only_the_trees_it_measures(tmp_path, monkeypatch):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    eng = ws / "libs/fw/1.0/src/engine.jx"
+    eng.write_text(eng.read_text().replace("width = 640;", "width = 642;"))
+    kb = build_golden_kb(tmp_path / "kb")
+    body = CTree("block", (CTree("lit 1"),))
+    fixed = CTree("block", (CTree("lit 2"),))
+    for k in range(40):  # records whose constructs no archive holds
+        cid = ConstructId(METHOD, "nomatch%d.A.m()" % k)
+        kb.save_record(VulnerabilityRecord("NOISE-%d" % k, "", CODE_CHANGE, changes=[
+            ConstructChange(cid, MOD, body, fixed, digest(body), digest(fixed))]))
+    decoded = []
+
+    def counting(text):
+        decoded.append(text)
+        return deserialize(text)
+    monkeypatch.setattr(kb_module, "deserialize", counting)
+
+    findings = detect(build_bom(ws / "app.json", ws), kb)
+    measured = [m for f in findings for m in f.matched
+                if m.classification is not None and m.classification.dist_vuln is not None]
+    assert [m.change.construct.qname for m in measured] == ["fw.Engine.renderError()"]
+    change = measured[0].change
+    assert sorted(decoded) == sorted([serialize(change.ast_vuln), serialize(change.ast_fixed)])
+
+    decoded.clear()
+    kb.index_library("lib3", {"1.0": GOLDEN / "workspace/libs/lib3/1.0/src"})
+    assert kb.non_vulnerable_versions("lib3") == []
+    assert decoded == []

@@ -1,8 +1,10 @@
 import random
 
-from helpers import random_ctree, ted_oracle
+from hypothesis import given, settings, strategies as st
+
+from helpers import random_ctree, ted_oracle, tree_size
 from vulnvet.canonical import CTree
-from vulnvet.ted import tree_edit_distance
+from vulnvet.ted import _decompose, tree_edit_distance
 
 
 def t(label, *children):
@@ -48,4 +50,55 @@ def test_random_pairs_against_oracle():
     for _ in range(150):
         a = random_ctree(rng, 6, ("a", "b", "c"))
         b = random_ctree(rng, 6, ("a", "b", "c"))
+        assert tree_edit_distance(a, b) == ted_oracle(a, b)
+
+
+def test_deep_chain_against_single_node():
+    chain = t("b")
+    for _ in range(4999):
+        chain = t("a", chain)
+    assert chain.size() == 5000
+    assert tree_edit_distance(chain, t("a")) == 4999
+    assert tree_edit_distance(t("a"), chain) == 4999
+
+
+def mirror(tree):
+    return CTree(tree.label, tuple(mirror(c) for c in reversed(tree.children)))
+
+
+@st.composite
+def skewed_trees(draw, max_nodes=6):
+    """Left-heavy trees (each child list sorted largest first), or their
+    mirror images: the left decomposition suits the first, the right one
+    the second."""
+    def grow(budget):
+        children = []
+        rest = budget - 1
+        while rest:
+            take = draw(st.integers(1, rest))
+            children.append(grow(take))
+            rest -= take
+        children.sort(key=tree_size, reverse=True)
+        return t(draw(st.sampled_from("ab")), *children)
+    tree = grow(draw(st.integers(1, max_nodes)))
+    return tree if draw(st.booleans()) else mirror(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(skewed_trees(), skewed_trees())
+def test_distance_is_symmetric_and_mirror_invariant(a, b):
+    d = ted_oracle(a, b)
+    assert tree_edit_distance(a, b) == d
+    assert tree_edit_distance(b, a) == d
+    assert tree_edit_distance(mirror(a), mirror(b)) == d
+
+
+def test_cheaper_decomposition_follows_the_heavy_side():
+    comb = t("r", t("x"), t("y"), t("z", t("p"), t("q", t("u"), t("v"))))
+    rows = {m: _decompose(comb, m)[3] for m in (False, True)}
+    assert rows[True] < rows[False]  # right-heavy: mirrored walk is cheaper
+    rows = {m: _decompose(mirror(comb), m)[3] for m in (False, True)}
+    assert rows[False] < rows[True]
+    other = t("r", t("x"), t("z", t("q", t("v"))))
+    for a, b in ((comb, other), (mirror(comb), mirror(other))):
         assert tree_edit_distance(a, b) == ted_oracle(a, b)
