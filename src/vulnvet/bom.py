@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .constructs import extract_constructs
+from .constructs import extract_constructs, version_key
 from .errors import ManifestError, MissingDependency
 from .jx import parse_unit, resolve
 
@@ -95,13 +95,28 @@ def _read_manifest(path: Path) -> dict:
     for key in ("name", "version", "sourceRoot"):
         if key not in data:
             raise ManifestError("manifest %s: missing %r" % (path, key))
+        if not isinstance(data[key], str):
+            raise ManifestError("manifest %s: %r must be text" % (path, key))
+    _check_version(path, data["version"])
     deps = data.get("dependencies", [])
     if not isinstance(deps, list):
         raise ManifestError("manifest %s: dependencies must be a list" % path)
     for d in deps:
-        if not isinstance(d, dict) or "name" not in d or "version" not in d:
-            raise ManifestError("manifest %s: dependency entries need name and version" % path)
+        if not isinstance(d, dict) or not isinstance(d.get("name"), str) \
+                or not isinstance(d.get("version"), str):
+            raise ManifestError("manifest %s: dependency entries need name and "
+                                "version as text" % path)
+        _check_version(path, d["version"])
     return data
+
+
+def _check_version(path: Path, version: str):
+    """Versions are compared as dot-separated numbers (version ranges,
+    update candidates), so any other form is rejected where it is read."""
+    try:
+        version_key(version)
+    except ValueError as exc:
+        raise ManifestError("manifest %s: %s" % (path, exc)) from None
 
 
 def resolve_dependencies(workspace: Path, root_deps) -> tuple:

@@ -19,6 +19,12 @@ from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
 from .traces import TraceEvent, TraceLog, normalize
 
 DEFAULT_STEP_BUDGET = 1_000_000
+# JX calls active at once. Each one holds five Python frames and up to three
+# more per block its call site is nested in. Up to two such blocks, the
+# budget is spent well within Python's default limit of 1,000 frames, under a
+# test runner or a tracer's wrappers too; deeper nesting exhausts the stack
+# first, which run_entry reports as the same failure.
+CALL_DEPTH_BUDGET = 64
 
 
 class JxRuntimeError(Exception):
@@ -38,6 +44,10 @@ class UnknownReflectTarget(JxRuntimeError):
 
 
 class StepBudgetExceeded(JxRuntimeError):
+    pass
+
+
+class CallDepthExceeded(JxRuntimeError):
     pass
 
 
@@ -100,14 +110,20 @@ class Interpreter:
         self.program = program
         self.step_budget = step_budget
         self.steps = 0
+        self.depth = 0
         self.ts = 0
         self.events = []
         self.test_name = ""
 
     # --- tracing ---
 
-    def _trace(self, callee: ConstructId, caller: Optional[ConstructId],
+    def _enter(self, callee: ConstructId, caller: Optional[ConstructId],
                site: Optional[str]):
+        """Count one more active call and trace its entry; the caller
+        decrements ``depth`` when the call returns."""
+        self.depth += 1
+        if self.depth > CALL_DEPTH_BUDGET:
+            raise CallDepthExceeded("call depth of %d exceeded" % CALL_DEPTH_BUDGET)
         self.ts += 1
         self.events.append(TraceEvent(callee, caller, site, self.ts, self.test_name))
 
@@ -131,38 +147,48 @@ class Interpreter:
             raise RuntimeTypeError("entry %s expects %d argument(s)"
                                    % (entry.qname, len(m.param_types)))
         self.test_name = test_name
+        self.depth = 0
         error = None
         value = None
         try:
             value = self._invoke_static(owner, m, call_args, None, None)
         except JxRuntimeError as exc:
             error = "%s: %s" % (type(exc).__name__, exc)
+        except RecursionError:
+            # blocks nested deeply enough exhaust Python's stack before the
+            # call depth budget
+            error = ("CallDepthExceeded: Python stack exhausted at call depth %d"
+                     % self.depth)
         return RunResult(value, error, normalize(TraceLog(self.events)))
 
     # --- invocation ---
 
     def _invoke_static(self, owner, minfo, args, caller, site):
         cid = ConstructId(METHOD, "%s.%s" % (owner, minfo.sig))
-        self._trace(cid, caller, site)
+        self._enter(cid, caller, site)
         env = _Env(initial={p.name: v for p, v in zip(minfo.decl.params, args)})
-        return self._run_body(minfo.decl.body, env, None, cid,
-                              self.program.symbols[owner].unit.origin)
+        value = self._run_body(minfo.decl.body, env, None, cid,
+                               self.program.symbols[owner].unit.origin)
+        self.depth -= 1
+        return value
 
     def _invoke_virtual(self, obj: Obj, sig, args, caller, site):
         impl = self.program.resolve_impl(obj.cls, sig)
         if impl is None:
             raise RuntimeTypeError("no implementation of %s for %s" % (sig, obj.cls))
         cid = ConstructId(METHOD, "%s.%s" % (impl.owner, impl.sig))
-        self._trace(cid, caller, site)
+        self._enter(cid, caller, site)
         env = _Env(initial={p.name: v for p, v in zip(impl.decl.params, args)})
-        return self._run_body(impl.decl.body, env, obj,
-                              cid, self.program.symbols[impl.owner].unit.origin)
+        value = self._run_body(impl.decl.body, env, obj,
+                               cid, self.program.symbols[impl.owner].unit.origin)
+        self.depth -= 1
+        return value
 
     def _construct(self, owner, sig, args, caller, site):
         info = self.program.symbols[owner]
         cinfo = info.ctors[sig]
         cid = ConstructId(CONSTRUCTOR, "%s.%s" % (owner, sig))
-        self._trace(cid, caller, site)
+        self._enter(cid, caller, site)
         obj = Obj(owner)
         chain = []
         cursor = info
@@ -181,6 +207,7 @@ class Interpreter:
                                                     tinfo.unit.origin)
         env = _Env(initial={p.name: v for p, v in zip(cinfo.decl.params, args)})
         self._run_body(cinfo.decl.body, env, obj, cid, info.unit.origin)
+        self.depth -= 1
         return obj
 
     def _run_body(self, block, env, this, current_cid, origin):
@@ -384,15 +411,20 @@ def find_tests(bom, program: ResolvedProgram, pattern: str = "test") -> list:
 def run_tests(bom, program: ResolvedProgram, pattern: str = "test",
               step_budget: int = DEFAULT_STEP_BUDGET) -> tuple:
     """Run each matching test in isolation on a fresh heap; failing tests keep
-    their partial traces. Returns (TraceLog, {test qname: error})."""
+    their partial traces. Returns (TraceLog, {test qname: error}).
+
+    The log holds every test's events ordered by (test, ts) with ``ts``
+    renumbered from 1, as ``TraceLog.merge`` leaves it. Test names are
+    unique within a run, so the events are normalised once; the tests run in
+    name order, so that one sort meets ordered input and takes linear time."""
     tests = find_tests(bom, program, pattern)
     if not tests:
         raise NoTestsMatched("no static test method matches pattern %r" % pattern)
-    log = TraceLog()
+    events = []
     failures = {}
     for cid in tests:
         result = Interpreter(program, step_budget).run_entry(cid, [], cid.qname)
-        log = log.merge(result.log)
+        events.extend(result.log.events)
         if result.error is not None:
             failures[cid.qname] = result.error
-    return log, failures
+    return normalize(TraceLog(events)), failures

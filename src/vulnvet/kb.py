@@ -245,12 +245,30 @@ class KnowledgeBase:
         _dump(self._lib_path(index.name), data)
 
     def load_index(self, name: str) -> LibraryIndex:
+        """Read one library index. Raises UnknownLibrary when there is none
+        and MalformedRecord naming the file for a document that is not an
+        index."""
         path = self._lib_path(name)
         if not path.is_file():
             raise UnknownLibrary(name)
-        data = json.loads(path.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise MalformedRecord("kb index %s: not JSON: %s" % (path, exc)) from None
+        where = "kb index %s" % path
+        _check_fields(data, ("name",), (), where)
+        if not isinstance(data.get("versions"), dict):
+            raise MalformedRecord("%s: versions must be an object" % where)
+        _check_versions(where, data["versions"])
         versions = {}
         for v, entries in data["versions"].items():
+            if not isinstance(entries, list):
+                raise MalformedRecord("%s: version %s must be a list" % (where, v))
+            for e in entries:
+                # a package has no body, so its fingerprint is null
+                _check_fields(e, ("ctype", "qname"), ("fingerprint",), where)
+                if "fingerprint" not in e:
+                    raise MalformedRecord("%s: fingerprint is missing" % where)
             versions[v] = {ConstructId(e["ctype"], e["qname"]): e["fingerprint"]
                            for e in entries}
         return LibraryIndex(data["name"], versions)

@@ -33,18 +33,23 @@ class TraceLog:
         return {e.callee for e in self.events}
 
     def merge(self, other: "TraceLog") -> "TraceLog":
-        """Order-normalized union; events of re-run tests replace old ones."""
+        """Order-normalized union: events of tests that ``other`` re-ran
+        replace their earlier events, then everything is ordered by
+        (test, ts) and ``ts`` renumbered from 1 (see ``normalize``). The
+        result depends only on the latest run of each test, not on the
+        order in which runs were merged."""
         rerun = {e.test for e in other.events}
         kept = [e for e in self.events if e.test not in rerun]
         return normalize(TraceLog(kept + list(other.events)))
 
 
 def normalize(log: TraceLog) -> TraceLog:
-    """Stable order by (test, ts) with timestamps renumbered from 1."""
+    """Stable order by (test, ts) with timestamps renumbered from 1. An
+    event whose ``ts`` already equals its new number is kept as it is."""
     events = sorted(log.events, key=lambda e: (e.test, e.ts))
     out = []
     for i, e in enumerate(events, 1):
-        out.append(TraceEvent(e.callee, e.caller, e.site, i, e.test))
+        out.append(e if e.ts == i else TraceEvent(e.callee, e.caller, e.site, i, e.test))
     return TraceLog(out)
 
 
@@ -57,17 +62,24 @@ def guess_ctype(qname: str) -> str:
     return METHOD
 
 
+# one encoder and decoder for every line: building them per line costs more
+# than encoding or decoding a short event
+_ENCODER = json.JSONEncoder(sort_keys=True)
+_DECODER = json.JSONDecoder()
+
+
 def to_jsonl(log: TraceLog) -> str:
+    encode = _ENCODER.encode
     lines = []
     for e in log.events:
-        lines.append(json.dumps({
+        lines.append(encode({
             "callee": e.callee.qname,
             "ctype": e.callee.ctype,
             "caller": e.caller.qname if e.caller else None,
             "site": e.site,
             "test": e.test,
             "ts": e.ts,
-        }, sort_keys=True))
+        }))
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -77,11 +89,12 @@ def read_trace_lines(path: Path):
     event."""
     # only the lines stay alive, not the whole text too: trace files are large
     lines = Path(path).read_text(encoding="utf-8").splitlines()
+    decode = _DECODER.decode
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
+            data = decode(line)
         except json.JSONDecodeError as exc:
             raise MalformedTraceLine(line_no, str(exc))
         if not isinstance(data, dict) or "callee" not in data or "ts" not in data:

@@ -49,9 +49,14 @@ def test_missing_dependency_is_an_error(tmp_path):
 
 def test_malformed_manifest(tmp_path):
     bad = tmp_path / "app.json"
+    (tmp_path / "src").mkdir()  # the manifest itself must be what fails
     for text in ('{"name": "x"}', '["name", "version", "sourceRoot"]',
                  '{"name": "x", "version": "1", "sourceRoot": "src", '
-                 '"dependencies": ["name version"]}'):
+                 '"dependencies": ["name version"]}',
+                 '{"name": "x", "version": 1, "sourceRoot": "src"}',
+                 '{"name": "x", "version": "1.0-dev", "sourceRoot": "src"}',
+                 '{"name": "x", "version": "1", "sourceRoot": "src", '
+                 '"dependencies": [{"name": "y", "version": "1.x"}]}'):
         bad.write_text(text)
         with pytest.raises(ManifestError):
             build_bom(bad, tmp_path)

@@ -230,3 +230,62 @@ def test_bad_versions_are_rejected_when_ingested(tmp_path, capsys):
     assert vet(["--workspace", str(ws), "scan"]) == 3
     err = capsys.readouterr().err
     assert "VULN-W" in err and "2.x" in err and "Traceback" not in err
+
+
+def test_trace_records_a_too_deep_test_as_a_failure(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    (ws / "src/deep.jx").write_text("""
+package app;
+class Deep {
+    static int down(int n) { if (n > 0) { return app.Deep.down(n - 1); } return 0; }
+    static void testDeep() { app.Deep.down(300); }
+}
+""")
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "trace", "run", "--pattern", "test"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    failures = json.loads((ws / ".vet/test-failures.json").read_text())
+    assert list(failures) == ["app.Deep.testDeep()"]
+    assert failures["app.Deep.testDeep()"].startswith("CallDepthExceeded")
+
+
+@pytest.mark.parametrize("text", [
+    '{"name": "libA", "versions": ',                               # not JSON
+    '["libA"]',                                                    # not an object
+    '{"versions": {}}',                                            # no name
+    '{"name": 7, "versions": {}}',                                 # name not text
+    '{"name": "libA"}',                                            # no versions
+    '{"name": "libA", "versions": []}',                            # versions not an object
+    '{"name": "libA", "versions": {"1.0": {}}}',                   # version not a list
+    '{"name": "libA", "versions": {"1.0": [{"qname": "libA.Api", "fingerprint": "ab"}]}}',
+    '{"name": "libA", "versions": {"1.0": [{"ctype": "CLASS", "qname": 7, "fingerprint": "ab"}]}}',
+    '{"name": "libA", "versions": {"1.0": [{"ctype": "CLASS", "qname": "libA.Api"}]}}',
+    '{"name": "libA", "versions": {"1.0": [{"ctype": "CLASS", "qname": "libA.Api", "fingerprint": 1}]}}',
+    '{"name": "libA", "versions": {"1.x": []}}',                   # bad version
+])
+def test_malformed_library_index_is_rejected(tmp_path, capsys, text):
+    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+    (ws / "kb/libs").mkdir(parents=True)
+    (ws / "kb/libs/libA.json").write_text(text)
+    capsys.readouterr()
+    for step in (["mitigate", "--lib", "libA"], ["kb", "list"]):
+        assert vet(["--workspace", str(ws), *step]) == 3
+        err = capsys.readouterr().err
+        assert "libA.json" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("manifest, edit", [
+    ("app.json", {"version": "1.0-dev"}),
+    ("app.json", {"dependencies": [{"name": "libA", "version": "1.0-dev"}]}),
+    ("libs/libA/1.0/lib.json", {"version": "1.0-dev"}),
+])
+def test_manifest_versions_are_validated(tmp_path, capsys, manifest, edit):
+    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+    path = ws / manifest
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edit}))
+    assert vet(["--workspace", str(ws), "kb", "add-range", "--id", "VULN-W",
+                "--affected", "libA:1.0:2.0"]) == 0
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "scan"]) == 3
+    err = capsys.readouterr().err
+    assert manifest in err and "1.0-dev" in err and "Traceback" not in err

@@ -1,8 +1,10 @@
-"""Golden artifacts: the report and findings of the golden fixture, byte for
-byte. The expected files were produced by the CLI before the evidence,
-witness-path and dependency-resolution code was consolidated; a refactor
-that changes any byte of them changes behaviour. Regenerate them only for an
-intended change of the artifact format, and say so in the change log."""
+"""Golden artifacts: the report, findings and trace log of the golden
+fixture, byte for byte. The report and findings were produced by the CLI
+before the evidence, witness-path and dependency-resolution code was
+consolidated, the trace log before trace runs normalised their events once
+per command instead of once per test; a refactor that changes any byte of
+them changes behaviour. Regenerate them only for an intended change of the
+artifact format, and say so in the change log."""
 
 from helpers import GOLDEN, copy_workspace
 from vulnvet.cli import main as vet
@@ -24,5 +26,5 @@ def test_golden_report_and_findings_are_byte_identical(tmp_path):
                  ["trace", "run", "--pattern", "itest"], ["reach", "combined"]):
         assert vet(["--workspace", w, *step]) == 0
     assert vet(["--workspace", w, "report"]) == 2
-    for name in ("findings.json", "report.json"):
+    for name in ("findings.json", "report.json", "traces.jsonl"):
         assert (ws / ".vet" / name).read_bytes() == (EXPECTED / name).read_bytes(), name

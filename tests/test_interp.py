@@ -5,7 +5,8 @@ import pytest
 from vulnvet.bom import APPLICATION, Archive, BOM
 from vulnvet.constructs import METHOD, ConstructId, extract_constructs
 from vulnvet.errors import NoTestsMatched
-from vulnvet.interp import find_tests, run_entry, run_tests
+from vulnvet import interp, traces
+from vulnvet.interp import CALL_DEPTH_BUDGET, find_tests, run_entry, run_tests
 from vulnvet.jx import parse_unit, resolve
 
 
@@ -135,6 +136,35 @@ def test_step_budget_stops_infinite_loop():
     assert result.error.startswith("StepBudgetExceeded")
 
 
+def _descend(nesting: int) -> str:
+    """A program whose go() recurses 300 calls deep, each call made from
+    inside ``nesting`` nested if blocks."""
+    call = "r = p.M.down(n - 1);"
+    for _ in range(nesting):
+        call = "if (n > 0) { %s }" % call
+    return """
+package p;
+class M {
+    static int down(int n) { int r = 0; %s return r; }
+    static int go() { return p.M.down(300); }
+}
+""" % call
+
+
+def test_call_depth_budget_stops_deep_recursion():
+    result = _run(_descend(1), "p.M.go()")
+    assert result.error.startswith("CallDepthExceeded")
+    # the partial trace holds every call that started: go() and 63 down()s
+    assert len(result.log.events) == CALL_DEPTH_BUDGET
+
+
+def test_deeply_nested_recursion_fails_without_a_recursion_error():
+    # twelve nested blocks per call exhaust Python's stack before the budget
+    result = _run(_descend(12), "p.M.go()")
+    assert result.error.startswith("CallDepthExceeded")
+    assert 0 < len(result.log.events) < CALL_DEPTH_BUDGET
+
+
 def test_trace_records_caller_and_site():
     src = """
 package p;
@@ -188,6 +218,28 @@ class M {
     assert {e.test for e in log.events} == {"p.M.testOne()", "p.M.testTwo()"}
     with pytest.raises(NoTestsMatched):
         run_tests(bom, program, "nothing")
+
+
+def test_run_tests_normalizes_each_event_at_most_twice(monkeypatch):
+    helpers = "".join("static int h%d(int x) { return x + %d; }\n" % (i, i)
+                      for i in range(5))
+    calls = "".join("p.M.h%d(%d);" % (i, i) for i in range(5))
+    tests = "".join("static void test%02d() { %s }\n" % (i, calls) for i in range(19))
+    failing = "static void test19() { p.M.h0(1); p.M.h1(1 / 0); p.M.h2(2); }\n"
+    bom, program = _bom_for("package p; class M {\n%s%s%s}" % (helpers, tests, failing))
+    seen = []
+    original = traces.normalize
+
+    def counting(log):
+        seen.append(len(log.events))
+        return original(log)
+
+    monkeypatch.setattr(traces, "normalize", counting)
+    monkeypatch.setattr(interp, "normalize", counting)
+    log, failures = run_tests(bom, program, "test")
+    assert list(failures) == ["p.M.test19()"]
+    assert len(log.events) == 19 * 6 + 2
+    assert sum(seen) <= 2 * len(log.events)
 
 
 def test_call_through_unassigned_field_is_a_runtime_error():

@@ -1,6 +1,7 @@
 """Trace log model and JSON-lines persistence."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vulnvet.combined import dynamic_edges
 from vulnvet.constructs import CONSTRUCTOR, METHOD, ConstructId
@@ -34,6 +35,26 @@ def test_merge_replaces_rerun_tests():
     merged = old.merge(new)
     assert {(e.test, e.callee.qname) for e in merged.events} == {
         ("t1", "p.A.a()"), ("t2", "p.C.c()")}
+
+
+# per-test logs under distinct test names, in random name order, with
+# unordered and repeated timestamps
+_PER_TEST_LOGS = st.dictionaries(
+    st.text(alphabet="abt", max_size=3),
+    st.lists(st.tuples(st.sampled_from(["p.A.a()", "p.B.b()", "p.C.c()"]),
+                       st.integers(0, 9)), max_size=6),
+    max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PER_TEST_LOGS)
+def test_one_normalize_equals_a_fold_of_merges(runs):
+    logs = [TraceLog([_ev(callee, ts, test) for callee, ts in events])
+            for test, events in runs.items()]
+    folded = TraceLog()
+    for log in logs:
+        folded = folded.merge(log)
+    assert normalize(TraceLog([e for log in logs for e in log.events])) == folded
 
 
 def test_jsonl_round_trip(tmp_path):
