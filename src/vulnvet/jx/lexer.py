@@ -1,22 +1,47 @@
-"""Hand-rolled lexer for JX. Comments (// and /* */) and whitespace are dropped."""
+"""Regex lexer for JX.
+
+One compiled pattern, driven by ``finditer``, matches each token together with
+the whitespace and comments (``//`` and ``/* */``) before it, so the gap is
+skipped inside the regex engine. Line and column come from counting the
+newlines in each skipped gap. Columns count code points from 1.
+
+Input that no token alternative takes (an unterminated block comment or text
+literal, a newline or unknown escape in a text literal, a stray character)
+falls to the last alternative, and ``_error`` names the fault and its exact
+position. Identifiers start with a letter or ``_`` and go on with letters,
+digits and ``_`` (``str.isalpha``/``str.isalnum``); integers are runs of
+decimal digits.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .errors import ParseError
 
-KEYWORDS = {
+KEYWORDS = frozenset({
     "package", "class", "interface", "extends", "implements", "static",
     "int", "boolean", "text", "void", "if", "else", "while", "return",
     "new", "this", "true", "false",
-}
+})
 
-PUNCT = ("==", "!=", "{", "}", "(", ")", ";", ",", ".", "=", "+", "-", "*", "/", "<", ">")
+_TOKEN = re.compile(r"""
+    (?: [ \t\r\n]+ | //[^\n]* | /\*(?s:.*?)\*/ )*
+    (?:
+        (?P<P> [=!]= | [{}();,.=+\-*<>] | /(?!\*) )
+      | (?P<ID> [A-Za-z_]\w* )
+      | (?P<INT> \d+ )
+      | (?P<TEXT> "[^"\\\n]*(?:\\["\\][^"\\\n]*)*" )
+      | (?P<WORD> [^\W\d]\w* )  # starts outside ASCII: an ID if str.isalpha
+      | (?P<EOF> \Z )
+      | (?P<BAD> (?s:.) )
+    )""", re.VERBOSE)
+
+_ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ID, INT, TEXT, keyword text, or punctuation text; EOF
     value: str
     line: int
@@ -24,96 +49,62 @@ class Token:
 
 
 def tokenize(source: str, origin: str = "<source>") -> list:
+    """The tokens of ``source``, ending in EOF; a ParseError names the origin,
+    line and column of the first input that is not a token."""
     tokens = []
-    i = 0
+    append = tokens.append
+    new = tuple.__new__  # builds a Token without its Python-level __new__
     line = 1
-    col = 1
-    n = len(source)
-
-    def err(msg):
-        raise ParseError(msg, line, col, origin)
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                err("unterminated block comment")
-            skipped = source[i:end + 2]
-            nl = skipped.count("\n")
-            if nl:
-                line += nl
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            word = source[start:i]
-            kind = word if word in KEYWORDS else "ID"
-            tokens.append(Token(kind, word, line, col))
-            col += i - start
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            tokens.append(Token("INT", source[start:i], line, col))
-            col += i - start
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated text literal", start_line, start_col, origin)
-                c = source[i]
-                if c == "\n":
-                    raise ParseError("newline in text literal", line, col, origin)
-                if c == "\\":
-                    if i + 1 >= n or source[i + 1] not in ('"', "\\"):
-                        raise ParseError("unknown escape in text literal", line, col, origin)
-                    buf.append(source[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                buf.append(c)
-                i += 1
-                col += 1
-            tokens.append(Token("TEXT", "".join(buf), start_line, start_col))
-            continue
-        matched = None
-        for p in PUNCT:
-            if source.startswith(p, i):
-                matched = p
-                break
-        if matched is None:
-            err("unexpected character %r" % ch)
-        tokens.append(Token(matched, matched, line, col))
-        i += len(matched)
-        col += len(matched)
-
-    tokens.append(Token("EOF", "", line, col))
+    line_start = 0  # index of the first character of the current line
+    end = 0  # end of the previous token
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        start, stop = m.span(kind)
+        if start != end:
+            newlines = source.count("\n", end, start)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", end, start) + 1
+        if kind == "P":
+            value = kind = source[start:stop]
+        elif kind == "ID":
+            value = source[start:stop]
+            kind = value if value in KEYWORDS else "ID"
+        elif kind == "INT":
+            value = source[start:stop]
+        elif kind == "TEXT":
+            value = source[start + 1:stop - 1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif kind == "EOF":
+            break
+        elif kind == "WORD" and source[start].isalpha():
+            kind = "ID"
+            value = source[start:stop]
+        else:
+            _error(source, start, line, line_start, origin)
+        append(new(Token, (kind, value, line, start - line_start + 1)))
+        end = stop
+    append(new(Token, ("EOF", "", line, start - line_start + 1)))
     return tokens
+
+
+def _error(source, i, line, line_start, origin):
+    """Raise the ParseError for the input at ``source[i]`` that no token takes."""
+    if source.startswith("/*", i):
+        raise ParseError("unterminated block comment", line, i - line_start + 1, origin)
+    if source[i] != '"':
+        raise ParseError("unexpected character %r" % source[i], line, i - line_start + 1, origin)
+    quote = i
+    i += 1
+    while i < len(source):
+        c = source[i]
+        if c == "\n":
+            raise ParseError("newline in text literal", line, i - line_start + 1, origin)
+        if c == "\\":
+            if source[i + 1:i + 2] not in ('"', "\\"):
+                raise ParseError("unknown escape in text literal", line, i - line_start + 1, origin)
+            i += 2
+            continue
+        i += 1  # a closing quote here would have matched the TEXT alternative
+    raise ParseError("unterminated text literal", line, quote - line_start + 1, origin)

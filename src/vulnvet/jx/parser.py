@@ -15,6 +15,8 @@ Statements: block, local decl, assignment, expression, if/else, while, return.
 Expressions: literals, variable, field access, this, new, instance/static call,
 binary + - * / == != < >, and Reflect.invoke(target, args...).
 
+Nesting deeper than MAX_NESTING levels is a ParseError.
+
 The parser does not distinguish static calls from instance calls on a field
 chain; `a.b.c(x)` is parsed as a method call whose receiver is a name chain,
 and the resolver decides whether the prefix names a type.
@@ -27,20 +29,35 @@ from .errors import ParseError
 from .lexer import Token, tokenize
 
 
+MAX_NESTING = 100
+"""Deepest level a node may sit at in a member body or field initializer, which
+is level 1. A statement or expression is one level below the one enclosing it,
+and an expression in parentheses one below the parentheses, so ``((x))`` takes
+three levels. Operator and member-access chains count as the left-deep trees
+the parser builds: in ``a + b + c``, read ``(a + b) + c``, ``a`` sits two levels
+below the outer ``+``. Deeper input is a ParseError, so the recursive walks
+over the tree (resolver, lowering, printer, interpreter) stay well inside
+Python's stack."""
+
+# Binary operator precedence, loosest first; every level is left-associative.
+_PRECEDENCE = {"==": 1, "!=": 1, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/": 4}
+
+
 class _Parser:
     def __init__(self, tokens, origin):
-        self.tokens = tokens
+        self.tokens = tokens  # ends with EOF, so the token after any other exists
         self.origin = origin
         self.i = 0
+        self.depth = 0  # nesting depth of the node being parsed
+        self.deepest = 0  # deepest expression node of the innermost open expression
 
     # --- token plumbing ---
 
-    def peek(self, offset=0) -> Token:
-        j = min(self.i + offset, len(self.tokens) - 1)
-        return self.tokens[j]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def at(self, kind) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.i].kind == kind
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
@@ -49,18 +66,24 @@ class _Parser:
         return tok
 
     def expect(self, kind) -> Token:
-        tok = self.peek()
+        """Consume the current token, which must be of ``kind`` (never EOF)."""
+        tok = self.tokens[self.i]
         if tok.kind != kind:
             self.fail("expected %s, found %r" % (kind, tok.value or "end of input"))
-        return self.advance()
+        self.i += 1
+        return tok
 
     def fail(self, msg):
-        tok = self.peek()
+        tok = self.tokens[self.i]
         raise ParseError(msg, tok.line, tok.col, self.origin)
 
     def pos(self):
-        tok = self.peek()
-        return (tok.line, tok.col)
+        return self.tokens[self.i][2:]  # (line, col)
+
+    def nest(self, depth):
+        """Fail unless a node at ``depth`` is within MAX_NESTING."""
+        if depth > MAX_NESTING:
+            self.fail("nesting deeper than %d levels" % MAX_NESTING)
 
     # --- declarations ---
 
@@ -79,10 +102,11 @@ class _Parser:
         return unit
 
     def qname(self) -> tuple:
+        tokens = self.tokens
         parts = [self.expect("ID").value]
-        while self.at(".") and self.peek(1).kind == "ID":
-            self.advance()
-            parts.append(self.expect("ID").value)
+        while tokens[self.i].kind == "." and tokens[self.i + 1].kind == "ID":
+            parts.append(tokens[self.i + 1].value)
+            self.i += 2
         return tuple(parts)
 
     def typedecl(self):
@@ -141,7 +165,8 @@ class _Parser:
             decl.methods.append(ast.MethodDecl(True, rettype, name, params, body, pos))
             return
         # constructor: class-name "("
-        if self.at("ID") and self.peek().value == decl.name and self.peek(1).kind == "(":
+        tok = self.peek()
+        if tok.kind == "ID" and tok.value == decl.name and self.tokens[self.i + 1].kind == "(":
             name = self.advance().value
             params = self.params()
             body = self.block()
@@ -189,19 +214,24 @@ class _Parser:
     # --- statements ---
 
     def block(self) -> ast.Block:
+        depth = self.depth = self.depth + 1
+        self.nest(depth)
         pos = self.pos()
         self.expect("{")
         stmts = []
         while not self.at("}"):
             stmts.append(self.stmt())
         self.expect("}")
+        self.depth = depth - 1
         return ast.Block(stmts, pos)
 
     def stmt(self):
-        pos = self.pos()
         kind = self.peek().kind
         if kind == "{":
             return self.block()
+        depth = self.depth = self.depth + 1
+        self.nest(depth)
+        pos = self.pos()
         if kind == "if":
             self.advance()
             self.expect("(")
@@ -212,103 +242,98 @@ class _Parser:
             if self.at("else"):
                 self.advance()
                 els = self.stmt()
-            return ast.If(cond, then, els, pos)
-        if kind == "while":
+            node = ast.If(cond, then, els, pos)
+        elif kind == "while":
             self.advance()
             self.expect("(")
             cond = self.expr()
             self.expect(")")
-            body = self.stmt()
-            return ast.While(cond, body, pos)
-        if kind == "return":
+            node = ast.While(cond, self.stmt(), pos)
+        elif kind == "return":
             self.advance()
             value = None
             if not self.at(";"):
                 value = self.expr()
             self.expect(";")
-            return ast.Return(value, pos)
-        decl = self.try_local_decl()
-        if decl is not None:
-            return decl
-        expr = self.expr()
-        if self.at("="):
-            if not isinstance(expr, (ast.Var, ast.FieldAccess)):
-                self.fail("assignment target must be a variable or field")
-            self.advance()
-            value = self.expr()
-            self.expect(";")
-            return ast.Assign(expr, value, pos)
-        self.expect(";")
-        return ast.ExprStmt(expr, pos)
-
-    def try_local_decl(self):
-        """Speculatively parse `type ID ["=" expr] ";"`; backtrack on mismatch."""
-        kind = self.peek().kind
-        if kind not in ("int", "boolean", "text", "ID"):
-            return None
-        mark = self.i
-        pos = self.pos()
-        try:
+            node = ast.Return(value, pos)
+        elif self.at_local_decl():
             t = self.type_()
-            if not self.at("ID"):
-                raise ParseError("not a declaration", 0, 0)
             name = self.advance().value
+            init = None
             if self.at("="):
                 self.advance()
                 init = self.expr()
-                self.expect(";")
-                return ast.LocalDecl(t, name, init, pos)
-            if self.at(";"):
+            self.expect(";")
+            node = ast.LocalDecl(t, name, init, pos)
+        else:
+            expr = self.expr()
+            if self.at("="):
+                if not isinstance(expr, (ast.Var, ast.FieldAccess)):
+                    self.fail("assignment target must be a variable or field")
                 self.advance()
-                return ast.LocalDecl(t, name, None, pos)
-            raise ParseError("not a declaration", 0, 0)
-        except ParseError:
-            self.i = mark
-            return None
+                value = self.expr()
+                self.expect(";")
+                node = ast.Assign(expr, value, pos)
+            else:
+                self.expect(";")
+                node = ast.ExprStmt(expr, pos)
+        self.depth = depth - 1
+        return node
+
+    def at_local_decl(self) -> bool:
+        """True when the tokens ahead read `type ID` followed by "=" or ";".
+
+        No expression can start that way, so a statement that does is a local
+        declaration or a syntax error in one.
+        """
+        tokens = self.tokens
+        j = self.i
+        kind = tokens[j].kind
+        if kind == "ID":
+            while tokens[j + 1].kind == "." and tokens[j + 2].kind == "ID":
+                j += 2
+        elif kind not in ("int", "boolean", "text"):
+            return False
+        return tokens[j + 1].kind == "ID" and tokens[j + 2].kind in ("=", ";")
 
     # --- expressions (precedence climbing) ---
 
-    def expr(self):
-        return self.equality()
+    def expr(self, min_prec=1):
+        """Parse operators of precedence >= min_prec into a left-deep tree.
 
-    def equality(self):
-        left = self.relational()
-        while self.peek().kind in ("==", "!="):
-            pos = self.pos()
-            op = self.advance().kind
-            left = ast.Binary(op, left, self.relational(), pos)
-        return left
-
-    def relational(self):
-        left = self.additive()
-        while self.peek().kind in ("<", ">"):
-            pos = self.pos()
-            op = self.advance().kind
-            left = ast.Binary(op, left, self.additive(), pos)
-        return left
-
-    def additive(self):
-        left = self.multiplicative()
-        while self.peek().kind in ("+", "-"):
-            pos = self.pos()
-            op = self.advance().kind
-            left = ast.Binary(op, left, self.multiplicative(), pos)
-        return left
-
-    def multiplicative(self):
+        The expression's root sits one below the node being parsed. Each
+        operator applied to ``left`` pushes every node of ``left`` one level
+        down; ``self.deepest`` tracks the deepest of them for the bound.
+        """
+        depth = self.depth = self.depth + 1
+        self.nest(depth)
+        outer = self.deepest
+        self.deepest = depth
+        tokens = self.tokens
         left = self.postfix()
-        while self.peek().kind in ("*", "/"):
-            pos = self.pos()
-            op = self.advance().kind
-            left = ast.Binary(op, left, self.postfix(), pos)
+        while True:
+            tok = tokens[self.i]
+            prec = _PRECEDENCE.get(tok.kind)
+            if prec is None or prec < min_prec:
+                break
+            self.deepest += 1
+            self.nest(self.deepest)
+            self.i += 1
+            left = ast.Binary(tok.kind, left, self.expr(prec + 1), tok[2:])
+        self.depth = depth - 1
+        if self.deepest < outer:
+            self.deepest = outer
         return left
 
     def postfix(self):
+        tokens = self.tokens
         expr = self.primary()
-        while self.at(".") and self.peek(1).kind == "ID":
+        while tokens[self.i].kind == "." and tokens[self.i + 1].kind == "ID":
+            self.deepest += 1
+            self.nest(self.deepest)
             pos = self.pos()
-            self.advance()
-            name = self.expect("ID").value
+            name = tokens[self.i + 1].value
+            self.i += 2
             if self.at("("):
                 args = self.args()
                 if isinstance(expr, ast.Var) and expr.name == "Reflect" and name == "invoke":
@@ -323,32 +348,33 @@ class _Parser:
 
     def primary(self):
         tok = self.peek()
-        pos = self.pos()
-        if tok.kind == "INT":
-            self.advance()
+        kind = tok.kind
+        pos = tok[2:]
+        if kind == "ID":
+            self.i += 1
+            return ast.Var(tok.value, pos)
+        if kind == "INT":
+            self.i += 1
             return ast.IntLit(int(tok.value), pos)
-        if tok.kind == "TEXT":
-            self.advance()
+        if kind == "TEXT":
+            self.i += 1
             return ast.TextLit(tok.value, pos)
-        if tok.kind in ("true", "false"):
-            self.advance()
-            return ast.BoolLit(tok.kind == "true", pos)
-        if tok.kind == "this":
-            self.advance()
+        if kind in ("true", "false"):
+            self.i += 1
+            return ast.BoolLit(kind == "true", pos)
+        if kind == "this":
+            self.i += 1
             return ast.This(pos)
-        if tok.kind == "new":
-            self.advance()
+        if kind == "new":
+            self.i += 1
             t = ast.NamedType(self.qname())
             args = self.args()
             return ast.New(t, args, pos)
-        if tok.kind == "(":
-            self.advance()
+        if kind == "(":
+            self.i += 1
             inner = self.expr()
             self.expect(")")
             return inner
-        if tok.kind == "ID":
-            self.advance()
-            return ast.Var(tok.value, pos)
         self.fail("expected an expression, found %r" % (tok.value or "end of input"))
 
     def args(self) -> list:

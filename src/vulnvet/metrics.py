@@ -207,8 +207,15 @@ def deep_update_advice(workspace: Path, bom, kb: KnowledgeBase, lib: str) -> lis
         if not store.is_dir():
             continue
         current = bom.archive_named(direct_name)
-        for vdir in sorted((p.name for p in store.iterdir() if p.is_dir()),
-                           key=version_key):
+        releases = []
+        for p in store.iterdir():
+            if p.is_dir():
+                try:
+                    version_key(p.name)
+                except ValueError:
+                    continue  # not a release directory: never a candidate
+                releases.append(p.name)
+        for vdir in sorted(releases, key=version_key):
             if current is not None and not version_newer(vdir, current.version):
                 continue
             try:

@@ -7,6 +7,8 @@ import shutil
 from pathlib import Path
 
 from vulnvet.canonical import CTree
+from vulnvet.jx.errors import ParseError
+from vulnvet.jx.lexer import KEYWORDS
 from vulnvet.kb import KnowledgeBase
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -127,6 +129,134 @@ def ted_oracle(a: CTree, b: CTree) -> int:
             if best is None or cost < best:
                 best = cost
     return best
+
+
+# --- programs at a given nesting depth ---
+
+def deep_bodies(depth: int) -> dict:
+    """Method bodies whose deepest node sits at ``depth`` (the body is 1), as
+    the parser's nesting bound counts it. The bodies fit `int m()` in a class
+    `p.A` with fields `A a; int v;` and a method `static int f(int n)`."""
+    return {
+        "chain": "return " + " + ".join(["1"] * (depth - 2)) + ";",
+        "parens": "return " + "(" * (depth - 3) + "1" + ")" * (depth - 3) + ";",
+        "blocks": "{" * (depth - 1) + "}" * (depth - 1),
+        "calls": "return " + "p.A.f(" * (depth - 4) + "1" + ")" * (depth - 4) + ";",
+        "members": "return this" + ".a" * (depth - 4) + ".v;",
+        "ifs": "if (true) " * (depth - 3) + "return 1; return 0;",
+        "mixed": "{" * 40 + "return " + "(" * 20 + "1" + " * 1" * (depth - 63)
+                 + ")" * 20 + ";" + "}" * 40,
+    }
+
+
+# --- character-at-a-time lexer oracle ---
+#
+# The hand-rolled lexer that the regex one in vulnvet.jx.lexer replaced, kept
+# as a reference for tests only. Two changes: integers are runs of decimal
+# digits (str.isdecimal, what int() reads), where it took any str.isdigit
+# run and so turned "²" into an INT the parser could not convert; and a line
+# comment advances the column, where it left the EOF token of a file ending
+# in one at the column the comment began.
+
+_REFERENCE_PUNCT = ("==", "!=", "{", "}", "(", ")", ";", ",", ".", "=", "+", "-", "*", "/", "<", ">")
+
+
+def reference_tokenize(source: str, origin: str = "<source>") -> list:
+    """(kind, value, line, col) tuples ending in EOF, or a ParseError."""
+    tokens = []
+    i = 0
+    line = 1
+    col = 1
+    n = len(source)
+
+    def err(msg):
+        raise ParseError(msg, line, col, origin)
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if source.startswith("//", i):
+            while i < n and source[i] != "\n":
+                i += 1
+                col += 1
+            continue
+        if source.startswith("/*", i):
+            end = source.find("*/", i + 2)
+            if end < 0:
+                err("unterminated block comment")
+            skipped = source[i:end + 2]
+            nl = skipped.count("\n")
+            if nl:
+                line += nl
+                col = len(skipped) - skipped.rfind("\n")
+            else:
+                col += len(skipped)
+            i = end + 2
+            continue
+        if ch.isalpha() or ch == "_":
+            start = i
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                i += 1
+            word = source[start:i]
+            kind = word if word in KEYWORDS else "ID"
+            tokens.append((kind, word, line, col))
+            col += i - start
+            continue
+        if ch.isdecimal():
+            start = i
+            while i < n and source[i].isdecimal():
+                i += 1
+            tokens.append(("INT", source[start:i], line, col))
+            col += i - start
+            continue
+        if ch == '"':
+            start_line, start_col = line, col
+            i += 1
+            col += 1
+            buf = []
+            while True:
+                if i >= n:
+                    raise ParseError("unterminated text literal", start_line, start_col, origin)
+                c = source[i]
+                if c == "\n":
+                    raise ParseError("newline in text literal", line, col, origin)
+                if c == "\\":
+                    if i + 1 >= n or source[i + 1] not in ('"', "\\"):
+                        raise ParseError("unknown escape in text literal", line, col, origin)
+                    buf.append(source[i + 1])
+                    i += 2
+                    col += 2
+                    continue
+                if c == '"':
+                    i += 1
+                    col += 1
+                    break
+                buf.append(c)
+                i += 1
+                col += 1
+            tokens.append(("TEXT", "".join(buf), start_line, start_col))
+            continue
+        matched = None
+        for p in _REFERENCE_PUNCT:
+            if source.startswith(p, i):
+                matched = p
+                break
+        if matched is None:
+            err("unexpected character %r" % ch)
+        tokens.append((matched, matched, line, col))
+        i += len(matched)
+        col += len(matched)
+
+    tokens.append(("EOF", "", line, col))
+    return tokens
 
 
 # --- naive reachability closure oracle ---

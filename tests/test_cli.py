@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from helpers import GOLDEN, UPDATE, copy_workspace
+from helpers import GOLDEN, UPDATE, copy_workspace, deep_bodies
 from vulnvet.cli import main as vet
+from vulnvet.jx.parser import MAX_NESTING
 
 
 def _import_golden_kb(ws):
@@ -247,6 +248,40 @@ class Deep {
     failures = json.loads((ws / ".vet/test-failures.json").read_text())
     assert list(failures) == ["app.Deep.testDeep()"]
     assert failures["app.Deep.testDeep()"].startswith("CallDepthExceeded")
+
+
+@pytest.mark.parametrize("body", [
+    "return " + " + ".join(["1"] * 500) + ";",
+    "return " + "(" * 150 + "1" + ")" * 150 + ";",
+    "{" * 600 + "}" * 600 + " return 0;",
+])
+def test_too_deep_programs_exit_three(tmp_path, capsys, body):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    (ws / "src/deep.jx").write_text("package app;\nclass Deep {\n    static int m() { %s }\n}\n" % body)
+    capsys.readouterr()
+    for step in (["scan"], ["reach", "static"], ["trace", "run", "--pattern", "test"]):
+        assert vet(["--workspace", str(ws), *step]) == 3
+        err = capsys.readouterr().err
+        assert "src/deep.jx:3:" in err and "nesting deeper than %d levels" % MAX_NESTING in err
+        assert "Traceback" not in err
+
+
+def test_program_at_the_nesting_bound_runs(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    bodies = deep_bodies(MAX_NESTING)
+    methods = "".join("    int %s() { %s }\n" % item for item in sorted(bodies.items()))
+    calls = " ".join("x.%s();" % name for name in sorted(bodies))
+    (ws / "src/deep.jx").write_text(
+        "package p;\nclass A {\n    A a;\n    int v;\n    A() { this.a = this; this.v = 1; }\n"
+        "    static int f(int n) { return n; }\n%s"
+        "    static void testDeep() { p.A x = new p.A(); %s }\n}\n" % (methods, calls))
+    assert vet(["--workspace", str(ws), "scan"]) == 0
+    assert vet(["--workspace", str(ws), "reach", "static"]) == 0
+    assert vet(["--workspace", str(ws), "trace", "run", "--pattern", "test"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads((ws / ".vet/test-failures.json").read_text()) == {}
+    events = [json.loads(line) for line in (ws / ".vet/traces.jsonl").read_text().splitlines()]
+    assert {"p.A.%s()" % name for name in bodies} <= {e["callee"] for e in events}
 
 
 @pytest.mark.parametrize("text", [

@@ -1,12 +1,16 @@
 """Lexer, parser, printer, and name resolution."""
 
+import dataclasses
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import random_program
-from vulnvet.jx import (ParseError, ResolutionError, parse_unit, pretty_print,
-                        resolve)
+from helpers import deep_bodies, random_program
+from vulnvet.jx import (ParseError, ResolutionError, ast, parse_unit, parser,
+                        pretty_print, resolve)
+from vulnvet.jx.parser import MAX_NESTING
 
 FULL = """
 package zoo;
@@ -162,3 +166,100 @@ def test_duplicate_qname_tie_is_an_error():
     b = parse_unit("package p; class A { }", "y.jx")
     program = resolve([a, b])
     assert program.diagnostics
+
+
+def test_malformed_local_declaration_is_reported_where_it_breaks():
+    src = "package p; class A { static int m() {\n    int x = 1 + ;\n} }"
+    with pytest.raises(ParseError) as info:
+        parse_unit(src, "p.jx")
+    assert (info.value.line, info.value.col) == (2, 17)
+    assert "expected an expression, found ';'" in str(info.value)
+
+
+# --- nesting bound ---------------------------------------------------------
+
+def _unit_with(body: str) -> str:
+    return "package p; class A { A a; int v; static int f(int n) { return n; } int m() { %s } }" % body
+
+
+@pytest.mark.parametrize("shape", sorted(deep_bodies(MAX_NESTING)))
+def test_nesting_bound_is_exact(shape):
+    program = resolve([parse_unit(_unit_with(deep_bodies(MAX_NESTING)[shape]), "p.jx")])
+    program.require_clean()
+    with pytest.raises(ParseError, match="nesting deeper than %d levels" % MAX_NESTING) as info:
+        parse_unit(_unit_with(deep_bodies(MAX_NESTING + 1)[shape]), "p.jx")
+    assert info.value.origin == "p.jx" and info.value.line == 1
+
+
+# An expression as (text, height, level): height counts the levels from its
+# root to its deepest node, a pair of parentheses counting as one, and level
+# is the precedence of its top operator (5 for a primary or postfix form).
+_OPERATORS = {1: ("==", "!="), 2: ("<", ">"), 3: ("+", "-"), 4: ("*", "/")}
+_ATOMS = st.sampled_from(["1", "x", "true", '"t"', "this"]).map(lambda t: (t, 1, 5))
+
+
+def _parens(e):
+    return "(" + e[0] + ")", e[1] + 1, 5
+
+
+def _operand(e, level):
+    return e if e[2] > level else _parens(e)
+
+
+def _chain(level, operands, picks):
+    operands = [_operand(e, level) for e in operands]
+    n = len(operands)
+    text = operands[0][0]
+    for e, pick in zip(operands[1:], picks):
+        text += " %s %s" % (_OPERATORS[level][pick], e[0])
+    height = max([n - 1 + operands[0][1]] + [n - i + h for i, (_t, h, _l) in enumerate(operands) if i])
+    return text, height, level
+
+
+def _call(args):
+    return "x.f(%s)" % ", ".join(a[0] for a in args), max([2] + [1 + a[1] for a in args]), 5
+
+
+def _member(e):
+    e = _operand(e, 4)
+    return e[0] + ".g", e[1] + 1, 5
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(_parens),
+        children.map(_member),
+        st.lists(children, max_size=3).map(_call),
+        st.builds(_chain, st.integers(1, 4), st.lists(children, min_size=2, max_size=4),
+                  st.lists(st.integers(0, 1), min_size=3, max_size=3)),
+    )
+
+
+_EXPRESSIONS = st.recursive(_ATOMS, _extend, max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRESSIONS, st.integers(0, 3), st.integers(3, 16))
+def test_nesting_bound_counts_every_level(expression, blocks, bound):
+    text, height, _level = expression
+    depth = 2 + blocks + height  # body, blocks, return, then the expression
+    src = "package p; class A { int m() { %sreturn %s; %s} }" % ("{" * blocks, text, "}" * blocks)
+    with patch.object(parser, "MAX_NESTING", bound):
+        if depth > bound:
+            with pytest.raises(ParseError, match="nesting deeper"):
+                parse_unit(src, "p.jx")
+            return
+        unit = parse_unit(src, "p.jx")
+    body = unit.decls[0].methods[0].body
+    assert _tree_depth(body) <= depth
+
+
+def _tree_depth(node) -> int:
+    """Levels of syntax-tree nodes below and including ``node``."""
+    children = []
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        for v in value if isinstance(value, list) else [value]:
+            if dataclasses.is_dataclass(v) and not isinstance(v, (ast.NamedType, ast.PrimType)):
+                children.append(v)
+    return 1 + max(map(_tree_depth, children), default=0)

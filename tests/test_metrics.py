@@ -202,6 +202,18 @@ def test_deep_update_advice_skips_unresolvable_candidates(tmp_path):
                      "non-vulnerable lib3:2.0"]
 
 
+def test_deep_update_advice_skips_store_directories_that_are_not_versions(tmp_path, capsys):
+    ws, kb, bom = _deep_update_setup(tmp_path)
+    _store_lib(ws, "lib1", "2.x", [("lib2", "2.0")])
+    _store_lib(ws, "lib1", "2.1", [("lib2", "2.0")])
+    notes = deep_update_advice(ws, bom, kb, "lib3")
+    assert notes == ["updating direct dependency lib1 to 2.1 pulls in "
+                     "non-vulnerable lib3:2.0"]
+    assert vet(["--workspace", str(ws), "--kb", str(tmp_path / "kb"),
+                "mitigate", "--lib", "lib3"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_deep_update_advice_rejects_malformed_store_manifest(tmp_path, capsys):
     ws, kb, bom = _deep_update_setup(tmp_path)
     _store_lib(ws, "lib1", "3.0", [], manifest='{"name": "lib1", ')
