@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import deque
@@ -9,9 +10,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .constructs import extract_constructs, version_key
-from .errors import ManifestError, MissingDependency
-from .jx import parse_unit, resolve
+from . import __version__
+from .constructs import (Construct, construct_id, extract_constructs, require_text,
+                         version_key)
+from .errors import MalformedArtifact, ManifestError, MissingDependency
+from .jx import JxError, parse_unit, parser, resolve
+from .workspace import read_text
 
 APPLICATION = "APPLICATION"
 DEPENDENCY = "DEPENDENCY"
@@ -56,16 +60,22 @@ class BOM:
         return None
 
 
-def parse_source_root(root: Path, origin_base: Path = None) -> list:
-    """Parse every .jx file under root. Unit origins are paths relative to
-    origin_base (default: root itself), keeping artifacts free of absolute
-    paths and so byte-stable across checkout locations."""
+def source_files(root: Path, origin_base: Path = None) -> list:
+    """(origin, path) of every .jx file under root, in parse order. Origins
+    are paths relative to origin_base (default: root itself), keeping
+    artifacts free of absolute paths and so byte-stable across checkout
+    locations."""
+    if not root.is_dir():
+        raise ManifestError("source root %s does not exist" % root)
     base = origin_base if origin_base is not None else root
-    units = []
-    for path in sorted(root.rglob("*.jx")):
-        origin = Path(os.path.relpath(path, base)).as_posix()
-        units.append(parse_unit(path.read_text(encoding="utf-8"), origin))
-    return units
+    return [(Path(os.path.relpath(path, base)).as_posix(), path)
+            for path in sorted(root.rglob("*.jx"))]
+
+
+def parse_source_root(root: Path, origin_base: Path = None) -> list:
+    """Parse every .jx file under root (see source_files)."""
+    return [parse_unit(read_text(path, JxError), origin)
+            for origin, path in source_files(root, origin_base)]
 
 
 def load_archive(name: str, version: str, kind: str, source_root: Path,
@@ -73,8 +83,6 @@ def load_archive(name: str, version: str, kind: str, source_root: Path,
     """Parse and inventory one archive. Extraction is per-archive: the archive
     is resolved on its own, so its constructs do not depend on the rest of the
     workspace (repackaging robustness)."""
-    if not source_root.is_dir():
-        raise ManifestError("source root %s does not exist" % source_root)
     units = parse_source_root(source_root, origin_base)
     program = resolve(units)  # cross-archive references stay unbound here; fine
     arc = Archive(name, version, kind, source_root, units=units,
@@ -85,7 +93,7 @@ def load_archive(name: str, version: str, kind: str, source_root: Path,
 
 def _read_manifest(path: Path) -> dict:
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(read_text(path, ManifestError))
     except FileNotFoundError:
         raise ManifestError("manifest %s not found" % path)
     except json.JSONDecodeError as exc:
@@ -156,21 +164,54 @@ def _declared_deps(data: dict) -> list:
     return [(d["name"], d["version"]) for d in data.get("dependencies", [])]
 
 
+def _archive_inputs(manifest: Path, workspace: Path) -> tuple:
+    """The manifest path, manifest data, source root and depth of the
+    application and of every archive resolve_dependencies finds, in
+    resolution order; and the conflict warnings."""
+    app_data = _read_manifest(manifest)
+    resolved, warnings = resolve_dependencies(workspace, _declared_deps(app_data))
+    inputs = [(manifest, app_data, (manifest.parent / app_data["sourceRoot"]).resolve(), 0)]
+    inputs.extend((lib_dir / "lib.json", data, (lib_dir / data["sourceRoot"]).resolve(), depth)
+                  for lib_dir, data, depth in resolved)
+    return inputs, warnings
+
+
 def build_bom(manifest: Path, workspace: Path) -> BOM:
     """Build the BOM: the application plus every archive of its resolved
     transitive dependency closure (see resolve_dependencies)."""
     manifest = Path(manifest)
     workspace = Path(workspace)
-    app_data = _read_manifest(manifest)
-    app = load_archive(app_data["name"], app_data["version"], APPLICATION,
-                       (manifest.parent / app_data["sourceRoot"]).resolve(),
-                       _declared_deps(app_data), origin_base=workspace)
-    resolved, warnings = resolve_dependencies(workspace, app.declared_deps)
-    dependencies = [(load_archive(data["name"], data["version"], DEPENDENCY,
-                                  (lib_dir / data["sourceRoot"]).resolve(),
-                                  _declared_deps(data), origin_base=workspace), depth)
-                    for lib_dir, data, depth in resolved]
-    return BOM(app, dependencies, warnings)
+    inputs, warnings = _archive_inputs(manifest, workspace)
+    archives = [(load_archive(data["name"], data["version"],
+                              DEPENDENCY if depth else APPLICATION, root,
+                              _declared_deps(data), origin_base=workspace), depth)
+                for _, data, root, depth in inputs]
+    return BOM(archives[0][0], archives[1:], warnings)
+
+
+def input_digest(manifest: Path, workspace: Path) -> str:
+    """SHA-256 over everything build_bom reads: app.json and each lib.json it
+    resolves, in resolution order, and every source file of their source
+    roots (see source_files), each as its workspace-relative path and its
+    bytes; and over the vet version and the nesting bound, which change what
+    a build of the same files yields. A BOM or call graph stamped with the
+    digest of the current inputs is the one a build would make now."""
+    manifest = Path(manifest)
+    workspace = Path(workspace)
+    h = hashlib.sha256()
+
+    def put(*parts):
+        for part in parts:  # length-prefixed, so no two sequences collide
+            h.update(b"%d:" % len(part))
+            h.update(part)
+
+    put(__version__.encode(), str(parser.MAX_NESTING).encode())
+    inputs, _ = _archive_inputs(manifest, workspace)
+    for path, _, root, _ in inputs:
+        put(Path(os.path.relpath(path, workspace)).as_posix().encode(), path.read_bytes())
+        for origin, source in source_files(root, workspace):
+            put(origin.encode(), source.read_bytes())
+    return h.hexdigest()
 
 
 def corpus_program(bom: BOM):
@@ -202,5 +243,40 @@ def bom_to_json(bom: BOM) -> dict:
             "depth": depth,
             "constructCounts": counts,
             "constructs": entries,
+            "declaredDependencies": [{"name": n, "version": v}
+                                     for n, v in arc.declared_deps],
         })
     return {"archives": archives, "resolutionWarnings": sorted(bom.warnings)}
+
+
+def bom_from_json(data, artifact: str) -> BOM:
+    """Inverse of bom_to_json for the analyses that need no parse trees: the
+    archives carry their construct ids, fingerprints and declared
+    dependencies, but no units, bodies or source root. Raises
+    MalformedArtifact, naming the artifact, for anything bom_to_json does
+    not write."""
+    try:
+        archives = []
+        for a in data["archives"]:
+            constructs = {}
+            for e in a["constructs"]:
+                cid = construct_id(e["ctype"], e["qname"])
+                if e["fingerprint"] is not None:
+                    require_text(e["fingerprint"])
+                constructs[cid] = Construct(cid, e["fingerprint"], None)
+            deps = [(require_text(d["name"]), require_text(d["version"]))
+                    for d in a["declaredDependencies"]]
+            depth = a["depth"]  # the application first at 0, then dependencies
+            if a["kind"] != (DEPENDENCY if archives else APPLICATION) \
+                    or type(depth) is not int or (depth > 0) != bool(archives):
+                raise ValueError("archive %r: kind %r at depth %r"
+                                 % (a["name"], a["kind"], depth))
+            archives.append((Archive(require_text(a["name"]), require_text(a["version"]),
+                                     a["kind"], None, constructs=constructs,
+                                     declared_deps=deps), depth))
+        warnings = [require_text(w) for w in data["resolutionWarnings"]]
+        if not archives:
+            raise ValueError("no application archive")
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise MalformedArtifact("%s: malformed bill of materials: %r" % (artifact, exc)) from None
+    return BOM(archives[0][0], archives[1:], warnings)

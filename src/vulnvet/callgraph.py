@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .constructs import CONSTRUCTOR, METHOD, ConstructId
+from .constructs import CONSTRUCTOR, METHOD, ConstructId, construct_id, require_text
 from .errors import MalformedArtifact, NotReached
 from .jx import ast
 from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
@@ -19,6 +19,7 @@ STATIC_DISPATCH = "STATIC_DISPATCH"
 VIRTUAL_DISPATCH = "VIRTUAL_DISPATCH"
 CONSTRUCTOR_CALL = "CONSTRUCTOR_CALL"
 DYNAMIC = "DYNAMIC"  # trace-observed edges folded in for the combined pass
+STATIC_KINDS = (STATIC_DISPATCH, VIRTUAL_DISPATCH, CONSTRUCTOR_CALL)
 
 
 @dataclass(frozen=True, order=True)
@@ -277,3 +278,29 @@ def graph_to_json(graph: CallGraph) -> dict:
         "unresolved": [{"caller": c.qname, "site": s, "reason": r}
                        for c, s, r in sorted(graph.unresolved)],
     }
+
+
+def graph_from_json(data, artifact: str) -> CallGraph:
+    """Inverse of graph_to_json; the caller of an unresolved site is looked
+    up among the nodes by its qualified name. Raises MalformedArtifact,
+    naming the artifact, for anything graph_to_json does not write."""
+    def node(ctype, qname):
+        if ctype not in (METHOD, CONSTRUCTOR):
+            raise ValueError("%r is not a call graph node type" % (ctype,))
+        return construct_id(ctype, qname)
+
+    try:
+        nodes = {node(n["ctype"], n["qname"]) for n in data["nodes"]}
+        edges = set()
+        for e in data["edges"]:
+            if e["kind"] not in STATIC_KINDS:
+                raise ValueError("unknown edge kind %r" % (e["kind"],))
+            edges.add(Edge(node(e["callerCtype"], e["caller"]),
+                           node(e["calleeCtype"], e["callee"]),
+                           require_text(e["site"]), e["kind"]))
+        by_qname = {n.qname: n for n in sorted(nodes)}
+        unresolved = {(by_qname[u["caller"]], require_text(u["site"]),
+                       require_text(u["reason"])) for u in data["unresolved"]}
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise MalformedArtifact("%s: malformed call graph: %r" % (artifact, exc)) from None
+    return CallGraph(nodes, edges, unresolved)

@@ -11,12 +11,11 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bom import build_bom, bom_to_json, corpus_program
-from .callgraph import (app_reachability, build_call_graph, graph_to_json,
-                        reach_to_json)
+from .bom import bom_from_json, bom_to_json, build_bom, corpus_program, input_digest
+from .callgraph import (app_reachability, build_call_graph, graph_from_json,
+                        graph_to_json, reach_to_json)
 from .combined import combined_reachable
-from .constructs import (CLASS, CONSTRUCTOR, INTERFACE, METHOD, PACKAGE,
-                         ConstructId)
+from .constructs import CTYPES, ConstructId
 from .detection import detect, finding_to_json
 from .errors import VetError
 from .interp import run_tests
@@ -29,8 +28,6 @@ from .workspace import Workspace
 
 EXIT_ERROR = 3
 EXIT_USAGE = 64
-
-_CTYPES = (PACKAGE, CLASS, INTERFACE, CONSTRUCTOR, METHOD)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,7 +109,7 @@ def _parse_exclusions(items):
     out = set()
     for item in items:
         ctype, sep, qname = item.partition(":")
-        if not sep or ctype not in _CTYPES:
+        if not sep or ctype not in CTYPES:
             raise VetError("bad --exclude %r, expected CTYPE:QNAME" % item)
         out.add(ConstructId(ctype, qname))
     return out
@@ -123,6 +120,26 @@ def _known_ids(bom):
     for arc, _depth in bom.archives():
         ids |= arc.construct_ids()
     return ids
+
+
+def _stamped(data, inputs: str) -> bool:
+    return isinstance(data, dict) and data.get("inputs") == inputs
+
+
+def _bom_and_graph(ws: Workspace) -> tuple:
+    """(input digest, BOM, call graph, reused). bom.json and graph.json are
+    reused when both are stamped with the digest of the current inputs
+    (see bom.input_digest); otherwise the BOM and graph are built from
+    source."""
+    inputs = input_digest(ws.manifest, ws.root)
+    bom_data = ws.read_json("bom.json")
+    if _stamped(bom_data, inputs):
+        graph_data = ws.read_json("graph.json")
+        if _stamped(graph_data, inputs):
+            return (inputs, bom_from_json(bom_data, "bom.json"),
+                    graph_from_json(graph_data, "graph.json"), True)
+    bom = build_bom(ws.manifest, ws.root)
+    return inputs, bom, build_call_graph(corpus_program(bom)), False
 
 
 def _load_traces(ws: Workspace, bom) -> TraceLog:
@@ -177,12 +194,13 @@ def _cmd_kb(args, ws: Workspace) -> int:
 
 
 def _cmd_scan(args, ws: Workspace) -> int:
+    inputs = input_digest(ws.manifest, ws.root)
     bom = build_bom(ws.manifest, ws.root)
     for w in bom.warnings:
         print("bom: %s" % w, file=sys.stderr)
     kb = KnowledgeBase(ws.kb_path)
     findings = [finding_to_json(f) for f in detect(bom, kb)]
-    ws.write_json("bom.json", bom_to_json(bom))
+    ws.write_json("bom.json", {**bom_to_json(bom), "inputs": inputs})
     ws.write_json("findings.json", findings)
     n_archives = 1 + len(bom.dependencies)
     print("scanned %d archives, %d findings" % (n_archives, len(findings)))
@@ -209,10 +227,9 @@ def _cmd_trace(args, ws: Workspace) -> int:
 
 
 def _cmd_reach(args, ws: Workspace) -> int:
-    bom = build_bom(ws.manifest, ws.root)
-    program = corpus_program(bom)
-    graph = build_call_graph(program)
-    ws.write_json("graph.json", graph_to_json(graph))
+    inputs, bom, graph, reused = _bom_and_graph(ws)
+    if not reused:
+        ws.write_json("graph.json", {**graph_to_json(graph), "inputs": inputs})
     if args.reach_command == "static":
         result = app_reachability(bom, graph)
         ws.write_json("reach-static.json", reach_to_json(result))
@@ -228,9 +245,7 @@ def _cmd_reach(args, ws: Workspace) -> int:
 
 
 def _cmd_mitigate(args, ws: Workspace) -> int:
-    bom = build_bom(ws.manifest, ws.root)
-    program = corpus_program(bom)
-    graph = build_call_graph(program)
+    _, bom, graph, _ = _bom_and_graph(ws)
     traces = _load_traces(ws, bom)
     r_static = app_reachability(bom, graph)
     r_combined = combined_reachable(graph, traces)

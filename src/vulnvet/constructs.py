@@ -24,6 +24,7 @@ INTERFACE = "INTERFACE"
 CONSTRUCTOR = "CONSTRUCTOR"
 METHOD = "METHOD"
 
+CTYPES = (PACKAGE, CLASS, INTERFACE, CONSTRUCTOR, METHOD)
 CALLABLE_CTYPES = (METHOD, CONSTRUCTOR)
 
 
@@ -35,6 +36,21 @@ class ConstructId:
 
     def __str__(self):
         return "%s:%s" % (self.ctype, self.qname)
+
+
+def require_text(value) -> str:
+    """value itself; a TypeError unless it is text (for artifact readers)."""
+    if not isinstance(value, str):
+        raise TypeError("expected text, found %r" % (value,))
+    return value
+
+
+def construct_id(ctype, qname) -> ConstructId:
+    """The id an artifact names; a ValueError or TypeError unless ctype is
+    one of CTYPES and qname is text."""
+    if ctype not in CTYPES:
+        raise ValueError("unknown construct type %r" % (ctype,))
+    return ConstructId(ctype, require_text(qname))
 
 
 @dataclass

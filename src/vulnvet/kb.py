@@ -250,7 +250,9 @@ class KnowledgeBase:
         index."""
         path = self._lib_path(name)
         if not path.is_file():
-            raise UnknownLibrary(name)
+            raise UnknownLibrary("the knowledge base has no index for library %s; create "
+                                 "one with `vet kb index-lib --name %s --root VERSION=PATH`"
+                                 % (name, name))
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:

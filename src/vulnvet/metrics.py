@@ -50,12 +50,18 @@ class UpdateMetrics:
     obs: Ratio
 
 
+def _dependency(bom, lib: str):
+    """The archive of dependency lib; UnknownArchive unless bom has one."""
+    arc = bom.archive_named(lib)
+    if arc is None or arc is bom.application:
+        raise UnknownArchive("%s is not in the application's dependency tree" % lib)
+    return arc
+
+
 def touch_points(bom, graph, traces, lib: str) -> list:
     """Direct application-to-library call pairs with per-callee site lists,
     flagged by which analysis observed them. traces may be None."""
-    arc = bom.archive_named(lib)
-    if arc is None or arc is bom.application:
-        raise UnknownArchive(lib)
+    arc = _dependency(bom, lib)
     app_ids = {cid for cid in bom.application.constructs if cid.ctype in CALLABLE_CTYPES}
     lib_ids = {cid for cid in arc.constructs if cid.ctype in CALLABLE_CTYPES}
     points = {}
@@ -137,9 +143,7 @@ def recommend(lib: str, bom, kb: KnowledgeBase, graph, traces,
     touch points, CS/DE are not applicable and only RBS/OBS are emitted.
     Rows sorted by (cs desc, de asc, rbs desc, obs desc, version desc).
     """
-    arc = bom.archive_named(lib)
-    if arc is None or arc is bom.application:
-        raise UnknownArchive(lib)
+    arc = _dependency(bom, lib)
     index = kb.load_index(lib)
     candidates = [v for v in kb.non_vulnerable_versions(lib)
                   if version_newer(v, arc.version)]

@@ -12,7 +12,8 @@ from pathlib import Path
 from typing import Optional
 
 from .constructs import CONSTRUCTOR, METHOD, ConstructId
-from .errors import MalformedTraceLine
+from .errors import MalformedArtifact, MalformedTraceLine
+from .workspace import read_text
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,7 @@ def read_trace_lines(path: Path):
     file. Raises MalformedTraceLine at the first line that is not a valid
     event."""
     # only the lines stay alive, not the whole text too: trace files are large
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, MalformedArtifact).splitlines()
     decode = _DECODER.decode
     for line_no, line in enumerate(lines, 1):
         if not line.strip():

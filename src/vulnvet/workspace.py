@@ -17,6 +17,20 @@ from .errors import MalformedArtifact
 ARTIFACT_DIR = ".vet"
 
 
+def read_text(path: Path, error) -> str:
+    """The UTF-8 text of a file, newlines translated as in text mode. A file
+    that is not UTF-8 raises ``error(message)``, the message naming the file
+    and its first bad line, so each reader reports it as its own kind of bad
+    input."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error("%s: line %d is not UTF-8 text" % (path, line)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 class Workspace:
     def __init__(self, root: Path, kb_path: Path = None):
         self.root = Path(root)
@@ -54,6 +68,6 @@ class Workspace:
         if not path.is_file():
             return default
         try:
-            return json.loads(path.read_text(encoding="utf-8"))
+            return json.loads(read_text(path, MalformedArtifact))
         except json.JSONDecodeError as exc:
             raise MalformedArtifact("%s: %s" % (name, exc))

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
-from helpers import GOLDEN, copy_workspace
-from vulnvet.bom import bom_to_json, build_bom, corpus_program
-from vulnvet.errors import ManifestError, MissingDependency
+from helpers import GOLDEN, UPDATE, copy_workspace
+from vulnvet.bom import (bom_from_json, bom_to_json, build_bom, corpus_program,
+                         input_digest)
+from vulnvet.callgraph import build_call_graph, graph_from_json, graph_to_json
+from vulnvet.errors import MalformedArtifact, ManifestError, MissingDependency
+from vulnvet.jx import parser
 
 
 def _golden_bom(tmp_path):
@@ -83,3 +86,109 @@ def test_bom_json_counts(tmp_path):
     assert app["name"] == "demo-app" and app["depth"] == 0
     assert app["constructCounts"] == {"PACKAGE": 1, "CLASS": 1,
                                       "CONSTRUCTOR": 1, "METHOD": 4}
+
+
+def _inventory(bom):
+    return [(arc.name, arc.version, arc.kind, depth, arc.declared_deps,
+             {cid: c.fingerprint for cid, c in arc.constructs.items()})
+            for arc, depth in bom.archives()]
+
+
+@pytest.mark.parametrize("fixture", [GOLDEN, UPDATE])
+def test_bom_and_graph_json_round_trip(tmp_path, fixture):
+    ws = copy_workspace(fixture / "workspace", tmp_path / "ws")
+    bom = build_bom(ws / "app.json", ws)
+    graph = build_call_graph(corpus_program(bom))
+    assert graph.unresolved or fixture is UPDATE
+    stored = json.loads(json.dumps(graph_to_json(graph)))
+    assert graph_from_json(stored, "graph.json") == graph
+    back = bom_from_json(json.loads(json.dumps(bom_to_json(bom))), "bom.json")
+    assert _inventory(back) == _inventory(bom)
+    assert back.warnings == sorted(bom.warnings)
+    assert bom_to_json(back) == bom_to_json(bom)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("archives"),
+    lambda d: d.update(archives=[]),
+    lambda d: d["archives"].reverse(),                            # application not first
+    lambda d: d["archives"][1].update(depth=0),
+    lambda d: d["archives"][1].update(depth="1"),
+    lambda d: d["archives"][0].update(kind="DEPENDENCY"),
+    lambda d: d["archives"][0].pop("declaredDependencies"),
+    lambda d: d["archives"][0]["declaredDependencies"].append({"name": "x"}),
+    lambda d: d["archives"][0].update(version=1),
+    lambda d: d["archives"][0]["constructs"][0].update(ctype="FIELD"),
+    lambda d: d["archives"][0]["constructs"][0].update(fingerprint=7),
+    lambda d: d["archives"][0]["constructs"].append("app.Main"),
+    lambda d: d.update(resolutionWarnings=[None]),
+])
+def test_bom_from_json_rejects_what_bom_to_json_does_not_write(tmp_path, edit):
+    _, bom = _golden_bom(tmp_path)
+    data = bom_to_json(bom)
+    edit(data)
+    with pytest.raises(MalformedArtifact, match="bom.json"):
+        bom_from_json(data, "bom.json")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("edges"),
+    lambda d: d["nodes"].append({"ctype": "METHOD"}),
+    lambda d: d["edges"][0].update(kind="DYNAMIC"),                # only traces add these
+    lambda d: d["edges"][0].update(calleeCtype="CLASS"),
+    lambda d: d["edges"][0].update(site=None),
+    lambda d: d["unresolved"][0].update(caller="no.Such.m()"),     # not a node
+    lambda d: d["unresolved"][0].update(reason=[]),
+    lambda d: d.update(nodes={}),
+])
+def test_graph_from_json_rejects_what_graph_to_json_does_not_write(tmp_path, edit):
+    _, bom = _golden_bom(tmp_path)
+    data = graph_to_json(build_call_graph(corpus_program(bom)))
+    edit(data)
+    with pytest.raises(MalformedArtifact, match="graph.json"):
+        graph_from_json(data, "graph.json")
+
+
+def test_input_digest_covers_what_the_build_reads(tmp_path, monkeypatch):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    base = input_digest(ws / "app.json", ws)
+    # content only: another checkout location, an artifact or an unrelated
+    # file leave it as it is
+    other = copy_workspace(ws, tmp_path / "elsewhere")
+    assert input_digest(other / "app.json", other) == base
+    (ws / ".vet").mkdir()
+    (ws / ".vet/bom.json").write_text("{}")
+    (ws / "libs/lib1/1.0/NOTES.txt").write_text("not a source")
+    assert input_digest(ws / "app.json", ws) == base
+
+    def changed(path, text):
+        old = path.read_bytes() if path.exists() else None
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+        digest = input_digest(ws / "app.json", ws)
+        if old is None:
+            path.unlink()
+        else:
+            path.write_bytes(old)
+        assert input_digest(ws / "app.json", ws) == base
+        return digest != base
+
+    source = ws / "libs/lib3/1.0/src/scan.jx"
+    assert changed(source, source.read_text() + " ")
+    assert changed(ws / "libs/lib3/1.0/src/extra.jx", "package lib3;")
+    manifest = ws / "libs/lib2/1.0/lib.json"
+    assert changed(manifest, manifest.read_text() + " ")
+    assert changed(ws / "app.json", (ws / "app.json").read_text() + " ")
+    # a store library the application does not resolve is not an input
+    assert not changed(ws / "libs/lib2/0.5/lib.json", "{}")
+    monkeypatch.setattr(parser, "MAX_NESTING", parser.MAX_NESTING + 1)
+    assert input_digest(ws / "app.json", ws) != base
+
+
+def test_input_digest_fails_like_the_build(tmp_path):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    (ws / "libs/lib3/1.0/src/scan.jx").unlink()
+    (ws / "libs/lib3/1.0/src").rmdir()
+    for step in (input_digest, build_bom):
+        with pytest.raises(ManifestError, match="source root"):
+            step(ws / "app.json", ws)

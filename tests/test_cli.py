@@ -6,8 +6,10 @@ import os
 import pytest
 
 from helpers import GOLDEN, UPDATE, copy_workspace, deep_bodies
+from vulnvet import cli
 from vulnvet.cli import main as vet
 from vulnvet.jx.parser import MAX_NESTING
+from vulnvet.workspace import Workspace
 
 
 def _import_golden_kb(ws):
@@ -324,3 +326,186 @@ def test_manifest_versions_are_validated(tmp_path, capsys, manifest, edit):
     assert vet(["--workspace", str(ws), "scan"]) == 3
     err = capsys.readouterr().err
     assert manifest in err and "1.0-dev" in err and "Traceback" not in err
+
+
+# --- reuse of the stamped bom.json and graph.json ---------------------------
+
+LIB1_SRC = GOLDEN / "workspace/libs/lib1/1.0/src"
+REUSE_OUTPUTS = ("graph.json", "reach-combined.json", "mitigation-lib1.json",
+                 "mitigation-lib1.csv")
+
+
+def _golden_with_index(dst, edit=None):
+    """A copy of the golden workspace with its knowledge base and an index of
+    lib1; edit is (path, function of the text) applied to the copy first."""
+    ws = copy_workspace(GOLDEN / "workspace", dst)
+    if edit is not None:
+        path, change = edit
+        (ws / path).write_text(change((ws / path).read_text()))
+    _import_golden_kb(ws)
+    assert vet(["--workspace", str(ws), "kb", "index-lib", "--name", "lib1",
+                "--root", "1.0=%s" % LIB1_SRC, "--root", "2.0=%s" % LIB1_SRC]) == 0
+    return ws
+
+
+def _run(ws, *steps):
+    for step in steps:
+        assert vet(["--workspace", str(ws), *step]) in (0, 1, 2), step
+
+
+SCAN, STATIC, COMBINED = ["scan"], ["reach", "static"], ["reach", "combined"]
+TRACES = (["trace", "run", "--pattern", "test"], ["trace", "run", "--pattern", "itest"])
+MITIGATE = ["mitigate", "--lib", "lib1"]
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The arguments of every build_bom call the commands make."""
+    calls = []
+    real = cli.build_bom
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "build_bom", counting)
+    return calls
+
+
+def _outputs(ws):
+    return {name: (ws / ".vet" / name).read_bytes() for name in REUSE_OUTPUTS}
+
+
+def test_reach_and_mitigate_reuse_stamped_artifacts(tmp_path, builds, monkeypatch):
+    ws = _golden_with_index(tmp_path / "ws")
+    _run(ws, SCAN, STATIC, *TRACES)
+    stamp = json.loads((ws / ".vet/bom.json").read_text())["inputs"]
+    assert json.loads((ws / ".vet/graph.json").read_text())["inputs"] == stamp
+    written = []
+    real_write = Workspace.write_text
+
+    def write_text(self, name, text):
+        written.append(name)
+        return real_write(self, name, text)
+
+    monkeypatch.setattr(Workspace, "write_text", write_text)
+    builds.clear()
+    _run(ws, STATIC, COMBINED, MITIGATE)
+    assert builds == []
+    assert written == ["reach-static.json", "reach-combined.json",
+                       "mitigation-lib1.json", "mitigation-lib1.csv"]
+
+
+@pytest.mark.parametrize("path, edit", [
+    # parse calls normalize: one more edge, another fingerprint
+    ("libs/lib1/1.0/src/upload.jx", lambda t: t.replace("return n + 1;",
+                                                        "return lib1.Upload.normalize(n) + 1;")),
+    # lib1 stops pulling in lib2 and lib3
+    ("libs/lib1/1.0/lib.json", lambda t: json.dumps({**json.loads(t), "dependencies": []})),
+])
+def test_an_edited_input_forces_a_rebuild(tmp_path, builds, path, edit):
+    ws = _golden_with_index(tmp_path / "ws")
+    _run(ws, SCAN, STATIC)
+    stale_edges = json.loads((ws / ".vet/graph.json").read_text())["edges"]
+    (ws / path).write_text(edit((ws / path).read_text()))
+    _run(ws, *TRACES)
+    builds.clear()
+    _run(ws, COMBINED, MITIGATE)
+    # reach combined restamps graph.json, but bom.json stays as scan left it
+    assert len(builds) == 2
+
+    fresh = _golden_with_index(tmp_path / "fresh", (path, edit))
+    _run(fresh, SCAN, STATIC, *TRACES)
+    builds.clear()
+    _run(fresh, COMBINED, MITIGATE)
+    assert builds == []
+    assert _outputs(ws) == _outputs(fresh)
+    assert json.loads((ws / ".vet/graph.json").read_text())["edges"] != stale_edges
+
+
+@pytest.mark.parametrize("name", ["bom.json", "graph.json"])
+def test_a_missing_artifact_forces_a_rebuild(tmp_path, builds, name):
+    ws = _golden_with_index(tmp_path / "ws")
+    _run(ws, SCAN, STATIC, *TRACES, COMBINED, MITIGATE)
+    before = _outputs(ws)
+    (ws / ".vet" / name).unlink()
+    builds.clear()
+    _run(ws, COMBINED)
+    assert len(builds) == 1
+    _run(ws, MITIGATE)
+    # without bom.json nothing is reused; reach combined wrote graph.json again
+    assert len(builds) == (2 if name == "bom.json" else 1)
+    assert _outputs(ws) == before
+    assert (ws / ".vet/bom.json").exists() == (name == "graph.json")
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("bom.json", lambda d: d["archives"][0].pop("declaredDependencies")),
+    ("bom.json", lambda d: d["archives"][1].update(kind="APPLICATION")),
+    ("bom.json", lambda d: d["archives"][2]["constructs"][0].update(fingerprint=7)),
+    ("graph.json", lambda d: d["edges"][0].update(kind="DYNAMIC")),
+    ("graph.json", lambda d: d["unresolved"][0].update(caller="no.Such.m()")),
+    ("graph.json", lambda d: d.pop("nodes")),
+])
+def test_a_stamped_artifact_with_a_malformed_body_exits_three(tmp_path, capsys, name, edit):
+    ws = _golden_with_index(tmp_path / "ws")
+    _run(ws, SCAN, STATIC)
+    path = ws / ".vet" / name
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    for step in (STATIC, COMBINED, MITIGATE):
+        assert vet(["--workspace", str(ws), *step]) == 3
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+
+def test_mitigate_errors_name_the_object_and_the_remedy(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "mitigate", "--lib", "lib1"]) == 3
+    err = capsys.readouterr().err
+    assert "no index for library lib1" in err
+    assert "vet kb index-lib --name lib1 --root VERSION=PATH" in err
+    for lib in ("nosuch", "demo-app"):
+        assert vet(["--workspace", str(ws), "mitigate", "--lib", lib]) == 3
+        assert ("%s is not in the application's dependency tree" % lib
+                in capsys.readouterr().err)
+
+
+# --- text that is not UTF-8 --------------------------------------------------
+
+ANALYSES = (SCAN, TRACES[0], STATIC, COMBINED, MITIGATE)
+
+
+@pytest.fixture(scope="module")
+def analysed_golden(tmp_path_factory):
+    """The golden workspace after every analysis step and a mitigation."""
+    ws = _golden_with_index(tmp_path_factory.mktemp("golden") / "ws")
+    _run(ws, SCAN, *TRACES, STATIC, COMBINED, MITIGATE, ["report"])
+    return ws
+
+
+@pytest.mark.parametrize("name, steps", [
+    ("src/main.jx", ANALYSES),
+    ("libs/lib3/1.0/src/scan.jx", ANALYSES),
+    ("app.json", ANALYSES),
+    ("libs/lib1/1.0/lib.json", ANALYSES),
+    (".vet/bom.json", (STATIC, COMBINED, MITIGATE, ["report"])),
+    (".vet/graph.json", (STATIC, COMBINED, MITIGATE)),
+    (".vet/findings.json", (["report"],)),
+    (".vet/reach-static.json", (["report"],)),
+    (".vet/reach-combined.json", (["report"],)),
+    (".vet/traces.jsonl", (TRACES[0], COMBINED, MITIGATE, ["report"])),
+    (".vet/mitigation-lib1.json", (["report"],)),
+])
+def test_text_that_is_not_utf8_exits_three(tmp_path, capsys, analysed_golden, name, steps):
+    ws = copy_workspace(analysed_golden, tmp_path / "ws")
+    with open(ws / name, "ab") as f:
+        f.write(b"\n\xff")
+    capsys.readouterr()
+    for step in steps:
+        assert vet(["--workspace", str(ws), *step]) == 3, step
+        err = capsys.readouterr().err
+        assert name in err and "is not UTF-8 text" in err and "Traceback" not in err

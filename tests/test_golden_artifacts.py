@@ -1,15 +1,20 @@
-"""Golden artifacts: the report, findings and trace log of the golden
-fixture, byte for byte. The report and findings were produced by the CLI
-before the evidence, witness-path and dependency-resolution code was
-consolidated, the trace log before trace runs normalised their events once
-per command instead of once per test; a refactor that changes any byte of
-them changes behaviour. Regenerate them only for an intended change of the
-artifact format, and say so in the change log."""
+"""Golden artifacts of the golden and update fixtures, byte for byte. The
+report and findings were produced by the CLI before the evidence,
+witness-path and dependency-resolution code was consolidated, the trace log
+before trace runs normalised their events once per command instead of once
+per test, and the reachability closures and the update fixture's mitigation
+and report before reach combined and mitigate reused the stamped bom.json
+and graph.json instead of building them again; a refactor that changes any
+byte of them changes behaviour. Regenerate them only for an intended change
+of the artifact format, and say so in the change log."""
 
-from helpers import GOLDEN, copy_workspace
+from helpers import GOLDEN, UPDATE, copy_workspace
 from vulnvet.cli import main as vet
 
-EXPECTED = GOLDEN / "expected"
+
+def _assert_pinned(ws, expected, names):
+    for name in names:
+        assert (ws / ".vet" / name).read_bytes() == (expected / name).read_bytes(), name
 
 
 def test_golden_report_and_findings_are_byte_identical(tmp_path):
@@ -26,5 +31,21 @@ def test_golden_report_and_findings_are_byte_identical(tmp_path):
                  ["trace", "run", "--pattern", "itest"], ["reach", "combined"]):
         assert vet(["--workspace", w, *step]) == 0
     assert vet(["--workspace", w, "report"]) == 2
-    for name in ("findings.json", "report.json", "traces.jsonl"):
-        assert (ws / ".vet" / name).read_bytes() == (EXPECTED / name).read_bytes(), name
+    _assert_pinned(ws, GOLDEN / "expected", (
+        "findings.json", "report.json", "traces.jsonl", "reach-static.json",
+        "reach-combined.json"))
+
+
+def test_update_mitigation_and_report_are_byte_identical(tmp_path):
+    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+    w = str(ws)
+    assert vet(["--workspace", w, "kb", "index-lib", "--name", "libA",
+                "--root", "1.0=%s" % (ws / "libs/libA/1.0/src"),
+                "--root", "2.0=%s" % (UPDATE / "versions/2.0")]) == 0
+    # the step order of acceptance criterion 8
+    assert vet(["--workspace", w, "scan"]) == 0
+    assert vet(["--workspace", w, "reach", "static"]) == 0
+    assert vet(["--workspace", w, "mitigate", "--lib", "libA"]) == 0
+    assert vet(["--workspace", w, "report"]) == 0
+    _assert_pinned(ws, UPDATE / "expected", (
+        "mitigation-libA.json", "mitigation-libA.csv", "report.json"))
