@@ -68,7 +68,8 @@ def source_files(root: Path, origin_base: Path = None) -> list:
     if not root.is_dir():
         raise ManifestError("source root %s does not exist" % root)
     base = origin_base if origin_base is not None else root
-    return [(Path(os.path.relpath(path, base)).as_posix(), path)
+    prefix = Path(os.path.relpath(root, base))
+    return [((prefix / path.relative_to(root)).as_posix(), path)
             for path in sorted(root.rglob("*.jx"))]
 
 

@@ -68,79 +68,21 @@ def _ctor_cid(owner: str, sig: str) -> ConstructId:
     return ConstructId(CONSTRUCTOR, "%s.%s" % (owner, sig))
 
 
-def _call_nodes(node, out):
-    """Collect call-bearing expression nodes in evaluation order."""
-    if isinstance(node, ast.Block):
-        for s in node.stmts:
-            _call_nodes(s, out)
-    elif isinstance(node, ast.LocalDecl):
-        if node.init is not None:
-            _call_nodes(node.init, out)
-    elif isinstance(node, ast.Assign):
-        _call_nodes(node.target, out)
-        _call_nodes(node.value, out)
-    elif isinstance(node, ast.ExprStmt):
-        _call_nodes(node.expr, out)
-    elif isinstance(node, ast.If):
-        _call_nodes(node.cond, out)
-        _call_nodes(node.then, out)
-        if node.els is not None:
-            _call_nodes(node.els, out)
-    elif isinstance(node, ast.While):
-        _call_nodes(node.cond, out)
-        _call_nodes(node.body, out)
-    elif isinstance(node, ast.Return):
-        if node.value is not None:
-            _call_nodes(node.value, out)
-    elif isinstance(node, ast.Binary):
-        _call_nodes(node.left, out)
-        _call_nodes(node.right, out)
-    elif isinstance(node, ast.FieldAccess):
-        _call_nodes(node.obj, out)
-    elif isinstance(node, ast.MethodCall):
-        _call_nodes(node.recv, out)
-        for a in node.args:
-            _call_nodes(a, out)
-        out.append(node)
-    elif isinstance(node, (ast.New, ast.ReflectInvoke)):
-        for a in node.args:
-            _call_nodes(a, out)
-        out.append(node)
-
-
 def build_call_graph(program: ResolvedProgram) -> CallGraph:
+    """The CHA graph over the call nodes the resolver recorded per member."""
     graph = CallGraph()
-    for qname in sorted(program.symbols):
-        info = program.symbols[qname]
+    for qname, info in program.symbols.items():
         for sig, m in info.methods.items():
-            if m.decl.body is not None or info.is_interface:
+            if info.is_interface:
                 graph.nodes.add(_method_cid(qname, sig))
-        if not info.is_interface:
-            for sig in info.ctors:
-                graph.nodes.add(_ctor_cid(qname, sig))
-
-    for qname in sorted(program.symbols):
-        info = program.symbols[qname]
-        if info.is_interface:
-            continue
-        init_calls = []
-        for f in info.decl.fields:
-            if f.init is not None:
-                _call_nodes(f.init, init_calls)
-        for sig in sorted(info.ctors):
-            c = info.ctors[sig]
+            elif m.decl.body is not None:
+                caller = _method_cid(qname, sig)
+                graph.nodes.add(caller)
+                _emit(graph, program, info, caller, m.calls)
+        for sig, c in info.ctors.items():  # initializers run at construction
             caller = _ctor_cid(qname, sig)
-            body_calls = list(init_calls)  # initializers run at construction
-            _call_nodes(c.decl.body, body_calls)
-            _emit(graph, program, info, caller, body_calls)
-        for sig in sorted(info.methods):
-            m = info.methods[sig]
-            if m.decl.body is None:
-                continue
-            caller = _method_cid(qname, sig)
-            calls = []
-            _call_nodes(m.decl.body, calls)
-            _emit(graph, program, info, caller, calls)
+            graph.nodes.add(caller)
+            _emit(graph, program, info, caller, info.init_calls + c.calls)
     return graph
 
 

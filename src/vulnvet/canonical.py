@@ -25,11 +25,6 @@ class CTree:
             stack.extend(node.children)
         return count
 
-    def preorder(self):
-        yield self
-        for c in self.children:
-            yield from c.preorder()
-
 
 def _escape(label: str) -> str:
     return label.replace("\\", "\\\\").replace("(", "\\(").replace(")", "\\)").replace(" ", "\\s")

@@ -16,8 +16,6 @@ from .canonical import CTree, digest
 from .jx import ast
 from .jx.resolver import ResolvedProgram
 
-LANG_JX = "JX"
-
 PACKAGE = "PACKAGE"
 CLASS = "CLASS"
 INTERFACE = "INTERFACE"
@@ -32,7 +30,6 @@ CALLABLE_CTYPES = (METHOD, CONSTRUCTOR)
 class ConstructId:
     ctype: str
     qname: str
-    language: str = LANG_JX
 
     def __str__(self):
         return "%s:%s" % (self.ctype, self.qname)

@@ -190,15 +190,7 @@ class Interpreter:
         cid = ConstructId(CONSTRUCTOR, "%s.%s" % (owner, sig))
         self._enter(cid, caller, site)
         obj = Obj(owner)
-        chain = []
-        cursor = info
-        while cursor is not None:
-            chain.append(cursor)
-            parent = next((s for s in cursor.supertypes
-                           if s in self.program.symbols
-                           and not self.program.symbols[s].is_interface), None)
-            cursor = self.program.symbols.get(parent) if parent else None
-        for tinfo in reversed(chain):  # supertype fields first
+        for tinfo in reversed(list(self.program.class_chain(owner))):  # supertype fields first
             for f in tinfo.decl.fields:
                 obj.fields[f.name] = _DEFAULTS.get(tinfo.fields[f.name], None)
             for f in tinfo.decl.fields:

@@ -15,7 +15,8 @@ Statements: block, local decl, assignment, expression, if/else, while, return.
 Expressions: literals, variable, field access, this, new, instance/static call,
 binary + - * / == != < >, and Reflect.invoke(target, args...).
 
-Nesting deeper than MAX_NESTING levels is a ParseError.
+Nesting deeper than MAX_NESTING levels is a ParseError, and so is a method
+named like its type, whose qualified name could equal a constructor's.
 
 The parser does not distinguish static calls from instance calls on a field
 chain; `a.b.c(x)` is parsed as a method call whose receiver is a name chain,
@@ -73,8 +74,8 @@ class _Parser:
         self.i += 1
         return tok
 
-    def fail(self, msg):
-        tok = self.tokens[self.i]
+    def fail(self, msg, tok=None):
+        tok = tok or self.tokens[self.i]
         raise ParseError(msg, tok.line, tok.col, self.origin)
 
     def pos(self):
@@ -147,7 +148,7 @@ class _Parser:
         while not self.at("}"):
             mpos = self.pos()
             rettype = self.type_()
-            mname = self.expect("ID").value
+            mname = self.method_name(self.expect("ID"), name)
             params = self.params()
             self.expect(";")
             methods.append(ast.MethodDecl(False, rettype, mname, params, None, mpos))
@@ -159,7 +160,7 @@ class _Parser:
         if self.at("static"):
             self.advance()
             rettype = self.type_()
-            name = self.expect("ID").value
+            name = self.method_name(self.expect("ID"), decl.name)
             params = self.params()
             body = self.block()
             decl.methods.append(ast.MethodDecl(True, rettype, name, params, body, pos))
@@ -173,8 +174,10 @@ class _Parser:
             decl.ctors.append(ast.CtorDecl(name, params, body, pos))
             return
         rettype = self.type_()
-        name = self.expect("ID").value
+        tok = self.expect("ID")
+        name = tok.value
         if self.at("("):
+            self.method_name(tok, decl.name)
             params = self.params()
             body = self.block()
             decl.methods.append(ast.MethodDecl(False, rettype, name, params, body, pos))
@@ -185,6 +188,13 @@ class _Parser:
                 init = self.expr()
             self.expect(";")
             decl.fields.append(ast.FieldDecl(rettype, name, init, pos))
+
+    def method_name(self, tok: Token, type_name: str) -> str:
+        """The name ``tok`` gives a method of ``type_name``, unless it is
+        that type's name and so a constructor's."""
+        if tok.value == type_name:
+            self.fail("method %s has the name of its type" % tok.value, tok)
+        return tok.value
 
     def params(self) -> list:
         self.expect("(")

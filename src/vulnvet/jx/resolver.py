@@ -24,6 +24,7 @@ class MethodInfo:
     rettype: str
     param_types: list
     decl: ast.MethodDecl
+    calls: list = field(default_factory=list)  # New/MethodCall/ReflectInvoke nodes of the body
 
 
 @dataclass
@@ -32,6 +33,7 @@ class CtorInfo:
     sig: str
     param_types: list
     decl: ast.CtorDecl
+    calls: list = field(default_factory=list)  # as MethodInfo.calls
 
 
 @dataclass
@@ -41,10 +43,12 @@ class TypeInfo:
     is_interface: bool
     decl: object
     unit: ast.SourceUnit
-    supertypes: list = field(default_factory=list)  # direct, resolved qnames
+    supertypes: list = field(default_factory=list)  # direct, resolved, cycle-free qnames
+    superclass: Optional[str] = None                # the class among supertypes
     fields: dict = field(default_factory=dict)      # name -> type
     methods: dict = field(default_factory=dict)     # sig -> MethodInfo
     ctors: dict = field(default_factory=dict)       # sig -> CtorInfo
+    init_calls: list = field(default_factory=list)  # call nodes of field initializers
 
 
 @dataclass
@@ -66,18 +70,32 @@ class CtorCall:
 
 
 class ResolvedProgram:
-    """Immutable view of a fully resolved corpus."""
+    """Immutable view of a fully resolved corpus. Its tables:
 
-    def __init__(self, units, symbols, hierarchy, diagnostics, warnings,
-                 bindings, expr_types, overrides):
+    - ``symbols``: qname -> TypeInfo, whose ``supertypes`` are cycle-free and
+      whose ``superclass``, per-member ``calls`` and class ``init_calls``
+      record the hierarchy and every call site once;
+    - ``subtypes``: qname -> frozenset of the corpus types that are qname or
+      a transitive subtype of it, built once from ``supertypes``;
+    - ``bindings``: id(call node) -> StaticCall|VirtualCall|CtorCall;
+    - ``diagnostics`` and ``warnings``: error and non-fatal (shadowing) text.
+    """
+
+    def __init__(self, units, symbols, diagnostics, warnings, bindings):
         self.units = units
-        self.symbols = symbols          # qname -> TypeInfo
-        self.hierarchy = hierarchy      # qname -> tuple of direct supertypes
-        self.diagnostics = diagnostics  # list of error strings
-        self.warnings = warnings        # list of non-fatal strings (shadowing)
-        self.bindings = bindings        # id(call node) -> StaticCall|VirtualCall|CtorCall
-        self.expr_types = expr_types    # id(expr node) -> type string
-        self.overrides = overrides      # (owner, sig) -> set of (owner, sig) overridden
+        self.symbols = symbols
+        self.diagnostics = diagnostics
+        self.warnings = warnings
+        self.bindings = bindings
+        subtypes = {q: {q} for q in symbols}
+        for q, info in symbols.items():
+            work = list(info.supertypes)
+            while work:
+                s = work.pop()
+                if q not in subtypes[s]:
+                    subtypes[s].add(q)
+                    work.extend(symbols[s].supertypes)
+        self.subtypes = {q: frozenset(subs) for q, subs in subtypes.items()}
 
     def require_clean(self):
         if self.diagnostics:
@@ -86,34 +104,26 @@ class ResolvedProgram:
 
     # --- hierarchy queries ---
 
-    def supertypes_transitive(self, qname: str) -> set:
-        out = set()
-        work = list(self.hierarchy.get(qname, ()))
-        while work:
-            t = work.pop()
-            if t in out:
-                continue
-            out.add(t)
-            work.extend(self.hierarchy.get(t, ()))
-        return out
-
     def is_subtype(self, sub: str, sup: str) -> bool:
-        return sub == sup or sup in self.supertypes_transitive(sub)
+        return sub == sup or sub in self.subtypes.get(sup, ())
 
-    def subtypes_of(self, qname: str) -> set:
+    def subtypes_of(self, qname: str) -> frozenset:
         """All corpus types that are qname or a transitive subtype of it."""
-        return {t for t in self.symbols if self.is_subtype(t, qname)}
+        return self.subtypes.get(qname, frozenset())
+
+    def class_chain(self, qname: str):
+        """The TypeInfo of qname, then those of its superclasses in order."""
+        info = self.symbols.get(qname)
+        while info is not None:
+            yield info
+            info = self.symbols.get(info.superclass)
 
     # --- member lookup ---
 
     def lookup_field(self, type_qname: str, name: str) -> Optional[str]:
-        info = self.symbols.get(type_qname)
-        while info is not None:
+        for info in self.class_chain(type_qname):
             if name in info.fields:
                 return info.fields[name]
-            parent = next((s for s in info.supertypes
-                           if s in self.symbols and not self.symbols[s].is_interface), None)
-            info = self.symbols.get(parent) if parent else None
         return None
 
     def lookup_method(self, type_qname: str, sig: str) -> Optional[MethodInfo]:
@@ -134,14 +144,10 @@ class ResolvedProgram:
 
     def resolve_impl(self, runtime_class: str, sig: str) -> Optional[MethodInfo]:
         """Dynamic-dispatch target: nearest class-chain implementation with a body."""
-        info = self.symbols.get(runtime_class)
-        while info is not None:
+        for info in self.class_chain(runtime_class):
             m = info.methods.get(sig)
             if m is not None and not m.static and m.decl.body is not None:
                 return m
-            parent = next((s for s in info.supertypes
-                           if s in self.symbols and not self.symbols[s].is_interface), None)
-            info = self.symbols.get(parent) if parent else None
         return None
 
 
@@ -154,9 +160,7 @@ class _Resolver:
         self.diagnostics = []
         self.warnings = []
         self.bindings = {}
-        self.expr_types = {}
-        self.overrides = {}
-        self.hierarchy = {}
+        self.calls = None  # list of call nodes of the member being bound
 
     def err(self, msg, pos=None, unit=None):
         where = ""
@@ -214,7 +218,6 @@ class _Resolver:
         for info in self.symbols.values():
             decl = info.decl
             if info.is_interface:
-                self.hierarchy[info.qname] = ()
                 for m in decl.methods:
                     self._add_method(info, m)
                 continue
@@ -238,7 +241,6 @@ class _Resolver:
                 else:
                     supers.append(it)
             info.supertypes = supers
-            self.hierarchy[info.qname] = tuple(supers)
             for f in decl.fields:
                 if f.name in info.fields:
                     self.err("duplicate field %s" % f.name, f.pos, info.unit)
@@ -264,6 +266,7 @@ class _Resolver:
                                        self.type_text(m.rettype, info.package), ptypes, m)
 
     def check_acyclic(self):
+        """Report inheritance cycles and break them, then set superclasses."""
         state = {}  # 0 visiting, 1 done
 
         def visit(q, trail):
@@ -275,34 +278,31 @@ class _Resolver:
                 state[q] = 1
                 return
             state[q] = 0
-            for s in self.hierarchy.get(q, ()):
+            for s in self.symbols[q].supertypes:
                 visit(s, trail + [q])
             state[q] = 1
 
-        for q in sorted(self.hierarchy):
+        for q in sorted(self.symbols):
             visit(q, [])
         # Break cycles so later transitive walks terminate.
         if any("inheritance cycle" in d for d in self.diagnostics):
             broken = set()
-            for q in sorted(self.hierarchy):
+            for q in sorted(self.symbols):
+                info = self.symbols[q]
                 kept = []
-                for s in self.hierarchy[q]:
+                for s in info.supertypes:
                     if (s, q) in broken or s == q:
                         continue
                     kept.append(s)
                     broken.add((q, s))
-                self.hierarchy[q] = tuple(kept)
-                if q in self.symbols:
-                    self.symbols[q].supertypes = list(kept)
+                info.supertypes = kept
             # Remove edges that still close a cycle (self references removed above).
-            for q in sorted(self.hierarchy):
-                kept = []
-                for s in self.hierarchy[q]:
-                    if not self._reaches(s, q):
-                        kept.append(s)
-                self.hierarchy[q] = tuple(kept)
-                if q in self.symbols:
-                    self.symbols[q].supertypes = list(kept)
+            for q in sorted(self.symbols):
+                info = self.symbols[q]
+                info.supertypes = [s for s in info.supertypes if not self._reaches(s, q)]
+        for info in self.symbols.values():
+            info.superclass = next((s for s in info.supertypes
+                                    if not self.symbols[s].is_interface), None)
 
     def _reaches(self, start, goal):
         seen = set()
@@ -314,21 +314,24 @@ class _Resolver:
             if t in seen:
                 continue
             seen.add(t)
-            work.extend(self.hierarchy.get(t, ()))
+            work.extend(self.symbols[t].supertypes)
         return False
 
     # --- pass 3: body binding ---
 
     def bind_all(self, program: ResolvedProgram):
+        """Bind every body, recording each member's call nodes on it."""
         for qname in sorted(self.symbols):
             info = self.symbols[qname]
             if info.is_interface:
                 continue
+            self.calls = info.init_calls
             for f in info.decl.fields:
                 if f.init is not None:
                     env = {"this": info.qname}
                     self.bind_expr(f.init, env, info, program)
             for c in info.ctors.values():
+                self.calls = c.calls
                 env = {"this": info.qname}
                 for p, t in zip(c.decl.params, c.param_types):
                     env[p.name] = t
@@ -336,6 +339,7 @@ class _Resolver:
             for m in info.methods.values():
                 if m.decl.body is None:
                     continue
+                self.calls = m.calls
                 env = {} if m.static else {"this": info.qname}
                 for p, t in zip(m.decl.params, m.param_types):
                     env[p.name] = t
@@ -411,11 +415,6 @@ class _Resolver:
         return None
 
     def bind_expr(self, e, env, info, program) -> str:
-        t = self._bind_expr(e, env, info, program)
-        self.expr_types[id(e)] = t
-        return t
-
-    def _bind_expr(self, e, env, info, program) -> str:
         unit = info.unit
         if isinstance(e, ast.IntLit):
             return "int"
@@ -458,11 +457,13 @@ class _Resolver:
             tq = self.resolve_type_name(e.type, info.package)
             if tq is None:
                 self.err("unknown type %s" % e.type.text(), e.pos, unit)
-                return ERROR_TYPE
-            if self.symbols[tq].is_interface:
+            elif self.symbols[tq].is_interface:
                 self.err("cannot instantiate interface %s" % tq, e.pos, unit)
-                return ERROR_TYPE
+                tq = None
             argts = [self.bind_expr(a, env, info, program) for a in e.args]
+            self.calls.append(e)
+            if tq is None:
+                return ERROR_TYPE
             if ERROR_TYPE in argts:
                 return tq
             sig = "%s(%s)" % (self.symbols[tq].decl.name, ",".join(argts))
@@ -472,10 +473,9 @@ class _Resolver:
             self.bindings[id(e)] = CtorCall(tq, sig)
             return tq
         if isinstance(e, ast.ReflectInvoke):
-            for a in e.args:
-                self.bind_expr(a, env, info, program)
-            tt = self.expr_types.get(id(e.args[0]))
-            if tt not in ("text", ERROR_TYPE):
+            argts = [self.bind_expr(a, env, info, program) for a in e.args]
+            self.calls.append(e)
+            if argts[0] not in ("text", ERROR_TYPE):
                 self.err("Reflect.invoke target must be text", e.pos, unit)
             return "void"
         if isinstance(e, ast.Binary):
@@ -494,7 +494,9 @@ class _Resolver:
                          % (e.op, lt, rt), e.pos, unit)
             return "boolean"
         if isinstance(e, ast.MethodCall):
-            return self._bind_call(e, env, info, program)
+            t = self._bind_call(e, env, info, program)
+            self.calls.append(e)
+            return t
         raise TypeError("unknown expression node: %r" % (e,))
 
     def _bind_call(self, e: ast.MethodCall, env, info, program) -> str:
@@ -513,6 +515,8 @@ class _Resolver:
                     return ERROR_TYPE
         argts = [self.bind_expr(a, env, info, program) for a in e.args]
         if ERROR_TYPE in argts:
+            if as_type is None:  # a receiver that is not a type may hold calls
+                self.bind_expr(e.recv, env, info, program)
             return ERROR_TYPE
         sig = "%s(%s)" % (e.name, ",".join(argts))
         if as_type is not None:
@@ -536,25 +540,6 @@ class _Resolver:
         self.bindings[id(e)] = VirtualCall(rt, sig)
         return m.rettype
 
-    def compute_overrides(self, program: ResolvedProgram):
-        for qname in sorted(self.symbols):
-            info = self.symbols[qname]
-            if info.is_interface:
-                continue
-            for sig, m in info.methods.items():
-                if m.static:
-                    continue
-                overridden = set()
-                for sup in sorted(program.supertypes_transitive(qname)):
-                    sinfo = self.symbols.get(sup)
-                    if sinfo is None:
-                        continue
-                    sm = sinfo.methods.get(sig)
-                    if sm is not None and not sm.static:
-                        overridden.add((sup, sig))
-                if overridden:
-                    self.overrides[(qname, sig)] = overridden
-
 
 def resolve(units, precedence=None) -> ResolvedProgram:
     """Resolve a closed set of units into one program.
@@ -566,8 +551,6 @@ def resolve(units, precedence=None) -> ResolvedProgram:
     r.collect()
     r.build_members()
     r.check_acyclic()
-    program = ResolvedProgram(r.units, r.symbols, r.hierarchy, r.diagnostics,
-                              r.warnings, r.bindings, r.expr_types, r.overrides)
+    program = ResolvedProgram(r.units, r.symbols, r.diagnostics, r.warnings, r.bindings)
     r.bind_all(program)
-    r.compute_overrides(program)
     return program

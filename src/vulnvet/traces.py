@@ -55,7 +55,9 @@ def normalize(log: TraceLog) -> TraceLog:
 
 
 def guess_ctype(qname: str) -> str:
-    """A member whose name equals its class simple name is a constructor."""
+    """A member whose name equals its class simple name is a constructor.
+    Exact for every METHOD and CONSTRUCTOR qname a build can produce, since
+    the parser rejects a method named like its type."""
     head = qname.split("(", 1)[0]
     parts = head.rsplit(".", 2)
     if len(parts) >= 2 and parts[-1] == parts[-2]:

@@ -4,13 +4,23 @@ from __future__ import annotations
 
 import itertools
 import shutil
+import sys
+from dataclasses import replace
 from pathlib import Path
 
+from hypothesis import strategies as st
+
+from vulnvet.callgraph import (CONSTRUCTOR_CALL, STATIC_DISPATCH, VIRTUAL_DISPATCH,
+                               CallGraph, Edge)
 from vulnvet.canonical import CTree
+from vulnvet.constructs import CONSTRUCTOR, METHOD, ConstructId
+from vulnvet.jx import ast
 from vulnvet.jx.errors import ParseError
 from vulnvet.jx.lexer import KEYWORDS
+from vulnvet.jx.resolver import CtorCall, StaticCall, VirtualCall
 from vulnvet.kb import KnowledgeBase
 
+REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 UPDATE = FIXTURES / "update"
@@ -19,6 +29,18 @@ UPDATE = FIXTURES / "update"
 def copy_workspace(src: Path, dst: Path) -> Path:
     shutil.copytree(src, dst)
     return dst
+
+
+def small_workload(root: Path, name: str, seed: int = 1) -> Path:
+    """The ws/ directory of a small benchmark workload of kind ``name``."""
+    if str(REPO) not in sys.path:
+        sys.path.insert(0, str(REPO))
+    from vetbench.generate import WORKLOADS, generate
+    spec = WORKLOADS[name]
+    generate(root, name, seed, replace(
+        spec, libs=3, classes=2, methods=3, stmts=4, fanout=2, tests=2, loop=(2, 3),
+        noise=min(spec.noise, 6), drift_stmts=min(spec.drift_stmts, 4)))
+    return root / "ws"
 
 
 def build_golden_kb(kb_root: Path) -> KnowledgeBase:
@@ -272,6 +294,158 @@ def closure_oracle(graph, seeds) -> set:
                 reached.add(e.callee)
                 changed = True
     return reached
+
+
+# --- call graph oracle: a second walk over every body ---
+#
+# The call graph once found its call nodes by walking every body again after
+# the resolver had bound it; the resolver now records them per member. This
+# walker and graph builder are that earlier code, kept as a reference for
+# tests only. Virtual targets come from a naive closure over the supertypes
+# instead of the program's subtype table and superclass chain.
+
+def reference_call_nodes(node, out):
+    """Collect call-bearing expression nodes in evaluation order."""
+    if isinstance(node, ast.Block):
+        for s in node.stmts:
+            reference_call_nodes(s, out)
+    elif isinstance(node, ast.LocalDecl):
+        if node.init is not None:
+            reference_call_nodes(node.init, out)
+    elif isinstance(node, ast.Assign):
+        reference_call_nodes(node.target, out)
+        reference_call_nodes(node.value, out)
+    elif isinstance(node, ast.ExprStmt):
+        reference_call_nodes(node.expr, out)
+    elif isinstance(node, ast.If):
+        reference_call_nodes(node.cond, out)
+        reference_call_nodes(node.then, out)
+        if node.els is not None:
+            reference_call_nodes(node.els, out)
+    elif isinstance(node, ast.While):
+        reference_call_nodes(node.cond, out)
+        reference_call_nodes(node.body, out)
+    elif isinstance(node, ast.Return):
+        if node.value is not None:
+            reference_call_nodes(node.value, out)
+    elif isinstance(node, ast.Binary):
+        reference_call_nodes(node.left, out)
+        reference_call_nodes(node.right, out)
+    elif isinstance(node, ast.FieldAccess):
+        reference_call_nodes(node.obj, out)
+    elif isinstance(node, ast.MethodCall):
+        reference_call_nodes(node.recv, out)
+        for a in node.args:
+            reference_call_nodes(a, out)
+        out.append(node)
+    elif isinstance(node, (ast.New, ast.ReflectInvoke)):
+        for a in node.args:
+            reference_call_nodes(a, out)
+        out.append(node)
+    return out
+
+
+def naive_ancestors(symbols) -> dict:
+    """qname -> every transitive supertype, by a fixpoint over all types."""
+    anc = {q: set() for q in symbols}
+    changed = True
+    while changed:
+        changed = False
+        for q, info in symbols.items():
+            grown = set(anc[q])
+            for s in info.supertypes:
+                grown |= {s} | anc[s]
+            if grown != anc[q]:
+                anc[q] = grown
+                changed = True
+    return anc
+
+
+def reference_call_graph(program) -> CallGraph:
+    """The CHA graph from a second walk over every body (see above)."""
+    symbols = program.symbols
+    anc = naive_ancestors(symbols)
+
+    def impl(cls, sig):
+        while cls is not None:
+            info = symbols[cls]
+            m = info.methods.get(sig)
+            if m is not None and not m.static and m.decl.body is not None:
+                return m
+            cls = next((s for s in info.supertypes if not symbols[s].is_interface), None)
+        return None
+
+    def emit(info, caller, calls):
+        for node in calls:
+            site = "%s:%d" % (info.unit.origin, node.pos[0])
+            binding = program.bindings.get(id(node))
+            if isinstance(node, ast.ReflectInvoke):
+                graph.unresolved.add((caller, site, "reflection"))
+            elif isinstance(binding, StaticCall):
+                graph.edges.add(Edge(caller, ConstructId(METHOD, "%s.%s" % (
+                    binding.owner, binding.sig)), site, STATIC_DISPATCH))
+            elif isinstance(binding, CtorCall):
+                graph.edges.add(Edge(caller, ConstructId(CONSTRUCTOR, "%s.%s" % (
+                    binding.owner, binding.sig)), site, CONSTRUCTOR_CALL))
+            elif isinstance(binding, VirtualCall):
+                for sub in symbols:
+                    if symbols[sub].is_interface or not (
+                            sub == binding.declared_type or binding.declared_type in anc[sub]):
+                        continue
+                    m = impl(sub, binding.sig)
+                    if m is not None:
+                        graph.edges.add(Edge(caller, ConstructId(METHOD, "%s.%s" % (
+                            m.owner, m.sig)), site, VIRTUAL_DISPATCH))
+
+    graph = CallGraph()
+    for qname, info in sorted(symbols.items()):
+        for sig, m in info.methods.items():
+            if m.decl.body is not None or info.is_interface:
+                graph.nodes.add(ConstructId(METHOD, "%s.%s" % (qname, sig)))
+        if info.is_interface:
+            continue
+        init_calls = []
+        for f in info.decl.fields:
+            if f.init is not None:
+                reference_call_nodes(f.init, init_calls)
+        for sig, c in info.ctors.items():
+            caller = ConstructId(CONSTRUCTOR, "%s.%s" % (qname, sig))
+            graph.nodes.add(caller)
+            emit(info, caller, reference_call_nodes(c.decl.body, list(init_calls)))
+        for sig, m in info.methods.items():
+            if m.decl.body is not None:
+                emit(info, ConstructId(METHOD, "%s.%s" % (qname, sig)),
+                     reference_call_nodes(m.decl.body, []))
+    return graph
+
+
+# --- random JX class hierarchies (the first part of a program generator) ---
+
+@st.composite
+def jx_hierarchies(draw, max_types=6):
+    """Source of one unit, package ``h``, declaring classes and interfaces
+    ``T0``.. whose ``extends`` and ``implements`` clauses name any of them,
+    the class itself or an unknown ``Missing``, plainly or qualified. So
+    inheritance cycles, self-extension, a class extending an interface,
+    implementing a class and unknown supertypes all occur."""
+    n = draw(st.integers(1, max_types))
+    names = ["T%d" % i for i in range(n)]
+    ref = st.sampled_from(names + ["Missing"]).flatmap(
+        lambda name: st.sampled_from([name, "h." + name]))
+    decls = []
+    for name in names:
+        if draw(st.booleans()):
+            decls.append("interface %s { int m(); }" % name)
+            continue
+        head = "class " + name
+        if draw(st.booleans()):
+            head += " extends " + draw(ref)
+        implements = draw(st.lists(ref, max_size=3))
+        if implements:
+            head += " implements " + ", ".join(implements)
+        body = " int m() { return %d; }" % len(decls) if draw(st.booleans()) else ""
+        decls.append(head + " {%s }" % body)
+    return "package h;\n" + "\n".join(decls) + "\n"
 
 
 # --- random JX program model (rendered to source text) ---

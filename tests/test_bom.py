@@ -1,12 +1,14 @@
 """Bill of materials resolution."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
 from helpers import GOLDEN, UPDATE, copy_workspace
 from vulnvet.bom import (bom_from_json, bom_to_json, build_bom, corpus_program,
-                         input_digest)
+                         input_digest, source_files)
 from vulnvet.callgraph import build_call_graph, graph_from_json, graph_to_json
 from vulnvet.errors import MalformedArtifact, ManifestError, MissingDependency
 from vulnvet.jx import parser
@@ -71,6 +73,23 @@ def test_unit_origins_are_workspace_relative(tmp_path):
     assert "src/main.jx" in origins
     assert "libs/fw/1.0/src/engine.jx" in origins
     assert not any(o.startswith("/") for o in origins)
+
+
+def test_source_origins_equal_a_relpath_per_file(tmp_path):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    shared = tmp_path / "shared"
+    for rel in ("a.jx", "q/b.jx", "q/r/c.jx"):
+        (shared / rel).parent.mkdir(parents=True, exist_ok=True)
+        (shared / rel).write_text("package q; class C%d { }" % len(rel))
+    for root in (ws / "libs", ws / "libs/fw/1.0/src", ws / "../shared", shared):
+        paths = sorted(root.rglob("*.jx"))
+        assert paths
+        assert source_files(root, ws) == [
+            (Path(os.path.relpath(path, ws)).as_posix(), path) for path in paths]
+    manifest = json.loads((ws / "app.json").read_text())
+    (ws / "app.json").write_text(json.dumps(dict(manifest, sourceRoot="../shared")))
+    origins = {u.origin for u in build_bom(ws / "app.json", ws).application.units}
+    assert origins == {"../shared/a.jx", "../shared/q/b.jx", "../shared/q/r/c.jx"}
 
 
 def test_corpus_program_resolves_cross_archive_calls(tmp_path):

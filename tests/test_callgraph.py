@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from helpers import closure_oracle
+from helpers import (GOLDEN, UPDATE, closure_oracle, copy_workspace, reference_call_graph,
+                     reference_call_nodes, small_workload)
+from vulnvet.bom import build_bom, corpus_program
 from vulnvet.callgraph import (CONSTRUCTOR_CALL, STATIC_DISPATCH,
                                VIRTUAL_DISPATCH, CallGraph, Edge,
                                build_call_graph, reach_from_json, reach_to_json,
@@ -102,6 +104,50 @@ def test_reflection_lands_in_unresolved():
     graph = _graph(src)
     assert _edges(graph, _m("p.A.m()")) == set()
     assert any(reason == "reflection" for _, _, reason in graph.unresolved)
+
+
+def _recorded_and_walked(program):
+    """(recorded, walked) call nodes of every member and class initializer."""
+    for info in program.symbols.values():
+        inits = [f.init for f in info.decl.fields] if not info.is_interface else []
+        yield info.init_calls, [n for e in inits if e is not None
+                                for n in reference_call_nodes(e, [])]
+        for member in list(info.methods.values()) + list(info.ctors.values()):
+            body = member.decl.body
+            yield member.calls, [] if body is None else reference_call_nodes(body, [])
+
+
+@pytest.mark.parametrize("stmt", [
+    'Object o = new Missing(Reflect.invoke("p.A.n()"));',
+    'p.I i = new p.I(Reflect.invoke("p.A.n()"));',
+    'int y = Reflect.invoke("p.A.n()").foo(zzz);',
+])
+def test_reflective_sites_survive_ill_typed_input(stmt):
+    src = "package p;\ninterface I { }\nclass A {\n    static void n() { }\n" \
+          "    static void m() {\n        %s\n    }\n}\n" % stmt
+    program = resolve([parse_unit(src, "u.jx")])
+    assert program.diagnostics
+    graph = build_call_graph(program)
+    assert graph.unresolved == {(_m("p.A.m()"), "u.jx:6", "reflection")}
+    assert graph == reference_call_graph(program)
+    for recorded, walked in _recorded_and_walked(program):
+        assert sorted(map(id, recorded)) == sorted(map(id, walked))
+
+
+@pytest.mark.parametrize("source", ["golden", "update", "corpus", "kb-drift", "trace-heavy"])
+def test_call_graph_equals_the_reference_walk(tmp_path, source):
+    if source in ("golden", "update"):
+        fixture = GOLDEN if source == "golden" else UPDATE
+        ws = copy_workspace(fixture / "workspace", tmp_path / "ws")
+    else:
+        ws = small_workload(tmp_path, source)
+    program = corpus_program(build_bom(ws / "app.json", ws))
+    assert not program.diagnostics
+    graph = build_call_graph(program)
+    assert graph.edges
+    assert graph == reference_call_graph(program)
+    for recorded, walked in _recorded_and_walked(program):
+        assert sorted(map(id, recorded)) == sorted(map(id, walked))
 
 
 def test_reachable_skips_unknown_seeds():

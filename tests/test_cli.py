@@ -286,6 +286,23 @@ def test_program_at_the_nesting_bound_runs(tmp_path, capsys):
     assert {"p.A.%s()" % name for name in bodies} <= {e["callee"] for e in events}
 
 
+def test_method_named_like_its_class_exits_three(tmp_path, capsys):
+    # its qname would equal the constructor's: p.Foo.Foo(int)
+    ws = tmp_path / "ws"
+    (ws / "src").mkdir(parents=True)
+    (ws / "app.json").write_text('{"name": "app", "version": "1.0", "sourceRoot": "src"}')
+    (ws / "src/Foo.jx").write_text(
+        "package p;\nclass Foo {\n    Foo(int n) { }\n    int Foo(int n) { return n; }\n}\n")
+    capsys.readouterr()
+    for step in (["scan"], ["kb", "import-fix", "--id", "VULN-F",
+                            "--before", str(ws / "src"), "--after", str(ws / "src")]):
+        assert vet(["--workspace", str(ws), *step]) == 3
+        err = capsys.readouterr().err
+        assert "Foo.jx:4:9: method Foo has the name of its type" in err
+        assert "Traceback" not in err
+    assert not (ws / "kb").exists()
+
+
 @pytest.mark.parametrize("text", [
     '{"name": "libA", "versions": ',                               # not JSON
     '["libA"]',                                                    # not an object

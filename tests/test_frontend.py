@@ -7,7 +7,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import deep_bodies, random_program
+from helpers import deep_bodies, jx_hierarchies, naive_ancestors, random_program
 from vulnvet.jx import (ParseError, ResolutionError, ast, parse_unit, parser,
                         pretty_print, resolve)
 from vulnvet.jx.parser import MAX_NESTING
@@ -150,6 +150,50 @@ def test_inheritance_cycle_is_reported():
     src = "package p; class A extends B { } class B extends A { }"
     program = resolve([parse_unit(src, "p.jx")])
     assert any("cycle" in d for d in program.diagnostics)
+
+
+@settings(max_examples=300, deadline=None)
+@given(jx_hierarchies())
+def test_hierarchy_tables_match_a_naive_closure(src):
+    unit = parse_unit(src, "h.jx")
+    program = resolve([unit])
+    symbols = program.symbols
+    anc = naive_ancestors(symbols)
+    declared = {}
+    for decl in unit.decls:
+        named = [decl.extends] if getattr(decl, "extends", None) else []
+        named += getattr(decl, "implements", [])
+        declared["h." + decl.name] = {"h." + n.parts[-1] for n in named}
+    for q, info in symbols.items():
+        assert q not in anc[q]  # cycles are broken
+        assert set(info.supertypes) <= declared[q]
+        classes = [s for s in info.supertypes if not symbols[s].is_interface]
+        assert len(classes) <= 1 and info.superclass == (classes[0] if classes else None)
+        if info.superclass is not None:
+            assert info.superclass == "h." + info.decl.extends.parts[-1]
+        assert [t.qname for t in program.class_chain(q)][1:2] == classes
+    for sup in list(symbols) + ["h.Missing"]:
+        subs = {q for q in symbols if q == sup or sup in anc[q]}
+        assert program.subtypes_of(sup) == subs
+        for sub in list(symbols) + ["h.Missing"]:
+            assert program.is_subtype(sub, sup) == (sub == sup or sub in subs)
+
+
+@pytest.mark.parametrize("src, col", [
+    ("class A {\n    A(int n) { }\n    static int A() { return 1; }\n}", 16),
+    ("class A {\n    A(int n) { }\n    int A(int n) { return n; }\n}", 9),
+    ("class A {\n    A(int n) { }\n    A A() { return this; }\n}", 7),
+    ("interface A {\n    int m();\n    int A();\n}", 9),
+])
+def test_method_named_like_its_type_is_a_parse_error(src, col):
+    with pytest.raises(ParseError, match="method A has the name of its type") as info:
+        parse_unit("package p;\n" + src, "a.jx")
+    assert str(info.value).startswith("a.jx:4:%d: " % col)
+
+
+def test_field_may_share_its_type_name():
+    # a field names no construct, so its qname cannot collide
+    parse_unit("package p; class A { A A; int a() { return 1; } }", "a.jx")
 
 
 def test_duplicate_qname_nearest_archive_wins():
