@@ -6,7 +6,6 @@ import hashlib
 import json
 import os
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -21,25 +20,31 @@ APPLICATION = "APPLICATION"
 DEPENDENCY = "DEPENDENCY"
 
 
-@dataclass
 class Archive:
-    name: str
-    version: str
-    kind: str
-    source_root: Path
-    units: list = field(default_factory=list)
-    constructs: dict = field(default_factory=dict)  # ConstructId -> Construct
-    declared_deps: list = field(default_factory=list)  # [(name, version)]
+    __slots__ = ("name", "version", "kind", "source_root", "units", "constructs",
+                 "declared_deps")
+
+    def __init__(self, name: str, version: str, kind: str, source_root: Optional[Path],
+                 units=None, constructs=None, declared_deps=None):
+        self.name = name
+        self.version = version
+        self.kind = kind
+        self.source_root = source_root
+        self.units = [] if units is None else units
+        self.constructs = {} if constructs is None else constructs  # ConstructId -> Construct
+        self.declared_deps = [] if declared_deps is None else declared_deps  # [(name, version)]
 
     def construct_ids(self) -> set:
         return set(self.constructs)
 
 
-@dataclass
 class BOM:
-    application: Archive
-    dependencies: list  # [(Archive, depth)] in resolution order
-    warnings: list = field(default_factory=list)
+    __slots__ = ("application", "dependencies", "warnings")
+
+    def __init__(self, application: Archive, dependencies: list, warnings=None):
+        self.application = application
+        self.dependencies = dependencies  # [(Archive, depth)] in resolution order
+        self.warnings = [] if warnings is None else warnings
 
     def archives(self):
         """(archive, depth) pairs, application first with depth 0."""

@@ -7,7 +7,7 @@ sites are never resolved statically; they land in the unresolved set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .constructs import CONSTRUCTOR, METHOD, ConstructId, construct_id, require_text
 from .errors import MalformedArtifact, NotReached
@@ -22,19 +22,24 @@ DYNAMIC = "DYNAMIC"  # trace-observed edges folded in for the combined pass
 STATIC_KINDS = (STATIC_DISPATCH, VIRTUAL_DISPATCH, CONSTRUCTOR_CALL)
 
 
-@dataclass(frozen=True, order=True)
-class Edge:
+class Edge(NamedTuple):
     caller: ConstructId
     callee: ConstructId
     site: str  # "file:line"
     kind: str
 
 
-@dataclass
 class CallGraph:
-    nodes: set = field(default_factory=set)
-    edges: set = field(default_factory=set)
-    unresolved: set = field(default_factory=set)  # (caller, site, reason)
+    __slots__ = ("nodes", "edges", "unresolved")
+
+    def __init__(self, nodes=None, edges=None, unresolved=None):
+        self.nodes = set() if nodes is None else nodes
+        self.edges = set() if edges is None else edges
+        self.unresolved = set() if unresolved is None else unresolved  # (caller, site, reason)
+
+    def __eq__(self, other):
+        return (isinstance(other, CallGraph) and self.nodes == other.nodes
+                and self.edges == other.edges and self.unresolved == other.unresolved)
 
     def successors(self):
         adj = {}
@@ -52,12 +57,19 @@ class CallGraph:
         return g
 
 
-@dataclass
 class ReachResult:
-    seeds: set
-    reached: set
-    parent: dict  # callee -> (caller, site)
-    skipped_seeds: list = field(default_factory=list)
+    __slots__ = ("seeds", "reached", "parent", "skipped_seeds")
+
+    def __init__(self, seeds: set, reached: set, parent: dict, skipped_seeds=None):
+        self.seeds = seeds
+        self.reached = reached
+        self.parent = parent  # callee -> (caller, site)
+        self.skipped_seeds = [] if skipped_seeds is None else skipped_seeds
+
+    def __eq__(self, other):
+        return (isinstance(other, ReachResult) and self.seeds == other.seeds
+                and self.reached == other.reached and self.parent == other.parent
+                and self.skipped_seeds == other.skipped_seeds)
 
 
 def _method_cid(owner: str, sig: str) -> ConstructId:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class CTree:
+class CTree(NamedTuple):
     label: str
-    children: tuple["CTree", ...] = field(default=())
+    children: tuple["CTree", ...] = ()
 
     def size(self) -> int:
         count, stack = 0, [self]

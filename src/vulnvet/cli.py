@@ -126,6 +126,14 @@ def _stamped(data, inputs: str) -> bool:
     return isinstance(data, dict) and data.get("inputs") == inputs
 
 
+def _program(bom):
+    """The whole-workspace program; each resolver diagnostic goes to stderr."""
+    program = corpus_program(bom)
+    for d in program.diagnostics:
+        print("resolve: %s" % d, file=sys.stderr)
+    return program
+
+
 def _bom_and_graph(ws: Workspace) -> tuple:
     """(input digest, BOM, call graph, reused). bom.json and graph.json are
     reused when both are stamped with the digest of the current inputs
@@ -139,7 +147,7 @@ def _bom_and_graph(ws: Workspace) -> tuple:
             return (inputs, bom_from_json(bom_data, "bom.json"),
                     graph_from_json(graph_data, "graph.json"), True)
     bom = build_bom(ws.manifest, ws.root)
-    return inputs, bom, build_call_graph(corpus_program(bom)), False
+    return inputs, bom, build_call_graph(_program(bom)), False
 
 
 def _load_traces(ws: Workspace, bom) -> TraceLog:
@@ -212,7 +220,7 @@ def _cmd_scan(args, ws: Workspace) -> int:
 
 def _cmd_trace(args, ws: Workspace) -> int:
     bom = build_bom(ws.manifest, ws.root)
-    program = corpus_program(bom)
+    program = _program(bom)
     new_log, failures = run_tests(bom, program, pattern=args.pattern)
     merged = _load_traces(ws, bom).merge(new_log)
     ws.write_text("traces.jsonl", to_jsonl(merged))

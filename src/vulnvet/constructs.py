@@ -9,8 +9,7 @@ fingerprints identically, while any literal or identifier change is visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .canonical import CTree, digest
 from .jx import ast
@@ -26,8 +25,7 @@ CTYPES = (PACKAGE, CLASS, INTERFACE, CONSTRUCTOR, METHOD)
 CALLABLE_CTYPES = (METHOD, CONSTRUCTOR)
 
 
-@dataclass(frozen=True, order=True)
-class ConstructId:
+class ConstructId(NamedTuple):
     ctype: str
     qname: str
 
@@ -50,11 +48,13 @@ def construct_id(ctype, qname) -> ConstructId:
     return ConstructId(ctype, require_text(qname))
 
 
-@dataclass
 class Construct:
-    id: ConstructId
-    fingerprint: Optional[str]  # hex digest; None for PACKAGE
-    body: Optional[CTree]       # None for PACKAGE
+    __slots__ = ("id", "fingerprint", "body")
+
+    def __init__(self, id: ConstructId, fingerprint: Optional[str], body: Optional[CTree]):
+        self.id = id
+        self.fingerprint = fingerprint  # hex digest; None for PACKAGE
+        self.body = body                # None for PACKAGE
 
 
 def fingerprint(body: CTree) -> str:

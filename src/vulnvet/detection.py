@@ -6,7 +6,6 @@ evidence levels defined here from the trace log and reachability artifacts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .bom import BOM
@@ -28,20 +27,26 @@ DYNAMIC = "DYNAMIC"
 EVIDENCE_ORDER = (NONE, STATIC, COMBINED, DYNAMIC)
 
 
-@dataclass
 class MatchEntry:
-    change: ConstructChange
-    present: bool
-    classification: Optional[Classification] = None
+    __slots__ = ("change", "present", "classification")
+
+    def __init__(self, change: ConstructChange, present: bool,
+                 classification: Optional[Classification] = None):
+        self.change = change
+        self.present = present
+        self.classification = classification
 
 
-@dataclass
 class Finding:
-    vuln_id: str
-    archive_name: str
-    archive_version: str
-    verdict: str
-    matched: list = field(default_factory=list)  # MatchEntry per record change
+    __slots__ = ("vuln_id", "archive_name", "archive_version", "verdict", "matched")
+
+    def __init__(self, vuln_id: str, archive_name: str, archive_version: str, verdict: str,
+                 matched=None):
+        self.vuln_id = vuln_id
+        self.archive_name = archive_name
+        self.archive_version = archive_version
+        self.verdict = verdict
+        self.matched = [] if matched is None else matched  # MatchEntry per record change
 
 
 _VULN_SIDE = (EQUALS_VULNERABLE, CLOSER_TO_VULNERABLE)

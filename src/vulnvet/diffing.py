@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -70,11 +69,14 @@ class ConstructChange:
         return self.fp_vuln is not None and self.fp_vuln != self.fp_fixed
 
 
-@dataclass
 class Classification:
-    verdict: str
-    dist_vuln: Optional[int] = None
-    dist_fixed: Optional[int] = None
+    __slots__ = ("verdict", "dist_vuln", "dist_fixed")
+
+    def __init__(self, verdict: str, dist_vuln: Optional[int] = None,
+                 dist_fixed: Optional[int] = None):
+        self.verdict = verdict
+        self.dist_vuln = dist_vuln
+        self.dist_fixed = dist_fixed
 
 
 def _enclosing_type(cid: ConstructId) -> Optional[str]:

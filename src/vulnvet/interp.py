@@ -9,7 +9,6 @@ edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .constructs import CONSTRUCTOR, METHOD, ConstructId
@@ -51,10 +50,12 @@ class CallDepthExceeded(JxRuntimeError):
     pass
 
 
-@dataclass
 class Obj:
-    cls: str
-    fields: dict = field(default_factory=dict)
+    __slots__ = ("cls", "fields")
+
+    def __init__(self, cls: str):
+        self.cls = cls
+        self.fields = {}
 
 
 class _Return(Exception):
@@ -65,11 +66,13 @@ class _Return(Exception):
 _DEFAULTS = {"int": 0, "boolean": False, "text": ""}
 
 
-@dataclass
 class RunResult:
-    value: object
-    error: Optional[str]
-    log: TraceLog
+    __slots__ = ("value", "error", "log")
+
+    def __init__(self, value, error: Optional[str], log: TraceLog):
+        self.value = value
+        self.error = error
+        self.log = log
 
 
 _MISSING = object()

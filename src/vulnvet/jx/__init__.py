@@ -1,9 +1,9 @@
-"""Frontend for the JX subject language: parsing, printing, name resolution."""
+"""Frontend for the JX subject language: parsing and name resolution. The
+pretty-printer is not imported here; import ``vulnvet.jx.printer`` to use it."""
 
 from .ast import SourceUnit
 from .errors import JxError, ParseError, ResolutionError
 from .parser import parse_unit
-from .printer import pretty_print
 from .resolver import ResolvedProgram, resolve
 
 __all__ = [
@@ -13,6 +13,5 @@ __all__ = [
     "ResolvedProgram",
     "SourceUnit",
     "parse_unit",
-    "pretty_print",
     "resolve",
 ]

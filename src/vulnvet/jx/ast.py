@@ -6,24 +6,21 @@ Comments and whitespace are discarded by the lexer and never reach the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 Pos = tuple  # (line, col)
 
 PRIMITIVES = ("int", "boolean", "text", "void")
 
 
-@dataclass(frozen=True)
-class PrimType:
+class PrimType(NamedTuple):
     name: str  # int | boolean | text | void
 
     def text(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class NamedType:
+class NamedType(NamedTuple):
     parts: tuple  # dotted name components
 
     def text(self) -> str:
@@ -33,77 +30,99 @@ class NamedType:
 Type = Union[PrimType, NamedType]
 
 
-@dataclass
 class Param:
-    type: Type
-    name: str
+    __slots__ = ("type", "name")
+
+    def __init__(self, type: Type, name: str):
+        self.type = type
+        self.name = name
 
 
 # --- expressions -----------------------------------------------------------
 
-@dataclass
 class IntLit:
-    value: int
-    pos: Pos
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: int, pos: Pos):
+        self.value = value
+        self.pos = pos
 
 
-@dataclass
 class TextLit:
-    value: str
-    pos: Pos
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: str, pos: Pos):
+        self.value = value
+        self.pos = pos
 
 
-@dataclass
 class BoolLit:
-    value: bool
-    pos: Pos
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: bool, pos: Pos):
+        self.value = value
+        self.pos = pos
 
 
-@dataclass
 class Var:
-    name: str
-    pos: Pos
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: Pos):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
 class This:
-    pos: Pos
+    __slots__ = ("pos",)
+
+    def __init__(self, pos: Pos):
+        self.pos = pos
 
 
-@dataclass
 class FieldAccess:
-    obj: "Expr"
-    name: str
-    pos: Pos
+    __slots__ = ("obj", "name", "pos")
+
+    def __init__(self, obj: Expr, name: str, pos: Pos):
+        self.obj = obj
+        self.name = name
+        self.pos = pos
 
 
-@dataclass
 class New:
-    type: NamedType
-    args: list
-    pos: Pos
+    __slots__ = ("type", "args", "pos")
+
+    def __init__(self, type: NamedType, args: list, pos: Pos):
+        self.type = type
+        self.args = args
+        self.pos = pos
 
 
-@dataclass
 class MethodCall:
-    recv: "Expr"  # receiver expression or dotted name chain (Var/FieldAccess)
-    name: str
-    args: list
-    pos: Pos
+    __slots__ = ("recv", "name", "args", "pos")
+
+    def __init__(self, recv: Expr, name: str, args: list, pos: Pos):
+        self.recv = recv  # receiver expression or dotted name chain (Var/FieldAccess)
+        self.name = name
+        self.args = args
+        self.pos = pos
 
 
-@dataclass
 class ReflectInvoke:
-    args: list  # first arg is the target name expression
-    pos: Pos
+    __slots__ = ("args", "pos")
+
+    def __init__(self, args: list, pos: Pos):
+        self.args = args  # first arg is the target name expression
+        self.pos = pos
 
 
-@dataclass
 class Binary:
-    op: str  # + - * / == != < >
-    left: "Expr"
-    right: "Expr"
-    pos: Pos
+    __slots__ = ("op", "left", "right", "pos")
+
+    def __init__(self, op: str, left: Expr, right: Expr, pos: Pos):
+        self.op = op  # + - * / == != < >
+        self.left = left
+        self.right = right
+        self.pos = pos
 
 
 Expr = Union[IntLit, TextLit, BoolLit, Var, This, FieldAccess, New, MethodCall,
@@ -112,52 +131,66 @@ Expr = Union[IntLit, TextLit, BoolLit, Var, This, FieldAccess, New, MethodCall,
 
 # --- statements ------------------------------------------------------------
 
-@dataclass
 class Block:
-    stmts: list
-    pos: Pos
+    __slots__ = ("stmts", "pos")
+
+    def __init__(self, stmts: list, pos: Pos):
+        self.stmts = stmts
+        self.pos = pos
 
 
-@dataclass
 class LocalDecl:
-    type: Type
-    name: str
-    init: Optional[Expr]
-    pos: Pos
+    __slots__ = ("type", "name", "init", "pos")
+
+    def __init__(self, type: Type, name: str, init: Optional[Expr], pos: Pos):
+        self.type = type
+        self.name = name
+        self.init = init
+        self.pos = pos
 
 
-@dataclass
 class Assign:
-    target: Expr  # Var or FieldAccess
-    value: Expr
-    pos: Pos
+    __slots__ = ("target", "value", "pos")
+
+    def __init__(self, target: Expr, value: Expr, pos: Pos):
+        self.target = target  # Var or FieldAccess
+        self.value = value
+        self.pos = pos
 
 
-@dataclass
 class ExprStmt:
-    expr: Expr
-    pos: Pos
+    __slots__ = ("expr", "pos")
+
+    def __init__(self, expr: Expr, pos: Pos):
+        self.expr = expr
+        self.pos = pos
 
 
-@dataclass
 class If:
-    cond: Expr
-    then: "Stmt"
-    els: Optional["Stmt"]
-    pos: Pos
+    __slots__ = ("cond", "then", "els", "pos")
+
+    def __init__(self, cond: Expr, then: Stmt, els: Optional[Stmt], pos: Pos):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.pos = pos
 
 
-@dataclass
 class While:
-    cond: Expr
-    body: "Stmt"
-    pos: Pos
+    __slots__ = ("cond", "body", "pos")
+
+    def __init__(self, cond: Expr, body: Stmt, pos: Pos):
+        self.cond = cond
+        self.body = body
+        self.pos = pos
 
 
-@dataclass
 class Return:
-    value: Optional[Expr]
-    pos: Pos
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: Optional[Expr], pos: Pos):
+        self.value = value
+        self.pos = pos
 
 
 Stmt = Union[Block, LocalDecl, Assign, ExprStmt, If, While, Return]
@@ -165,56 +198,71 @@ Stmt = Union[Block, LocalDecl, Assign, ExprStmt, If, While, Return]
 
 # --- declarations ----------------------------------------------------------
 
-@dataclass
 class FieldDecl:
-    type: Type
-    name: str
-    init: Optional[Expr]
-    pos: Pos
+    __slots__ = ("type", "name", "init", "pos")
+
+    def __init__(self, type: Type, name: str, init: Optional[Expr], pos: Pos):
+        self.type = type
+        self.name = name
+        self.init = init
+        self.pos = pos
 
 
-@dataclass
 class MethodDecl:
-    static: bool
-    rettype: Type
-    name: str
-    params: list
-    body: Optional[Block]  # None for interface signatures
-    pos: Pos
+    __slots__ = ("static", "rettype", "name", "params", "body", "pos")
+
+    def __init__(self, static: bool, rettype: Type, name: str, params: list,
+                 body: Optional[Block], pos: Pos):
+        self.static = static
+        self.rettype = rettype
+        self.name = name
+        self.params = params
+        self.body = body  # None for interface signatures
+        self.pos = pos
 
 
-@dataclass
 class CtorDecl:
-    name: str  # equals the class simple name
-    params: list
-    body: Block
-    pos: Pos
-    synthetic: bool = False
+    __slots__ = ("name", "params", "body", "pos", "synthetic")
+
+    def __init__(self, name: str, params: list, body: Block, pos: Pos,
+                 synthetic: bool = False):
+        self.name = name  # equals the class simple name
+        self.params = params
+        self.body = body
+        self.pos = pos
+        self.synthetic = synthetic
 
 
-@dataclass
 class ClassDecl:
-    name: str
-    extends: Optional[NamedType]
-    implements: list
-    fields: list
-    ctors: list
-    methods: list
-    pos: Pos
+    __slots__ = ("name", "extends", "implements", "fields", "ctors", "methods", "pos")
+
+    def __init__(self, name: str, extends: Optional[NamedType], implements: list,
+                 fields: list, ctors: list, methods: list, pos: Pos):
+        self.name = name
+        self.extends = extends
+        self.implements = implements
+        self.fields = fields
+        self.ctors = ctors
+        self.methods = methods
+        self.pos = pos
 
 
-@dataclass
 class InterfaceDecl:
-    name: str
-    methods: list  # MethodDecl with body=None
-    pos: Pos
+    __slots__ = ("name", "methods", "pos")
+
+    def __init__(self, name: str, methods: list, pos: Pos):
+        self.name = name
+        self.methods = methods  # MethodDecl with body=None
+        self.pos = pos
 
 
 Decl = Union[ClassDecl, InterfaceDecl]
 
 
-@dataclass
 class SourceUnit:
-    origin: str
-    package: str
-    decls: list = field(default_factory=list)
+    __slots__ = ("origin", "package", "decls")
+
+    def __init__(self, origin: str, package: str, decls: Optional[list] = None):
+        self.origin = origin
+        self.package = package
+        self.decls = [] if decls is None else decls

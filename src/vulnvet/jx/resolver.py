@@ -7,7 +7,6 @@ parameter types, which is also the member part of construct identifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import ast
@@ -16,57 +15,72 @@ from .errors import ResolutionError
 ERROR_TYPE = "?"  # poisons downstream checks without cascading diagnostics
 
 
-@dataclass
 class MethodInfo:
-    owner: str
-    sig: str
-    static: bool
-    rettype: str
-    param_types: list
-    decl: ast.MethodDecl
-    calls: list = field(default_factory=list)  # New/MethodCall/ReflectInvoke nodes of the body
+    __slots__ = ("owner", "sig", "static", "rettype", "param_types", "decl", "calls")
+
+    def __init__(self, owner: str, sig: str, static: bool, rettype: str, param_types: list,
+                 decl: ast.MethodDecl):
+        self.owner = owner
+        self.sig = sig
+        self.static = static
+        self.rettype = rettype
+        self.param_types = param_types
+        self.decl = decl
+        self.calls = []  # New/MethodCall/ReflectInvoke nodes of the body
 
 
-@dataclass
 class CtorInfo:
-    owner: str
-    sig: str
-    param_types: list
-    decl: ast.CtorDecl
-    calls: list = field(default_factory=list)  # as MethodInfo.calls
+    __slots__ = ("owner", "sig", "param_types", "decl", "calls")
+
+    def __init__(self, owner: str, sig: str, param_types: list, decl: ast.CtorDecl):
+        self.owner = owner
+        self.sig = sig
+        self.param_types = param_types
+        self.decl = decl
+        self.calls = []  # as MethodInfo.calls
 
 
-@dataclass
 class TypeInfo:
-    qname: str
-    package: str
-    is_interface: bool
-    decl: object
-    unit: ast.SourceUnit
-    supertypes: list = field(default_factory=list)  # direct, resolved, cycle-free qnames
-    superclass: Optional[str] = None                # the class among supertypes
-    fields: dict = field(default_factory=dict)      # name -> type
-    methods: dict = field(default_factory=dict)     # sig -> MethodInfo
-    ctors: dict = field(default_factory=dict)       # sig -> CtorInfo
-    init_calls: list = field(default_factory=list)  # call nodes of field initializers
+    __slots__ = ("qname", "package", "is_interface", "decl", "unit", "supertypes",
+                 "superclass", "fields", "methods", "ctors", "init_calls")
+
+    def __init__(self, qname: str, package: str, is_interface: bool, decl,
+                 unit: ast.SourceUnit):
+        self.qname = qname
+        self.package = package
+        self.is_interface = is_interface
+        self.decl = decl
+        self.unit = unit
+        self.supertypes = []    # direct, resolved, cycle-free qnames
+        self.superclass = None  # the class among supertypes
+        self.fields = {}        # name -> type
+        self.methods = {}       # sig -> MethodInfo
+        self.ctors = {}         # sig -> CtorInfo
+        self.init_calls = []    # call nodes of field initializers
 
 
-@dataclass
 class StaticCall:
-    owner: str
-    sig: str
+    __slots__ = ("owner", "sig")
+
+    def __init__(self, owner: str, sig: str):
+        self.owner = owner
+        self.sig = sig
 
 
-@dataclass
 class VirtualCall:
-    declared_type: str
-    sig: str
+    __slots__ = ("declared_type", "sig")
+
+    def __init__(self, declared_type: str, sig: str):
+        self.declared_type = declared_type
+        self.sig = sig
 
 
-@dataclass
 class CtorCall:
-    owner: str
-    sig: str
+    __slots__ = ("owner", "sig")
+
+    def __init__(self, owner: str, sig: str):
+        self.owner = owner
+        self.sig = sig
 
 
 class ResolvedProgram:

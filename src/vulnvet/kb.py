@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .canonical import deserialize, serialize
@@ -23,14 +22,17 @@ CODE_CHANGE = "CODE_CHANGE"
 WHOLE_LIBRARY = "WHOLE_LIBRARY"
 
 
-@dataclass
 class VulnerabilityRecord:
-    vuln_id: str
-    description: str
-    kind: str
-    changes: list = field(default_factory=list)   # ConstructChange, CODE_CHANGE only
-    affected: list = field(default_factory=list)  # (library, lo, hi), WHOLE_LIBRARY only
-    source_note: str = ""
+    __slots__ = ("vuln_id", "description", "kind", "changes", "affected", "source_note")
+
+    def __init__(self, vuln_id: str, description: str, kind: str, changes=None,
+                 affected=None, source_note: str = ""):
+        self.vuln_id = vuln_id
+        self.description = description
+        self.kind = kind
+        self.changes = [] if changes is None else changes    # ConstructChange, CODE_CHANGE only
+        self.affected = [] if affected is None else affected  # (lib, lo, hi), WHOLE_LIBRARY only
+        self.source_note = source_note
 
     def covers_version(self, library: str, version: str) -> bool:
         key = version_key(version)
@@ -40,10 +42,12 @@ class VulnerabilityRecord:
         return False
 
 
-@dataclass
 class LibraryIndex:
-    name: str
-    versions: dict  # version -> {ConstructId: fingerprint}
+    __slots__ = ("name", "versions")
+
+    def __init__(self, name: str, versions: dict):
+        self.name = name
+        self.versions = versions  # version -> {ConstructId: fingerprint}
 
 
 def _change_to_json(ch: ConstructChange) -> dict:

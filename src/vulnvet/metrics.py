@@ -8,9 +8,8 @@ dependencies and frameworks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bom import resolve_dependencies
 from .constructs import CALLABLE_CTYPES, version_key, version_newer
@@ -19,8 +18,7 @@ from .errors import (EmptyConstructSet, MissingDependency, NoCandidates,
 from .kb import KnowledgeBase, LibraryIndex
 
 
-@dataclass(frozen=True)
-class Ratio:
+class Ratio(NamedTuple):
     num: int
     den: int
 
@@ -32,22 +30,28 @@ class Ratio:
         return "%d/%d" % (self.num, self.den)
 
 
-@dataclass
 class TouchPoint:
-    app_construct: object   # ConstructId in the application
-    lib_callee: object      # ConstructId in the library
-    sites: list = field(default_factory=list)
-    found_static: bool = False
-    found_dynamic: bool = False
+    __slots__ = ("app_construct", "lib_callee", "sites", "found_static", "found_dynamic")
+
+    def __init__(self, app_construct, lib_callee, sites=None, found_static: bool = False,
+                 found_dynamic: bool = False):
+        self.app_construct = app_construct  # ConstructId in the application
+        self.lib_callee = lib_callee        # ConstructId in the library
+        self.sites = [] if sites is None else sites
+        self.found_static = found_static
+        self.found_dynamic = found_dynamic
 
 
-@dataclass
 class UpdateMetrics:
-    candidate: str
-    cs: Optional[Ratio]   # None when not applicable (no direct touch points)
-    de: Optional[int]
-    rbs: Ratio
-    obs: Ratio
+    __slots__ = ("candidate", "cs", "de", "rbs", "obs")
+
+    def __init__(self, candidate: str, cs: Optional[Ratio], de: Optional[int], rbs: Ratio,
+                 obs: Ratio):
+        self.candidate = candidate
+        self.cs = cs  # None when not applicable (no direct touch points)
+        self.de = de
+        self.rbs = rbs
+        self.obs = obs
 
 
 def _dependency(bom, lib: str):

@@ -7,17 +7,15 @@ Each line: {"callee": qname, "ctype": "...", "caller": qname|null,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .constructs import CONSTRUCTOR, METHOD, ConstructId
 from .errors import MalformedArtifact, MalformedTraceLine
 from .workspace import read_text
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     callee: ConstructId
     caller: Optional[ConstructId]
     site: Optional[str]
@@ -25,9 +23,14 @@ class TraceEvent:
     test: str
 
 
-@dataclass
 class TraceLog:
-    events: list = field(default_factory=list)
+    __slots__ = ("events",)
+
+    def __init__(self, events=None):
+        self.events = [] if events is None else events
+
+    def __eq__(self, other):
+        return isinstance(other, TraceLog) and self.events == other.events
 
     @property
     def executed(self) -> set:

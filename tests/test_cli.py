@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -526,3 +529,51 @@ def test_text_that_is_not_utf8_exits_three(tmp_path, capsys, analysed_golden, na
         assert vet(["--workspace", str(ws), *step]) == 3, step
         err = capsys.readouterr().err
         assert name in err and "is not UTF-8 text" in err and "Traceback" not in err
+
+
+BAD_JX = """package app;
+
+class Bad {
+    static void testBad() {
+        nosuch.Thing.run(1);
+        app.Main.missing();
+    }
+}
+"""
+BAD_DIAGNOSTICS = ["resolve: src/Bad.jx:5:21: unknown name nosuch.Thing",
+                   "resolve: src/Bad.jx:6:17: no static method missing() in app.Main"]
+
+
+def test_resolver_diagnostics_reach_stderr(tmp_path, capsys):
+    ws = _golden_with_index(tmp_path / "ws")
+    (ws / "src/Bad.jx").write_text(BAD_JX)
+    capsys.readouterr()
+
+    def run(step, code):
+        assert vet(["--workspace", str(ws), *step]) == code, step
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return [line for line in err.splitlines() if line.startswith("resolve: ")]
+
+    # scan resolves archive by archive, so only the whole-workspace steps
+    # print, and reach and mitigate only when they do not reuse graph.json
+    assert run(SCAN, 1) == []
+    assert run(TRACES[0], 0) == BAD_DIAGNOSTICS
+    assert run(STATIC, 0) == BAD_DIAGNOSTICS
+    assert run(COMBINED, 0) == []
+    assert run(MITIGATE, 0) == []
+    callers = {e["caller"] for e in json.loads((ws / ".vet/graph.json").read_text())["edges"]}
+    assert "app.Bad.testBad()" not in callers
+    (ws / ".vet/graph.json").unlink()
+    assert run(MITIGATE, 0) == BAD_DIAGNOSTICS
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_printer():
+    # the difference leaves out what the interpreter and site loaded before
+    code = ("import sys; before = set(sys.modules); import vulnvet.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    src = str(Path(cli.__file__).parents[1])
+    loaded = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert "vulnvet.cli" in loaded
+    assert not {"dataclasses", "inspect", "vulnvet.jx.printer"} & set(loaded)

@@ -2,11 +2,16 @@
 
 import random
 
+from hypothesis import given, strategies as st
+
 from helpers import random_program
+from vulnvet.callgraph import Edge
+from vulnvet.canonical import CTree
 from vulnvet.constructs import (CLASS, CONSTRUCTOR, INTERFACE, METHOD,
                                 PACKAGE, ConstructId, extract_constructs,
                                 version_key, version_newer)
 from vulnvet.jx import parse_unit, resolve
+from vulnvet.traces import TraceEvent
 
 
 def _extract(src, origin="u.jx"):
@@ -92,3 +97,43 @@ def test_version_ordering():
     assert not version_newer("1.2", "1.2.0")
     versions = ["2.0", "1.10", "1.2", "1.9.1"]
     assert sorted(versions, key=version_key) == ["1.2", "1.9.1", "1.10", "2.0"]
+
+
+# Small alphabets, so that equal values and shared prefixes are common.
+_texts = st.sampled_from(["", "a", "b", "p.A.m()"])
+_cids = st.builds(ConstructId, st.sampled_from([METHOD, CONSTRUCTOR]), _texts)
+_VALUE_TYPES = {
+    ConstructId: (_cids, ("ctype", "qname")),
+    Edge: (st.builds(Edge, _cids, _cids, _texts, _texts), ("caller", "callee", "site", "kind")),
+    TraceEvent: (st.builds(TraceEvent, _cids, st.none() | _cids, st.none() | _texts,
+                           st.integers(-2, 2), _texts),
+                 ("callee", "caller", "site", "ts", "test")),
+    CTree: (st.recursive(st.builds(CTree, _texts), lambda kids: st.builds(
+                CTree, _texts, st.lists(kids, max_size=2).map(tuple)), max_leaves=4),
+            ("label", "children")),
+}
+
+
+def _outcome(f):
+    try:
+        return f()
+    except TypeError:  # None against a ConstructId, as in a tuple of the fields
+        return TypeError
+
+
+@given(st.sampled_from(list(_VALUE_TYPES)).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(_VALUE_TYPES[t][0], min_size=2, max_size=6))))
+def test_value_types_hash_compare_and_sort_like_their_field_tuples(case):
+    vtype, values = case
+
+    def row(v):
+        return tuple(getattr(v, name) for name in _VALUE_TYPES[vtype][1])
+
+    rows = [row(v) for v in values]
+    a, b, ta, tb = values[0], values[1], rows[0], rows[1]
+    assert [hash(v) for v in values] == [hash(r) for r in rows]
+    assert (a == b, a != b) == (ta == tb, ta != tb)
+    assert _outcome(lambda: (a < b, a <= b, a > b)) \
+        == _outcome(lambda: (ta < tb, ta <= tb, ta > tb))
+    assert _outcome(lambda: [row(v) for v in sorted(values)]) == _outcome(lambda: sorted(rows))
+    assert [row(v) for v in set(values)] == list(set(rows))

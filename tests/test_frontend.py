@@ -1,6 +1,5 @@
 """Lexer, parser, printer, and name resolution."""
 
-import dataclasses
 import random
 from unittest.mock import patch
 
@@ -8,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import deep_bodies, jx_hierarchies, naive_ancestors, random_program
-from vulnvet.jx import (ParseError, ResolutionError, ast, parse_unit, parser,
-                        pretty_print, resolve)
+from vulnvet.jx import ParseError, ResolutionError, ast, parse_unit, parser, resolve
 from vulnvet.jx.parser import MAX_NESTING
+from vulnvet.jx.printer import pretty_print
 
 FULL = """
 package zoo;
@@ -301,9 +300,9 @@ def test_nesting_bound_counts_every_level(expression, blocks, bound):
 def _tree_depth(node) -> int:
     """Levels of syntax-tree nodes below and including ``node``."""
     children = []
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in type(node).__slots__:
+        value = getattr(node, name)
         for v in value if isinstance(value, list) else [value]:
-            if dataclasses.is_dataclass(v) and not isinstance(v, (ast.NamedType, ast.PrimType)):
+            if hasattr(type(v), "__slots__") and not isinstance(v, (ast.NamedType, ast.PrimType)):
                 children.append(v)
     return 1 + max(map(_tree_depth, children), default=0)
