@@ -34,9 +34,6 @@ class Archive:
         self.constructs = {} if constructs is None else constructs  # ConstructId -> Construct
         self.declared_deps = [] if declared_deps is None else declared_deps  # [(name, version)]
 
-    def construct_ids(self) -> set:
-        return set(self.constructs)
-
 
 class BOM:
     __slots__ = ("application", "dependencies", "warnings")

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .constructs import CONSTRUCTOR, METHOD, ConstructId, construct_id, require_text
+from .constructs import (CONSTRUCTOR, METHOD, ConstructId, construct_id, guess_ctype,
+                         member_id, require_text)
 from .errors import MalformedArtifact, NotReached
 from .jx import ast
 from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
-from .traces import guess_ctype
 
 STATIC_DISPATCH = "STATIC_DISPATCH"
 VIRTUAL_DISPATCH = "VIRTUAL_DISPATCH"
@@ -72,27 +72,19 @@ class ReachResult:
                 and self.skipped_seeds == other.skipped_seeds)
 
 
-def _method_cid(owner: str, sig: str) -> ConstructId:
-    return ConstructId(METHOD, "%s.%s" % (owner, sig))
-
-
-def _ctor_cid(owner: str, sig: str) -> ConstructId:
-    return ConstructId(CONSTRUCTOR, "%s.%s" % (owner, sig))
-
-
 def build_call_graph(program: ResolvedProgram) -> CallGraph:
     """The CHA graph over the call nodes the resolver recorded per member."""
     graph = CallGraph()
     for qname, info in program.symbols.items():
         for sig, m in info.methods.items():
             if info.is_interface:
-                graph.nodes.add(_method_cid(qname, sig))
+                graph.nodes.add(member_id(METHOD, qname, sig))
             elif m.decl.body is not None:
-                caller = _method_cid(qname, sig)
+                caller = member_id(METHOD, qname, sig)
                 graph.nodes.add(caller)
                 _emit(graph, program, info, caller, m.calls)
         for sig, c in info.ctors.items():  # initializers run at construction
-            caller = _ctor_cid(qname, sig)
+            caller = member_id(CONSTRUCTOR, qname, sig)
             graph.nodes.add(caller)
             _emit(graph, program, info, caller, info.init_calls + c.calls)
     return graph
@@ -109,10 +101,10 @@ def _emit(graph: CallGraph, program: ResolvedProgram, info, caller, calls):
         if binding is None:
             continue  # unbound due to upstream diagnostics
         if isinstance(binding, StaticCall):
-            graph.edges.add(Edge(caller, _method_cid(binding.owner, binding.sig),
+            graph.edges.add(Edge(caller, member_id(METHOD, binding.owner, binding.sig),
                                  site, STATIC_DISPATCH))
         elif isinstance(binding, CtorCall):
-            graph.edges.add(Edge(caller, _ctor_cid(binding.owner, binding.sig),
+            graph.edges.add(Edge(caller, member_id(CONSTRUCTOR, binding.owner, binding.sig),
                                  site, CONSTRUCTOR_CALL))
         elif isinstance(binding, VirtualCall):
             targets = set()
@@ -121,7 +113,7 @@ def _emit(graph: CallGraph, program: ResolvedProgram, info, caller, calls):
                     continue
                 impl = program.resolve_impl(sub, binding.sig)
                 if impl is not None:
-                    targets.add(_method_cid(impl.owner, impl.sig))
+                    targets.add(member_id(METHOD, impl.owner, impl.sig))
             for target in sorted(targets):
                 graph.edges.add(Edge(caller, target, site, VIRTUAL_DISPATCH))
 
@@ -211,14 +203,11 @@ def reach_from_json(data, artifact: str) -> ReachResult:
     return ReachResult(seeds, set(reached.values()), parent, skipped)
 
 
-def app_reachability(bom, graph: CallGraph, restrict=None) -> ReachResult:
+def app_reachability(bom, graph: CallGraph) -> ReachResult:
     """Static reachability seeded from all application METHOD/CONSTRUCTOR
-    constructs (optionally restricted to a named subset of qnames)."""
+    constructs."""
     seeds = {cid for cid in bom.application.constructs
              if cid.ctype in (METHOD, CONSTRUCTOR)}
-    if restrict is not None:
-        restrict = set(restrict)
-        seeds = {cid for cid in seeds if cid.qname in restrict}
     return reachable(graph, seeds)
 
 

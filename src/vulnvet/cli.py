@@ -118,7 +118,7 @@ def _parse_exclusions(items):
 def _known_ids(bom):
     ids = set()
     for arc, _depth in bom.archives():
-        ids |= arc.construct_ids()
+        ids.update(arc.constructs)
     return ids
 
 

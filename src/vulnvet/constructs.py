@@ -48,6 +48,32 @@ def construct_id(ctype, qname) -> ConstructId:
     return ConstructId(ctype, require_text(qname))
 
 
+def member_id(ctype: str, owner: str, sig: str) -> ConstructId:
+    """The id of a METHOD or CONSTRUCTOR: its owner's qname, a dot, and its
+    signature ``name(types)``."""
+    return ConstructId(ctype, "%s.%s" % (owner, sig))
+
+
+def split_member(qname: str) -> tuple:
+    """(owner qname, signature) of a member qname. A name without a
+    parameter list is taken to have none, and one without a dot to have an
+    empty owner."""
+    head, paren, params = qname.partition("(")
+    owner, _, name = head.rpartition(".")
+    return owner, name + (paren + params if paren else "()")
+
+
+def guess_ctype(qname: str) -> str:
+    """A member whose name equals its class simple name is a constructor.
+    Exact for every METHOD and CONSTRUCTOR qname a build can produce, since
+    the parser rejects a method named like its type."""
+    head = qname.split("(", 1)[0]
+    parts = head.rsplit(".", 2)
+    if len(parts) >= 2 and parts[-1] == parts[-2]:
+        return CONSTRUCTOR
+    return METHOD
+
+
 class Construct:
     __slots__ = ("id", "fingerprint", "body")
 
@@ -179,35 +205,23 @@ def extract_constructs(program: ResolvedProgram) -> dict:
     empty body.
     """
     out = {}
+
+    def put(cid, body):
+        out[cid] = Construct(cid, fingerprint(body), body)
+
     for pkg in sorted({u.package for u in program.units}):
         cid = ConstructId(PACKAGE, pkg)
         out[cid] = Construct(cid, None, None)
     for qname in sorted(program.symbols):
         info = program.symbols[qname]
-        decl = info.decl
         if info.is_interface:
-            body = interface_ctree(decl)
-            cid = ConstructId(INTERFACE, qname)
-            out[cid] = Construct(cid, fingerprint(body), body)
-            for sig in sorted(info.methods):
-                m = info.methods[sig]
-                mbody = method_ctree(m.decl)
-                mid = ConstructId(METHOD, "%s.%s" % (qname, sig))
-                out[mid] = Construct(mid, fingerprint(mbody), mbody)
-            continue
-        body = class_ctree(decl)
-        cid = ConstructId(CLASS, qname)
-        out[cid] = Construct(cid, fingerprint(body), body)
-        for sig in sorted(info.ctors):
-            c = info.ctors[sig]
-            cbody = ctor_ctree(c.decl)
-            kid = ConstructId(CONSTRUCTOR, "%s.%s" % (qname, sig))
-            out[kid] = Construct(kid, fingerprint(cbody), cbody)
+            put(ConstructId(INTERFACE, qname), interface_ctree(info.decl))
+        else:
+            put(ConstructId(CLASS, qname), class_ctree(info.decl))
+            for sig in sorted(info.ctors):
+                put(member_id(CONSTRUCTOR, qname, sig), ctor_ctree(info.ctors[sig].decl))
         for sig in sorted(info.methods):
-            m = info.methods[sig]
-            mbody = method_ctree(m.decl)
-            mid = ConstructId(METHOD, "%s.%s" % (qname, sig))
-            out[mid] = Construct(mid, fingerprint(mbody), mbody)
+            put(member_id(METHOD, qname, sig), method_ctree(info.methods[sig].decl))
     return out
 
 

@@ -12,7 +12,7 @@ from .bom import BOM
 from .diffing import (CLOSER_TO_FIXED, CLOSER_TO_VULNERABLE, EQUALS_FIXED,
                       EQUALS_VULNERABLE, Classification, ConstructChange,
                       classify)
-from .kb import CODE_CHANGE, KnowledgeBase, WHOLE_LIBRARY
+from .kb import KnowledgeBase, WHOLE_LIBRARY
 
 VULNERABLE = "VULNERABLE"
 FIXED = "FIXED"
@@ -78,24 +78,30 @@ def detect(bom: BOM, kb: KnowledgeBase) -> list:
     findings = []
     records = [(r, {ch.construct for ch in r.changes}) for r in kb.records()]
     for arc, _depth in bom.archives():
-        ids = arc.construct_ids()
-        for record, changed_ids in records:
-            if record.kind == WHOLE_LIBRARY:
-                if record.covers_version(arc.name, arc.version):
-                    findings.append(Finding(record.vuln_id, arc.name, arc.version,
-                                            WHOLE_LIBRARY_AFFECTED))
-                continue
-            if record.kind != CODE_CHANGE or changed_ids.isdisjoint(ids):
-                continue
-            matched = []
-            for ch in sorted(record.changes, key=lambda c: c.construct):
-                present = ch.construct in ids
-                cls = classify(arc.constructs[ch.construct], ch) if present else None
-                matched.append(MatchEntry(ch, present, cls))
-            verdict = aggregate_verdict(m.classification for m in matched if m.present)
-            findings.append(Finding(record.vuln_id, arc.name, arc.version,
-                                    verdict, matched))
+        findings.extend(detect_archive(arc, records))
     findings.sort(key=lambda f: (f.vuln_id, f.archive_name, f.archive_version))
+    return findings
+
+
+def detect_archive(arc, records) -> list:
+    """The findings of one archive (see detect), in record order; records
+    holds (record, set of the ids its changes name) pairs."""
+    findings = []
+    for record, changed_ids in records:
+        if record.kind == WHOLE_LIBRARY:
+            if record.covers_version(arc.name, arc.version):
+                findings.append(Finding(record.vuln_id, arc.name, arc.version,
+                                        WHOLE_LIBRARY_AFFECTED))
+            continue
+        if arc.constructs.keys().isdisjoint(changed_ids):
+            continue
+        matched = []
+        for ch in sorted(record.changes, key=lambda c: c.construct):
+            observed = arc.constructs.get(ch.construct)
+            cls = classify(observed, ch) if observed is not None else None
+            matched.append(MatchEntry(ch, observed is not None, cls))
+        verdict = aggregate_verdict(m.classification for m in matched if m.present)
+        findings.append(Finding(record.vuln_id, arc.name, arc.version, verdict, matched))
     return findings
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 from typing import Optional
 
 from .constructs import (CALLABLE_CTYPES, Construct, ConstructId,
-                         extract_constructs)
+                         extract_constructs, split_member)
 from .errors import EmptyRange, IdMismatch
 from .jx import resolve
 from .ted import tree_edit_distance
@@ -79,13 +79,6 @@ class Classification:
         self.dist_fixed = dist_fixed
 
 
-def _enclosing_type(cid: ConstructId) -> Optional[str]:
-    if cid.ctype not in CALLABLE_CTYPES:
-        return None
-    head = cid.qname.split("(", 1)[0]
-    return head.rsplit(".", 1)[0]
-
-
 def construct_changes(before: dict, after: dict) -> list:
     """Diff two construct inventories (ConstructId -> Construct maps).
 
@@ -106,9 +99,9 @@ def construct_changes(before: dict, after: dict) -> list:
             changes[cid] = ConstructChange(cid, MOD, b.body, a.body,
                                            b.fingerprint, a.fingerprint)
     for cid in list(changes):
-        owner = _enclosing_type(cid)
-        if owner is None:
+        if cid.ctype not in CALLABLE_CTYPES:
             continue
+        owner = split_member(cid.qname)[0]
         for octype in ("CLASS", "INTERFACE"):
             oid = ConstructId(octype, owner)
             if oid in changes or oid not in before or oid not in after:
@@ -141,24 +134,27 @@ def consolidate_commits(revision_roots) -> list:
 def classify(observed: Construct, change: ConstructChange) -> Optional[Classification]:
     """Classify an observed construct body against a change entry.
 
-    Returns None for containment-only entries (no usable signal): body-less
-    constructs and MOD entries whose two sides fingerprint identically.
-    Digest equality wins before any distance comparison.
+    Returns None for containment-only entries (no usable signal): MOD
+    entries whose two sides fingerprint identically, and constructs without
+    a body whose digest equals neither side. Digest equality wins before any
+    distance comparison, so a body-less construct (as in a library index) is
+    classified by its digest alone.
     """
     if observed.id != change.construct:
         raise IdMismatch("observed %s vs change %s" % (observed.id, change.construct))
     if change.op == DEL:
         return Classification(EQUALS_VULNERABLE)
-    if change.op == ADD:
-        if observed.fingerprint is not None and observed.fingerprint == change.fp_fixed:
-            return Classification(EQUALS_FIXED)
-        return Classification(TIE) if observed.fingerprint is not None else None
-    if not change.informative or observed.body is None:
+    if not change.informative:
         return None
-    if observed.fingerprint == change.fp_vuln:
+    fp = observed.fingerprint
+    if change.op == MOD and fp == change.fp_vuln:
         return Classification(EQUALS_VULNERABLE)
-    if observed.fingerprint == change.fp_fixed:
+    if fp is not None and fp == change.fp_fixed:
         return Classification(EQUALS_FIXED)
+    if observed.body is None:
+        return None
+    if change.op == ADD:
+        return Classification(TIE)
     dv = tree_edit_distance(observed.body, change.ast_vuln)
     df = tree_edit_distance(observed.body, change.ast_fixed)
     if dv < df:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .constructs import CONSTRUCTOR, METHOD, ConstructId
+from .constructs import CONSTRUCTOR, METHOD, ConstructId, member_id, split_member
 from .errors import NoTestsMatched
 from .jx import ast
 from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
@@ -140,7 +140,7 @@ class Interpreter:
     def run_entry(self, entry: ConstructId, args=None, test_name: str = "") -> RunResult:
         """Execute a static method as program entry; always returns the
         (possibly partial) trace log."""
-        owner, sig = _split_member(entry.qname)
+        owner, sig = split_member(entry.qname)
         info = self.program.symbols.get(owner)
         m = info.methods.get(sig) if info else None
         if m is None or not m.static:
@@ -167,7 +167,7 @@ class Interpreter:
     # --- invocation ---
 
     def _invoke_static(self, owner, minfo, args, caller, site):
-        cid = ConstructId(METHOD, "%s.%s" % (owner, minfo.sig))
+        cid = member_id(METHOD, owner, minfo.sig)
         self._enter(cid, caller, site)
         env = _Env(initial={p.name: v for p, v in zip(minfo.decl.params, args)})
         value = self._run_body(minfo.decl.body, env, None, cid,
@@ -179,7 +179,7 @@ class Interpreter:
         impl = self.program.resolve_impl(obj.cls, sig)
         if impl is None:
             raise RuntimeTypeError("no implementation of %s for %s" % (sig, obj.cls))
-        cid = ConstructId(METHOD, "%s.%s" % (impl.owner, impl.sig))
+        cid = member_id(METHOD, impl.owner, impl.sig)
         self._enter(cid, caller, site)
         env = _Env(initial={p.name: v for p, v in zip(impl.decl.params, args)})
         value = self._run_body(impl.decl.body, env, obj,
@@ -190,7 +190,7 @@ class Interpreter:
     def _construct(self, owner, sig, args, caller, site):
         info = self.program.symbols[owner]
         cinfo = info.ctors[sig]
-        cid = ConstructId(CONSTRUCTOR, "%s.%s" % (owner, sig))
+        cid = member_id(CONSTRUCTOR, owner, sig)
         self._enter(cid, caller, site)
         obj = Obj(owner)
         for tinfo in reversed(list(self.program.class_chain(owner))):  # supertype fields first
@@ -358,7 +358,7 @@ class Interpreter:
         Accepts the full construct name with parameter list, or a dotted name
         disambiguated by argument count."""
         if "(" in target:
-            owner, sig = _split_member(target)
+            owner, sig = split_member(target)
             info = self.program.symbols.get(owner)
             m = info.methods.get(sig) if info else None
             if m is None or not m.static:
@@ -374,13 +374,6 @@ class Interpreter:
         return owner, candidates[0]
 
 
-def _split_member(qname: str) -> tuple:
-    head = qname.split("(", 1)[0]
-    owner, name = head.rsplit(".", 1)
-    sig = name + "(" + qname.split("(", 1)[1] if "(" in qname else name + "()"
-    return owner, sig
-
-
 def run_entry(program: ResolvedProgram, entry: ConstructId, args=None,
               test_name: str = "", step_budget: int = DEFAULT_STEP_BUDGET) -> RunResult:
     return Interpreter(program, step_budget).run_entry(entry, args, test_name)
@@ -393,7 +386,7 @@ def find_tests(bom, program: ResolvedProgram, pattern: str = "test") -> list:
     for cid in sorted(bom.application.constructs):
         if cid.ctype != METHOD or not cid.qname.endswith("()"):
             continue
-        owner, sig = _split_member(cid.qname)
+        owner, sig = split_member(cid.qname)
         info = program.symbols.get(owner)
         m = info.methods.get(sig) if info else None
         if m is None or not m.static:

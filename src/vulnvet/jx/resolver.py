@@ -280,56 +280,35 @@ class _Resolver:
                                        self.type_text(m.rettype, info.package), ptypes, m)
 
     def check_acyclic(self):
-        """Report inheritance cycles and break them, then set superclasses."""
-        state = {}  # 0 visiting, 1 done
-
-        def visit(q, trail):
-            if state.get(q) == 1:
-                return
-            if state.get(q) == 0:
-                cycle = trail[trail.index(q):] + [q]
-                self.err("inheritance cycle: %s" % " -> ".join(cycle))
-                state[q] = 1
-                return
-            state[q] = 0
-            for s in self.symbols[q].supertypes:
-                visit(s, trail + [q])
-            state[q] = 1
-
-        for q in sorted(self.symbols):
-            visit(q, [])
-        # Break cycles so later transitive walks terminate.
-        if any("inheritance cycle" in d for d in self.diagnostics):
-            broken = set()
-            for q in sorted(self.symbols):
-                info = self.symbols[q]
-                kept = []
-                for s in info.supertypes:
-                    if (s, q) in broken or s == q:
-                        continue
+        """Report and drop every supertype edge that closes an inheritance
+        cycle, then set superclasses. One depth-first walk over the types in
+        qname order: an edge to a type still on the walk's path closes a
+        cycle."""
+        on_path = {}  # qname -> True while on the walk's path, False when done
+        for root in sorted(self.symbols):
+            if root in on_path:
+                continue
+            on_path[root] = True
+            path = [(root, iter(self.symbols[root].supertypes), [])]  # with kept edges
+            while path:
+                q, supers, kept = path[-1]
+                s = next(supers, None)
+                if s is None:
+                    path.pop()
+                    self.symbols[q].supertypes = kept
+                    on_path[q] = False
+                elif on_path.get(s):
+                    names = [p[0] for p in path]
+                    cycle = names[names.index(s):] + [s]
+                    self.err("inheritance cycle: %s" % " -> ".join(cycle))
+                else:
                     kept.append(s)
-                    broken.add((q, s))
-                info.supertypes = kept
-            # Remove edges that still close a cycle (self references removed above).
-            for q in sorted(self.symbols):
-                info = self.symbols[q]
-                info.supertypes = [s for s in info.supertypes if not self._reaches(s, q)]
+                    if s not in on_path:
+                        on_path[s] = True
+                        path.append((s, iter(self.symbols[s].supertypes), []))
         for info in self.symbols.values():
             info.superclass = next((s for s in info.supertypes
                                     if not self.symbols[s].is_interface), None)
-
-    def _reaches(self, start, goal):
-        seen = set()
-        work = [start]
-        while work:
-            t = work.pop()
-            if t == goal:
-                return True
-            if t in seen:
-                continue
-            seen.add(t)
-            work.extend(self.symbols[t].supertypes)
-        return False
 
     # --- pass 3: body binding ---
 

@@ -12,9 +12,10 @@ import hashlib
 import json
 from pathlib import Path
 
+from .bom import DEPENDENCY, Archive
 from .canonical import deserialize, serialize
-from .constructs import ConstructId, version_key
-from .diffing import ADD, DEL, EQUALS_FIXED, EQUALS_VULNERABLE, ConstructChange
+from .constructs import Construct, ConstructId, construct_id, version_key
+from .diffing import ADD, DEL, MOD, ConstructChange
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
 
@@ -102,7 +103,16 @@ def _stored_tree(text, where: str, cid: ConstructId, key: str):
 def _change_from_json(data, where: str) -> ConstructChange:
     _check_fields(data, ("ctype", "qname", "op"),
                   ("astVuln", "astFixed", "fpVuln", "fpFixed"), where)
-    cid = ConstructId(data["ctype"], data["qname"])
+    try:
+        cid = construct_id(data["ctype"], data["qname"])
+    except ValueError as exc:
+        raise MalformedRecord("%s: %s" % (where, exc)) from None
+    if data["op"] not in (ADD, DEL, MOD):
+        raise MalformedRecord("%s: unknown op %r of %s" % (where, data["op"], cid))
+    if data["op"] == MOD and data.get("fpVuln") != data.get("fpFixed") \
+            and not (data.get("astVuln") and data.get("astFixed")):
+        raise MalformedRecord("%s: MOD of %s changes its fingerprint but lacks a tree"
+                              % (where, cid))
     return ConstructChange(
         construct=cid,
         op=data["op"],
@@ -200,6 +210,8 @@ class KnowledgeBase:
         if not isinstance(changes, list) or not isinstance(affected, list):
             raise MalformedRecord("%s: changes and affected must be lists" % where)
         where = "kb record %s (%s)" % (data["vulnId"], path)
+        if data["kind"] not in (CODE_CHANGE, WHOLE_LIBRARY):
+            raise MalformedRecord("%s: unknown kind %r" % (where, data["kind"]))
         ranges = []
         for a in affected:
             _check_fields(a, ("library", "low", "high"), (), where)
@@ -288,42 +300,26 @@ class KnowledgeBase:
     # --- version screening ---
 
     def non_vulnerable_versions(self, name: str) -> list:
-        """Versions of an indexed library with no vulnerable detection verdict
-        for any record, sorted ascending.
+        """Versions of an indexed library for which detection flags no
+        record as VULNERABLE or WHOLE_LIBRARY_AFFECTED, sorted ascending.
 
-        Version sets carry fingerprints only, so classification here is
-        digest-based; versions whose matched bodies equal neither side are not
-        flagged as vulnerable.
+        Version sets carry fingerprints only, so each version is detected as
+        an archive of body-less constructs, which classify by digest alone:
+        a matched body that equals neither side of its change gives no
+        signal.
         """
+        from .detection import VULNERABLE, WHOLE_LIBRARY_AFFECTED, detect_archive
         index = self.load_index(name)
-        records = self.records()
+        records = [(r, {ch.construct for ch in r.changes}) for r in self.records()]
         out = []
         for version in sorted(index.versions, key=version_key):
-            fps = index.versions[version]
-            if any(self._version_vulnerable(r, name, version, fps) for r in records):
-                continue
-            out.append(version)
+            constructs = {cid: Construct(cid, fp, None)
+                          for cid, fp in index.versions[version].items()}
+            arc = Archive(name, version, DEPENDENCY, None, constructs=constructs)
+            if not any(f.verdict in (VULNERABLE, WHOLE_LIBRARY_AFFECTED)
+                       for f in detect_archive(arc, records)):
+                out.append(version)
         return out
-
-    def _version_vulnerable(self, record, name, version, fps) -> bool:
-        if record.kind == WHOLE_LIBRARY:
-            return record.covers_version(name, version)
-        verdicts = []
-        for ch in record.changes:
-            if ch.construct not in fps:
-                continue
-            fp = fps[ch.construct]
-            if ch.op == DEL:
-                verdicts.append(EQUALS_VULNERABLE)
-            elif ch.op == ADD:
-                if fp is not None and fp == ch.fp_fixed:
-                    verdicts.append(EQUALS_FIXED)
-            elif ch.informative and fp is not None:
-                if fp == ch.fp_vuln:
-                    verdicts.append(EQUALS_VULNERABLE)
-                elif fp == ch.fp_fixed:
-                    verdicts.append(EQUALS_FIXED)
-        return bool(verdicts) and all(v == EQUALS_VULNERABLE for v in verdicts)
 
     # --- provenance stamp ---
 

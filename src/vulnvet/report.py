@@ -14,9 +14,11 @@ import json
 from collections import Counter
 
 from . import __version__
+from .bom import bom_from_json
 from .callgraph import ReachResult, reach_from_json, witness_path
 from .constructs import ConstructId
 from .detection import COMBINED, DYNAMIC, EVIDENCE_ORDER, NONE, STATIC
+from .errors import MalformedArtifact
 from .kb import KnowledgeBase
 from .traces import read_trace_lines
 from .workspace import Workspace
@@ -77,9 +79,35 @@ def _reached_counts(result: ReachResult) -> dict:
     return dict(Counter(c.ctype for c in result.reached))
 
 
+def _fits(value, shape) -> bool:
+    """Whether value has shape: None, a type, a tuple of alternative shapes,
+    a one-item list (a list of values of that shape) or a dict (an object
+    whose listed keys have those shapes)."""
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(_fits(value.get(k), s) for k, s in shape.items())
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
+    if isinstance(shape, tuple):
+        return any(_fits(value, s) for s in shape)
+    return value is None if shape is None else type(value) is shape
+
+
+# the fields the report reads, as finding_to_json and vet mitigate write them
+_FINDINGS = [{"vulnId": str, "verdict": str, "archive": {"name": str, "version": str},
+              "matched": [{"ctype": str, "qname": str, "change": str, "contained": bool,
+                           "classification": (None, {"verdict": str})}]}]
+_RATIO = {"num": int, "den": int}
+_MITIGATION = {"candidates": [{"candidate": str, "cs": (None, _RATIO), "de": (None, int),
+                               "rbs": _RATIO, "obs": _RATIO}],
+               "notes": [str]}
+
+
 def assemble_report(ws: Workspace) -> dict:
-    bom = ws.read_json("bom.json") or {"archives": [], "resolutionWarnings": []}
-    findings = ws.read_json("findings.json") or []
+    bom_data = ws.read_json("bom.json")
+    bom = bom_from_json(bom_data, "bom.json") if bom_data is not None else None
+    findings = ws.read_json("findings.json", [])
+    if not _fits(findings, _FINDINGS):
+        raise MalformedArtifact("findings.json: not a list of findings as vet scan writes them")
     static_present, r_static = _read_reach(ws, "reach-static.json")
     combined_present, r_combined = _read_reach(ws, "reach-combined.json")
     traces_path = ws.artifact("traces.jsonl")
@@ -88,15 +116,19 @@ def assemble_report(ws: Workspace) -> dict:
     findings = attach_evidence(findings, trace_lines, r_static, r_combined)
 
     archives = []
-    for a in bom.get("archives", ()):
-        archives.append({"name": a["name"], "version": a["version"],
-                         "kind": a["kind"], "depth": a["depth"],
-                         "constructCounts": a["constructCounts"]})
+    for arc, depth in bom.archives() if bom is not None else ():
+        archives.append({"name": arc.name, "version": arc.version,
+                         "kind": arc.kind, "depth": depth,
+                         "constructCounts": dict(Counter(c.ctype for c in arc.constructs))})
 
     mitigation = {}
     if ws.artifact_dir.is_dir():
         for path in sorted(ws.artifact_dir.glob("mitigation-*.json")):
-            mitigation[path.stem[len("mitigation-"):]] = ws.read_json(path.name)
+            data = ws.read_json(path.name)
+            if not _fits(data, _MITIGATION):
+                raise MalformedArtifact("%s: not a mitigation as vet mitigate writes it"
+                                        % path.name)
+            mitigation[path.stem[len("mitigation-"):]] = data
 
     kb = KnowledgeBase(ws.kb_path)
     kb_digest = kb.digest() if ws.kb_path.is_dir() else None
@@ -105,7 +137,7 @@ def assemble_report(ws: Workspace) -> dict:
         "tool": {"name": "vulnvet", "version": __version__},
         "kbDigest": kb_digest,
         "bom": {"archives": archives,
-                "resolutionWarnings": bom.get("resolutionWarnings", [])},
+                "resolutionWarnings": bom.warnings if bom is not None else []},
         "findings": findings,
         "reachability": {
             "static": {"present": static_present,

@@ -10,7 +10,7 @@ import json
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .constructs import CONSTRUCTOR, METHOD, ConstructId
+from .constructs import ConstructId, guess_ctype
 from .errors import MalformedArtifact, MalformedTraceLine
 from .workspace import read_text
 
@@ -55,17 +55,6 @@ def normalize(log: TraceLog) -> TraceLog:
     for i, e in enumerate(events, 1):
         out.append(e if e.ts == i else TraceEvent(e.callee, e.caller, e.site, i, e.test))
     return TraceLog(out)
-
-
-def guess_ctype(qname: str) -> str:
-    """A member whose name equals its class simple name is a constructor.
-    Exact for every METHOD and CONSTRUCTOR qname a build can produce, since
-    the parser rejects a method named like its type."""
-    head = qname.split("(", 1)[0]
-    parts = head.rsplit(".", 2)
-    if len(parts) >= 2 and parts[-1] == parts[-2]:
-        return CONSTRUCTOR
-    return METHOD
 
 
 # one encoder and decoder for every line: building them per line costs more

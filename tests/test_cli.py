@@ -189,6 +189,14 @@ def test_report_rejects_reach_artifact_without_seed_chain(tmp_path, capsys):
     '{"kind": "CODE_CHANGE", "changes": []}',                      # no vulnId
     '{"vulnId": "BAD", "changes": []}',                            # no kind
     '{"vulnId": "BAD", "kind": "CODE_CHANGE", "changes": [{"ctype": "METHOD", "op": "MOD"}]}',
+    '{"vulnId": "BAD", "kind": "PATCH", "changes": []}',           # unknown kind
+    '{"vulnId": "BAD", "kind": "CODE_CHANGE", "changes": '         # unknown ctype
+    '[{"ctype": "FUNCTION", "qname": "fw.Engine.renderError()", "op": "DEL"}]}',
+    '{"vulnId": "BAD", "kind": "CODE_CHANGE", "changes": '         # unknown op
+    '[{"ctype": "METHOD", "qname": "fw.Engine.renderError()", "op": "CHANGE"}]}',
+    '{"vulnId": "BAD", "kind": "CODE_CHANGE", "changes": '         # MOD without trees
+    '[{"ctype": "METHOD", "qname": "fw.Engine.renderError()", "op": "MOD", '
+    '"fpVuln": "aa", "fpFixed": "bb", "astVuln": null, "astFixed": null}]}',
 ])
 def test_scan_rejects_malformed_kb_record(tmp_path, capsys, text):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
@@ -529,6 +537,47 @@ def test_text_that_is_not_utf8_exits_three(tmp_path, capsys, analysed_golden, na
         assert vet(["--workspace", str(ws), *step]) == 3, step
         err = capsys.readouterr().err
         assert name in err and "is not UTF-8 text" in err and "Traceback" not in err
+
+
+def _set_warnings(text):
+    data = json.loads(text)
+    data["resolutionWarnings"] = 5
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("name, text, fmt", [
+    ("findings.json", "[1]", "json"),
+    ("findings.json", '{"a": 1}', "json"),
+    ("findings.json", '[{"matched": [1]}]', "json"),
+    ("findings.json", '[{"matched": [{"contained": true}]}]', "json"),
+    ("findings.json", '[{"vulnId": "x"}]', "html"),
+    ("bom.json", '{"archives": [1]}', "json"),
+    ("bom.json", '{"archives": [{}]}', "json"),
+    ("bom.json", _set_warnings, "html"),
+    ("mitigation-x.json", "[1]", "html"),
+])
+def test_report_rejects_malformed_artifacts(tmp_path, capsys, analysed_golden, name, text, fmt):
+    ws = copy_workspace(analysed_golden, tmp_path / "ws")
+    path = ws / ".vet" / name
+    path.write_text(text(path.read_text()) if callable(text) else text)
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "report", "--format", fmt]) == 3
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
+def test_a_deep_inheritance_chain_is_analysed(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    chain = ["class K%d extends K%d { }" % (i, i + 1) for i in range(1500)]
+    (ws / "src/chain.jx").write_text("\n".join(
+        ["package app;", "class K1500 { }"] + chain
+        + ["class Chain {", "    static void testChain() { K0 k = new K0(); }", "}"]))
+    capsys.readouterr()
+    for step in (SCAN, STATIC, TRACES[0]):
+        assert vet(["--workspace", str(ws), *step]) == 0, step
+        assert "Traceback" not in capsys.readouterr().err
+    traced = (ws / ".vet/traces.jsonl").read_text()
+    assert '"callee": "app.K0.K0()"' in traced
 
 
 BAD_JX = """package app;

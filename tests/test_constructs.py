@@ -4,12 +4,13 @@ import random
 
 from hypothesis import given, strategies as st
 
-from helpers import random_program
+from helpers import GOLDEN, UPDATE, random_program
+from vulnvet.bom import build_bom
 from vulnvet.callgraph import Edge
 from vulnvet.canonical import CTree
-from vulnvet.constructs import (CLASS, CONSTRUCTOR, INTERFACE, METHOD,
-                                PACKAGE, ConstructId, extract_constructs,
-                                version_key, version_newer)
+from vulnvet.constructs import (CALLABLE_CTYPES, CLASS, CONSTRUCTOR, INTERFACE, METHOD,
+                                PACKAGE, ConstructId, extract_constructs, guess_ctype,
+                                member_id, split_member, version_key, version_newer)
 from vulnvet.jx import parse_unit, resolve
 from vulnvet.traces import TraceEvent
 
@@ -137,3 +138,15 @@ def test_value_types_hash_compare_and_sort_like_their_field_tuples(case):
         == _outcome(lambda: (ta < tb, ta <= tb, ta > tb))
     assert _outcome(lambda: [row(v) for v in sorted(values)]) == _outcome(lambda: sorted(rows))
     assert [row(v) for v in set(values)] == list(set(rows))
+
+
+def test_member_names_round_trip_on_the_fixtures():
+    members = []
+    for fixture in (GOLDEN, UPDATE):
+        ws = fixture / "workspace"
+        for arc, _depth in build_bom(ws / "app.json", ws).archives():
+            members.extend(c for c in arc.constructs if c.ctype in CALLABLE_CTYPES)
+    assert {c.ctype for c in members} == {METHOD, CONSTRUCTOR}
+    for cid in members:
+        assert guess_ctype(cid.qname) == cid.ctype, cid
+        assert member_id(cid.ctype, *split_member(cid.qname)) == cid

@@ -123,9 +123,10 @@ class M { static void go() { Reflect.invoke("p.T.f(text)", "x"); } }
 
 
 def test_reflect_unknown_target():
-    src = 'package p; class M { static void go() { Reflect.invoke("p.Gone.x"); } }'
-    result = _run(src, "p.M.go()")
-    assert result.error.startswith("UnknownReflectTarget")
+    for target in ("p.Gone.x", "nodot()"):
+        src = 'package p; class M { static void go() { Reflect.invoke("%s"); } }' % target
+        result = _run(src, "p.M.go()")
+        assert result.error.startswith("UnknownReflectTarget"), target
 
 
 def test_step_budget_stops_infinite_loop():

@@ -5,10 +5,12 @@ import json
 import pytest
 
 from helpers import GOLDEN, build_golden_kb
-from vulnvet.canonical import digest, serialize
+from vulnvet.canonical import CTree, digest, serialize
 from vulnvet.constructs import CLASS, METHOD, ConstructId
+from vulnvet.diffing import ADD, DEL, ConstructChange
 from vulnvet.errors import DuplicateVuln, EmptyChangeSet, UnknownLibrary
-from vulnvet.kb import CODE_CHANGE, WHOLE_LIBRARY, KnowledgeBase
+from vulnvet.kb import (CODE_CHANGE, WHOLE_LIBRARY, KnowledgeBase, LibraryIndex,
+                        VulnerabilityRecord)
 
 
 def test_import_fix_round_trips_asts(tmp_path):
@@ -70,6 +72,24 @@ def test_index_and_screening(tmp_path):
     assert kb.non_vulnerable_versions("lib3") == ["2.0"]
     with pytest.raises(UnknownLibrary):
         kb.load_index("nope")
+
+
+def test_screening_classifies_index_digests_as_detection_does(tmp_path):
+    # the fix deletes X and adds Y; an added body equal to neither side gives
+    # no signal, so a version holding X and another Y stays vulnerable
+    kb = KnowledgeBase(tmp_path / "kb")
+    x, y = ConstructId(METHOD, "z.A.x()"), ConstructId(METHOD, "z.A.y()")
+    old, new = CTree("method:x"), CTree("method:y")
+    kb.save_record(VulnerabilityRecord("VULN-Z", "", CODE_CHANGE, changes=[
+        ConstructChange(x, DEL, ast_vuln=old, fp_vuln=digest(old)),
+        ConstructChange(y, ADD, ast_fixed=new, fp_fixed=digest(new))]))
+    kb.save_index(LibraryIndex("libZ", {
+        "1.0": {x: digest(old), y: "other"},  # DEL matches, ADD tells nothing
+        "2.0": {x: digest(old), y: digest(new)},  # one side each: review
+        "3.0": {y: digest(new)},                 # fixed
+        "4.0": {y: "other"},                     # nothing informative
+    }))
+    assert kb.non_vulnerable_versions("libZ") == ["2.0", "3.0", "4.0"]
 
 
 def test_kb_digest_tracks_content(tmp_path):
