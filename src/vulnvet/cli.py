@@ -17,13 +17,13 @@ from .callgraph import (app_reachability, build_call_graph, graph_from_json,
 from .combined import combined_reachable
 from .constructs import CTYPES, ConstructId
 from .detection import detect, finding_to_json
-from .errors import VetError
-from .interp import run_tests
+from .errors import MalformedArtifact, VetError
+from .interp import find_tests, run_tests
 from .jx.errors import JxError
 from .kb import KnowledgeBase
 from .metrics import deep_update_advice, metrics_csv, metrics_to_json, recommend
 from .report import assemble_report, exit_code_for, render_html
-from .traces import TraceLog, ingest_traces, to_jsonl
+from .traces import TraceLog, ingest_traces, load_summary, write_traces
 from .workspace import Workspace
 
 EXIT_ERROR = 3
@@ -150,14 +150,24 @@ def _bom_and_graph(ws: Workspace) -> tuple:
     return inputs, bom, build_call_graph(_program(bom)), False
 
 
-def _load_traces(ws: Workspace, bom) -> TraceLog:
-    path = ws.artifact("traces.jsonl")
-    if not path.is_file():
-        return TraceLog()
-    log, warnings = ingest_traces(path, _known_ids(bom))
+def _warned(log_and_warnings) -> TraceLog:
+    log, warnings = log_and_warnings
     for w in warnings:
         print("trace: %s" % w, file=sys.stderr)
     return log
+
+
+def _load_traces(ws: Workspace, bom) -> TraceLog:
+    """The summary of the trace log, which is all the readers of traces need
+    (see traces.load_summary)."""
+    return _warned(load_summary(ws, _known_ids(bom)))
+
+
+def _old_failures(ws: Workspace) -> dict:
+    failures = ws.read_json("test-failures.json", {})
+    if not isinstance(failures, dict) or not all(isinstance(v, str) for v in failures.values()):
+        raise MalformedArtifact("test-failures.json: not an object of test names to errors")
+    return failures
 
 
 def _cmd_kb(args, ws: Workspace) -> int:
@@ -221,16 +231,21 @@ def _cmd_scan(args, ws: Workspace) -> int:
 def _cmd_trace(args, ws: Workspace) -> int:
     bom = build_bom(ws.manifest, ws.root)
     program = _program(bom)
-    new_log, failures = run_tests(bom, program, pattern=args.pattern)
-    merged = _load_traces(ws, bom).merge(new_log)
-    ws.write_text("traces.jsonl", to_jsonl(merged))
-    ws.write_json("test-failures.json",
-                  {test: str(err) for test, err in sorted(failures.items())})
+    new_log, failed = run_tests(bom, program, pattern=args.pattern)
+    path = ws.artifact("traces.jsonl")
+    old_log = _warned(ingest_traces(path, _known_ids(bom))) if path.is_file() else TraceLog()
+    merged = old_log.merge(new_log)
+    # merged like the trace log: a test this run ran replaces its old entry
+    ran = {cid.qname for cid in find_tests(bom, program, args.pattern)}
+    failures = {**{test: err for test, err in _old_failures(ws).items() if test not in ran},
+                **failed}
+    write_traces(ws, merged)
+    ws.write_json("test-failures.json", failures)
     tests = {e.test for e in new_log.events}
     print("traced %d tests, %d events (%d total after merge)"
           % (len(tests), len(new_log.events), len(merged.events)))
-    for test in sorted(failures):
-        print("  FAILED %s: %s" % (test, failures[test]), file=sys.stderr)
+    for test in sorted(failed):
+        print("  FAILED %s: %s" % (test, failed[test]), file=sys.stderr)
     return 0
 
 

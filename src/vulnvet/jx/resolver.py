@@ -89,8 +89,9 @@ class ResolvedProgram:
     - ``symbols``: qname -> TypeInfo, whose ``supertypes`` are cycle-free and
       whose ``superclass``, per-member ``calls`` and class ``init_calls``
       record the hierarchy and every call site once;
-    - ``subtypes``: qname -> frozenset of the corpus types that are qname or
-      a transitive subtype of it, built once from ``supertypes``;
+    - ``direct_subtypes``: qname -> the corpus types that name it among
+      their ``supertypes``; ``subtypes_of`` closes it on demand and keeps
+      the closure of each type it was asked about;
     - ``bindings``: id(call node) -> StaticCall|VirtualCall|CtorCall;
     - ``diagnostics`` and ``warnings``: error and non-fatal (shadowing) text.
     """
@@ -101,15 +102,13 @@ class ResolvedProgram:
         self.diagnostics = diagnostics
         self.warnings = warnings
         self.bindings = bindings
-        subtypes = {q: {q} for q in symbols}
+        # direct edges only: every transitive closure would cost k*k/2
+        # entries on a k-class inheritance chain
+        self.direct_subtypes = {q: [] for q in symbols}
         for q, info in symbols.items():
-            work = list(info.supertypes)
-            while work:
-                s = work.pop()
-                if q not in subtypes[s]:
-                    subtypes[s].add(q)
-                    work.extend(symbols[s].supertypes)
-        self.subtypes = {q: frozenset(subs) for q, subs in subtypes.items()}
+            for s in info.supertypes:
+                self.direct_subtypes[s].append(q)
+        self._subtypes = {}
 
     def require_clean(self):
         if self.diagnostics:
@@ -119,11 +118,35 @@ class ResolvedProgram:
     # --- hierarchy queries ---
 
     def is_subtype(self, sub: str, sup: str) -> bool:
-        return sub == sup or sub in self.subtypes.get(sup, ())
+        """Whether sub is sup or a corpus type with sup among its transitive
+        supertypes."""
+        if sub == sup:
+            return True
+        seen = set()
+        work = [sub] if sub in self.symbols else []
+        while work:
+            q = work.pop()
+            for s in self.symbols[q].supertypes:
+                if s == sup:
+                    return True
+                if s not in seen:
+                    seen.add(s)
+                    work.append(s)
+        return False
 
     def subtypes_of(self, qname: str) -> frozenset:
         """All corpus types that are qname or a transitive subtype of it."""
-        return self.subtypes.get(qname, frozenset())
+        subs = self._subtypes.get(qname)
+        if subs is None:
+            found = {qname} if qname in self.symbols else set()
+            work = list(found)
+            while work:
+                for s in self.direct_subtypes[work.pop()]:
+                    if s not in found:
+                        found.add(s)
+                        work.append(s)
+            subs = self._subtypes[qname] = frozenset(found)
+        return subs
 
     def class_chain(self, qname: str):
         """The TypeInfo of qname, then those of its superclasses in order."""

@@ -2,9 +2,9 @@
 
 The report is built from the artifact files alone, so it reflects exactly
 what the analysis steps ran so far produced. Evidence levels are attached
-here, from the trace log and the persisted reachability closures, which lets
-scan, trace and reachability steps run in any order and still converge on
-the same report.
+here, from the trace summary and the persisted reachability closures, which
+lets scan, trace and reachability steps run in any order and still converge
+on the same report.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .constructs import ConstructId
 from .detection import COMBINED, DYNAMIC, EVIDENCE_ORDER, NONE, STATIC
 from .errors import MalformedArtifact
 from .kb import KnowledgeBase
-from .traces import read_trace_lines
+from .traces import event_json, load_summary
 from .workspace import Workspace
 
 
@@ -110,9 +110,8 @@ def assemble_report(ws: Workspace) -> dict:
         raise MalformedArtifact("findings.json: not a list of findings as vet scan writes them")
     static_present, r_static = _read_reach(ws, "reach-static.json")
     combined_present, r_combined = _read_reach(ws, "reach-combined.json")
-    traces_path = ws.artifact("traces.jsonl")
-    trace_lines = ([data for _, data in read_trace_lines(traces_path)]
-                   if traces_path.is_file() else [])
+    # the summary holds the first event of every callee, as the full log would
+    trace_lines = [event_json(e) for e in load_summary(ws)[0].events]
     findings = attach_evidence(findings, trace_lines, r_static, r_combined)
 
     archives = []

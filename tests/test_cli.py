@@ -489,6 +489,129 @@ def test_a_stamped_artifact_with_a_malformed_body_exits_three(tmp_path, capsys, 
         assert name in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("events"),
+    lambda d: d.update(events={"callee": "app.Main.alpha()", "ts": 1}),
+    lambda d: d["events"].append(7),
+    lambda d: d["events"][0].update(ts="1"),
+    lambda d: d["events"][1].update(caller=["app.Main.itestFramework()"]),
+    lambda d: d["events"][2].pop("callee"),
+])
+def test_a_stamped_trace_summary_with_a_malformed_body_exits_three(tmp_path, capsys, edit):
+    ws = _golden_with_index(tmp_path / "ws")
+    _run(ws, SCAN, STATIC, *TRACES)
+    path = ws / ".vet/trace-summary.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    for step in (COMBINED, MITIGATE, ["report"]):
+        assert vet(["--workspace", str(ws), *step]) == 3, step
+        err = capsys.readouterr().err
+        assert "trace-summary.json" in err and "Traceback" not in err
+
+
+def _outcome(ws, capsys, steps):
+    """Exit code, stdout and stderr of each step, then every .vet/ file but
+    the trace summary, with the workspace path taken out."""
+    capsys.readouterr()
+    out = []
+    for step in steps:
+        code = vet(["--workspace", str(ws), *step])
+        io = capsys.readouterr()
+        out.append((code, io.out.replace(str(ws), "WS"), io.err.replace(str(ws), "WS")))
+    files = {p.name: p.read_bytes() for p in sorted((ws / ".vet").iterdir())
+             if p.name != "trace-summary.json"}
+    return out, files
+
+
+def test_readers_give_the_same_results_with_a_present_missing_or_stale_summary(tmp_path, capsys):
+    base = _golden_with_index(tmp_path / "base")
+    _run(base, SCAN, STATIC, TRACES[0])
+    stale = (base / ".vet/trace-summary.json").read_bytes()
+    _run(base, TRACES[1])
+    # a renamed test leaves the BOM without a construct the trace log names
+    main = base / "src/main.jx"
+    main.write_text(main.read_text().replace("testUpload", "testUploadRenamed"))
+    steps = (COMBINED, MITIGATE, ["report"], ["report", "--format", "html"])
+
+    outcomes = []
+    for variant in ("present", "missing", "stale"):
+        ws = copy_workspace(base, tmp_path / variant)
+        summary = ws / ".vet/trace-summary.json"
+        if variant == "missing":
+            summary.unlink()
+        elif variant == "stale":
+            summary.write_bytes(stale)
+        outcomes.append(_outcome(ws, capsys, steps))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    code, _, err = outcomes[0][0][0]  # reach combined
+    assert code == 0
+    assert err.splitlines().count("trace: unknown construct app.Main.testUpload()") == 1
+
+
+def test_an_edited_trace_log_is_read_in_full(tmp_path):
+    ws = _golden_with_index(tmp_path / "ws")
+    _run(ws, SCAN, STATIC, *TRACES, COMBINED)
+    assert vet(["--workspace", str(ws), "report"]) == 2
+    report = json.loads((ws / ".vet/report.json").read_text())
+    assert report["reachability"]["tracedConstructs"] == 7
+    with open(ws / ".vet/traces.jsonl", "a") as f:
+        f.write(json.dumps({"callee": "lib3.Scan.omega()", "caller": "lib2.Core.delta()",
+                            "ctype": "METHOD", "site": "libs/lib2/1.0/src/core.jx:8",
+                            "test": "app.Main.testUpload()", "ts": 8}) + "\n")
+    assert vet(["--workspace", str(ws), "report"]) == 2
+    report = json.loads((ws / ".vet/report.json").read_text())
+    assert report["reachability"]["tracedConstructs"] == 8
+    omega = next(m for f in report["findings"] for m in f["matched"]
+                 if m["qname"] == "lib3.Scan.omega()")
+    assert omega["evidence"] == {"level": "DYNAMIC", "witness": {"trace": {
+        "test": "app.Main.testUpload()", "ts": 8, "caller": "lib2.Core.delta()",
+        "site": "libs/lib2/1.0/src/core.jx:8"}}}
+
+
+@pytest.mark.parametrize("text", ["[]", '{"app.Main.testUpload()": 1}', '{"a": "b"'])
+def test_trace_rejects_a_malformed_failures_file(tmp_path, capsys, text):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    (ws / ".vet").mkdir()
+    (ws / ".vet/test-failures.json").write_text(text)
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), *TRACES[0]]) == 3
+    err = capsys.readouterr().err
+    assert "test-failures.json" in err and "Traceback" not in err
+    assert not (ws / ".vet/traces.jsonl").exists()
+
+
+DEEP_TESTS = """package app;
+class Deep {
+    static int down(int n) { if (n > 0) { return app.Deep.down(n - 1); } return 0; }
+    static void testDeepA() { app.Deep.down(%d); }
+    static void testDeepB() { app.Deep.down(3); }
+}
+"""
+
+
+def test_test_failures_depend_only_on_the_latest_run_of_each_test(tmp_path):
+    base = copy_workspace(GOLDEN / "workspace", tmp_path / "base")
+    (base / "src/deep.jx").write_text(DEEP_TESTS % 300)
+    failures = {}
+    for i, patterns in enumerate((["testDeepA", "testDeepB"], ["testDeepB", "testDeepA"],
+                                  ["testDeep", "testDeepB"], ["testDeepA", "testDeep"])):
+        ws = copy_workspace(base, tmp_path / str(i))
+        _run(ws, *(["trace", "run", "--pattern", p] for p in patterns))
+        failures[i] = (ws / ".vet/test-failures.json").read_bytes()
+        assert '"test": "app.Deep.testDeepA()"' in (ws / ".vet/traces.jsonl").read_text()
+    assert len(set(failures.values())) == 1
+    assert list(json.loads(failures[0])) == ["app.Deep.testDeepA()"]
+    # a passing re-run removes the entry; other tests' entries stay
+    (ws / "src/deep.jx").write_text(DEEP_TESTS % 3)
+    _run(ws, ["trace", "run", "--pattern", "testDeepB"])
+    assert list(json.loads((ws / ".vet/test-failures.json").read_text())) == [
+        "app.Deep.testDeepA()"]
+    _run(ws, ["trace", "run", "--pattern", "testDeepA"])
+    assert json.loads((ws / ".vet/test-failures.json").read_text()) == {}
+
+
 def test_mitigate_errors_name_the_object_and_the_remedy(tmp_path, capsys):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     capsys.readouterr()
@@ -527,6 +650,8 @@ def analysed_golden(tmp_path_factory):
     (".vet/reach-combined.json", (["report"],)),
     (".vet/traces.jsonl", (TRACES[0], COMBINED, MITIGATE, ["report"])),
     (".vet/mitigation-lib1.json", (["report"],)),
+    (".vet/trace-summary.json", (COMBINED, MITIGATE, ["report"])),
+    (".vet/test-failures.json", (TRACES[0],)),
 ])
 def test_text_that_is_not_utf8_exits_three(tmp_path, capsys, analysed_golden, name, steps):
     ws = copy_workspace(analysed_golden, tmp_path / "ws")

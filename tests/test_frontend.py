@@ -178,6 +178,25 @@ def test_hierarchy_tables_match_a_naive_closure(src):
             assert program.is_subtype(sub, sup) == (sub == sup or sub in subs)
 
 
+def _hierarchy_entries(program):
+    return (sum(len(subs) for subs in program.direct_subtypes.values())
+            + sum(len(subs) for subs in program._subtypes.values()))
+
+
+def test_a_long_inheritance_chain_stores_linear_hierarchy_tables():
+    k = 2500
+    src = "\n".join(["package h;", "class K%d { }" % k]
+                    + ["class K%d extends K%d { }" % (i, i + 1) for i in range(k)])
+    program = resolve([parse_unit(src, "h.jx")])
+    assert program.diagnostics == []
+    # one entry per extends clause; the transitive closure would hold k*k/2
+    assert _hierarchy_entries(program) == k
+    assert program.is_subtype("h.K0", "h.K%d" % k)
+    assert not program.is_subtype("h.K%d" % k, "h.K0")
+    assert program.subtypes_of("h.K%d" % (k - 2)) == {"h.K%d" % i for i in range(k - 1)}
+    assert _hierarchy_entries(program) == k + (k - 1)
+
+
 @pytest.mark.parametrize("src, col", [
     ("class A {\n    A(int n) { }\n    static int A() { return 1; }\n}", 16),
     ("class A {\n    A(int n) { }\n    int A(int n) { return n; }\n}", 9),

@@ -5,11 +5,16 @@ before trace runs normalised their events once per command instead of once
 per test, and the reachability closures and the update fixture's mitigation
 and report before reach combined and mitigate reused the stamped bom.json
 and graph.json instead of building them again; a refactor that changes any
-byte of them changes behaviour. Regenerate them only for an intended change
-of the artifact format, and say so in the change log."""
+byte of them changes behaviour. The trace summary was added later, and is
+checked against the summary of the pinned trace log. Regenerate them only
+for an intended change of the artifact format, and say so in the change
+log."""
+
+import json
 
 from helpers import GOLDEN, UPDATE, copy_workspace
 from vulnvet.cli import main as vet
+from vulnvet.traces import ingest_traces, summary_json
 
 
 def _assert_pinned(ws, expected, names):
@@ -32,8 +37,15 @@ def test_golden_report_and_findings_are_byte_identical(tmp_path):
         assert vet(["--workspace", w, *step]) == 0
     assert vet(["--workspace", w, "report"]) == 2
     _assert_pinned(ws, GOLDEN / "expected", (
-        "findings.json", "report.json", "traces.jsonl", "reach-static.json",
-        "reach-combined.json"))
+        "findings.json", "report.json", "traces.jsonl", "trace-summary.json",
+        "reach-static.json", "reach-combined.json"))
+
+
+def test_golden_trace_summary_is_the_summary_of_the_golden_trace_log():
+    traces = GOLDEN / "expected/traces.jsonl"
+    log, _ = ingest_traces(traces)
+    expected = summary_json(log, traces.read_text())
+    assert json.loads((GOLDEN / "expected/trace-summary.json").read_text()) == expected
 
 
 def test_update_mitigation_and_report_are_byte_identical(tmp_path):
