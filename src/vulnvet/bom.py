@@ -3,18 +3,16 @@
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from collections import deque
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .constructs import (Construct, construct_id, extract_constructs, require_text,
-                         version_key)
+from .constructs import Construct, construct_id, extract_constructs, is_version, require_text
 from .errors import MalformedArtifact, ManifestError, MissingDependency
 from .jx import JxError, parse_unit, parser, resolve
-from .workspace import read_text
+from .workspace import leaf, load_json, read_text, shape
 
 APPLICATION = "APPLICATION"
 DEPENDENCY = "DEPENDENCY"
@@ -94,40 +92,9 @@ def load_archive(name: str, version: str, kind: str, source_root: Path,
     return arc
 
 
-def _read_manifest(path: Path) -> dict:
-    try:
-        data = json.loads(read_text(path, ManifestError))
-    except FileNotFoundError:
-        raise ManifestError("manifest %s not found" % path)
-    except json.JSONDecodeError as exc:
-        raise ManifestError("manifest %s: %s" % (path, exc))
-    if not isinstance(data, dict):
-        raise ManifestError("manifest %s: not a JSON object" % path)
-    for key in ("name", "version", "sourceRoot"):
-        if key not in data:
-            raise ManifestError("manifest %s: missing %r" % (path, key))
-        if not isinstance(data[key], str):
-            raise ManifestError("manifest %s: %r must be text" % (path, key))
-    _check_version(path, data["version"])
-    deps = data.get("dependencies", [])
-    if not isinstance(deps, list):
-        raise ManifestError("manifest %s: dependencies must be a list" % path)
-    for d in deps:
-        if not isinstance(d, dict) or not isinstance(d.get("name"), str) \
-                or not isinstance(d.get("version"), str):
-            raise ManifestError("manifest %s: dependency entries need name and "
-                                "version as text" % path)
-        _check_version(path, d["version"])
-    return data
-
-
-def _check_version(path: Path, version: str):
-    """Versions are compared as dot-separated numbers (version ranges,
-    update candidates), so any other form is rejected where it is read."""
-    try:
-        version_key(version)
-    except ValueError as exc:
-        raise ManifestError("manifest %s: %s" % (path, exc)) from None
+VERSION = leaf(is_version, "a dot-separated numeric version")
+_MANIFEST = shape({"name": str, "version": VERSION, "sourceRoot": str,
+                   "dependencies?": [{"name": str, "version": VERSION}]})
 
 
 def resolve_dependencies(workspace: Path, root_deps) -> tuple:
@@ -155,11 +122,10 @@ def resolve_dependencies(workspace: Path, root_deps) -> tuple:
         lib_manifest = lib_dir / "lib.json"
         if not lib_manifest.is_file():
             raise MissingDependency(name, version)
-        data = _read_manifest(lib_manifest)
+        data = load_json(lib_manifest, ManifestError, _MANIFEST)
         resolved[name] = (data, depth)
         order.append((lib_dir, data, depth))
-        for d in data.get("dependencies", []):
-            queue.append((d["name"], d["version"], depth + 1))
+        queue.extend((dep, version, depth + 1) for dep, version in _declared_deps(data))
     return order, warnings
 
 
@@ -171,7 +137,7 @@ def _archive_inputs(manifest: Path, workspace: Path) -> tuple:
     """The manifest path, manifest data, source root and depth of the
     application and of every archive resolve_dependencies finds, in
     resolution order; and the conflict warnings."""
-    app_data = _read_manifest(manifest)
+    app_data = load_json(manifest, ManifestError, _MANIFEST)
     resolved, warnings = resolve_dependencies(workspace, _declared_deps(app_data))
     inputs = [(manifest, app_data, (manifest.parent / app_data["sourceRoot"]).resolve(), 0)]
     inputs.extend((lib_dir / "lib.json", data, (lib_dir / data["sourceRoot"]).resolve(), depth)

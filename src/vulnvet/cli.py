@@ -17,17 +17,18 @@ from .callgraph import (app_reachability, build_call_graph, graph_from_json,
 from .combined import combined_reachable
 from .constructs import CTYPES, ConstructId
 from .detection import detect, finding_to_json
-from .errors import MalformedArtifact, VetError
+from .errors import VetError
 from .interp import find_tests, run_tests
 from .jx.errors import JxError
 from .kb import KnowledgeBase
 from .metrics import deep_update_advice, metrics_csv, metrics_to_json, recommend
 from .report import assemble_report, exit_code_for, render_html
 from .traces import TraceLog, ingest_traces, load_summary, write_traces
-from .workspace import Workspace
+from .workspace import Workspace, shape
 
 EXIT_ERROR = 3
 EXIT_USAGE = 64
+_FAILURES = shape({str: str})  # test name -> error
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,10 +123,6 @@ def _known_ids(bom):
     return ids
 
 
-def _stamped(data, inputs: str) -> bool:
-    return isinstance(data, dict) and data.get("inputs") == inputs
-
-
 def _program(bom):
     """The whole-workspace program; each resolver diagnostic goes to stderr."""
     program = corpus_program(bom)
@@ -140,12 +137,11 @@ def _bom_and_graph(ws: Workspace) -> tuple:
     (see bom.input_digest); otherwise the BOM and graph are built from
     source."""
     inputs = input_digest(ws.manifest, ws.root)
-    bom_data = ws.read_json("bom.json")
-    if _stamped(bom_data, inputs):
-        graph_data = ws.read_json("graph.json")
-        if _stamped(graph_data, inputs):
-            return (inputs, bom_from_json(bom_data, "bom.json"),
-                    graph_from_json(graph_data, "graph.json"), True)
+    bom_data = ws.read_stamped("bom.json", inputs)
+    graph_data = ws.read_stamped("graph.json", inputs) if bom_data is not None else None
+    if graph_data is not None:
+        return (inputs, bom_from_json(bom_data, "bom.json"),
+                graph_from_json(graph_data, "graph.json"), True)
     bom = build_bom(ws.manifest, ws.root)
     return inputs, bom, build_call_graph(_program(bom)), False
 
@@ -161,13 +157,6 @@ def _load_traces(ws: Workspace, bom) -> TraceLog:
     """The summary of the trace log, which is all the readers of traces need
     (see traces.load_summary)."""
     return _warned(load_summary(ws, _known_ids(bom)))
-
-
-def _old_failures(ws: Workspace) -> dict:
-    failures = ws.read_json("test-failures.json", {})
-    if not isinstance(failures, dict) or not all(isinstance(v, str) for v in failures.values()):
-        raise MalformedArtifact("test-failures.json: not an object of test names to errors")
-    return failures
 
 
 def _cmd_kb(args, ws: Workspace) -> int:
@@ -237,8 +226,8 @@ def _cmd_trace(args, ws: Workspace) -> int:
     merged = old_log.merge(new_log)
     # merged like the trace log: a test this run ran replaces its old entry
     ran = {cid.qname for cid in find_tests(bom, program, args.pattern)}
-    failures = {**{test: err for test, err in _old_failures(ws).items() if test not in ran},
-                **failed}
+    old_failures = ws.read_json("test-failures.json", {}, _FAILURES)
+    failures = {**{test: err for test, err in old_failures.items() if test not in ran}, **failed}
     write_traces(ws, merged)
     ws.write_json("test-failures.json", failures)
     tests = {e.test for e in new_log.events}

@@ -239,6 +239,15 @@ def version_key(version: str) -> tuple:
     return tuple(parts)
 
 
+def is_version(value) -> bool:
+    """Whether value is text version_key orders."""
+    try:
+        version_key(value)
+    except (ValueError, AttributeError):  # not numbers, or not text
+        return False
+    return True
+
+
 def version_newer(a: str, b: str) -> bool:
     """True when version a is strictly newer than b."""
     return version_key(a) > version_key(b)

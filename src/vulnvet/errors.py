@@ -54,9 +54,7 @@ class NoTestsMatched(VetError):
 
 
 class MalformedTraceLine(VetError):
-    def __init__(self, line_no, reason):
-        super().__init__("trace line %d: %s" % (line_no, reason))
-        self.line_no = line_no
+    pass
 
 
 class NoTouchPoints(VetError):

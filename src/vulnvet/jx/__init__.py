@@ -1,5 +1,4 @@
-"""Frontend for the JX subject language: parsing and name resolution. The
-pretty-printer is not imported here; import ``vulnvet.jx.printer`` to use it."""
+"""Frontend for the JX subject language: parsing and name resolution."""
 
 from .ast import SourceUnit
 from .errors import JxError, ParseError, ResolutionError

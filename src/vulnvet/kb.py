@@ -9,15 +9,15 @@ bit-exact.
 from __future__ import annotations
 
 import hashlib
-import json
 from pathlib import Path
 
-from .bom import DEPENDENCY, Archive
+from .bom import DEPENDENCY, VERSION, Archive
 from .canonical import deserialize, serialize
-from .constructs import Construct, ConstructId, construct_id, version_key
+from .constructs import CTYPES, Construct, ConstructId, version_key
 from .diffing import ADD, DEL, MOD, ConstructChange
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
+from .workspace import check, json_text, load_json, one_of, shape, write_atomic
 
 CODE_CHANGE = "CODE_CHANGE"
 WHOLE_LIBRARY = "WHOLE_LIBRARY"
@@ -63,27 +63,16 @@ def _change_to_json(ch: ConstructChange) -> dict:
     }
 
 
-def _check_versions(what: str, versions):
-    """Raise MalformedRecord naming ``what`` unless every version is a
-    dot-separated numeric version (the form version ranges compare)."""
-    for version in versions:
-        try:
-            version_key(version)
-        except ValueError as exc:
-            raise MalformedRecord("%s: %s" % (what, exc)) from None
-
-
-def _check_fields(obj, required, optional, where: str):
-    """Require an object whose ``required`` keys hold text and whose
-    ``optional`` keys hold text or null."""
-    if not isinstance(obj, dict):
-        raise MalformedRecord("%s: expected an object" % where)
-    for key in required:
-        if not isinstance(obj.get(key), str):
-            raise MalformedRecord("%s: %s is missing or not text" % (where, key))
-    for key in optional:
-        if obj.get(key) is not None and not isinstance(obj[key], str):
-            raise MalformedRecord("%s: %s is not text" % (where, key))
+_CHANGE = {"ctype": one_of(*CTYPES), "qname": str, "op": one_of(ADD, DEL, MOD),
+           "astVuln?": (None, str), "astFixed?": (None, str),
+           "fpVuln?": (None, str), "fpFixed?": (None, str)}
+RECORD = shape({"vulnId": str, "kind": one_of(CODE_CHANGE, WHOLE_LIBRARY),
+                "description?": (None, str), "sourceNote?": (None, str),
+                "changes?": [_CHANGE],
+                "affected?": [{"library": str, "low": VERSION, "high": VERSION}]})
+# a package has no body, so its fingerprint is null
+INDEX = shape({"name": str, "versions": {VERSION: [{"ctype": str, "qname": str,
+                                                    "fingerprint": (None, str)}]}})
 
 
 def _stored_tree(text, where: str, cid: ConstructId, key: str):
@@ -101,33 +90,14 @@ def _stored_tree(text, where: str, cid: ConstructId, key: str):
 
 
 def _change_from_json(data, where: str) -> ConstructChange:
-    _check_fields(data, ("ctype", "qname", "op"),
-                  ("astVuln", "astFixed", "fpVuln", "fpFixed"), where)
-    try:
-        cid = construct_id(data["ctype"], data["qname"])
-    except ValueError as exc:
-        raise MalformedRecord("%s: %s" % (where, exc)) from None
-    if data["op"] not in (ADD, DEL, MOD):
-        raise MalformedRecord("%s: unknown op %r of %s" % (where, data["op"], cid))
+    """The change of an entry RECORD accepts."""
+    cid = ConstructId(data["ctype"], data["qname"])
     if data["op"] == MOD and data.get("fpVuln") != data.get("fpFixed") \
             and not (data.get("astVuln") and data.get("astFixed")):
         raise MalformedRecord("%s: MOD of %s changes its fingerprint but lacks a tree"
                               % (where, cid))
-    return ConstructChange(
-        construct=cid,
-        op=data["op"],
-        ast_vuln=_stored_tree(data.get("astVuln"), where, cid, "astVuln"),
-        ast_fixed=_stored_tree(data.get("astFixed"), where, cid, "astFixed"),
-        fp_vuln=data.get("fpVuln"),
-        fp_fixed=data.get("fpFixed"),
-    )
-
-
-def _dump(path: Path, data: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    trees = [_stored_tree(data.get(key), where, cid, key) for key in ("astVuln", "astFixed")]
+    return ConstructChange(cid, data["op"], *trees, data.get("fpVuln"), data.get("fpFixed"))
 
 
 class KnowledgeBase:
@@ -175,9 +145,6 @@ class KnowledgeBase:
         affected = [(n, lo, hi) for n, lo, hi in affected]
         if not affected:
             raise VetError("WHOLE_LIBRARY record needs at least one affected range")
-        for n, lo, hi in affected:
-            _check_versions("kb record %s: affected range %s:%s:%s" % (vuln_id, n, lo, hi),
-                            (lo, hi))
         record = VulnerabilityRecord(vuln_id, description, WHOLE_LIBRARY,
                                      affected=affected, source_note=meta)
         self.save_record(record)
@@ -193,45 +160,28 @@ class KnowledgeBase:
             "affected": [{"library": n, "low": lo, "high": hi}
                          for n, lo, hi in record.affected],
         }
-        _dump(self._vuln_path(record.vuln_id), data)
+        # what is stored is what load_record accepts: a bad version is never stored
+        check(data, RECORD, "kb record %s" % record.vuln_id, MalformedRecord)
+        write_atomic(self._vuln_path(record.vuln_id), json_text(data))
 
     def load_record(self, vuln_id: str) -> VulnerabilityRecord:
         """Read one record. Stored bodies stay canonical text until a
         change's ``ast_vuln``/``ast_fixed`` is first read. Raises
         MalformedRecord naming the file for a document that is not a record."""
         path = self._vuln_path(vuln_id)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise MalformedRecord("kb record %s: not JSON: %s" % (path, exc)) from None
-        where = "kb record %s" % path
-        _check_fields(data, ("vulnId", "kind"), ("description", "sourceNote"), where)
-        changes, affected = data.get("changes", []), data.get("affected", [])
-        if not isinstance(changes, list) or not isinstance(affected, list):
-            raise MalformedRecord("%s: changes and affected must be lists" % where)
+        data = load_json(path, MalformedRecord, RECORD)
         where = "kb record %s (%s)" % (data["vulnId"], path)
-        if data["kind"] not in (CODE_CHANGE, WHOLE_LIBRARY):
-            raise MalformedRecord("%s: unknown kind %r" % (where, data["kind"]))
-        ranges = []
-        for a in affected:
-            _check_fields(a, ("library", "low", "high"), (), where)
-            lib, lo, hi = a["library"], a["low"], a["high"]
-            _check_versions("%s: affected range %s:%s:%s" % (where, lib, lo, hi), (lo, hi))
-            ranges.append((lib, lo, hi))
         return VulnerabilityRecord(
             vuln_id=data["vulnId"],
             description=data.get("description", ""),
             kind=data["kind"],
-            changes=[_change_from_json(c, where) for c in changes],
-            affected=ranges,
+            changes=[_change_from_json(c, where) for c in data.get("changes", [])],
+            affected=[(a["library"], a["low"], a["high"]) for a in data.get("affected", [])],
             source_note=data.get("sourceNote", ""),
         )
 
     def records(self) -> list:
-        vulns_dir = self.root / "vulns"
-        if not vulns_dir.is_dir():
-            return []
-        return [self.load_record(p.stem) for p in sorted(vulns_dir.glob("*.json"))]
+        return [self.load_record(p.stem) for p in sorted((self.root / "vulns").glob("*.json"))]
 
     # --- library indexes ---
 
@@ -240,12 +190,9 @@ class KnowledgeBase:
         from .diffing import extract_root
         if not version_roots:
             raise VetError("no versions given for library %s" % name)
-        _check_versions("library %s" % name, version_roots)
-        versions = {}
-        for version in sorted(version_roots, key=version_key):
-            constructs = extract_root(Path(version_roots[version]))
-            versions[version] = {cid: c.fingerprint for cid, c in constructs.items()}
-        index = LibraryIndex(name, versions)
+        index = LibraryIndex(name, {
+            version: {cid: c.fingerprint for cid, c in extract_root(Path(root)).items()}
+            for version, root in version_roots.items()})
         self.save_index(index)
         return index
 
@@ -258,7 +205,8 @@ class KnowledgeBase:
                 for v, cons in index.versions.items()
             },
         }
-        _dump(self._lib_path(index.name), data)
+        check(data, INDEX, "library %s" % index.name, MalformedRecord)
+        write_atomic(self._lib_path(index.name), json_text(data))
 
     def load_index(self, name: str) -> LibraryIndex:
         """Read one library index. Raises UnknownLibrary when there is none
@@ -269,33 +217,13 @@ class KnowledgeBase:
             raise UnknownLibrary("the knowledge base has no index for library %s; create "
                                  "one with `vet kb index-lib --name %s --root VERSION=PATH`"
                                  % (name, name))
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise MalformedRecord("kb index %s: not JSON: %s" % (path, exc)) from None
-        where = "kb index %s" % path
-        _check_fields(data, ("name",), (), where)
-        if not isinstance(data.get("versions"), dict):
-            raise MalformedRecord("%s: versions must be an object" % where)
-        _check_versions(where, data["versions"])
-        versions = {}
-        for v, entries in data["versions"].items():
-            if not isinstance(entries, list):
-                raise MalformedRecord("%s: version %s must be a list" % (where, v))
-            for e in entries:
-                # a package has no body, so its fingerprint is null
-                _check_fields(e, ("ctype", "qname"), ("fingerprint",), where)
-                if "fingerprint" not in e:
-                    raise MalformedRecord("%s: fingerprint is missing" % where)
-            versions[v] = {ConstructId(e["ctype"], e["qname"]): e["fingerprint"]
-                           for e in entries}
+        data = load_json(path, MalformedRecord, INDEX)
+        versions = {v: {ConstructId(e["ctype"], e["qname"]): e["fingerprint"] for e in entries}
+                    for v, entries in data["versions"].items()}
         return LibraryIndex(data["name"], versions)
 
     def library_names(self) -> list:
-        libs_dir = self.root / "libs"
-        if not libs_dir.is_dir():
-            return []
-        return sorted(p.stem for p in libs_dir.glob("*.json"))
+        return sorted(p.stem for p in (self.root / "libs").glob("*.json"))
 
     # --- version screening ---
 

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 from .bom import resolve_dependencies
-from .constructs import CALLABLE_CTYPES, version_key, version_newer
+from .constructs import CALLABLE_CTYPES, is_version, version_key, version_newer
 from .errors import (EmptyConstructSet, MissingDependency, NoCandidates,
                      NoTouchPoints, UnknownArchive, UnknownLibrary)
 from .kb import KnowledgeBase, LibraryIndex
@@ -215,14 +215,8 @@ def deep_update_advice(workspace: Path, bom, kb: KnowledgeBase, lib: str) -> lis
         if not store.is_dir():
             continue
         current = bom.archive_named(direct_name)
-        releases = []
-        for p in store.iterdir():
-            if p.is_dir():
-                try:
-                    version_key(p.name)
-                except ValueError:
-                    continue  # not a release directory: never a candidate
-                releases.append(p.name)
+        # a directory whose name is not a version is not a release: never a candidate
+        releases = [p.name for p in store.iterdir() if p.is_dir() and is_version(p.name)]
         for vdir in sorted(releases, key=version_key):
             if current is not None and not version_newer(vdir, current.version):
                 continue

@@ -21,7 +21,7 @@ from .detection import COMBINED, DYNAMIC, EVIDENCE_ORDER, NONE, STATIC
 from .errors import MalformedArtifact
 from .kb import KnowledgeBase
 from .traces import event_json, load_summary
-from .workspace import Workspace
+from .workspace import Workspace, load_json, shape
 
 
 def attach_evidence(findings, trace_lines, r_static: ReachResult,
@@ -79,35 +79,20 @@ def _reached_counts(result: ReachResult) -> dict:
     return dict(Counter(c.ctype for c in result.reached))
 
 
-def _fits(value, shape) -> bool:
-    """Whether value has shape: None, a type, a tuple of alternative shapes,
-    a one-item list (a list of values of that shape) or a dict (an object
-    whose listed keys have those shapes)."""
-    if isinstance(shape, dict):
-        return isinstance(value, dict) and all(_fits(value.get(k), s) for k, s in shape.items())
-    if isinstance(shape, list):
-        return isinstance(value, list) and all(_fits(v, shape[0]) for v in value)
-    if isinstance(shape, tuple):
-        return any(_fits(value, s) for s in shape)
-    return value is None if shape is None else type(value) is shape
-
-
 # the fields the report reads, as finding_to_json and vet mitigate write them
-_FINDINGS = [{"vulnId": str, "verdict": str, "archive": {"name": str, "version": str},
-              "matched": [{"ctype": str, "qname": str, "change": str, "contained": bool,
-                           "classification": (None, {"verdict": str})}]}]
+_FINDINGS = shape([{"vulnId": str, "verdict": str, "archive": {"name": str, "version": str},
+                    "matched": [{"ctype": str, "qname": str, "change": str, "contained": bool,
+                                 "classification?": (None, {"verdict": str})}]}])
 _RATIO = {"num": int, "den": int}
-_MITIGATION = {"candidates": [{"candidate": str, "cs": (None, _RATIO), "de": (None, int),
-                               "rbs": _RATIO, "obs": _RATIO}],
-               "notes": [str]}
+_MITIGATION = shape({"candidates": [{"candidate": str, "cs?": (None, _RATIO),
+                                     "de?": (None, int), "rbs": _RATIO, "obs": _RATIO}],
+                     "notes": [str]})
 
 
 def assemble_report(ws: Workspace) -> dict:
     bom_data = ws.read_json("bom.json")
     bom = bom_from_json(bom_data, "bom.json") if bom_data is not None else None
-    findings = ws.read_json("findings.json", [])
-    if not _fits(findings, _FINDINGS):
-        raise MalformedArtifact("findings.json: not a list of findings as vet scan writes them")
+    findings = ws.read_json("findings.json", [], _FINDINGS)
     static_present, r_static = _read_reach(ws, "reach-static.json")
     combined_present, r_combined = _read_reach(ws, "reach-combined.json")
     # the summary holds the first event of every callee, as the full log would
@@ -120,14 +105,8 @@ def assemble_report(ws: Workspace) -> dict:
                          "kind": arc.kind, "depth": depth,
                          "constructCounts": dict(Counter(c.ctype for c in arc.constructs))})
 
-    mitigation = {}
-    if ws.artifact_dir.is_dir():
-        for path in sorted(ws.artifact_dir.glob("mitigation-*.json")):
-            data = ws.read_json(path.name)
-            if not _fits(data, _MITIGATION):
-                raise MalformedArtifact("%s: not a mitigation as vet mitigate writes it"
-                                        % path.name)
-            mitigation[path.stem[len("mitigation-"):]] = data
+    mitigation = {path.stem[len("mitigation-"):]: load_json(path, MalformedArtifact, _MITIGATION)
+                  for path in sorted(ws.artifact_dir.glob("mitigation-*.json"))}
 
     kb = KnowledgeBase(ws.kb_path)
     kb_digest = kb.digest() if ws.kb_path.is_dir() else None

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 from .constructs import ConstructId, guess_ctype
 from .errors import MalformedArtifact, MalformedTraceLine
-from .workspace import Workspace, read_text
+from .workspace import Workspace, check, read_text, shape
 
 SUMMARY = "trace-summary.json"
 
@@ -95,25 +95,16 @@ def to_jsonl(log: TraceLog) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _problem(data) -> Optional[str]:
-    """Why a decoded trace line or summary event is not an event, or None."""
-    if not isinstance(data, dict) or "callee" not in data or "ts" not in data:
-        return "missing callee or ts"
-    if not isinstance(data["ts"], int) or isinstance(data["ts"], bool):
-        return "ts must be an integer"
-    if not isinstance(data["callee"], str) or not isinstance(data.get("test", ""), str):
-        return "callee and test must be text"
-    for key in ("caller", "site", "ctype"):
-        value = data.get(key)
-        if value is not None and not isinstance(value, str):
-            return "%s must be text or null" % key
-    return None
+_EVENT = {"callee": str, "ts": int, "test?": str,
+          "caller?": (None, str), "site?": (None, str), "ctype?": (None, str)}
+EVENT = shape(_EVENT)
+_SUMMARY = shape({"events": [_EVENT]})
 
 
 def read_trace_lines(path: Path):
     """Yield (line number, event dict) for every non-blank line of a trace
     file. Raises MalformedTraceLine at the first line that is not a valid
-    event."""
+    event, naming the file and the line."""
     # only the lines stay alive, not the whole text too: trace files are large
     lines = read_text(path, MalformedArtifact).splitlines()
     decode = _DECODER.decode  # one decoder for every line
@@ -122,11 +113,10 @@ def read_trace_lines(path: Path):
             continue
         try:
             data = decode(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedTraceLine(line_no, str(exc))
-        problem = _problem(data)
-        if problem is not None:
-            raise MalformedTraceLine(line_no, problem)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedTraceLine("%s: trace line %d: %s" % (path, line_no, exc)) from None
+        if EVENT(data) is not None:  # the message is built for a bad line only
+            check(data, EVENT, "%s: trace line %d" % (path, line_no), MalformedTraceLine)
         yield line_no, data
 
 
@@ -193,17 +183,6 @@ def write_traces(ws: Workspace, log: TraceLog):
     ws.write_json(SUMMARY, summary_json(log, text))
 
 
-def _summary_events(data) -> list:
-    events = data.get("events")
-    if not isinstance(events, list):
-        raise MalformedArtifact("%s: events must be a list" % SUMMARY)
-    for i, event in enumerate(events, 1):
-        problem = _problem(event)
-        if problem is not None:
-            raise MalformedArtifact("%s: event %d: %s" % (SUMMARY, i, problem))
-    return events
-
-
 def load_summary(ws: Workspace, known_ids=None) -> tuple:
     """(summary of .vet/traces.jsonl, warnings), as ``summarize`` and
     ``ingest_traces`` give them. The summary file is read while it is
@@ -212,11 +191,10 @@ def load_summary(ws: Workspace, known_ids=None) -> tuple:
     path = ws.artifact("traces.jsonl")
     if not path.is_file():
         return TraceLog(), []
-    data = ws.read_json(SUMMARY)
-    stamp = hashlib.sha256(path.read_bytes()).hexdigest()
-    if isinstance(data, dict) and data.get("inputs") == stamp:
+    data = ws.read_stamped(SUMMARY, hashlib.sha256(path.read_bytes()).hexdigest(), _SUMMARY)
+    if data is not None:
         known = _by_qname(known_ids)
-        log = TraceLog(_events(_summary_events(data), known))
+        log = TraceLog(_events(data["events"], known))
         return log, _unknown(log, known)
     log, warnings = ingest_traces(path, known_ids)
     return summarize(log), warnings

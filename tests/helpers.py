@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import shutil
 import sys
@@ -514,3 +515,140 @@ def mutate(rng, model: ProgramModel) -> ProgramModel:
     else:
         methods["m%d" % rng.randint(10, 99)] = (1, 2, 3)
     return m
+
+
+# --- JSON shapes: a reference checker, values near a shape, mutations ---
+
+def _map_spec(spec):
+    """(key spec, value spec) of a spec for an object whose keys all have one
+    shape, else None."""
+    if len(spec) == 1 and not isinstance(next(iter(spec)), str):
+        return next(iter(spec.items()))
+    return None
+
+
+def reference_fits(value, spec) -> bool:
+    """Whether value fits a ``vulnvet.workspace.shape`` spec, by plain
+    recursion over the spec's meaning."""
+    if spec is None:
+        return value is None
+    if isinstance(spec, type):
+        return type(value) is spec
+    if type(spec) is tuple:
+        return any(reference_fits(value, s) for s in spec)
+    if callable(spec):  # a leaf check
+        return spec(value) is None
+    if type(spec) is list:
+        return type(value) is list and all(reference_fits(v, spec[0]) for v in value)
+    if type(value) is not dict:
+        return False
+    if _map_spec(spec):
+        key_spec, value_spec = _map_spec(spec)
+        return all(reference_fits(k, key_spec) and reference_fits(v, value_spec)
+                   for k, v in value.items())
+    for key, sub in spec.items():
+        name = key[:-1] if key.endswith("?") else key
+        if name in value:
+            if not reference_fits(value[name], sub):
+                return False
+        elif not key.endswith("?"):
+            return False
+    return True
+
+
+def reference_bad_at(value, spec, path) -> bool:
+    """Whether path leads from value, through spec, to a bad part: a
+    required key that is missing, a key that does not fit, or a value that
+    does not fit its spec."""
+    for i, key in enumerate(path):
+        last = i == len(path) - 1
+        if type(spec) is tuple:  # past a union only its list or object spec leads on
+            spec = next(s for s in spec if type(s) in (list, dict))
+        if type(spec) is list:
+            value, spec = value[key], spec[0]
+        elif _map_spec(spec):
+            key_spec, spec = _map_spec(spec)
+            if not reference_fits(key, key_spec):
+                return last
+            value = value[key]
+        else:
+            required = key in spec
+            sub = spec[key] if required else spec[key + "?"]
+            if key not in value:
+                return last and required
+            value, spec = value[key], sub
+    return not reference_fits(value, spec)
+
+
+def shapes_of(*modules) -> dict:
+    """Every shape check the modules define, by qualified name."""
+    return {"%s.%s" % (m.__name__, name): v for m in modules for name, v in vars(m).items()
+            if callable(v) and hasattr(v, "spec")}
+
+
+_KNOWN_TEXTS = ("", "x", "1", "1.0", "2.0.1", "1.x", "1.0-dev", "ADD", "DEL", "MOD",
+                "CLASS", "METHOD", "CONSTRUCTOR", "PACKAGE", "INTERFACE", "CODE_CHANGE",
+                "WHOLE_LIBRARY")
+_TEXT = st.text(max_size=3) | st.sampled_from(_KNOWN_TEXTS)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | _TEXT,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_TEXT, kids, max_size=3),
+    max_leaves=6)
+
+
+def json_near(spec):
+    """JSON values that mostly fit spec: every part fits its spec, but now
+    and then is null or arbitrary JSON, lacks a required key or gains another."""
+    return st.integers(0, 9).flatmap(
+        lambda roll: st.none() if roll == 0 else ANY_JSON if roll == 1 else _fitting(spec))
+
+
+def _fitting(spec):
+    if spec is None:
+        return st.none()
+    if isinstance(spec, type):
+        return {str: _TEXT, int: st.integers(-2, 2), bool: st.booleans()}[spec]
+    if type(spec) is tuple:
+        return st.one_of([json_near(s) for s in spec])
+    if callable(spec):  # a leaf check: the known texts it accepts
+        return st.sampled_from([t for t in _KNOWN_TEXTS if spec(t) is None])
+    if type(spec) is list:
+        return st.lists(json_near(spec[0]), max_size=3)
+    if _map_spec(spec):
+        key_spec, value_spec = _map_spec(spec)
+        return st.dictionaries(_TEXT, json_near(value_spec), max_size=3)
+    fields = {key.rstrip("?"): json_near(sub) for key, sub in spec.items()}
+    required = {key: s for key, s in fields.items() if key + "?" not in spec}
+    optional = {key: s for key, s in fields.items() if key not in required}
+    return (st.fixed_dictionaries(required, optional={**optional, "extra": ANY_JSON})
+            | st.fixed_dictionaries({}, optional=fields))
+
+
+def _parts(doc, path=()):
+    """(path, value) of every part of a JSON document, itself first."""
+    yield path, doc
+    members = doc.items() if type(doc) is dict else enumerate(doc) if type(doc) is list else ()
+    for key, value in members:
+        yield from _parts(value, path + (key,))
+
+
+def mutate_json(rng, doc):
+    """A copy of doc with one part, chosen by rng, dropped, changed to
+    another JSON type, wrapped in a list or nulled."""
+    doc = copy.deepcopy(doc)
+    path, value = rng.choice(list(_parts(doc)))
+    how = rng.choice(("drop", "retype", "wrap", "null"))
+    if how == "retype":
+        new = rng.choice([v for v in (0, "x", True, None, [], {}, 1.5) if type(v) is not type(value)])
+    else:
+        new = {"drop": None, "wrap": [value], "null": None}[how]
+    if not path:
+        return new
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return doc

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import ast
+from vulnvet.jx import ast
 
 _PREC = {"==": 1, "!=": 1, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/": 4}
 

@@ -750,4 +750,4 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_printer():
     loaded = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                             capture_output=True, text=True, check=True).stdout.split()
     assert "vulnvet.cli" in loaded
-    assert not {"dataclasses", "inspect", "vulnvet.jx.printer"} & set(loaded)
+    assert not {"dataclasses", "inspect", "printer"} & set(loaded)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import deep_bodies, jx_hierarchies, naive_ancestors, random_program
+from printer import pretty_print
 from vulnvet.jx import ParseError, ResolutionError, ast, parse_unit, parser, resolve
 from vulnvet.jx.parser import MAX_NESTING
-from vulnvet.jx.printer import pretty_print
 
 FULL = """
 package zoo;

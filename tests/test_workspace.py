@@ -1,0 +1,152 @@
+"""Text reading, the shape check of JSON inputs, and corrupted JSON inputs."""
+
+import json
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import (GOLDEN, build_golden_kb, copy_workspace, json_near, mutate_json,
+                     reference_bad_at, reference_fits, shapes_of)
+from vulnvet import bom, cli, kb, report, traces
+from vulnvet.cli import main as vet
+from vulnvet.errors import MalformedArtifact
+from vulnvet.workspace import check, read_text, shape
+
+
+def test_read_text_translates_every_newline_to_lf(tmp_path):
+    path = tmp_path / "a.txt"
+    for raw, text in ((b"a\r\nb\r\n", "a\nb\n"), (b"a\rb\r", "a\nb\n"),
+                      (b"a\r\n\rb\n", "a\n\nb\n"), (b"a\nb", "a\nb")):
+        path.write_bytes(raw)
+        assert read_text(path, MalformedArtifact) == text
+
+
+SHAPES = shapes_of(bom, cli, kb, report, traces)
+
+
+def test_every_json_input_has_a_shape():
+    assert sorted(SHAPES) == [
+        "vulnvet.bom._MANIFEST", "vulnvet.cli._FAILURES", "vulnvet.kb.INDEX",
+        "vulnvet.kb.RECORD", "vulnvet.report._FINDINGS", "vulnvet.report._MITIGATION",
+        "vulnvet.traces.EVENT", "vulnvet.traces._SUMMARY"]
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_planned_checks_agree_with_the_reference(name, data):
+    planned = SHAPES[name]
+    value = data.draw(json_near(planned.spec))
+    bad = planned(value)
+    assert (bad is None) == reference_fits(value, planned.spec)
+    if bad is not None:
+        assert reference_bad_at(value, planned.spec, bad[0]), bad
+
+
+def test_a_missing_key_is_not_a_null_one():
+    event = traces.EVENT
+    assert event({"callee": "p.A.a()", "ts": 1}) is None
+    assert event({"callee": "p.A.a()", "ts": 1, "test": None}) == (("test",), (
+        "expected text, found null"))
+    entry = shape({"fingerprint": (None, str)})
+    assert entry({"fingerprint": None}) is None
+    assert entry({}) == (("fingerprint",), "missing")
+
+
+def test_check_names_the_file_and_the_json_path():
+    record = {"vulnId": "V", "kind": "CODE_CHANGE",
+              "changes": [{"ctype": "METHOD", "qname": "p.A.a()", "op": "CHANGE"}]}
+    with pytest.raises(MalformedArtifact) as exc:
+        check(record, kb.RECORD, "kb/vulns/V.json", MalformedArtifact)
+    assert str(exc.value) == ("kb/vulns/V.json: ['changes'][0]['op']: expected one of "
+                              'ADD, DEL, MOD, found "CHANGE"')
+
+
+# --- corrupted JSON inputs (seeded mutations) --------------------------------
+
+LIB1_SRC = GOLDEN / "workspace/libs/lib1/1.0/src"
+SCAN, STATIC, COMBINED = ["scan"], ["reach", "static"], ["reach", "combined"]
+TRACE, MITIGATE = ["trace", "run", "--pattern", "test"], ["mitigate", "--lib", "lib1"]
+REPORT = ["report", "--format", "html"]
+
+# each JSON input and the commands that read it
+READERS = {
+    "app.json": (SCAN,),
+    "libs/lib1/1.0/lib.json": (SCAN,),
+    "kb/vulns/VULN-J1.json": (SCAN,),
+    "kb/libs/lib1.json": (MITIGATE, ["kb", "list"]),
+    ".vet/bom.json": (STATIC, REPORT),
+    ".vet/graph.json": (STATIC,),
+    ".vet/findings.json": (REPORT,),
+    ".vet/mitigation-lib1.json": (REPORT,),
+    ".vet/trace-summary.json": (COMBINED, REPORT),
+    ".vet/test-failures.json": (TRACE,),
+    ".vet/traces.jsonl": (COMBINED,),
+}
+
+
+def _snapshot(ws) -> dict:
+    return {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+
+
+def _restore(ws, files: dict):
+    for p in ws.rglob("*"):
+        if p.is_file() and p not in files:
+            p.unlink()
+    for p, data in files.items():
+        if p.read_bytes() != data:
+            p.write_bytes(data)
+
+
+def _mutated(rng, text: str, name: str) -> str:
+    if not name.endswith(".jsonl"):
+        return json.dumps(mutate_json(rng, json.loads(text)))
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    lines[i] = json.dumps(mutate_json(rng, json.loads(lines[i])))
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_json_inputs_exit_cleanly(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    build_golden_kb(ws / "kb").index_library("lib1", {"1.0": LIB1_SRC, "2.0": LIB1_SRC})
+    for step in (SCAN, TRACE, ["trace", "run", "--pattern", "itest"], STATIC, COMBINED,
+                 MITIGATE, ["report"]):
+        assert vet(["--workspace", str(ws), *step]) in (0, 1, 2)
+    # an entry of a test that the trace run below does not run, so it is kept
+    (ws / ".vet/test-failures.json").write_text('{"app.Main.testGone()": "error"}')
+    files = _snapshot(ws)
+    rng = random.Random(11)
+    codes = set()
+    for name, steps in READERS.items():
+        text = (ws / name).read_text()
+        for _ in range(45):
+            (ws / name).write_text(_mutated(rng, text, name))
+            for step in steps:
+                capsys.readouterr()
+                code = vet(["--workspace", str(ws), *step])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3) and "Traceback" not in err, (name, step)
+                codes.add(code)
+            _restore(ws, files)
+    assert 3 in codes and codes - {3}
+
+
+@pytest.mark.parametrize("name, steps", [
+    (".vet/findings.json", (REPORT,)),
+    (".vet/test-failures.json", (TRACE,)),
+    ("kb/libs/lib1.json", (MITIGATE,)),
+])
+def test_json_nested_too_deep_or_with_a_huge_number_exits_cleanly(tmp_path, capsys, name, steps):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    build_golden_kb(ws / "kb").index_library("lib1", {"1.0": LIB1_SRC, "2.0": LIB1_SRC})
+    for step in (SCAN, TRACE, STATIC, COMBINED, MITIGATE):
+        assert vet(["--workspace", str(ws), *step]) in (0, 1, 2)
+    for text, codes in (("[" * 100000, (3,)), ('{"a": %s}' % ("1" * 5000), (0, 1, 2, 3))):
+        (ws / name).write_text(text)
+        for step in steps:
+            capsys.readouterr()
+            assert vet(["--workspace", str(ws), *step]) in codes
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and name in err
