@@ -5,14 +5,16 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import deque
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .constructs import Construct, construct_id, extract_constructs, is_version, require_text
+from .constructs import CTYPE, Construct, ConstructId, extract_constructs, is_version
 from .errors import MalformedArtifact, ManifestError, MissingDependency
 from .jx import JxError, parse_unit, parser, resolve
-from .workspace import leaf, load_json, read_text, shape
+from .workspace import check, leaf, load_json, one_of, read_text, shape
 
 APPLICATION = "APPLICATION"
 DEPENDENCY = "DEPENDENCY"
@@ -133,23 +135,40 @@ def _declared_deps(data: dict) -> list:
     return [(d["name"], d["version"]) for d in data.get("dependencies", [])]
 
 
-def _archive_inputs(manifest: Path, workspace: Path) -> tuple:
+_walks = ContextVar("walks")  # (manifest, workspace) -> its _archive_inputs, within one_walk
+
+
+@contextmanager
+def one_walk():
+    """Within the block input_digest and build_bom share one read of the
+    manifests of a workspace, which must not change within it."""
+    token = _walks.set({})
+    try:
+        yield
+    finally:
+        _walks.reset(token)
+
+
+def _archive_inputs(manifest, workspace) -> tuple:
     """The manifest path, manifest data, source root and depth of the
     application and of every archive resolve_dependencies finds, in
-    resolution order; and the conflict warnings."""
+    resolution order; and the conflict warnings. Read once within one_walk."""
+    manifest, workspace = Path(manifest), Path(workspace)
+    walks = _walks.get({})
+    if (manifest, workspace) in walks:
+        return walks[manifest, workspace]
     app_data = load_json(manifest, ManifestError, _MANIFEST)
     resolved, warnings = resolve_dependencies(workspace, _declared_deps(app_data))
     inputs = [(manifest, app_data, (manifest.parent / app_data["sourceRoot"]).resolve(), 0)]
     inputs.extend((lib_dir / "lib.json", data, (lib_dir / data["sourceRoot"]).resolve(), depth)
                   for lib_dir, data, depth in resolved)
+    walks[manifest, workspace] = inputs, warnings
     return inputs, warnings
 
 
 def build_bom(manifest: Path, workspace: Path) -> BOM:
     """Build the BOM: the application plus every archive of its resolved
     transitive dependency closure (see resolve_dependencies)."""
-    manifest = Path(manifest)
-    workspace = Path(workspace)
     inputs, warnings = _archive_inputs(manifest, workspace)
     archives = [(load_archive(data["name"], data["version"],
                               DEPENDENCY if depth else APPLICATION, root,
@@ -165,8 +184,6 @@ def input_digest(manifest: Path, workspace: Path) -> str:
     bytes; and over the vet version and the nesting bound, which change what
     a build of the same files yields. A BOM or call graph stamped with the
     digest of the current inputs is the one a build would make now."""
-    manifest = Path(manifest)
-    workspace = Path(workspace)
     h = hashlib.sha256()
 
     def put(*parts):
@@ -218,34 +235,33 @@ def bom_to_json(bom: BOM) -> dict:
     return {"archives": archives, "resolutionWarnings": sorted(bom.warnings)}
 
 
+# what bom_to_json writes, but for the order of the archives
+_BOM = shape({"archives": [{"name": str, "version": str,
+                            "kind": one_of(APPLICATION, DEPENDENCY), "depth": int,
+                            "constructs": [{"ctype": CTYPE, "qname": str,
+                                            "fingerprint": (None, str)}],
+                            "declaredDependencies": [{"name": str, "version": str}]}],
+              "resolutionWarnings": [str]})
+
+
 def bom_from_json(data, artifact: str) -> BOM:
     """Inverse of bom_to_json for the analyses that need no parse trees: the
     archives carry their construct ids, fingerprints and declared
     dependencies, but no units, bodies or source root. Raises
     MalformedArtifact, naming the artifact, for anything bom_to_json does
     not write."""
-    try:
-        archives = []
-        for a in data["archives"]:
-            constructs = {}
-            for e in a["constructs"]:
-                cid = construct_id(e["ctype"], e["qname"])
-                if e["fingerprint"] is not None:
-                    require_text(e["fingerprint"])
-                constructs[cid] = Construct(cid, e["fingerprint"], None)
-            deps = [(require_text(d["name"]), require_text(d["version"]))
-                    for d in a["declaredDependencies"]]
-            depth = a["depth"]  # the application first at 0, then dependencies
-            if a["kind"] != (DEPENDENCY if archives else APPLICATION) \
-                    or type(depth) is not int or (depth > 0) != bool(archives):
-                raise ValueError("archive %r: kind %r at depth %r"
-                                 % (a["name"], a["kind"], depth))
-            archives.append((Archive(require_text(a["name"]), require_text(a["version"]),
-                                     a["kind"], None, constructs=constructs,
-                                     declared_deps=deps), depth))
-        warnings = [require_text(w) for w in data["resolutionWarnings"]]
-        if not archives:
-            raise ValueError("no application archive")
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise MalformedArtifact("%s: malformed bill of materials: %r" % (artifact, exc)) from None
-    return BOM(archives[0][0], archives[1:], warnings)
+    check(data, _BOM, artifact, MalformedArtifact)
+    order = [(a["kind"], a["depth"] > 0) for a in data["archives"]]
+    if order != [(APPLICATION, False)] + [(DEPENDENCY, True)] * (len(order) - 1):
+        raise MalformedArtifact("%s: ['archives']: expected the application first, at depth 0, "
+                                "then dependencies, deeper" % artifact)
+    archives = []
+    for a in data["archives"]:
+        constructs = {}
+        for e in a["constructs"]:
+            cid = ConstructId(e["ctype"], e["qname"])
+            constructs[cid] = Construct(cid, e["fingerprint"], None)
+        deps = [(d["name"], d["version"]) for d in a["declaredDependencies"]]
+        archives.append((Archive(a["name"], a["version"], a["kind"], None,
+                                 constructs=constructs, declared_deps=deps), a["depth"]))
+    return BOM(archives[0][0], archives[1:], data["resolutionWarnings"])

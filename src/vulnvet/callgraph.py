@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .constructs import (CONSTRUCTOR, METHOD, ConstructId, construct_id, guess_ctype,
-                         member_id, require_text)
+from .constructs import CONSTRUCTOR, CTYPE, METHOD, ConstructId, guess_ctype, member_id
 from .errors import MalformedArtifact, NotReached
 from .jx import ast
 from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
+from .workspace import check, leaf, one_of, shape
 
 STATIC_DISPATCH = "STATIC_DISPATCH"
 VIRTUAL_DISPATCH = "VIRTUAL_DISPATCH"
@@ -176,19 +176,25 @@ def reach_to_json(result: ReachResult) -> dict:
     }
 
 
+# what reach_to_json writes, but for the names and parent chains of reached constructs
+_REACH = shape({"seeds": [str], "skippedSeeds": [str],
+                "reached": [{"ctype": CTYPE, "qname": str}],
+                "parents": {str: {"caller": str, "site": str}}})
+
+
 def reach_from_json(data, artifact: str) -> ReachResult:
     """Inverse of reach_to_json; seeds and parents are looked up in the
     reached list, which carries the ctypes. Raises MalformedArtifact, naming
-    the artifact, unless every reached construct has a parent chain back to
-    a seed."""
-    try:
-        reached = {e["qname"]: ConstructId(e["ctype"], e["qname"]) for e in data["reached"]}
-        seeds = {reached[q] for q in data["seeds"]}
-        parent = {reached[q]: (reached[p["caller"]], p["site"])
-                  for q, p in data["parents"].items()}
-        skipped = [ConstructId(guess_ctype(q), q) for q in data["skippedSeeds"]]
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise MalformedArtifact("%s: malformed reachability artifact: %r" % (artifact, exc))
+    the artifact, for anything reach_to_json does not write, which includes
+    a reached construct without a parent chain back to a seed."""
+    check(data, _REACH, artifact, MalformedArtifact)
+    reached = {e["qname"]: ConstructId(e["ctype"], e["qname"]) for e in data["reached"]}
+    known = leaf(reached.__contains__, "a reached qname")
+    check(data, shape({"seeds": [known], "parents": {known: {"caller": known}}}), artifact,
+          MalformedArtifact)
+    seeds = {reached[q] for q in data["seeds"]}
+    parent = {reached[q]: (reached[p["caller"]], p["site"]) for q, p in data["parents"].items()}
+    skipped = [ConstructId(guess_ctype(q), q) for q in data["skippedSeeds"]]
     grounded = set(seeds)
     for target in reached.values():
         chain = {}
@@ -223,27 +229,25 @@ def graph_to_json(graph: CallGraph) -> dict:
     }
 
 
+_NODE = one_of(METHOD, CONSTRUCTOR)
+# what graph_to_json writes, but for the callers of unresolved sites being nodes
+_GRAPH = shape({"nodes": [{"ctype": _NODE, "qname": str}],
+                "edges": [{"caller": str, "callee": str, "callerCtype": _NODE,
+                           "calleeCtype": _NODE, "site": str, "kind": one_of(*STATIC_KINDS)}],
+                "unresolved": [{"caller": str, "site": str, "reason": str}]})
+
+
 def graph_from_json(data, artifact: str) -> CallGraph:
     """Inverse of graph_to_json; the caller of an unresolved site is looked
     up among the nodes by its qualified name. Raises MalformedArtifact,
     naming the artifact, for anything graph_to_json does not write."""
-    def node(ctype, qname):
-        if ctype not in (METHOD, CONSTRUCTOR):
-            raise ValueError("%r is not a call graph node type" % (ctype,))
-        return construct_id(ctype, qname)
-
-    try:
-        nodes = {node(n["ctype"], n["qname"]) for n in data["nodes"]}
-        edges = set()
-        for e in data["edges"]:
-            if e["kind"] not in STATIC_KINDS:
-                raise ValueError("unknown edge kind %r" % (e["kind"],))
-            edges.add(Edge(node(e["callerCtype"], e["caller"]),
-                           node(e["calleeCtype"], e["callee"]),
-                           require_text(e["site"]), e["kind"]))
-        by_qname = {n.qname: n for n in sorted(nodes)}
-        unresolved = {(by_qname[u["caller"]], require_text(u["site"]),
-                       require_text(u["reason"])) for u in data["unresolved"]}
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise MalformedArtifact("%s: malformed call graph: %r" % (artifact, exc)) from None
+    check(data, _GRAPH, artifact, MalformedArtifact)
+    nodes = {ConstructId(n["ctype"], n["qname"]) for n in data["nodes"]}
+    edges = {Edge(ConstructId(e["callerCtype"], e["caller"]),
+                  ConstructId(e["calleeCtype"], e["callee"]), e["site"], e["kind"])
+             for e in data["edges"]}
+    by_qname = {n.qname: n for n in sorted(nodes)}
+    node = leaf(by_qname.__contains__, "the qname of a node")
+    check(data, shape({"unresolved": [{"caller": node}]}), artifact, MalformedArtifact)
+    unresolved = {(by_qname[u["caller"]], u["site"], u["reason"]) for u in data["unresolved"]}
     return CallGraph(nodes, edges, unresolved)

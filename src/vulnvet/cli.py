@@ -11,14 +11,15 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bom import bom_from_json, bom_to_json, build_bom, corpus_program, input_digest
+from .bom import (bom_from_json, bom_to_json, build_bom, corpus_program, input_digest,
+                  one_walk)
 from .callgraph import (app_reachability, build_call_graph, graph_from_json,
                         graph_to_json, reach_to_json)
 from .combined import combined_reachable
 from .constructs import CTYPES, ConstructId
 from .detection import detect, finding_to_json
 from .errors import VetError
-from .interp import find_tests, run_tests
+from .interp import run_tests
 from .jx.errors import JxError
 from .kb import KnowledgeBase
 from .metrics import deep_update_advice, metrics_csv, metrics_to_json, recommend
@@ -219,20 +220,18 @@ def _cmd_scan(args, ws: Workspace) -> int:
 
 def _cmd_trace(args, ws: Workspace) -> int:
     bom = build_bom(ws.manifest, ws.root)
-    program = _program(bom)
-    new_log, failed = run_tests(bom, program, pattern=args.pattern)
+    new_log, failed = run_tests(bom, _program(bom), pattern=args.pattern)
     path = ws.artifact("traces.jsonl")
     old_log = _warned(ingest_traces(path, _known_ids(bom))) if path.is_file() else TraceLog()
     merged = old_log.merge(new_log)
-    # merged like the trace log: a test this run ran replaces its old entry
-    ran = {cid.qname for cid in find_tests(bom, program, args.pattern)}
+    # merged like the trace log: each test that ran recorded an entry event
+    ran = {e.test for e in new_log.events}
     old_failures = ws.read_json("test-failures.json", {}, _FAILURES)
     failures = {**{test: err for test, err in old_failures.items() if test not in ran}, **failed}
     write_traces(ws, merged)
     ws.write_json("test-failures.json", failures)
-    tests = {e.test for e in new_log.events}
     print("traced %d tests, %d events (%d total after merge)"
-          % (len(tests), len(new_log.events), len(merged.events)))
+          % (len(ran), len(new_log.events), len(merged.events)))
     for test in sorted(failed):
         print("  FAILED %s: %s" % (test, failed[test]), file=sys.stderr)
     return 0
@@ -289,26 +288,19 @@ def _cmd_report(args, ws: Workspace) -> int:
     return exit_code_for(report["findings"])
 
 
+_COMMANDS = {"kb": _cmd_kb, "scan": _cmd_scan, "trace": _cmd_trace, "reach": _cmd_reach,
+             "mitigate": _cmd_mitigate, "report": _cmd_report}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     ws = Workspace.discover(args.workspace, args.kb)
     try:
-        if args.command == "kb":
-            return _cmd_kb(args, ws)
-        if args.command == "scan":
-            return _cmd_scan(args, ws)
-        if args.command == "trace":
-            return _cmd_trace(args, ws)
-        if args.command == "reach":
-            return _cmd_reach(args, ws)
-        if args.command == "mitigate":
-            return _cmd_mitigate(args, ws)
-        if args.command == "report":
-            return _cmd_report(args, ws)
+        with one_walk():  # a command reads each manifest once
+            return _COMMANDS[args.command](args, ws)
     except (VetError, JxError, OSError) as exc:
         print("vet: error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
-    return 0
 
 
 if __name__ == "__main__":

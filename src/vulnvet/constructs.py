@@ -14,6 +14,7 @@ from typing import NamedTuple, Optional
 from .canonical import CTree, digest
 from .jx import ast
 from .jx.resolver import ResolvedProgram
+from .workspace import one_of
 
 PACKAGE = "PACKAGE"
 CLASS = "CLASS"
@@ -22,6 +23,7 @@ CONSTRUCTOR = "CONSTRUCTOR"
 METHOD = "METHOD"
 
 CTYPES = (PACKAGE, CLASS, INTERFACE, CONSTRUCTOR, METHOD)
+CTYPE = one_of(*CTYPES)  # the shape check of a ctype in JSON input
 CALLABLE_CTYPES = (METHOD, CONSTRUCTOR)
 
 
@@ -31,21 +33,6 @@ class ConstructId(NamedTuple):
 
     def __str__(self):
         return "%s:%s" % (self.ctype, self.qname)
-
-
-def require_text(value) -> str:
-    """value itself; a TypeError unless it is text (for artifact readers)."""
-    if not isinstance(value, str):
-        raise TypeError("expected text, found %r" % (value,))
-    return value
-
-
-def construct_id(ctype, qname) -> ConstructId:
-    """The id an artifact names; a ValueError or TypeError unless ctype is
-    one of CTYPES and qname is text."""
-    if ctype not in CTYPES:
-        raise ValueError("unknown construct type %r" % (ctype,))
-    return ConstructId(ctype, require_text(qname))
 
 
 def member_id(ctype: str, owner: str, sig: str) -> ConstructId:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bom import DEPENDENCY, VERSION, Archive
 from .canonical import deserialize, serialize
-from .constructs import CTYPES, Construct, ConstructId, version_key
+from .constructs import CTYPE, Construct, ConstructId, version_key
 from .diffing import ADD, DEL, MOD, ConstructChange
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
@@ -63,7 +63,7 @@ def _change_to_json(ch: ConstructChange) -> dict:
     }
 
 
-_CHANGE = {"ctype": one_of(*CTYPES), "qname": str, "op": one_of(ADD, DEL, MOD),
+_CHANGE = {"ctype": CTYPE, "qname": str, "op": one_of(ADD, DEL, MOD),
            "astVuln?": (None, str), "astFixed?": (None, str),
            "fpVuln?": (None, str), "fpFixed?": (None, str)}
 RECORD = shape({"vulnId": str, "kind": one_of(CODE_CHANGE, WHOLE_LIBRARY),
@@ -71,8 +71,8 @@ RECORD = shape({"vulnId": str, "kind": one_of(CODE_CHANGE, WHOLE_LIBRARY),
                 "changes?": [_CHANGE],
                 "affected?": [{"library": str, "low": VERSION, "high": VERSION}]})
 # a package has no body, so its fingerprint is null
-INDEX = shape({"name": str, "versions": {VERSION: [{"ctype": str, "qname": str,
-                                                    "fingerprint": (None, str)}]}})
+INDEX = shape({"name": str, "versions": {VERSION: [{"ctype": CTYPE, "qname": str,
+                                                      "fingerprint": (None, str)}]}})
 
 
 def _stored_tree(text, where: str, cid: ConstructId, key: str):

@@ -588,7 +588,8 @@ def shapes_of(*modules) -> dict:
 
 _KNOWN_TEXTS = ("", "x", "1", "1.0", "2.0.1", "1.x", "1.0-dev", "ADD", "DEL", "MOD",
                 "CLASS", "METHOD", "CONSTRUCTOR", "PACKAGE", "INTERFACE", "CODE_CHANGE",
-                "WHOLE_LIBRARY")
+                "WHOLE_LIBRARY", "APPLICATION", "DEPENDENCY", STATIC_DISPATCH,
+                VIRTUAL_DISPATCH, CONSTRUCTOR_CALL)
 _TEXT = st.text(max_size=3) | st.sampled_from(_KNOWN_TEXTS)
 ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2) | _TEXT,

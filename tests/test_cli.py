@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from helpers import GOLDEN, UPDATE, copy_workspace, deep_bodies
-from vulnvet import cli
+from vulnvet import bom, cli
 from vulnvet.cli import main as vet
 from vulnvet.jx.parser import MAX_NESTING
 from vulnvet.workspace import Workspace
@@ -465,6 +465,38 @@ def test_a_missing_artifact_forces_a_rebuild(tmp_path, builds, name):
     assert len(builds) == (2 if name == "bom.json" else 1)
     assert _outputs(ws) == before
     assert (ws / ".vet/bom.json").exists() == (name == "graph.json")
+
+
+def test_a_command_reads_each_manifest_once(tmp_path, monkeypatch):
+    ws = _golden_with_index(tmp_path / "ws")
+    reads = []
+    real = bom.load_json
+
+    def counting(path, *args):
+        reads.append(path)
+        return real(path, *args)
+
+    monkeypatch.setattr(bom, "load_json", counting)
+    manifests = sorted([ws / "app.json", *(ws / "libs").glob("*/1.0/lib.json")])
+    main = ws / "src/main.jx"
+    for step, edit in ((SCAN, None), (STATIC, None), (COMBINED, main)):
+        if edit is not None:  # a stale stamp: the digest, then the build
+            edit.write_text(edit.read_text() + " ")
+        reads.clear()
+        _run(ws, step)
+        assert sorted(reads) == manifests, step
+
+
+def test_an_index_entry_of_an_unknown_ctype_exits_three(tmp_path, capsys):
+    ws = _golden_with_index(tmp_path / "ws")
+    _run(ws, SCAN, STATIC)
+    index = ws / "kb/libs/lib1.json"
+    index.write_text(index.read_text().replace('"METHOD"', '"METHD"'))
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), *MITIGATE]) == 3
+    err = capsys.readouterr().err
+    assert err == ("vet: error: %s: ['versions']['1.0'][2]['ctype']: expected one of PACKAGE, "
+                   'CLASS, INTERFACE, CONSTRUCTOR, METHOD, found "METHD"\n' % index)
 
 
 @pytest.mark.parametrize("name, edit", [

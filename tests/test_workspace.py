@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (GOLDEN, build_golden_kb, copy_workspace, json_near, mutate_json,
                      reference_bad_at, reference_fits, shapes_of)
-from vulnvet import bom, cli, kb, report, traces
+from vulnvet import bom, callgraph, cli, kb, report, traces
 from vulnvet.cli import main as vet
 from vulnvet.errors import MalformedArtifact
 from vulnvet.workspace import check, read_text, shape
@@ -22,12 +22,13 @@ def test_read_text_translates_every_newline_to_lf(tmp_path):
         assert read_text(path, MalformedArtifact) == text
 
 
-SHAPES = shapes_of(bom, cli, kb, report, traces)
+SHAPES = shapes_of(bom, callgraph, cli, kb, report, traces)
 
 
 def test_every_json_input_has_a_shape():
     assert sorted(SHAPES) == [
-        "vulnvet.bom._MANIFEST", "vulnvet.cli._FAILURES", "vulnvet.kb.INDEX",
+        "vulnvet.bom._BOM", "vulnvet.bom._MANIFEST", "vulnvet.callgraph._GRAPH",
+        "vulnvet.callgraph._REACH", "vulnvet.cli._FAILURES", "vulnvet.kb.INDEX",
         "vulnvet.kb.RECORD", "vulnvet.report._FINDINGS", "vulnvet.report._MITIGATION",
         "vulnvet.traces.EVENT", "vulnvet.traces._SUMMARY"]
 
@@ -63,6 +64,16 @@ def test_check_names_the_file_and_the_json_path():
                               'ADD, DEL, MOD, found "CHANGE"')
 
 
+def test_an_artifact_reader_names_the_json_path(tmp_path):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    data = bom.bom_to_json(bom.build_bom(ws / "app.json", ws))
+    data["archives"][1]["constructs"][2]["ctype"] = "FIELD"
+    with pytest.raises(MalformedArtifact) as exc:
+        bom.bom_from_json(data, "bom.json")
+    assert str(exc.value) == ("bom.json: ['archives'][1]['constructs'][2]['ctype']: expected "
+                              'one of PACKAGE, CLASS, INTERFACE, CONSTRUCTOR, METHOD, found "FIELD"')
+
+
 # --- corrupted JSON inputs (seeded mutations) --------------------------------
 
 LIB1_SRC = GOLDEN / "workspace/libs/lib1/1.0/src"
@@ -79,6 +90,8 @@ READERS = {
     ".vet/bom.json": (STATIC, REPORT),
     ".vet/graph.json": (STATIC,),
     ".vet/findings.json": (REPORT,),
+    ".vet/reach-static.json": (REPORT,),
+    ".vet/reach-combined.json": (REPORT,),
     ".vet/mitigation-lib1.json": (REPORT,),
     ".vet/trace-summary.json": (COMBINED, REPORT),
     ".vet/test-failures.json": (TRACE,),
