@@ -215,20 +215,14 @@ def corpus_program(bom: BOM):
 def bom_to_json(bom: BOM) -> dict:
     archives = []
     for arc, depth in bom.archives():
-        counts = {}
-        entries = []
-        for cid in sorted(arc.constructs):
-            counts[cid.ctype] = counts.get(cid.ctype, 0) + 1
-            c = arc.constructs[cid]
-            entries.append({"ctype": cid.ctype, "qname": cid.qname,
-                            "fingerprint": c.fingerprint})
         archives.append({
             "name": arc.name,
             "version": arc.version,
             "kind": arc.kind,
             "depth": depth,
-            "constructCounts": counts,
-            "constructs": entries,
+            "constructs": [{"ctype": cid.ctype, "qname": cid.qname,
+                            "fingerprint": arc.constructs[cid].fingerprint}
+                           for cid in sorted(arc.constructs)],
             "declaredDependencies": [{"name": n, "version": v}
                                      for n, v in arc.declared_deps],
         })

@@ -42,19 +42,11 @@ class CallGraph:
                 and self.edges == other.edges and self.unresolved == other.unresolved)
 
     def successors(self):
+        """caller -> its out-edges, in no particular order."""
         adj = {}
         for e in self.edges:
             adj.setdefault(e.caller, []).append(e)
-        for k in adj:
-            adj[k].sort()
         return adj
-
-    def with_extra_edges(self, extra) -> "CallGraph":
-        g = CallGraph(set(self.nodes), set(self.edges), set(self.unresolved))
-        for e in extra:
-            if e.caller in g.nodes and e.callee in g.nodes:
-                g.edges.add(e)
-        return g
 
 
 class ReachResult:

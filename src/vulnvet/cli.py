@@ -39,6 +39,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _exclusion(item: str) -> ConstructId:
+    ctype, sep, qname = item.partition(":")
+    if not sep or ctype not in CTYPES:
+        raise argparse.ArgumentTypeError("expected CTYPE:QNAME, found %r" % item)
+    return ConstructId(ctype, qname)
+
+
+def _affected(item: str) -> tuple:
+    parts = item.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError("expected LIB:LOW:HIGH, found %r" % item)
+    return tuple(parts)
+
+
+def _version_root(item: str) -> tuple:
+    version, sep, path = item.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError("expected VERSION=PATH, found %r" % item)
+    return version, Path(path)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="vet", description="usage-based vulnerability analysis "
                 "for application dependencies")
@@ -57,7 +78,7 @@ def _build_parser() -> _Parser:
     imp.add_argument("--id", required=True, dest="vuln_id")
     imp.add_argument("--before", required=True)
     imp.add_argument("--after", required=True)
-    imp.add_argument("--exclude", action="append", default=[],
+    imp.add_argument("--exclude", action="append", default=[], type=_exclusion,
                      metavar="CTYPE:QNAME",
                      help="drop this construct from the change set")
     imp.add_argument("--description", default="")
@@ -67,7 +88,7 @@ def _build_parser() -> _Parser:
     rng = kbsub.add_parser("add-range", help="record a vulnerability without "
                            "a code change, by affected version range")
     rng.add_argument("--id", required=True, dest="vuln_id")
-    rng.add_argument("--affected", action="append", required=True,
+    rng.add_argument("--affected", action="append", required=True, type=_affected,
                      metavar="LIB:LOW:HIGH")
     rng.add_argument("--description", default="")
     rng.add_argument("--meta", default="")
@@ -76,7 +97,7 @@ def _build_parser() -> _Parser:
     idx = kbsub.add_parser("index-lib", help="inventory library versions for "
                            "update metrics and version screening")
     idx.add_argument("--name", required=True)
-    idx.add_argument("--root", action="append", required=True,
+    idx.add_argument("--root", action="append", required=True, type=_version_root,
                      metavar="VERSION=PATH")
 
     kbsub.add_parser("list", help="list stored records and library indexes")
@@ -105,16 +126,6 @@ def _build_parser() -> _Parser:
                          "workspace artifacts")
     rep.add_argument("--format", choices=("json", "html"), default="json")
     return p
-
-
-def _parse_exclusions(items):
-    out = set()
-    for item in items:
-        ctype, sep, qname = item.partition(":")
-        if not sep or ctype not in CTYPES:
-            raise VetError("bad --exclude %r, expected CTYPE:QNAME" % item)
-        out.add(ConstructId(ctype, qname))
-    return out
 
 
 def _known_ids(bom):
@@ -164,31 +175,19 @@ def _cmd_kb(args, ws: Workspace) -> int:
     kb = KnowledgeBase(ws.kb_path)
     if args.kb_command == "import-fix":
         record = kb.import_fix(args.vuln_id, Path(args.before), Path(args.after),
-                               exclusions=_parse_exclusions(args.exclude),
+                               exclusions=args.exclude,
                                meta=args.meta, description=args.description,
                                overwrite=args.overwrite)
         print("imported %s: %d construct changes" % (record.vuln_id,
                                                      len(record.changes)))
     elif args.kb_command == "add-range":
-        affected = []
-        for item in args.affected:
-            parts = item.split(":")
-            if len(parts) != 3:
-                raise VetError("bad --affected %r, expected LIB:LOW:HIGH" % item)
-            affected.append(tuple(parts))
-        record = kb.add_whole_library(args.vuln_id, affected, meta=args.meta,
+        record = kb.add_whole_library(args.vuln_id, args.affected, meta=args.meta,
                                      description=args.description,
                                      overwrite=args.overwrite)
         print("recorded %s: %d affected ranges" % (record.vuln_id,
                                                    len(record.affected)))
     elif args.kb_command == "index-lib":
-        roots = {}
-        for item in args.root:
-            version, sep, path = item.partition("=")
-            if not sep:
-                raise VetError("bad --root %r, expected VERSION=PATH" % item)
-            roots[version] = Path(path)
-        index = kb.index_library(args.name, roots)
+        index = kb.index_library(args.name, dict(args.root))
         print("indexed %s: %d versions" % (index.name, len(index.versions)))
     elif args.kb_command == "list":
         for record in kb.records():

@@ -28,5 +28,7 @@ def dynamic_edges(traces: TraceLog) -> list:
 
 def combined_reachable(graph: CallGraph, traces: TraceLog) -> ReachResult:
     """Closure over the trace-augmented graph, seeded from executed constructs."""
-    augmented = graph.with_extra_edges(dynamic_edges(traces))
-    return reachable(augmented, traces.executed)
+    observed = {e for e in dynamic_edges(traces)
+                if e.caller in graph.nodes and e.callee in graph.nodes}
+    return reachable(CallGraph(graph.nodes, graph.edges | observed, graph.unresolved),
+                     traces.executed)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
+from .bom import parse_source_root
 from .constructs import (CALLABLE_CTYPES, Construct, ConstructId,
                          extract_constructs, split_member)
 from .errors import EmptyRange, IdMismatch
@@ -114,7 +115,6 @@ def construct_changes(before: dict, after: dict) -> list:
 
 def extract_root(root: Path) -> dict:
     """Parse and inventory one source root in isolation."""
-    from .bom import parse_source_root
     units = parse_source_root(Path(root))
     return extract_constructs(resolve(units))
 

@@ -17,7 +17,7 @@ from .jx import ast
 from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
 from .traces import TraceEvent, TraceLog, normalize
 
-DEFAULT_STEP_BUDGET = 1_000_000
+STEP_BUDGET = 1_000_000  # statements and expressions evaluated per run
 # JX calls active at once. Each one holds five Python frames and up to three
 # more per block its call site is nested in. Up to two such blocks, the
 # budget is spent well within Python's default limit of 1,000 frames, under a
@@ -108,10 +108,17 @@ class _Env:
         self.vars[name] = value
 
 
+def static_method(program: ResolvedProgram, qname: str):
+    """The MethodInfo of the static method qname names, or None."""
+    owner, sig = split_member(qname)
+    info = program.symbols.get(owner)
+    m = info.methods.get(sig) if info else None
+    return m if m is not None and m.static else None
+
+
 class Interpreter:
-    def __init__(self, program: ResolvedProgram, step_budget: int = DEFAULT_STEP_BUDGET):
+    def __init__(self, program: ResolvedProgram):
         self.program = program
-        self.step_budget = step_budget
         self.steps = 0
         self.depth = 0
         self.ts = 0
@@ -132,18 +139,17 @@ class Interpreter:
 
     def _tick(self):
         self.steps += 1
-        if self.steps > self.step_budget:
-            raise StepBudgetExceeded("step budget of %d exceeded" % self.step_budget)
+        if self.steps > STEP_BUDGET:
+            raise StepBudgetExceeded("step budget of %d exceeded" % STEP_BUDGET)
 
     # --- entry points ---
 
     def run_entry(self, entry: ConstructId, args=None, test_name: str = "") -> RunResult:
         """Execute a static method as program entry; always returns the
-        (possibly partial) trace log."""
-        owner, sig = split_member(entry.qname)
-        info = self.program.symbols.get(owner)
-        m = info.methods.get(sig) if info else None
-        if m is None or not m.static:
+        (possibly partial) trace log, whose events are in ``ts`` order under
+        one test name, as ``normalize`` would leave them."""
+        m = static_method(self.program, entry.qname)
+        if m is None:
             raise RuntimeTypeError("no static method %s" % entry.qname)
         call_args = list(args or [])
         if len(call_args) != len(m.param_types):
@@ -154,7 +160,7 @@ class Interpreter:
         error = None
         value = None
         try:
-            value = self._invoke_static(owner, m, call_args, None, None)
+            value = self._call(METHOD, m, call_args, None, None, None)
         except JxRuntimeError as exc:
             error = "%s: %s" % (type(exc).__name__, exc)
         except RecursionError:
@@ -162,48 +168,30 @@ class Interpreter:
             # call depth budget
             error = ("CallDepthExceeded: Python stack exhausted at call depth %d"
                      % self.depth)
-        return RunResult(value, error, normalize(TraceLog(self.events)))
+        return RunResult(value, error, TraceLog(self.events))
 
     # --- invocation ---
 
-    def _invoke_static(self, owner, minfo, args, caller, site):
-        cid = member_id(METHOD, owner, minfo.sig)
+    def _call(self, ctype, member, args, this, caller, site):
+        """Enter a method or constructor (a MethodInfo or CtorInfo), bind its
+        parameters, run its body and leave. A constructor first sets the
+        fields of ``this``, supertypes' first, to their defaults and then to
+        their initializers."""
+        cid = member_id(ctype, member.owner, member.sig)
         self._enter(cid, caller, site)
-        env = _Env(initial={p.name: v for p, v in zip(minfo.decl.params, args)})
-        value = self._run_body(minfo.decl.body, env, None, cid,
-                               self.program.symbols[owner].unit.origin)
+        if ctype == CONSTRUCTOR:
+            for tinfo in reversed(list(self.program.class_chain(member.owner))):
+                for f in tinfo.decl.fields:
+                    this.fields[f.name] = _DEFAULTS.get(tinfo.fields[f.name], None)
+                for f in tinfo.decl.fields:
+                    if f.init is not None:
+                        this.fields[f.name] = self._eval(f.init, _Env(), this, cid,
+                                                         tinfo.unit.origin)
+        env = _Env(initial={p.name: v for p, v in zip(member.decl.params, args)})
+        value = self._run_body(member.decl.body, env, this, cid,
+                               self.program.symbols[member.owner].unit.origin)
         self.depth -= 1
         return value
-
-    def _invoke_virtual(self, obj: Obj, sig, args, caller, site):
-        impl = self.program.resolve_impl(obj.cls, sig)
-        if impl is None:
-            raise RuntimeTypeError("no implementation of %s for %s" % (sig, obj.cls))
-        cid = member_id(METHOD, impl.owner, impl.sig)
-        self._enter(cid, caller, site)
-        env = _Env(initial={p.name: v for p, v in zip(impl.decl.params, args)})
-        value = self._run_body(impl.decl.body, env, obj,
-                               cid, self.program.symbols[impl.owner].unit.origin)
-        self.depth -= 1
-        return value
-
-    def _construct(self, owner, sig, args, caller, site):
-        info = self.program.symbols[owner]
-        cinfo = info.ctors[sig]
-        cid = member_id(CONSTRUCTOR, owner, sig)
-        self._enter(cid, caller, site)
-        obj = Obj(owner)
-        for tinfo in reversed(list(self.program.class_chain(owner))):  # supertype fields first
-            for f in tinfo.decl.fields:
-                obj.fields[f.name] = _DEFAULTS.get(tinfo.fields[f.name], None)
-            for f in tinfo.decl.fields:
-                if f.init is not None:
-                    obj.fields[f.name] = self._eval(f.init, _Env(), obj, cid,
-                                                    tinfo.unit.origin)
-        env = _Env(initial={p.name: v for p, v in zip(cinfo.decl.params, args)})
-        self._run_body(cinfo.decl.body, env, obj, cid, info.unit.origin)
-        self.depth -= 1
-        return obj
 
     def _run_body(self, block, env, this, current_cid, origin):
         try:
@@ -301,26 +289,33 @@ class Interpreter:
             if not isinstance(binding, CtorCall):
                 raise RuntimeTypeError("unresolved constructor call at %s" % site)
             args = [self._eval(a, env, this, cid, origin) for a in e.args]
-            return self._construct(binding.owner, binding.sig, args, cid, site)
+            obj = Obj(binding.owner)
+            self._call(CONSTRUCTOR, self.program.symbols[binding.owner].ctors[binding.sig],
+                       args, obj, cid, site)
+            return obj
         if isinstance(e, ast.ReflectInvoke):
             args = [self._eval(a, env, this, cid, origin) for a in e.args]
             target = args[0]
             if not isinstance(target, str):
                 raise RuntimeTypeError("Reflect.invoke target must be text")
-            owner, minfo = self._resolve_reflect(target, len(args) - 1)
-            return self._invoke_static(owner, minfo, args[1:], cid, site)
+            return self._call(METHOD, self._resolve_reflect(target, len(args) - 1),
+                              args[1:], None, cid, site)
         if isinstance(e, ast.MethodCall):
             binding = self.program.bindings.get(id(e))
             if isinstance(binding, StaticCall):
                 args = [self._eval(a, env, this, cid, origin) for a in e.args]
-                minfo = self.program.symbols[binding.owner].methods[binding.sig]
-                return self._invoke_static(binding.owner, minfo, args, cid, site)
+                return self._call(METHOD, self.program.symbols[binding.owner].methods[binding.sig],
+                                  args, None, cid, site)
             if isinstance(binding, VirtualCall):
                 recv = self._eval(e.recv, env, this, cid, origin)
                 if not isinstance(recv, Obj):
                     raise RuntimeTypeError("instance call on a non-object")
                 args = [self._eval(a, env, this, cid, origin) for a in e.args]
-                return self._invoke_virtual(recv, binding.sig, args, cid, site)
+                impl = self.program.resolve_impl(recv.cls, binding.sig)
+                if impl is None:
+                    raise RuntimeTypeError("no implementation of %s for %s"
+                                           % (binding.sig, recv.cls))
+                return self._call(METHOD, impl, args, recv, cid, site)
             raise RuntimeTypeError("unresolved call at %s" % site)
         raise RuntimeTypeError("unknown expression %r" % (e,))
 
@@ -353,17 +348,15 @@ class Interpreter:
         return left == right
 
     def _resolve_reflect(self, target: str, nargs: int):
-        """Resolve a reflective target name to a static method.
+        """Resolve a reflective target name to a static method's MethodInfo.
 
         Accepts the full construct name with parameter list, or a dotted name
         disambiguated by argument count."""
         if "(" in target:
-            owner, sig = split_member(target)
-            info = self.program.symbols.get(owner)
-            m = info.methods.get(sig) if info else None
-            if m is None or not m.static:
+            m = static_method(self.program, target)
+            if m is None:
                 raise UnknownReflectTarget(target)
-            return owner, m
+            return m
         owner, name = target.rsplit(".", 1) if "." in target else (None, target)
         if owner is None or owner not in self.program.symbols:
             raise UnknownReflectTarget(target)
@@ -371,33 +364,28 @@ class Interpreter:
                       if m.static and m.decl.name == name and len(m.param_types) == nargs]
         if len(candidates) != 1:
             raise UnknownReflectTarget("%s (%d candidate(s))" % (target, len(candidates)))
-        return owner, candidates[0]
+        return candidates[0]
 
 
 def run_entry(program: ResolvedProgram, entry: ConstructId, args=None,
-              test_name: str = "", step_budget: int = DEFAULT_STEP_BUDGET) -> RunResult:
-    return Interpreter(program, step_budget).run_entry(entry, args, test_name)
+              test_name: str = "") -> RunResult:
+    return Interpreter(program).run_entry(entry, args, test_name)
 
 
-def find_tests(bom, program: ResolvedProgram, pattern: str = "test") -> list:
+def find_tests(bom, program: ResolvedProgram, pattern: str) -> list:
     """Zero-argument static application methods whose simple name starts with
     the pattern, in qname order."""
     out = []
     for cid in sorted(bom.application.constructs):
         if cid.ctype != METHOD or not cid.qname.endswith("()"):
             continue
-        owner, sig = split_member(cid.qname)
-        info = program.symbols.get(owner)
-        m = info.methods.get(sig) if info else None
-        if m is None or not m.static:
-            continue
-        if m.decl.name.startswith(pattern):
+        m = static_method(program, cid.qname)
+        if m is not None and m.decl.name.startswith(pattern):
             out.append(cid)
     return out
 
 
-def run_tests(bom, program: ResolvedProgram, pattern: str = "test",
-              step_budget: int = DEFAULT_STEP_BUDGET) -> tuple:
+def run_tests(bom, program: ResolvedProgram, pattern: str) -> tuple:
     """Run each matching test in isolation on a fresh heap; failing tests keep
     their partial traces. Returns (TraceLog, {test qname: error}).
 
@@ -411,7 +399,7 @@ def run_tests(bom, program: ResolvedProgram, pattern: str = "test",
     events = []
     failures = {}
     for cid in tests:
-        result = Interpreter(program, step_budget).run_entry(cid, [], cid.qname)
+        result = Interpreter(program).run_entry(cid, [], cid.qname)
         events.extend(result.log.events)
         if result.error is not None:
             failures[cid.qname] = result.error

@@ -14,7 +14,7 @@ from pathlib import Path
 from .bom import DEPENDENCY, VERSION, Archive
 from .canonical import deserialize, serialize
 from .constructs import CTYPE, Construct, ConstructId, version_key
-from .diffing import ADD, DEL, MOD, ConstructChange
+from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots, extract_root
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
 from .workspace import check, json_text, load_json, one_of, shape, write_atomic
@@ -103,6 +103,7 @@ def _change_from_json(data, where: str) -> ConstructChange:
 class KnowledgeBase:
     def __init__(self, root: Path):
         self.root = Path(root)
+        self._screened = {}  # library -> its non-vulnerable versions, until a write
 
     # --- paths ---
 
@@ -122,7 +123,6 @@ class KnowledgeBase:
         exclusions filters out construct ids of unrelated changes mixed into
         the fix commit.
         """
-        from .diffing import construct_changes_roots
         if not overwrite and self._vuln_path(vuln_id).exists():
             raise DuplicateVuln(vuln_id)
         excl = set(exclusions or ())
@@ -163,6 +163,7 @@ class KnowledgeBase:
         # what is stored is what load_record accepts: a bad version is never stored
         check(data, RECORD, "kb record %s" % record.vuln_id, MalformedRecord)
         write_atomic(self._vuln_path(record.vuln_id), json_text(data))
+        self._screened.clear()
 
     def load_record(self, vuln_id: str) -> VulnerabilityRecord:
         """Read one record. Stored bodies stay canonical text until a
@@ -187,7 +188,6 @@ class KnowledgeBase:
 
     def index_library(self, name: str, version_roots: dict) -> LibraryIndex:
         """Inventory every version root and persist the per-library index."""
-        from .diffing import extract_root
         if not version_roots:
             raise VetError("no versions given for library %s" % name)
         index = LibraryIndex(name, {
@@ -207,6 +207,7 @@ class KnowledgeBase:
         }
         check(data, INDEX, "library %s" % index.name, MalformedRecord)
         write_atomic(self._lib_path(index.name), json_text(data))
+        self._screened.clear()
 
     def load_index(self, name: str) -> LibraryIndex:
         """Read one library index. Raises UnknownLibrary when there is none
@@ -235,7 +236,15 @@ class KnowledgeBase:
         an archive of body-less constructs, which classify by digest alone:
         a matched body that equals neither side of its change gives no
         signal.
+
+        Each library is screened once per instance: the result is kept until
+        a record or an index is saved through this instance.
         """
+        if name not in self._screened:
+            self._screened[name] = self._screen(name)
+        return list(self._screened[name])
+
+    def _screen(self, name: str) -> list:
         from .detection import VULNERABLE, WHOLE_LIBRARY_AFFECTED, detect_archive
         index = self.load_index(name)
         records = [(r, {ch.construct for ch in r.changes}) for r in self.records()]

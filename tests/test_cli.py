@@ -12,6 +12,7 @@ from helpers import GOLDEN, UPDATE, copy_workspace, deep_bodies
 from vulnvet import bom, cli
 from vulnvet.cli import main as vet
 from vulnvet.jx.parser import MAX_NESTING
+from vulnvet.kb import KnowledgeBase
 from vulnvet.workspace import Workspace
 
 
@@ -53,6 +54,22 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         vet(["frobnicate"])
     assert info.value.code == 64
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["add-range", "--id", "X", "--affected", "lib2:1.0:1.9", "--affected", "foo"],
+     "--affected"),
+    (["import-fix", "--id", "X", "--before", str(GOLDEN / "fixes/j1/before"),
+      "--after", str(GOLDEN / "fixes/j1/after"), "--exclude", "FIELD:x"], "--exclude"),
+    (["index-lib", "--name", "z", "--root", "1.0=%s" % (GOLDEN / "fixes/j1/after"),
+      "--root", "1.0"], "--root"),
+])
+def test_a_malformed_option_item_is_a_usage_error(tmp_path, capsys, argv, option):
+    with pytest.raises(SystemExit) as info:
+        vet(["--workspace", str(tmp_path), "kb", *argv])
+    assert info.value.code == 64
+    assert "error: argument %s: expected " % option in capsys.readouterr().err
+    assert not (tmp_path / "kb").exists()
 
 
 def test_analysis_error_exit_code(tmp_path):
@@ -642,6 +659,25 @@ def test_test_failures_depend_only_on_the_latest_run_of_each_test(tmp_path):
         "app.Deep.testDeepA()"]
     _run(ws, ["trace", "run", "--pattern", "testDeepA"])
     assert json.loads((ws / ".vet/test-failures.json").read_text()) == {}
+
+
+def test_mitigate_reads_the_kb_records_once(tmp_path, monkeypatch):
+    # lib2 is transitive, so both the ranking and the deep-update advice screen it
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    lib2 = ws / "libs/lib2/1.0/src"
+    assert vet(["--workspace", str(ws), "kb", "index-lib", "--name", "lib2",
+                "--root", "1.0=%s" % lib2, "--root", "2.0=%s" % lib2]) == 0
+    calls = []
+    real = KnowledgeBase.records
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(KnowledgeBase, "records", counting)
+    assert vet(["--workspace", str(ws), "mitigate", "--lib", "lib2"]) == 0
+    assert len(calls) == 1
 
 
 def test_mitigate_errors_name_the_object_and_the_remedy(tmp_path, capsys):

@@ -129,12 +129,10 @@ def test_reflect_unknown_target():
         assert result.error.startswith("UnknownReflectTarget"), target
 
 
-def test_step_budget_stops_infinite_loop():
-    src = "package p; class M { static void go() { while (true) { } } }"
-    program = _program(src)
-    result = run_entry(program, ConstructId(METHOD, "p.M.go()"), [],
-                       step_budget=500)
-    assert result.error.startswith("StepBudgetExceeded")
+def test_step_budget_stops_infinite_loop(monkeypatch):
+    monkeypatch.setattr(interp, "STEP_BUDGET", 500)
+    result = _run("package p; class M { static void go() { while (true) { } } }", "p.M.go()")
+    assert result.error == "StepBudgetExceeded: step budget of 500 exceeded"
 
 
 def _descend(nesting: int) -> str:

@@ -74,6 +74,17 @@ def test_index_and_screening(tmp_path):
         kb.load_index("nope")
 
 
+def test_a_write_shows_in_the_next_screening(tmp_path):
+    kb = build_golden_kb(tmp_path / "kb")
+    fixed = GOLDEN / "fixes/j2/after"
+    kb.index_library("lib3", {"1.0": GOLDEN / "workspace/libs/lib3/1.0/src", "2.0": fixed})
+    assert kb.non_vulnerable_versions("lib3") == ["2.0"]
+    kb.add_whole_library("VULN-W", [("lib3", "2.0", "2.0")])
+    assert kb.non_vulnerable_versions("lib3") == []
+    kb.index_library("lib3", {"3.0": fixed})
+    assert kb.non_vulnerable_versions("lib3") == ["3.0"]
+
+
 def test_screening_classifies_index_digests_as_detection_does(tmp_path):
     # the fix deletes X and adds Y; an added body equal to neither side gives
     # no signal, so a version holding X and another Y stays vulnerable

@@ -99,6 +99,16 @@ READERS = {
 }
 
 
+def _golden_pass(tmp_path, *more):
+    """The golden workspace, with lib1 indexed, after a whole pass and more steps."""
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    build_golden_kb(ws / "kb").index_library("lib1", {"1.0": LIB1_SRC, "2.0": LIB1_SRC})
+    for step in (SCAN, TRACE, ["trace", "run", "--pattern", "itest"], STATIC, COMBINED,
+                 MITIGATE, ["report"], *more):
+        assert vet(["--workspace", str(ws), *step]) in (0, 1, 2)
+    return ws
+
+
 def _snapshot(ws) -> dict:
     return {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
 
@@ -122,11 +132,7 @@ def _mutated(rng, text: str, name: str) -> str:
 
 
 def test_mutated_json_inputs_exit_cleanly(tmp_path, capsys):
-    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
-    build_golden_kb(ws / "kb").index_library("lib1", {"1.0": LIB1_SRC, "2.0": LIB1_SRC})
-    for step in (SCAN, TRACE, ["trace", "run", "--pattern", "itest"], STATIC, COMBINED,
-                 MITIGATE, ["report"]):
-        assert vet(["--workspace", str(ws), *step]) in (0, 1, 2)
+    ws = _golden_pass(tmp_path)
     # an entry of a test that the trace run below does not run, so it is kept
     (ws / ".vet/test-failures.json").write_text('{"app.Main.testGone()": "error"}')
     files = _snapshot(ws)
@@ -141,6 +147,56 @@ def test_mutated_json_inputs_exit_cleanly(tmp_path, capsys):
                 code = vet(["--workspace", str(ws), *step])
                 err = capsys.readouterr().err
                 assert code in (0, 1, 2, 3) and "Traceback" not in err, (name, step)
+                codes.add(code)
+            _restore(ws, files)
+    assert 3 in codes and codes - {3}
+
+
+# each file a golden pass reads or writes and the commands that read it; a
+# file that no command reads goes with the command that writes it again
+FILE_READERS = {
+    "src/*.jx": (SCAN, TRACE, STATIC),
+    "libs/*/1.0/src/*.jx": (SCAN, STATIC),
+    "app.json": (SCAN, STATIC),
+    "libs/*/1.0/lib.json": (SCAN, STATIC),
+    "kb/vulns/*.json": (SCAN, ["kb", "list"]),
+    "kb/libs/*.json": (MITIGATE, ["kb", "list"]),
+    ".vet/bom.json": (STATIC, REPORT),
+    ".vet/graph.json": (STATIC, MITIGATE),
+    ".vet/findings.json": (REPORT,),
+    ".vet/reach-*.json": (REPORT,),
+    ".vet/mitigation-lib1.json": (REPORT,),
+    ".vet/mitigation-lib1.csv": (MITIGATE,),
+    ".vet/trace-summary.json": (COMBINED, REPORT),
+    ".vet/test-failures.json": (TRACE,),
+    ".vet/traces.jsonl": (TRACE, COMBINED),
+    ".vet/report.json": (["report"],),
+    ".vet/report.html": (REPORT,),
+}
+
+
+def _flipped_or_truncated(rng, data: bytes) -> bytes:
+    if rng.random() < 0.5:
+        return data[:rng.randrange(len(data))]
+    i = rng.randrange(len(data))
+    return data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1:]
+
+
+def test_flipped_or_truncated_files_exit_cleanly(tmp_path, capsys):
+    ws = _golden_pass(tmp_path, REPORT)
+    files = _snapshot(ws)
+    readers = {p: steps for pattern, steps in FILE_READERS.items() for p in ws.glob(pattern)}
+    assert sorted(readers) == sorted(files)
+    rng = random.Random(13)
+    codes = set()
+    for path, steps in sorted(readers.items()):
+        for _ in range(8):
+            path.write_bytes(_flipped_or_truncated(rng, files[path]))
+            for step in steps:
+                capsys.readouterr()
+                code = vet(["--workspace", str(ws), *step])
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3, 64) and "Traceback" not in err, (path, step)
                 codes.add(code)
             _restore(ws, files)
     assert 3 in codes and codes - {3}
