@@ -99,15 +99,13 @@ def _emit(graph: CallGraph, program: ResolvedProgram, info, caller, calls):
             graph.edges.add(Edge(caller, member_id(CONSTRUCTOR, binding.owner, binding.sig),
                                  site, CONSTRUCTOR_CALL))
         elif isinstance(binding, VirtualCall):
-            targets = set()
             for sub in program.subtypes_of(binding.declared_type):
                 if program.symbols[sub].is_interface:
                     continue
                 impl = program.resolve_impl(sub, binding.sig)
                 if impl is not None:
-                    targets.add(member_id(METHOD, impl.owner, impl.sig))
-            for target in sorted(targets):
-                graph.edges.add(Edge(caller, target, site, VIRTUAL_DISPATCH))
+                    graph.edges.add(Edge(caller, member_id(METHOD, impl.owner, impl.sig),
+                                         site, VIRTUAL_DISPATCH))
 
 
 def reachable(graph: CallGraph, seeds) -> ReachResult:

@@ -24,7 +24,7 @@ from .jx.errors import JxError
 from .kb import KnowledgeBase
 from .metrics import deep_update_advice, metrics_csv, metrics_to_json, recommend
 from .report import assemble_report, exit_code_for, render_html
-from .traces import TraceLog, ingest_traces, load_summary, write_traces
+from .traces import TraceLog, ingest_traces, load_summary, unknown_names, write_traces
 from .workspace import Workspace, shape
 
 EXIT_ERROR = 3
@@ -128,13 +128,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _known_ids(bom):
-    ids = set()
-    for arc, _depth in bom.archives():
-        ids.update(arc.constructs)
-    return ids
-
-
 def _program(bom):
     """The whole-workspace program; each resolver diagnostic goes to stderr."""
     program = corpus_program(bom)
@@ -158,17 +151,12 @@ def _bom_and_graph(ws: Workspace) -> tuple:
     return inputs, bom, build_call_graph(_program(bom)), False
 
 
-def _warned(log_and_warnings) -> TraceLog:
-    log, warnings = log_and_warnings
-    for w in warnings:
-        print("trace: %s" % w, file=sys.stderr)
+def _warned(log: TraceLog, bom) -> TraceLog:
+    """The log, after one warning on stderr for each name of it the BOM lacks."""
+    ids = {cid for arc, _depth in bom.archives() for cid in arc.constructs}
+    for qname in unknown_names(log, ids):
+        print("trace: unknown construct %s" % qname, file=sys.stderr)
     return log
-
-
-def _load_traces(ws: Workspace, bom) -> TraceLog:
-    """The summary of the trace log, which is all the readers of traces need
-    (see traces.load_summary)."""
-    return _warned(load_summary(ws, _known_ids(bom)))
 
 
 def _cmd_kb(args, ws: Workspace) -> int:
@@ -221,7 +209,7 @@ def _cmd_trace(args, ws: Workspace) -> int:
     bom = build_bom(ws.manifest, ws.root)
     new_log, failed = run_tests(bom, _program(bom), pattern=args.pattern)
     path = ws.artifact("traces.jsonl")
-    old_log = _warned(ingest_traces(path, _known_ids(bom))) if path.is_file() else TraceLog()
+    old_log = _warned(ingest_traces(path), bom) if path.is_file() else TraceLog()
     merged = old_log.merge(new_log)
     # merged like the trace log: each test that ran recorded an entry event
     ran = {e.test for e in new_log.events}
@@ -245,7 +233,7 @@ def _cmd_reach(args, ws: Workspace) -> int:
         ws.write_json("reach-static.json", reach_to_json(result))
         label = "static"
     else:
-        traces = _load_traces(ws, bom)
+        traces = _warned(load_summary(ws), bom)
         result = combined_reachable(graph, traces)
         ws.write_json("reach-combined.json", reach_to_json(result))
         label = "combined"
@@ -256,7 +244,7 @@ def _cmd_reach(args, ws: Workspace) -> int:
 
 def _cmd_mitigate(args, ws: Workspace) -> int:
     _, bom, graph, _ = _bom_and_graph(ws)
-    traces = _load_traces(ws, bom)
+    traces = _warned(load_summary(ws), bom)
     r_static = app_reachability(bom, graph)
     r_combined = combined_reachable(graph, traces)
     reached_union = r_static.reached | r_combined.reached | traces.executed

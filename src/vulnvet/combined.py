@@ -13,17 +13,13 @@ from .traces import TraceLog
 
 
 def dynamic_edges(traces: TraceLog) -> list:
-    out = []
-    seen = set()
+    """One edge per observed (caller, callee), at the site of its first event."""
+    first = {}
     for e in traces.events:
-        if e.caller is None:
-            continue
-        key = (e.caller, e.callee)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(Edge(e.caller, e.callee, e.site or "trace", DYNAMIC))
-    return sorted(out)
+        if e.caller is not None:
+            first.setdefault((e.caller, e.callee), e.site)
+    return [Edge(caller, callee, site or "trace", DYNAMIC)
+            for (caller, callee), site in first.items()]
 
 
 def combined_reachable(graph: CallGraph, traces: TraceLog) -> ReachResult:

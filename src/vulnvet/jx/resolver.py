@@ -243,11 +243,15 @@ class _Resolver:
         return None
 
     def type_text(self, t, pkg: str) -> str:
-        """Resolved textual form of a declared type, for signatures and ids."""
+        """Resolved textual form of a declared type, for signatures and ids.
+        An unresolved one-part name can only name a type of the package: it
+        is qualified with it, as where one archive is resolved alone."""
         if isinstance(t, ast.PrimType):
             return t.name
         resolved = self.resolve_type_name(t, pkg)
-        return resolved if resolved is not None else t.text()
+        if resolved is not None:
+            return resolved
+        return pkg + "." + t.parts[0] if len(t.parts) == 1 else t.text()
 
     # --- pass 2: supertypes, members, default constructors ---
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .bom import DEPENDENCY, VERSION, Archive
 from .canonical import deserialize, serialize
-from .constructs import CTYPE, Construct, ConstructId, version_key
+from .constructs import CTYPE, Construct, ConstructId, version_key, version_newer
 from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots, extract_root
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
@@ -100,10 +100,22 @@ def _change_from_json(data, where: str) -> ConstructChange:
     return ConstructChange(cid, data["op"], *trees, data.get("fpVuln"), data.get("fpFixed"))
 
 
+def _check_name(value: str, what: str):
+    """A record id or library name becomes a file name: refuse one that
+    would land elsewhere or that the store could not list."""
+    if not value or value.startswith(".") or any(c in value for c in "/\\\0"):
+        raise MalformedRecord("%s %r is not a file name: it is empty, starts with '.' "
+                              "or holds '/', '\\' or NUL" % (what, value))
+
+
 class KnowledgeBase:
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._screened = {}  # library -> its non-vulnerable versions, until a write
+        self._forget()
+
+    def _forget(self):
+        """Drop what is kept until a write: each library's index and screening."""
+        self._indexes, self._screened = {}, {}
 
     # --- paths ---
 
@@ -151,6 +163,7 @@ class KnowledgeBase:
         return record
 
     def save_record(self, record: VulnerabilityRecord):
+        _check_name(record.vuln_id, "kb record id")
         data = {
             "vulnId": record.vuln_id,
             "description": record.description,
@@ -162,8 +175,12 @@ class KnowledgeBase:
         }
         # what is stored is what load_record accepts: a bad version is never stored
         check(data, RECORD, "kb record %s" % record.vuln_id, MalformedRecord)
+        for n, lo, hi in record.affected:
+            if version_newer(lo, hi):
+                raise MalformedRecord("kb record %s: range %s:%s:%s covers no version: "
+                                      "low is above high" % (record.vuln_id, n, lo, hi))
         write_atomic(self._vuln_path(record.vuln_id), json_text(data))
-        self._screened.clear()
+        self._forget()
 
     def load_record(self, vuln_id: str) -> VulnerabilityRecord:
         """Read one record. Stored bodies stay canonical text until a
@@ -197,6 +214,7 @@ class KnowledgeBase:
         return index
 
     def save_index(self, index: LibraryIndex):
+        _check_name(index.name, "library name")
         data = {
             "name": index.name,
             "versions": {
@@ -207,12 +225,14 @@ class KnowledgeBase:
         }
         check(data, INDEX, "library %s" % index.name, MalformedRecord)
         write_atomic(self._lib_path(index.name), json_text(data))
-        self._screened.clear()
+        self._forget()
 
     def load_index(self, name: str) -> LibraryIndex:
-        """Read one library index. Raises UnknownLibrary when there is none
-        and MalformedRecord naming the file for a document that is not an
-        index."""
+        """Read one library index, once per instance until a write. Raises
+        UnknownLibrary when there is none and MalformedRecord naming the file
+        for a document that is not an index."""
+        if name in self._indexes:
+            return self._indexes[name]
         path = self._lib_path(name)
         if not path.is_file():
             raise UnknownLibrary("the knowledge base has no index for library %s; create "
@@ -221,7 +241,8 @@ class KnowledgeBase:
         data = load_json(path, MalformedRecord, INDEX)
         versions = {v: {ConstructId(e["ctype"], e["qname"]): e["fingerprint"] for e in entries}
                     for v, entries in data["versions"].items()}
-        return LibraryIndex(data["name"], versions)
+        index = self._indexes[name] = LibraryIndex(data["name"], versions)
+        return index
 
     def library_names(self) -> list:
         return sorted(p.stem for p in (self.root / "libs").glob("*.json"))

@@ -81,7 +81,7 @@ def touch_points(bom, graph, traces, lib: str) -> list:
         else:
             tp.found_dynamic = True
 
-    for e in sorted(graph.edges):
+    for e in graph.edges:
         if e.caller in app_ids and e.callee in lib_ids:
             touch(e.caller, e.callee, e.site, True)
     if traces is not None:

@@ -96,7 +96,7 @@ def assemble_report(ws: Workspace) -> dict:
     static_present, r_static = _read_reach(ws, "reach-static.json")
     combined_present, r_combined = _read_reach(ws, "reach-combined.json")
     # the summary holds the first event of every callee, as the full log would
-    trace_lines = [event_json(e) for e in load_summary(ws)[0].events]
+    trace_lines = [event_json(e) for e in load_summary(ws).events]
     findings = attach_evidence(findings, trace_lines, r_static, r_combined)
 
     archives = []

@@ -1,7 +1,8 @@
 """Execution trace model, the JSON-lines trace file format and its summary.
 
 Each line: {"callee": qname, "ctype": "...", "caller": qname|null,
-"site": "file:line"|null, "test": text, "ts": integer}
+"site": "file:line"|null, "test": text, "ts": integer}. A construct follows
+from its qualified name (``guess_ctype``); ``ctype`` is written for readers.
 
 The summary, ``.vet/trace-summary.json``, is {"inputs": SHA-256 of the trace
 file's bytes, "events": [...]}: the first event of each distinct (callee,
@@ -120,42 +121,34 @@ def read_trace_lines(path: Path):
         yield line_no, data
 
 
-def _events(items, known: dict) -> list:
-    """TraceEvents of valid event dicts; a qualified name in known maps to
-    its construct, any other keeps the line's or a guessed ctype."""
-    events = []
-    for data in items:
-        callee_q = data["callee"]
-        callee = known.get(callee_q) or ConstructId(
-            data.get("ctype") or guess_ctype(callee_q), callee_q)
-        caller_q = data.get("caller")
-        caller = (known.get(caller_q) or ConstructId(guess_ctype(caller_q), caller_q)
-                  if caller_q else None)
-        events.append(TraceEvent(callee, caller, data.get("site"), data["ts"],
-                                 data.get("test", "")))
-    return events
+class _Ids(dict):
+    """qname -> ConstructId, made once per name: a construct follows from
+    its qualified name."""
+
+    def __missing__(self, qname):
+        cid = self[qname] = ConstructId(guess_ctype(qname), qname)
+        return cid
 
 
-def _unknown(log: TraceLog, known: dict) -> list:
-    """One warning per qualified name of the log that known lacks, in name
-    order; none when nothing is known."""
-    if not known:
-        return []
+def _events(items) -> list:
+    """TraceEvents of valid event dicts; a line's ``ctype`` is not read."""
+    ids = _Ids()
+    return [TraceEvent(ids[data["callee"]], ids[data["caller"]] if data.get("caller") else None,
+                       data.get("site"), data["ts"], data.get("test", ""))
+            for data in items]
+
+
+def unknown_names(log: TraceLog, ids) -> list:
+    """The qualified names of the log that no construct id has, in name
+    order."""
     names = {e.callee.qname for e in log.events}
     names.update(e.caller.qname for e in log.events if e.caller)
-    return ["unknown construct %s" % q for q in sorted(names - known.keys())]
+    return sorted(names - {cid.qname for cid in ids})
 
 
-def _by_qname(known_ids) -> dict:
-    return {cid.qname: cid for cid in known_ids} if known_ids else {}
-
-
-def ingest_traces(path: Path, known_ids=None) -> tuple:
-    """Parse and normalise a trace file; returns (TraceLog, warnings).
-    Unknown qualified names are warned about once each but kept."""
-    known = _by_qname(known_ids)
-    log = normalize(TraceLog(_events((data for _, data in read_trace_lines(path)), known)))
-    return log, _unknown(log, known)
+def ingest_traces(path: Path) -> TraceLog:
+    """Parse and normalise a trace file."""
+    return normalize(TraceLog(_events(data for _, data in read_trace_lines(path))))
 
 
 def summarize(log: TraceLog) -> TraceLog:
@@ -183,18 +176,15 @@ def write_traces(ws: Workspace, log: TraceLog):
     ws.write_json(SUMMARY, summary_json(log, text))
 
 
-def load_summary(ws: Workspace, known_ids=None) -> tuple:
-    """(summary of .vet/traces.jsonl, warnings), as ``summarize`` and
-    ``ingest_traces`` give them. The summary file is read while it is
-    stamped with the digest of the trace file; otherwise the trace file is
-    ingested and summarised in memory. No trace file gives an empty log."""
+def load_summary(ws: Workspace) -> TraceLog:
+    """The summary of .vet/traces.jsonl, as ``summarize`` gives it. The
+    summary file is read while it is stamped with the digest of the trace
+    file; otherwise the trace file is ingested and summarised in memory. No
+    trace file gives an empty log."""
     path = ws.artifact("traces.jsonl")
     if not path.is_file():
-        return TraceLog(), []
+        return TraceLog()
     data = ws.read_stamped(SUMMARY, hashlib.sha256(path.read_bytes()).hexdigest(), _SUMMARY)
     if data is not None:
-        known = _by_qname(known_ids)
-        log = TraceLog(_events(data["events"], known))
-        return log, _unknown(log, known)
-    log, warnings = ingest_traces(path, known_ids)
-    return summarize(log), warnings
+        return TraceLog(_events(data["events"]))
+    return summarize(ingest_traces(path))

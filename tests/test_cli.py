@@ -10,7 +10,9 @@ import pytest
 
 from helpers import GOLDEN, UPDATE, copy_workspace, deep_bodies
 from vulnvet import bom, cli
+from vulnvet import kb as kb_module
 from vulnvet.cli import main as vet
+from vulnvet.errors import MalformedRecord
 from vulnvet.jx.parser import MAX_NESTING
 from vulnvet.kb import KnowledgeBase
 from vulnvet.workspace import Workspace
@@ -373,6 +375,32 @@ def test_manifest_versions_are_validated(tmp_path, capsys, manifest, edit):
     assert manifest in err and "1.0-dev" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["add-range", "--id", "GHSA/abc", "--affected", "libA:1.0:1.0"], "'GHSA/abc'"),
+    (["add-range", "--id", "GHSA\\abc", "--affected", "libA:1.0:1.0"], "'GHSA\\\\abc'"),
+    (["add-range", "--id", "", "--affected", "libA:1.0:1.0"], "''"),
+    (["add-range", "--id", ".hidden", "--affected", "libA:1.0:1.0"], "'.hidden'"),
+    (["add-range", "--id", "VULN-W", "--affected", "libA:2.0:1.0"], "libA:2.0:1.0"),
+    (["index-lib", "--name", "lib/A", "--root", "1.0=%s" % (UPDATE / "versions/2.0")],
+     "'lib/A'"),
+    (["index-lib", "--name", "", "--root", "1.0=%s" % (UPDATE / "versions/2.0")], "''"),
+])
+def test_what_the_kb_could_not_read_back_is_not_stored(tmp_path, capsys, argv, named):
+    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "kb", *argv]) == 3
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+    assert not (ws / "kb").exists()
+
+
+def test_a_record_id_with_nul_is_not_stored(tmp_path):
+    kb = KnowledgeBase(tmp_path / "kb")
+    with pytest.raises(MalformedRecord, match=r"'VULN\\x00W'"):
+        kb.add_whole_library("VULN\0W", [("libA", "1.0", "1.0")])
+    assert not (tmp_path / "kb").exists()
+
+
 # --- reuse of the stamped bom.json and graph.json ---------------------------
 
 LIB1_SRC = GOLDEN / "workspace/libs/lib1/1.0/src"
@@ -680,6 +708,29 @@ def test_mitigate_reads_the_kb_records_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mitigate_reads_the_library_index_once(tmp_path, monkeypatch):
+    # lib1 is a direct dependency of the application, lib2 a transitive one
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    for lib in ("lib1", "lib2"):
+        src = ws / "libs" / lib / "1.0/src"
+        assert vet(["--workspace", str(ws), "kb", "index-lib", "--name", lib,
+                    "--root", "1.0=%s" % src, "--root", "2.0=%s" % src]) == 0
+    reads = []
+    real = kb_module.load_json
+
+    def counting(path, *args):
+        reads.append(Path(path).relative_to(ws / "kb").as_posix())
+        return real(path, *args)
+
+    monkeypatch.setattr(kb_module, "load_json", counting)
+    for lib in ("lib1", "lib2"):
+        reads.clear()
+        assert vet(["--workspace", str(ws), "mitigate", "--lib", lib]) == 0
+        assert sorted(reads) == ["libs/%s.json" % lib, "vulns/VULN-J1.json",
+                                 "vulns/VULN-J2.json"]
+
+
 def test_mitigate_errors_name_the_object_and_the_remedy(tmp_path, capsys):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     capsys.readouterr()
@@ -819,3 +870,55 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_printer():
                             capture_output=True, text=True, check=True).stdout.split()
     assert "vulnvet.cli" in loaded
     assert not {"dataclasses", "inspect", "printer"} & set(loaded)
+
+
+# --- a package split across archives -----------------------------------------
+
+SPLIT_B = """package p;
+
+class B {
+    static int run(Foo f) {
+        return %d;
+    }
+}
+"""
+
+
+def _split_package_workspace(root: Path) -> Path:
+    """p.Foo in l1, p.B with run(Foo) in l2, and an application that calls
+    p.B.run(new p.Foo()) from a test and declares its own p.Twice.of(Foo)."""
+    files = {
+        "app.json": json.dumps({"name": "app", "version": "1.0", "sourceRoot": "src",
+                                "dependencies": [{"name": "l1", "version": "1.0"},
+                                                 {"name": "l2", "version": "1.0"}]}),
+        "src/a.jx": "package q;\n\nclass A {\n    static void testRun() {\n"
+                    "        p.B.run(new p.Foo());\n    }\n}\n",
+        "src/twice.jx": "package p;\n\nclass Twice {\n    static int of(Foo f) {\n"
+                        "        return B.run(f) + B.run(f);\n    }\n}\n",
+        "libs/l1/1.0/lib.json": json.dumps({"name": "l1", "version": "1.0",
+                                            "sourceRoot": "src", "dependencies": []}),
+        "libs/l1/1.0/src/foo.jx": "package p;\n\nclass Foo {\n}\n",
+        "libs/l2/1.0/lib.json": json.dumps({"name": "l2", "version": "1.0",
+                                            "sourceRoot": "src", "dependencies": []}),
+        "libs/l2/1.0/src/b.jx": SPLIT_B % 1,
+        "fix/before/b.jx": SPLIT_B % 1,
+        "fix/after/b.jx": SPLIT_B % 2,
+    }
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_a_type_of_the_package_from_another_archive_keeps_member_ids_whole(tmp_path, capsys):
+    ws = _split_package_workspace(tmp_path / "ws")
+    assert vet(["--workspace", str(ws), "kb", "import-fix", "--id", "V1",
+                "--before", str(ws / "fix/before"), "--after", str(ws / "fix/after")]) == 0
+    _run(ws, SCAN, STATIC, TRACES[0], COMBINED)
+    assert "unknown construct" not in capsys.readouterr().err
+    assert json.loads((ws / ".vet/reach-static.json").read_text())["skippedSeeds"] == []
+    assert vet(["--workspace", str(ws), "report"]) == 2
+    report = json.loads((ws / ".vet/report.json").read_text())
+    (finding,) = report["findings"]
+    assert finding["vulnId"] == "V1" and finding["evidence"] == "DYNAMIC"
+    assert "p.B.run(p.Foo)" in [m["qname"] for m in finding["matched"]]

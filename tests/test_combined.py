@@ -1,6 +1,8 @@
 """The combined static+dynamic pass, and evidence attached to its results."""
 
-from helpers import GOLDEN, build_golden_kb, copy_workspace
+import pytest
+
+from helpers import GOLDEN, build_golden_kb, copy_workspace, small_workload
 from vulnvet.bom import build_bom, corpus_program
 from vulnvet.callgraph import DYNAMIC as DYN_EDGE, app_reachability, build_call_graph
 from vulnvet.combined import combined_reachable, dynamic_edges
@@ -30,6 +32,28 @@ def test_dynamic_edges_cross_reflection_gaps(tmp_path):
     assert ("app.Main.itestFramework()", "fw.Engine.dispatch(int)") in pairs
     assert ("lib1.Upload.process()", "lib2.Core.delta()") in pairs
     assert all(e.kind == DYN_EDGE for e in edges)
+
+
+@pytest.mark.parametrize("source", ["golden", "corpus", "kb-drift", "trace-heavy"])
+def test_traced_edges_are_explained_by_the_cha_graph(tmp_path, source):
+    # each call the interpreter observed is a CHA edge, or leaves a caller
+    # whose reflective site static analysis could not resolve
+    if source == "golden":
+        ws, patterns = copy_workspace(GOLDEN / "workspace", tmp_path / "ws"), ("test", "itest")
+    else:
+        ws, patterns = small_workload(tmp_path, source), ("test",)
+    bom = build_bom(ws / "app.json", ws)
+    program = corpus_program(bom)
+    graph = build_call_graph(program)
+    traces = TraceLog()
+    for pattern in patterns:
+        traces = traces.merge(run_tests(bom, program, pattern)[0])
+    static = {(e.caller, e.callee) for e in graph.edges}
+    reflective = {caller for caller, _site, why in graph.unresolved if why == "reflection"}
+    observed = dynamic_edges(traces)
+    assert observed
+    assert [e for e in observed
+            if (e.caller, e.callee) not in static and e.caller not in reflective] == []
 
 
 def test_combined_pass_with_empty_traces_reaches_nothing(tmp_path):

@@ -43,7 +43,7 @@ def test_golden_report_and_findings_are_byte_identical(tmp_path):
 
 def test_golden_trace_summary_is_the_summary_of_the_golden_trace_log():
     traces = GOLDEN / "expected/traces.jsonl"
-    log, _ = ingest_traces(traces)
+    log = ingest_traces(traces)
     expected = summary_json(log, traces.read_text())
     assert json.loads((GOLDEN / "expected/trace-summary.json").read_text()) == expected
 

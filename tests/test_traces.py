@@ -11,7 +11,7 @@ from vulnvet.constructs import CONSTRUCTOR, METHOD, ConstructId
 from vulnvet.errors import MalformedTraceLine
 from vulnvet.metrics import touch_points
 from vulnvet.traces import (TraceEvent, TraceLog, event_json, guess_ctype, ingest_traces,
-                            normalize, summarize, to_jsonl)
+                            normalize, summarize, to_jsonl, unknown_names)
 
 
 def _ev(callee, ts, test, caller=None, site=None):
@@ -68,18 +68,18 @@ def test_jsonl_round_trip(tmp_path):
     ]))
     path = tmp_path / "traces.jsonl"
     path.write_text(to_jsonl(log))
-    loaded, warnings = ingest_traces(path, log.executed)
-    assert warnings == []
+    loaded = ingest_traces(path)
     assert loaded == log
+    assert unknown_names(loaded, log.executed) == []
 
 
 def test_ingest_warns_about_unknown_constructs(tmp_path):
     log = TraceLog([_ev("p.A.a()", 1, "t")])
     path = tmp_path / "traces.jsonl"
     path.write_text(to_jsonl(normalize(log)))
-    loaded, warnings = ingest_traces(path, {ConstructId(METHOD, "q.Q.q()")})
+    loaded = ingest_traces(path)
     assert len(loaded.events) == 1
-    assert warnings and "unknown construct" in warnings[0]
+    assert unknown_names(loaded, {ConstructId(METHOD, "q.Q.q()")}) == ["p.A.a()"]
 
 
 def test_ingest_warns_once_per_unknown_name(tmp_path):
@@ -87,8 +87,21 @@ def test_ingest_warns_once_per_unknown_name(tmp_path):
     path.write_text(to_jsonl(normalize(TraceLog([
         _ev("p.B.b()", 1, "t"), _ev("p.A.a()", 2, "t", caller="p.B.b()", site="u.jx:1"),
         _ev("p.A.a()", 3, "t", caller="p.B.b()", site="u.jx:2"), _ev("q.Q.q()", 4, "t")]))))
-    _, warnings = ingest_traces(path, {ConstructId(METHOD, "q.Q.q()")})
-    assert warnings == ["unknown construct p.A.a()", "unknown construct p.B.b()"]
+    assert unknown_names(ingest_traces(path), {ConstructId(METHOD, "q.Q.q()")}) == [
+        "p.A.a()", "p.B.b()"]
+
+
+def test_a_line_names_its_construct_by_its_qualified_name(tmp_path):
+    # a line's ctype field is not read: the same file gives the same log
+    # whatever it holds
+    path = tmp_path / "traces.jsonl"
+    lines = ['{"callee": "p.A.A()", "ctype": "METHOD", "ts": 1, "test": "t"}',
+             '{"callee": "p.A.a()", "caller": "p.A.A()", "ctype": "CLASS", "ts": 2, "test": "t"}',
+             '{"callee": "p.A.b()", "ts": 3, "test": "t"}']
+    path.write_text("\n".join(lines) + "\n")
+    log = ingest_traces(path)
+    assert [(e.callee.ctype, e.caller and e.caller.ctype) for e in log.events] == [
+        (CONSTRUCTOR, None), (METHOD, CONSTRUCTOR), (METHOD, None)]
 
 
 def test_ingest_rejects_malformed_lines(tmp_path):
