@@ -21,16 +21,14 @@ DEPENDENCY = "DEPENDENCY"
 
 
 class Archive:
-    __slots__ = ("name", "version", "kind", "source_root", "units", "constructs",
-                 "declared_deps")
+    __slots__ = ("name", "version", "kind", "source_root", "constructs", "declared_deps")
 
     def __init__(self, name: str, version: str, kind: str, source_root: Optional[Path],
-                 units=None, constructs=None, declared_deps=None):
+                 constructs=None, declared_deps=None):
         self.name = name
         self.version = version
         self.kind = kind
         self.source_root = source_root
-        self.units = [] if units is None else units
         self.constructs = {} if constructs is None else constructs  # ConstructId -> Construct
         self.declared_deps = [] if declared_deps is None else declared_deps  # [(name, version)]
 
@@ -75,23 +73,40 @@ def source_files(root: Path, origin_base: Path = None) -> list:
             for path in sorted(root.rglob("*.jx"))]
 
 
+_memo = ContextVar("memo")  # within one_walk: each manifest walk and each root's parse
+
+
+@contextmanager
+def one_walk():
+    """Within the block the manifests of a workspace are read once and each
+    source root is parsed once; neither may change within it."""
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _once(key, make):
+    """make(), or within one_walk what it returned for key the first time."""
+    memo = _memo.get({})
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
 def parse_source_root(root: Path, origin_base: Path = None) -> list:
     """Parse every .jx file under root (see source_files)."""
-    return [parse_unit(read_text(path, JxError), origin)
-            for origin, path in source_files(root, origin_base)]
+    root, base = Path(root), None if origin_base is None else Path(origin_base)
+    return _once(("parse", root, base), lambda: [parse_unit(read_text(path, JxError), origin)
+                                                 for origin, path in source_files(root, base)])
 
 
-def load_archive(name: str, version: str, kind: str, source_root: Path,
-                 declared_deps=None, origin_base: Path = None) -> Archive:
-    """Parse and inventory one archive. Extraction is per-archive: the archive
-    is resolved on its own, so its constructs do not depend on the rest of the
-    workspace (repackaging robustness)."""
-    units = parse_source_root(source_root, origin_base)
-    program = resolve(units)  # cross-archive references stay unbound here; fine
-    arc = Archive(name, version, kind, source_root, units=units,
-                  declared_deps=list(declared_deps or []))
-    arc.constructs = extract_constructs(program)
-    return arc
+def extract_root(root: Path, origin_base: Path = None) -> dict:
+    """Parse and inventory one source root in isolation: it is resolved on
+    its own, so its constructs do not depend on the rest of the workspace
+    (repackaging robustness). Cross-archive references stay unbound."""
+    return extract_constructs(resolve(parse_source_root(root, origin_base)))
 
 
 VERSION = leaf(is_version, "a dot-separated numeric version")
@@ -135,44 +150,28 @@ def _declared_deps(data: dict) -> list:
     return [(d["name"], d["version"]) for d in data.get("dependencies", [])]
 
 
-_walks = ContextVar("walks")  # (manifest, workspace) -> its _archive_inputs, within one_walk
-
-
-@contextmanager
-def one_walk():
-    """Within the block input_digest and build_bom share one read of the
-    manifests of a workspace, which must not change within it."""
-    token = _walks.set({})
-    try:
-        yield
-    finally:
-        _walks.reset(token)
-
-
 def _archive_inputs(manifest, workspace) -> tuple:
     """The manifest path, manifest data, source root and depth of the
     application and of every archive resolve_dependencies finds, in
     resolution order; and the conflict warnings. Read once within one_walk."""
     manifest, workspace = Path(manifest), Path(workspace)
-    walks = _walks.get({})
-    if (manifest, workspace) in walks:
-        return walks[manifest, workspace]
-    app_data = load_json(manifest, ManifestError, _MANIFEST)
-    resolved, warnings = resolve_dependencies(workspace, _declared_deps(app_data))
-    inputs = [(manifest, app_data, (manifest.parent / app_data["sourceRoot"]).resolve(), 0)]
-    inputs.extend((lib_dir / "lib.json", data, (lib_dir / data["sourceRoot"]).resolve(), depth)
-                  for lib_dir, data, depth in resolved)
-    walks[manifest, workspace] = inputs, warnings
-    return inputs, warnings
+
+    def walk():
+        app_data = load_json(manifest, ManifestError, _MANIFEST)
+        resolved, warnings = resolve_dependencies(workspace, _declared_deps(app_data))
+        inputs = [(manifest, app_data, (manifest.parent / app_data["sourceRoot"]).resolve(), 0)]
+        inputs.extend((lib_dir / "lib.json", data, (lib_dir / data["sourceRoot"]).resolve(),
+                       depth) for lib_dir, data, depth in resolved)
+        return inputs, warnings
+    return _once(("walk", manifest, workspace), walk)
 
 
 def build_bom(manifest: Path, workspace: Path) -> BOM:
     """Build the BOM: the application plus every archive of its resolved
     transitive dependency closure (see resolve_dependencies)."""
     inputs, warnings = _archive_inputs(manifest, workspace)
-    archives = [(load_archive(data["name"], data["version"],
-                              DEPENDENCY if depth else APPLICATION, root,
-                              _declared_deps(data), origin_base=workspace), depth)
+    archives = [(Archive(data["name"], data["version"], DEPENDENCY if depth else APPLICATION,
+                         root, extract_root(root, workspace), _declared_deps(data)), depth)
                 for _, data, root, depth in inputs]
     return BOM(archives[0][0], archives[1:], warnings)
 
@@ -200,16 +199,14 @@ def input_digest(manifest: Path, workspace: Path) -> str:
     return h.hexdigest()
 
 
-def corpus_program(bom: BOM):
-    """Resolve the whole BOM corpus as one closed unit set. Archives nearest
-    the application win duplicate qualified names (classpath-first)."""
-    units = []
-    precedence = {}
-    for arc, depth in bom.archives():
-        for u in arc.units:
-            units.append(u)
-            precedence[u.origin] = depth
-    return resolve(units, precedence)
+def corpus_program(manifest: Path, workspace: Path):
+    """Resolve the source roots build_bom reads as one closed unit set.
+    Archives nearest the application win duplicate qualified names
+    (classpath-first)."""
+    roots = [(parse_source_root(root, workspace), depth)
+             for _, _, root, depth in _archive_inputs(manifest, workspace)[0]]
+    return resolve([u for units, _ in roots for u in units],
+                   {u.origin: depth for units, depth in roots for u in units})
 
 
 def bom_to_json(bom: BOM) -> dict:

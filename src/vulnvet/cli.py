@@ -128,27 +128,31 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _program(bom):
+def _program(ws: Workspace):
     """The whole-workspace program; each resolver diagnostic goes to stderr."""
-    program = corpus_program(bom)
+    program = corpus_program(ws.manifest, ws.root)
     for d in program.diagnostics:
         print("resolve: %s" % d, file=sys.stderr)
     return program
 
 
-def _bom_and_graph(ws: Workspace) -> tuple:
-    """(input digest, BOM, call graph, reused). bom.json and graph.json are
-    reused when both are stamped with the digest of the current inputs
-    (see bom.input_digest); otherwise the BOM and graph are built from
-    source."""
-    inputs = input_digest(ws.manifest, ws.root)
-    bom_data = ws.read_stamped("bom.json", inputs)
-    graph_data = ws.read_stamped("graph.json", inputs) if bom_data is not None else None
-    if graph_data is not None:
-        return (inputs, bom_from_json(bom_data, "bom.json"),
-                graph_from_json(graph_data, "graph.json"), True)
-    bom = build_bom(ws.manifest, ws.root)
-    return inputs, bom, build_call_graph(_program(bom)), False
+def _bom(ws: Workspace, inputs: str):
+    """The BOM of bom.json while it is stamped with the digest of the current
+    inputs (see bom.input_digest), else one built from source."""
+    data = ws.read_stamped("bom.json", inputs)
+    return bom_from_json(data, "bom.json") if data is not None else build_bom(ws.manifest, ws.root)
+
+
+def _graph(ws: Workspace, inputs: str, keep: bool = False):
+    """The call graph of graph.json while it is stamped with the digest of
+    the current inputs, else one built from source and, with keep, stored."""
+    data = ws.read_stamped("graph.json", inputs)
+    if data is not None:
+        return graph_from_json(data, "graph.json")
+    graph = build_call_graph(_program(ws))
+    if keep:
+        ws.write_json("graph.json", {**graph_to_json(graph), "inputs": inputs})
+    return graph
 
 
 def _warned(log: TraceLog, bom) -> TraceLog:
@@ -206,8 +210,8 @@ def _cmd_scan(args, ws: Workspace) -> int:
 
 
 def _cmd_trace(args, ws: Workspace) -> int:
-    bom = build_bom(ws.manifest, ws.root)
-    new_log, failed = run_tests(bom, _program(bom), pattern=args.pattern)
+    bom = _bom(ws, input_digest(ws.manifest, ws.root))
+    new_log, failed = run_tests(bom, _program(ws), pattern=args.pattern)
     path = ws.artifact("traces.jsonl")
     old_log = _warned(ingest_traces(path), bom) if path.is_file() else TraceLog()
     merged = old_log.merge(new_log)
@@ -225,9 +229,8 @@ def _cmd_trace(args, ws: Workspace) -> int:
 
 
 def _cmd_reach(args, ws: Workspace) -> int:
-    inputs, bom, graph, reused = _bom_and_graph(ws)
-    if not reused:
-        ws.write_json("graph.json", {**graph_to_json(graph), "inputs": inputs})
+    inputs = input_digest(ws.manifest, ws.root)
+    bom, graph = _bom(ws, inputs), _graph(ws, inputs, keep=True)
     if args.reach_command == "static":
         result = app_reachability(bom, graph)
         ws.write_json("reach-static.json", reach_to_json(result))
@@ -243,7 +246,8 @@ def _cmd_reach(args, ws: Workspace) -> int:
 
 
 def _cmd_mitigate(args, ws: Workspace) -> int:
-    _, bom, graph, _ = _bom_and_graph(ws)
+    inputs = input_digest(ws.manifest, ws.root)
+    bom, graph = _bom(ws, inputs), _graph(ws, inputs)
     traces = _warned(load_summary(ws), bom)
     r_static = app_reachability(bom, graph)
     r_combined = combined_reachable(graph, traces)

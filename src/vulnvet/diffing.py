@@ -5,11 +5,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from .bom import parse_source_root
-from .constructs import (CALLABLE_CTYPES, Construct, ConstructId,
-                         extract_constructs, split_member)
+from .bom import extract_root
+from .constructs import CALLABLE_CTYPES, Construct, ConstructId, split_member
 from .errors import EmptyRange, IdMismatch
-from .jx import resolve
 from .ted import tree_edit_distance
 
 ADD = "ADD"
@@ -111,12 +109,6 @@ def construct_changes(before: dict, after: dict) -> list:
             changes[oid] = ConstructChange(oid, MOD, ob.body, oa.body,
                                            ob.fingerprint, oa.fingerprint)
     return [changes[cid] for cid in sorted(changes)]
-
-
-def extract_root(root: Path) -> dict:
-    """Parse and inventory one source root in isolation."""
-    units = parse_source_root(Path(root))
-    return extract_constructs(resolve(units))
 
 
 def construct_changes_roots(before_root: Path, after_root: Path) -> list:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from .bom import DEPENDENCY, VERSION, Archive
+from .bom import DEPENDENCY, VERSION, Archive, extract_root
 from .canonical import deserialize, serialize
 from .constructs import CTYPE, Construct, ConstructId, version_key, version_newer
-from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots, extract_root
+from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
 from .workspace import check, json_text, load_json, one_of, shape, write_atomic
@@ -119,10 +119,17 @@ class KnowledgeBase:
 
     # --- paths ---
 
-    def _vuln_path(self, vuln_id: str) -> Path:
-        return self.root / "vulns" / (vuln_id + ".json")
+    def _vuln_path(self, vuln_id: str, new: bool = False) -> Path:
+        """The file of record vuln_id, which with new must not exist yet."""
+        _check_name(vuln_id, "kb record id")
+        path = self.root / "vulns" / (vuln_id + ".json")
+        if new and path.exists():
+            raise DuplicateVuln("kb record %s already exists (%s); pass --overwrite to "
+                                "replace it" % (vuln_id, path))
+        return path
 
     def _lib_path(self, name: str) -> Path:
+        _check_name(name, "library name")
         return self.root / "libs" / (name + ".json")
 
     # --- vulnerability records ---
@@ -135,8 +142,7 @@ class KnowledgeBase:
         exclusions filters out construct ids of unrelated changes mixed into
         the fix commit.
         """
-        if not overwrite and self._vuln_path(vuln_id).exists():
-            raise DuplicateVuln(vuln_id)
+        self._vuln_path(vuln_id, new=not overwrite)  # before any parse
         excl = set(exclusions or ())
         changes = [ch for ch in construct_changes_roots(Path(before), Path(after))
                    if ch.construct not in excl]
@@ -152,8 +158,7 @@ class KnowledgeBase:
         """Store a WHOLE_LIBRARY record for fixes without code changes
         (e.g. default-configuration fixes): (library, lowVersion, highVersion)
         closed ranges."""
-        if not overwrite and self._vuln_path(vuln_id).exists():
-            raise DuplicateVuln(vuln_id)
+        self._vuln_path(vuln_id, new=not overwrite)
         affected = [(n, lo, hi) for n, lo, hi in affected]
         if not affected:
             raise VetError("WHOLE_LIBRARY record needs at least one affected range")
@@ -163,7 +168,7 @@ class KnowledgeBase:
         return record
 
     def save_record(self, record: VulnerabilityRecord):
-        _check_name(record.vuln_id, "kb record id")
+        path = self._vuln_path(record.vuln_id)
         data = {
             "vulnId": record.vuln_id,
             "description": record.description,
@@ -179,7 +184,7 @@ class KnowledgeBase:
             if version_newer(lo, hi):
                 raise MalformedRecord("kb record %s: range %s:%s:%s covers no version: "
                                       "low is above high" % (record.vuln_id, n, lo, hi))
-        write_atomic(self._vuln_path(record.vuln_id), json_text(data))
+        write_atomic(path, json_text(data))
         self._forget()
 
     def load_record(self, vuln_id: str) -> VulnerabilityRecord:
@@ -207,6 +212,7 @@ class KnowledgeBase:
         """Inventory every version root and persist the per-library index."""
         if not version_roots:
             raise VetError("no versions given for library %s" % name)
+        self._lib_path(name)  # before any parse
         index = LibraryIndex(name, {
             version: {cid: c.fingerprint for cid, c in extract_root(Path(root)).items()}
             for version, root in version_roots.items()})
@@ -214,7 +220,7 @@ class KnowledgeBase:
         return index
 
     def save_index(self, index: LibraryIndex):
-        _check_name(index.name, "library name")
+        path = self._lib_path(index.name)
         data = {
             "name": index.name,
             "versions": {
@@ -224,7 +230,7 @@ class KnowledgeBase:
             },
         }
         check(data, INDEX, "library %s" % index.name, MalformedRecord)
-        write_atomic(self._lib_path(index.name), json_text(data))
+        write_atomic(path, json_text(data))
         self._forget()
 
     def load_index(self, name: str) -> LibraryIndex:

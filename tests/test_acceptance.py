@@ -71,7 +71,7 @@ def test_criterion_1_golden_corpus_end_to_end(tmp_path):
     assert {m.change.construct.qname for m in informative if m.present} == {
         "lib3.Scan.omega()", "lib3.Scan.check(int)"}
 
-    program = corpus_program(bom)
+    program = corpus_program(ws / "app.json", ws)
     graph = build_call_graph(program)
 
     r_static = app_reachability(bom, graph)
@@ -137,7 +137,7 @@ def test_criterion_2_cs_and_de_worked_example(tmp_path):
         "2.0": UPDATE / "versions/2.0",
     })
     bom = build_bom(ws / "app.json", ws)
-    graph = build_call_graph(corpus_program(bom))
+    graph = build_call_graph(corpus_program(ws / "app.json", ws))
     tps = touch_points(bom, graph, None, "libA")
     assert {tp.lib_callee.qname for tp in tps} == {
         "libA.Api.beta(int)", "libA.Api.psi()"}

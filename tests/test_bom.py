@@ -69,8 +69,8 @@ def test_malformed_manifest(tmp_path):
 
 
 def test_unit_origins_are_workspace_relative(tmp_path):
-    _, bom = _golden_bom(tmp_path)
-    origins = [u.origin for arc, _ in bom.archives() for u in arc.units]
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    origins = [u.origin for u in corpus_program(ws / "app.json", ws).units]
     assert "src/main.jx" in origins
     assert "libs/fw/1.0/src/engine.jx" in origins
     assert not any(o.startswith("/") for o in origins)
@@ -89,13 +89,13 @@ def test_source_origins_equal_a_relpath_per_file(tmp_path):
             (Path(os.path.relpath(path, ws)).as_posix(), path) for path in paths]
     manifest = json.loads((ws / "app.json").read_text())
     (ws / "app.json").write_text(json.dumps(dict(manifest, sourceRoot="../shared")))
-    origins = {u.origin for u in build_bom(ws / "app.json", ws).application.units}
-    assert origins == {"../shared/a.jx", "../shared/q/b.jx", "../shared/q/r/c.jx"}
+    origins = {u.origin for u in corpus_program(ws / "app.json", ws).units}
+    assert {o for o in origins if not o.startswith("libs/")} == {"../shared/a.jx", "../shared/q/b.jx", "../shared/q/r/c.jx"}
 
 
 def test_corpus_program_resolves_cross_archive_calls(tmp_path):
-    _, bom = _golden_bom(tmp_path)
-    program = corpus_program(bom)
+    ws, _ = _golden_bom(tmp_path)
+    program = corpus_program(ws / "app.json", ws)
     assert not program.diagnostics
 
 
@@ -119,7 +119,7 @@ def _inventory(bom):
 def test_bom_and_graph_json_round_trip(tmp_path, fixture):
     ws = copy_workspace(fixture / "workspace", tmp_path / "ws")
     bom = build_bom(ws / "app.json", ws)
-    graph = build_call_graph(corpus_program(bom))
+    graph = build_call_graph(corpus_program(ws / "app.json", ws))
     assert graph.unresolved or fixture is UPDATE
     stored = json.loads(json.dumps(graph_to_json(graph)))
     assert graph_from_json(stored, "graph.json") == graph
@@ -163,8 +163,8 @@ def test_bom_from_json_rejects_what_bom_to_json_does_not_write(tmp_path, edit):
     lambda d: d.update(nodes={}),
 ])
 def test_graph_from_json_rejects_what_graph_to_json_does_not_write(tmp_path, edit):
-    _, bom = _golden_bom(tmp_path)
-    data = graph_to_json(build_call_graph(corpus_program(bom)))
+    ws, _ = _golden_bom(tmp_path)
+    data = graph_to_json(build_call_graph(corpus_program(ws / "app.json", ws)))
     edit(data)
     with pytest.raises(MalformedArtifact, match="graph.json"):
         graph_from_json(data, "graph.json")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -394,6 +395,41 @@ def test_what_the_kb_could_not_read_back_is_not_stored(tmp_path, capsys, argv, n
     assert not (ws / "kb").exists()
 
 
+J1 = GOLDEN / "fixes/j1"
+SAME_TREES = ["--before", str(J1 / "before"), "--after", str(J1 / "before")]
+J1_FIX = ["--before", str(J1 / "before"), "--after", str(J1 / "after")]
+TAKEN = ["{kb}/vulns/VULN-J1.json", "--overwrite"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["import-fix", "--id", "a/b", *SAME_TREES], ["'a/b'"]),
+    (["import-fix", "--id", "a/b", "--overwrite", *J1_FIX], ["'a/b'"]),
+    (["import-fix", "--id", "VULN-J1", *J1_FIX], TAKEN),
+    (["add-range", "--id", "VULN-J1", "--affected", "lib1:1.0:1.0"], TAKEN),
+    (["index-lib", "--name", "lib/A", "--root", "1.0=%s" % (J1 / "before")], ["'lib/A'"]),
+])
+def test_a_bad_or_taken_name_is_refused_before_any_parse(tmp_path, capsys, monkeypatch,
+                                                          argv, named):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    stored = {p: p.read_bytes() for p in (ws / "kb").rglob("*") if p.is_file()}
+    parsed = []
+    real = bom.parse_unit
+
+    def parse(text, origin):
+        parsed.append(origin)
+        return real(text, origin)
+
+    monkeypatch.setattr(bom, "parse_unit", parse)
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "kb", *argv]) == 3
+    err = capsys.readouterr().err
+    assert all(part.format(kb=ws / "kb") in err for part in named), err
+    assert "Traceback" not in err
+    assert parsed == []
+    assert {p: p.read_bytes() for p in (ws / "kb").rglob("*") if p.is_file()} == stored
+
+
 def test_a_record_id_with_nul_is_not_stored(tmp_path):
     kb = KnowledgeBase(tmp_path / "kb")
     with pytest.raises(MalformedRecord, match=r"'VULN\\x00W'"):
@@ -433,15 +469,13 @@ MITIGATE = ["mitigate", "--lib", "lib1"]
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The arguments of every build_bom call the commands make."""
+    """The name of each build_bom and corpus_program call the commands make."""
     calls = []
-    real = cli.build_bom
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(cli, "build_bom", counting)
+    for name in ("build_bom", "corpus_program"):
+        def counting(*args, name=name, real=getattr(cli, name)):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(cli, name, counting)
     return calls
 
 
@@ -451,7 +485,11 @@ def _outputs(ws):
 
 def test_reach_and_mitigate_reuse_stamped_artifacts(tmp_path, builds, monkeypatch):
     ws = _golden_with_index(tmp_path / "ws")
-    _run(ws, SCAN, STATIC, *TRACES)
+    _run(ws, SCAN)
+    for step in (STATIC, *TRACES):  # the BOM comes from bom.json, the program from source
+        builds.clear()
+        _run(ws, step)
+        assert builds == ["corpus_program"], step
     stamp = json.loads((ws / ".vet/bom.json").read_text())["inputs"]
     assert json.loads((ws / ".vet/graph.json").read_text())["inputs"] == stamp
     written = []
@@ -485,7 +523,7 @@ def test_an_edited_input_forces_a_rebuild(tmp_path, builds, path, edit):
     builds.clear()
     _run(ws, COMBINED, MITIGATE)
     # reach combined restamps graph.json, but bom.json stays as scan left it
-    assert len(builds) == 2
+    assert builds == ["build_bom", "corpus_program", "build_bom"]
 
     fresh = _golden_with_index(tmp_path / "fresh", (path, edit))
     _run(fresh, SCAN, STATIC, *TRACES)
@@ -503,26 +541,30 @@ def test_a_missing_artifact_forces_a_rebuild(tmp_path, builds, name):
     before = _outputs(ws)
     (ws / ".vet" / name).unlink()
     builds.clear()
-    _run(ws, COMBINED)
-    assert len(builds) == 1
-    _run(ws, MITIGATE)
-    # without bom.json nothing is reused; reach combined wrote graph.json again
-    assert len(builds) == (2 if name == "bom.json" else 1)
+    _run(ws, COMBINED, MITIGATE)
+    # each artifact is reused under its own stamp; reach combined wrote graph.json again
+    assert builds == (["build_bom"] * 2 if name == "bom.json" else ["corpus_program"])
     assert _outputs(ws) == before
     assert (ws / ".vet/bom.json").exists() == (name == "graph.json")
 
 
 def test_a_command_reads_each_manifest_once(tmp_path, monkeypatch):
     ws = _golden_with_index(tmp_path / "ws")
-    reads = []
-    real = bom.load_json
+    reads, parsed = [], []
+    real_load, real_parse = bom.load_json, bom.parse_unit
 
-    def counting(path, *args):
+    def load(path, *args):
         reads.append(path)
-        return real(path, *args)
+        return real_load(path, *args)
 
-    monkeypatch.setattr(bom, "load_json", counting)
+    def parse(text, origin):
+        parsed.append(origin)
+        return real_parse(text, origin)
+
+    monkeypatch.setattr(bom, "load_json", load)
+    monkeypatch.setattr(bom, "parse_unit", parse)
     manifests = sorted([ws / "app.json", *(ws / "libs").glob("*/1.0/lib.json")])
+    sources = sorted(p.relative_to(ws).as_posix() for p in ws.rglob("*.jx"))
     main = ws / "src/main.jx"
     for step, edit in ((SCAN, None), (STATIC, None), (COMBINED, main)):
         if edit is not None:  # a stale stamp: the digest, then the build
@@ -530,6 +572,39 @@ def test_a_command_reads_each_manifest_once(tmp_path, monkeypatch):
         reads.clear()
         _run(ws, step)
         assert sorted(reads) == manifests, step
+    # on an empty .vet/ a command builds the BOM and the program from one parse
+    for step in (SCAN, STATIC, TRACES[0], COMBINED, MITIGATE):
+        shutil.rmtree(ws / ".vet")
+        reads.clear()
+        parsed.clear()
+        _run(ws, step)
+        assert sorted(reads) == manifests, step
+        assert sorted(parsed) == sources, step
+
+
+def test_a_source_edited_after_scan_is_traced_as_a_clean_run_traces_it(tmp_path, builds):
+    main = "src/main.jx"
+
+    def edit(text):  # a new test, which only a BOM built after the edit holds
+        return text.replace("    static int alpha()", "    static void testParse() {\n"
+                            "        lib1.Upload.parse(1);\n    }\n\n    static int alpha()")
+
+    ws = _golden_with_index(tmp_path / "ws")
+    _run(ws, SCAN)
+    (ws / main).write_text(edit((ws / main).read_text()))
+    builds.clear()
+    _run(ws, *TRACES)
+    # bom.json is stale, so each trace run builds the BOM and finds the new test
+    assert builds == ["build_bom", "corpus_program"] * 2
+
+    clean = _golden_with_index(tmp_path / "clean", (main, edit))
+    _run(clean, SCAN)
+    builds.clear()
+    _run(clean, *TRACES)
+    assert builds == ["corpus_program"] * 2
+    for name in ("traces.jsonl", "trace-summary.json"):
+        assert (ws / ".vet" / name).read_bytes() == (clean / ".vet" / name).read_bytes()
+    assert '"app.Main.testParse()"' in (ws / ".vet/traces.jsonl").read_text()
 
 
 def test_an_index_entry_of_an_unknown_ctype_exits_three(tmp_path, capsys):

@@ -17,7 +17,7 @@ def _pipeline(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     kb = build_golden_kb(tmp_path / "kb")
     bom = build_bom(ws / "app.json", ws)
-    program = corpus_program(bom)
+    program = corpus_program(ws / "app.json", ws)
     graph = build_call_graph(program)
     log_a, _ = run_tests(bom, program, "test")
     log_b, _ = run_tests(bom, program, "itest")
@@ -43,7 +43,7 @@ def test_traced_edges_are_explained_by_the_cha_graph(tmp_path, source):
     else:
         ws, patterns = small_workload(tmp_path, source), ("test",)
     bom = build_bom(ws / "app.json", ws)
-    program = corpus_program(bom)
+    program = corpus_program(ws / "app.json", ws)
     graph = build_call_graph(program)
     traces = TraceLog()
     for pattern in patterns:

@@ -194,8 +194,7 @@ def _bom_for(src):
     unit = parse_unit(src, "app.jx")
     program = resolve([unit])
     program.require_clean()
-    app = Archive("a", "1.0", APPLICATION, None, units=[unit],
-                  constructs=extract_constructs(program))
+    app = Archive("a", "1.0", APPLICATION, None, constructs=extract_constructs(program))
     return BOM(app, []), program
 
 

@@ -26,7 +26,7 @@ def _setup(tmp_path):
         "2.0": UPDATE / "versions/2.0",
     })
     bom = build_bom(ws / "app.json", ws)
-    graph = build_call_graph(corpus_program(bom))
+    graph = build_call_graph(corpus_program(ws / "app.json", ws))
     return ws, kb, bom, graph
 
 
@@ -118,7 +118,7 @@ class Api {
     kb.index_library("nb", {"2.3.0": cur / "src", "2.3.1": v_near,
                             "3.0.0": v_far})
     bom = build_bom(ws / "app.json", ws)
-    graph = build_call_graph(corpus_program(bom))
+    graph = build_call_graph(corpus_program(ws / "app.json", ws))
     r_a = app_reachability(bom, graph)
     rows = recommend("nb", bom, kb, graph, TraceLog(), r_a.reached)
     assert [r.candidate for r in rows] == ["2.3.1", "3.0.0"]
@@ -133,7 +133,7 @@ def test_transitive_dependency_gets_body_metrics_only(tmp_path):
         "2.0": GOLDEN / "fixes/j2/after",
     })
     bom = build_bom(ws / "app.json", ws)
-    graph = build_call_graph(corpus_program(bom))
+    graph = build_call_graph(corpus_program(ws / "app.json", ws))
     rows = recommend("lib3", bom, kb, graph, TraceLog(), set())
     assert [r.candidate for r in rows] == ["2.0"]
     assert rows[0].cs is None and rows[0].de is None

@@ -87,7 +87,7 @@ READERS = {
     "libs/lib1/1.0/lib.json": (SCAN,),
     "kb/vulns/VULN-J1.json": (SCAN,),
     "kb/libs/lib1.json": (MITIGATE, ["kb", "list"]),
-    ".vet/bom.json": (STATIC, REPORT),
+    ".vet/bom.json": (STATIC, TRACE, REPORT),
     ".vet/graph.json": (STATIC,),
     ".vet/findings.json": (REPORT,),
     ".vet/reach-static.json": (REPORT,),
@@ -161,7 +161,7 @@ FILE_READERS = {
     "libs/*/1.0/lib.json": (SCAN, STATIC),
     "kb/vulns/*.json": (SCAN, ["kb", "list"]),
     "kb/libs/*.json": (MITIGATE, ["kb", "list"]),
-    ".vet/bom.json": (STATIC, REPORT),
+    ".vet/bom.json": (STATIC, TRACE, REPORT),
     ".vet/graph.json": (STATIC, MITIGATE),
     ".vet/findings.json": (REPORT,),
     ".vet/reach-*.json": (REPORT,),
