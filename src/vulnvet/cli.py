@@ -7,6 +7,7 @@ evidence, 2 findings with evidence, 3 analysis error, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -151,8 +152,13 @@ def _graph(ws: Workspace, inputs: str, keep: bool = False):
         return graph_from_json(data, "graph.json")
     graph = build_call_graph(_program(ws))
     if keep:
-        ws.write_json("graph.json", {**graph_to_json(graph), "inputs": inputs})
+        _store_graph(ws, graph, inputs)
     return graph
+
+
+def _store_graph(ws: Workspace, graph, inputs: str) -> None:
+    """Write graph.json, stamped with the digest of the inputs it was built from."""
+    ws.write_json("graph.json", {**graph_to_json(graph), "inputs": inputs})
 
 
 def _warned(log: TraceLog, bom) -> TraceLog:
@@ -194,6 +200,8 @@ def _cmd_kb(args, ws: Workspace) -> int:
 
 def _cmd_scan(args, ws: Workspace) -> int:
     inputs = input_digest(ws.manifest, ws.root)
+    # the graph first, kept by no name: program and graph are freed before the BOM is built
+    _store_graph(ws, build_call_graph(_program(ws)), inputs)
     bom = build_bom(ws.manifest, ws.root)
     for w in bom.warnings:
         print("bom: %s" % w, file=sys.stderr)
@@ -233,15 +241,11 @@ def _cmd_reach(args, ws: Workspace) -> int:
     bom, graph = _bom(ws, inputs), _graph(ws, inputs, keep=True)
     if args.reach_command == "static":
         result = app_reachability(bom, graph)
-        ws.write_json("reach-static.json", reach_to_json(result))
-        label = "static"
     else:
-        traces = _warned(load_summary(ws), bom)
-        result = combined_reachable(graph, traces)
-        ws.write_json("reach-combined.json", reach_to_json(result))
-        label = "combined"
+        result = combined_reachable(graph, _warned(load_summary(ws), bom))
+    ws.write_json("reach-%s.json" % args.reach_command, reach_to_json(result))
     print("%s reachability: %d seeds, %d reached"
-          % (label, len(result.seeds), len(result.reached)))
+          % (args.reach_command, len(result.seeds), len(result.reached)))
     return 0
 
 
@@ -286,12 +290,17 @@ _COMMANDS = {"kb": _cmd_kb, "scan": _cmd_scan, "trace": _cmd_trace, "reach": _cm
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     ws = Workspace.discover(args.workspace, args.kb)
+    collecting = gc.isenabled()
+    gc.disable()  # a process runs one command: cycle collection would be wasted work
     try:
         with one_walk():  # a command reads each manifest once
             return _COMMANDS[args.command](args, ws)
     except (VetError, JxError, OSError) as exc:
         print("vet: error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if collecting:  # main is also called in-process
+            gc.enable()
 
 
 if __name__ == "__main__":

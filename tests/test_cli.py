@@ -1,5 +1,6 @@
 """Command line behavior, exit codes, and artifact handling."""
 
+import gc
 import json
 import os
 import shutil
@@ -78,6 +79,34 @@ def test_a_malformed_option_item_is_a_usage_error(tmp_path, capsys, argv, option
 def test_analysis_error_exit_code(tmp_path):
     # empty workspace: scan cannot find a manifest
     assert vet(["--workspace", str(tmp_path), "scan"]) == 3
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_command_runs_without_the_cyclic_gc_and_restores_it(tmp_path, monkeypatch,
+                                                                collecting):
+    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+    during = []
+    real_scan = cli._COMMANDS["scan"]
+
+    def scan(args, workspace):
+        during.append(gc.isenabled())
+        return real_scan(args, workspace)
+
+    monkeypatch.setitem(cli._COMMANDS, "scan", scan)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert vet(["--workspace", str(ws), "scan"]) == 0
+        assert gc.isenabled() == collecting
+        assert vet(["--workspace", str(tmp_path / "empty"), "scan"]) == 3
+        assert gc.isenabled() == collecting
+        with pytest.raises(SystemExit) as info:
+            vet(["frobnicate"])
+        assert info.value.code == 64
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
 
 
 def test_workspace_env_var(tmp_path, monkeypatch):
@@ -485,8 +514,23 @@ def _outputs(ws):
 
 def test_reach_and_mitigate_reuse_stamped_artifacts(tmp_path, builds, monkeypatch):
     ws = _golden_with_index(tmp_path / "ws")
-    _run(ws, SCAN)
-    for step in (STATIC, *TRACES):  # the BOM comes from bom.json, the program from source
+    parsed = []
+    real_parse = bom.parse_unit
+
+    def parse(text, origin):
+        parsed.append(origin)
+        return real_parse(text, origin)
+
+    monkeypatch.setattr(bom, "parse_unit", parse)
+    builds.clear()
+    _run(ws, SCAN)  # the call graph, then the BOM, from one parse of each file
+    assert builds == ["corpus_program", "build_bom"]
+    assert sorted(parsed) == sorted(p.relative_to(ws).as_posix() for p in ws.rglob("*.jx"))
+    builds.clear()
+    parsed.clear()
+    _run(ws, STATIC)  # the BOM comes from bom.json, the call graph from graph.json
+    assert builds == [] and parsed == []
+    for step in TRACES:  # the BOM comes from bom.json, the program from source
         builds.clear()
         _run(ws, step)
         assert builds == ["corpus_program"], step
@@ -923,17 +967,19 @@ def test_resolver_diagnostics_reach_stderr(tmp_path, capsys):
         assert "Traceback" not in err
         return [line for line in err.splitlines() if line.startswith("resolve: ")]
 
-    # scan resolves archive by archive, so only the whole-workspace steps
-    # print, and reach and mitigate only when they do not reuse graph.json
-    assert run(SCAN, 1) == []
+    # each step that resolves the whole workspace prints them: scan, trace
+    # run, and reach and mitigate only when they do not reuse graph.json
+    assert run(SCAN, 1) == BAD_DIAGNOSTICS
     assert run(TRACES[0], 0) == BAD_DIAGNOSTICS
-    assert run(STATIC, 0) == BAD_DIAGNOSTICS
+    assert run(STATIC, 0) == []
     assert run(COMBINED, 0) == []
     assert run(MITIGATE, 0) == []
-    callers = {e["caller"] for e in json.loads((ws / ".vet/graph.json").read_text())["edges"]}
-    assert "app.Bad.testBad()" not in callers
+    graph = (ws / ".vet/graph.json").read_bytes()
+    assert "app.Bad.testBad()" not in {e["caller"] for e in json.loads(graph)["edges"]}
     (ws / ".vet/graph.json").unlink()
     assert run(MITIGATE, 0) == BAD_DIAGNOSTICS
+    assert run(STATIC, 0) == BAD_DIAGNOSTICS
+    assert (ws / ".vet/graph.json").read_bytes() == graph
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_printer():

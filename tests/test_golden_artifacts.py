@@ -4,11 +4,12 @@ witness-path and dependency-resolution code was consolidated, the trace log
 before trace runs normalised their events once per command instead of once
 per test, and the reachability closures and the update fixture's mitigation
 and report before reach combined and mitigate reused the stamped bom.json
-and graph.json instead of building them again; a refactor that changes any
-byte of them changes behaviour. The trace summary was added later, and is
-checked against the summary of the pinned trace log. Regenerate them only
-for an intended change of the artifact format, and say so in the change
-log."""
+and graph.json instead of building them again. The call graph was written
+by reach static before scan wrote it, and is checked as scan leaves it,
+before reach static runs. A refactor that changes any byte of them changes
+behaviour. The trace summary was added later, and is checked against the
+summary of the pinned trace log. Regenerate them only for an intended
+change of the artifact format, and say so in the change log."""
 
 import json
 
@@ -32,6 +33,7 @@ def test_golden_report_and_findings_are_byte_identical(tmp_path):
                     "--after", str(fx / fix / "after")]) == 0
     # the step order of acceptance criterion 9
     assert vet(["--workspace", w, "scan"]) == 1
+    _assert_pinned(ws, GOLDEN / "expected", ("graph.json",))
     for step in (["reach", "static"], ["trace", "run", "--pattern", "test"],
                  ["trace", "run", "--pattern", "itest"], ["reach", "combined"]):
         assert vet(["--workspace", w, *step]) == 0
