@@ -9,9 +9,17 @@ every child list) leaves the distance unchanged and turns the left
 decomposition into the right one, so the distance is computed on whichever
 orientation fills fewer cells: the simplest of the path strategies of
 RTED/APTED (Pawlik & Augsten, Inf. Syst. 2016).
+
+Zhang-Shasha runs only when two cheap bounds differ. When they meet, as on
+a body a few edits off another, that value is the distance: exact either way.
+Upper: Selkow's top-down distance (IPL 1977), an edit script. Lower: the edit
+distance of the preorder label sequences, where each tree edit is one string
+edit (Guha et al., SIGMOD 2002).
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .canonical import CTree
 
@@ -49,7 +57,96 @@ def _decompose(root: CTree, mirrored: bool):
     return labels, lml, keyroots, rows
 
 
+def _strip(p, q):
+    """Two sequences without their common prefix and suffix."""
+    s, n, m = 0, len(p), len(q)
+    while s < n and s < m and p[s] == q[s]:
+        s += 1
+    while n > s and m > s and p[n - 1] == q[m - 1]:
+        n, m = n - 1, m - 1
+    return p[s:n], q[s:m]
+
+
+def _intern(root: CTree, table: dict, nodes: list):
+    """The id of ``root``, equal subtrees sharing one, and its preorder
+    labels. ``nodes[id]`` is (label, child ids, size). Iterative."""
+    preorder, stack, ids = [], [root], {}  # ids by identity: hashing a CTree walks it
+    while stack:
+        node = stack.pop()
+        preorder.append(node)
+        stack.extend(reversed(node.children))
+    for node in reversed(preorder):  # children before parents
+        key = node.label, tuple(ids[id(c)] for c in node.children)
+        if key not in table:
+            table[key] = len(nodes)
+            nodes.append((*key, 1 + sum(nodes[c][2] for c in key[1])))
+        ids[id(node)] = table[key]
+    return ids[id(root)], [node.label for node in preorder]
+
+
+def _top_down(x: int, y: int, nodes: list) -> int:
+    """Selkow's top-down distance, an upper bound: roots map to roots, and
+    child lists align by subtree distance, insert and delete. Nested pairs
+    live on a stack of generators, not on the call stack."""
+    def align(x, y):
+        (lx, xs, _), (ly, ys, _) = nodes[x], nodes[y]
+        xs, ys = _strip(xs, ys)
+        row = list(accumulate((nodes[v][2] for v in ys), initial=0))
+        for u in xs:
+            du = nodes[u][2]
+            prev, row = row, [row[0] + du]
+            for j, v in enumerate(ys):
+                sub = prev[j] + (0 if u == v else (yield u, v))
+                row.append(min(sub, prev[j + 1] + du, row[j] + nodes[v][2]))
+        return (lx != ly) + row[-1]
+
+    stack, value = [align(x, y)], None
+    while stack:
+        try:
+            stack.append(align(*stack[-1].send(value)))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
+
+
+def _string_distance(p: list, q: list, cap: int) -> int:
+    """Unit-cost edit distance of two sequences, capped at ``cap``; a lower
+    bound on it where it is plainly below ``cap``. Ukkonen: round d extends
+    each diagonal within d to the furthest row that d edits reach."""
+    p, q = _strip(p, q)
+    n, m = len(p), len(q)
+    if abs(n - m) >= cap or max(n, m) < cap:  # |n - m| <= distance <= max(n, m)
+        return min(abs(n - m), cap)
+    rows = {}  # diagonal j - i -> furthest row i
+    for d in range(cap):
+        prev, rows = rows, {}
+        # The diagonals from which m - n is within reach of cap - 1 edits.
+        slack = cap - 1 - d
+        for k in range(max(-d, -n, m - n - slack), min(d, m, m - n + slack) + 1):
+            i = min(max(prev.get(k, -1) + 1, prev.get(k + 1, -1) + 1,
+                        prev.get(k - 1, -1)), n, m - k)
+            while i < n and i + k < m and p[i] == q[i + k]:
+                i += 1
+            rows[k] = i
+        if rows.get(m - n) == n:
+            return d
+    return cap
+
+
+def _bounds(a: CTree, b: CTree):
+    """Lower and upper bounds on the distance, the lower capped at the upper."""
+    table, nodes = {}, []
+    (x, pa), (y, pb) = _intern(a, table, nodes), _intern(b, table, nodes)
+    up = _top_down(x, y, nodes)
+    return _string_distance(pa, pb, up), up
+
+
 def tree_edit_distance(a: CTree, b: CTree) -> int:
+    lo, up = _bounds(a, b)
+    if lo == up:
+        return up
     left = _decompose(a, False), _decompose(b, False)
     right = _decompose(a, True), _decompose(b, True)
     # The cells a decomposition fills are the product of both trees' rows.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from vulnvet import ted
 from vulnvet.canonical import CTree, digest
 from vulnvet.constructs import (CLASS, CONSTRUCTOR, METHOD, Construct,
                                 ConstructId, extract_constructs)
@@ -83,6 +84,46 @@ def test_classify_tie_when_equidistant():
     other = CTree("block", (CTree("lit 3"),))
     c = classify(Construct(cid, digest(other), other), change)
     assert c.verdict == TIE and c.dist_vuln == c.dist_fixed
+
+
+# A ~110-node body of assignments, branches and a loop, as a drifted library
+# method is: the fix inserts a guard statement, and the library's copy has
+# two literals changed (and the guard, on the fixed side).
+DRIFT_LINES = ["int a = x * 3 + x;",
+               "if (a > 17) { a = a - 17; } else { x = x + 1; }",
+               "int b = a * 5 + x;",
+               "int i = 0;", "while (i < 3) { b = b + i; i = i + 1; }",
+               "int c = b * 7 + a;",
+               "if (c > 42) { c = c - 42; } else { b = b + 1; }",
+               "int d = c * 4 + b;",
+               "int e = d * 6 + c;",
+               "if (e > 99) { e = e - 99; } else { d = d + 1; }",
+               "return e + a;"]
+GUARD = "if (x < 0 - 321) { x = 0; }"
+
+
+def test_drifted_bodies_are_classified_without_zhang_shasha(monkeypatch):
+    mid = ConstructId(METHOD, "p.D.run(int)")
+
+    def method(lines):
+        return _inv("package p; class D { static int run(int x) { %s } }"
+                    % " ".join(lines))[mid]
+    vuln, fixed = method(DRIFT_LINES), method([GUARD] + DRIFT_LINES)
+    change = ConstructChange(mid, MOD, vuln.body, fixed.body,
+                             vuln.fingerprint, fixed.fingerprint)
+    drifted = [line.replace("* 3 +", "* 4 +").replace("* 7 +", "* 8 +")
+               for line in DRIFT_LINES]
+    near_vuln, near_fixed = method(drifted), method([GUARD] + drifted)
+    assert 100 <= vuln.body.size() <= 120
+    assert fixed.body.size() == vuln.body.size() + 10
+
+    def refuse(*_):
+        raise AssertionError("Zhang-Shasha ran")
+    monkeypatch.setattr(ted, "_zhang_shasha", refuse)
+    c = classify(near_vuln, change)
+    assert (c.verdict, c.dist_vuln, c.dist_fixed) == (CLOSER_TO_VULNERABLE, 2, 12)
+    c = classify(near_fixed, change)
+    assert (c.verdict, c.dist_vuln, c.dist_fixed) == (CLOSER_TO_FIXED, 12, 2)
 
 
 def test_classify_del_and_add():

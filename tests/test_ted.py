@@ -3,8 +3,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_ctree, ted_oracle, tree_size
+from vulnvet import ted
 from vulnvet.canonical import CTree
-from vulnvet.ted import _decompose, tree_edit_distance
+from vulnvet.ted import _bounds, _decompose, _zhang_shasha, tree_edit_distance
 
 
 def t(label, *children):
@@ -60,6 +61,65 @@ def test_deep_chain_against_single_node():
     assert chain.size() == 5000
     assert tree_edit_distance(chain, t("a")) == 4999
     assert tree_edit_distance(t("a"), chain) == 4999
+
+
+def test_deep_chains_a_relabel_apart_meet_without_zhang_shasha(monkeypatch):
+    def chain(leaf):
+        tree = t(leaf)
+        for _ in range(4999):
+            tree = t("a", tree)
+        return tree
+
+    def refuse(*_):
+        raise AssertionError("Zhang-Shasha ran")
+    monkeypatch.setattr(ted, "_zhang_shasha", refuse)
+    assert tree_edit_distance(chain("b"), chain("c")) == 1
+
+
+def _near_copy(rng, tree, edits, labels="abcd"):
+    """``tree`` after ``edits`` random relabels, node inserts and node deletes
+    (a delete that picks the root relabels it)."""
+    for _ in range(edits):
+        paths, stack = [], [(tree, ())]
+        while stack:  # the child-index path of every node
+            node, path = stack.pop()
+            paths.append(path)
+            stack.extend((c, path + (i,)) for i, c in enumerate(node.children))
+        path, kind = rng.choice(paths), rng.choice("rid")
+
+        def edit(node, path):
+            kids = node.children
+            if path:
+                i = path[0]
+                spliced = (kids[i].children if kind == "d" and len(path) == 1
+                           else (edit(kids[i], path[1:]),))
+                return CTree(node.label, kids[:i] + spliced + kids[i + 1:])
+            if kind == "i":  # a new child adopts a run of this node's children
+                lo = rng.randint(0, len(kids))
+                hi = rng.randint(lo, len(kids))
+                new = CTree(rng.choice(labels), kids[lo:hi])
+                return CTree(node.label, kids[:lo] + (new,) + kids[hi:])
+            return CTree(rng.choice(labels), kids)
+        tree = edit(tree, path)
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3))
+def test_bounds_enclose_the_distance(seed, edits):
+    """lower <= Zhang-Shasha <= upper on random pairs and on near copies, where
+    the bounds often meet, and the distance is exact either way."""
+    rng = random.Random(seed)
+    a = random_ctree(rng, 6)
+    for b in (random_ctree(rng, 6), _near_copy(rng, a, edits)):
+        lo, up = _bounds(a, b)
+        assert lo <= _zhang_shasha(_decompose(a, False), _decompose(b, False)) <= up
+        assert tree_edit_distance(a, b) == ted_oracle(a, b)
+    big = random_ctree(rng, 40)
+    near = _near_copy(rng, big, edits)
+    lo, up = _bounds(big, near)
+    exact = _zhang_shasha(_decompose(big, False), _decompose(near, False))
+    assert lo <= exact <= up and tree_edit_distance(big, near) == exact
 
 
 def mirror(tree):
