@@ -1,12 +1,12 @@
-"""Bill of materials: archives, manifest loading, transitive resolution."""
+"""Bill of materials: archives, manifest loading, transitive resolution,
+read by a command through one Sources, which walks the manifests once and
+parses each source root at most once."""
 
 from __future__ import annotations
 
 import hashlib
 import os
 from collections import deque
-from contextlib import contextmanager
-from contextvars import ContextVar
 from pathlib import Path
 from typing import Optional
 
@@ -73,40 +73,17 @@ def source_files(root: Path, origin_base: Path = None) -> list:
             for path in sorted(root.rglob("*.jx"))]
 
 
-_memo = ContextVar("memo")  # within one_walk: each manifest walk and each root's parse
-
-
-@contextmanager
-def one_walk():
-    """Within the block the manifests of a workspace are read once and each
-    source root is parsed once; neither may change within it."""
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
-
-
-def _once(key, make):
-    """make(), or within one_walk what it returned for key the first time."""
-    memo = _memo.get({})
-    if key not in memo:
-        memo[key] = make()
-    return memo[key]
-
-
 def parse_source_root(root: Path, origin_base: Path = None) -> list:
     """Parse every .jx file under root (see source_files)."""
-    root, base = Path(root), None if origin_base is None else Path(origin_base)
-    return _once(("parse", root, base), lambda: [parse_unit(read_text(path, JxError), origin)
-                                                 for origin, path in source_files(root, base)])
+    return [parse_unit(read_text(path, JxError), origin)
+            for origin, path in source_files(Path(root), origin_base)]
 
 
-def extract_root(root: Path, origin_base: Path = None) -> dict:
+def extract_root(root: Path) -> dict:
     """Parse and inventory one source root in isolation: it is resolved on
     its own, so its constructs do not depend on the rest of the workspace
     (repackaging robustness). Cross-archive references stay unbound."""
-    return extract_constructs(resolve(parse_source_root(root, origin_base)))
+    return extract_constructs(resolve(parse_source_root(root)))
 
 
 VERSION = leaf(is_version, "a dot-separated numeric version")
@@ -118,7 +95,7 @@ def resolve_dependencies(workspace: Path, root_deps) -> tuple:
     """Breadth-first transitive resolution over the manifests of the library
     store, nearest version winning on name conflicts (ties: first declared).
 
-    Returns ([(library dir, manifest data, depth)] in resolution order,
+    Returns ([(lib.json path, manifest data, depth)] in resolution order,
     conflict warnings). Raises MissingDependency for a (name, version) absent
     from the store and ManifestError for a malformed manifest.
     """
@@ -141,7 +118,7 @@ def resolve_dependencies(workspace: Path, root_deps) -> tuple:
             raise MissingDependency(name, version)
         data = load_json(lib_manifest, ManifestError, _MANIFEST)
         resolved[name] = (data, depth)
-        order.append((lib_dir, data, depth))
+        order.append((lib_manifest, data, depth))
         queue.extend((dep, version, depth + 1) for dep, version in _declared_deps(data))
     return order, warnings
 
@@ -150,33 +127,39 @@ def _declared_deps(data: dict) -> list:
     return [(d["name"], d["version"]) for d in data.get("dependencies", [])]
 
 
-def _archive_inputs(manifest, workspace) -> tuple:
-    """The manifest path, manifest data, source root and depth of the
-    application and of every archive resolve_dependencies finds, in
-    resolution order; and the conflict warnings. Read once within one_walk."""
-    manifest, workspace = Path(manifest), Path(workspace)
+class Sources:
+    """The manifests of a workspace, walked once, and its source roots, each
+    parsed at most once. ``archives`` holds the manifest path, manifest
+    data, source root and depth of the application and of every archive
+    resolve_dependencies finds, in resolution order; ``warnings`` the
+    conflict warnings."""
 
-    def walk():
-        app_data = load_json(manifest, ManifestError, _MANIFEST)
-        resolved, warnings = resolve_dependencies(workspace, _declared_deps(app_data))
-        inputs = [(manifest, app_data, (manifest.parent / app_data["sourceRoot"]).resolve(), 0)]
-        inputs.extend((lib_dir / "lib.json", data, (lib_dir / data["sourceRoot"]).resolve(),
-                       depth) for lib_dir, data, depth in resolved)
-        return inputs, warnings
-    return _once(("walk", manifest, workspace), walk)
+    def __init__(self, manifest: Path, workspace: Path):
+        manifest, self.workspace = Path(manifest), Path(workspace)
+        app = load_json(manifest, ManifestError, _MANIFEST)
+        resolved, self.warnings = resolve_dependencies(self.workspace, _declared_deps(app))
+        self.archives = [(path, data, (path.parent / data["sourceRoot"]).resolve(), depth)
+                         for path, data, depth in [(manifest, app, 0)] + resolved]
+        self._units = {}  # source root -> its parsed units
+
+    def units(self, root: Path) -> list:
+        """The units of one source root, origins relative to the workspace."""
+        if root not in self._units:
+            self._units[root] = parse_source_root(root, self.workspace)
+        return self._units[root]
 
 
-def build_bom(manifest: Path, workspace: Path) -> BOM:
+def build_bom(src: Sources) -> BOM:
     """Build the BOM: the application plus every archive of its resolved
-    transitive dependency closure (see resolve_dependencies)."""
-    inputs, warnings = _archive_inputs(manifest, workspace)
+    transitive dependency closure, each resolved on its own (see extract_root)."""
     archives = [(Archive(data["name"], data["version"], DEPENDENCY if depth else APPLICATION,
-                         root, extract_root(root, workspace), _declared_deps(data)), depth)
-                for _, data, root, depth in inputs]
-    return BOM(archives[0][0], archives[1:], warnings)
+                         root, extract_constructs(resolve(src.units(root))),
+                         _declared_deps(data)), depth)
+                for _, data, root, depth in src.archives]
+    return BOM(archives[0][0], archives[1:], src.warnings)
 
 
-def input_digest(manifest: Path, workspace: Path) -> str:
+def input_digest(src: Sources) -> str:
     """SHA-256 over everything build_bom reads: app.json and each lib.json it
     resolves, in resolution order, and every source file of their source
     roots (see source_files), each as its workspace-relative path and its
@@ -191,20 +174,18 @@ def input_digest(manifest: Path, workspace: Path) -> str:
             h.update(part)
 
     put(__version__.encode(), str(parser.MAX_NESTING).encode())
-    inputs, _ = _archive_inputs(manifest, workspace)
-    for path, _, root, _ in inputs:
-        put(Path(os.path.relpath(path, workspace)).as_posix().encode(), path.read_bytes())
-        for origin, source in source_files(root, workspace):
+    for path, _, root, _ in src.archives:
+        put(Path(os.path.relpath(path, src.workspace)).as_posix().encode(), path.read_bytes())
+        for origin, source in source_files(root, src.workspace):
             put(origin.encode(), source.read_bytes())
     return h.hexdigest()
 
 
-def corpus_program(manifest: Path, workspace: Path):
+def corpus_program(src: Sources):
     """Resolve the source roots build_bom reads as one closed unit set.
     Archives nearest the application win duplicate qualified names
     (classpath-first)."""
-    roots = [(parse_source_root(root, workspace), depth)
-             for _, _, root, depth in _archive_inputs(manifest, workspace)[0]]
+    roots = [(src.units(root), depth) for _, _, root, depth in src.archives]
     return resolve([u for units, _ in roots for u in units],
                    {u.origin: depth for units, depth in roots for u in units})
 

@@ -12,18 +12,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bom import (bom_from_json, bom_to_json, build_bom, corpus_program, input_digest,
-                  one_walk)
+from .bom import Sources, bom_from_json, bom_to_json, build_bom, corpus_program, input_digest
 from .callgraph import (app_reachability, build_call_graph, graph_from_json,
                         graph_to_json, reach_to_json)
 from .combined import combined_reachable
 from .constructs import CTYPES, ConstructId
-from .detection import detect, finding_to_json
+from .detection import detect, finding_to_json, non_vulnerable_versions
 from .errors import VetError
 from .interp import run_tests
 from .jx.errors import JxError
 from .kb import KnowledgeBase
-from .metrics import deep_update_advice, metrics_csv, metrics_to_json, recommend
+from .metrics import dependency, deep_update_advice, metrics_csv, metrics_to_json, recommend
 from .report import assemble_report, exit_code_for, render_html
 from .traces import TraceLog, ingest_traces, load_summary, unknown_names, write_traces
 from .workspace import Workspace, shape
@@ -129,36 +128,37 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _program(ws: Workspace):
-    """The whole-workspace program; each resolver diagnostic goes to stderr."""
-    program = corpus_program(ws.manifest, ws.root)
+def _program(src: Sources):
+    """The whole-workspace program; its diagnostics, then its warnings, go to stderr."""
+    program = corpus_program(src)
     for d in program.diagnostics:
         print("resolve: %s" % d, file=sys.stderr)
+    for w in program.warnings:
+        print("resolve: warning: %s" % w, file=sys.stderr)
     return program
 
 
-def _bom(ws: Workspace, inputs: str):
+def _bom(ws: Workspace, src: Sources, inputs: str):
     """The BOM of bom.json while it is stamped with the digest of the current
     inputs (see bom.input_digest), else one built from source."""
     data = ws.read_stamped("bom.json", inputs)
-    return bom_from_json(data, "bom.json") if data is not None else build_bom(ws.manifest, ws.root)
+    return bom_from_json(data, "bom.json") if data is not None else build_bom(src)
 
 
-def _graph(ws: Workspace, inputs: str, keep: bool = False):
+def _graph(ws: Workspace, src: Sources, inputs: str):
     """The call graph of graph.json while it is stamped with the digest of
-    the current inputs, else one built from source and, with keep, stored."""
+    the current inputs, else one built from source and stored."""
     data = ws.read_stamped("graph.json", inputs)
     if data is not None:
         return graph_from_json(data, "graph.json")
-    graph = build_call_graph(_program(ws))
-    if keep:
-        _store_graph(ws, graph, inputs)
-    return graph
+    return _store_graph(ws, build_call_graph(_program(src)), inputs)
 
 
-def _store_graph(ws: Workspace, graph, inputs: str) -> None:
-    """Write graph.json, stamped with the digest of the inputs it was built from."""
+def _store_graph(ws: Workspace, graph, inputs: str):
+    """Write graph.json, stamped with the digest of the inputs it was built
+    from, and return the graph."""
     ws.write_json("graph.json", {**graph_to_json(graph), "inputs": inputs})
+    return graph
 
 
 def _warned(log: TraceLog, bom) -> TraceLog:
@@ -199,10 +199,11 @@ def _cmd_kb(args, ws: Workspace) -> int:
 
 
 def _cmd_scan(args, ws: Workspace) -> int:
-    inputs = input_digest(ws.manifest, ws.root)
+    src = Sources(ws.manifest, ws.root)
+    inputs = input_digest(src)
     # the graph first, kept by no name: program and graph are freed before the BOM is built
-    _store_graph(ws, build_call_graph(_program(ws)), inputs)
-    bom = build_bom(ws.manifest, ws.root)
+    _store_graph(ws, build_call_graph(_program(src)), inputs)
+    bom = build_bom(src)
     for w in bom.warnings:
         print("bom: %s" % w, file=sys.stderr)
     kb = KnowledgeBase(ws.kb_path)
@@ -218,8 +219,9 @@ def _cmd_scan(args, ws: Workspace) -> int:
 
 
 def _cmd_trace(args, ws: Workspace) -> int:
-    bom = _bom(ws, input_digest(ws.manifest, ws.root))
-    new_log, failed = run_tests(bom, _program(ws), pattern=args.pattern)
+    src = Sources(ws.manifest, ws.root)
+    bom = _bom(ws, src, input_digest(src))
+    new_log, failed = run_tests(bom, _program(src), pattern=args.pattern)
     path = ws.artifact("traces.jsonl")
     old_log = _warned(ingest_traces(path), bom) if path.is_file() else TraceLog()
     merged = old_log.merge(new_log)
@@ -237,8 +239,9 @@ def _cmd_trace(args, ws: Workspace) -> int:
 
 
 def _cmd_reach(args, ws: Workspace) -> int:
-    inputs = input_digest(ws.manifest, ws.root)
-    bom, graph = _bom(ws, inputs), _graph(ws, inputs, keep=True)
+    src = Sources(ws.manifest, ws.root)
+    inputs = input_digest(src)
+    bom, graph = _bom(ws, src, inputs), _graph(ws, src, inputs)
     if args.reach_command == "static":
         result = app_reachability(bom, graph)
     else:
@@ -250,15 +253,19 @@ def _cmd_reach(args, ws: Workspace) -> int:
 
 
 def _cmd_mitigate(args, ws: Workspace) -> int:
-    inputs = input_digest(ws.manifest, ws.root)
-    bom, graph = _bom(ws, inputs), _graph(ws, inputs)
+    src = Sources(ws.manifest, ws.root)
+    inputs = input_digest(src)
+    bom, graph = _bom(ws, src, inputs), _graph(ws, src, inputs)
     traces = _warned(load_summary(ws), bom)
     r_static = app_reachability(bom, graph)
     r_combined = combined_reachable(graph, traces)
     reached_union = r_static.reached | r_combined.reached | traces.executed
+    dependency(bom, args.lib)  # a library outside the BOM needs no index
     kb = KnowledgeBase(ws.kb_path)
-    rows = recommend(args.lib, bom, kb, graph, traces, reached_union)
-    notes = deep_update_advice(ws.root, bom, kb, args.lib)
+    index = kb.load_index(args.lib)
+    safe = non_vulnerable_versions(index, kb.records())
+    rows = recommend(args.lib, bom, index, safe, graph, traces, reached_union)
+    notes = deep_update_advice(ws.root, bom, safe, args.lib)
     ws.write_json("mitigation-%s.json" % args.lib,
                   {"library": args.lib, "candidates": metrics_to_json(rows),
                    "notes": notes})
@@ -293,8 +300,7 @@ def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # a process runs one command: cycle collection would be wasted work
     try:
-        with one_walk():  # a command reads each manifest once
-            return _COMMANDS[args.command](args, ws)
+        return _COMMANDS[args.command](args, ws)
     except (VetError, JxError, OSError) as exc:
         print("vet: error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

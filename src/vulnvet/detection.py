@@ -2,17 +2,19 @@
 
 Findings leave detection without evidence (NONE); the report attaches the
 evidence levels defined here from the trace log and reachability artifacts.
+Version screening runs the same detection on a library index's versions.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .bom import BOM
+from .bom import BOM, DEPENDENCY, Archive
+from .constructs import Construct, version_key
 from .diffing import (CLOSER_TO_FIXED, CLOSER_TO_VULNERABLE, EQUALS_FIXED,
                       EQUALS_VULNERABLE, Classification, ConstructChange,
                       classify)
-from .kb import KnowledgeBase, WHOLE_LIBRARY
+from .kb import KnowledgeBase, LibraryIndex, WHOLE_LIBRARY
 
 VULNERABLE = "VULNERABLE"
 FIXED = "FIXED"
@@ -76,11 +78,16 @@ def detect(bom: BOM, kb: KnowledgeBase) -> list:
     construct ids and fingerprints, never on archive metadata.
     """
     findings = []
-    records = [(r, {ch.construct for ch in r.changes}) for r in kb.records()]
+    records = _with_ids(kb.records())
     for arc, _depth in bom.archives():
         findings.extend(detect_archive(arc, records))
     findings.sort(key=lambda f: (f.vuln_id, f.archive_name, f.archive_version))
     return findings
+
+
+def _with_ids(records) -> list:
+    """(record, set of the ids its changes name) for each record."""
+    return [(r, {ch.construct for ch in r.changes}) for r in records]
 
 
 def detect_archive(arc, records) -> list:
@@ -103,6 +110,22 @@ def detect_archive(arc, records) -> list:
         verdict = aggregate_verdict(m.classification for m in matched if m.present)
         findings.append(Finding(record.vuln_id, arc.name, arc.version, verdict, matched))
     return findings
+
+
+def non_vulnerable_versions(index: LibraryIndex, records) -> list:
+    """Versions of the index for which no record is VULNERABLE or
+    WHOLE_LIBRARY_AFFECTED, ascending. Each is detected as an archive of
+    body-less constructs, which classify by digest alone: a matched body
+    equal to neither side of its change gives no signal."""
+    records = _with_ids(records)
+    out = []
+    for version in sorted(index.versions, key=version_key):
+        constructs = {cid: Construct(cid, fp, None) for cid, fp in index.versions[version].items()}
+        arc = Archive(index.name, version, DEPENDENCY, None, constructs=constructs)
+        if not any(f.verdict in (VULNERABLE, WHOLE_LIBRARY_AFFECTED)
+                   for f in detect_archive(arc, records)):
+            out.append(version)
+    return out
 
 
 def finding_to_json(f: Finding) -> dict:

@@ -3,7 +3,8 @@
 Persisted as a directory of JSON documents, one per vulnerability
 (``vulns/<id>.json``) and one per library (``libs/<name>.json``), with
 construct bodies stored as canonical serializations so digests round-trip
-bit-exact.
+bit-exact. A KnowledgeBase keeps nothing but its root: every read goes to
+the files. Version screening is detection.non_vulnerable_versions.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from .bom import DEPENDENCY, VERSION, Archive, extract_root
+from .bom import VERSION, extract_root
 from .canonical import deserialize, serialize
-from .constructs import CTYPE, Construct, ConstructId, version_key, version_newer
+from .constructs import CTYPE, ConstructId, version_key, version_newer
 from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
@@ -111,11 +112,6 @@ def _check_name(value: str, what: str):
 class KnowledgeBase:
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._forget()
-
-    def _forget(self):
-        """Drop what is kept until a write: each library's index and screening."""
-        self._indexes, self._screened = {}, {}
 
     # --- paths ---
 
@@ -185,7 +181,6 @@ class KnowledgeBase:
                 raise MalformedRecord("kb record %s: range %s:%s:%s covers no version: "
                                       "low is above high" % (record.vuln_id, n, lo, hi))
         write_atomic(path, json_text(data))
-        self._forget()
 
     def load_record(self, vuln_id: str) -> VulnerabilityRecord:
         """Read one record. Stored bodies stay canonical text until a
@@ -231,14 +226,11 @@ class KnowledgeBase:
         }
         check(data, INDEX, "library %s" % index.name, MalformedRecord)
         write_atomic(path, json_text(data))
-        self._forget()
 
     def load_index(self, name: str) -> LibraryIndex:
-        """Read one library index, once per instance until a write. Raises
-        UnknownLibrary when there is none and MalformedRecord naming the file
-        for a document that is not an index."""
-        if name in self._indexes:
-            return self._indexes[name]
+        """Read one library index. Raises UnknownLibrary when there is none
+        and MalformedRecord naming the file for a document that is not an
+        index."""
         path = self._lib_path(name)
         if not path.is_file():
             raise UnknownLibrary("the knowledge base has no index for library %s; create "
@@ -247,43 +239,10 @@ class KnowledgeBase:
         data = load_json(path, MalformedRecord, INDEX)
         versions = {v: {ConstructId(e["ctype"], e["qname"]): e["fingerprint"] for e in entries}
                     for v, entries in data["versions"].items()}
-        index = self._indexes[name] = LibraryIndex(data["name"], versions)
-        return index
+        return LibraryIndex(name, versions)
 
     def library_names(self) -> list:
         return sorted(p.stem for p in (self.root / "libs").glob("*.json"))
-
-    # --- version screening ---
-
-    def non_vulnerable_versions(self, name: str) -> list:
-        """Versions of an indexed library for which detection flags no
-        record as VULNERABLE or WHOLE_LIBRARY_AFFECTED, sorted ascending.
-
-        Version sets carry fingerprints only, so each version is detected as
-        an archive of body-less constructs, which classify by digest alone:
-        a matched body that equals neither side of its change gives no
-        signal.
-
-        Each library is screened once per instance: the result is kept until
-        a record or an index is saved through this instance.
-        """
-        if name not in self._screened:
-            self._screened[name] = self._screen(name)
-        return list(self._screened[name])
-
-    def _screen(self, name: str) -> list:
-        from .detection import VULNERABLE, WHOLE_LIBRARY_AFFECTED, detect_archive
-        index = self.load_index(name)
-        records = [(r, {ch.construct for ch in r.changes}) for r in self.records()]
-        out = []
-        for version in sorted(index.versions, key=version_key):
-            constructs = {cid: Construct(cid, fp, None)
-                          for cid, fp in index.versions[version].items()}
-            arc = Archive(name, version, DEPENDENCY, None, constructs=constructs)
-            if not any(f.verdict in (VULNERABLE, WHOLE_LIBRARY_AFFECTED)
-                       for f in detect_archive(arc, records)):
-                out.append(version)
-        return out
 
     # --- provenance stamp ---
 

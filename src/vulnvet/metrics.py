@@ -3,7 +3,8 @@
 Callee stability and development effort are defined over the touch points of
 a directly used dependency; the body stability metrics compare construct
 inventories (identifier and fingerprint) and also apply to transitive
-dependencies and frameworks.
+dependencies and frameworks. Ranking and deep-update advice take a library's
+index and its screened versions from the caller.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from .bom import resolve_dependencies
 from .constructs import CALLABLE_CTYPES, is_version, version_key, version_newer
 from .errors import (EmptyConstructSet, MissingDependency, NoCandidates,
                      NoTouchPoints, UnknownArchive, UnknownLibrary)
-from .kb import KnowledgeBase, LibraryIndex
+from .kb import LibraryIndex
 
 
 class Ratio(NamedTuple):
@@ -54,7 +55,7 @@ class UpdateMetrics:
         self.obs = obs
 
 
-def _dependency(bom, lib: str):
+def dependency(bom, lib: str):
     """The archive of dependency lib; UnknownArchive unless bom has one."""
     arc = bom.archive_named(lib)
     if arc is None or arc is bom.application:
@@ -65,7 +66,7 @@ def _dependency(bom, lib: str):
 def touch_points(bom, graph, traces, lib: str) -> list:
     """Direct application-to-library call pairs with per-callee site lists,
     flagged by which analysis observed them. traces may be None."""
-    arc = _dependency(bom, lib)
+    arc = dependency(bom, lib)
     app_ids = {cid for cid in bom.application.constructs if cid.ctype in CALLABLE_CTYPES}
     lib_ids = {cid for cid in arc.constructs if cid.ctype in CALLABLE_CTYPES}
     points = {}
@@ -138,19 +139,18 @@ def body_stability(construct_set, candidate: str, index: LibraryIndex) -> Ratio:
     return Ratio(kept, len(pairs))
 
 
-def recommend(lib: str, bom, kb: KnowledgeBase, graph, traces,
+def recommend(lib: str, bom, index: LibraryIndex, safe, graph, traces,
               reached_union) -> list:
-    """Rank every non-vulnerable version newer than the one in use.
+    """Rank every version of safe, lib's non-vulnerable indexed versions,
+    that is newer than the one in use.
 
     reached_union: the overall reachable construct set (static, dynamic, and
     combined). For transitive dependencies and frameworks without direct
     touch points, CS/DE are not applicable and only RBS/OBS are emitted.
     Rows sorted by (cs desc, de asc, rbs desc, obs desc, version desc).
     """
-    arc = _dependency(bom, lib)
-    index = kb.load_index(lib)
-    candidates = [v for v in kb.non_vulnerable_versions(lib)
-                  if version_newer(v, arc.version)]
+    arc = dependency(bom, lib)
+    candidates = [v for v in safe if version_newer(v, arc.version)]
     if not candidates:
         raise NoCandidates("no newer non-vulnerable version of %s" % lib)
 
@@ -198,16 +198,13 @@ def metrics_to_json(rows: list) -> list:
     return out
 
 
-def deep_update_advice(workspace: Path, bom, kb: KnowledgeBase, lib: str) -> list:
+def deep_update_advice(workspace: Path, bom, safe, lib: str) -> list:
     """For a vulnerable transitive dependency, name newer versions of the
-    direct dependency that pull in a non-vulnerable version of it."""
+    direct dependency that pull in one of safe, lib's non-vulnerable
+    versions."""
     workspace = Path(workspace)
     depth = bom.depth_of(lib)
     if depth is None or depth <= 1:
-        return []
-    try:
-        safe = set(kb.non_vulnerable_versions(lib))
-    except UnknownLibrary:
         return []
     notes = []
     for direct_name, _v in bom.application.declared_deps:

@@ -20,23 +20,23 @@ from .constructs import ConstructId
 from .detection import COMBINED, DYNAMIC, EVIDENCE_ORDER, NONE, STATIC
 from .errors import MalformedArtifact
 from .kb import KnowledgeBase
-from .traces import event_json, load_summary
+from .traces import TraceLog, load_summary
 from .workspace import Workspace, load_json, shape
 
 
-def attach_evidence(findings, trace_lines, r_static: ReachResult,
+def attach_evidence(findings, log: TraceLog, r_static: ReachResult,
                     r_combined: ReachResult):
     """Attach the strongest evidence per contained construct and per finding.
 
-    findings are finding_to_json dicts, trace_lines trace event dicts.
-    DYNAMIC: executed, with the first trace event as witness; STATIC:
-    reachable from the application; COMBINED: reachable only from the traced
-    constructs, both with a seed-to-construct witness path; NONE otherwise.
-    Mutates and returns the findings.
+    findings are finding_to_json dicts. DYNAMIC: executed, with the first
+    event of the log as witness; STATIC: reachable from the application;
+    COMBINED: reachable only from the traced constructs, both with a
+    seed-to-construct witness path; NONE otherwise. Mutates and returns the
+    findings.
     """
     first_event = {}
-    for ev in trace_lines:
-        first_event.setdefault(ev["callee"], ev)
+    for ev in log.events:
+        first_event.setdefault(ev.callee.qname, ev)
     for f in findings:
         strongest = NONE
         for m in f.get("matched", ()):
@@ -47,9 +47,9 @@ def attach_evidence(findings, trace_lines, r_static: ReachResult,
             ev = first_event.get(cid.qname)
             if ev is not None:
                 level = DYNAMIC
-                witness = {"trace": {"test": ev.get("test", ""), "ts": ev["ts"],
-                                     "caller": ev.get("caller"),
-                                     "site": ev.get("site")}}
+                witness = {"trace": {"test": ev.test, "ts": ev.ts,
+                                     "caller": ev.caller.qname if ev.caller else None,
+                                     "site": ev.site}}
             elif cid in r_static.reached:
                 level, witness = STATIC, _path_witness(r_static, cid)
             elif cid in r_combined.reached:
@@ -96,8 +96,8 @@ def assemble_report(ws: Workspace) -> dict:
     static_present, r_static = _read_reach(ws, "reach-static.json")
     combined_present, r_combined = _read_reach(ws, "reach-combined.json")
     # the summary holds the first event of every callee, as the full log would
-    trace_lines = [event_json(e) for e in load_summary(ws).events]
-    findings = attach_evidence(findings, trace_lines, r_static, r_combined)
+    traces = load_summary(ws)
+    findings = attach_evidence(findings, traces, r_static, r_combined)
 
     archives = []
     for arc, depth in bom.archives() if bom is not None else ():
@@ -122,7 +122,7 @@ def assemble_report(ws: Workspace) -> dict:
                        "reachedByCtype": _reached_counts(r_static)},
             "combined": {"present": combined_present,
                          "reachedByCtype": _reached_counts(r_combined)},
-            "tracedConstructs": len({e["callee"] for e in trace_lines}),
+            "tracedConstructs": len({e.callee.qname for e in traces.events}),
         },
         "mitigation": mitigation,
     }

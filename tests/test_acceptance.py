@@ -17,7 +17,7 @@ import pytest
 from helpers import (GOLDEN, UPDATE, build_golden_kb, closure_oracle,
                      copy_workspace, enum_trees, mutate, random_ctree,
                      random_program, ted_oracle, tree_size)
-from vulnvet.bom import APPLICATION, Archive, BOM, build_bom, corpus_program
+from vulnvet.bom import APPLICATION, Archive, BOM, Sources, build_bom, corpus_program
 from vulnvet.callgraph import (CallGraph, Edge, STATIC_DISPATCH,
                                app_reachability, build_call_graph, reachable,
                                witness_path)
@@ -51,7 +51,8 @@ def test_criterion_1_golden_corpus_end_to_end(tmp_path):
     started = time.monotonic()
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     kb = build_golden_kb(tmp_path / "kb")
-    bom = build_bom(ws / "app.json", ws)
+    src = Sources(ws / "app.json", ws)
+    bom = build_bom(src)
 
     findings = detect(bom, kb)
     by_id = {f.vuln_id: f for f in findings}
@@ -71,7 +72,7 @@ def test_criterion_1_golden_corpus_end_to_end(tmp_path):
     assert {m.change.construct.qname for m in informative if m.present} == {
         "lib3.Scan.omega()", "lib3.Scan.check(int)"}
 
-    program = corpus_program(ws / "app.json", ws)
+    program = corpus_program(src)
     graph = build_call_graph(program)
 
     r_static = app_reachability(bom, graph)
@@ -113,12 +114,11 @@ def test_criterion_1_golden_corpus_end_to_end(tmp_path):
 
     from vulnvet.detection import COMBINED, DYNAMIC, finding_to_json
     from vulnvet.report import attach_evidence
-    from vulnvet.traces import read_trace_lines, to_jsonl
+    from vulnvet.traces import ingest_traces, to_jsonl
     trace_file = tmp_path / "traces.jsonl"
     trace_file.write_text(to_jsonl(traces))
-    trace_lines = [data for _, data in read_trace_lines(trace_file)]
     reported = attach_evidence([finding_to_json(f) for f in findings],
-                               trace_lines, r_static, r_combined)
+                               ingest_traces(trace_file), r_static, r_combined)
     for f in reported:
         assert f["evidence"] in (COMBINED, DYNAMIC)
 
@@ -136,8 +136,9 @@ def test_criterion_2_cs_and_de_worked_example(tmp_path):
         "1.0": ws / "libs/libA/1.0/src",
         "2.0": UPDATE / "versions/2.0",
     })
-    bom = build_bom(ws / "app.json", ws)
-    graph = build_call_graph(corpus_program(ws / "app.json", ws))
+    src = Sources(ws / "app.json", ws)
+    bom = build_bom(src)
+    graph = build_call_graph(corpus_program(src))
     tps = touch_points(bom, graph, None, "libA")
     assert {tp.lib_callee.qname for tp in tps} == {
         "libA.Api.beta(int)", "libA.Api.psi()"}

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from helpers import GOLDEN, UPDATE, copy_workspace
-from vulnvet.bom import (bom_from_json, bom_to_json, build_bom, corpus_program,
+from vulnvet.bom import (Sources, bom_from_json, bom_to_json, build_bom, corpus_program,
                          input_digest, source_files)
 from vulnvet.callgraph import build_call_graph, graph_from_json, graph_to_json
 from vulnvet.errors import MalformedArtifact, ManifestError, MissingDependency
@@ -17,7 +17,7 @@ from vulnvet.jx import parser
 
 def _golden_bom(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
-    return ws, build_bom(ws / "app.json", ws)
+    return ws, build_bom(Sources(ws / "app.json", ws))
 
 
 def test_transitive_resolution_and_depths(tmp_path):
@@ -39,7 +39,7 @@ def test_version_conflict_nearest_wins(tmp_path):
         "dependencies": []}))
     (lib2_old / "src").mkdir()
     (lib2_old / "src/core.jx").write_text("package lib2; class Core { }")
-    bom = build_bom(ws / "app.json", ws)
+    bom = build_bom(Sources(ws / "app.json", ws))
     assert bom.archive_named("lib2").version == "0.9"
     assert any("conflict" in w for w in bom.warnings)
 
@@ -50,7 +50,7 @@ def test_missing_dependency_is_an_error(tmp_path):
     manifest["dependencies"].append({"name": "ghost", "version": "1.0"})
     (ws / "app.json").write_text(json.dumps(manifest))
     with pytest.raises(MissingDependency):
-        build_bom(ws / "app.json", ws)
+        build_bom(Sources(ws / "app.json", ws))
 
 
 def test_malformed_manifest(tmp_path):
@@ -65,12 +65,12 @@ def test_malformed_manifest(tmp_path):
                  '"dependencies": [{"name": "y", "version": "1.x"}]}'):
         bad.write_text(text)
         with pytest.raises(ManifestError):
-            build_bom(bad, tmp_path)
+            build_bom(Sources(bad, tmp_path))
 
 
 def test_unit_origins_are_workspace_relative(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
-    origins = [u.origin for u in corpus_program(ws / "app.json", ws).units]
+    origins = [u.origin for u in corpus_program(Sources(ws / "app.json", ws)).units]
     assert "src/main.jx" in origins
     assert "libs/fw/1.0/src/engine.jx" in origins
     assert not any(o.startswith("/") for o in origins)
@@ -89,13 +89,13 @@ def test_source_origins_equal_a_relpath_per_file(tmp_path):
             (Path(os.path.relpath(path, ws)).as_posix(), path) for path in paths]
     manifest = json.loads((ws / "app.json").read_text())
     (ws / "app.json").write_text(json.dumps(dict(manifest, sourceRoot="../shared")))
-    origins = {u.origin for u in corpus_program(ws / "app.json", ws).units}
+    origins = {u.origin for u in corpus_program(Sources(ws / "app.json", ws)).units}
     assert {o for o in origins if not o.startswith("libs/")} == {"../shared/a.jx", "../shared/q/b.jx", "../shared/q/r/c.jx"}
 
 
 def test_corpus_program_resolves_cross_archive_calls(tmp_path):
     ws, _ = _golden_bom(tmp_path)
-    program = corpus_program(ws / "app.json", ws)
+    program = corpus_program(Sources(ws / "app.json", ws))
     assert not program.diagnostics
 
 
@@ -118,8 +118,9 @@ def _inventory(bom):
 @pytest.mark.parametrize("fixture", [GOLDEN, UPDATE])
 def test_bom_and_graph_json_round_trip(tmp_path, fixture):
     ws = copy_workspace(fixture / "workspace", tmp_path / "ws")
-    bom = build_bom(ws / "app.json", ws)
-    graph = build_call_graph(corpus_program(ws / "app.json", ws))
+    src = Sources(ws / "app.json", ws)
+    bom = build_bom(src)
+    graph = build_call_graph(corpus_program(src))
     assert graph.unresolved or fixture is UPDATE
     stored = json.loads(json.dumps(graph_to_json(graph)))
     assert graph_from_json(stored, "graph.json") == graph
@@ -164,7 +165,7 @@ def test_bom_from_json_rejects_what_bom_to_json_does_not_write(tmp_path, edit):
 ])
 def test_graph_from_json_rejects_what_graph_to_json_does_not_write(tmp_path, edit):
     ws, _ = _golden_bom(tmp_path)
-    data = graph_to_json(build_call_graph(corpus_program(ws / "app.json", ws)))
+    data = graph_to_json(build_call_graph(corpus_program(Sources(ws / "app.json", ws))))
     edit(data)
     with pytest.raises(MalformedArtifact, match="graph.json"):
         graph_from_json(data, "graph.json")
@@ -172,26 +173,26 @@ def test_graph_from_json_rejects_what_graph_to_json_does_not_write(tmp_path, edi
 
 def test_input_digest_covers_what_the_build_reads(tmp_path, monkeypatch):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
-    base = input_digest(ws / "app.json", ws)
+    base = input_digest(Sources(ws / "app.json", ws))
     # content only: another checkout location, an artifact or an unrelated
     # file leave it as it is
     other = copy_workspace(ws, tmp_path / "elsewhere")
-    assert input_digest(other / "app.json", other) == base
+    assert input_digest(Sources(other / "app.json", other)) == base
     (ws / ".vet").mkdir()
     (ws / ".vet/bom.json").write_text("{}")
     (ws / "libs/lib1/1.0/NOTES.txt").write_text("not a source")
-    assert input_digest(ws / "app.json", ws) == base
+    assert input_digest(Sources(ws / "app.json", ws)) == base
 
     def changed(path, text):
         old = path.read_bytes() if path.exists() else None
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-        digest = input_digest(ws / "app.json", ws)
+        digest = input_digest(Sources(ws / "app.json", ws))
         if old is None:
             path.unlink()
         else:
             path.write_bytes(old)
-        assert input_digest(ws / "app.json", ws) == base
+        assert input_digest(Sources(ws / "app.json", ws)) == base
         return digest != base
 
     source = ws / "libs/lib3/1.0/src/scan.jx"
@@ -203,7 +204,7 @@ def test_input_digest_covers_what_the_build_reads(tmp_path, monkeypatch):
     # a store library the application does not resolve is not an input
     assert not changed(ws / "libs/lib2/0.5/lib.json", "{}")
     monkeypatch.setattr(parser, "MAX_NESTING", parser.MAX_NESTING + 1)
-    assert input_digest(ws / "app.json", ws) != base
+    assert input_digest(Sources(ws / "app.json", ws)) != base
 
 
 def test_input_digest_fails_like_the_build(tmp_path):
@@ -212,4 +213,4 @@ def test_input_digest_fails_like_the_build(tmp_path):
     (ws / "libs/lib3/1.0/src").rmdir()
     for step in (input_digest, build_bom):
         with pytest.raises(ManifestError, match="source root"):
-            step(ws / "app.json", ws)
+            step(Sources(ws / "app.json", ws))

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import (GOLDEN, UPDATE, closure_oracle, copy_workspace, reference_call_graph,
                      reference_call_nodes, small_workload)
-from vulnvet.bom import corpus_program
+from vulnvet.bom import Sources, corpus_program
 from vulnvet.callgraph import (CONSTRUCTOR_CALL, STATIC_DISPATCH,
                                VIRTUAL_DISPATCH, CallGraph, Edge,
                                build_call_graph, reach_from_json, reach_to_json,
@@ -141,7 +141,7 @@ def test_call_graph_equals_the_reference_walk(tmp_path, source):
         ws = copy_workspace(fixture / "workspace", tmp_path / "ws")
     else:
         ws = small_workload(tmp_path, source)
-    program = corpus_program(ws / "app.json", ws)
+    program = corpus_program(Sources(ws / "app.json", ws))
     assert not program.diagnostics
     graph = build_call_graph(program)
     assert graph.edges

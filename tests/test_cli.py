@@ -863,6 +863,16 @@ def test_mitigate_errors_name_the_object_and_the_remedy(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
+def test_mitigate_of_a_transitive_library_without_an_index_exits_three(tmp_path, capsys):
+    # lib3 is transitive: its deep-update advice would screen it too
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "mitigate", "--lib", "lib3"]) == 3
+    err = capsys.readouterr().err
+    assert "no index for library lib3" in err and "Traceback" not in err
+
+
 # --- text that is not UTF-8 --------------------------------------------------
 
 ANALYSES = (SCAN, TRACES[0], STATIC, COMBINED, MITIGATE)
@@ -977,8 +987,10 @@ def test_resolver_diagnostics_reach_stderr(tmp_path, capsys):
     graph = (ws / ".vet/graph.json").read_bytes()
     assert "app.Bad.testBad()" not in {e["caller"] for e in json.loads(graph)["edges"]}
     (ws / ".vet/graph.json").unlink()
+    # the command that rebuilds a missing graph.json writes it
     assert run(MITIGATE, 0) == BAD_DIAGNOSTICS
-    assert run(STATIC, 0) == BAD_DIAGNOSTICS
+    assert (ws / ".vet/graph.json").read_bytes() == graph
+    assert run(STATIC, 0) == []
     assert (ws / ".vet/graph.json").read_bytes() == graph
 
 
@@ -1043,3 +1055,35 @@ def test_a_type_of_the_package_from_another_archive_keeps_member_ids_whole(tmp_p
     (finding,) = report["findings"]
     assert finding["vulnId"] == "V1" and finding["evidence"] == "DYNAMIC"
     assert "p.B.run(p.Foo)" in [m["qname"] for m in finding["matched"]]
+
+
+# --- a type declared by two archives -----------------------------------------
+
+def _lib(name, deps, method):
+    """The manifest and source of library name, whose p.A declares method()."""
+    return {"libs/%s/1.0/lib.json" % name: json.dumps({
+                "name": name, "version": "1.0", "sourceRoot": "src",
+                "dependencies": [{"name": d, "version": "1.0"} for d in deps]}),
+            "libs/%s/1.0/src/a.jx" % name: "package p;\n\nclass A {\n    static int %s() {\n"
+                                            "        return 1;\n    }\n}\n" % method}
+
+
+def test_a_shadowed_type_is_warned_of_and_the_nearest_archive_wins(tmp_path, capsys):
+    # l1 (depth 1) and l2 (depth 2) both declare p.A; only l1's has near()
+    ws = tmp_path / "ws"
+    files = {"app.json": json.dumps({"name": "app", "version": "1.0", "sourceRoot": "src",
+                                     "dependencies": [{"name": "l1", "version": "1.0"}]}),
+             "src/main.jx": "package app;\n\nclass Main {\n    static void testNear() {\n"
+                            "        p.A.near();\n    }\n}\n",
+             **_lib("l1", ["l2"], "near"), **_lib("l2", [], "far")}
+    for name, text in files.items():
+        (ws / name).parent.mkdir(parents=True, exist_ok=True)
+        (ws / name).write_text(text)
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "scan"]) == 0
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("resolve: ")] == [
+        "resolve: warning: type p.A from libs/l2/1.0/src/a.jx is shadowed by the "
+        "declaration in libs/l1/1.0/src/a.jx"]
+    edges = json.loads((ws / ".vet/graph.json").read_text())["edges"]
+    assert ("app.Main.testNear()", "p.A.near()") in {(e["caller"], e["callee"]) for e in edges}

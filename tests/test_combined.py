@@ -3,21 +3,22 @@
 import pytest
 
 from helpers import GOLDEN, build_golden_kb, copy_workspace, small_workload
-from vulnvet.bom import build_bom, corpus_program
+from vulnvet.bom import Sources, build_bom, corpus_program
 from vulnvet.callgraph import DYNAMIC as DYN_EDGE, app_reachability, build_call_graph
 from vulnvet.combined import combined_reachable, dynamic_edges
 from vulnvet.constructs import METHOD, ConstructId
 from vulnvet.detection import COMBINED, DYNAMIC, NONE, detect, finding_to_json
 from vulnvet.interp import run_tests
 from vulnvet.report import attach_evidence
-from vulnvet.traces import TraceLog, read_trace_lines, to_jsonl
+from vulnvet.traces import TraceLog, ingest_traces, to_jsonl
 
 
 def _pipeline(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     kb = build_golden_kb(tmp_path / "kb")
-    bom = build_bom(ws / "app.json", ws)
-    program = corpus_program(ws / "app.json", ws)
+    src = Sources(ws / "app.json", ws)
+    bom = build_bom(src)
+    program = corpus_program(src)
     graph = build_call_graph(program)
     log_a, _ = run_tests(bom, program, "test")
     log_b, _ = run_tests(bom, program, "itest")
@@ -42,8 +43,9 @@ def test_traced_edges_are_explained_by_the_cha_graph(tmp_path, source):
         ws, patterns = copy_workspace(GOLDEN / "workspace", tmp_path / "ws"), ("test", "itest")
     else:
         ws, patterns = small_workload(tmp_path, source), ("test",)
-    bom = build_bom(ws / "app.json", ws)
-    program = corpus_program(ws / "app.json", ws)
+    src = Sources(ws / "app.json", ws)
+    bom = build_bom(src)
+    program = corpus_program(src)
     graph = build_call_graph(program)
     traces = TraceLog()
     for pattern in patterns:
@@ -63,13 +65,12 @@ def test_combined_pass_with_empty_traces_reaches_nothing(tmp_path):
 
 
 def _evidence(tmp_path, bom, kb, traces, r_a, r_t):
-    """Findings as the report sees them: finding_to_json dicts, trace lines
+    """Findings as the report sees them: finding_to_json dicts, the trace log
     read back from traces.jsonl, and both closures."""
     path = tmp_path / "traces.jsonl"
     path.write_text(to_jsonl(traces))
-    trace_lines = [data for _, data in read_trace_lines(path)]
     findings = [finding_to_json(f) for f in detect(bom, kb)]
-    return {f["vulnId"]: f for f in attach_evidence(findings, trace_lines, r_a, r_t)}
+    return {f["vulnId"]: f for f in attach_evidence(findings, ingest_traces(path), r_a, r_t)}
 
 
 def _matched(finding, qname):

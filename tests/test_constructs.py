@@ -5,7 +5,7 @@ import random
 from hypothesis import given, strategies as st
 
 from helpers import GOLDEN, UPDATE, random_program
-from vulnvet.bom import build_bom
+from vulnvet.bom import Sources, build_bom
 from vulnvet.callgraph import Edge
 from vulnvet.canonical import CTree
 from vulnvet.constructs import (CALLABLE_CTYPES, CLASS, CONSTRUCTOR, INTERFACE, METHOD,
@@ -144,7 +144,7 @@ def test_member_names_round_trip_on_the_fixtures():
     members = []
     for fixture in (GOLDEN, UPDATE):
         ws = fixture / "workspace"
-        for arc, _depth in build_bom(ws / "app.json", ws).archives():
+        for arc, _depth in build_bom(Sources(ws / "app.json", ws)).archives():
             members.extend(c for c in arc.constructs if c.ctype in CALLABLE_CTYPES)
     assert {c.ctype for c in members} == {METHOD, CONSTRUCTOR}
     for cid in members:

@@ -4,12 +4,12 @@ from pathlib import Path
 
 from helpers import GOLDEN, build_golden_kb, copy_workspace
 from vulnvet import kb as kb_module
-from vulnvet.bom import APPLICATION, Archive, BOM, build_bom
+from vulnvet.bom import APPLICATION, Archive, BOM, Sources, build_bom
 from vulnvet.canonical import CTree, deserialize, digest, serialize
 from vulnvet.constructs import METHOD, ConstructId
 from vulnvet.detection import (FIXED, MANUAL_REVIEW, VULNERABLE,
                                WHOLE_LIBRARY_AFFECTED, aggregate_verdict,
-                               detect, finding_to_json)
+                               detect, finding_to_json, non_vulnerable_versions)
 from vulnvet.diffing import (CLOSER_TO_FIXED, CLOSER_TO_VULNERABLE,
                              EQUALS_FIXED, EQUALS_VULNERABLE, MOD, TIE,
                              Classification, ConstructChange)
@@ -40,7 +40,7 @@ def test_aggregate_mixed_or_tied_needs_review():
 def test_golden_detection_verdicts(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     kb = build_golden_kb(tmp_path / "kb")
-    findings = detect(build_bom(ws / "app.json", ws), kb)
+    findings = detect(build_bom(Sources(ws / "app.json", ws)), kb)
     assert {(f.vuln_id, f.archive_name, f.verdict) for f in findings} == {
         ("VULN-J1", "fw", VULNERABLE),
         ("VULN-J2", "lib3", VULNERABLE),
@@ -53,7 +53,7 @@ def test_fixed_archive_is_reported_fixed(tmp_path):
     eng = ws / "libs/fw/1.0/src/engine.jx"
     eng.write_text((GOLDEN / "fixes/j1/after/engine.jx").read_text())
     kb = build_golden_kb(tmp_path / "kb")
-    findings = detect(build_bom(ws / "app.json", ws), kb)
+    findings = detect(build_bom(Sources(ws / "app.json", ws)), kb)
     f1 = next(f for f in findings if f.vuln_id == "VULN-J1")
     assert f1.verdict == FIXED
 
@@ -62,7 +62,7 @@ def test_whole_library_match_by_range(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     kb = build_golden_kb(tmp_path / "kb")
     kb.add_whole_library("VULN-W", [("lib2", "1.0", "1.9")])
-    findings = detect(build_bom(ws / "app.json", ws), kb)
+    findings = detect(build_bom(Sources(ws / "app.json", ws)), kb)
     fw = next(f for f in findings if f.vuln_id == "VULN-W")
     assert fw.archive_name == "lib2"
     assert fw.verdict == WHOLE_LIBRARY_AFFECTED
@@ -71,7 +71,7 @@ def test_whole_library_match_by_range(tmp_path):
 def test_finding_json_shape(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     kb = build_golden_kb(tmp_path / "kb")
-    findings = detect(build_bom(ws / "app.json", ws), kb)
+    findings = detect(build_bom(Sources(ws / "app.json", ws)), kb)
     data = finding_to_json(findings[0])
     assert set(data) == {"vulnId", "archive", "verdict", "evidence", "matched"}
     for entry in data["matched"]:
@@ -85,7 +85,7 @@ def test_application_archive_is_scanned_too(tmp_path):
     vuln_src = (GOLDEN / "workspace/libs/lib3/1.0/src/scan.jx").read_text()
     (ws / "src/scan.jx").write_text(vuln_src)
     kb = build_golden_kb(tmp_path / "kb")
-    findings = detect(build_bom(ws / "app.json", ws), kb)
+    findings = detect(build_bom(Sources(ws / "app.json", ws)), kb)
     hits = {(f.vuln_id, f.archive_name) for f in findings}
     assert ("VULN-J2", "demo-app") in hits
     assert ("VULN-J2", "lib3") in hits
@@ -109,7 +109,7 @@ def test_scan_decodes_only_the_trees_it_measures(tmp_path, monkeypatch):
         return deserialize(text)
     monkeypatch.setattr(kb_module, "deserialize", counting)
 
-    findings = detect(build_bom(ws / "app.json", ws), kb)
+    findings = detect(build_bom(Sources(ws / "app.json", ws)), kb)
     measured = [m for f in findings for m in f.matched
                 if m.classification is not None and m.classification.dist_vuln is not None]
     assert [m.change.construct.qname for m in measured] == ["fw.Engine.renderError()"]
@@ -118,5 +118,5 @@ def test_scan_decodes_only_the_trees_it_measures(tmp_path, monkeypatch):
 
     decoded.clear()
     kb.index_library("lib3", {"1.0": GOLDEN / "workspace/libs/lib3/1.0/src"})
-    assert kb.non_vulnerable_versions("lib3") == []
+    assert non_vulnerable_versions(kb.load_index("lib3"), kb.records()) == []
     assert decoded == []

@@ -7,10 +7,15 @@ import pytest
 from helpers import GOLDEN, build_golden_kb
 from vulnvet.canonical import CTree, digest, serialize
 from vulnvet.constructs import CLASS, METHOD, ConstructId
+from vulnvet.detection import non_vulnerable_versions
 from vulnvet.diffing import ADD, DEL, ConstructChange
 from vulnvet.errors import DuplicateVuln, EmptyChangeSet, UnknownLibrary
 from vulnvet.kb import (CODE_CHANGE, WHOLE_LIBRARY, KnowledgeBase, LibraryIndex,
                         VulnerabilityRecord)
+
+
+def _screen(kb, lib):
+    return non_vulnerable_versions(kb.load_index(lib), kb.records())
 
 
 def test_import_fix_round_trips_asts(tmp_path):
@@ -69,7 +74,7 @@ def test_index_and_screening(tmp_path):
         "1.0": GOLDEN / "workspace/libs/lib3/1.0/src",  # vulnerable bodies
         "2.0": GOLDEN / "fixes/j2/after",               # fixed bodies
     })
-    assert kb.non_vulnerable_versions("lib3") == ["2.0"]
+    assert _screen(kb, "lib3") == ["2.0"]
     with pytest.raises(UnknownLibrary):
         kb.load_index("nope")
 
@@ -78,11 +83,11 @@ def test_a_write_shows_in_the_next_screening(tmp_path):
     kb = build_golden_kb(tmp_path / "kb")
     fixed = GOLDEN / "fixes/j2/after"
     kb.index_library("lib3", {"1.0": GOLDEN / "workspace/libs/lib3/1.0/src", "2.0": fixed})
-    assert kb.non_vulnerable_versions("lib3") == ["2.0"]
+    assert _screen(kb, "lib3") == ["2.0"]
     kb.add_whole_library("VULN-W", [("lib3", "2.0", "2.0")])
-    assert kb.non_vulnerable_versions("lib3") == []
+    assert _screen(kb, "lib3") == []
     kb.index_library("lib3", {"3.0": fixed})
-    assert kb.non_vulnerable_versions("lib3") == ["3.0"]
+    assert _screen(kb, "lib3") == ["3.0"]
 
 
 def test_screening_classifies_index_digests_as_detection_does(tmp_path):
@@ -100,7 +105,7 @@ def test_screening_classifies_index_digests_as_detection_does(tmp_path):
         "3.0": {y: digest(new)},                 # fixed
         "4.0": {y: "other"},                     # nothing informative
     }))
-    assert kb.non_vulnerable_versions("libZ") == ["2.0", "3.0", "4.0"]
+    assert _screen(kb, "libZ") == ["2.0", "3.0", "4.0"]
 
 
 def test_kb_digest_tracks_content(tmp_path):

@@ -5,10 +5,11 @@ import json
 import pytest
 
 from helpers import GOLDEN, UPDATE, build_golden_kb, copy_workspace
-from vulnvet.bom import build_bom, corpus_program
+from vulnvet.bom import Sources, build_bom, corpus_program
 from vulnvet.callgraph import app_reachability, build_call_graph
 from vulnvet.combined import combined_reachable
 from vulnvet.cli import main as vet
+from vulnvet.detection import non_vulnerable_versions
 from vulnvet.errors import (EmptyConstructSet, ManifestError, NoCandidates,
                             NoTouchPoints, UnknownArchive)
 from vulnvet.kb import KnowledgeBase
@@ -25,9 +26,16 @@ def _setup(tmp_path):
         "1.0": ws / "libs/libA/1.0/src",
         "2.0": UPDATE / "versions/2.0",
     })
-    bom = build_bom(ws / "app.json", ws)
-    graph = build_call_graph(corpus_program(ws / "app.json", ws))
+    src = Sources(ws / "app.json", ws)
+    bom = build_bom(src)
+    graph = build_call_graph(corpus_program(src))
     return ws, kb, bom, graph
+
+
+def _screened(kb, lib):
+    """lib's index and its non-vulnerable versions, as vet mitigate reads them."""
+    index = kb.load_index(lib)
+    return index, non_vulnerable_versions(index, kb.records())
 
 
 def test_touch_points_enumerate_sites(tmp_path):
@@ -65,7 +73,7 @@ def test_recommend_ratios_are_unreduced(tmp_path):
     traces = TraceLog()
     r_a = app_reachability(bom, graph)
     r_t = combined_reachable(graph, traces)
-    rows = recommend("libA", bom, kb, graph, traces,
+    rows = recommend("libA", bom, *_screened(kb, "libA"), graph, traces,
                      r_a.reached | r_t.reached)
     assert [r.candidate for r in rows] == ["2.0"]
     row = rows[0]
@@ -80,7 +88,7 @@ def test_recommend_requires_newer_safe_version(tmp_path):
     _, kb, bom, graph = _setup(tmp_path)
     kb.index_library("libA", {"1.0": UPDATE / "workspace/libs/libA/1.0/src"})
     with pytest.raises(NoCandidates):
-        recommend("libA", bom, kb, graph, TraceLog(), set())
+        recommend("libA", bom, *_screened(kb, "libA"), graph, TraceLog(), set())
 
 
 def test_two_branch_ranking_prefers_near_branch(tmp_path):
@@ -117,10 +125,11 @@ class Api {
     kb = KnowledgeBase(tmp_path / "kb")
     kb.index_library("nb", {"2.3.0": cur / "src", "2.3.1": v_near,
                             "3.0.0": v_far})
-    bom = build_bom(ws / "app.json", ws)
-    graph = build_call_graph(corpus_program(ws / "app.json", ws))
+    src = Sources(ws / "app.json", ws)
+    bom = build_bom(src)
+    graph = build_call_graph(corpus_program(src))
     r_a = app_reachability(bom, graph)
-    rows = recommend("nb", bom, kb, graph, TraceLog(), r_a.reached)
+    rows = recommend("nb", bom, *_screened(kb, "nb"), graph, TraceLog(), r_a.reached)
     assert [r.candidate for r in rows] == ["2.3.1", "3.0.0"]
     assert rows[0].rbs.value > rows[1].rbs.value
 
@@ -132,9 +141,10 @@ def test_transitive_dependency_gets_body_metrics_only(tmp_path):
         "1.0": ws / "libs/lib3/1.0/src",
         "2.0": GOLDEN / "fixes/j2/after",
     })
-    bom = build_bom(ws / "app.json", ws)
-    graph = build_call_graph(corpus_program(ws / "app.json", ws))
-    rows = recommend("lib3", bom, kb, graph, TraceLog(), set())
+    src = Sources(ws / "app.json", ws)
+    bom = build_bom(src)
+    graph = build_call_graph(corpus_program(src))
+    rows = recommend("lib3", bom, *_screened(kb, "lib3"), graph, TraceLog(), set())
     assert [r.candidate for r in rows] == ["2.0"]
     assert rows[0].cs is None and rows[0].de is None
     assert rows[0].obs.den > 0
@@ -156,16 +166,17 @@ def test_deep_update_advice_names_direct_dependency(tmp_path):
         (d / "lib.json").write_text(json.dumps({
             "name": name, "version": version, "sourceRoot": "src",
             "dependencies": [{"name": n, "version": v} for n, v in deps]}))
-    bom = build_bom(ws / "app.json", ws)
-    notes = deep_update_advice(ws, bom, kb, "lib3")
+    bom = build_bom(Sources(ws / "app.json", ws))
+    _, safe = _screened(kb, "lib3")
+    notes = deep_update_advice(ws, bom, safe, "lib3")
     assert any("lib1" in n and "2.0" in n and "lib3:2.0" in n for n in notes)
     # direct dependencies get no deep-update note
-    assert deep_update_advice(ws, bom, kb, "lib1") == []
+    assert deep_update_advice(ws, bom, ["1.0", "2.0"], "lib1") == []
 
 
 def test_metrics_csv_shape(tmp_path):
     _, kb, bom, graph = _setup(tmp_path)
-    rows = recommend("libA", bom, kb, graph, TraceLog(), set())
+    rows = recommend("libA", bom, *_screened(kb, "libA"), graph, TraceLog(), set())
     csv = metrics_csv(rows)
     lines = csv.strip().splitlines()
     assert lines[0] == "version,cs_num,cs_den,de,rbs_num,rbs_den,obs_num,obs_den"
@@ -189,7 +200,7 @@ def _deep_update_setup(tmp_path):
     })
     _store_lib(ws, "lib2", "2.0", [("lib3", "2.0")])
     _store_lib(ws, "lib3", "2.0", [])
-    return ws, kb, build_bom(ws / "app.json", ws)
+    return ws, kb, build_bom(Sources(ws / "app.json", ws))
 
 
 def test_deep_update_advice_skips_unresolvable_candidates(tmp_path):
@@ -197,7 +208,7 @@ def test_deep_update_advice_skips_unresolvable_candidates(tmp_path):
     # lib1 2.0 would pull in the fixed lib3, but also a dependency the store lacks
     _store_lib(ws, "lib1", "2.0", [("lib2", "2.0"), ("ghost", "9.9")])
     _store_lib(ws, "lib1", "2.1", [("lib2", "2.0")])
-    notes = deep_update_advice(ws, bom, kb, "lib3")
+    notes = deep_update_advice(ws, bom, _screened(kb, "lib3")[1], "lib3")
     assert notes == ["updating direct dependency lib1 to 2.1 pulls in "
                      "non-vulnerable lib3:2.0"]
 
@@ -206,7 +217,7 @@ def test_deep_update_advice_skips_store_directories_that_are_not_versions(tmp_pa
     ws, kb, bom = _deep_update_setup(tmp_path)
     _store_lib(ws, "lib1", "2.x", [("lib2", "2.0")])
     _store_lib(ws, "lib1", "2.1", [("lib2", "2.0")])
-    notes = deep_update_advice(ws, bom, kb, "lib3")
+    notes = deep_update_advice(ws, bom, _screened(kb, "lib3")[1], "lib3")
     assert notes == ["updating direct dependency lib1 to 2.1 pulls in "
                      "non-vulnerable lib3:2.0"]
     assert vet(["--workspace", str(ws), "--kb", str(tmp_path / "kb"),
@@ -218,7 +229,7 @@ def test_deep_update_advice_rejects_malformed_store_manifest(tmp_path, capsys):
     ws, kb, bom = _deep_update_setup(tmp_path)
     _store_lib(ws, "lib1", "3.0", [], manifest='{"name": "lib1", ')
     with pytest.raises(ManifestError, match="libs/lib1/3.0/lib.json"):
-        deep_update_advice(ws, bom, kb, "lib3")
+        deep_update_advice(ws, bom, _screened(kb, "lib3")[1], "lib3")
     assert vet(["--workspace", str(ws), "--kb", str(tmp_path / "kb"),
                 "mitigate", "--lib", "lib3"]) == 3
     err = capsys.readouterr().err

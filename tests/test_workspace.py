@@ -66,7 +66,7 @@ def test_check_names_the_file_and_the_json_path():
 
 def test_an_artifact_reader_names_the_json_path(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
-    data = bom.bom_to_json(bom.build_bom(ws / "app.json", ws))
+    data = bom.bom_to_json(bom.build_bom(bom.Sources(ws / "app.json", ws)))
     data["archives"][1]["constructs"][2]["ctype"] = "FIELD"
     with pytest.raises(MalformedArtifact) as exc:
         bom.bom_from_json(data, "bom.json")
