@@ -1,14 +1,24 @@
-"""Tree-walking interpreter for JX with construct-level execution tracing.
+"""JX interpreter with construct-level execution tracing.
 
 Every method/constructor entry appends a trace event, so a run's TraceLog is
 the dynamic analog of bytecode instrumentation. Reflect.invoke resolves its
 target by fully-qualified construct name at run time; the resulting call is
 traced like any other, which is what gives the combined analysis its extra
 edges.
+
+Each member body is compiled at its first entry into Python closures, one
+per statement and expression (Feeley & Lapalme, "Using closures for code
+generation", 1987). Call targets, literals, operators, field initializers
+and the frame slots of locals are fixed then. Virtual dispatch, reflective
+targets and every check of a value's type stay at run time, because
+``trace run`` also runs programs with resolver diagnostics. Each closure
+counts one step, so ``STEP_BUDGET`` stops a run at the node where a walk of
+the tree would stop.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 from .constructs import CONSTRUCTOR, METHOD, ConstructId, member_id, split_member
@@ -18,11 +28,13 @@ from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
 from .traces import TraceEvent, TraceLog, normalize
 
 STEP_BUDGET = 1_000_000  # statements and expressions evaluated per run
-# JX calls active at once. Each one holds five Python frames and up to three
-# more per block its call site is nested in. Up to two such blocks, the
-# budget is spent well within Python's default limit of 1,000 frames, under a
-# test runner or a tracer's wrappers too; deeper nesting exhausts the stack
-# first, which run_entry reports as the same failure.
+# JX calls active at once. Each holds four Python frames (its call's closure,
+# the member's entry and body, the statement making the next call), one more
+# per expression or argument list around that call, and two per block the
+# statement sits in (the if or while, and the block). Up to three such
+# blocks, the budget is spent well within Python's default limit of 1,000
+# frames, under a test runner or a tracer's wrappers too; deeper nesting
+# exhausts the stack first, which run_entry reports as the same failure.
 CALL_DEPTH_BUDGET = 64
 
 
@@ -42,10 +54,6 @@ class UnknownReflectTarget(JxRuntimeError):
     pass
 
 
-class StepBudgetExceeded(JxRuntimeError):
-    pass
-
-
 class CallDepthExceeded(JxRuntimeError):
     pass
 
@@ -56,11 +64,6 @@ class Obj:
     def __init__(self, cls: str):
         self.cls = cls
         self.fields = {}
-
-
-class _Return(Exception):
-    def __init__(self, value):
-        self.value = value
 
 
 _DEFAULTS = {"int": 0, "boolean": False, "text": ""}
@@ -75,39 +78,6 @@ class RunResult:
         self.log = log
 
 
-_MISSING = object()
-
-
-class _Env:
-    """Lexical scope chain; assignment writes to the declaring frame."""
-
-    __slots__ = ("vars", "parent")
-
-    def __init__(self, parent=None, initial=None):
-        self.vars = dict(initial or {})
-        self.parent = parent
-
-    def get(self, name):
-        env = self
-        while env is not None:
-            if name in env.vars:
-                return env.vars[name]
-            env = env.parent
-        return _MISSING
-
-    def set(self, name, value) -> bool:
-        env = self
-        while env is not None:
-            if name in env.vars:
-                env.vars[name] = value
-                return True
-            env = env.parent
-        return False
-
-    def declare(self, name, value):
-        self.vars[name] = value
-
-
 def static_method(program: ResolvedProgram, qname: str):
     """The MethodInfo of the static method qname names, or None."""
     owner, sig = split_member(qname)
@@ -116,14 +86,27 @@ def static_method(program: ResolvedProgram, qname: str):
     return m if m is not None and m.static else None
 
 
+def _divide(left, right):
+    if right == 0:
+        raise DivisionByZero("division by zero")
+    q = abs(left) // abs(right)  # truncate toward zero
+    return q if (left < 0) == (right < 0) else -q
+
+
+_INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
+            "<": operator.lt, ">": operator.gt}
+
+
 class Interpreter:
+    """Runs entries of one program; compiled members serve every run."""
+
     def __init__(self, program: ResolvedProgram):
         self.program = program
-        self.steps = 0
-        self.depth = 0
-        self.ts = 0
+        self.steps = self.depth = self.ts = 0
+        self.clock = iter(())  # one item per step the run may still take
         self.events = []
         self.test_name = ""
+        self._entries = {}  # MethodInfo or CtorInfo -> its entry closure
 
     # --- tracing ---
 
@@ -137,17 +120,13 @@ class Interpreter:
         self.ts += 1
         self.events.append(TraceEvent(callee, caller, site, self.ts, self.test_name))
 
-    def _tick(self):
-        self.steps += 1
-        if self.steps > STEP_BUDGET:
-            raise StepBudgetExceeded("step budget of %d exceeded" % STEP_BUDGET)
-
     # --- entry points ---
 
     def run_entry(self, entry: ConstructId, args=None, test_name: str = "") -> RunResult:
         """Execute a static method as program entry; always returns the
         (possibly partial) trace log, whose events are in ``ts`` order under
-        one test name, as ``normalize`` would leave them."""
+        one test name, as ``normalize`` would leave them. Afterwards
+        ``steps`` and the log cover this run only."""
         m = static_method(self.program, entry.qname)
         if m is None:
             raise RuntimeTypeError("no static method %s" % entry.qname)
@@ -155,207 +134,87 @@ class Interpreter:
         if len(call_args) != len(m.param_types):
             raise RuntimeTypeError("entry %s expects %d argument(s)"
                                    % (entry.qname, len(m.param_types)))
+        self.clock = iter(range(STEP_BUDGET))
+        self.depth = self.ts = over = 0
+        self.events = []
         self.test_name = test_name
-        self.depth = 0
-        error = None
-        value = None
+        error = value = None
         try:
-            value = self._call(METHOD, m, call_args, None, None, None)
+            value = self._entry(METHOD, m)(call_args, None, None, None)
         except JxRuntimeError as exc:
             error = "%s: %s" % (type(exc).__name__, exc)
+        except StopIteration:  # the clock ran out: STEP_BUDGET + 1 steps were taken
+            over, error = 1, "StepBudgetExceeded: step budget of %d exceeded" % STEP_BUDGET
         except RecursionError:
             # blocks nested deeply enough exhaust Python's stack before the
             # call depth budget
             error = ("CallDepthExceeded: Python stack exhausted at call depth %d"
                      % self.depth)
+        self.steps = STEP_BUDGET - operator.length_hint(self.clock) + over
         return RunResult(value, error, TraceLog(self.events))
 
     # --- invocation ---
 
-    def _call(self, ctype, member, args, this, caller, site):
-        """Enter a method or constructor (a MethodInfo or CtorInfo), bind its
-        parameters, run its body and leave. A constructor first sets the
-        fields of ``this``, supertypes' first, to their defaults and then to
-        their initializers."""
-        cid = member_id(ctype, member.owner, member.sig)
-        self._enter(cid, caller, site)
+    def _entry(self, ctype, member):
+        """The closure of (args, this, caller, site) that enters member, a
+        MethodInfo or CtorInfo, compiling its body the first time. A failed
+        call leaves ``depth`` as it was at the failure, for run_entry."""
+        entry = self._entries.get(member)
+        if entry is None:
+            cid, body = member_id(ctype, member.owner, member.sig), None
+
+            def entry(args, this, caller, site):
+                nonlocal body
+                self._enter(cid, caller, site)
+                if body is None:
+                    body = self._compile(ctype, member, cid)
+                value = body(this, args)
+                self.depth -= 1
+                return value
+            self._entries[member] = entry
+        return entry
+
+    def _compile(self, ctype, member, cid):
+        """member's body as a closure of (this, args). A constructor's sets the
+        fields of ``this``, supertypes' first, to defaults, then initializers."""
+        chain = []
         if ctype == CONSTRUCTOR:
             for tinfo in reversed(list(self.program.class_chain(member.owner))):
-                for f in tinfo.decl.fields:
-                    this.fields[f.name] = _DEFAULTS.get(tinfo.fields[f.name], None)
-                for f in tinfo.decl.fields:
-                    if f.init is not None:
-                        this.fields[f.name] = self._eval(f.init, _Env(), this, cid,
-                                                         tinfo.unit.origin)
-        env = _Env(initial={p.name: v for p, v in zip(member.decl.params, args)})
-        value = self._run_body(member.decl.body, env, this, cid,
-                               self.program.symbols[member.owner].unit.origin)
-        self.depth -= 1
-        return value
+                fields, init = tinfo.decl.fields, _Compiler(self, cid, tinfo.unit.origin)
+                chain.append(({f.name: _DEFAULTS.get(tinfo.fields[f.name]) for f in fields},
+                              [(f.name, init.expr(f.init, {}))
+                               for f in fields if f.init is not None]))
+        params = member.decl.params
+        comp = _Compiler(self, cid, self.program.symbols[member.owner].unit.origin,
+                         len(params) + 1)
+        stmts = comp.block(member.decl.body.stmts, {p.name: i for i, p in enumerate(params, 1)})
+        pad = (None,) * (comp.slots - len(params) - 1)
 
-    def _run_body(self, block, env, this, current_cid, origin):
-        try:
-            self._exec_block(block, env, this, current_cid, origin)
-        except _Return as r:
-            return r.value
-        return None
-
-    # --- statements ---
-
-    def _exec_block(self, block, env, this, cid, origin):
-        scope = _Env(parent=env)
-        for s in block.stmts:
-            self._exec(s, scope, this, cid, origin)
-
-    def _exec(self, s, env, this, cid, origin):
-        self._tick()
-        if isinstance(s, ast.Block):
-            self._exec_block(s, env, this, cid, origin)
-        elif isinstance(s, ast.LocalDecl):
-            if s.init is not None:
-                env.declare(s.name, self._eval(s.init, env, this, cid, origin))
-            else:
-                env.declare(s.name, _DEFAULTS.get(s.type.text(), None))
-        elif isinstance(s, ast.Assign):
-            value = self._eval(s.value, env, this, cid, origin)
-            if isinstance(s.target, ast.Var):
-                if env.set(s.target.name, value):
-                    pass
-                elif this is not None and s.target.name in this.fields:
-                    this.fields[s.target.name] = value
-                else:
-                    raise RuntimeTypeError("unbound assignment target %s" % s.target.name)
-            else:  # field access
-                obj = self._eval(s.target.obj, env, this, cid, origin)
-                if not isinstance(obj, Obj):
-                    raise RuntimeTypeError("field assignment on a non-object")
-                obj.fields[s.target.name] = value
-        elif isinstance(s, ast.ExprStmt):
-            self._eval(s.expr, env, this, cid, origin)
-        elif isinstance(s, ast.If):
-            if self._truth(self._eval(s.cond, env, this, cid, origin)):
-                self._exec(s.then, _Env(parent=env), this, cid, origin)
-            elif s.els is not None:
-                self._exec(s.els, _Env(parent=env), this, cid, origin)
-        elif isinstance(s, ast.While):
-            while self._truth(self._eval(s.cond, env, this, cid, origin)):
-                self._exec(s.body, _Env(parent=env), this, cid, origin)
-        elif isinstance(s, ast.Return):
-            value = None
-            if s.value is not None:
-                value = self._eval(s.value, env, this, cid, origin)
-            raise _Return(value)
-        else:
-            raise RuntimeTypeError("unknown statement %r" % (s,))
-
-    def _truth(self, value):
-        if not isinstance(value, bool):
-            raise RuntimeTypeError("condition did not evaluate to boolean")
-        return value
-
-    # --- expressions ---
-
-    def _eval(self, e, env, this, cid, origin):
-        self._tick()
-        if isinstance(e, ast.IntLit):
-            return e.value
-        if isinstance(e, ast.TextLit):
-            return e.value
-        if isinstance(e, ast.BoolLit):
-            return e.value
-        if isinstance(e, ast.This):
-            return this
-        if isinstance(e, ast.Var):
-            value = env.get(e.name)
-            if value is not _MISSING:
-                return value
-            if this is not None and e.name in this.fields:
-                return this.fields[e.name]
-            raise RuntimeTypeError("unbound name %s" % e.name)
-        if isinstance(e, ast.FieldAccess):
-            obj = self._eval(e.obj, env, this, cid, origin)
-            if not isinstance(obj, Obj):
-                raise RuntimeTypeError("field access on a non-object")
-            if e.name not in obj.fields:
-                raise RuntimeTypeError("object of %s has no field %s" % (obj.cls, e.name))
-            return obj.fields[e.name]
-        if isinstance(e, ast.Binary):
-            left = self._eval(e.left, env, this, cid, origin)
-            right = self._eval(e.right, env, this, cid, origin)
-            return self._binary(e.op, left, right)
-        site = "%s:%d" % (origin, e.pos[0])
-        if isinstance(e, ast.New):
-            binding = self.program.bindings.get(id(e))
-            if not isinstance(binding, CtorCall):
-                raise RuntimeTypeError("unresolved constructor call at %s" % site)
-            args = [self._eval(a, env, this, cid, origin) for a in e.args]
-            obj = Obj(binding.owner)
-            self._call(CONSTRUCTOR, self.program.symbols[binding.owner].ctors[binding.sig],
-                       args, obj, cid, site)
-            return obj
-        if isinstance(e, ast.ReflectInvoke):
-            args = [self._eval(a, env, this, cid, origin) for a in e.args]
-            target = args[0]
-            if not isinstance(target, str):
-                raise RuntimeTypeError("Reflect.invoke target must be text")
-            return self._call(METHOD, self._resolve_reflect(target, len(args) - 1),
-                              args[1:], None, cid, site)
-        if isinstance(e, ast.MethodCall):
-            binding = self.program.bindings.get(id(e))
-            if isinstance(binding, StaticCall):
-                args = [self._eval(a, env, this, cid, origin) for a in e.args]
-                return self._call(METHOD, self.program.symbols[binding.owner].methods[binding.sig],
-                                  args, None, cid, site)
-            if isinstance(binding, VirtualCall):
-                recv = self._eval(e.recv, env, this, cid, origin)
-                if not isinstance(recv, Obj):
-                    raise RuntimeTypeError("instance call on a non-object")
-                args = [self._eval(a, env, this, cid, origin) for a in e.args]
-                impl = self.program.resolve_impl(recv.cls, binding.sig)
-                if impl is None:
-                    raise RuntimeTypeError("no implementation of %s for %s"
-                                           % (binding.sig, recv.cls))
-                return self._call(METHOD, impl, args, recv, cid, site)
-            raise RuntimeTypeError("unresolved call at %s" % site)
-        raise RuntimeTypeError("unknown expression %r" % (e,))
-
-    def _binary(self, op, left, right):
-        if op in ("+", "-", "*", "/", "<", ">"):
-            if isinstance(left, bool) or isinstance(right, bool) \
-                    or not isinstance(left, int) or not isinstance(right, int):
-                raise RuntimeTypeError("operator %s requires int operands" % op)
-            if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
-                if right == 0:
-                    raise DivisionByZero("division by zero")
-                q = abs(left) // abs(right)  # truncate toward zero
-                return q if (left < 0) == (right < 0) else -q
-            return left < right if op == "<" else left > right
-        if op == "==":
-            return self._same(left, right)
-        if op == "!=":
-            return not self._same(left, right)
-        raise RuntimeTypeError("unknown operator %s" % op)
-
-    def _same(self, left, right):
-        if isinstance(left, Obj) or isinstance(right, Obj):
-            return left is right
-        return left == right
+        def body(this, args):
+            for defaults, inits in chain:
+                this.fields.update(defaults)
+                for name, init in inits:
+                    this.fields[name] = init([this])
+            frame = [this, *args, *pad]
+            for step in stmts:
+                r = step(frame)
+                if r is not None:
+                    return r[0]
+            return None
+        return body
 
     def _resolve_reflect(self, target: str, nargs: int):
         """Resolve a reflective target name to a static method's MethodInfo.
 
-        Accepts the full construct name with parameter list, or a dotted name
-        disambiguated by argument count."""
+        Accepts the full construct name with parameter list, whose arity must
+        match, or a dotted name disambiguated by argument count."""
         if "(" in target:
             m = static_method(self.program, target)
             if m is None:
                 raise UnknownReflectTarget(target)
+            if len(m.param_types) != nargs:
+                raise RuntimeTypeError("Reflect.invoke target %s expects %d argument(s), got %d"
+                                       % (target, len(m.param_types), nargs))
             return m
         owner, name = target.rsplit(".", 1) if "." in target else (None, target)
         if owner is None or owner not in self.program.symbols:
@@ -365,6 +224,202 @@ class Interpreter:
         if len(candidates) != 1:
             raise UnknownReflectTarget("%s (%d candidate(s))" % (target, len(candidates)))
         return candidates[0]
+
+
+class _Compiler:
+    """Compiles one member body, or one class's field initializers, to
+    closures of a frame: a list of ``this``, the parameters and each local
+    declared. ``scope`` maps the local names in scope to slots (JX scoping
+    is lexical). A statement returns None to fall through, or a 1-tuple of
+    the value of the ``return`` it ran. Each closure first takes a step from
+    the clock, which raises StopIteration when it runs out, so none may run
+    inside ``map``, a generator or the like, which would end quietly."""
+
+    def __init__(self, vm: Interpreter, cid: ConstructId, origin: str, slots: int = 1):
+        self.vm, self.cid, self.origin, self.slots = vm, cid, origin, slots
+
+    def block(self, stmts, scope) -> list:
+        scope = dict(scope)
+        return [self.stmt(s, scope) for s in stmts]
+
+    def fail(self, msg: str):
+        vm = self.vm
+        def run(frame):
+            next(vm.clock)
+            raise RuntimeTypeError(msg)
+        return run
+
+    def store(self, slot: int, value):
+        vm = self.vm
+        def run(frame):
+            next(vm.clock)
+            frame[slot] = value(frame)
+        return run
+
+    def stmt(self, s, scope):
+        vm = self.vm
+        if isinstance(s, ast.Block):
+            stmts = self.block(s.stmts, scope)
+            def run(frame):
+                next(vm.clock)
+                for step in stmts:
+                    r = step(frame)
+                    if r is not None:
+                        return r
+        elif isinstance(s, ast.LocalDecl):
+            value = _DEFAULTS.get(s.type.text())
+            run = self.store(self.slots, self.expr(s.init, scope) if s.init is not None
+                             else lambda frame: value)
+            scope[s.name] = self.slots
+            self.slots += 1
+        elif isinstance(s, ast.Assign):
+            value, name = self.expr(s.value, scope), s.target.name
+            if isinstance(s.target, ast.Var) and name in scope:
+                return self.store(scope[name], value)
+            if isinstance(s.target, ast.Var):  # a field of this
+                def run(frame):
+                    next(vm.clock)
+                    v, this = value(frame), frame[0]
+                    if this is None or name not in this.fields:
+                        raise RuntimeTypeError("unbound assignment target %s" % name)
+                    this.fields[name] = v
+            else:  # a field access
+                obj = self.expr(s.target.obj, scope)
+                def run(frame):
+                    next(vm.clock)
+                    v, o = value(frame), obj(frame)
+                    if not isinstance(o, Obj):
+                        raise RuntimeTypeError("field assignment on a non-object")
+                    o.fields[name] = v
+        elif isinstance(s, ast.ExprStmt):
+            expr = self.expr(s.expr, scope)
+            def run(frame):
+                next(vm.clock)
+                expr(frame)
+        elif isinstance(s, ast.If):
+            cond, then = self.expr(s.cond, scope), self.stmt(s.then, dict(scope))
+            els = self.stmt(s.els, dict(scope)) if s.els is not None else lambda frame: None
+            def run(frame):
+                next(vm.clock)
+                c = cond(frame)
+                if c is not True and c is not False:
+                    raise RuntimeTypeError("condition did not evaluate to boolean")
+                return then(frame) if c else els(frame)
+        elif isinstance(s, ast.While):
+            cond, body = self.expr(s.cond, scope), self.stmt(s.body, dict(scope))
+            def run(frame):
+                next(vm.clock)
+                while (c := cond(frame)) is True:
+                    r = body(frame)
+                    if r is not None:
+                        return r
+                if c is not False:
+                    raise RuntimeTypeError("condition did not evaluate to boolean")
+        elif isinstance(s, ast.Return):
+            value = self.expr(s.value, scope) if s.value is not None else lambda frame: None
+            def run(frame):
+                next(vm.clock)
+                return (value(frame),)
+        else:
+            return self.fail("unknown statement %r" % (s,))
+        return run
+
+    def expr(self, e, scope):
+        vm = self.vm
+        if isinstance(e, (ast.IntLit, ast.TextLit, ast.BoolLit)):
+            value = e.value
+            def run(frame):
+                next(vm.clock)
+                return value
+        elif isinstance(e, ast.This) or isinstance(e, ast.Var) and e.name in scope:
+            slot = scope[e.name] if isinstance(e, ast.Var) else 0
+            def run(frame):
+                next(vm.clock)
+                return frame[slot]
+        elif isinstance(e, ast.Var):
+            name = e.name
+            def run(frame):
+                next(vm.clock)
+                this = frame[0]
+                if this is None or name not in this.fields:
+                    raise RuntimeTypeError("unbound name %s" % name)
+                return this.fields[name]
+        elif isinstance(e, ast.FieldAccess):
+            obj, name = self.expr(e.obj, scope), e.name
+            def run(frame):
+                next(vm.clock)
+                o = obj(frame)
+                if not isinstance(o, Obj):
+                    raise RuntimeTypeError("field access on a non-object")
+                if name not in o.fields:
+                    raise RuntimeTypeError("object of %s has no field %s" % (o.cls, name))
+                return o.fields[name]
+        elif isinstance(e, ast.Binary):
+            return self.binary(e.op, self.expr(e.left, scope), self.expr(e.right, scope))
+        else:  # a call: the resolver refuses any other kind of node
+            return self.call(e, [self.expr(a, scope) for a in e.args], scope)
+        return run
+
+    def binary(self, op: str, left, right):
+        vm, fn, negate = self.vm, _INT_OPS.get(op), op == "!="
+        msg = "operator %s requires int operands" % op if fn else "unknown operator %s" % op
+        def run(frame):
+            next(vm.clock)
+            a, b = left(frame), right(frame)
+            if fn is not None:
+                if type(a) is not int or type(b) is not int:
+                    raise RuntimeTypeError(msg)
+                return fn(a, b)
+            if op != "==" and not negate:
+                raise RuntimeTypeError(msg)
+            if isinstance(a, Obj) or isinstance(b, Obj):
+                return (a is b) is not negate
+            return (a == b) is not negate
+        return run
+
+    def call(self, e, args: list, scope):
+        vm, cid, program = self.vm, self.cid, self.vm.program
+        site = "%s:%d" % (self.origin, e.pos[0])
+        binding = program.bindings.get(id(e))
+        if isinstance(e, ast.ReflectInvoke):
+            def run(frame):
+                next(vm.clock)
+                values = [a(frame) for a in args]
+                if not isinstance(values[0], str):
+                    raise RuntimeTypeError("Reflect.invoke target must be text")
+                target = vm._resolve_reflect(values[0], len(values) - 1)
+                return vm._entry(METHOD, target)(values[1:], None, cid, site)
+        elif isinstance(e, ast.New) and isinstance(binding, CtorCall):
+            owner = binding.owner
+            enter = vm._entry(CONSTRUCTOR, program.symbols[owner].ctors[binding.sig])
+            def run(frame):
+                next(vm.clock)
+                values = [a(frame) for a in args]
+                obj = Obj(owner)
+                enter(values, obj, cid, site)
+                return obj
+        elif isinstance(e, ast.New):
+            return self.fail("unresolved constructor call at %s" % site)
+        elif isinstance(binding, StaticCall):
+            enter = vm._entry(METHOD, program.symbols[binding.owner].methods[binding.sig])
+            def run(frame):
+                next(vm.clock)
+                return enter([a(frame) for a in args], None, cid, site)
+        elif isinstance(binding, VirtualCall):
+            recv, sig = self.expr(e.recv, scope), binding.sig
+            def run(frame):
+                next(vm.clock)
+                obj = recv(frame)
+                if not isinstance(obj, Obj):
+                    raise RuntimeTypeError("instance call on a non-object")
+                values = [a(frame) for a in args]
+                impl = program.resolve_impl(obj.cls, sig)
+                if impl is None:
+                    raise RuntimeTypeError("no implementation of %s for %s" % (sig, obj.cls))
+                return vm._entry(METHOD, impl)(values, obj, cid, site)
+        else:
+            return self.fail("unresolved call at %s" % site)
+        return run
 
 
 def run_entry(program: ResolvedProgram, entry: ConstructId, args=None,
@@ -389,7 +444,8 @@ def run_tests(bom, program: ResolvedProgram, pattern: str) -> tuple:
     """Run each matching test in isolation on a fresh heap; failing tests keep
     their partial traces. Returns (TraceLog, {test qname: error}).
 
-    The log holds every test's events ordered by (test, ts) with ``ts``
+    The tests share one Interpreter, so each member is compiled once. The
+    log holds every test's events ordered by (test, ts) with ``ts``
     renumbered from 1, as ``TraceLog.merge`` leaves it. Test names are
     unique within a run, so the events are normalised once; the tests run in
     name order, so that one sort meets ordered input and takes linear time."""
@@ -398,8 +454,9 @@ def run_tests(bom, program: ResolvedProgram, pattern: str) -> tuple:
         raise NoTestsMatched("no static test method matches pattern %r" % pattern)
     events = []
     failures = {}
+    interpreter = Interpreter(program)
     for cid in tests:
-        result = Interpreter(program).run_entry(cid, [], cid.qname)
+        result = interpreter.run_entry(cid, [], cid.qname)
         events.extend(result.log.events)
         if result.error is not None:
             failures[cid.qname] = result.error

@@ -32,15 +32,17 @@ def copy_workspace(src: Path, dst: Path) -> Path:
     return dst
 
 
-def small_workload(root: Path, name: str, seed: int = 1) -> Path:
-    """The ws/ directory of a small benchmark workload of kind ``name``."""
+def small_workload(root: Path, name: str, seed: int = 1, **sizes) -> Path:
+    """The ws/ directory of a small benchmark workload of kind ``name``;
+    ``sizes`` replace fields of its small ``vetbench.generate.Spec``."""
     if str(REPO) not in sys.path:
         sys.path.insert(0, str(REPO))
     from vetbench.generate import WORKLOADS, generate
     spec = WORKLOADS[name]
-    generate(root, name, seed, replace(
-        spec, libs=3, classes=2, methods=3, stmts=4, fanout=2, tests=2, loop=(2, 3),
-        noise=min(spec.noise, 6), drift_stmts=min(spec.drift_stmts, 4)))
+    generate(root, name, seed, replace(spec, **{
+        "libs": 3, "classes": 2, "methods": 3, "stmts": 4, "fanout": 2, "tests": 2,
+        "loop": (2, 3), "noise": min(spec.noise, 6),
+        "drift_stmts": min(spec.drift_stmts, 4), **sizes}))
     return root / "ws"
 
 

@@ -312,6 +312,21 @@ class Deep {
     assert failures["app.Deep.testDeep()"].startswith("CallDepthExceeded")
 
 
+def test_trace_keeps_run_time_type_checks_on_an_unclean_program(tmp_path, capsys):
+    # trace run runs what the resolver flagged; the interpreter's own checks
+    # turn the ill-typed step into a recorded failure
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    (ws / "src/bad.jx").write_text(
+        "package app;\nclass Bad {\n    static int testBad() { int x = true; return x + 1; }\n}\n")
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "trace", "run", "--pattern", "test"]) == 0
+    err = capsys.readouterr().err
+    assert "resolve: src/bad.jx:3:28: cannot initialize int x with boolean" in err
+    assert "Traceback" not in err
+    failures = json.loads((ws / ".vet/test-failures.json").read_text())
+    assert failures == {"app.Bad.testBad()": "RuntimeTypeError: operator + requires int operands"}
+
+
 @pytest.mark.parametrize("body", [
     "return " + " + ".join(["1"] * 500) + ";",
     "return " + "(" * 150 + "1" + ")" * 150 + ";",

@@ -129,6 +129,37 @@ def test_reflect_unknown_target():
         assert result.error.startswith("UnknownReflectTarget"), target
 
 
+def test_reflect_invoke_by_full_signature_refuses_an_arity_mismatch():
+    # before the target is entered, so no event is traced for it
+    src = """
+package p;
+class T {
+    static int f(int n) { return 1; }
+    static int g(int x) { return x + 1; }
+}
+class M {
+    static void tooMany() { Reflect.invoke("p.T.f(int)", 1, 2); }
+    static void tooFew() { Reflect.invoke("p.T.g(int)"); }
+}
+"""
+    for entry, target, got in (("tooMany", "p.T.f(int)", 2), ("tooFew", "p.T.g(int)", 0)):
+        result = _run(src, "p.M.%s()" % entry)
+        assert result.error == ("RuntimeTypeError: Reflect.invoke target %s expects "
+                                "1 argument(s), got %d" % (target, got))
+        assert [e.callee.qname for e in result.log.events] == ["p.M.%s()" % entry]
+
+
+def test_reflect_invoke_by_dotted_name_filters_by_argument_count():
+    src = """
+package p;
+class T { static int f(int n) { return 1; } }
+class M { static void go() { Reflect.invoke("p.T.f", 1, 2); } }
+"""
+    result = _run(src, "p.M.go()")
+    assert result.error == "UnknownReflectTarget: p.T.f (0 candidate(s))"
+    assert [e.callee.qname for e in result.log.events] == ["p.M.go()"]
+
+
 def test_step_budget_stops_infinite_loop(monkeypatch):
     monkeypatch.setattr(interp, "STEP_BUDGET", 500)
     result = _run("package p; class M { static void go() { while (true) { } } }", "p.M.go()")
