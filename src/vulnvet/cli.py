@@ -41,14 +41,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _exclusion(item: str) -> ConstructId:
     ctype, sep, qname = item.partition(":")
-    if not sep or ctype not in CTYPES:
+    if not sep or ctype not in CTYPES or not qname:
         raise argparse.ArgumentTypeError("expected CTYPE:QNAME, found %r" % item)
     return ConstructId(ctype, qname)
 
 
 def _affected(item: str) -> tuple:
     parts = item.split(":")
-    if len(parts) != 3:
+    if len(parts) != 3 or not parts[0]:
         raise argparse.ArgumentTypeError("expected LIB:LOW:HIGH, found %r" % item)
     return tuple(parts)
 
@@ -128,6 +128,11 @@ def _build_parser() -> _Parser:
     return p
 
 
+# built once per process: parse_args leaves no state in it, and no command
+# mutates a default it hands out (args.exclude is the shared [] when omitted)
+_PARSER = _build_parser()
+
+
 def _program(src: Sources):
     """The whole-workspace program; its diagnostics, then its warnings, go to stderr."""
     program = corpus_program(src)
@@ -173,9 +178,9 @@ def _cmd_kb(args, ws: Workspace) -> int:
     kb = KnowledgeBase(ws.kb_path)
     if args.kb_command == "import-fix":
         record = kb.import_fix(args.vuln_id, Path(args.before), Path(args.after),
-                               exclusions=args.exclude,
-                               meta=args.meta, description=args.description,
-                               overwrite=args.overwrite)
+                               exclusions=args.exclude, meta=args.meta,
+                               description=args.description, overwrite=args.overwrite,
+                               warn=lambda w: print("kb: warning: %s" % w, file=sys.stderr))
         print("imported %s: %d construct changes" % (record.vuln_id,
                                                      len(record.changes)))
     elif args.kb_command == "add-range":
@@ -185,7 +190,7 @@ def _cmd_kb(args, ws: Workspace) -> int:
         print("recorded %s: %d affected ranges" % (record.vuln_id,
                                                    len(record.affected)))
     elif args.kb_command == "index-lib":
-        index = kb.index_library(args.name, dict(args.root))
+        index = kb.index_library(args.name, args.root)
         print("indexed %s: %d versions" % (index.name, len(index.versions)))
     elif args.kb_command == "list":
         for record in kb.records():
@@ -295,7 +300,7 @@ _COMMANDS = {"kb": _cmd_kb, "scan": _cmd_scan, "trace": _cmd_trace, "reach": _cm
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     ws = Workspace.discover(args.workspace, args.kb)
     collecting = gc.isenabled()
     gc.disable()  # a process runs one command: cycle collection would be wasted work

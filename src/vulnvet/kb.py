@@ -132,16 +132,23 @@ class KnowledgeBase:
 
     def import_fix(self, vuln_id: str, before: Path, after: Path,
                    exclusions=None, meta: str = "", description: str = "",
-                   overwrite: bool = False) -> VulnerabilityRecord:
+                   overwrite: bool = False, warn=None) -> VulnerabilityRecord:
         """Derive and store a CODE_CHANGE record from a pre/post-fix source pair.
 
         exclusions filters out construct ids of unrelated changes mixed into
-        the fix commit.
+        the fix commit; warn, when given, is called with one message for each
+        exclusion that matches no construct change of the fix.
         """
         self._vuln_path(vuln_id, new=not overwrite)  # before any parse
-        excl = set(exclusions or ())
-        changes = [ch for ch in construct_changes_roots(Path(before), Path(after))
-                   if ch.construct not in excl]
+        excl = dict.fromkeys(exclusions or ())
+        changes = construct_changes_roots(Path(before), Path(after))
+        if warn is not None:
+            changed = {ch.construct for ch in changes}
+            for cid in excl:
+                if cid not in changed:
+                    warn("--exclude %s:%s matches no construct change of the fix for %s"
+                         % (cid.ctype, cid.qname, vuln_id))
+        changes = [ch for ch in changes if ch.construct not in excl]
         if not changes:
             raise EmptyChangeSet("fix for %s yields no construct changes" % vuln_id)
         record = VulnerabilityRecord(vuln_id, description, CODE_CHANGE,
@@ -203,14 +210,28 @@ class KnowledgeBase:
 
     # --- library indexes ---
 
-    def index_library(self, name: str, version_roots: dict) -> LibraryIndex:
-        """Inventory every version root and persist the per-library index."""
+    def index_library(self, name: str, version_roots) -> LibraryIndex:
+        """Inventory every (version, root) pair and persist the per-library
+        index. Every version is checked before any root is parsed: one that
+        is not dot-separated numeric, or that repeats an earlier one (1.0 and
+        1.0.0 are the same version), is refused."""
+        version_roots = list(version_roots)
         if not version_roots:
             raise VetError("no versions given for library %s" % name)
         self._lib_path(name)  # before any parse
+        seen = {}
+        for version, _root in version_roots:
+            try:
+                key = version_key(version)
+            except ValueError as exc:
+                raise VetError("library %s: %s" % (name, exc)) from None
+            if key in seen:
+                raise VetError("library %s: version %s repeats version %s"
+                               % (name, version, seen[key]))
+            seen[key] = version
         index = LibraryIndex(name, {
             version: {cid: c.fingerprint for cid, c in extract_root(Path(root)).items()}
-            for version, root in version_roots.items()})
+            for version, root in version_roots})
         self.save_index(index)
         return index
 

@@ -132,10 +132,10 @@ def test_criterion_1_golden_corpus_end_to_end(tmp_path):
 def test_criterion_2_cs_and_de_worked_example(tmp_path):
     ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
     kb = KnowledgeBase(tmp_path / "kb")
-    kb.index_library("libA", {
-        "1.0": ws / "libs/libA/1.0/src",
-        "2.0": UPDATE / "versions/2.0",
-    })
+    kb.index_library("libA", [
+        ("1.0", ws / "libs/libA/1.0/src"),
+        ("2.0", UPDATE / "versions/2.0"),
+    ])
     src = Sources(ws / "app.json", ws)
     bom = build_bom(src)
     graph = build_call_graph(corpus_program(src))

@@ -1,5 +1,6 @@
 """Command line behavior, exit codes, and artifact handling."""
 
+import argparse
 import gc
 import json
 import os
@@ -60,6 +61,72 @@ def test_usage_error_exit_code():
     assert info.value.code == 64
 
 
+# --- one parser per process: nothing of one call reaches the next ------------
+
+def test_an_omitted_exclude_does_not_inherit_an_earlier_one(tmp_path):
+    fx = GOLDEN / "fixes"
+    fix = ["--before", str(fx / "j1/before"), "--after", str(fx / "j1/after")]
+    kb_cmd = ["--workspace", str(tmp_path), "kb", "import-fix"]
+    assert vet([*kb_cmd, "--id", "VULN-A", *fix, "--exclude", "CLASS:fw.Engine"]) == 0
+    assert vet([*kb_cmd, "--id", "VULN-B", *fix]) == 0
+    kb = KnowledgeBase(tmp_path / "kb")
+    assert {c.construct.qname for c in kb.load_record("VULN-A").changes} == {
+        "fw.Engine.renderError()"}
+    assert {c.construct.qname for c in kb.load_record("VULN-B").changes} == {
+        "fw.Engine", "fw.Engine.renderError()"}
+
+
+def test_an_omitted_format_or_pattern_takes_its_default_again(tmp_path, monkeypatch):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    assert vet(["--workspace", str(ws), "scan"]) == 1
+    assert vet(["--workspace", str(ws), "report", "--format", "html"]) == 1
+    assert not (ws / ".vet/report.json").exists()
+    assert vet(["--workspace", str(ws), "report"]) == 1
+    assert (ws / ".vet/report.json").is_file()
+
+    patterns = []
+    real = cli.run_tests
+
+    def run_tests(bom, program, pattern):
+        patterns.append(pattern)
+        return real(bom, program, pattern=pattern)
+
+    monkeypatch.setattr(cli, "run_tests", run_tests)
+    assert vet(["--workspace", str(ws), "trace", "run", "--pattern", "itest"]) == 0
+    assert vet(["--workspace", str(ws), "trace", "run"]) == 0
+    assert patterns == ["itest", "test"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["frobnicate"], 64),
+    (["kb", "import-fix", "--id", "VULN-X"], 64),
+    (["--help"], 0),
+    (["kb", "import-fix", "--help"], 0),
+    (["--version"], 0),
+])
+def test_a_command_after_an_exit_by_the_parser_runs(tmp_path, capsys, argv, code):
+    with pytest.raises(SystemExit) as info:
+        vet(argv)
+    assert info.value.code == code
+    capsys.readouterr()
+    _import_golden_kb(tmp_path)
+    assert vet(["--workspace", str(tmp_path), "kb", "list"]) == 0
+    out = capsys.readouterr().out
+    assert "vuln VULN-J1 (CODE_CHANGE, 2 changes)" in out
+    assert "vuln VULN-J2" in out
+
+
+def test_main_builds_no_parser(tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+    assert vet(["--workspace", str(ws), "scan"]) == 0
+    assert vet(["--workspace", str(ws), "kb", "list"]) == 0
+
+
 @pytest.mark.parametrize("argv, option", [
     (["add-range", "--id", "X", "--affected", "lib2:1.0:1.9", "--affected", "foo"],
      "--affected"),
@@ -67,6 +134,9 @@ def test_usage_error_exit_code():
       "--after", str(GOLDEN / "fixes/j1/after"), "--exclude", "FIELD:x"], "--exclude"),
     (["index-lib", "--name", "z", "--root", "1.0=%s" % (GOLDEN / "fixes/j1/after"),
       "--root", "1.0"], "--root"),
+    (["add-range", "--id", "X", "--affected", ":1.0:1.1"], "--affected"),
+    (["import-fix", "--id", "X", "--before", str(GOLDEN / "fixes/j1/before"),
+      "--after", str(GOLDEN / "fixes/j1/after"), "--exclude", "METHOD:"], "--exclude"),
 ])
 def test_a_malformed_option_item_is_a_usage_error(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as info:
@@ -147,6 +217,19 @@ def test_kb_add_range(tmp_path):
     assert vet(["--workspace", str(ws), "scan"]) == 1
     findings = json.loads((ws / ".vet/findings.json").read_text())
     assert findings[0]["verdict"] == "WHOLE_LIBRARY_AFFECTED"
+
+
+def test_an_exclusion_that_matches_no_change_is_warned_of(tmp_path, capsys):
+    fx = GOLDEN / "fixes"
+    assert vet(["--workspace", str(tmp_path), "kb", "import-fix", "--id", "VULN-X",
+                "--before", str(fx / "j1/before"), "--after", str(fx / "j1/after"),
+                "--exclude", "METHOD:p.Nope.g()", "--exclude", "CLASS:fw.Engine"]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("kb: warning:")]
+    assert warnings == ["kb: warning: --exclude METHOD:p.Nope.g() matches no construct "
+                        "change of the fix for VULN-X"]
+    record = KnowledgeBase(tmp_path / "kb").load_record("VULN-X")
+    assert [c.construct.qname for c in record.changes] == ["fw.Engine.renderError()"]
 
 
 def test_mitigate_writes_json_and_csv(tmp_path):
@@ -451,6 +534,11 @@ TAKEN = ["{kb}/vulns/VULN-J1.json", "--overwrite"]
     (["import-fix", "--id", "VULN-J1", *J1_FIX], TAKEN),
     (["add-range", "--id", "VULN-J1", "--affected", "lib1:1.0:1.0"], TAKEN),
     (["index-lib", "--name", "lib/A", "--root", "1.0=%s" % (J1 / "before")], ["'lib/A'"]),
+    (["index-lib", "--name", "lib1", "--root", "1.0=%s" % (J1 / "before"),
+      "--root", "1.0=%s" % (J1 / "after")], ["version 1.0 repeats version 1.0"]),
+    (["index-lib", "--name", "lib1", "--root", "1.0=%s" % (J1 / "before"),
+      "--root", "1.0.0=%s" % (J1 / "after")], ["version 1.0.0 repeats version 1.0"]),
+    (["index-lib", "--name", "lib1", "--root", "1.x=%s" % (J1 / "before")], ["'1.x'"]),
 ])
 def test_a_bad_or_taken_name_is_refused_before_any_parse(tmp_path, capsys, monkeypatch,
                                                           argv, named):

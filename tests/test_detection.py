@@ -117,6 +117,6 @@ def test_scan_decodes_only_the_trees_it_measures(tmp_path, monkeypatch):
     assert sorted(decoded) == sorted([serialize(change.ast_vuln), serialize(change.ast_fixed)])
 
     decoded.clear()
-    kb.index_library("lib3", {"1.0": GOLDEN / "workspace/libs/lib3/1.0/src"})
+    kb.index_library("lib3", [("1.0", GOLDEN / "workspace/libs/lib3/1.0/src")])
     assert non_vulnerable_versions(kb.load_index("lib3"), kb.records()) == []
     assert decoded == []

@@ -70,10 +70,10 @@ def test_whole_library_record_covers_closed_range(tmp_path):
 
 def test_index_and_screening(tmp_path):
     kb = build_golden_kb(tmp_path / "kb")
-    kb.index_library("lib3", {
-        "1.0": GOLDEN / "workspace/libs/lib3/1.0/src",  # vulnerable bodies
-        "2.0": GOLDEN / "fixes/j2/after",               # fixed bodies
-    })
+    kb.index_library("lib3", [
+        ("1.0", GOLDEN / "workspace/libs/lib3/1.0/src"),  # vulnerable bodies
+        ("2.0", GOLDEN / "fixes/j2/after"),               # fixed bodies
+    ])
     assert _screen(kb, "lib3") == ["2.0"]
     with pytest.raises(UnknownLibrary):
         kb.load_index("nope")
@@ -82,11 +82,11 @@ def test_index_and_screening(tmp_path):
 def test_a_write_shows_in_the_next_screening(tmp_path):
     kb = build_golden_kb(tmp_path / "kb")
     fixed = GOLDEN / "fixes/j2/after"
-    kb.index_library("lib3", {"1.0": GOLDEN / "workspace/libs/lib3/1.0/src", "2.0": fixed})
+    kb.index_library("lib3", [("1.0", GOLDEN / "workspace/libs/lib3/1.0/src"), ("2.0", fixed)])
     assert _screen(kb, "lib3") == ["2.0"]
     kb.add_whole_library("VULN-W", [("lib3", "2.0", "2.0")])
     assert _screen(kb, "lib3") == []
-    kb.index_library("lib3", {"3.0": fixed})
+    kb.index_library("lib3", [("3.0", fixed)])
     assert _screen(kb, "lib3") == ["3.0"]
 
 

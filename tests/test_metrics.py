@@ -22,10 +22,10 @@ from vulnvet.traces import TraceLog
 def _setup(tmp_path):
     ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
     kb = KnowledgeBase(tmp_path / "kb")
-    kb.index_library("libA", {
-        "1.0": ws / "libs/libA/1.0/src",
-        "2.0": UPDATE / "versions/2.0",
-    })
+    kb.index_library("libA", [
+        ("1.0", ws / "libs/libA/1.0/src"),
+        ("2.0", UPDATE / "versions/2.0"),
+    ])
     src = Sources(ws / "app.json", ws)
     bom = build_bom(src)
     graph = build_call_graph(corpus_program(src))
@@ -86,7 +86,7 @@ def test_recommend_ratios_are_unreduced(tmp_path):
 
 def test_recommend_requires_newer_safe_version(tmp_path):
     _, kb, bom, graph = _setup(tmp_path)
-    kb.index_library("libA", {"1.0": UPDATE / "workspace/libs/libA/1.0/src"})
+    kb.index_library("libA", [("1.0", UPDATE / "workspace/libs/libA/1.0/src")])
     with pytest.raises(NoCandidates):
         recommend("libA", bom, *_screened(kb, "libA"), graph, TraceLog(), set())
 
@@ -123,8 +123,8 @@ class Api {
         near.replace("return 1", "return 11").replace("return 2", "return 22"))
 
     kb = KnowledgeBase(tmp_path / "kb")
-    kb.index_library("nb", {"2.3.0": cur / "src", "2.3.1": v_near,
-                            "3.0.0": v_far})
+    kb.index_library("nb", [("2.3.0", cur / "src"), ("2.3.1", v_near),
+                            ("3.0.0", v_far)])
     src = Sources(ws / "app.json", ws)
     bom = build_bom(src)
     graph = build_call_graph(corpus_program(src))
@@ -137,10 +137,10 @@ class Api {
 def test_transitive_dependency_gets_body_metrics_only(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     kb = build_golden_kb(tmp_path / "kb")
-    kb.index_library("lib3", {
-        "1.0": ws / "libs/lib3/1.0/src",
-        "2.0": GOLDEN / "fixes/j2/after",
-    })
+    kb.index_library("lib3", [
+        ("1.0", ws / "libs/lib3/1.0/src"),
+        ("2.0", GOLDEN / "fixes/j2/after"),
+    ])
     src = Sources(ws / "app.json", ws)
     bom = build_bom(src)
     graph = build_call_graph(corpus_program(src))
@@ -153,10 +153,10 @@ def test_transitive_dependency_gets_body_metrics_only(tmp_path):
 def test_deep_update_advice_names_direct_dependency(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     kb = build_golden_kb(tmp_path / "kb")
-    kb.index_library("lib3", {
-        "1.0": ws / "libs/lib3/1.0/src",
-        "2.0": GOLDEN / "fixes/j2/after",
-    })
+    kb.index_library("lib3", [
+        ("1.0", ws / "libs/lib3/1.0/src"),
+        ("2.0", GOLDEN / "fixes/j2/after"),
+    ])
     # a newer lib1 that pulls in the fixed lib3 transitively
     for name, version, deps in (("lib1", "2.0", [("lib2", "2.0")]),
                                 ("lib2", "2.0", [("lib3", "2.0")]),
@@ -194,10 +194,10 @@ def _store_lib(ws, name, version, deps, manifest=None):
 def _deep_update_setup(tmp_path):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     kb = build_golden_kb(tmp_path / "kb")
-    kb.index_library("lib3", {
-        "1.0": ws / "libs/lib3/1.0/src",
-        "2.0": GOLDEN / "fixes/j2/after",
-    })
+    kb.index_library("lib3", [
+        ("1.0", ws / "libs/lib3/1.0/src"),
+        ("2.0", GOLDEN / "fixes/j2/after"),
+    ])
     _store_lib(ws, "lib2", "2.0", [("lib3", "2.0")])
     _store_lib(ws, "lib3", "2.0", [])
     return ws, kb, build_bom(Sources(ws / "app.json", ws))

@@ -102,7 +102,7 @@ READERS = {
 def _golden_pass(tmp_path, *more):
     """The golden workspace, with lib1 indexed, after a whole pass and more steps."""
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
-    build_golden_kb(ws / "kb").index_library("lib1", {"1.0": LIB1_SRC, "2.0": LIB1_SRC})
+    build_golden_kb(ws / "kb").index_library("lib1", [("1.0", LIB1_SRC), ("2.0", LIB1_SRC)])
     for step in (SCAN, TRACE, ["trace", "run", "--pattern", "itest"], STATIC, COMBINED,
                  MITIGATE, ["report"], *more):
         assert vet(["--workspace", str(ws), *step]) in (0, 1, 2)
@@ -209,7 +209,7 @@ def test_flipped_or_truncated_files_exit_cleanly(tmp_path, capsys):
 ])
 def test_json_nested_too_deep_or_with_a_huge_number_exits_cleanly(tmp_path, capsys, name, steps):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
-    build_golden_kb(ws / "kb").index_library("lib1", {"1.0": LIB1_SRC, "2.0": LIB1_SRC})
+    build_golden_kb(ws / "kb").index_library("lib1", [("1.0", LIB1_SRC), ("2.0", LIB1_SRC)])
     for step in (SCAN, TRACE, STATIC, COMBINED, MITIGATE):
         assert vet(["--workspace", str(ws), *step]) in (0, 1, 2)
     for text, codes in (("[" * 100000, (3,)), ('{"a": %s}' % ("1" * 5000), (0, 1, 2, 3))):
