@@ -21,14 +21,13 @@ DEPENDENCY = "DEPENDENCY"
 
 
 class Archive:
-    __slots__ = ("name", "version", "kind", "source_root", "constructs", "declared_deps")
+    __slots__ = ("name", "version", "kind", "constructs", "declared_deps")
 
-    def __init__(self, name: str, version: str, kind: str, source_root: Optional[Path],
-                 constructs=None, declared_deps=None):
+    def __init__(self, name: str, version: str, kind: str, constructs=None,
+                 declared_deps=None):
         self.name = name
         self.version = version
         self.kind = kind
-        self.source_root = source_root
         self.constructs = {} if constructs is None else constructs  # ConstructId -> Construct
         self.declared_deps = [] if declared_deps is None else declared_deps  # [(name, version)]
 
@@ -153,8 +152,8 @@ def build_bom(src: Sources) -> BOM:
     """Build the BOM: the application plus every archive of its resolved
     transitive dependency closure, each resolved on its own (see extract_root)."""
     archives = [(Archive(data["name"], data["version"], DEPENDENCY if depth else APPLICATION,
-                         root, extract_constructs(resolve(src.units(root))),
-                         _declared_deps(data)), depth)
+                         extract_constructs(resolve(src.units(root))), _declared_deps(data)),
+                 depth)
                 for _, data, root, depth in src.archives]
     return BOM(archives[0][0], archives[1:], src.warnings)
 
@@ -219,7 +218,7 @@ _BOM = shape({"archives": [{"name": str, "version": str,
 def bom_from_json(data, artifact: str) -> BOM:
     """Inverse of bom_to_json for the analyses that need no parse trees: the
     archives carry their construct ids, fingerprints and declared
-    dependencies, but no units, bodies or source root. Raises
+    dependencies, but no units or bodies. Raises
     MalformedArtifact, naming the artifact, for anything bom_to_json does
     not write."""
     check(data, _BOM, artifact, MalformedArtifact)
@@ -229,11 +228,9 @@ def bom_from_json(data, artifact: str) -> BOM:
                                 "then dependencies, deeper" % artifact)
     archives = []
     for a in data["archives"]:
-        constructs = {}
-        for e in a["constructs"]:
-            cid = ConstructId(e["ctype"], e["qname"])
-            constructs[cid] = Construct(cid, e["fingerprint"], None)
+        constructs = {ConstructId(e["ctype"], e["qname"]): Construct(e["fingerprint"], None)
+                      for e in a["constructs"]}
         deps = [(d["name"], d["version"]) for d in a["declaredDependencies"]]
-        archives.append((Archive(a["name"], a["version"], a["kind"], None,
-                                 constructs=constructs, declared_deps=deps), a["depth"]))
+        archives.append((Archive(a["name"], a["version"], a["kind"], constructs, deps),
+                         a["depth"]))
     return BOM(archives[0][0], archives[1:], data["resolutionWarnings"])

@@ -62,17 +62,14 @@ def guess_ctype(qname: str) -> str:
 
 
 class Construct:
-    __slots__ = ("id", "fingerprint", "body")
+    """A construct's body and fingerprint, the 256-bit digest of the body's
+    canonical serialization. Its ConstructId is the key it is stored under."""
 
-    def __init__(self, id: ConstructId, fingerprint: Optional[str], body: Optional[CTree]):
-        self.id = id
+    __slots__ = ("fingerprint", "body")
+
+    def __init__(self, fingerprint: Optional[str], body: Optional[CTree]):
         self.fingerprint = fingerprint  # hex digest; None for PACKAGE
         self.body = body                # None for PACKAGE
-
-
-def fingerprint(body: CTree) -> str:
-    """256-bit digest of the canonical serialization of a construct body."""
-    return digest(body)
 
 
 # --- lowering to canonical trees ------------------------------------------
@@ -194,11 +191,10 @@ def extract_constructs(program: ResolvedProgram) -> dict:
     out = {}
 
     def put(cid, body):
-        out[cid] = Construct(cid, fingerprint(body), body)
+        out[cid] = Construct(digest(body), body)
 
     for pkg in sorted({u.package for u in program.units}):
-        cid = ConstructId(PACKAGE, pkg)
-        out[cid] = Construct(cid, None, None)
+        out[ConstructId(PACKAGE, pkg)] = Construct(None, None)
     for qname in sorted(program.symbols):
         info = program.symbols[qname]
         if info.is_interface:

@@ -120,8 +120,8 @@ def non_vulnerable_versions(index: LibraryIndex, records) -> list:
     records = _with_ids(records)
     out = []
     for version in sorted(index.versions, key=version_key):
-        constructs = {cid: Construct(cid, fp, None) for cid, fp in index.versions[version].items()}
-        arc = Archive(index.name, version, DEPENDENCY, None, constructs=constructs)
+        constructs = {cid: Construct(fp, None) for cid, fp in index.versions[version].items()}
+        arc = Archive(index.name, version, DEPENDENCY, constructs)
         if not any(f.verdict in (VULNERABLE, WHOLE_LIBRARY_AFFECTED)
                    for f in detect_archive(arc, records)):
             out.append(version)

@@ -7,7 +7,7 @@ from typing import Optional
 
 from .bom import extract_root
 from .constructs import CALLABLE_CTYPES, Construct, ConstructId, split_member
-from .errors import EmptyRange, IdMismatch
+from .errors import EmptyRange
 from .ted import tree_edit_distance
 
 ADD = "ADD"
@@ -130,10 +130,9 @@ def classify(observed: Construct, change: ConstructChange) -> Optional[Classific
     entries whose two sides fingerprint identically, and constructs without
     a body whose digest equals neither side. Digest equality wins before any
     distance comparison, so a body-less construct (as in a library index) is
-    classified by its digest alone.
+    classified by its digest alone. The observed construct is the one of
+    the change's own id.
     """
-    if observed.id != change.construct:
-        raise IdMismatch("observed %s vs change %s" % (observed.id, change.construct))
     if change.op == DEL:
         return Classification(EQUALS_VULNERABLE)
     if not change.informative:

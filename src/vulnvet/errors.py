@@ -33,14 +33,6 @@ class EmptyRange(VetError):
     pass
 
 
-class IdMismatch(VetError):
-    pass
-
-
-class NotReached(VetError):
-    pass
-
-
 class MalformedArtifact(VetError):
     pass
 
@@ -54,10 +46,6 @@ class NoTestsMatched(VetError):
 
 
 class MalformedTraceLine(VetError):
-    pass
-
-
-class NoTouchPoints(VetError):
     pass
 
 

@@ -106,7 +106,7 @@ class Interpreter:
         self.clock = iter(())  # one item per step the run may still take
         self.events = []
         self.test_name = ""
-        self._entries = {}  # MethodInfo or CtorInfo -> its entry closure
+        self._entries = {}  # MethodInfo -> its entry closure
 
     # --- tracing ---
 
@@ -157,7 +157,7 @@ class Interpreter:
 
     def _entry(self, ctype, member):
         """The closure of (args, this, caller, site) that enters member, a
-        MethodInfo or CtorInfo, compiling its body the first time. A failed
+        MethodInfo, compiling its body the first time. A failed
         call leaves ``depth`` as it was at the failure, for run_entry."""
         entry = self._entries.get(member)
         if entry is None:
@@ -420,11 +420,6 @@ class _Compiler:
         else:
             return self.fail("unresolved call at %s" % site)
         return run
-
-
-def run_entry(program: ResolvedProgram, entry: ConstructId, args=None,
-              test_name: str = "") -> RunResult:
-    return Interpreter(program).run_entry(entry, args, test_name)
 
 
 def find_tests(bom, program: ResolvedProgram, pattern: str) -> list:

@@ -16,28 +16,19 @@ ERROR_TYPE = "?"  # poisons downstream checks without cascading diagnostics
 
 
 class MethodInfo:
+    """A method or a constructor; a constructor is not static and returns void."""
+
     __slots__ = ("owner", "sig", "static", "rettype", "param_types", "decl", "calls")
 
     def __init__(self, owner: str, sig: str, static: bool, rettype: str, param_types: list,
-                 decl: ast.MethodDecl):
+                 decl):
         self.owner = owner
         self.sig = sig
         self.static = static
         self.rettype = rettype
         self.param_types = param_types
-        self.decl = decl
+        self.decl = decl  # ast.MethodDecl or ast.CtorDecl
         self.calls = []  # New/MethodCall/ReflectInvoke nodes of the body
-
-
-class CtorInfo:
-    __slots__ = ("owner", "sig", "param_types", "decl", "calls")
-
-    def __init__(self, owner: str, sig: str, param_types: list, decl: ast.CtorDecl):
-        self.owner = owner
-        self.sig = sig
-        self.param_types = param_types
-        self.decl = decl
-        self.calls = []  # as MethodInfo.calls
 
 
 class TypeInfo:
@@ -55,7 +46,7 @@ class TypeInfo:
         self.superclass = None  # the class among supertypes
         self.fields = {}        # name -> type
         self.methods = {}       # sig -> MethodInfo
-        self.ctors = {}         # sig -> CtorInfo
+        self.ctors = {}         # sig -> MethodInfo
         self.init_calls = []    # call nodes of field initializers
 
 
@@ -296,7 +287,7 @@ class _Resolver:
                 sig = "%s(%s)" % (c.name, ",".join(ptypes))
                 if sig in info.ctors:
                     self.err("duplicate constructor %s" % sig, c.pos, info.unit)
-                info.ctors[sig] = CtorInfo(info.qname, sig, ptypes, c)
+                info.ctors[sig] = MethodInfo(info.qname, sig, False, "void", ptypes, c)
 
     def _add_method(self, info: TypeInfo, m: ast.MethodDecl):
         ptypes = [self.type_text(p.type, info.package) for p in m.params]
@@ -350,13 +341,7 @@ class _Resolver:
                 if f.init is not None:
                     env = {"this": info.qname}
                     self.bind_expr(f.init, env, info, program)
-            for c in info.ctors.values():
-                self.calls = c.calls
-                env = {"this": info.qname}
-                for p, t in zip(c.decl.params, c.param_types):
-                    env[p.name] = t
-                self.bind_block(c.decl.body, env, info, program, "void")
-            for m in info.methods.values():
+            for m in (*info.ctors.values(), *info.methods.values()):
                 if m.decl.body is None:
                     continue
                 self.calls = m.calls

@@ -109,6 +109,13 @@ def _check_name(value: str, what: str):
                               "or holds '/', '\\' or NUL" % (what, value))
 
 
+def _check_stored_name(path: Path, key: str, value: str, expected: str):
+    """A stored document is found by its file name, so it must carry that name."""
+    if value != expected:
+        raise MalformedRecord("%s: %s is %r, but the file name says %r"
+                              % (path, key, value, expected))
+
+
 class KnowledgeBase:
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -192,9 +199,11 @@ class KnowledgeBase:
     def load_record(self, vuln_id: str) -> VulnerabilityRecord:
         """Read one record. Stored bodies stay canonical text until a
         change's ``ast_vuln``/``ast_fixed`` is first read. Raises
-        MalformedRecord naming the file for a document that is not a record."""
+        MalformedRecord naming the file for a document that is not a record,
+        or not the record its file name says."""
         path = self._vuln_path(vuln_id)
         data = load_json(path, MalformedRecord, RECORD)
+        _check_stored_name(path, "vulnId", data["vulnId"], vuln_id)
         where = "kb record %s (%s)" % (data["vulnId"], path)
         return VulnerabilityRecord(
             vuln_id=data["vulnId"],
@@ -251,13 +260,14 @@ class KnowledgeBase:
     def load_index(self, name: str) -> LibraryIndex:
         """Read one library index. Raises UnknownLibrary when there is none
         and MalformedRecord naming the file for a document that is not an
-        index."""
+        index, or not the index its file name says."""
         path = self._lib_path(name)
         if not path.is_file():
             raise UnknownLibrary("the knowledge base has no index for library %s; create "
                                  "one with `vet kb index-lib --name %s --root VERSION=PATH`"
                                  % (name, name))
         data = load_json(path, MalformedRecord, INDEX)
+        _check_stored_name(path, "name", data["name"], name)
         versions = {v: {ConstructId(e["ctype"], e["qname"]): e["fingerprint"] for e in entries}
                     for v, entries in data["versions"].items()}
         return LibraryIndex(name, versions)

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 from .bom import resolve_dependencies
 from .constructs import CALLABLE_CTYPES, is_version, version_key, version_newer
 from .errors import (EmptyConstructSet, MissingDependency, NoCandidates,
-                     NoTouchPoints, UnknownArchive, UnknownLibrary)
+                     UnknownArchive, UnknownLibrary)
 from .kb import LibraryIndex
 
 
@@ -32,15 +32,12 @@ class Ratio(NamedTuple):
 
 
 class TouchPoint:
-    __slots__ = ("app_construct", "lib_callee", "sites", "found_static", "found_dynamic")
+    __slots__ = ("app_construct", "lib_callee", "sites")
 
-    def __init__(self, app_construct, lib_callee, sites=None, found_static: bool = False,
-                 found_dynamic: bool = False):
+    def __init__(self, app_construct, lib_callee, sites=None):
         self.app_construct = app_construct  # ConstructId in the application
         self.lib_callee = lib_callee        # ConstructId in the library
         self.sites = [] if sites is None else sites
-        self.found_static = found_static
-        self.found_dynamic = found_dynamic
 
 
 class UpdateMetrics:
@@ -65,30 +62,25 @@ def dependency(bom, lib: str):
 
 def touch_points(bom, graph, traces, lib: str) -> list:
     """Direct application-to-library call pairs with per-callee site lists,
-    flagged by which analysis observed them. traces may be None."""
+    from the call graph's edges and the trace log's events."""
     arc = dependency(bom, lib)
     app_ids = {cid for cid in bom.application.constructs if cid.ctype in CALLABLE_CTYPES}
     lib_ids = {cid for cid in arc.constructs if cid.ctype in CALLABLE_CTYPES}
     points = {}
 
-    def touch(caller, callee, site, static):
+    def touch(caller, callee, site):
         tp = points.get((caller, callee))
         if tp is None:
             tp = points[(caller, callee)] = TouchPoint(caller, callee)
         if site is not None and site not in tp.sites:
             tp.sites.append(site)
-        if static:
-            tp.found_static = True
-        else:
-            tp.found_dynamic = True
 
     for e in graph.edges:
         if e.caller in app_ids and e.callee in lib_ids:
-            touch(e.caller, e.callee, e.site, True)
-    if traces is not None:
-        for ev in traces.events:
-            if ev.caller is not None and ev.caller in app_ids and ev.callee in lib_ids:
-                touch(ev.caller, ev.callee, ev.site, False)
+            touch(e.caller, e.callee, e.site)
+    for ev in traces.events:
+        if ev.caller in app_ids and ev.callee in lib_ids:
+            touch(ev.caller, ev.callee, ev.site)
     out = [points[k] for k in sorted(points)]
     for tp in out:
         tp.sites.sort()
@@ -102,9 +94,8 @@ def _candidate_ids(index: LibraryIndex, candidate: str) -> dict:
 
 
 def callee_stability(tps: list, candidate: str, index: LibraryIndex) -> Ratio:
-    """Fraction of distinct callees whose identifier exists in the candidate."""
-    if not tps:
-        raise NoTouchPoints("callee stability is undefined without touch points")
+    """Fraction of distinct callees whose identifier exists in the candidate;
+    tps must not be empty."""
     ids = _candidate_ids(index, candidate)
     callees = sorted({tp.lib_callee for tp in tps})
     present = sum(1 for c in callees if c in ids)
@@ -114,8 +105,6 @@ def callee_stability(tps: list, candidate: str, index: LibraryIndex) -> Ratio:
 def development_effort(tps: list, candidate: str, index: LibraryIndex) -> int:
     """Number of application call sites whose callee is absent from the
     candidate; every site of a missing callee counts."""
-    if not tps:
-        raise NoTouchPoints("development effort is undefined without touch points")
     ids = _candidate_ids(index, candidate)
     missing_sites = set()
     for tp in tps:

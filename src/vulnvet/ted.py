@@ -4,11 +4,10 @@ Unit-cost node insertion, deletion, and relabel; the minimum edit-script
 cost between two canonical trees.
 
 Zhang-Shasha decomposes both trees along their leftmost paths and fills one
-forest-distance table per pair of keyroots. Mirroring both trees (reversing
-every child list) leaves the distance unchanged and turns the left
-decomposition into the right one, so the distance is computed on whichever
-orientation fills fewer cells: the simplest of the path strategies of
-RTED/APTED (Pawlik & Augsten, Inf. Syst. 2016).
+forest-distance table per pair of keyroots. It runs on both trees mirrored
+(every child list reversed), which leaves the distance unchanged and turns
+the left decomposition into the right one. That suits canonical trees: a
+member's body is its last child, so its heavy path runs rightmost.
 
 Zhang-Shasha runs only when two cheap bounds differ. When they meet, as on
 a body a few edits off another, that value is the distance: exact either way.
@@ -24,22 +23,19 @@ from itertools import accumulate
 from .canonical import CTree
 
 
-def _decompose(root: CTree, mirrored: bool):
-    """Post-order labels, leftmost-leaf indices and keyroots of a tree, and
-    the forest-distance rows that its keyroots span.
-
-    ``mirrored`` walks every child list back to front. Iterative, so tree
+def _decompose(root: CTree):
+    """Post-order labels, leftmost-leaf indices and keyroots of the mirrored
+    tree, which walks every child list back to front. Iterative, so tree
     depth is bounded by memory only.
     """
     labels, lml = [], []
-    order = reversed if mirrored else iter
-    stack = [(root, order(root.children))]
+    stack = [(root, reversed(root.children))]
     starts = [0]  # post-order index of the open nodes' leftmost leaves
     while stack:
         node, kids = stack[-1]
         child = next(kids, None)
         if child is not None:
-            stack.append((child, order(child.children)))
+            stack.append((child, reversed(child.children)))
             starts.append(len(labels))
         else:
             stack.pop()
@@ -53,8 +49,7 @@ def _decompose(root: CTree, mirrored: bool):
             seen.add(lml[k])
             keyroots.append(k)
     keyroots.reverse()
-    rows = sum(k - lml[k] + 1 for k in keyroots)
-    return labels, lml, keyroots, rows
+    return labels, lml, keyroots
 
 
 def _strip(p, q):
@@ -147,17 +142,12 @@ def tree_edit_distance(a: CTree, b: CTree) -> int:
     lo, up = _bounds(a, b)
     if lo == up:
         return up
-    left = _decompose(a, False), _decompose(b, False)
-    right = _decompose(a, True), _decompose(b, True)
-    # The cells a decomposition fills are the product of both trees' rows.
-    if right[0][3] * right[1][3] < left[0][3] * left[1][3]:
-        return _zhang_shasha(*right)
-    return _zhang_shasha(*left)
+    return _zhang_shasha(_decompose(a), _decompose(b))
 
 
 def _zhang_shasha(ta, tb) -> int:
-    a_labels, a_lml, a_keyroots, _ = ta
-    b_labels, b_lml, b_keyroots, _ = tb
+    a_labels, a_lml, a_keyroots = ta
+    b_labels, b_lml, b_keyroots = tb
     m, n = len(a_labels), len(b_labels)
     treedist = [[0] * n for _ in range(m)]
     # fd[x][y]: distance between the first x nodes of a's keyroot forest and

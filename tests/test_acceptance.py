@@ -10,7 +10,6 @@ import itertools
 import json
 import random
 import time
-from pathlib import Path
 
 import pytest
 
@@ -35,6 +34,7 @@ from vulnvet.kb import CODE_CHANGE, KnowledgeBase, VulnerabilityRecord
 from vulnvet.metrics import (Ratio, body_stability, callee_stability,
                              development_effort, recommend, touch_points)
 from vulnvet.ted import tree_edit_distance
+from vulnvet.traces import TraceLog
 
 
 def _mid(q):
@@ -139,7 +139,7 @@ def test_criterion_2_cs_and_de_worked_example(tmp_path):
     src = Sources(ws / "app.json", ws)
     bom = build_bom(src)
     graph = build_call_graph(corpus_program(src))
-    tps = touch_points(bom, graph, None, "libA")
+    tps = touch_points(bom, graph, TraceLog(), "libA")
     assert {tp.lib_callee.qname for tp in tps} == {
         "libA.Api.beta(int)", "libA.Api.psi()"}
     index = kb.load_index("libA")
@@ -184,7 +184,7 @@ def test_criterion_3_metric_identities_and_oracle():
         for callee in callees:
             sites = ["app.jx:%d" % next(site_no)
                      for _ in range(rng.randint(1, 3))]
-            tps.append(TouchPoint(app, callee, sites, True, False))
+            tps.append(TouchPoint(app, callee, sites))
 
         cs = callee_stability(tps, "2.0", index)
         de = development_effort(tps, "2.0", index)
@@ -277,9 +277,9 @@ class _StubKB:
         return self._records
 
 
-def _make_construct(cid, rng):
+def _make_construct(rng):
     body = random_ctree(rng, 6)
-    return Construct(cid, digest(body), body)
+    return Construct(digest(body), body)
 
 
 def _detection_fixture(rng, trial, mode):
@@ -303,12 +303,12 @@ def _detection_fixture(rng, trial, mode):
             body = bf
         else:
             body = bv if i == 0 else bf
-        carried[cid] = Construct(cid, digest(body), body)
+        carried[cid] = Construct(digest(body), body)
     record = VulnerabilityRecord("V%d" % trial, "", CODE_CHANGE, changes=changes)
     filler = {}
     for i in range(rng.randint(1, 4)):
         cid = _mid("other%d.F.f%d()" % (trial, i))
-        filler[cid] = _make_construct(cid, rng)
+        filler[cid] = _make_construct(rng)
     return record, carried, filler
 
 
@@ -322,7 +322,7 @@ def _finding_multiset(bom, kb):
 
 
 def _bom_with(archives):
-    app = Archive("the-app", "1.0", APPLICATION, Path("."))
+    app = Archive("the-app", "1.0", APPLICATION)
     return BOM(app, [(a, 1) for a in archives])
 
 
@@ -333,17 +333,17 @@ def test_criterion_6_detection_repackaging_robustness():
         record, carried, filler = _detection_fixture(rng, trial, mode)
         kb = _StubKB(record)
 
-        one = Archive("orig", "1.0", "DEPENDENCY", Path("."),
+        one = Archive("orig", "1.0", "DEPENDENCY",
                       constructs={**carried, **filler})
-        renamed = Archive("totally-else", "9.9", "DEPENDENCY", Path("."),
+        renamed = Archive("totally-else", "9.9", "DEPENDENCY",
                           constructs={**carried, **filler})
-        part_a = Archive("part-a", "1.0", "DEPENDENCY", Path("."),
+        part_a = Archive("part-a", "1.0", "DEPENDENCY",
                          constructs=dict(carried))
-        part_b = Archive("part-b", "1.0", "DEPENDENCY", Path("."),
+        part_b = Archive("part-b", "1.0", "DEPENDENCY",
                          constructs=dict(filler))
         extra = {_mid("bundle%d.X.x()" % trial):
-                 _make_construct(_mid("bundle%d.X.x()" % trial), rng)}
-        merged = Archive("uber", "1.0", "DEPENDENCY", Path("."),
+                 _make_construct(rng)}
+        merged = Archive("uber", "1.0", "DEPENDENCY",
                          constructs={**carried, **filler, **extra})
 
         base = _finding_multiset(_bom_with([one]), kb)

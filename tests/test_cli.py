@@ -55,6 +55,90 @@ def test_full_pipeline_exits_two(tmp_path):
     assert {f["evidence"] for f in report["findings"]} == {"COMBINED"}
 
 
+SHAPES = """package shapes;
+
+interface Shape {
+    int area(int x);
+}
+
+class Square implements Shape {
+    int side = 2;
+
+    int area(int x) {
+        int total = 0;
+        int i = 0;
+        while (i < x) {
+            total = total + this.grow(side);
+            i = i + 1;
+        }
+        if (total > 5) {
+            return this.big(total);
+        } else {
+            return total;
+        }
+    }
+
+    int grow(int n) {
+        return n;
+    }
+
+    int big(int n) {
+        return n * 10;
+    }
+}
+
+class Circle implements Shape {
+    int area(int x) {
+        return x * 3;
+    }
+}
+"""
+
+SHAPES_MAIN = """package app;
+
+class Main {
+    static void testSquare() {
+        shapes.Shape s = new shapes.Square();
+        int a = s.area(3);
+    }
+}
+"""
+
+
+def test_a_pass_over_an_interface_with_two_implementations(tmp_path):
+    ws = tmp_path / "ws"
+    lib = ws / "libs/shapes/1.0"
+    (lib / "src").mkdir(parents=True)
+    (ws / "src").mkdir()
+    (ws / "app.json").write_text(json.dumps({
+        "name": "shapes-app", "version": "1.0", "sourceRoot": "src",
+        "dependencies": [{"name": "shapes", "version": "1.0"}]}))
+    (lib / "lib.json").write_text(json.dumps(
+        {"name": "shapes", "version": "1.0", "sourceRoot": "src"}))
+    (lib / "src/shapes.jx").write_text(SHAPES)
+    (ws / "src/main.jx").write_text(SHAPES_MAIN)
+    for step in (["scan"], ["reach", "static"], ["trace", "run", "--pattern", "test"],
+                 ["reach", "combined"], ["report"]):
+        assert vet(["--workspace", str(ws), *step]) == 0, step
+    vet_dir = ws / ".vet"
+    graph = json.loads((vet_dir / "graph.json").read_text())
+    assert sorted(e["callee"] for e in graph["edges"]
+                  if e["site"] == "src/main.jx:6" and e["kind"] == "VIRTUAL_DISPATCH") == [
+        "shapes.Circle.area(int)", "shapes.Square.area(int)"]
+    bom = json.loads((vet_dir / "bom.json").read_text())
+    assert [c["qname"] for a in bom["archives"] for c in a["constructs"]
+            if c["ctype"] == "INTERFACE"] == ["shapes.Shape"]
+    events = [json.loads(line) for line in (vet_dir / "traces.jsonl").read_text().splitlines()]
+    # the field initializer sets side to 2, so three loop rounds sum to 6 and
+    # the if takes its then branch; Circle.area never runs
+    assert [(e["callee"], e["caller"]) for e in events] == [
+        ("app.Main.testSquare()", None),
+        ("shapes.Square.Square()", "app.Main.testSquare()"),
+        ("shapes.Square.area(int)", "app.Main.testSquare()"),
+        *[("shapes.Square.grow(int)", "shapes.Square.area(int)")] * 3,
+        ("shapes.Square.big(int)", "shapes.Square.area(int)")]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         vet(["frobnicate"])
@@ -232,6 +316,15 @@ def test_an_exclusion_that_matches_no_change_is_warned_of(tmp_path, capsys):
     assert [c.construct.qname for c in record.changes] == ["fw.Engine.renderError()"]
 
 
+def test_a_fix_without_construct_changes_is_not_stored(tmp_path, capsys):
+    before = GOLDEN / "fixes/j1/before"
+    assert vet(["--workspace", str(tmp_path), "kb", "import-fix", "--id", "VULN-E",
+                "--before", str(before), "--after", str(before)]) == 3
+    err = capsys.readouterr().err
+    assert "VULN-E" in err and "no construct changes" in err and "Traceback" not in err
+    assert not (tmp_path / "kb/vulns/VULN-E.json").exists()
+
+
 def test_mitigate_writes_json_and_csv(tmp_path):
     ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
     assert vet(["--workspace", str(ws), "kb", "index-lib", "--name", "libA",
@@ -338,6 +431,18 @@ def test_scan_rejects_malformed_kb_record(tmp_path, capsys, text):
     assert vet(["--workspace", str(ws), "scan"]) == 3
     err = capsys.readouterr().err
     assert "BAD.json" in err and "Traceback" not in err
+
+
+def test_a_record_stored_under_another_id_is_rejected(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    shutil.copy(ws / "kb/vulns/VULN-J1.json", ws / "kb/vulns/COPY.json")
+    capsys.readouterr()
+    for step in (["scan"], ["kb", "list"]):
+        assert vet(["--workspace", str(ws), *step]) == 3
+        out, err = capsys.readouterr()
+        assert "COPY.json: vulnId is 'VULN-J1', but the file name says 'COPY'" in err
+        assert "VULN-J1" not in out and "Traceback" not in err
 
 
 def test_scan_rejects_stored_tree_that_does_not_decode(tmp_path, capsys):
@@ -484,6 +589,21 @@ def test_malformed_library_index_is_rejected(tmp_path, capsys, text):
         assert vet(["--workspace", str(ws), *step]) == 3
         err = capsys.readouterr().err
         assert "libA.json" in err and "Traceback" not in err
+
+
+def test_an_index_stored_under_another_name_is_rejected(tmp_path, capsys):
+    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+    assert vet(["--workspace", str(ws), "kb", "index-lib", "--name", "libA",
+                "--root", "1.0=%s" % (ws / "libs/libA/1.0/src"),
+                "--root", "2.0=%s" % (UPDATE / "versions/2.0")]) == 0
+    path = ws / "kb/libs/libA.json"
+    path.write_text(path.read_text().replace('"name": "libA"', '"name": "libB"'))
+    capsys.readouterr()
+    for step in (["mitigate", "--lib", "libA"], ["kb", "list"]):
+        assert vet(["--workspace", str(ws), *step]) == 3
+        err = capsys.readouterr().err
+        assert "libA.json: name is 'libB', but the file name says 'libA'" in err
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("manifest, edit", [

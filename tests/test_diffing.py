@@ -9,7 +9,7 @@ from vulnvet.constructs import (CLASS, CONSTRUCTOR, METHOD, Construct,
 from vulnvet.diffing import (ADD, CLOSER_TO_FIXED, CLOSER_TO_VULNERABLE, DEL,
                              EQUALS_FIXED, EQUALS_VULNERABLE, MOD, TIE,
                              ConstructChange, classify, construct_changes)
-from vulnvet.errors import EmptyRange, IdMismatch
+from vulnvet.errors import EmptyRange
 from vulnvet.jx import parse_unit, resolve
 
 
@@ -60,29 +60,29 @@ def test_new_class_yields_adds_for_every_construct():
 def _mod_change():
     vuln = CTree("block", (CTree("lit 1"),))
     fixed = CTree("block", (CTree("lit 2"),))
-    cid = ConstructId(METHOD, "p.A.m()")
-    return cid, vuln, fixed, ConstructChange(cid, MOD, vuln, fixed,
-                                             digest(vuln), digest(fixed))
+    change = ConstructChange(ConstructId(METHOD, "p.A.m()"), MOD, vuln, fixed,
+                             digest(vuln), digest(fixed))
+    return vuln, fixed, change
 
 
 def test_classify_digest_equality_wins():
-    cid, vuln, fixed, change = _mod_change()
-    assert classify(Construct(cid, digest(vuln), vuln), change).verdict == EQUALS_VULNERABLE
-    assert classify(Construct(cid, digest(fixed), fixed), change).verdict == EQUALS_FIXED
+    vuln, fixed, change = _mod_change()
+    assert classify(Construct(digest(vuln), vuln), change).verdict == EQUALS_VULNERABLE
+    assert classify(Construct(digest(fixed), fixed), change).verdict == EQUALS_FIXED
 
 
 def test_classify_by_distance():
-    cid, vuln, fixed, change = _mod_change()
+    change = _mod_change()[2]
     near_vuln = CTree("block", (CTree("lit 1"), CTree("extra")))
-    c = classify(Construct(cid, digest(near_vuln), near_vuln), change)
+    c = classify(Construct(digest(near_vuln), near_vuln), change)
     assert c.verdict == CLOSER_TO_VULNERABLE
     assert c.dist_vuln < c.dist_fixed
 
 
 def test_classify_tie_when_equidistant():
-    cid, vuln, fixed, change = _mod_change()
+    change = _mod_change()[2]
     other = CTree("block", (CTree("lit 3"),))
-    c = classify(Construct(cid, digest(other), other), change)
+    c = classify(Construct(digest(other), other), change)
     assert c.verdict == TIE and c.dist_vuln == c.dist_fixed
 
 
@@ -130,25 +130,18 @@ def test_classify_del_and_add():
     cid = ConstructId(METHOD, "p.A.m()")
     body = CTree("block")
     dele = ConstructChange(cid, DEL, ast_vuln=body, fp_vuln=digest(body))
-    assert classify(Construct(cid, digest(body), body), dele).verdict == EQUALS_VULNERABLE
+    assert classify(Construct(digest(body), body), dele).verdict == EQUALS_VULNERABLE
     add = ConstructChange(cid, ADD, ast_fixed=body, fp_fixed=digest(body))
-    assert classify(Construct(cid, digest(body), body), add).verdict == EQUALS_FIXED
+    assert classify(Construct(digest(body), body), add).verdict == EQUALS_FIXED
     other = CTree("block", (CTree("x"),))
-    assert classify(Construct(cid, digest(other), other), add).verdict == TIE
+    assert classify(Construct(digest(other), other), add).verdict == TIE
 
 
 def test_classify_containment_only_returns_none():
     cid = ConstructId(CLASS, "p.A")
     tree = CTree("class")
     change = ConstructChange(cid, MOD, tree, tree, digest(tree), digest(tree))
-    assert classify(Construct(cid, digest(tree), tree), change) is None
-
-
-def test_classify_rejects_mismatched_ids():
-    cid, vuln, fixed, change = _mod_change()
-    wrong = ConstructId(METHOD, "p.A.other()")
-    with pytest.raises(IdMismatch):
-        classify(Construct(wrong, digest(vuln), vuln), change)
+    assert classify(Construct(digest(tree), tree), change) is None
 
 
 def test_consolidate_needs_two_revisions(tmp_path):

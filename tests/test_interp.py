@@ -6,7 +6,7 @@ from vulnvet.bom import APPLICATION, Archive, BOM
 from vulnvet.constructs import METHOD, ConstructId, extract_constructs
 from vulnvet.errors import NoTestsMatched
 from vulnvet import interp, traces
-from vulnvet.interp import CALL_DEPTH_BUDGET, find_tests, run_entry, run_tests
+from vulnvet.interp import CALL_DEPTH_BUDGET, Interpreter, find_tests, run_tests
 from vulnvet.jx import parse_unit, resolve
 
 
@@ -17,7 +17,7 @@ def _program(src):
 
 
 def _run(src, entry, args=None):
-    return run_entry(_program(src), ConstructId(METHOD, entry), args or [])
+    return Interpreter(_program(src)).run_entry(ConstructId(METHOD, entry), args or [])
 
 
 def _eval(body, decls="") -> object:
@@ -225,7 +225,7 @@ def _bom_for(src):
     unit = parse_unit(src, "app.jx")
     program = resolve([unit])
     program.require_clean()
-    app = Archive("a", "1.0", APPLICATION, None, constructs=extract_constructs(program))
+    app = Archive("a", "1.0", APPLICATION, extract_constructs(program))
     return BOM(app, []), program
 
 

@@ -150,7 +150,7 @@ def _archive(names):
 def _touch_points(log):
     app, lib = _archive(APP), _archive(LIB)
     bom = SimpleNamespace(application=app, archive_named=lambda name: lib)
-    return [(tp.app_construct, tp.lib_callee, tp.sites, tp.found_static, tp.found_dynamic)
+    return [(tp.app_construct, tp.lib_callee, tp.sites)
             for tp in touch_points(bom, SimpleNamespace(edges=set()), log, "q")]
 
 
