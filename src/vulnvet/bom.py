@@ -72,9 +72,10 @@ def source_files(root: Path, origin_base: Path = None) -> list:
             for path in sorted(root.rglob("*.jx"))]
 
 
-def parse_source_root(root: Path, origin_base: Path = None) -> list:
-    """Parse every .jx file under root (see source_files)."""
-    return [parse_unit(read_text(path, JxError), origin)
+def parse_source_root(root: Path, origin_base: Path = None, bodies: bool = True) -> list:
+    """Parse every .jx file under root (see source_files), member bodies
+    only if ``bodies`` (see jx.parser)."""
+    return [parse_unit(read_text(path, JxError), origin, bodies)
             for origin, path in source_files(Path(root), origin_base)]
 
 
@@ -139,13 +140,15 @@ class Sources:
         resolved, self.warnings = resolve_dependencies(self.workspace, _declared_deps(app))
         self.archives = [(path, data, (path.parent / data["sourceRoot"]).resolve(), depth)
                          for path, data, depth in [(manifest, app, 0)] + resolved]
-        self._units = {}  # source root -> its parsed units
+        self._units = {}  # (source root, bodies) -> its parsed units
 
-    def units(self, root: Path) -> list:
-        """The units of one source root, origins relative to the workspace."""
-        if root not in self._units:
-            self._units[root] = parse_source_root(root, self.workspace)
-        return self._units[root]
+    def units(self, root: Path, bodies: bool = True) -> list:
+        """The units of one source root, origins relative to the workspace,
+        member bodies only if ``bodies`` (see jx.parser)."""
+        key = root, bodies
+        if key not in self._units:
+            self._units[key] = parse_source_root(root, self.workspace, bodies)
+        return self._units[key]
 
 
 def build_bom(src: Sources) -> BOM:
@@ -180,13 +183,15 @@ def input_digest(src: Sources) -> str:
     return h.hexdigest()
 
 
-def corpus_program(src: Sources):
+def corpus_program(src: Sources, bodies: bool = True):
     """Resolve the source roots build_bom reads as one closed unit set.
     Archives nearest the application win duplicate qualified names
-    (classpath-first)."""
-    roots = [(src.units(root), depth) for _, _, root, depth in src.archives]
+    (classpath-first). With ``bodies`` False, each member body is parsed and
+    bound only when ResolvedProgram.body asks for it, so a parse error in a
+    body goes unreported: only for sources a whole parse has accepted."""
+    roots = [(src.units(root, bodies), depth) for _, _, root, depth in src.archives]
     return resolve([u for units, _ in roots for u in units],
-                   {u.origin: depth for units, depth in roots for u in units})
+                   {u.origin: depth for units, depth in roots for u in units}, bodies)
 
 
 def bom_to_json(bom: BOM) -> dict:

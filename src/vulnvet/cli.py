@@ -133,14 +133,19 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _program(src: Sources):
-    """The whole-workspace program; its diagnostics, then its warnings, go to stderr."""
-    program = corpus_program(src)
-    for d in program.diagnostics:
-        print("resolve: %s" % d, file=sys.stderr)
+def _program(src: Sources, bodies: bool = True):
+    """The whole-workspace program (see corpus_program); its diagnostics,
+    then its warnings, go to stderr."""
+    program = corpus_program(src, bodies)
+    _diagnose(program.diagnostics)
     for w in program.warnings:
         print("resolve: warning: %s" % w, file=sys.stderr)
     return program
+
+
+def _diagnose(diagnostics):
+    for d in diagnostics:
+        print("resolve: %s" % d, file=sys.stderr)
 
 
 def _bom(ws: Workspace, src: Sources, inputs: str):
@@ -225,8 +230,17 @@ def _cmd_scan(args, ws: Workspace) -> int:
 
 def _cmd_trace(args, ws: Workspace) -> int:
     src = Sources(ws.manifest, ws.root)
-    bom = _bom(ws, src, input_digest(src))
-    new_log, failed = run_tests(bom, _program(src), pattern=args.pattern)
+    data = ws.read_stamped("bom.json", input_digest(src))
+    if data is None:
+        bom, program = build_bom(src), _program(src)
+    else:
+        # the scan that stamped bom.json parsed these very bytes whole, so no
+        # parse error hides in a body left unparsed until a test enters it;
+        # the diagnostics are those of the declarations and entered bodies
+        bom, program = bom_from_json(data, "bom.json"), _program(src, False)
+    declared = len(program.diagnostics)
+    new_log, failed = run_tests(bom, program, pattern=args.pattern)
+    _diagnose(program.diagnostics[declared:])
     path = ws.artifact("traces.jsonl")
     old_log = _warned(ingest_traces(path), bom) if path.is_file() else TraceLog()
     merged = old_log.merge(new_log)

@@ -8,12 +8,16 @@ edges.
 
 Each member body is compiled at its first entry into Python closures, one
 per statement and expression (Feeley & Lapalme, "Using closures for code
-generation", 1987). Call targets, literals, operators, field initializers
-and the frame slots of locals are fixed then. Virtual dispatch, reflective
-targets and every check of a value's type stay at run time, because
-``trace run`` also runs programs with resolver diagnostics. Each closure
-counts one step, so ``STEP_BUDGET`` stops a run at the node where a walk of
-the tree would stop.
+generation", 1987). It reads the body through ``ResolvedProgram.body``, so a
+program resolved with ``bodies=False`` parses and binds the body then too.
+Call targets, literals, operators, field initializers and the frame slots of
+locals are fixed then. Virtual dispatch, reflective targets and every check
+of a value's type stay at run time, because ``trace run`` also runs programs
+with resolver diagnostics. Each closure counts one step, so ``STEP_BUDGET``
+stops a run at the node where a walk of the tree would stop.
+
+Ints are signed 64-bit: an arithmetic result outside that range raises
+IntegerOverflow, so no run can grow a number without bound.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Optional
 from .constructs import CONSTRUCTOR, METHOD, ConstructId, member_id, split_member
 from .errors import NoTestsMatched
 from .jx import ast
+from .jx.ast import INT_MAX, INT_MIN
 from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
 from .traces import TraceEvent, TraceLog, normalize
 
@@ -55,6 +60,10 @@ class UnknownReflectTarget(JxRuntimeError):
 
 
 class CallDepthExceeded(JxRuntimeError):
+    pass
+
+
+class IntegerOverflow(JxRuntimeError):
     pass
 
 
@@ -95,6 +104,7 @@ def _divide(left, right):
 
 _INT_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _divide,
             "<": operator.lt, ">": operator.gt}
+_ARITHMETIC = ("+", "-", "*", "/")
 
 
 class Interpreter:
@@ -177,6 +187,7 @@ class Interpreter:
     def _compile(self, ctype, member, cid):
         """member's body as a closure of (this, args). A constructor's sets the
         fields of ``this``, supertypes' first, to defaults, then initializers."""
+        block = self.program.body(member)  # binds a constructor's initializers too
         chain = []
         if ctype == CONSTRUCTOR:
             for tinfo in reversed(list(self.program.class_chain(member.owner))):
@@ -187,7 +198,7 @@ class Interpreter:
         params = member.decl.params
         comp = _Compiler(self, cid, self.program.symbols[member.owner].unit.origin,
                          len(params) + 1)
-        stmts = comp.block(member.decl.body.stmts, {p.name: i for i, p in enumerate(params, 1)})
+        stmts = comp.block(block.stmts, {p.name: i for i, p in enumerate(params, 1)})
         pad = (None,) * (comp.slots - len(params) - 1)
 
         def body(this, args):
@@ -362,19 +373,30 @@ class _Compiler:
 
     def binary(self, op: str, left, right):
         vm, fn, negate = self.vm, _INT_OPS.get(op), op == "!="
-        msg = "operator %s requires int operands" % op if fn else "unknown operator %s" % op
-        def run(frame):
-            next(vm.clock)
-            a, b = left(frame), right(frame)
-            if fn is not None:
+        msg = "operator %s requires int operands" % op
+        if op in _ARITHMETIC:
+            def run(frame):
+                next(vm.clock)
+                a, b = left(frame), right(frame)
+                if type(a) is not int or type(b) is not int:
+                    raise RuntimeTypeError(msg)
+                if INT_MIN <= (r := fn(a, b)) <= INT_MAX:
+                    return r
+                raise IntegerOverflow("%d %s %d is outside signed 64-bit" % (a, op, b))
+        elif fn is not None:
+            def run(frame):
+                next(vm.clock)
+                a, b = left(frame), right(frame)
                 if type(a) is not int or type(b) is not int:
                     raise RuntimeTypeError(msg)
                 return fn(a, b)
-            if op != "==" and not negate:
-                raise RuntimeTypeError(msg)
-            if isinstance(a, Obj) or isinstance(b, Obj):
-                return (a is b) is not negate
-            return (a == b) is not negate
+        else:  # == or !=: the parser builds no other operator
+            def run(frame):
+                next(vm.clock)
+                a, b = left(frame), right(frame)
+                if isinstance(a, Obj) or isinstance(b, Obj):
+                    return (a is b) is not negate
+                return (a == b) is not negate
         return run
 
     def call(self, e, args: list, scope):

@@ -40,6 +40,9 @@ class Param:
 
 # --- expressions -----------------------------------------------------------
 
+INT_MIN, INT_MAX = -2 ** 63, 2 ** 63 - 1  # JX ints are signed 64-bit
+
+
 class IntLit:
     __slots__ = ("value", "pos")
 
@@ -198,6 +201,17 @@ Stmt = Union[Block, LocalDecl, Assign, ExprStmt, If, While, Return]
 
 # --- declarations ----------------------------------------------------------
 
+class Unparsed:
+    """A member body the parser skipped: the token list of its unit and the
+    index of the body's opening brace in it (see parser.parse_body)."""
+    __slots__ = ("tokens", "start", "origin")
+
+    def __init__(self, tokens: list, start: int, origin: str):
+        self.tokens = tokens
+        self.start = start
+        self.origin = origin
+
+
 class FieldDecl:
     __slots__ = ("type", "name", "init", "pos")
 
@@ -212,7 +226,7 @@ class MethodDecl:
     __slots__ = ("static", "rettype", "name", "params", "body", "pos")
 
     def __init__(self, static: bool, rettype: Type, name: str, params: list,
-                 body: Optional[Block], pos: Pos):
+                 body: Union[Block, Unparsed, None], pos: Pos):
         self.static = static
         self.rettype = rettype
         self.name = name
@@ -224,7 +238,7 @@ class MethodDecl:
 class CtorDecl:
     __slots__ = ("name", "params", "body", "pos", "synthetic")
 
-    def __init__(self, name: str, params: list, body: Block, pos: Pos,
+    def __init__(self, name: str, params: list, body: Union[Block, Unparsed], pos: Pos,
                  synthetic: bool = False):
         self.name = name  # equals the class simple name
         self.params = params

@@ -15,8 +15,14 @@ Statements: block, local decl, assignment, expression, if/else, while, return.
 Expressions: literals, variable, field access, this, new, instance/static call,
 binary + - * / == != < >, and Reflect.invoke(target, args...).
 
-Nesting deeper than MAX_NESTING levels is a ParseError, and so is a method
-named like its type, whose qualified name could equal a constructor's.
+Nesting deeper than MAX_NESTING levels is a ParseError, and so are an integer
+literal above ast.INT_MAX and a method named like its type, whose qualified
+name could equal a constructor's.
+
+``parse_unit(..., bodies=False)`` parses declarations only and keeps each
+method and constructor body as an ``ast.Unparsed`` token range, matched by
+its braces alone, which ``parse_body`` parses when it is needed. It reports
+no error inside a body, so it suits only source already parsed whole.
 
 The parser does not distinguish static calls from instance calls on a field
 chain; `a.b.c(x)` is parsed as a method call whose receiver is a name chain,
@@ -45,9 +51,10 @@ _PRECEDENCE = {"==": 1, "!=": 1, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/": 4}
 
 
 class _Parser:
-    def __init__(self, tokens, origin):
+    def __init__(self, tokens, origin, bodies=True):
         self.tokens = tokens  # ends with EOF, so the token after any other exists
         self.origin = origin
+        self.bodies = bodies  # False: member bodies are skipped (see body)
         self.i = 0
         self.depth = 0  # nesting depth of the node being parsed
         self.deepest = 0  # deepest expression node of the innermost open expression
@@ -162,7 +169,7 @@ class _Parser:
             rettype = self.type_()
             name = self.method_name(self.expect("ID"), decl.name)
             params = self.params()
-            body = self.block()
+            body = self.body()
             decl.methods.append(ast.MethodDecl(True, rettype, name, params, body, pos))
             return
         # constructor: class-name "("
@@ -170,7 +177,7 @@ class _Parser:
         if tok.kind == "ID" and tok.value == decl.name and self.tokens[self.i + 1].kind == "(":
             name = self.advance().value
             params = self.params()
-            body = self.block()
+            body = self.body()
             decl.ctors.append(ast.CtorDecl(name, params, body, pos))
             return
         rettype = self.type_()
@@ -179,7 +186,7 @@ class _Parser:
         if self.at("("):
             self.method_name(tok, decl.name)
             params = self.params()
-            body = self.block()
+            body = self.body()
             decl.methods.append(ast.MethodDecl(False, rettype, name, params, body, pos))
         else:
             init = None
@@ -188,6 +195,27 @@ class _Parser:
                 init = self.expr()
             self.expect(";")
             decl.fields.append(ast.FieldDecl(rettype, name, init, pos))
+
+    def body(self):
+        """A member body: its Block, or while bodies are skipped, its
+        Unparsed range, which ends after the brace that closes the first."""
+        if self.bodies:
+            return self.block()
+        tokens, start = self.tokens, self.i
+        self.expect("{")
+        i, depth = self.i, 1
+        while depth:
+            kind = tokens[i][0]
+            if kind == "{":
+                depth += 1
+            elif kind == "}":
+                depth -= 1
+            elif kind == "EOF":
+                self.i = i
+                self.fail("expected }, found 'end of input'")
+            i += 1
+        self.i = i
+        return ast.Unparsed(tokens, start, self.origin)
 
     def method_name(self, tok: Token, type_name: str) -> str:
         """The name ``tok`` gives a method of ``type_name``, unless it is
@@ -364,8 +392,12 @@ class _Parser:
             self.i += 1
             return ast.Var(tok.value, pos)
         if kind == "INT":
+            digits = tok.value.lstrip("0") or "0"
+            # int() refuses more than 4,300 digits, far above the bound
+            if len(digits) > len(str(ast.INT_MAX)) or int(digits) > ast.INT_MAX:
+                self.fail("integer literal out of range")
             self.i += 1
-            return ast.IntLit(int(tok.value), pos)
+            return ast.IntLit(int(digits), pos)
         if kind == "TEXT":
             self.i += 1
             return ast.TextLit(tok.value, pos)
@@ -399,6 +431,14 @@ class _Parser:
         return out
 
 
-def parse_unit(source: str, origin: str = "<source>") -> ast.SourceUnit:
-    """Parse one JX compilation unit; raises ParseError with line/column."""
-    return _Parser(tokenize(source, origin), origin).unit()
+def parse_unit(source: str, origin: str = "<source>", bodies: bool = True) -> ast.SourceUnit:
+    """Parse one JX compilation unit; raises ParseError with line/column.
+    With ``bodies`` False, member bodies stay Unparsed (see the module doc)."""
+    return _Parser(tokenize(source, origin), origin, bodies).unit()
+
+
+def parse_body(body: ast.Unparsed) -> ast.Block:
+    """The Block of a body that parse_unit left unparsed."""
+    p = _Parser(body.tokens, body.origin)
+    p.i = body.start
+    return p.block()

@@ -7,12 +7,17 @@ parameter types, which is also the member part of construct identifiers.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 from . import ast
 from .errors import ResolutionError
+from .parser import MAX_NESTING, parse_body
 
 ERROR_TYPE = "?"  # poisons downstream checks without cascading diagnostics
+# Python frames that parsing or binding one body may take: parsing takes the
+# most, up to three per nesting level (an expression in parentheses)
+_BODY_FRAMES = 4 * MAX_NESTING
 
 
 class MethodInfo:
@@ -75,24 +80,31 @@ class CtorCall:
 
 
 class ResolvedProgram:
-    """Immutable view of a fully resolved corpus. Its tables:
+    """A resolved corpus. Its tables:
 
     - ``symbols``: qname -> TypeInfo, whose ``supertypes`` are cycle-free and
       whose ``superclass``, per-member ``calls`` and class ``init_calls``
-      record the hierarchy and every call site once;
+      record the hierarchy and every call site of the bodies bound once;
     - ``direct_subtypes``: qname -> the corpus types that name it among
       their ``supertypes``; ``subtypes_of`` closes it on demand and keeps
       the closure of each type it was asked about;
     - ``bindings``: id(call node) -> StaticCall|VirtualCall|CtorCall;
     - ``diagnostics`` and ``warnings``: error and non-fatal (shadowing) text.
+
+    After ``resolve(..., bodies=False)`` no body is bound yet: ``body``
+    parses (where the parser skipped it) and binds each member's body at its
+    first request, and ``bindings``, the ``calls`` lists and ``diagnostics``
+    grow as it does.
     """
 
-    def __init__(self, units, symbols, diagnostics, warnings, bindings):
+    def __init__(self, units, symbols, diagnostics, warnings, bindings, binder=None):
         self.units = units
         self.symbols = symbols
         self.diagnostics = diagnostics
         self.warnings = warnings
         self.bindings = bindings
+        self._binder = binder  # the _Resolver that binds bodies on request, if any
+        self._bound = set()  # the members whose bodies ``body`` has bound
         # direct edges only: every transitive closure would cost k*k/2
         # entries on a k-class inheritance chain
         self.direct_subtypes = {q: [] for q in symbols}
@@ -100,6 +112,27 @@ class ResolvedProgram:
             for s in info.supertypes:
                 self.direct_subtypes[s].append(q)
         self._subtypes = {}
+
+    def body(self, m: MethodInfo) -> ast.Block:
+        """The bound body of m, a method or constructor of a class. A
+        constructor runs the field initializers of its class chain, so
+        they are bound first, each class's once."""
+        binder = self._binder
+        if binder is not None and m not in self._bound:
+            limit = sys.getrecursionlimit()
+            # a body first entered deep in a run is parsed and bound on the
+            # stack the run holds; the headroom keeps that from failing where
+            # an eager parse and bind would not
+            sys.setrecursionlimit(limit + _BODY_FRAMES)
+            try:
+                if isinstance(m.decl, ast.CtorDecl):
+                    for info in reversed(list(self.class_chain(m.owner))):
+                        binder.bind_inits(info, self)
+                binder.bind_member(self.symbols[m.owner], m, self)
+            finally:
+                sys.setrecursionlimit(limit)
+            self._bound.add(m)
+        return m.decl.body
 
     def require_clean(self):
         if self.diagnostics:
@@ -189,6 +222,7 @@ class _Resolver:
         self.warnings = []
         self.bindings = {}
         self.calls = None  # list of call nodes of the member being bound
+        self.inits_bound = set()  # qnames of the classes whose initializers are bound
 
     def err(self, msg, pos=None, unit=None):
         where = ""
@@ -336,19 +370,32 @@ class _Resolver:
             info = self.symbols[qname]
             if info.is_interface:
                 continue
-            self.calls = info.init_calls
-            for f in info.decl.fields:
-                if f.init is not None:
-                    env = {"this": info.qname}
-                    self.bind_expr(f.init, env, info, program)
+            self.bind_inits(info, program)
             for m in (*info.ctors.values(), *info.methods.values()):
-                if m.decl.body is None:
-                    continue
-                self.calls = m.calls
-                env = {} if m.static else {"this": info.qname}
-                for p, t in zip(m.decl.params, m.param_types):
-                    env[p.name] = t
-                self.bind_block(m.decl.body, env, info, program, m.rettype)
+                self.bind_member(info, m, program)
+
+    def bind_member(self, info: TypeInfo, m: MethodInfo, program: ResolvedProgram):
+        """Bind the body of m, a member of the class info, parsing it first
+        if the parser skipped it."""
+        decl = m.decl
+        if isinstance(decl.body, ast.Unparsed):
+            # bindings are keyed by id(node): the block must outlive them
+            decl.body = parse_body(decl.body)
+        self.calls = m.calls
+        env = {} if m.static else {"this": info.qname}
+        for p, t in zip(decl.params, m.param_types):
+            env[p.name] = t
+        self.bind_block(decl.body, env, info, program, m.rettype)
+
+    def bind_inits(self, info: TypeInfo, program: ResolvedProgram):
+        """Bind the field initializers of the class info, unless they are."""
+        if info.qname in self.inits_bound:
+            return
+        self.inits_bound.add(info.qname)
+        self.calls = info.init_calls
+        for f in info.decl.fields:
+            if f.init is not None:
+                self.bind_expr(f.init, {"this": info.qname}, info, program)
 
     def assignable(self, target: str, value: str, program) -> bool:
         if ERROR_TYPE in (target, value):
@@ -546,16 +593,21 @@ class _Resolver:
         return m.rettype
 
 
-def resolve(units, precedence=None) -> ResolvedProgram:
+def resolve(units, precedence=None, bodies=True) -> ResolvedProgram:
     """Resolve a closed set of units into one program.
 
     precedence: optional map origin -> depth (0 = application) used to pick a
     winner for duplicate qualified names across archives; ties are errors.
+    bodies: False leaves every body, and every field initializer, unbound
+    until ResolvedProgram.body asks for it; units parsed with bodies=False
+    need it.
     """
     r = _Resolver(list(units), precedence)
     r.collect()
     r.build_members()
     r.check_acyclic()
-    program = ResolvedProgram(r.units, r.symbols, r.diagnostics, r.warnings, r.bindings)
-    r.bind_all(program)
+    program = ResolvedProgram(r.units, r.symbols, r.diagnostics, r.warnings, r.bindings,
+                              None if bodies else r)
+    if bodies:
+        r.bind_all(program)
     return program

@@ -740,9 +740,9 @@ def test_reach_and_mitigate_reuse_stamped_artifacts(tmp_path, builds, monkeypatc
     parsed = []
     real_parse = bom.parse_unit
 
-    def parse(text, origin):
+    def parse(text, origin, *bodies):
         parsed.append(origin)
-        return real_parse(text, origin)
+        return real_parse(text, origin, *bodies)
 
     monkeypatch.setattr(bom, "parse_unit", parse)
     builds.clear()
@@ -824,9 +824,9 @@ def test_a_command_reads_each_manifest_once(tmp_path, monkeypatch):
         reads.append(path)
         return real_load(path, *args)
 
-    def parse(text, origin):
+    def parse(text, origin, *bodies):
         parsed.append(origin)
-        return real_parse(text, origin)
+        return real_parse(text, origin, *bodies)
 
     monkeypatch.setattr(bom, "load_json", load)
     monkeypatch.setattr(bom, "parse_unit", parse)
@@ -1201,7 +1201,9 @@ def test_resolver_diagnostics_reach_stderr(tmp_path, capsys):
         return [line for line in err.splitlines() if line.startswith("resolve: ")]
 
     # each step that resolves the whole workspace prints them: scan, trace
-    # run, and reach and mitigate only when they do not reuse graph.json
+    # run, and reach and mitigate only when they do not reuse graph.json;
+    # after scan, trace run prints those of the bodies it enters, and the
+    # test that the pattern matches enters testBad
     assert run(SCAN, 1) == BAD_DIAGNOSTICS
     assert run(TRACES[0], 0) == BAD_DIAGNOSTICS
     assert run(STATIC, 0) == []
@@ -1215,6 +1217,49 @@ def test_resolver_diagnostics_reach_stderr(tmp_path, capsys):
     assert (ws / ".vet/graph.json").read_bytes() == graph
     assert run(STATIC, 0) == []
     assert (ws / ".vet/graph.json").read_bytes() == graph
+
+
+UNENTERED_JX = """package app;
+
+class Odd extends app.Nowhere {
+    static void testOdd() { int x = "one"; }
+    static void neverRun() { app.Main.gone(); }
+}
+"""
+ODD_DECLARED = "resolve: unknown supertype app.Nowhere"
+ODD_ENTERED = "resolve: src/Odd.jx:4:29: cannot initialize int x with text"
+ODD_UNENTERED = "resolve: src/Odd.jx:5:38: no static method gone() in app.Main"
+
+
+def test_a_stamped_trace_run_prints_the_diagnostics_of_declarations_and_entered_bodies(
+        tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    (ws / "src/Odd.jx").write_text(UNENTERED_JX)
+    capsys.readouterr()
+
+    def run(step):
+        assert vet(["--workspace", str(ws), *step]) == 0, step
+        return [line.replace("src/Odd.jx:3:1: ", "")
+                for line in capsys.readouterr().err.splitlines() if line.startswith("resolve: ")]
+
+    everything = [ODD_DECLARED, ODD_ENTERED, ODD_UNENTERED]
+    assert run(SCAN) == everything
+    # stamped: declarations, then the bodies the tests enter; neverRun()
+    # is no test and no test calls it
+    assert run(TRACES[0]) == [ODD_DECLARED, ODD_ENTERED]
+    assert run(TRACES[1]) == [ODD_DECLARED]
+    (ws / ".vet/bom.json").unlink()
+    assert run(TRACES[0]) == everything  # unstamped: every body is bound first
+
+
+def test_an_integer_literal_out_of_range_exits_3(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    (ws / "src/Big.jx").write_text("package app;\nclass Big { static int big() { return %s; } }\n"
+                                   % ("9" * 5000))
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "scan"]) == 3
+    assert capsys.readouterr().err == (
+        "vet: error: src/Big.jx:2:39: integer literal out of range\n")
 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_printer():

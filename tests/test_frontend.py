@@ -325,3 +325,106 @@ def _tree_depth(node) -> int:
             if hasattr(type(v), "__slots__") and not isinstance(v, (ast.NamedType, ast.PrimType)):
                 children.append(v)
     return 1 + max(map(_tree_depth, children), default=0)
+
+
+# --- integer literals --------------------------------------------------------
+
+@pytest.mark.parametrize("digits, value", [
+    (str(ast.INT_MAX), ast.INT_MAX), ("0" * 5000 + "7", 7), ("000", 0)])
+def test_integer_literals_up_to_the_64_bit_bound_parse(digits, value):
+    unit = parse_unit("package p; class A { int f = %s; }" % digits, "p.jx")
+    assert unit.decls[0].fields[0].init.value == value
+
+
+@pytest.mark.parametrize("digits", [str(ast.INT_MAX + 1), "9" * 20, "1" * 5000])
+def test_an_integer_literal_above_the_bound_is_a_parse_error(digits):
+    # 5,000 digits are past what int() converts: no ValueError escapes
+    line = "    static int m() { return 1 + %s; }" % digits
+    with pytest.raises(ParseError, match="integer literal out of range") as info:
+        parse_unit("package p;\nclass A {\n%s\n}\n" % line, "p.jx")
+    assert (info.value.line, info.value.col) == (3, line.index(digits) + 1)
+
+
+# --- declarations only, bodies on request ----------------------------------
+
+LAZY = """
+package q;
+
+class Base {
+    q.Base next = q.Base.make(1);
+    int n = q.Base.count(next) + nosuch;
+    Base(int n) { this.n = n; }
+    Base() { this.n = q.Base.count(this); }
+    static q.Base make(int k) { if (k > 0) { return new q.Base(k); } return new q.Base(); }
+    static int count(q.Base b) { { int k = 0; } return "x"; }
+    int twice() { return this.n * q.Base.count(this.next); }
+}
+
+class Kid extends q.Base {
+    text tag = "t";
+    int m() { return this.twice() + this.missing(); }
+}
+"""
+
+
+def _members(program):
+    for q, info in sorted(program.symbols.items()):
+        for m in (*info.ctors.values(), *info.methods.values()):
+            if m.decl.body is not None:
+                yield q, m
+
+
+def _resolution(program):
+    """Each member's and each class's call nodes, by position, with their
+    bindings, and the diagnostics in sorted order."""
+    def calls(nodes):
+        out = []
+        for node in nodes:
+            b = program.bindings.get(id(node))
+            out.append((type(node).__name__, node.pos,
+                        b and (type(b).__name__,) + tuple(getattr(b, s) for s in b.__slots__)))
+        return out
+    table = {(q, m.sig): calls(m.calls) for q, m in _members(program)}
+    table.update({q: calls(info.init_calls) for q, info in program.symbols.items()})
+    return table, sorted(program.diagnostics), len(program.bindings)
+
+
+@pytest.mark.parametrize("src", [FULL, LAZY])
+def test_bodies_parsed_and_bound_on_request_match_an_eager_resolve(src):
+    eager = resolve([parse_unit(src, "u.jx")])
+    lazy = resolve([parse_unit(src, "u.jx", bodies=False)], bodies=False)
+    unparsed = [m for _q, m in _members(lazy) if isinstance(m.decl.body, ast.Unparsed)]
+    assert unparsed and len(unparsed) == len([m for _q, m in _members(lazy)
+                                              if not getattr(m.decl, "synthetic", False)])
+    for _q, m in _members(lazy):
+        assert lazy.body(m) is lazy.body(m) is m.decl.body  # parsed and bound once
+        assert isinstance(m.decl.body, ast.Block)
+    assert pretty_print(lazy.units[0]) == pretty_print(eager.units[0])
+    assert _resolution(lazy) == _resolution(eager)
+
+
+def test_a_constructor_binds_the_initializers_of_its_class_chain_alone():
+    program = resolve([parse_unit(LAZY, "u.jx", bodies=False)], bodies=False)
+    declared = list(program.diagnostics)
+    assert declared == []  # every diagnostic of LAZY is in a body or an initializer
+    kid = program.symbols["q.Kid"]
+    program.body(kid.ctors["Kid()"])
+    base = program.symbols["q.Base"]
+    assert [type(n).__name__ for n in base.init_calls] == ["MethodCall", "MethodCall"]
+    assert all(id(n) in program.bindings for n in base.init_calls)
+    assert program.diagnostics == ["u.jx:6:34: unknown name nosuch"]
+    # no other body was parsed, and Base's own constructors find its
+    # initializers bound
+    assert all(isinstance(m.decl.body, ast.Unparsed)
+               for m in (*base.ctors.values(), *base.methods.values(), kid.methods["m()"]))
+    program.body(base.ctors["Base()"])
+    assert len(program.diagnostics) == 1 and len(base.init_calls) == 2
+
+
+def test_a_declaration_error_is_reported_without_bodies():
+    # the declarations are parsed as before; only a body's inside is skipped
+    with pytest.raises(ParseError, match="method A has the name of its type"):
+        parse_unit("package p; class A { int A() { ((( } }", "p.jx", bodies=False)
+    unit = parse_unit("package p; class A { int m() { ((( } }", "p.jx", bodies=False)
+    with pytest.raises(ParseError, match="expected an expression"):
+        parser.parse_body(unit.decls[0].methods[0].body)

@@ -45,6 +45,39 @@ def test_division_by_zero():
     assert result.error.startswith("DivisionByZero")
 
 
+def test_doubling_stops_at_the_64_bit_bound():
+    src = """
+package p;
+class M {
+    static int go() {
+        int x = 1;
+        int n = 0;
+        while (true) { x = x * 2; n = n + 1; }
+        return n;
+    }
+}
+"""
+    result = _run(src, "p.M.go()")
+    assert result.error == ("IntegerOverflow: 4611686018427387904 * 2 is outside "
+                            "signed 64-bit")
+
+
+@pytest.mark.parametrize("expr, error", [
+    ("9223372036854775807 + 1", "9223372036854775807 + 1"),
+    ("0 - 9223372036854775807 - 2", "-9223372036854775807 - 2"),
+    ("(0 - 9223372036854775807 - 1) / (0 - 1)", "-9223372036854775808 / -1"),
+])
+def test_arithmetic_outside_64_bits_overflows(expr, error):
+    result = _run("package p; class M { static int go() { return %s; } }" % expr, "p.M.go()")
+    assert result.error == "IntegerOverflow: %s is outside signed 64-bit" % error
+
+
+def test_the_64_bit_extremes_are_ints():
+    assert _eval("return 0 - 9223372036854775807 - 1;") == -2 ** 63
+    assert _eval("return 9223372036854775806 + 1;") == 2 ** 63 - 1
+    assert _eval("return 3037000499 * 3037000499;") == 3037000499 ** 2
+
+
 def test_while_loop_mutates_outer_scope():
     assert _eval("""
         int i;
@@ -269,6 +302,20 @@ def test_run_tests_normalizes_each_event_at_most_twice(monkeypatch):
     assert list(failures) == ["p.M.test19()"]
     assert len(log.events) == 19 * 6 + 2
     assert sum(seen) <= 2 * len(log.events)
+
+
+def test_an_overflow_is_recorded_as_a_test_failure():
+    bom, program = _bom_for("""
+package p;
+class M {
+    static void testGrow() { int x = 3; while (x > 0) { x = x * x; } }
+    static void testFine() { }
+}
+""")
+    log, failures = run_tests(bom, program, "test")
+    assert failures == {"p.M.testGrow()": "IntegerOverflow: 1853020188851841 * 1853020188851841 "
+                                          "is outside signed 64-bit"}
+    assert {e.test for e in log.events} == {"p.M.testGrow()", "p.M.testFine()"}
 
 
 def test_call_through_unassigned_field_is_a_runtime_error():

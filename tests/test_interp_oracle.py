@@ -59,12 +59,14 @@ _WORKLOADS = st.tuples(st.sampled_from(["corpus", "kb-drift", "trace-heavy"]),
                        st.integers(0, 2 ** 16), _SIZES)
 
 
-def _generated(workload):
+def _generated(workload, bodies=True):
+    """The BOM and program of a drawn workspace; with bodies False, the
+    program parses and binds each body when it is first entered."""
     name, seed, sizes = workload
     with tempfile.TemporaryDirectory() as tmp:
         ws = small_workload(Path(tmp), name, seed, **sizes)
         src = Sources(ws / "app.json", ws)
-        return build_bom(src), corpus_program(src)
+        return build_bom(src), corpus_program(src, bodies)
 
 
 def _int_entries(program, seed):
@@ -76,10 +78,11 @@ def _int_entries(program, seed):
             if m.static and all(t == "int" for t in m.param_types)]
 
 
+@pytest.mark.parametrize("bodies", [True, False])
 @settings(max_examples=15, deadline=None)
-@given(_WORKLOADS)
-def test_compiled_runs_agree_with_the_walker_on_generated_workspaces(workload):
-    bom, program = _generated(workload)
+@given(workload=_WORKLOADS)
+def test_compiled_runs_agree_with_the_walker_on_generated_workspaces(bodies, workload):
+    bom, program = _generated(workload, bodies)
     tests = [cid.qname for cid in find_tests(bom, program, "test")]
     assert tests
     _agree(program, [(q, []) for q in tests] + _int_entries(program, workload[1]))
@@ -103,12 +106,12 @@ def test_traced_edges_of_generated_workspaces_are_explained_by_the_cha_graph(wor
 
 # --- hand-built programs, resolved with whatever diagnostics they have ---
 
-def _unclean(src):
-    return resolve([parse_unit(src, "u.jx")])
+def _unclean(src, bodies=True):
+    return resolve([parse_unit(src, "u.jx", bodies)], bodies=bodies)
 
 
-def _methods(body, decls=""):
-    return _unclean("package p; %s class M { static int go() { %s } }" % (decls, body))
+def _methods(body, decls="", bodies=True):
+    return _unclean("package p; %s class M { static int go() { %s } }" % (decls, body), bodies)
 
 
 _BODIES = [
@@ -177,9 +180,10 @@ class C implements I { }
 """
 
 
+@pytest.mark.parametrize("bodies", [True, False])
 @pytest.mark.parametrize("body", _BODIES)
-def test_compiled_runs_agree_with_the_walker_on_hand_built_bodies(body):
-    _agree(_methods(body, _DECLS), [("p.M.go()", [])])
+def test_compiled_runs_agree_with_the_walker_on_hand_built_bodies(body, bodies):
+    _agree(_methods(body, _DECLS, bodies), [("p.M.go()", [])])
 
 
 def test_compiled_runs_agree_with_the_walker_on_a_small_step_budget(monkeypatch):
@@ -227,3 +231,31 @@ def test_compiled_runs_agree_with_the_walker_at_the_nesting_bound():
     assert not program.diagnostics
     _agree(program, [("p.A.go()", [])])
 
+
+@pytest.mark.parametrize("depth", [40, 50, 58])
+@pytest.mark.parametrize("shape", sorted(deep_bodies(MAX_NESTING)))
+def test_a_body_at_the_nesting_bound_first_entered_deep_in_a_run_runs_as_if_eager(shape, depth):
+    # parsing a body takes up to three Python frames per nesting level,
+    # compiling it fewer: m() is parsed and bound on the stack that a descent
+    # of depth calls holds, each made from inside two blocks and three calls
+    src = """
+package p;
+class A {
+    A a;
+    int v;
+    A() { this.a = this; this.v = 1; }
+    static int f(int n) { return n; }
+    int m() { %s }
+    static int down(int n) {
+        if (n > 0) { { return p.A.f(p.A.f(p.A.f(p.A.down(n - 1)))); } }
+        p.A x = new p.A();
+        return x.m();
+    }
+    static int go() { return p.A.down(%d); }
+}
+""" % (deep_bodies(MAX_NESTING)[shape], depth)
+    eager, lazy = Interpreter(_unclean(src)), Interpreter(_unclean(src, False))
+    entry = ConstructId(METHOD, "p.A.go()")
+    ran, again = eager.run_entry(entry), lazy.run_entry(entry)
+    assert ((_plain(again.value), again.error, lazy.steps, again.log.events)
+            == (_plain(ran.value), ran.error, eager.steps, ran.log.events))

@@ -12,7 +12,7 @@ more Python frames per JX call.
 from __future__ import annotations
 
 from vulnvet.constructs import CONSTRUCTOR, METHOD, member_id
-from vulnvet.interp import DivisionByZero, Interpreter, Obj, RuntimeTypeError
+from vulnvet.interp import DivisionByZero, IntegerOverflow, Interpreter, Obj, RuntimeTypeError
 from vulnvet.jx import ast
 from vulnvet.jx.resolver import CtorCall, StaticCall, VirtualCall
 
@@ -68,6 +68,7 @@ class Walker(Interpreter):
     def _call(self, ctype, member, args, this, caller, site):
         cid = member_id(ctype, member.owner, member.sig)
         self._enter(cid, caller, site)
+        body = self.program.body(member)  # binds a constructor's initializers too
         if ctype == CONSTRUCTOR:
             for tinfo in reversed(list(self.program.class_chain(member.owner))):
                 for f in tinfo.decl.fields:
@@ -77,7 +78,7 @@ class Walker(Interpreter):
                         this.fields[f.name] = self._eval(f.init, _Env(), this, cid,
                                                          tinfo.unit.origin)
         env = _Env(initial={p.name: v for p, v in zip(member.decl.params, args)})
-        value = self._run_body(member.decl.body, env, this, cid,
+        value = self._run_body(body, env, this, cid,
                                self.program.symbols[member.owner].unit.origin)
         self.depth -= 1
         return value
@@ -213,18 +214,24 @@ class Walker(Interpreter):
             if isinstance(left, bool) or isinstance(right, bool) \
                     or not isinstance(left, int) or not isinstance(right, int):
                 raise RuntimeTypeError("operator %s requires int operands" % op)
+            if op == "<":
+                return left < right
+            if op == ">":
+                return left > right
             if op == "+":
-                return left + right
-            if op == "-":
-                return left - right
-            if op == "*":
-                return left * right
-            if op == "/":
+                value = left + right
+            elif op == "-":
+                value = left - right
+            elif op == "*":
+                value = left * right
+            else:
                 if right == 0:
                     raise DivisionByZero("division by zero")
                 q = abs(left) // abs(right)  # truncate toward zero
-                return q if (left < 0) == (right < 0) else -q
-            return left < right if op == "<" else left > right
+                value = q if (left < 0) == (right < 0) else -q
+            if not ast.INT_MIN <= value <= ast.INT_MAX:  # ints are signed 64-bit
+                raise IntegerOverflow("%d %s %d is outside signed 64-bit" % (left, op, right))
+            return value
         if op == "==":
             return self._same(left, right)
         if op == "!=":
