@@ -80,9 +80,9 @@ def parse_source_root(root: Path, origin_base: Path = None, bodies: bool = True)
 
 
 def extract_root(root: Path) -> dict:
-    """Parse and inventory one source root in isolation: it is resolved on
-    its own, so its constructs do not depend on the rest of the workspace
-    (repackaging robustness). Cross-archive references stay unbound."""
+    """Parse and inventory one source root in isolation: its declarations
+    are resolved on their own, so its constructs do not depend on the rest
+    of the workspace (repackaging robustness). No body is bound."""
     return extract_constructs(resolve(parse_source_root(root)))
 
 
@@ -153,7 +153,7 @@ class Sources:
 
 def build_bom(src: Sources) -> BOM:
     """Build the BOM: the application plus every archive of its resolved
-    transitive dependency closure, each resolved on its own (see extract_root)."""
+    transitive dependency closure, each inventoried on its own (see extract_root)."""
     archives = [(Archive(data["name"], data["version"], DEPENDENCY if depth else APPLICATION,
                          extract_constructs(resolve(src.units(root))), _declared_deps(data)),
                  depth)
@@ -184,14 +184,14 @@ def input_digest(src: Sources) -> str:
 
 
 def corpus_program(src: Sources, bodies: bool = True):
-    """Resolve the source roots build_bom reads as one closed unit set.
-    Archives nearest the application win duplicate qualified names
-    (classpath-first). With ``bodies`` False, each member body is parsed and
-    bound only when ResolvedProgram.body asks for it, so a parse error in a
-    body goes unreported: only for sources a whole parse has accepted."""
+    """Resolve the declarations of the source roots build_bom reads as one
+    closed unit set, archives nearest the application winning duplicate
+    qualified names (classpath-first). With ``bodies`` False a body is parsed
+    only when the program binds it, so no parse error in a body never bound
+    is reported: only for sources a whole parse has accepted."""
     roots = [(src.units(root, bodies), depth) for _, _, root, depth in src.archives]
     return resolve([u for units, _ in roots for u in units],
-                   {u.origin: depth for units, depth in roots for u in units}, bodies)
+                   {u.origin: depth for units, depth in roots for u in units})
 
 
 def bom_to_json(bom: BOM) -> dict:

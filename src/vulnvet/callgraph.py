@@ -65,7 +65,8 @@ class ReachResult:
 
 
 def build_call_graph(program: ResolvedProgram) -> CallGraph:
-    """The CHA graph over the call nodes the resolver recorded per member."""
+    """The CHA graph over the call nodes of every member, all bound first."""
+    program.bind_all()
     graph = CallGraph()
     for qname, info in program.symbols.items():
         for sig, m in info.methods.items():

@@ -55,9 +55,15 @@ def _affected(item: str) -> tuple:
 
 def _version_root(item: str) -> tuple:
     version, sep, path = item.partition("=")
-    if not sep:
+    if not sep or not path:  # Path("") would be the current directory
         raise argparse.ArgumentTypeError("expected VERSION=PATH, found %r" % item)
     return version, Path(path)
+
+
+def _path(item: str) -> Path:
+    if not item:  # Path("") would be the current directory
+        raise argparse.ArgumentTypeError("expected a PATH, found ''")
+    return Path(item)
 
 
 def _build_parser() -> _Parser:
@@ -76,8 +82,8 @@ def _build_parser() -> _Parser:
     imp = kbsub.add_parser("import-fix", help="derive a change set from a "
                            "pre-fix and post-fix source tree")
     imp.add_argument("--id", required=True, dest="vuln_id")
-    imp.add_argument("--before", required=True)
-    imp.add_argument("--after", required=True)
+    imp.add_argument("--before", required=True, type=_path)
+    imp.add_argument("--after", required=True, type=_path)
     imp.add_argument("--exclude", action="append", default=[], type=_exclusion,
                      metavar="CTYPE:QNAME",
                      help="drop this construct from the change set")
@@ -133,19 +139,20 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _program(src: Sources, bodies: bool = True):
-    """The whole-workspace program (see corpus_program); its diagnostics,
-    then its warnings, go to stderr."""
-    program = corpus_program(src, bodies)
-    _diagnose(program.diagnostics)
-    for w in program.warnings:
-        print("resolve: warning: %s" % w, file=sys.stderr)
-    return program
+def _call_graph(src: Sources):
+    """The call graph of the whole-workspace program (see corpus_program);
+    the program's diagnostics, then its warnings, go to stderr."""
+    program = corpus_program(src)
+    graph = build_call_graph(program)
+    _diagnose(program.diagnostics, program.warnings)
+    return graph
 
 
-def _diagnose(diagnostics):
+def _diagnose(diagnostics, warnings=()):
     for d in diagnostics:
         print("resolve: %s" % d, file=sys.stderr)
+    for w in warnings:
+        print("resolve: warning: %s" % w, file=sys.stderr)
 
 
 def _bom(ws: Workspace, src: Sources, inputs: str):
@@ -161,7 +168,7 @@ def _graph(ws: Workspace, src: Sources, inputs: str):
     data = ws.read_stamped("graph.json", inputs)
     if data is not None:
         return graph_from_json(data, "graph.json")
-    return _store_graph(ws, build_call_graph(_program(src)), inputs)
+    return _store_graph(ws, _call_graph(src), inputs)
 
 
 def _store_graph(ws: Workspace, graph, inputs: str):
@@ -182,7 +189,7 @@ def _warned(log: TraceLog, bom) -> TraceLog:
 def _cmd_kb(args, ws: Workspace) -> int:
     kb = KnowledgeBase(ws.kb_path)
     if args.kb_command == "import-fix":
-        record = kb.import_fix(args.vuln_id, Path(args.before), Path(args.after),
+        record = kb.import_fix(args.vuln_id, args.before, args.after,
                                exclusions=args.exclude, meta=args.meta,
                                description=args.description, overwrite=args.overwrite,
                                warn=lambda w: print("kb: warning: %s" % w, file=sys.stderr))
@@ -212,7 +219,7 @@ def _cmd_scan(args, ws: Workspace) -> int:
     src = Sources(ws.manifest, ws.root)
     inputs = input_digest(src)
     # the graph first, kept by no name: program and graph are freed before the BOM is built
-    _store_graph(ws, build_call_graph(_program(src)), inputs)
+    _store_graph(ws, _call_graph(src), inputs)
     bom = build_bom(src)
     for w in bom.warnings:
         print("bom: %s" % w, file=sys.stderr)
@@ -231,16 +238,14 @@ def _cmd_scan(args, ws: Workspace) -> int:
 def _cmd_trace(args, ws: Workspace) -> int:
     src = Sources(ws.manifest, ws.root)
     data = ws.read_stamped("bom.json", input_digest(src))
-    if data is None:
-        bom, program = build_bom(src), _program(src)
-    else:
-        # the scan that stamped bom.json parsed these very bytes whole, so no
-        # parse error hides in a body left unparsed until a test enters it;
-        # the diagnostics are those of the declarations and entered bodies
-        bom, program = bom_from_json(data, "bom.json"), _program(src, False)
+    bom = build_bom(src) if data is None else bom_from_json(data, "bom.json")
+    # the scan that stamped bom.json parsed these very bytes whole, so no
+    # parse error hides in a body left unparsed until a test enters it
+    program = corpus_program(src, data is None)
+    _diagnose(program.diagnostics, program.warnings)  # of the declarations
     declared = len(program.diagnostics)
     new_log, failed = run_tests(bom, program, pattern=args.pattern)
-    _diagnose(program.diagnostics[declared:])
+    _diagnose(program.diagnostics[declared:])  # of the bodies the tests entered
     path = ws.artifact("traces.jsonl")
     old_log = _warned(ingest_traces(path), bom) if path.is_file() else TraceLog()
     merged = old_log.merge(new_log)

@@ -8,8 +8,8 @@ edges.
 
 Each member body is compiled at its first entry into Python closures, one
 per statement and expression (Feeley & Lapalme, "Using closures for code
-generation", 1987). It reads the body through ``ResolvedProgram.body``, so a
-program resolved with ``bodies=False`` parses and binds the body then too.
+generation", 1987). It reads the body through ``ResolvedProgram.body``,
+which parses (where the parser skipped it) and binds the body then.
 Call targets, literals, operators, field initializers and the frame slots of
 locals are fixed then. Virtual dispatch, reflective targets and every check
 of a value's type stay at run time, because ``trace run`` also runs programs

@@ -1,14 +1,13 @@
 """Frontend for the JX subject language: parsing and name resolution."""
 
 from .ast import SourceUnit
-from .errors import JxError, ParseError, ResolutionError
+from .errors import JxError, ParseError
 from .parser import parse_unit
 from .resolver import ResolvedProgram, resolve
 
 __all__ = [
     "JxError",
     "ParseError",
-    "ResolutionError",
     "ResolvedProgram",
     "SourceUnit",
     "parse_unit",

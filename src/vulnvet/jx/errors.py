@@ -9,8 +9,3 @@ class ParseError(JxError):
         self.col = col
         self.origin = origin
 
-
-class ResolutionError(JxError):
-    def __init__(self, diagnostics):
-        super().__init__("; ".join(diagnostics))
-        self.diagnostics = list(diagnostics)

@@ -11,7 +11,6 @@ import sys
 from typing import Optional
 
 from . import ast
-from .errors import ResolutionError
 from .parser import MAX_NESTING, parse_body
 
 ERROR_TYPE = "?"  # poisons downstream checks without cascading diagnostics
@@ -84,31 +83,31 @@ class ResolvedProgram:
 
     - ``symbols``: qname -> TypeInfo, whose ``supertypes`` are cycle-free and
       whose ``superclass``, per-member ``calls`` and class ``init_calls``
-      record the hierarchy and every call site of the bodies bound once;
+      record the hierarchy and the call sites of the bodies bound so far;
     - ``direct_subtypes``: qname -> the corpus types that name it among
       their ``supertypes``; ``subtypes_of`` closes it on demand and keeps
       the closure of each type it was asked about;
     - ``bindings``: id(call node) -> StaticCall|VirtualCall|CtorCall;
     - ``diagnostics`` and ``warnings``: error and non-fatal (shadowing) text.
 
-    After ``resolve(..., bodies=False)`` no body is bound yet: ``body``
-    parses (where the parser skipped it) and binds each member's body at its
-    first request, and ``bindings``, the ``calls`` lists and ``diagnostics``
-    grow as it does.
+    ``resolve`` binds no body. ``body`` parses (where the parser skipped it)
+    and binds one member's body at its first request, ``bind_all`` every
+    body not bound yet; ``bindings``, the ``calls`` lists and
+    ``diagnostics`` grow as they do, each member's once.
     """
 
-    def __init__(self, units, symbols, diagnostics, warnings, bindings, binder=None):
-        self.units = units
-        self.symbols = symbols
-        self.diagnostics = diagnostics
-        self.warnings = warnings
-        self.bindings = bindings
-        self._binder = binder  # the _Resolver that binds bodies on request, if any
-        self._bound = set()  # the members whose bodies ``body`` has bound
+    def __init__(self, binder: "_Resolver"):
+        self.units = binder.units
+        self.symbols = binder.symbols
+        self.diagnostics = binder.diagnostics
+        self.warnings = binder.warnings
+        self.bindings = binder.bindings
+        self._binder = binder  # the _Resolver that binds bodies on request
+        self._bound = set()  # the members whose bodies are bound
         # direct edges only: every transitive closure would cost k*k/2
         # entries on a k-class inheritance chain
-        self.direct_subtypes = {q: [] for q in symbols}
-        for q, info in symbols.items():
+        self.direct_subtypes = {q: [] for q in self.symbols}
+        for q, info in self.symbols.items():
             for s in info.supertypes:
                 self.direct_subtypes[s].append(q)
         self._subtypes = {}
@@ -117,8 +116,7 @@ class ResolvedProgram:
         """The bound body of m, a method or constructor of a class. A
         constructor runs the field initializers of its class chain, so
         they are bound first, each class's once."""
-        binder = self._binder
-        if binder is not None and m not in self._bound:
+        if m not in self._bound:
             limit = sys.getrecursionlimit()
             # a body first entered deep in a run is parsed and bound on the
             # stack the run holds; the headroom keeps that from failing where
@@ -127,17 +125,27 @@ class ResolvedProgram:
             try:
                 if isinstance(m.decl, ast.CtorDecl):
                     for info in reversed(list(self.class_chain(m.owner))):
-                        binder.bind_inits(info, self)
-                binder.bind_member(self.symbols[m.owner], m, self)
+                        self._binder.bind_inits(info, self)
+                self._bind(m)
             finally:
                 sys.setrecursionlimit(limit)
-            self._bound.add(m)
         return m.decl.body
 
-    def require_clean(self):
-        if self.diagnostics:
-            raise ResolutionError(self.diagnostics)
+    def bind_all(self) -> "ResolvedProgram":
+        """Bind every body not bound yet: classes in qname order, in each
+        the field initializers, then the constructors, then the methods."""
+        for qname in sorted(self.symbols):
+            info = self.symbols[qname]
+            if not info.is_interface:
+                self._binder.bind_inits(info, self)
+                for m in (*info.ctors.values(), *info.methods.values()):
+                    self._bind(m)
         return self
+
+    def _bind(self, m: MethodInfo):
+        if m not in self._bound:
+            self._binder.bind_member(self.symbols[m.owner], m, self)
+            self._bound.add(m)
 
     # --- hierarchy queries ---
 
@@ -362,17 +370,7 @@ class _Resolver:
             info.superclass = next((s for s in info.supertypes
                                     if not self.symbols[s].is_interface), None)
 
-    # --- pass 3: body binding ---
-
-    def bind_all(self, program: ResolvedProgram):
-        """Bind every body, recording each member's call nodes on it."""
-        for qname in sorted(self.symbols):
-            info = self.symbols[qname]
-            if info.is_interface:
-                continue
-            self.bind_inits(info, program)
-            for m in (*info.ctors.values(), *info.methods.values()):
-                self.bind_member(info, m, program)
+    # --- body binding, on request (see ResolvedProgram) ---
 
     def bind_member(self, info: TypeInfo, m: MethodInfo, program: ResolvedProgram):
         """Bind the body of m, a member of the class info, parsing it first
@@ -593,21 +591,16 @@ class _Resolver:
         return m.rettype
 
 
-def resolve(units, precedence=None, bodies=True) -> ResolvedProgram:
-    """Resolve a closed set of units into one program.
+def resolve(units, precedence=None) -> ResolvedProgram:
+    """Resolve the declarations of a closed set of units into one program:
+    types, members and the class hierarchy. It binds no body: the program
+    does when asked (see ResolvedProgram).
 
     precedence: optional map origin -> depth (0 = application) used to pick a
     winner for duplicate qualified names across archives; ties are errors.
-    bodies: False leaves every body, and every field initializer, unbound
-    until ResolvedProgram.body asks for it; units parsed with bodies=False
-    need it.
     """
     r = _Resolver(list(units), precedence)
     r.collect()
     r.build_members()
     r.check_acyclic()
-    program = ResolvedProgram(r.units, r.symbols, r.diagnostics, r.warnings, r.bindings,
-                              None if bodies else r)
-    if bodies:
-        r.bind_all(program)
-    return program
+    return ResolvedProgram(r)

@@ -96,7 +96,7 @@ def test_source_origins_equal_a_relpath_per_file(tmp_path):
 def test_corpus_program_resolves_cross_archive_calls(tmp_path):
     ws, _ = _golden_bom(tmp_path)
     program = corpus_program(Sources(ws / "app.json", ws))
-    assert not program.diagnostics
+    assert not program.bind_all().diagnostics
 
 
 def test_bom_json_counts(tmp_path):

@@ -19,7 +19,7 @@ from vulnvet.jx import parse_unit, resolve
 
 def _graph(src):
     program = resolve([parse_unit(src, "u.jx")])
-    program.require_clean()
+    assert program.bind_all().diagnostics == []
     return build_call_graph(program)
 
 
@@ -125,7 +125,7 @@ def _recorded_and_walked(program):
 def test_reflective_sites_survive_ill_typed_input(stmt):
     src = "package p;\ninterface I { }\nclass A {\n    static void n() { }\n" \
           "    static void m() {\n        %s\n    }\n}\n" % stmt
-    program = resolve([parse_unit(src, "u.jx")])
+    program = resolve([parse_unit(src, "u.jx")]).bind_all()
     assert program.diagnostics
     graph = build_call_graph(program)
     assert graph.unresolved == {(_m("p.A.m()"), "u.jx:6", "reflection")}
@@ -142,7 +142,7 @@ def test_call_graph_equals_the_reference_walk(tmp_path, source):
     else:
         ws = small_workload(tmp_path, source)
     program = corpus_program(Sources(ws / "app.json", ws))
-    assert not program.diagnostics
+    assert not program.bind_all().diagnostics
     graph = build_call_graph(program)
     assert graph.edges
     assert graph == reference_call_graph(program)

@@ -17,6 +17,7 @@ from vulnvet import kb as kb_module
 from vulnvet.cli import main as vet
 from vulnvet.errors import MalformedRecord
 from vulnvet.jx.parser import MAX_NESTING
+from vulnvet.jx.resolver import _Resolver
 from vulnvet.kb import KnowledgeBase
 from vulnvet.workspace import Workspace
 
@@ -221,6 +222,12 @@ def test_main_builds_no_parser(tmp_path, monkeypatch):
     (["add-range", "--id", "X", "--affected", ":1.0:1.1"], "--affected"),
     (["import-fix", "--id", "X", "--before", str(GOLDEN / "fixes/j1/before"),
       "--after", str(GOLDEN / "fixes/j1/after"), "--exclude", "METHOD:"], "--exclude"),
+    # an empty PATH would read the current directory
+    (["index-lib", "--name", "z", "--root", "1.0="], "--root"),
+    (["import-fix", "--id", "X", "--before", "", "--after", str(GOLDEN / "fixes/j1/after")],
+     "--before"),
+    (["import-fix", "--id", "X", "--before", str(GOLDEN / "fixes/j1/before"), "--after", ""],
+     "--after"),
 ])
 def test_a_malformed_option_item_is_a_usage_error(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as info:
@@ -774,6 +781,27 @@ def test_reach_and_mitigate_reuse_stamped_artifacts(tmp_path, builds, monkeypatc
                        "mitigation-lib1.json", "mitigation-lib1.csv"]
 
 
+def test_inventories_bind_no_body_and_scan_binds_each_member_once(tmp_path, monkeypatch):
+    bound = []  # (program, member) of each body bound
+    real = _Resolver.bind_member
+
+    def bind_member(self, info, m, program):
+        bound.append((program, m))
+        return real(self, info, m, program)
+
+    monkeypatch.setattr(_Resolver, "bind_member", bind_member)
+    ws = _golden_with_index(tmp_path / "ws")  # kb import-fix and kb index-lib
+    assert bound == []
+    bom.build_bom(bom.Sources(ws / "app.json", ws))
+    assert bound == []
+    _run(ws, SCAN)
+    program = bound[0][0]
+    assert all(p is program for p, _m in bound)
+    members = [m for info in program.symbols.values() if not info.is_interface
+               for m in (*info.ctors.values(), *info.methods.values())]
+    assert sorted(id(m) for _p, m in bound) == sorted(map(id, members))
+
+
 @pytest.mark.parametrize("path, edit", [
     # parse calls normalize: one more edge, another fingerprint
     ("libs/lib1/1.0/src/upload.jx", lambda t: t.replace("return n + 1;",
@@ -1231,7 +1259,7 @@ ODD_ENTERED = "resolve: src/Odd.jx:4:29: cannot initialize int x with text"
 ODD_UNENTERED = "resolve: src/Odd.jx:5:38: no static method gone() in app.Main"
 
 
-def test_a_stamped_trace_run_prints_the_diagnostics_of_declarations_and_entered_bodies(
+def test_a_trace_run_prints_the_diagnostics_of_declarations_and_entered_bodies_stamped_or_not(
         tmp_path, capsys):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     (ws / "src/Odd.jx").write_text(UNENTERED_JX)
@@ -1248,8 +1276,11 @@ def test_a_stamped_trace_run_prints_the_diagnostics_of_declarations_and_entered_
     # is no test and no test calls it
     assert run(TRACES[0]) == [ODD_DECLARED, ODD_ENTERED]
     assert run(TRACES[1]) == [ODD_DECLARED]
+    # unstamped: the same, though every body is parsed first
     (ws / ".vet/bom.json").unlink()
-    assert run(TRACES[0]) == everything  # unstamped: every body is bound first
+    assert run(TRACES[0]) == [ODD_DECLARED, ODD_ENTERED]
+    assert not (ws / ".vet/bom.json").exists()
+    assert run(TRACES[1]) == [ODD_DECLARED]
 
 
 def test_an_integer_literal_out_of_range_exits_3(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import deep_bodies, jx_hierarchies, naive_ancestors, random_program
 from printer import pretty_print
-from vulnvet.jx import ParseError, ResolutionError, ast, parse_unit, parser, resolve
+from vulnvet.jx import ParseError, ast, parse_unit, parser, resolve
 from vulnvet.jx.parser import MAX_NESTING
 
 FULL = """
@@ -109,8 +109,8 @@ def test_operator_precedence_shape():
 
 
 def test_resolver_binds_clean_program():
-    program = resolve([parse_unit(FULL, "zoo.jx")])
-    program.require_clean()
+    program = resolve([parse_unit(FULL, "zoo.jx")]).bind_all()
+    assert program.diagnostics == []
     assert program.is_subtype("zoo.Dog", "zoo.Base")
     assert program.is_subtype("zoo.Dog", "zoo.Animal")
     assert "zoo.Dog" in program.subtypes_of("zoo.Animal")
@@ -127,9 +127,8 @@ def test_resolver_virtual_dispatch_to_override():
 def test_resolver_unknown_name_diagnostic():
     src = "package p; class A { static void m() { p.Missing.run(); } }"
     program = resolve([parse_unit(src, "p.jx")])
-    assert program.diagnostics
-    with pytest.raises(ResolutionError):
-        program.require_clean()
+    assert program.diagnostics == []  # the declarations are clean
+    assert program.bind_all().diagnostics == ["p.jx:1:49: unknown name p.Missing"]
 
 
 def test_overloads_by_exact_types_only():
@@ -141,8 +140,8 @@ class A {
     static int use() { return p.A.f(3); }
 }
 """
-    program = resolve([parse_unit(src, "p.jx")])
-    program.require_clean()
+    program = resolve([parse_unit(src, "p.jx")]).bind_all()
+    assert program.diagnostics == []
 
 
 def test_inheritance_cycle_is_reported():
@@ -247,7 +246,7 @@ def _unit_with(body: str) -> str:
 @pytest.mark.parametrize("shape", sorted(deep_bodies(MAX_NESTING)))
 def test_nesting_bound_is_exact(shape):
     program = resolve([parse_unit(_unit_with(deep_bodies(MAX_NESTING)[shape]), "p.jx")])
-    program.require_clean()
+    assert program.bind_all().diagnostics == []
     with pytest.raises(ParseError, match="nesting deeper than %d levels" % MAX_NESTING) as info:
         parse_unit(_unit_with(deep_bodies(MAX_NESTING + 1)[shape]), "p.jx")
     assert info.value.origin == "p.jx" and info.value.line == 1
@@ -389,22 +388,30 @@ def _resolution(program):
     return table, sorted(program.diagnostics), len(program.bindings)
 
 
+@pytest.mark.parametrize("bodies", [True, False])
 @pytest.mark.parametrize("src", [FULL, LAZY])
-def test_bodies_parsed_and_bound_on_request_match_an_eager_resolve(src):
-    eager = resolve([parse_unit(src, "u.jx")])
-    lazy = resolve([parse_unit(src, "u.jx", bodies=False)], bodies=False)
-    unparsed = [m for _q, m in _members(lazy) if isinstance(m.decl.body, ast.Unparsed)]
-    assert unparsed and len(unparsed) == len([m for _q, m in _members(lazy)
-                                              if not getattr(m.decl, "synthetic", False)])
-    for _q, m in _members(lazy):
-        assert lazy.body(m) is lazy.body(m) is m.decl.body  # parsed and bound once
+def test_bodies_parsed_and_bound_on_request_match_an_eager_resolve(src, bodies):
+    eager = resolve([parse_unit(src, "u.jx")]).bind_all()
+    lazy = resolve([parse_unit(src, "u.jx", bodies=bodies)])
+    members = [m for _q, m in _members(lazy)]
+    assert lazy.bindings == {} and not any(m.calls for m in members)
+    unparsed = [m for m in members if isinstance(m.decl.body, ast.Unparsed)]
+    declared = [m for m in members if not getattr(m.decl, "synthetic", False)]
+    assert len(unparsed) == (0 if bodies else len(declared)) and declared
+    # some members on request first, a constructor of a subclass among them
+    # for LAZY, then bind_all, which binds none of them again
+    for m in members[-2::-2]:
+        assert lazy.body(m) is lazy.body(m) is m.decl.body
         assert isinstance(m.decl.body, ast.Block)
+    assert lazy.bind_all() is lazy.bind_all() is lazy
+    for m in members:
+        assert lazy.body(m) is m.decl.body and isinstance(m.decl.body, ast.Block)
     assert pretty_print(lazy.units[0]) == pretty_print(eager.units[0])
     assert _resolution(lazy) == _resolution(eager)
 
 
 def test_a_constructor_binds_the_initializers_of_its_class_chain_alone():
-    program = resolve([parse_unit(LAZY, "u.jx", bodies=False)], bodies=False)
+    program = resolve([parse_unit(LAZY, "u.jx", bodies=False)])
     declared = list(program.diagnostics)
     assert declared == []  # every diagnostic of LAZY is in a body or an initializer
     kid = program.symbols["q.Kid"]

@@ -12,7 +12,7 @@ from vulnvet.jx import parse_unit, resolve
 
 def _program(src):
     program = resolve([parse_unit(src, "u.jx")])
-    program.require_clean()
+    assert program.bind_all().diagnostics == []
     return program
 
 
@@ -257,7 +257,7 @@ class M { static int go() { return p.T.boom(); } }
 def _bom_for(src):
     unit = parse_unit(src, "app.jx")
     program = resolve([unit])
-    program.require_clean()
+    assert program.bind_all().diagnostics == []
     app = Archive("a", "1.0", APPLICATION, extract_constructs(program))
     return BOM(app, []), program
 

@@ -61,7 +61,7 @@ _WORKLOADS = st.tuples(st.sampled_from(["corpus", "kb-drift", "trace-heavy"]),
 
 def _generated(workload, bodies=True):
     """The BOM and program of a drawn workspace; with bodies False, the
-    program parses and binds each body when it is first entered."""
+    program parses each body when it is first entered."""
     name, seed, sizes = workload
     with tempfile.TemporaryDirectory() as tmp:
         ws = small_workload(Path(tmp), name, seed, **sizes)
@@ -107,7 +107,7 @@ def test_traced_edges_of_generated_workspaces_are_explained_by_the_cha_graph(wor
 # --- hand-built programs, resolved with whatever diagnostics they have ---
 
 def _unclean(src, bodies=True):
-    return resolve([parse_unit(src, "u.jx", bodies)], bodies=bodies)
+    return resolve([parse_unit(src, "u.jx", bodies)])
 
 
 def _methods(body, decls="", bodies=True):
@@ -228,7 +228,7 @@ def test_compiled_runs_agree_with_the_walker_at_the_nesting_bound():
         "package p;\nclass A {\n    A a;\n    int v;\n    A() { this.a = this; this.v = 1; }\n"
         "    static int f(int n) { return n; }\n%s"
         "    static void go() { p.A x = new p.A(); %s }\n}\n" % (methods, calls))
-    assert not program.diagnostics
+    assert not program.bind_all().diagnostics
     _agree(program, [("p.A.go()", [])])
 
 
@@ -254,7 +254,7 @@ class A {
     static int go() { return p.A.down(%d); }
 }
 """ % (deep_bodies(MAX_NESTING)[shape], depth)
-    eager, lazy = Interpreter(_unclean(src)), Interpreter(_unclean(src, False))
+    eager, lazy = Interpreter(_unclean(src).bind_all()), Interpreter(_unclean(src, False))
     entry = ConstructId(METHOD, "p.A.go()")
     ran, again = eager.run_entry(entry), lazy.run_entry(entry)
     assert ((_plain(again.value), again.error, lazy.steps, again.log.events)
