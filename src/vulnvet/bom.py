@@ -132,14 +132,15 @@ class Sources:
     parsed at most once. ``archives`` holds the manifest path, manifest
     data, source root and depth of the application and of every archive
     resolve_dependencies finds, in resolution order; ``warnings`` the
-    conflict warnings."""
+    conflict warnings. A source root is made absolute without following
+    symlinks, so origins are paths under the workspace as it is spelled."""
 
     def __init__(self, manifest: Path, workspace: Path):
         manifest, self.workspace = Path(manifest), Path(workspace)
         app = load_json(manifest, ManifestError, _MANIFEST)
         resolved, self.warnings = resolve_dependencies(self.workspace, _declared_deps(app))
-        self.archives = [(path, data, (path.parent / data["sourceRoot"]).resolve(), depth)
-                         for path, data, depth in [(manifest, app, 0)] + resolved]
+        self.archives = [(path, data, Path(os.path.abspath(path.parent / data["sourceRoot"])),
+                          depth) for path, data, depth in [(manifest, app, 0)] + resolved]
         self._units = {}  # (source root, bodies) -> its parsed units
 
     def units(self, root: Path, bodies: bool = True) -> list:

@@ -1,5 +1,8 @@
 """Name resolution, class hierarchy, and call binding for a closed JX corpus.
 
+One object, ResolvedProgram, does all three: it resolves the declarations
+when built and binds each body when it is first asked for it.
+
 Types are represented as strings: the four primitives or the fully-qualified
 class/interface name. Method signatures are ``name(type,...)`` with resolved
 parameter types, which is also the member part of construct identifiers.
@@ -79,7 +82,7 @@ class CtorCall:
 
 
 class ResolvedProgram:
-    """A resolved corpus. Its tables:
+    """A resolved corpus, and the resolver that binds its bodies. Its tables:
 
     - ``symbols``: qname -> TypeInfo, whose ``supertypes`` are cycle-free and
       whose ``superclass``, per-member ``calls`` and class ``init_calls``
@@ -90,20 +93,26 @@ class ResolvedProgram:
     - ``bindings``: id(call node) -> StaticCall|VirtualCall|CtorCall;
     - ``diagnostics`` and ``warnings``: error and non-fatal (shadowing) text.
 
-    ``resolve`` binds no body. ``body`` parses (where the parser skipped it)
-    and binds one member's body at its first request, ``bind_all`` every
-    body not bound yet; ``bindings``, the ``calls`` lists and
-    ``diagnostics`` grow as they do, each member's once.
+    The constructor resolves the declarations (types, members, hierarchy)
+    and binds no body. ``body`` parses (where the parser skipped it) and
+    binds one member's body at its first request, ``bind_all`` every body
+    not bound yet; ``bindings``, the ``calls`` lists and ``diagnostics``
+    grow as they do, each member's once.
     """
 
-    def __init__(self, binder: "_Resolver"):
-        self.units = binder.units
-        self.symbols = binder.symbols
-        self.diagnostics = binder.diagnostics
-        self.warnings = binder.warnings
-        self.bindings = binder.bindings
-        self._binder = binder  # the _Resolver that binds bodies on request
-        self._bound = set()  # the members whose bodies are bound
+    def __init__(self, units, precedence=None):
+        # Deterministic processing order regardless of input enumeration.
+        self.units = sorted(units, key=lambda u: (u.package, u.origin))
+        self._precedence = precedence or {}
+        self.symbols = {}
+        self.diagnostics = []
+        self.warnings = []
+        self.bindings = {}
+        self._calls = None  # list of call nodes of the body being bound
+        self._bound = set()  # the members and classes (initializers) bound
+        self._collect()
+        self._build_members()
+        self._check_acyclic()
         # direct edges only: every transitive closure would cost k*k/2
         # entries on a k-class inheritance chain
         self.direct_subtypes = {q: [] for q in self.symbols}
@@ -125,8 +134,8 @@ class ResolvedProgram:
             try:
                 if isinstance(m.decl, ast.CtorDecl):
                     for info in reversed(list(self.class_chain(m.owner))):
-                        self._binder.bind_inits(info, self)
-                self._bind(m)
+                        self._bind_inits(info)
+                self._bind_member(m)
             finally:
                 sys.setrecursionlimit(limit)
         return m.decl.body
@@ -137,15 +146,10 @@ class ResolvedProgram:
         for qname in sorted(self.symbols):
             info = self.symbols[qname]
             if not info.is_interface:
-                self._binder.bind_inits(info, self)
+                self._bind_inits(info)
                 for m in (*info.ctors.values(), *info.methods.values()):
-                    self._bind(m)
+                    self._bind_member(m)
         return self
-
-    def _bind(self, m: MethodInfo):
-        if m not in self._bound:
-            self._binder.bind_member(self.symbols[m.owner], m, self)
-            self._bound.add(m)
 
     # --- hierarchy queries ---
 
@@ -219,19 +223,6 @@ class ResolvedProgram:
                 return m
         return None
 
-
-class _Resolver:
-    def __init__(self, units, precedence):
-        # Deterministic processing order regardless of input enumeration.
-        self.units = sorted(units, key=lambda u: (u.package, u.origin))
-        self.precedence = precedence or {}
-        self.symbols = {}
-        self.diagnostics = []
-        self.warnings = []
-        self.bindings = {}
-        self.calls = None  # list of call nodes of the member being bound
-        self.inits_bound = set()  # qnames of the classes whose initializers are bound
-
     def err(self, msg, pos=None, unit=None):
         where = ""
         if unit is not None and pos is not None:
@@ -240,14 +231,14 @@ class _Resolver:
 
     # --- pass 1: symbol collection ---
 
-    def collect(self):
+    def _collect(self):
         for unit in self.units:
             for decl in unit.decls:
                 qname = unit.package + "." + decl.name
                 if qname in self.symbols:
                     other = self.symbols[qname]
-                    mine = self.precedence.get(unit.origin, 0)
-                    theirs = self.precedence.get(other.unit.origin, 0)
+                    mine = self._precedence.get(unit.origin, 0)
+                    theirs = self._precedence.get(other.unit.origin, 0)
                     if mine == theirs:
                         self.err("duplicate qualified name %s (also in %s)"
                                  % (qname, other.unit.origin), decl.pos, unit)
@@ -288,7 +279,7 @@ class _Resolver:
 
     # --- pass 2: supertypes, members, default constructors ---
 
-    def build_members(self):
+    def _build_members(self):
         for info in self.symbols.values():
             decl = info.decl
             if info.is_interface:
@@ -339,7 +330,7 @@ class _Resolver:
         info.methods[sig] = MethodInfo(info.qname, sig, m.static,
                                        self.type_text(m.rettype, info.package), ptypes, m)
 
-    def check_acyclic(self):
+    def _check_acyclic(self):
         """Report and drop every supertype edge that closes an inheritance
         cycle, then set superclasses. One depth-first walk over the types in
         qname order: an edge to a type still on the walk's path closes a
@@ -370,87 +361,90 @@ class _Resolver:
             info.superclass = next((s for s in info.supertypes
                                     if not self.symbols[s].is_interface), None)
 
-    # --- body binding, on request (see ResolvedProgram) ---
+    # --- body binding, on request ---
 
-    def bind_member(self, info: TypeInfo, m: MethodInfo, program: ResolvedProgram):
-        """Bind the body of m, a member of the class info, parsing it first
-        if the parser skipped it."""
-        decl = m.decl
+    def _bind_member(self, m: MethodInfo):
+        """Bind the body of m, parsing it first if the parser skipped it,
+        unless it is bound. A body that fails to parse stays unbound."""
+        if m in self._bound:
+            return
+        info, decl = self.symbols[m.owner], m.decl
         if isinstance(decl.body, ast.Unparsed):
             # bindings are keyed by id(node): the block must outlive them
             decl.body = parse_body(decl.body)
-        self.calls = m.calls
+        self._calls = m.calls
         env = {} if m.static else {"this": info.qname}
         for p, t in zip(decl.params, m.param_types):
             env[p.name] = t
-        self.bind_block(decl.body, env, info, program, m.rettype)
+        self.bind_block(decl.body, env, info, m.rettype)
+        self._bound.add(m)
 
-    def bind_inits(self, info: TypeInfo, program: ResolvedProgram):
+    def _bind_inits(self, info: TypeInfo):
         """Bind the field initializers of the class info, unless they are."""
-        if info.qname in self.inits_bound:
+        if info in self._bound:
             return
-        self.inits_bound.add(info.qname)
-        self.calls = info.init_calls
+        self._bound.add(info)
+        self._calls = info.init_calls
         for f in info.decl.fields:
             if f.init is not None:
-                self.bind_expr(f.init, {"this": info.qname}, info, program)
+                self.bind_expr(f.init, {"this": info.qname}, info)
 
-    def assignable(self, target: str, value: str, program) -> bool:
+    def assignable(self, target: str, value: str) -> bool:
         if ERROR_TYPE in (target, value):
             return True
         if target == value:
             return True
         if target in self.symbols and value in self.symbols:
-            return program.is_subtype(value, target)
+            return self.is_subtype(value, target)
         return False
 
-    def bind_block(self, block, env, info, program, rettype):
+    def bind_block(self, block, env, info, rettype):
         scope = dict(env)
         for s in block.stmts:
-            self.bind_stmt(s, scope, info, program, rettype)
+            self.bind_stmt(s, scope, info, rettype)
 
-    def bind_stmt(self, s, env, info, program, rettype):
+    def bind_stmt(self, s, env, info, rettype):
         unit = info.unit
         if isinstance(s, ast.Block):
-            self.bind_block(s, env, info, program, rettype)
+            self.bind_block(s, env, info, rettype)
         elif isinstance(s, ast.LocalDecl):
             t = self.type_text(s.type, info.package)
             if isinstance(s.type, ast.NamedType) and t not in self.symbols:
                 self.err("unknown type %s" % s.type.text(), s.pos, unit)
                 t = ERROR_TYPE
             if s.init is not None:
-                vt = self.bind_expr(s.init, env, info, program)
-                if not self.assignable(t, vt, program):
+                vt = self.bind_expr(s.init, env, info)
+                if not self.assignable(t, vt):
                     self.err("cannot initialize %s %s with %s" % (t, s.name, vt), s.pos, unit)
             env[s.name] = t
         elif isinstance(s, ast.Assign):
-            tt = self.bind_expr(s.target, env, info, program)
-            vt = self.bind_expr(s.value, env, info, program)
-            if not self.assignable(tt, vt, program):
+            tt = self.bind_expr(s.target, env, info)
+            vt = self.bind_expr(s.value, env, info)
+            if not self.assignable(tt, vt):
                 self.err("cannot assign %s to %s" % (vt, tt), s.pos, unit)
         elif isinstance(s, ast.ExprStmt):
-            self.bind_expr(s.expr, env, info, program)
+            self.bind_expr(s.expr, env, info)
         elif isinstance(s, ast.If):
-            ct = self.bind_expr(s.cond, env, info, program)
+            ct = self.bind_expr(s.cond, env, info)
             if ct not in ("boolean", ERROR_TYPE):
                 self.err("if condition must be boolean, got %s" % ct, s.pos, unit)
-            self.bind_stmt(s.then, dict(env), info, program, rettype)
+            self.bind_stmt(s.then, dict(env), info, rettype)
             if s.els is not None:
-                self.bind_stmt(s.els, dict(env), info, program, rettype)
+                self.bind_stmt(s.els, dict(env), info, rettype)
         elif isinstance(s, ast.While):
-            ct = self.bind_expr(s.cond, env, info, program)
+            ct = self.bind_expr(s.cond, env, info)
             if ct not in ("boolean", ERROR_TYPE):
                 self.err("while condition must be boolean, got %s" % ct, s.pos, unit)
-            self.bind_stmt(s.body, dict(env), info, program, rettype)
+            self.bind_stmt(s.body, dict(env), info, rettype)
         elif isinstance(s, ast.Return):
             if s.value is None:
                 if rettype not in ("void", ERROR_TYPE):
                     self.err("missing return value (expected %s)" % rettype, s.pos, unit)
             else:
-                vt = self.bind_expr(s.value, env, info, program)
+                vt = self.bind_expr(s.value, env, info)
                 if rettype == "void":
                     self.err("void member returns a value", s.pos, unit)
-                elif not self.assignable(rettype, vt, program):
+                elif not self.assignable(rettype, vt):
                     self.err("return type mismatch: %s vs %s" % (vt, rettype), s.pos, unit)
 
     def _name_chain(self, e):
@@ -464,7 +458,7 @@ class _Resolver:
             return list(reversed(parts))
         return None
 
-    def bind_expr(self, e, env, info, program) -> str:
+    def bind_expr(self, e, env, info) -> str:
         unit = info.unit
         if isinstance(e, ast.IntLit):
             return "int"
@@ -480,7 +474,7 @@ class _Resolver:
         if isinstance(e, ast.Var):
             if e.name in env:
                 return env[e.name]
-            ft = program.lookup_field(info.qname, e.name)
+            ft = self.lookup_field(info.qname, e.name)
             if ft is not None and "this" in env:
                 return ft
             self.err("unknown name %s" % e.name, e.pos, unit)
@@ -492,13 +486,13 @@ class _Resolver:
                 if tq is not None:
                     self.err("type %s used as a value" % tq, e.pos, unit)
                     return ERROR_TYPE
-            ot = self.bind_expr(e.obj, env, info, program)
+            ot = self.bind_expr(e.obj, env, info)
             if ot == ERROR_TYPE:
                 return ERROR_TYPE
             if ot not in self.symbols:
                 self.err("type %s has no fields" % ot, e.pos, unit)
                 return ERROR_TYPE
-            ft = program.lookup_field(ot, e.name)
+            ft = self.lookup_field(ot, e.name)
             if ft is None:
                 self.err("unknown field %s.%s" % (ot, e.name), e.pos, unit)
                 return ERROR_TYPE
@@ -510,8 +504,8 @@ class _Resolver:
             elif self.symbols[tq].is_interface:
                 self.err("cannot instantiate interface %s" % tq, e.pos, unit)
                 tq = None
-            argts = [self.bind_expr(a, env, info, program) for a in e.args]
-            self.calls.append(e)
+            argts = [self.bind_expr(a, env, info) for a in e.args]
+            self._calls.append(e)
             if tq is None:
                 return ERROR_TYPE
             if ERROR_TYPE in argts:
@@ -523,14 +517,14 @@ class _Resolver:
             self.bindings[id(e)] = CtorCall(tq, sig)
             return tq
         if isinstance(e, ast.ReflectInvoke):
-            argts = [self.bind_expr(a, env, info, program) for a in e.args]
-            self.calls.append(e)
+            argts = [self.bind_expr(a, env, info) for a in e.args]
+            self._calls.append(e)
             if argts[0] not in ("text", ERROR_TYPE):
                 self.err("Reflect.invoke target must be text", e.pos, unit)
             return "void"
         if isinstance(e, ast.Binary):
-            lt = self.bind_expr(e.left, env, info, program)
-            rt = self.bind_expr(e.right, env, info, program)
+            lt = self.bind_expr(e.left, env, info)
+            rt = self.bind_expr(e.right, env, info)
             if e.op in ("+", "-", "*", "/"):
                 if not {lt, rt} <= {"int", ERROR_TYPE}:
                     self.err("operator %s requires int operands" % e.op, e.pos, unit)
@@ -544,29 +538,29 @@ class _Resolver:
                          % (e.op, lt, rt), e.pos, unit)
             return "boolean"
         if isinstance(e, ast.MethodCall):
-            t = self._bind_call(e, env, info, program)
-            self.calls.append(e)
+            t = self._bind_call(e, env, info)
+            self._calls.append(e)
             return t
         raise TypeError("unknown expression node: %r" % (e,))
 
-    def _bind_call(self, e: ast.MethodCall, env, info, program) -> str:
+    def _bind_call(self, e: ast.MethodCall, env, info) -> str:
         unit = info.unit
         chain = self._name_chain(e.recv)
         as_type = None
         if chain is not None and chain[0] not in env:
             head_is_field = ("this" in env
-                            and program.lookup_field(info.qname, chain[0]) is not None)
+                            and self.lookup_field(info.qname, chain[0]) is not None)
             if not head_is_field:
                 as_type = self.resolve_type_name(ast.NamedType(tuple(chain)), info.package)
                 if as_type is None:
                     self.err("unknown name %s" % ".".join(chain), e.pos, unit)
                     for a in e.args:
-                        self.bind_expr(a, env, info, program)
+                        self.bind_expr(a, env, info)
                     return ERROR_TYPE
-        argts = [self.bind_expr(a, env, info, program) for a in e.args]
+        argts = [self.bind_expr(a, env, info) for a in e.args]
         if ERROR_TYPE in argts:
             if as_type is None:  # a receiver that is not a type may hold calls
-                self.bind_expr(e.recv, env, info, program)
+                self.bind_expr(e.recv, env, info)
             return ERROR_TYPE
         sig = "%s(%s)" % (e.name, ",".join(argts))
         if as_type is not None:
@@ -577,13 +571,13 @@ class _Resolver:
                 return ERROR_TYPE
             self.bindings[id(e)] = StaticCall(as_type, sig)
             return m.rettype
-        rt = self.bind_expr(e.recv, env, info, program)
+        rt = self.bind_expr(e.recv, env, info)
         if rt == ERROR_TYPE:
             return ERROR_TYPE
         if rt not in self.symbols:
             self.err("type %s has no methods" % rt, e.pos, unit)
             return ERROR_TYPE
-        m = program.lookup_method(rt, sig)
+        m = self.lookup_method(rt, sig)
         if m is None:
             self.err("no method %s in %s" % (sig, rt), e.pos, unit)
             return ERROR_TYPE
@@ -599,8 +593,4 @@ def resolve(units, precedence=None) -> ResolvedProgram:
     precedence: optional map origin -> depth (0 = application) used to pick a
     winner for duplicate qualified names across archives; ties are errors.
     """
-    r = _Resolver(list(units), precedence)
-    r.collect()
-    r.build_members()
-    r.check_acyclic()
-    return ResolvedProgram(r)
+    return ResolvedProgram(list(units), precedence)

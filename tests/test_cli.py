@@ -17,7 +17,7 @@ from vulnvet import kb as kb_module
 from vulnvet.cli import main as vet
 from vulnvet.errors import MalformedRecord
 from vulnvet.jx.parser import MAX_NESTING
-from vulnvet.jx.resolver import _Resolver
+from vulnvet.jx.resolver import ResolvedProgram
 from vulnvet.kb import KnowledgeBase
 from vulnvet.workspace import Workspace
 
@@ -783,13 +783,14 @@ def test_reach_and_mitigate_reuse_stamped_artifacts(tmp_path, builds, monkeypatc
 
 def test_inventories_bind_no_body_and_scan_binds_each_member_once(tmp_path, monkeypatch):
     bound = []  # (program, member) of each body bound
-    real = _Resolver.bind_member
+    real = ResolvedProgram._bind_member
 
-    def bind_member(self, info, m, program):
-        bound.append((program, m))
-        return real(self, info, m, program)
+    def bind_member(self, m):
+        if m not in self._bound:  # a first bind, not a call the guard turns away
+            bound.append((self, m))
+        return real(self, m)
 
-    monkeypatch.setattr(_Resolver, "bind_member", bind_member)
+    monkeypatch.setattr(ResolvedProgram, "_bind_member", bind_member)
     ws = _golden_with_index(tmp_path / "ws")  # kb import-fix and kb index-lib
     assert bound == []
     bom.build_bom(bom.Sources(ws / "app.json", ws))
@@ -800,6 +801,29 @@ def test_inventories_bind_no_body_and_scan_binds_each_member_once(tmp_path, monk
     members = [m for info in program.symbols.values() if not info.is_interface
                for m in (*info.ctors.values(), *info.methods.values())]
     assert sorted(id(m) for _p, m in bound) == sorted(map(id, members))
+
+
+def test_a_workspace_spelled_through_a_symlink_gives_the_same_artifacts(tmp_path, builds,
+                                                                         capsys):
+    # origins are paths under the workspace as spelled, symlinks not followed
+    runs = {}
+    for name in ("direct", "linked"):
+        ws = spelled = copy_workspace(GOLDEN / "workspace", tmp_path / name)
+        _import_golden_kb(ws)
+        if name == "linked":
+            spelled = tmp_path / "link"
+            spelled.symlink_to(ws, target_is_directory=True)
+        capsys.readouterr()
+        _run(spelled, SCAN, STATIC, *TRACES)
+        runs[name] = (capsys.readouterr(),
+                      {p.name: p.read_bytes() for p in (ws / ".vet").iterdir()})
+    assert runs["direct"] == runs["linked"]
+    # the stamps scan wrote through the symlink hold for the direct path
+    builds.clear()
+    _run(tmp_path / "linked", STATIC)
+    assert builds == []
+    _run(tmp_path / "linked", TRACES[0])
+    assert builds == ["corpus_program"]
 
 
 @pytest.mark.parametrize("path, edit", [

@@ -10,6 +10,7 @@ from helpers import deep_bodies, jx_hierarchies, naive_ancestors, random_program
 from printer import pretty_print
 from vulnvet.jx import ParseError, ast, parse_unit, parser, resolve
 from vulnvet.jx.parser import MAX_NESTING
+from vulnvet.jx.resolver import StaticCall
 
 FULL = """
 package zoo;
@@ -435,3 +436,27 @@ def test_a_declaration_error_is_reported_without_bodies():
     unit = parse_unit("package p; class A { int m() { ((( } }", "p.jx", bodies=False)
     with pytest.raises(ParseError, match="expected an expression"):
         parser.parse_body(unit.decls[0].methods[0].body)
+
+
+def test_a_body_that_fails_to_parse_stays_unbound_and_fails_each_time():
+    # a member is marked bound only once its parse and bind succeed
+    src = ("package p; class A { int ok() { return B.two(); } int bad() { return ((1; } }\n"
+           "class B { static int two() { return 2; } }")
+    program = resolve([parse_unit(src, "p.jx", bodies=False)])
+    a, b = program.symbols["p.A"], program.symbols["p.B"]
+    ok, bad = a.methods["ok()"], a.methods["bad()"]
+    errors = []
+    for bind in (lambda: program.body(bad), program.bind_all, lambda: program.body(bad)):
+        with pytest.raises(ParseError) as raised:
+            bind()
+        errors.append(str(raised.value))
+        assert isinstance(bad.decl.body, ast.Unparsed)
+    assert len(errors) == 3 and len(set(errors)) == 1
+    # bind_all bound the members before bad and stopped there; the rest
+    # bind on request, and none is bound twice
+    assert len(ok.calls) == 1 and isinstance(program.bindings[id(ok.calls[0])], StaticCall)
+    assert isinstance(b.methods["two()"].decl.body, ast.Unparsed)
+    for m in (ok, b.methods["two()"], *a.ctors.values(), *b.ctors.values()):
+        assert isinstance(program.body(m), ast.Block)
+    assert len(ok.calls) == 1 and len(program.bindings) == 1
+    assert program.diagnostics == []
