@@ -4,7 +4,6 @@ parses each source root at most once."""
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections import deque
 from pathlib import Path
@@ -14,7 +13,7 @@ from . import __version__
 from .constructs import CTYPE, Construct, ConstructId, extract_constructs, is_version
 from .errors import MalformedArtifact, ManifestError, MissingDependency
 from .jx import JxError, parse_unit, parser, resolve
-from .workspace import check, leaf, load_json, one_of, read_text, shape
+from .workspace import check, framed_digest, leaf, load_json, one_of, read_text, shape
 
 APPLICATION = "APPLICATION"
 DEPENDENCY = "DEPENDENCY"
@@ -80,10 +79,9 @@ def parse_source_root(root: Path, origin_base: Path = None, bodies: bool = True)
 
 
 def extract_root(root: Path) -> dict:
-    """Parse and inventory one source root in isolation: its declarations
-    are resolved on their own, so its constructs do not depend on the rest
-    of the workspace (repackaging robustness). No body is bound."""
-    return extract_constructs(resolve(parse_source_root(root)))
+    """Parse and inventory one source root: its constructs do not depend on
+    the rest of the workspace (repackaging robustness)."""
+    return extract_constructs(parse_source_root(root))
 
 
 VERSION = leaf(is_version, "a dot-separated numeric version")
@@ -156,7 +154,7 @@ def build_bom(src: Sources) -> BOM:
     """Build the BOM: the application plus every archive of its resolved
     transitive dependency closure, each inventoried on its own (see extract_root)."""
     archives = [(Archive(data["name"], data["version"], DEPENDENCY if depth else APPLICATION,
-                         extract_constructs(resolve(src.units(root))), _declared_deps(data)),
+                         extract_constructs(src.units(root)), _declared_deps(data)),
                  depth)
                 for _, data, root, depth in src.archives]
     return BOM(archives[0][0], archives[1:], src.warnings)
@@ -167,21 +165,17 @@ def input_digest(src: Sources) -> str:
     resolves, in resolution order, and every source file of their source
     roots (see source_files), each as its workspace-relative path and its
     bytes; and over the vet version and the nesting bound, which change what
-    a build of the same files yields. A BOM or call graph stamped with the
-    digest of the current inputs is the one a build would make now."""
-    h = hashlib.sha256()
-
-    def put(*parts):
-        for part in parts:  # length-prefixed, so no two sequences collide
-            h.update(b"%d:" % len(part))
-            h.update(part)
-
-    put(__version__.encode(), str(parser.MAX_NESTING).encode())
-    for path, _, root, _ in src.archives:
-        put(Path(os.path.relpath(path, src.workspace)).as_posix().encode(), path.read_bytes())
-        for origin, source in source_files(root, src.workspace):
-            put(origin.encode(), source.read_bytes())
-    return h.hexdigest()
+    a build of the same files yields. Every part is length-prefixed (see
+    workspace.framed_digest). A BOM or call graph stamped with the digest of
+    the current inputs is the one a build would make now."""
+    def parts():
+        yield from (__version__.encode(), str(parser.MAX_NESTING).encode())
+        for path, _, root, _ in src.archives:
+            yield from (Path(os.path.relpath(path, src.workspace)).as_posix().encode(),
+                        path.read_bytes())
+            for origin, source in source_files(root, src.workspace):
+                yield from (origin.encode(), source.read_bytes())
+    return framed_digest(parts())
 
 
 def corpus_program(src: Sources, bodies: bool = True):

@@ -66,12 +66,18 @@ def _path(item: str) -> Path:
     return Path(item)
 
 
+def _name(item: str) -> str:
+    if not item:
+        raise argparse.ArgumentTypeError("expected a NAME, found ''")
+    return item
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="vet", description="usage-based vulnerability analysis "
                 "for application dependencies")
-    p.add_argument("--workspace", help="workspace root (default: "
+    p.add_argument("--workspace", type=_path, help="workspace root (default: "
                    "$VET_WORKSPACE or the current directory)")
-    p.add_argument("--kb", help="knowledge base directory (default: "
+    p.add_argument("--kb", type=_path, help="knowledge base directory (default: "
                    "<workspace>/kb)")
     p.add_argument("--version", action="version", version="vet " + __version__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -81,7 +87,7 @@ def _build_parser() -> _Parser:
 
     imp = kbsub.add_parser("import-fix", help="derive a change set from a "
                            "pre-fix and post-fix source tree")
-    imp.add_argument("--id", required=True, dest="vuln_id")
+    imp.add_argument("--id", required=True, dest="vuln_id", type=_name)
     imp.add_argument("--before", required=True, type=_path)
     imp.add_argument("--after", required=True, type=_path)
     imp.add_argument("--exclude", action="append", default=[], type=_exclusion,
@@ -93,7 +99,7 @@ def _build_parser() -> _Parser:
 
     rng = kbsub.add_parser("add-range", help="record a vulnerability without "
                            "a code change, by affected version range")
-    rng.add_argument("--id", required=True, dest="vuln_id")
+    rng.add_argument("--id", required=True, dest="vuln_id", type=_name)
     rng.add_argument("--affected", action="append", required=True, type=_affected,
                      metavar="LIB:LOW:HIGH")
     rng.add_argument("--description", default="")
@@ -102,7 +108,7 @@ def _build_parser() -> _Parser:
 
     idx = kbsub.add_parser("index-lib", help="inventory library versions for "
                            "update metrics and version screening")
-    idx.add_argument("--name", required=True)
+    idx.add_argument("--name", required=True, type=_name)
     idx.add_argument("--root", action="append", required=True, type=_version_root,
                      metavar="VERSION=PATH")
 
@@ -126,7 +132,7 @@ def _build_parser() -> _Parser:
 
     mit = sub.add_parser("mitigate", help="rank update candidates for a "
                          "dependency")
-    mit.add_argument("--lib", required=True)
+    mit.add_argument("--lib", required=True, type=_name)
 
     rep = sub.add_parser("report", help="assemble the report from the "
                          "workspace artifacts")

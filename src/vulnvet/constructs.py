@@ -1,9 +1,9 @@
 """Construct identity and fingerprinting.
 
 A construct is a package, class, interface, constructor, or method with a
-globally unique qualified name (methods and constructors carry their resolved
-parameter type list, e.g. ``foo.Bar.baz(int)``). Bodies are lowered to
-canonical trees so that textually different but token-identical code
+globally unique qualified name (methods and constructors carry their parameter
+type list as jx.ast.type_text spells it, e.g. ``foo.Bar.baz(int)``). Bodies are
+lowered to canonical trees so that textually different but token-identical code
 fingerprints identically, while any literal or identifier change is visible.
 """
 
@@ -13,7 +13,6 @@ from typing import NamedTuple, Optional
 
 from .canonical import CTree, digest
 from .jx import ast
-from .jx.resolver import ResolvedProgram
 from .workspace import one_of
 
 PACKAGE = "PACKAGE"
@@ -181,30 +180,32 @@ def interface_ctree(decl: ast.InterfaceDecl) -> CTree:
 # --- extraction ------------------------------------------------------------
 
 
-def extract_constructs(program: ResolvedProgram) -> dict:
-    """Inventory all constructs of a resolved unit set.
-
-    Returns an ordered map ConstructId -> Construct. Default constructors are
-    synthesized by the resolver and appear as CONSTRUCTOR constructs with an
-    empty body.
-    """
-    out = {}
+def extract_constructs(units) -> dict:
+    """Inventory all constructs of a set of parsed units from their
+    declarations alone, as an ordered map ConstructId -> Construct. As in the
+    resolver's tables, of types sharing a qname the first in (package,
+    origin) order counts, and of a type's members sharing a signature the last."""
+    units = sorted(units, key=lambda u: (u.package, u.origin))
+    # the first type of a qname is written last, so it stays
+    types = {u.package + "." + d.name: (u.package, d) for u in reversed(units) for d in u.decls}
+    out = {ConstructId(PACKAGE, u.package): Construct(None, None) for u in units}
 
     def put(cid, body):
         out[cid] = Construct(digest(body), body)
 
-    for pkg in sorted({u.package for u in program.units}):
-        out[ConstructId(PACKAGE, pkg)] = Construct(None, None)
-    for qname in sorted(program.symbols):
-        info = program.symbols[qname]
-        if info.is_interface:
-            put(ConstructId(INTERFACE, qname), interface_ctree(info.decl))
+    for qname in sorted(types):
+        pkg, decl = types[qname]
+        kinds = [(METHOD, decl.methods, method_ctree)]
+        if isinstance(decl, ast.InterfaceDecl):
+            put(ConstructId(INTERFACE, qname), interface_ctree(decl))
         else:
-            put(ConstructId(CLASS, qname), class_ctree(info.decl))
-            for sig in sorted(info.ctors):
-                put(member_id(CONSTRUCTOR, qname, sig), ctor_ctree(info.ctors[sig].decl))
-        for sig in sorted(info.methods):
-            put(member_id(METHOD, qname, sig), method_ctree(info.methods[sig].decl))
+            put(ConstructId(CLASS, qname), class_ctree(decl))
+            kinds.insert(0, (CONSTRUCTOR, decl.ctors, ctor_ctree))
+        for ctype, decls, ctree in kinds:
+            sigs = {ast.signature(d.name, [ast.type_text(p.type, pkg) for p in d.params]): d
+                    for d in decls}
+            for sig in sorted(sigs):
+                put(member_id(ctype, qname, sig), ctree(sigs[sig]))
     return out
 
 

@@ -30,6 +30,18 @@ class NamedType(NamedTuple):
 Type = Union[PrimType, NamedType]
 
 
+def type_text(t: Type, pkg: str) -> str:
+    """A type as ids spell it from its declaration in package pkg alone: a
+    primitive's name, a one-part name qualified with pkg, a dotted one as is."""
+    if isinstance(t, PrimType):
+        return t.name
+    return pkg + "." + t.parts[0] if len(t.parts) == 1 else t.text()
+
+
+def signature(name: str, types) -> str:  # the member part of a construct id
+    return "%s(%s)" % (name, ",".join(types))
+
+
 class Param:
     __slots__ = ("type", "name")
 

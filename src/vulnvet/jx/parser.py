@@ -11,6 +11,10 @@ Grammar:
     field     := type ID ["=" expr] ";"
     type      := "int" | "boolean" | "text" | "void" | qname
 
+A class that declares no constructor gets an empty one marked ``synthetic``.
+A type name is read alone (``ast.type_text``): in package ``p``, ``Foo`` names
+``p.Foo`` and a dotted name is fully qualified: ``a.Foo`` never names ``p.a.Foo``.
+
 Statements: block, local decl, assignment, expression, if/else, while, return.
 Expressions: literals, variable, field access, this, new, instance/static call,
 binary + - * / == != < >, and Reflect.invoke(target, args...).
@@ -144,6 +148,8 @@ class _Parser:
         while not self.at("}"):
             self.member(decl)
         self.expect("}")
+        if not decl.ctors:  # the default constructor
+            decl.ctors.append(ast.CtorDecl(name, [], ast.Block([], pos), pos, synthetic=True))
         return decl
 
     def interfacedecl(self) -> ast.InterfaceDecl:

@@ -3,9 +3,9 @@
 One object, ResolvedProgram, does all three: it resolves the declarations
 when built and binds each body when it is first asked for it.
 
-Types are represented as strings: the four primitives or the fully-qualified
-class/interface name. Method signatures are ``name(type,...)`` with resolved
-parameter types, which is also the member part of construct identifiers.
+Types are represented as strings: the four primitives or a class/interface
+name as ast.type_text spells it. Method signatures are ``name(type,...)``
+(ast.signature), also the member part of construct identifiers.
 """
 
 from __future__ import annotations
@@ -258,26 +258,11 @@ class ResolvedProgram:
                     decl=decl, unit=unit)
 
     def resolve_type_name(self, named: ast.NamedType, pkg: str) -> Optional[str]:
-        dotted = named.text()
-        if dotted in self.symbols:
-            return dotted
-        qualified = pkg + "." + dotted
-        if qualified in self.symbols:
-            return qualified
-        return None
+        """The corpus type named in package pkg (see ast.type_text), or None."""
+        qname = ast.type_text(named, pkg)
+        return qname if qname in self.symbols else None
 
-    def type_text(self, t, pkg: str) -> str:
-        """Resolved textual form of a declared type, for signatures and ids.
-        An unresolved one-part name can only name a type of the package: it
-        is qualified with it, as where one archive is resolved alone."""
-        if isinstance(t, ast.PrimType):
-            return t.name
-        resolved = self.resolve_type_name(t, pkg)
-        if resolved is not None:
-            return resolved
-        return pkg + "." + t.parts[0] if len(t.parts) == 1 else t.text()
-
-    # --- pass 2: supertypes, members, default constructors ---
+    # --- pass 2: supertypes and members ---
 
     def _build_members(self):
         for info in self.symbols.values():
@@ -309,26 +294,23 @@ class ResolvedProgram:
             for f in decl.fields:
                 if f.name in info.fields:
                     self.err("duplicate field %s" % f.name, f.pos, info.unit)
-                info.fields[f.name] = self.type_text(f.type, info.package)
+                info.fields[f.name] = ast.type_text(f.type, info.package)
             for m in decl.methods:
                 self._add_method(info, m)
-            if not decl.ctors:
-                decl.ctors.append(ast.CtorDecl(decl.name, [], ast.Block([], decl.pos),
-                                               decl.pos, synthetic=True))
             for c in decl.ctors:
-                ptypes = [self.type_text(p.type, info.package) for p in c.params]
-                sig = "%s(%s)" % (c.name, ",".join(ptypes))
+                ptypes = [ast.type_text(p.type, info.package) for p in c.params]
+                sig = ast.signature(c.name, ptypes)
                 if sig in info.ctors:
                     self.err("duplicate constructor %s" % sig, c.pos, info.unit)
                 info.ctors[sig] = MethodInfo(info.qname, sig, False, "void", ptypes, c)
 
     def _add_method(self, info: TypeInfo, m: ast.MethodDecl):
-        ptypes = [self.type_text(p.type, info.package) for p in m.params]
-        sig = "%s(%s)" % (m.name, ",".join(ptypes))
+        ptypes = [ast.type_text(p.type, info.package) for p in m.params]
+        sig = ast.signature(m.name, ptypes)
         if sig in info.methods:
             self.err("duplicate method %s in %s" % (sig, info.qname), m.pos, info.unit)
         info.methods[sig] = MethodInfo(info.qname, sig, m.static,
-                                       self.type_text(m.rettype, info.package), ptypes, m)
+                                       ast.type_text(m.rettype, info.package), ptypes, m)
 
     def _check_acyclic(self):
         """Report and drop every supertype edge that closes an inheritance
@@ -408,7 +390,7 @@ class ResolvedProgram:
         if isinstance(s, ast.Block):
             self.bind_block(s, env, info, rettype)
         elif isinstance(s, ast.LocalDecl):
-            t = self.type_text(s.type, info.package)
+            t = ast.type_text(s.type, info.package)
             if isinstance(s.type, ast.NamedType) and t not in self.symbols:
                 self.err("unknown type %s" % s.type.text(), s.pos, unit)
                 t = ERROR_TYPE
@@ -510,7 +492,7 @@ class ResolvedProgram:
                 return ERROR_TYPE
             if ERROR_TYPE in argts:
                 return tq
-            sig = "%s(%s)" % (self.symbols[tq].decl.name, ",".join(argts))
+            sig = ast.signature(self.symbols[tq].decl.name, argts)
             if sig not in self.symbols[tq].ctors:
                 self.err("no constructor %s in %s" % (sig, tq), e.pos, unit)
                 return tq
@@ -562,7 +544,7 @@ class ResolvedProgram:
             if as_type is None:  # a receiver that is not a type may hold calls
                 self.bind_expr(e.recv, env, info)
             return ERROR_TYPE
-        sig = "%s(%s)" % (e.name, ",".join(argts))
+        sig = ast.signature(e.name, argts)
         if as_type is not None:
             tinfo = self.symbols[as_type]
             m = tinfo.methods.get(sig)

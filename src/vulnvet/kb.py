@@ -18,7 +18,7 @@ from .constructs import CTYPE, ConstructId, version_key, version_newer
 from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
-from .workspace import check, json_text, load_json, one_of, shape, write_atomic
+from .workspace import check, framed_digest, json_text, load_json, one_of, shape, write_atomic
 
 CODE_CHANGE = "CODE_CHANGE"
 WHOLE_LIBRARY = "WHOLE_LIBRARY"
@@ -91,12 +91,18 @@ def _stored_tree(text, where: str, cid: ConstructId, key: str):
 
 
 def _change_from_json(data, where: str) -> ConstructChange:
-    """The change of an entry RECORD accepts."""
+    """The change of an entry RECORD accepts. A stored tree's text must
+    hash to its fingerprint, checked without decoding it."""
     cid = ConstructId(data["ctype"], data["qname"])
     if data["op"] == MOD and data.get("fpVuln") != data.get("fpFixed") \
             and not (data.get("astVuln") and data.get("astFixed")):
         raise MalformedRecord("%s: MOD of %s changes its fingerprint but lacks a tree"
                               % (where, cid))
+    for key, fp in (("astVuln", "fpVuln"), ("astFixed", "fpFixed")):
+        text = data.get(key)
+        if text and hashlib.sha256(text.encode("utf-8")).hexdigest() != data.get(fp):
+            raise MalformedRecord("%s: %s of %s is not the SHA-256 of its %s"
+                                  % (where, fp, cid, key))
     trees = [_stored_tree(data.get(key), where, cid, key) for key in ("astVuln", "astFixed")]
     return ConstructChange(cid, data["op"], *trees, data.get("fpVuln"), data.get("fpFixed"))
 
@@ -278,9 +284,9 @@ class KnowledgeBase:
     # --- provenance stamp ---
 
     def digest(self) -> str:
-        """Content hash over the whole document set, for report stamping."""
-        h = hashlib.sha256()
-        for path in sorted(self.root.rglob("*.json")):
-            h.update(str(path.relative_to(self.root)).encode())
-            h.update(path.read_bytes())
-        return h.hexdigest()
+        """Content hash over the whole document set, for report stamping: each
+        document as its POSIX path under the root and its bytes, every part
+        length-prefixed (see workspace.framed_digest)."""
+        return framed_digest(part for path in sorted(self.root.rglob("*.json"))
+                             for part in (path.relative_to(self.root).as_posix().encode(),
+                                          path.read_bytes()))

@@ -8,6 +8,7 @@ byte-identical. Every JSON document vet reads is checked against a shape.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -30,6 +31,14 @@ def read_text(path: Path, error) -> str:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error("%s: line %d is not UTF-8 text" % (path, line)) from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+
+
+def framed_digest(parts) -> str:
+    """SHA-256 over byte strings, each length-prefixed: no two sequences share it."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(b"%d:%s" % (len(part), part))
+    return h.hexdigest()
 
 
 def write_atomic(path: Path, text: str) -> Path:

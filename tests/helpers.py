@@ -451,6 +451,39 @@ def jx_hierarchies(draw, max_types=6):
     return "package h;\n" + "\n".join(decls) + "\n"
 
 
+@st.composite
+def jx_declarations(draw, max_units=4):
+    """(origin, source) of units in packages ``p``, ``p.a`` and ``q`` whose
+    types share simple names across units, so qualified names repeat, and
+    whose members repeat signatures and take types named plainly, dotted
+    fully or package-relatively, or not at all (``Missing``, ``x.y.Z``)."""
+    types = st.sampled_from(["int", "text", "A", "Foo", "a.Foo", "p.a.Foo", "q.B",
+                             "Missing", "x.y.Z"])
+
+    def params():
+        drawn = draw(st.lists(types, max_size=2))
+        return ", ".join("%s x%d" % (t, i) for i, t in enumerate(drawn))
+    units = []
+    for i in range(draw(st.integers(1, max_units))):
+        decls = []
+        for name in draw(st.lists(st.sampled_from(["A", "B", "Foo"]), min_size=1,
+                                  max_size=3, unique=True)):
+            methods = [(draw(types), draw(st.sampled_from(["m", "n"])), params())
+                       for _ in range(draw(st.integers(0, 3)))]
+            if draw(st.booleans()):
+                decls.append("interface %s {%s }" % (name, "".join(
+                    " %s %s(%s);" % m for m in methods)))
+                continue
+            members = ["%s(%s) { }" % (name, params())
+                       for _ in range(draw(st.integers(0, 2)))]
+            members += ["%s%s %s(%s) { }" % (draw(st.sampled_from(["", "static "])), *m)
+                        for m in methods]
+            decls.append("class %s { %s }" % (name, " ".join(members)))
+        package = draw(st.sampled_from(["p", "p.a", "q"]))
+        units.append(("u%d.jx" % i, "package %s;\n%s\n" % (package, "\n".join(decls))))
+    return units
+
+
 # --- random JX program model (rendered to source text) ---
 
 class ProgramModel:

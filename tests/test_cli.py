@@ -2,6 +2,7 @@
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import GOLDEN, UPDATE, copy_workspace, deep_bodies
+from helpers import GOLDEN, UPDATE, copy_workspace, deep_bodies, small_workload
 from vulnvet import bom, cli
 from vulnvet import kb as kb_module
 from vulnvet.cli import main as vet
@@ -213,25 +214,34 @@ def test_main_builds_no_parser(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("argv, option", [
-    (["add-range", "--id", "X", "--affected", "lib2:1.0:1.9", "--affected", "foo"],
+    (["kb", "add-range", "--id", "X", "--affected", "lib2:1.0:1.9", "--affected", "foo"],
      "--affected"),
-    (["import-fix", "--id", "X", "--before", str(GOLDEN / "fixes/j1/before"),
+    (["kb", "import-fix", "--id", "X", "--before", str(GOLDEN / "fixes/j1/before"),
       "--after", str(GOLDEN / "fixes/j1/after"), "--exclude", "FIELD:x"], "--exclude"),
-    (["index-lib", "--name", "z", "--root", "1.0=%s" % (GOLDEN / "fixes/j1/after"),
+    (["kb", "index-lib", "--name", "z", "--root", "1.0=%s" % (GOLDEN / "fixes/j1/after"),
       "--root", "1.0"], "--root"),
-    (["add-range", "--id", "X", "--affected", ":1.0:1.1"], "--affected"),
-    (["import-fix", "--id", "X", "--before", str(GOLDEN / "fixes/j1/before"),
+    (["kb", "add-range", "--id", "X", "--affected", ":1.0:1.1"], "--affected"),
+    (["kb", "import-fix", "--id", "X", "--before", str(GOLDEN / "fixes/j1/before"),
       "--after", str(GOLDEN / "fixes/j1/after"), "--exclude", "METHOD:"], "--exclude"),
     # an empty PATH would read the current directory
-    (["index-lib", "--name", "z", "--root", "1.0="], "--root"),
-    (["import-fix", "--id", "X", "--before", "", "--after", str(GOLDEN / "fixes/j1/after")],
+    (["kb", "index-lib", "--name", "z", "--root", "1.0="], "--root"),
+    (["kb", "import-fix", "--id", "X", "--before", "", "--after", str(GOLDEN / "fixes/j1/after")],
      "--before"),
-    (["import-fix", "--id", "X", "--before", str(GOLDEN / "fixes/j1/before"), "--after", ""],
+    (["kb", "import-fix", "--id", "X", "--before", str(GOLDEN / "fixes/j1/before"), "--after", ""],
      "--after"),
+    # an empty value of any other option is refused the same way
+    (["--workspace", "", "kb", "list"], "--workspace"),
+    (["--kb", "", "kb", "list"], "--kb"),
+    (["kb", "import-fix", "--id", "", "--before", str(GOLDEN / "fixes/j1/before"),
+      "--after", str(GOLDEN / "fixes/j1/after")], "--id"),
+    (["kb", "add-range", "--id", "", "--affected", "lib2:1.0:1.9"], "--id"),
+    (["kb", "index-lib", "--name", "", "--root", "1.0=%s" % (GOLDEN / "fixes/j1/after")],
+     "--name"),
+    (["mitigate", "--lib", ""], "--lib"),
 ])
 def test_a_malformed_option_item_is_a_usage_error(tmp_path, capsys, argv, option):
     with pytest.raises(SystemExit) as info:
-        vet(["--workspace", str(tmp_path), "kb", *argv])
+        vet(["--workspace", str(tmp_path), *argv])
     assert info.value.code == 64
     assert "error: argument %s: expected " % option in capsys.readouterr().err
     assert not (tmp_path / "kb").exists()
@@ -458,7 +468,9 @@ def test_scan_rejects_stored_tree_that_does_not_decode(tmp_path, capsys):
     path = ws / "kb/vulns/VULN-J1.json"
     data = json.loads(path.read_text())
     for change in data["changes"]:
-        change["astVuln"] = "(" + change["astVuln"]
+        if change["ctype"] == "METHOD":  # a fixed side that does not decode, fingerprinted
+            change["astFixed"] = "(" + change["astFixed"]
+            change["fpFixed"] = hashlib.sha256(change["astFixed"].encode()).hexdigest()
     path.write_text(json.dumps(data))
     # the installed body equals the vulnerable side by digest: nothing decodes
     assert vet(["--workspace", str(ws), "scan"]) == 1
@@ -469,6 +481,24 @@ def test_scan_rejects_stored_tree_that_does_not_decode(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "VULN-J1" in err and "fw.Engine.renderError()" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["fpVuln", "fpFixed"])
+def test_a_fingerprint_that_is_not_the_hash_of_its_tree_is_rejected(tmp_path, capsys, key):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    path = ws / "kb/vulns/VULN-J1.json"
+    data = json.loads(path.read_text())
+    change = next(c for c in data["changes"] if c["ctype"] == "METHOD")
+    change[key] = hashlib.sha256(b"another body").hexdigest()
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    # an exact match would otherwise read as CLOSER_TO_VULNERABLE at distance 0
+    for step in (["scan"], ["kb", "list"]):
+        assert vet(["--workspace", str(ws), *step]) == 3
+        err = capsys.readouterr().err
+        assert "VULN-J1.json" in err and "%s of METHOD:fw.Engine.renderError()" % key in err
+        assert "Traceback" not in err
 
 
 def test_bad_versions_are_rejected_when_ingested(tmp_path, capsys):
@@ -633,12 +663,13 @@ def test_manifest_versions_are_validated(tmp_path, capsys, manifest, edit):
 @pytest.mark.parametrize("argv, named", [
     (["add-range", "--id", "GHSA/abc", "--affected", "libA:1.0:1.0"], "'GHSA/abc'"),
     (["add-range", "--id", "GHSA\\abc", "--affected", "libA:1.0:1.0"], "'GHSA\\\\abc'"),
-    (["add-range", "--id", "", "--affected", "libA:1.0:1.0"], "''"),
+    (["add-range", "--id", "GHSA\0abc", "--affected", "libA:1.0:1.0"], "'GHSA\\x00abc'"),
     (["add-range", "--id", ".hidden", "--affected", "libA:1.0:1.0"], "'.hidden'"),
     (["add-range", "--id", "VULN-W", "--affected", "libA:2.0:1.0"], "libA:2.0:1.0"),
     (["index-lib", "--name", "lib/A", "--root", "1.0=%s" % (UPDATE / "versions/2.0")],
      "'lib/A'"),
-    (["index-lib", "--name", "", "--root", "1.0=%s" % (UPDATE / "versions/2.0")], "''"),
+    (["index-lib", "--name", ".libA", "--root", "1.0=%s" % (UPDATE / "versions/2.0")],
+     "'.libA'"),
 ])
 def test_what_the_kb_could_not_read_back_is_not_stored(tmp_path, capsys, argv, named):
     ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
@@ -801,6 +832,63 @@ def test_inventories_bind_no_body_and_scan_binds_each_member_once(tmp_path, monk
     members = [m for info in program.symbols.values() if not info.is_interface
                for m in (*info.ctors.values(), *info.methods.values())]
     assert sorted(id(m) for _p, m in bound) == sorted(map(id, members))
+
+
+def test_scan_resolves_once_and_the_kb_inventories_never(tmp_path, monkeypatch):
+    built = []  # the command running as each ResolvedProgram is built
+    real = ResolvedProgram.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(command)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResolvedProgram, "__init__", init)
+    command = "kb"
+    _golden_with_index(tmp_path / "ws")  # kb import-fix twice and kb index-lib
+    command = "scan"
+    _run(tmp_path / "ws", SCAN)
+    assert built == ["scan"]
+
+
+def test_a_dotted_type_name_is_spelled_alike_in_the_bom_and_the_graph(tmp_path, capsys):
+    # a dotted name is fully qualified: in package p, a.Foo never names p.a.Foo
+    ws = tmp_path / "ws"
+    for path, text in {
+        "app.json": json.dumps({"name": "app", "version": "1.0", "sourceRoot": "src",
+                                "dependencies": [{"name": "lib", "version": "1.0"}]}),
+        "src/B.jx": "package p;\nclass B {\n    static int run(a.Foo f) {\n"
+                    "        a.Foo g = f;\n        return 1;\n    }\n}\n",
+        "libs/lib/1.0/lib.json": json.dumps({"name": "lib", "version": "1.0",
+                                             "sourceRoot": "src"}),
+        "libs/lib/1.0/src/Foo.jx": "package p.a;\nclass Foo { }\n"}.items():
+        (ws / path).parent.mkdir(parents=True, exist_ok=True)
+        (ws / path).write_text(text)
+    capsys.readouterr()
+    _run(ws, SCAN, STATIC)
+    err = capsys.readouterr().err
+    assert "resolve: src/B.jx:4:9: unknown type a.Foo" in err.splitlines()
+    bom_ids = [c["qname"] for a in _vet_json(ws, "bom.json")["archives"]
+               for c in a["constructs"] if c["ctype"] == "METHOD"]
+    nodes = [n["qname"] for n in _vet_json(ws, "graph.json")["nodes"]
+             if n["ctype"] == "METHOD"]
+    assert bom_ids == nodes == ["p.B.run(a.Foo)"]
+    assert _vet_json(ws, "reach-static.json")["skippedSeeds"] == []
+
+
+def _vet_json(ws, name):
+    return json.loads((ws / ".vet" / name).read_text())
+
+
+@pytest.mark.parametrize("workload", ["corpus", "kb-drift", "trace-heavy"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_every_application_member_of_the_bom_is_a_graph_node(tmp_path, workload, seed):
+    ws = small_workload(tmp_path, workload, seed)
+    _run(ws, SCAN)
+    app = _vet_json(ws, "bom.json")["archives"][0]
+    members = {(c["ctype"], c["qname"]) for c in app["constructs"]
+               if c["ctype"] in ("METHOD", "CONSTRUCTOR")}
+    nodes = {(n["ctype"], n["qname"]) for n in _vet_json(ws, "graph.json")["nodes"]}
+    assert members and members <= nodes
 
 
 def test_a_workspace_spelled_through_a_symlink_gives_the_same_artifacts(tmp_path, builds,

@@ -2,21 +2,24 @@
 
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from helpers import GOLDEN, UPDATE, random_program
+from helpers import GOLDEN, UPDATE, jx_declarations, random_program
+from printer import pretty_print
 from vulnvet.bom import Sources, build_bom
 from vulnvet.callgraph import Edge
-from vulnvet.canonical import CTree
+from vulnvet.canonical import CTree, digest
 from vulnvet.constructs import (CALLABLE_CTYPES, CLASS, CONSTRUCTOR, INTERFACE, METHOD,
-                                PACKAGE, ConstructId, extract_constructs, guess_ctype,
-                                member_id, split_member, version_key, version_newer)
+                                PACKAGE, ConstructId, class_ctree, ctor_ctree,
+                                extract_constructs, guess_ctype, interface_ctree,
+                                member_id, method_ctree, split_member, version_key,
+                                version_newer)
 from vulnvet.jx import parse_unit, resolve
 from vulnvet.traces import TraceEvent
 
 
 def _extract(src, origin="u.jx"):
-    return extract_constructs(resolve([parse_unit(src, origin)]))
+    return extract_constructs([parse_unit(src, origin)])
 
 
 def test_minimal_class_enumeration():
@@ -89,6 +92,51 @@ def test_declaration_count_oracle():
         classes = len(model.classes)
         # one package + one class, one synthesized ctor, and every method
         assert len(cons) == 1 + classes * 2 + methods
+
+
+def _resolved_inventory(program):
+    """Construct id -> fingerprint, read off the resolver's tables."""
+    out = {ConstructId(PACKAGE, u.package): None for u in program.units}
+    for qname, info in program.symbols.items():
+        if info.is_interface:
+            out[ConstructId(INTERFACE, qname)] = digest(interface_ctree(info.decl))
+        else:
+            out[ConstructId(CLASS, qname)] = digest(class_ctree(info.decl))
+        for sig, m in info.ctors.items():
+            out[member_id(CONSTRUCTOR, qname, sig)] = digest(ctor_ctree(m.decl))
+        for sig, m in info.methods.items():
+            out[member_id(METHOD, qname, sig)] = digest(method_ctree(m.decl))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(jx_declarations())
+def test_inventory_from_declarations_equals_the_resolved_one(sources):
+    # ids from the declarations alone are those the resolver derives: the
+    # same types, members (the last of a repeated signature) and spellings
+    units = [parse_unit(src, origin) for origin, src in sources]
+
+    def trees():  # the printer leaves out default constructors
+        return [(pretty_print(u), [len(getattr(d, "ctors", ())) for d in u.decls])
+                for u in units]
+    parsed = trees()
+    inventory = extract_constructs(units)
+    program = resolve(units)
+    assert trees() == parsed  # resolve changed no tree
+    assert {cid: c.fingerprint for cid, c in inventory.items()} == \
+        _resolved_inventory(program)
+    assert list(inventory) == list(extract_constructs(list(reversed(units))))
+
+
+def test_a_dotted_type_is_fully_qualified_and_a_plain_one_is_the_packages():
+    units = [parse_unit("package p.a; class Foo { }", "foo.jx"),
+             parse_unit("package p; class Foo { } class B { static int run(a.Foo f, "
+                        "Foo g, p.a.Foo h) { return 1; } }", "b.jx")]
+    run = "p.B.run(a.Foo,p.Foo,p.a.Foo)"
+    assert ConstructId(METHOD, run) in extract_constructs(units)
+    assert ConstructId(METHOD, run) in extract_constructs(units[1:])
+    program = resolve(units)
+    assert list(program.symbols["p.B"].methods) == ["run(a.Foo,p.Foo,p.a.Foo)"]
 
 
 def test_version_ordering():

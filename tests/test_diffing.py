@@ -10,11 +10,11 @@ from vulnvet.diffing import (ADD, CLOSER_TO_FIXED, CLOSER_TO_VULNERABLE, DEL,
                              EQUALS_FIXED, EQUALS_VULNERABLE, MOD, TIE,
                              ConstructChange, classify, construct_changes)
 from vulnvet.errors import EmptyRange
-from vulnvet.jx import parse_unit, resolve
+from vulnvet.jx import parse_unit
 
 
 def _inv(src):
-    return extract_constructs(resolve([parse_unit(src, "u.jx")]))
+    return extract_constructs([parse_unit(src, "u.jx")])
 
 
 BEFORE = "package p; class A { int m() { return 1; } int k() { return 9; } }"

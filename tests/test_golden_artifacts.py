@@ -10,8 +10,10 @@ before reach static runs. A refactor that changes any byte of them changes
 behaviour. The trace summary was added later, and is checked against the
 summary of the pinned trace log. The BOM and the two stored knowledge-base
 records, with their trees and fingerprints, were pinned before construct
-fingerprinting lost its wrapper and archives their source roots.
-Regenerate them only for an intended change of the artifact format, and
+fingerprinting lost its wrapper and archives their source roots. The
+reports' kbDigest was re-pinned when the knowledge-base digest began to
+frame each document's path and bytes, so that two knowledge bases can no
+longer share it. Regenerate them only for an intended change of the artifact format, and
 say so in the change log."""
 
 import json

@@ -258,7 +258,7 @@ def _bom_for(src):
     unit = parse_unit(src, "app.jx")
     program = resolve([unit])
     assert program.bind_all().diagnostics == []
-    app = Archive("a", "1.0", APPLICATION, extract_constructs(program))
+    app = Archive("a", "1.0", APPLICATION, extract_constructs([unit]))
     return BOM(app, []), program
 
 

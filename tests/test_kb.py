@@ -116,6 +116,17 @@ def test_kb_digest_tracks_content(tmp_path):
     assert kb.digest() != first
 
 
+def test_kb_digest_frames_each_path_and_its_bytes(tmp_path):
+    # unframed, both sets hash the bytes libs/a.jsonAvulns/b.jsonB
+    one, two = tmp_path / "one", tmp_path / "two"
+    (one / "libs").mkdir(parents=True)
+    (one / "libs/a.json").write_bytes(b"Avulns/b.jsonB")
+    for path, data in (("libs/a.json", b"A"), ("vulns/b.json", b"B")):
+        (two / path).parent.mkdir(parents=True, exist_ok=True)
+        (two / path).write_bytes(data)
+    assert KnowledgeBase(one).digest() != KnowledgeBase(two).digest()
+
+
 def test_documents_are_stable_json(tmp_path):
     kb = build_golden_kb(tmp_path / "kb")
     path = tmp_path / "kb/vulns/VULN-J1.json"
