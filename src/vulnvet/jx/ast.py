@@ -214,13 +214,16 @@ Stmt = Union[Block, LocalDecl, Assign, ExprStmt, If, While, Return]
 # --- declarations ----------------------------------------------------------
 
 class Unparsed:
-    """A member body the parser skipped: the token list of its unit and the
-    index of the body's opening brace in it (see parser.parse_body)."""
-    __slots__ = ("tokens", "start", "origin")
+    """A member body the lexer skipped: the source of its unit, the range
+    ``start:stop`` from the body's opening brace to after its closing one,
+    and that brace's (line, col) (see parser.parse_body)."""
+    __slots__ = ("source", "start", "stop", "pos", "origin")
 
-    def __init__(self, tokens: list, start: int, origin: str):
-        self.tokens = tokens
+    def __init__(self, source: str, start: int, stop: int, pos: Pos, origin: str):
+        self.source = source
         self.start = start
+        self.stop = stop
+        self.pos = pos
         self.origin = origin
 
 

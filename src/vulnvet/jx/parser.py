@@ -23,10 +23,11 @@ Nesting deeper than MAX_NESTING levels is a ParseError, and so are an integer
 literal above ast.INT_MAX and a method named like its type, whose qualified
 name could equal a constructor's.
 
-``parse_unit(..., bodies=False)`` parses declarations only and keeps each
-method and constructor body as an ``ast.Unparsed`` token range, matched by
-its braces alone, which ``parse_body`` parses when it is needed. It reports
-no error inside a body, so it suits only source already parsed whole.
+``parse_unit(..., bodies=False)`` parses declarations only. It lexes in the
+lexer's declarations mode, which skips each method and constructor body by
+its braces alone, and keeps the body as an ``ast.Unparsed`` character range,
+which ``parse_body`` lexes and parses when it is needed. It reports no error
+inside a body, so it suits only source already parsed whole.
 
 The parser does not distinguish static calls from instance calls on a field
 chain; `a.b.c(x)` is parsed as a method call whose receiver is a name chain,
@@ -55,10 +56,10 @@ _PRECEDENCE = {"==": 1, "!=": 1, "<": 2, ">": 2, "+": 3, "-": 3, "*": 4, "/": 4}
 
 
 class _Parser:
-    def __init__(self, tokens, origin, bodies=True):
+    def __init__(self, tokens, origin, source=""):
         self.tokens = tokens  # ends with EOF, so the token after any other exists
         self.origin = origin
-        self.bodies = bodies  # False: member bodies are skipped (see body)
+        self.source = source  # the text of any BODY token's range
         self.i = 0
         self.depth = 0  # nesting depth of the node being parsed
         self.deepest = 0  # deepest expression node of the innermost open expression
@@ -203,25 +204,12 @@ class _Parser:
             decl.fields.append(ast.FieldDecl(rettype, name, init, pos))
 
     def body(self):
-        """A member body: its Block, or while bodies are skipped, its
-        Unparsed range, which ends after the brace that closes the first."""
-        if self.bodies:
+        """A member body: its Block, or for a BODY token, its Unparsed range."""
+        tok = self.tokens[self.i]
+        if tok.kind != "BODY":
             return self.block()
-        tokens, start = self.tokens, self.i
-        self.expect("{")
-        i, depth = self.i, 1
-        while depth:
-            kind = tokens[i][0]
-            if kind == "{":
-                depth += 1
-            elif kind == "}":
-                depth -= 1
-            elif kind == "EOF":
-                self.i = i
-                self.fail("expected }, found 'end of input'")
-            i += 1
-        self.i = i
-        return ast.Unparsed(tokens, start, self.origin)
+        self.i += 1
+        return ast.Unparsed(self.source, *tok.value, tok[2:], self.origin)
 
     def method_name(self, tok: Token, type_name: str) -> str:
         """The name ``tok`` gives a method of ``type_name``, unless it is
@@ -440,11 +428,11 @@ class _Parser:
 def parse_unit(source: str, origin: str = "<source>", bodies: bool = True) -> ast.SourceUnit:
     """Parse one JX compilation unit; raises ParseError with line/column.
     With ``bodies`` False, member bodies stay Unparsed (see the module doc)."""
-    return _Parser(tokenize(source, origin), origin, bodies).unit()
+    return _Parser(tokenize(source, origin, bodies=bodies), origin, source).unit()
 
 
 def parse_body(body: ast.Unparsed) -> ast.Block:
-    """The Block of a body that parse_unit left unparsed."""
-    p = _Parser(body.tokens, body.origin)
-    p.i = body.start
-    return p.block()
+    """The Block of a body that parse_unit left unparsed, lexed from its range
+    with the positions of the whole unit."""
+    tokens = tokenize(body.source[body.start:body.stop], body.origin, *body.pos)
+    return _Parser(tokens, body.origin).block()

@@ -266,51 +266,60 @@ class ResolvedProgram:
 
     def _build_members(self):
         for info in self.symbols.values():
-            decl = info.decl
+            decl, unknown = info.decl, []  # (member position, name) of unknown signature types
             if info.is_interface:
                 for m in decl.methods:
-                    self._add_method(info, m)
-                continue
-            supers = []
-            if decl.extends is not None:
-                sup = self.resolve_type_name(decl.extends, info.package)
-                if sup is None:
-                    self.err("unknown supertype %s" % decl.extends.text(), decl.pos, info.unit)
-                elif self.symbols[sup].is_interface:
-                    self.err("class %s extends interface %s" % (info.qname, sup),
-                             decl.pos, info.unit)
-                else:
-                    supers.append(sup)
-            for iface in decl.implements:
-                it = self.resolve_type_name(iface, info.package)
-                if it is None:
-                    self.err("unknown interface %s" % iface.text(), decl.pos, info.unit)
-                elif not self.symbols[it].is_interface:
-                    self.err("class %s implements non-interface %s" % (info.qname, it),
-                             decl.pos, info.unit)
-                else:
-                    supers.append(it)
-            info.supertypes = supers
-            for f in decl.fields:
-                if f.name in info.fields:
-                    self.err("duplicate field %s" % f.name, f.pos, info.unit)
-                info.fields[f.name] = ast.type_text(f.type, info.package)
-            for m in decl.methods:
-                self._add_method(info, m)
-            for c in decl.ctors:
-                ptypes = [ast.type_text(p.type, info.package) for p in c.params]
-                sig = ast.signature(c.name, ptypes)
-                if sig in info.ctors:
-                    self.err("duplicate constructor %s" % sig, c.pos, info.unit)
-                info.ctors[sig] = MethodInfo(info.qname, sig, False, "void", ptypes, c)
+                    self._add_method(info, m, unknown)
+            else:
+                supers = []
+                if decl.extends is not None:
+                    sup = self.resolve_type_name(decl.extends, info.package)
+                    if sup is None:
+                        self.err("unknown supertype %s" % decl.extends.text(), decl.pos, info.unit)
+                    elif self.symbols[sup].is_interface:
+                        self.err("class %s extends interface %s" % (info.qname, sup),
+                                 decl.pos, info.unit)
+                    else:
+                        supers.append(sup)
+                for iface in decl.implements:
+                    it = self.resolve_type_name(iface, info.package)
+                    if it is None:
+                        self.err("unknown interface %s" % iface.text(), decl.pos, info.unit)
+                    elif not self.symbols[it].is_interface:
+                        self.err("class %s implements non-interface %s" % (info.qname, it),
+                                 decl.pos, info.unit)
+                    else:
+                        supers.append(it)
+                info.supertypes = supers
+                for f in decl.fields:
+                    if f.name in info.fields:
+                        self.err("duplicate field %s" % f.name, f.pos, info.unit)
+                    info.fields[f.name] = self._type(f.type, info, f.pos, unknown)
+                for m in decl.methods:
+                    self._add_method(info, m, unknown)
+                for c in decl.ctors:
+                    ptypes = [self._type(p.type, info, c.pos, unknown) for p in c.params]
+                    sig = ast.signature(c.name, ptypes)
+                    if sig in info.ctors:
+                        self.err("duplicate constructor %s" % sig, c.pos, info.unit)
+                    info.ctors[sig] = MethodInfo(info.qname, sig, False, "void", ptypes, c)
+            for pos, name in sorted(unknown, key=lambda u: u[0]):  # in source order
+                self.err("unknown type %s" % name, pos, info.unit)
 
-    def _add_method(self, info: TypeInfo, m: ast.MethodDecl):
-        ptypes = [ast.type_text(p.type, info.package) for p in m.params]
+    def _add_method(self, info: TypeInfo, m: ast.MethodDecl, unknown: list):
+        rettype = self._type(m.rettype, info, m.pos, unknown)
+        ptypes = [self._type(p.type, info, m.pos, unknown) for p in m.params]
         sig = ast.signature(m.name, ptypes)
         if sig in info.methods:
             self.err("duplicate method %s in %s" % (sig, info.qname), m.pos, info.unit)
-        info.methods[sig] = MethodInfo(info.qname, sig, m.static,
-                                       ast.type_text(m.rettype, info.package), ptypes, m)
+        info.methods[sig] = MethodInfo(info.qname, sig, m.static, rettype, ptypes, m)
+
+    def _type(self, t, info: TypeInfo, pos, unknown: list) -> str:
+        """Type t as info's package spells it; if unknown, it joins ``unknown``."""
+        text = ast.type_text(t, info.package)
+        if isinstance(t, ast.NamedType) and text not in self.symbols:
+            unknown.append((pos, t.text()))
+        return text
 
     def _check_acyclic(self):
         """Report and drop every supertype edge that closes an inheritance

@@ -6,7 +6,8 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import deep_bodies, jx_hierarchies, naive_ancestors, random_program
+from helpers import (deep_bodies, jx_declarations, jx_hierarchies, naive_ancestors,
+                     random_program)
 from printer import pretty_print
 from vulnvet.jx import ParseError, ast, parse_unit, parser, resolve
 from vulnvet.jx.parser import MAX_NESTING
@@ -130,6 +131,38 @@ def test_resolver_unknown_name_diagnostic():
     program = resolve([parse_unit(src, "p.jx")])
     assert program.diagnostics == []  # the declarations are clean
     assert program.bind_all().diagnostics == ["p.jx:1:49: unknown name p.Missing"]
+
+
+def test_unknown_types_in_signatures_are_reported_at_their_members():
+    src = "package p; class B { a.Foo x; static a.Foo run(a.Foo f) { return f; } }"
+    program = resolve([parse_unit(src, "b.jx")])
+    assert program.diagnostics == ["b.jx:1:22: unknown type a.Foo"] + 2 * [
+        "b.jx:1:31: unknown type a.Foo"]
+    # constructors and interface methods too, in source order; a known type
+    # is not reported, and the ids keep the declaration's spelling
+    src = ("package p;\nclass C {\n  int m(Z z) { return 1; }\n  C(B b, x.Y y) { }\n"
+           "  B b;\n}\ninterface I { q.R f(int a, C c); }\nclass B { }\n")
+    program = resolve([parse_unit(src, "c.jx")])
+    assert program.bind_all().diagnostics == [
+        "c.jx:3:3: unknown type Z", "c.jx:4:3: unknown type x.Y", "c.jx:7:15: unknown type q.R"]
+    assert list(program.symbols["p.C"].ctors) == ["C(p.B,x.Y)"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(jx_declarations())
+def test_each_signature_type_resolves_or_has_one_diagnostic(sources):
+    program = resolve([parse_unit(src, origin) for origin, src in sources])
+    expected = []
+    for info in program.symbols.values():
+        decl = info.decl
+        for m in sorted([*getattr(decl, "fields", ()), *decl.methods, *getattr(decl, "ctors", ())],
+                        key=lambda m: m.pos):
+            types = [getattr(m, "type", None) or getattr(m, "rettype", None)]
+            types += [p.type for p in getattr(m, "params", ())]
+            expected += ["%s:%d:%d: unknown type %s" % (info.unit.origin, *m.pos, t.text())
+                         for t in types if isinstance(t, ast.NamedType)
+                         and ast.type_text(t, info.package) not in program.symbols]
+    assert [d for d in program.diagnostics if "unknown type" in d] == expected
 
 
 def test_overloads_by_exact_types_only():

@@ -65,3 +65,62 @@ def test_non_decimal_digit_is_a_parse_error():
     # "²" is a digit to str.isdigit but not a number int() reads
     with pytest.raises(ParseError, match="unexpected character"):
         parse_unit("package p; class A { static int m() { return ²; } }", "p.jx")
+
+
+# Pieces of a member body: braces, quotes and slashes inside text literals and
+# comments (with \" and \\ escapes), division beside comments, CRLF and tabs,
+# non-ASCII identifiers; nested blocks come from _BODY itself.
+_BODY_PIECE = st.sampled_from([
+    *"ab_09 \t\n();,.=+-*<>", "\r\n", "é", "ñame", "x / y", "/", "a/", "//", "/*",
+    "// {\n", "// } \"\n", "/* { } \" */", "/*}*/", '"{"', '"}"', '"\\"}"', '"\\\\"',
+    '"a\\"{\\\\"', '"/*"', '"//"',
+])
+# and pieces that no body skip closes: the eager lexer rejects each
+_BAD_PIECE = st.sampled_from(['"', '"a\\q"', "/* open", '"a\nb"'])
+_BODY = st.recursive(
+    st.lists(_BODY_PIECE, max_size=12).map("".join),
+    lambda inner: st.lists(inner, max_size=3).map(lambda parts: "{" + " ".join(parts) + "}"),
+    max_leaves=8)
+
+
+@st.composite
+def _units(draw):
+    """A unit whose member bodies are drawn from _BODY, each opening mid-line."""
+    bodies = draw(st.lists(_BODY, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        bodies[-1] += draw(_BAD_PIECE)
+    layout = draw(st.sampled_from([" ", "\n", "\r\n\t", " /* { */ "]))
+    members = ["int f = 1 / 2;", "A() {%s}" % bodies[0]]
+    members += ["static int m%d(int a, text b)%s{%s}" % (i, layout, b)
+                for i, b in enumerate(bodies[1:])]
+    return ("package p; // {\nclass A extends B {" + layout + layout.join(members)
+            + layout + "}\ninterface I { int g(int a); }\n")
+
+
+def _lexed_on_entry(source, origin):
+    """The declarations-mode tokens of source, each body token replaced by the
+    tokens of its range lexed alone at its position."""
+    tokens = []
+    for tok in tokenize(source, origin, bodies=False):
+        if tok.kind == "BODY":
+            start, stop = tok.value
+            assert source[start] == "{" and source[stop - 1] == "}"
+            tokens += tokenize(source[start:stop], origin, tok.line, tok.col)[:-1]
+        else:
+            tokens.append(tok)
+    return tokens
+
+
+@settings(max_examples=300, deadline=None)
+@given(_units())
+def test_a_body_lexed_on_entry_gives_its_eager_tokens(source):
+    assert _lex(_lexed_on_entry, source) == _lex(tokenize, source)
+
+
+@pytest.mark.parametrize("source", [
+    "package p; class A { int m() { if (a) { b(); }",  # the body never closes
+    'package p; class A { int m() { x = "} } }\n',  # nor its text literal
+    "package p; class A { int m() { /* } } }",  # nor its comment
+])
+def test_a_body_the_skip_cannot_close_is_lexed_eagerly(source):
+    assert _lex(lambda s, o: tokenize(s, o, bodies=False), source) == _lex(tokenize, source)

@@ -18,7 +18,7 @@ from helpers import GOLDEN, copy_workspace, small_workload
 from vulnvet.bom import Sources, corpus_program
 from vulnvet.cli import main as vet
 from vulnvet.constructs import split_member
-from vulnvet.jx import resolver
+from vulnvet.jx import parser, resolver
 from vulnvet.traces import ingest_traces
 
 TRACE_OUTPUTS = ("traces.jsonl", "trace-summary.json", "test-failures.json")
@@ -121,3 +121,36 @@ def test_a_stale_stamp_reports_a_syntax_error_in_a_body_no_test_enters(tmp_path)
     assert (code, out) == (3, "")
     assert err == "vet: error: src/Never.jx:4:34: expected an expression, found ';'\n"
     assert _vet(ws, "scan") == (3, "", err)
+
+
+def test_a_stamped_trace_run_lexes_the_declarations_and_the_bodies_it_enters(
+        tmp_path, monkeypatch, parsed_bodies):
+    calls = []  # (mode, origin, tokens returned) of each tokenize call
+    real = parser.tokenize
+
+    def tokenize(source, origin, *position, bodies=True):
+        tokens = real(source, origin, *position, bodies=bodies)
+        mode = "body" if position else "eager" if bodies else "declarations"
+        calls.append((mode, origin, len(tokens)))
+        return tokens
+    monkeypatch.setattr(parser, "tokenize", tokenize)
+
+    def lexed(ws, *argv):
+        calls.clear()
+        assert _vet(ws, *argv)[0] in (0, 1)
+        return sorted(calls)
+
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    unstamped_ws = shutil.copytree(ws, tmp_path / "unstamped")
+    scanned = lexed(ws, "scan")
+    files = [origin for _mode, origin, _n in scanned]
+    assert len(set(files)) == len(files) > 1 and {m for m, _o, _n in scanned} == {"eager"}
+    stamped = lexed(ws, "trace", "run", "--pattern", "test")
+    assert [origin for mode, origin, _n in stamped if mode == "declarations"] == files
+    # a body is lexed where parse_body parses it: once per written body entered
+    entered = [origin for mode, origin, _n in stamped if mode == "body"]
+    assert len(entered) + len(files) == len(stamped)
+    assert entered == sorted(origin for origin, _start in parsed_bodies) != []
+    unstamped = lexed(unstamped_ws, "trace", "run", "--pattern", "test")
+    assert unstamped == scanned
+    assert sum(n for *_key, n in stamped) < sum(n for *_key, n in unstamped)
