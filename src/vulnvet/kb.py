@@ -200,7 +200,7 @@ class KnowledgeBase:
             if version_newer(lo, hi):
                 raise MalformedRecord("kb record %s: range %s:%s:%s covers no version: "
                                       "low is above high" % (record.vuln_id, n, lo, hi))
-        write_atomic(path, json_text(data))
+        write_atomic(path, (json_text(data),))
 
     def load_record(self, vuln_id: str) -> VulnerabilityRecord:
         """Read one record. Stored bodies stay canonical text until a
@@ -261,7 +261,7 @@ class KnowledgeBase:
             },
         }
         check(data, INDEX, "library %s" % index.name, MalformedRecord)
-        write_atomic(path, json_text(data))
+        write_atomic(path, (json_text(data),))
 
     def load_index(self, name: str) -> LibraryIndex:
         """Read one library index. Raises UnknownLibrary when there is none

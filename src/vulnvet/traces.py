@@ -3,6 +3,10 @@
 Each line: {"callee": qname, "ctype": "...", "caller": qname|null,
 "site": "file:line"|null, "test": text, "ts": integer}. A construct follows
 from its qualified name (``guess_ctype``); ``ctype`` is written for readers.
+Lines end at a line feed only (a raw U+2028 in a string is text). vet writes
+them as ``json.dumps(event, sort_keys=True)``, CHUNK events at a time,
+hashing the bytes written. Such a line with no escape is read by one regex
+(Mison, VLDB 2017); any other by ``json`` and ``EVENT``: errors stay theirs.
 
 The summary, ``.vet/trace-summary.json``, is {"inputs": SHA-256 of the trace
 file's bytes, "events": [...]}: the first event of each distinct (callee,
@@ -15,15 +19,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from sys import intern
 from typing import NamedTuple, Optional
 
 from .constructs import ConstructId, guess_ctype
 from .errors import MalformedArtifact, MalformedTraceLine
-from .workspace import Workspace, check, read_text, shape
+from .workspace import Workspace, check, read_text, shape, write_atomic
 
 SUMMARY = "trace-summary.json"
+CHUNK = 1024  # events written per chunk
 
 
 class TraceEvent(NamedTuple):
@@ -69,7 +76,7 @@ def normalize(log: TraceLog) -> TraceLog:
 
 
 _DECODER = json.JSONDecoder()
-_LINE = '{"callee": %s, "caller": %s, "ctype": %s, "site": %s, "test": %s, "ts": %d}'
+_LINE = '{"callee": %s, "caller": %s, "ctype": %s, "site": %s, "test": %s, "ts": %d}\n'
 
 
 def event_json(e: TraceEvent) -> dict:
@@ -93,31 +100,47 @@ def to_jsonl(log: TraceLog) -> str:
         site = "null" if e.site is None else _quote(e.site)
         lines.append(_LINE % (_quote(e.callee.qname), caller, _quote(e.callee.ctype), site,
                               _quote(e.test), e.ts))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(lines)
 
 
 _EVENT = {"callee": str, "ts": int, "test?": str,
           "caller?": (None, str), "site?": (None, str), "ctype?": (None, str)}
 EVENT = shape(_EVENT)
 _SUMMARY = shape({"events": [_EVENT]})
+# _LINE of texts needing no escape (printable ASCII but " and \) and <= 19 digits
+_CANONICAL = (r'\{"callee": "(?P<callee>%s)", "caller": (?:null|"(?P<caller>%s)"), '
+              r'"ctype": "(?P<ctype>%s)", "site": (?:null|"(?P<site>%s)"), '
+              r'"test": "(?P<test>%s)", "ts": (?P<ts>0|-?[1-9][0-9]{0,18})\}'
+              % ((r'[ !#-\[\]-~]*',) * 5))
+
+
+def canonical_decoder():
+    """A function giving the dict ``json`` decodes from a line as ``to_jsonl``
+    writes it with no escape, else None. The regex is compiled here, not at
+    import: most commands read no trace line."""
+    match = re.compile(_CANONICAL).fullmatch
+    return lambda line: (m := match(line)) and {**m.groupdict(), "ts": int(m["ts"])}
 
 
 def read_trace_lines(path: Path):
     """Yield (line number, event dict) for every non-blank line of a trace
-    file. Raises MalformedTraceLine at the first line that is not a valid
-    event, naming the file and the line."""
+    file, lines ending at a line feed. Raises MalformedTraceLine at the first line
+    that is not a valid event, naming the file and the line."""
     # only the lines stay alive, not the whole text too: trace files are large
-    lines = read_text(path, MalformedArtifact).splitlines()
-    decode = _DECODER.decode  # one decoder for every line
+    lines = read_text(path, MalformedArtifact).split("\n")
+    canonical = canonical_decoder()
+    decode = _DECODER.decode  # one decoder for every other line
     for line_no, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            data = decode(line)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedTraceLine("%s: trace line %d: %s" % (path, line_no, exc)) from None
-        if EVENT(data) is not None:  # the message is built for a bad line only
-            check(data, EVENT, "%s: trace line %d" % (path, line_no), MalformedTraceLine)
+        data = canonical(line)
+        if data is None:
+            if not line.strip():
+                continue
+            try:
+                data = decode(line)
+            except (ValueError, RecursionError) as exc:
+                raise MalformedTraceLine("%s: trace line %d: %s" % (path, line_no, exc)) from None
+            if EVENT(data) is not None:  # the message is built for a bad line only
+                check(data, EVENT, "%s: trace line %d" % (path, line_no), MalformedTraceLine)
         yield line_no, data
 
 
@@ -131,10 +154,11 @@ class _Ids(dict):
 
 
 def _events(items) -> list:
-    """TraceEvents of valid event dicts; a line's ``ctype`` is not read."""
+    """TraceEvents of valid event dicts, sharing names and texts; ``ctype`` is not read."""
     ids = _Ids()
     return [TraceEvent(ids[data["callee"]], ids[data["caller"]] if data.get("caller") else None,
-                       data.get("site"), data["ts"], data.get("test", ""))
+                       data.get("site") and intern(data["site"]), data["ts"],
+                       intern(data.get("test", "")))
             for data in items]
 
 
@@ -165,15 +189,19 @@ def summarize(log: TraceLog) -> TraceLog:
 def summary_json(log: TraceLog, text: str) -> dict:
     """The summary of a normalised log, stamped with the SHA-256 of its trace
     file text."""
-    return {"inputs": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-            "events": [event_json(e) for e in summarize(log).events]}
+    return _stamped(log, hashlib.sha256(text.encode("utf-8")).hexdigest())
+
+
+def _stamped(log: TraceLog, digest: str) -> dict:
+    return {"inputs": digest, "events": [event_json(e) for e in summarize(log).events]}
 
 
 def write_traces(ws: Workspace, log: TraceLog):
-    """Write a normalised log to .vet/traces.jsonl and its summary beside it."""
-    text = to_jsonl(log)
-    ws.write_text("traces.jsonl", text)
-    ws.write_json(SUMMARY, summary_json(log, text))
+    """Write a normalised log to .vet/traces.jsonl in chunks, and its summary beside it."""
+    events = log.events
+    digest = write_atomic(ws.artifact("traces.jsonl"), (to_jsonl(TraceLog(events[i:i + CHUNK]))
+                                                        for i in range(0, len(events), CHUNK)))
+    ws.write_json(SUMMARY, _stamped(log, digest))
 
 
 def load_summary(ws: Workspace) -> TraceLog:
@@ -184,7 +212,11 @@ def load_summary(ws: Workspace) -> TraceLog:
     path = ws.artifact("traces.jsonl")
     if not path.is_file():
         return TraceLog()
-    data = ws.read_stamped(SUMMARY, hashlib.sha256(path.read_bytes()).hexdigest(), _SUMMARY)
+    h = hashlib.sha256()
+    with open(path, "rb") as f:  # in chunks: the log is large
+        while chunk := f.read(1 << 16):
+            h.update(chunk)
+    data = ws.read_stamped(SUMMARY, h.hexdigest(), _SUMMARY)
     if data is not None:
         return TraceLog(_events(data["events"]))
     return summarize(ingest_traces(path))

@@ -41,14 +41,19 @@ def framed_digest(parts) -> str:
     return h.hexdigest()
 
 
-def write_atomic(path: Path, text: str) -> Path:
-    """Write text to path as UTF-8 through a temporary file beside it, so a
-    reader never sees a half-written file."""
+def write_atomic(path: Path, chunks) -> str:
+    """Write the text chunks to path as UTF-8 through a temporary file beside
+    it, so a reader never sees a half-written file. Returns the SHA-256 of
+    the bytes written. A whole text is one chunk: ``(text,)``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    h = hashlib.sha256()
+    with open(tmp, "wb") as f:
+        for data in map(str.encode, chunks):  # UTF-8; each text freed once encoded
+            h.update(data)
+            f.write(data)
     tmp.replace(path)
-    return path
+    return h.hexdigest()
 
 
 def json_text(data) -> str:
@@ -196,7 +201,9 @@ class Workspace:
         return self.artifact_dir / name
 
     def write_text(self, name: str, text: str) -> Path:
-        return write_atomic(self.artifact(name), text)
+        path = self.artifact(name)
+        write_atomic(path, (text,))
+        return path
 
     def write_json(self, name: str, data) -> Path:
         return self.write_text(name, json_text(data))

@@ -6,7 +6,9 @@
 #
 # usage: sh tests/installed_vet_pass.sh PASS WORKDIR
 #   PASS is one of
-#     golden            the golden pass on a copy of the golden workspace
+#     golden            the golden pass on a copy of the golden workspace;
+#                       its first trace run is run again last, which
+#                       leaves the log of both runs as it was
 #     golden-symlink    the same pass with the workspace spelled through a
 #                       symlink: origins are paths under the workspace as
 #                       spelled, so the artifacts match the same pins
@@ -43,6 +45,8 @@ golden() {  # the golden pass on the workspace $ws
     step 0 reach static
     step 0 trace run --pattern test
     step 0 trace run --pattern itest
+    # a re-run replaces its tests' events: read back, the log of both stays
+    step 0 trace run --pattern test
     step 0 reach combined
     step 2 report
     for name in findings.json report.json traces.jsonl trace-summary.json \
