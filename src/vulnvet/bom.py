@@ -12,7 +12,10 @@ from typing import Optional
 from . import __version__
 from .constructs import CTYPE, Construct, ConstructId, extract_constructs, is_version
 from .errors import MalformedArtifact, ManifestError, MissingDependency
-from .jx import JxError, parse_unit, parser, resolve
+from .jx import parser
+from .jx.errors import JxError
+from .jx.parser import parse_unit
+from .jx.resolver import resolve
 from .workspace import check, framed_digest, leaf, load_json, one_of, read_text, shape
 
 APPLICATION = "APPLICATION"

@@ -153,22 +153,23 @@ class ResolvedProgram:
 
     # --- hierarchy queries ---
 
+    def _ancestry(self, qname: str):
+        """The TypeInfo of qname, then those of its transitive supertypes,
+        breadth first and each once: a superclass before the interfaces."""
+        order = [qname] if qname in self.symbols else []
+        seen = set(order)
+        for q in order:  # the loop reaches the types it appends
+            info = self.symbols[q]
+            yield info
+            for s in info.supertypes:
+                if s not in seen:
+                    seen.add(s)
+                    order.append(s)
+
     def is_subtype(self, sub: str, sup: str) -> bool:
         """Whether sub is sup or a corpus type with sup among its transitive
         supertypes."""
-        if sub == sup:
-            return True
-        seen = set()
-        work = [sub] if sub in self.symbols else []
-        while work:
-            q = work.pop()
-            for s in self.symbols[q].supertypes:
-                if s == sup:
-                    return True
-                if s not in seen:
-                    seen.add(s)
-                    work.append(s)
-        return False
+        return sub == sup or any(info.qname == sup for info in self._ancestry(sub))
 
     def subtypes_of(self, qname: str) -> frozenset:
         """All corpus types that are qname or a transitive subtype of it."""
@@ -201,18 +202,10 @@ class ResolvedProgram:
 
     def lookup_method(self, type_qname: str, sig: str) -> Optional[MethodInfo]:
         """Instance-method lookup along the class chain, then interfaces."""
-        seen = set()
-        work = [type_qname]
-        while work:
-            t = work.pop(0)
-            if t in seen or t not in self.symbols:
-                continue
-            seen.add(t)
-            info = self.symbols[t]
+        for info in self._ancestry(type_qname):
             m = info.methods.get(sig)
             if m is not None and not m.static:
                 return m
-            work.extend(info.supertypes)
         return None
 
     def resolve_impl(self, runtime_class: str, sig: str) -> Optional[MethodInfo]:
@@ -438,16 +431,19 @@ class ResolvedProgram:
                 elif not self.assignable(rettype, vt):
                     self.err("return type mismatch: %s vs %s" % (vt, rettype), s.pos, unit)
 
-    def _name_chain(self, e):
-        """Flatten a pure Var/FieldAccess chain into dotted parts, or None."""
+    def _type_name(self, e, env, info) -> Optional[ast.NamedType]:
+        """A Var/FieldAccess chain read as a type name, or None: a simple
+        name is a variable before it is a type (JLS 6.5.2), so a chain
+        whose head is a local, a parameter or a field of this is a value."""
         parts = []
         while isinstance(e, ast.FieldAccess):
             parts.append(e.name)
             e = e.obj
-        if isinstance(e, ast.Var):
-            parts.append(e.name)
-            return list(reversed(parts))
-        return None
+        if (not isinstance(e, ast.Var) or e.name in env
+                or ("this" in env and self.lookup_field(info.qname, e.name) is not None)):
+            return None
+        parts.append(e.name)
+        return ast.NamedType(tuple(reversed(parts)))
 
     def bind_expr(self, e, env, info) -> str:
         unit = info.unit
@@ -471,12 +467,11 @@ class ResolvedProgram:
             self.err("unknown name %s" % e.name, e.pos, unit)
             return ERROR_TYPE
         if isinstance(e, ast.FieldAccess):
-            chain = self._name_chain(e)
-            if chain is not None and chain[0] not in env:
-                tq = self.resolve_type_name(ast.NamedType(tuple(chain)), info.package)
-                if tq is not None:
-                    self.err("type %s used as a value" % tq, e.pos, unit)
-                    return ERROR_TYPE
+            named = self._type_name(e, env, info)
+            tq = named and self.resolve_type_name(named, info.package)
+            if tq is not None:
+                self.err("type %s used as a value" % tq, e.pos, unit)
+                return ERROR_TYPE
             ot = self.bind_expr(e.obj, env, info)
             if ot == ERROR_TYPE:
                 return ERROR_TYPE
@@ -516,14 +511,10 @@ class ResolvedProgram:
         if isinstance(e, ast.Binary):
             lt = self.bind_expr(e.left, env, info)
             rt = self.bind_expr(e.right, env, info)
-            if e.op in ("+", "-", "*", "/"):
+            if e.op in ("+", "-", "*", "/", "<", ">"):
                 if not {lt, rt} <= {"int", ERROR_TYPE}:
                     self.err("operator %s requires int operands" % e.op, e.pos, unit)
-                return "int"
-            if e.op in ("<", ">"):
-                if not {lt, rt} <= {"int", ERROR_TYPE}:
-                    self.err("operator %s requires int operands" % e.op, e.pos, unit)
-                return "boolean"
+                return "boolean" if e.op in ("<", ">") else "int"
             if ERROR_TYPE not in (lt, rt) and lt != rt:
                 self.err("operator %s requires equal types, got %s and %s"
                          % (e.op, lt, rt), e.pos, unit)
@@ -536,18 +527,13 @@ class ResolvedProgram:
 
     def _bind_call(self, e: ast.MethodCall, env, info) -> str:
         unit = info.unit
-        chain = self._name_chain(e.recv)
-        as_type = None
-        if chain is not None and chain[0] not in env:
-            head_is_field = ("this" in env
-                            and self.lookup_field(info.qname, chain[0]) is not None)
-            if not head_is_field:
-                as_type = self.resolve_type_name(ast.NamedType(tuple(chain)), info.package)
-                if as_type is None:
-                    self.err("unknown name %s" % ".".join(chain), e.pos, unit)
-                    for a in e.args:
-                        self.bind_expr(a, env, info)
-                    return ERROR_TYPE
+        named = self._type_name(e.recv, env, info)
+        as_type = named and self.resolve_type_name(named, info.package)
+        if named is not None and as_type is None:
+            self.err("unknown name %s" % named.text(), e.pos, unit)
+            for a in e.args:
+                self.bind_expr(a, env, info)
+            return ERROR_TYPE
         argts = [self.bind_expr(a, env, info) for a in e.args]
         if ERROR_TYPE in argts:
             if as_type is None:  # a receiver that is not a type may hold calls

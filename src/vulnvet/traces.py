@@ -186,22 +186,13 @@ def summarize(log: TraceLog) -> TraceLog:
     return TraceLog(list(first.values()))
 
 
-def summary_json(log: TraceLog, text: str) -> dict:
-    """The summary of a normalised log, stamped with the SHA-256 of its trace
-    file text."""
-    return _stamped(log, hashlib.sha256(text.encode("utf-8")).hexdigest())
-
-
-def _stamped(log: TraceLog, digest: str) -> dict:
-    return {"inputs": digest, "events": [event_json(e) for e in summarize(log).events]}
-
-
 def write_traces(ws: Workspace, log: TraceLog):
     """Write a normalised log to .vet/traces.jsonl in chunks, and its summary beside it."""
     events = log.events
     digest = write_atomic(ws.artifact("traces.jsonl"), (to_jsonl(TraceLog(events[i:i + CHUNK]))
                                                         for i in range(0, len(events), CHUNK)))
-    ws.write_json(SUMMARY, _stamped(log, digest))
+    ws.write_json(SUMMARY, {"inputs": digest,
+                            "events": [event_json(e) for e in summarize(log).events]})
 
 
 def load_summary(ws: Workspace) -> TraceLog:

@@ -8,6 +8,7 @@ byte-identical. Every JSON document vet reads is checked against a shape.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -44,15 +45,21 @@ def framed_digest(parts) -> str:
 def write_atomic(path: Path, chunks) -> str:
     """Write the text chunks to path as UTF-8 through a temporary file beside
     it, so a reader never sees a half-written file. Returns the SHA-256 of
-    the bytes written. A whole text is one chunk: ``(text,)``."""
+    the bytes written. A whole text is one chunk: ``(text,)``. A write that
+    fails removes the temporary file and re-raises."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     h = hashlib.sha256()
-    with open(tmp, "wb") as f:
-        for data in map(str.encode, chunks):  # UTF-8; each text freed once encoded
-            h.update(data)
-            f.write(data)
-    tmp.replace(path)
+    try:
+        with open(tmp, "wb") as f:
+            for data in map(str.encode, chunks):  # UTF-8; each text freed once encoded
+                h.update(data)
+                f.write(data)
+        tmp.replace(path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
     return h.hexdigest()
 
 

@@ -29,7 +29,7 @@ from vulnvet.detection import (FIXED, MANUAL_REVIEW, VULNERABLE, detect)
 from vulnvet.diffing import (MOD, ConstructChange, consolidate_commits,
                              construct_changes, extract_root)
 from vulnvet.interp import run_tests
-from vulnvet.jx import parse_unit
+from vulnvet.jx.parser import parse_unit
 from vulnvet.kb import CODE_CHANGE, KnowledgeBase, VulnerabilityRecord
 from vulnvet.metrics import (Ratio, body_stability, callee_stability,
                              development_effort, recommend, touch_points)

@@ -14,7 +14,8 @@ from vulnvet.callgraph import (CONSTRUCTOR_CALL, STATIC_DISPATCH,
                                reachable, witness_path)
 from vulnvet.constructs import CONSTRUCTOR, METHOD, ConstructId
 from vulnvet.errors import MalformedArtifact
-from vulnvet.jx import parse_unit, resolve
+from vulnvet.jx.parser import parse_unit
+from vulnvet.jx.resolver import resolve
 
 
 def _graph(src):

@@ -1416,6 +1416,17 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_printer():
     assert not {"dataclasses", "inspect", "printer"} & set(loaded)
 
 
+@pytest.mark.parametrize("module", ["vulnvet.traces", "vulnvet.constructs"])
+def test_the_construct_and_trace_layers_load_no_parser_lexer_or_resolver(module):
+    # ast is all they read of the front end; the jx package re-exports nothing
+    code = "import sys, %s; print(' '.join(sorted(sys.modules)))" % module
+    src = str(Path(cli.__file__).parents[1])
+    loaded = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, check=True).stdout.split()
+    assert module in loaded and "vulnvet.jx.ast" in loaded
+    assert not {"vulnvet.jx.parser", "vulnvet.jx.lexer", "vulnvet.jx.resolver"} & set(loaded)
+
+
 # --- a package split across archives -----------------------------------------
 
 SPLIT_B = """package p;

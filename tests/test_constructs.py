@@ -14,7 +14,8 @@ from vulnvet.constructs import (CALLABLE_CTYPES, CLASS, CONSTRUCTOR, INTERFACE, 
                                 extract_constructs, guess_ctype, interface_ctree,
                                 member_id, method_ctree, split_member, version_key,
                                 version_newer)
-from vulnvet.jx import parse_unit, resolve
+from vulnvet.jx.parser import parse_unit
+from vulnvet.jx.resolver import resolve
 from vulnvet.traces import TraceEvent
 
 

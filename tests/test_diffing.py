@@ -10,7 +10,7 @@ from vulnvet.diffing import (ADD, CLOSER_TO_FIXED, CLOSER_TO_VULNERABLE, DEL,
                              EQUALS_FIXED, EQUALS_VULNERABLE, MOD, TIE,
                              ConstructChange, classify, construct_changes)
 from vulnvet.errors import EmptyRange
-from vulnvet.jx import parse_unit
+from vulnvet.jx.parser import parse_unit
 
 
 def _inv(src):

@@ -9,9 +9,10 @@ from hypothesis import given, settings, strategies as st
 from helpers import (deep_bodies, jx_declarations, jx_hierarchies, naive_ancestors,
                      random_program)
 from printer import pretty_print
-from vulnvet.jx import ParseError, ast, parse_unit, parser, resolve
-from vulnvet.jx.parser import MAX_NESTING
-from vulnvet.jx.resolver import StaticCall
+from vulnvet.jx import ast, parser
+from vulnvet.jx.errors import ParseError
+from vulnvet.jx.parser import MAX_NESTING, parse_unit
+from vulnvet.jx.resolver import StaticCall, VirtualCall, resolve
 
 FULL = """
 package zoo;
@@ -131,6 +132,20 @@ def test_resolver_unknown_name_diagnostic():
     program = resolve([parse_unit(src, "p.jx")])
     assert program.diagnostics == []  # the declarations are clean
     assert program.bind_all().diagnostics == ["p.jx:1:49: unknown name p.Missing"]
+
+
+def test_a_dotted_name_whose_head_is_a_field_of_this_is_a_value():
+    # a simple name is read as a variable before it is read as a type (JLS
+    # 6.5.2), in a field read as in a call; a static member has no this
+    lib = "package a; class b { int b; int f() { return b; } }"
+    src = ("package p;\nclass H {\n  a.b a;\n  int get() { return a.b; }\n"
+           "  int call() { return a.f(); }\n  static int s() { return a.b; }\n}\n")
+    program = resolve([parse_unit(lib, "a.jx"), parse_unit(src, "p.jx")]).bind_all()
+    assert program.diagnostics == ["p.jx:6:28: type a.b used as a value"]
+    call = program.symbols["p.H"].methods["call()"].calls[0]
+    binding = program.bindings[id(call)]
+    assert isinstance(binding, VirtualCall) and (binding.declared_type, binding.sig) == (
+        "a.b", "f()")
 
 
 def test_unknown_types_in_signatures_are_reported_at_their_members():

@@ -7,20 +7,20 @@ and report before reach combined and mitigate reused the stamped bom.json
 and graph.json instead of building them again. The call graph was written
 by reach static before scan wrote it, and is checked as scan leaves it,
 before reach static runs. A refactor that changes any byte of them changes
-behaviour. The trace summary was added later, and is checked against the
-summary of the pinned trace log. The BOM and the two stored knowledge-base
-records, with their trees and fingerprints, were pinned before construct
-fingerprinting lost its wrapper and archives their source roots. The
+behaviour. The trace summary was added later: the trace writer, given the
+pinned log, must write that log and the pinned summary again. The BOM and
+the two stored knowledge-base records, with their trees and fingerprints,
+were pinned before construct fingerprinting lost its wrapper and archives
+their source roots. The
 reports' kbDigest was re-pinned when the knowledge-base digest began to
 frame each document's path and bytes, so that two knowledge bases can no
 longer share it. Regenerate them only for an intended change of the artifact format, and
 say so in the change log."""
 
-import json
-
 from helpers import GOLDEN, UPDATE, copy_workspace
 from vulnvet.cli import main as vet
-from vulnvet.traces import ingest_traces, summary_json
+from vulnvet.traces import ingest_traces, write_traces
+from vulnvet.workspace import Workspace
 
 
 def _assert_pinned(actual, expected, names):
@@ -49,11 +49,10 @@ def test_golden_report_and_findings_are_byte_identical(tmp_path):
         "reach-static.json", "reach-combined.json"))
 
 
-def test_golden_trace_summary_is_the_summary_of_the_golden_trace_log():
-    traces = GOLDEN / "expected/traces.jsonl"
-    log = ingest_traces(traces)
-    expected = summary_json(log, traces.read_text())
-    assert json.loads((GOLDEN / "expected/trace-summary.json").read_text()) == expected
+def test_golden_trace_summary_is_the_summary_of_the_golden_trace_log(tmp_path):
+    ws = Workspace(tmp_path)
+    write_traces(ws, ingest_traces(GOLDEN / "expected/traces.jsonl"))
+    _assert_pinned(ws.artifact_dir, GOLDEN / "expected", ("traces.jsonl", "trace-summary.json"))
 
 
 def test_update_mitigation_and_report_are_byte_identical(tmp_path):

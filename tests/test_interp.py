@@ -7,7 +7,8 @@ from vulnvet.constructs import METHOD, ConstructId, extract_constructs
 from vulnvet.errors import NoTestsMatched
 from vulnvet import interp, traces
 from vulnvet.interp import CALL_DEPTH_BUDGET, Interpreter, find_tests, run_tests
-from vulnvet.jx import parse_unit, resolve
+from vulnvet.jx.parser import parse_unit
+from vulnvet.jx.resolver import resolve
 
 
 def _program(src):

@@ -16,8 +16,8 @@ from vulnvet.callgraph import build_call_graph
 from vulnvet.combined import dynamic_edges
 from vulnvet.constructs import METHOD, ConstructId
 from vulnvet.interp import Interpreter, Obj, find_tests, run_tests
-from vulnvet.jx import parse_unit, resolve
-from vulnvet.jx.parser import MAX_NESTING
+from vulnvet.jx.parser import MAX_NESTING, parse_unit
+from vulnvet.jx.resolver import resolve
 from vulnvet.traces import TraceLog
 from walker import Walker
 

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import reference_tokenize
-from vulnvet.jx import ParseError, parse_unit
+from vulnvet.jx.errors import ParseError
 from vulnvet.jx.lexer import Token, tokenize
+from vulnvet.jx.parser import parse_unit
 
 # Pieces of well-formed JX: words, numbers, punctuation, layout, whole
 # comments and text literals.

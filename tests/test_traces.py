@@ -347,6 +347,7 @@ def test_a_write_that_fails_midway_leaves_the_previous_log(tmp_path, monkeypatch
     with pytest.raises(OSError, match="disk full"):
         write_traces(ws, _log(3 * CHUNK))
     assert {name: ws.artifact(name).read_bytes() for name in before} == before
+    assert sorted(p.name for p in ws.artifact_dir.iterdir()) == sorted(before)
 
 
 def test_the_streamed_write_holds_less_than_half_the_text(tmp_path):
