@@ -7,11 +7,10 @@ from __future__ import annotations
 import os
 from collections import deque
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .constructs import CTYPE, Construct, ConstructId, extract_constructs, is_version
-from .errors import MalformedArtifact, ManifestError, MissingDependency
+from .errors import MalformedArtifact, ManifestError, MissingDependency, UnknownArchive
 from .jx import parser
 from .jx.errors import JxError
 from .jx.parser import parse_unit
@@ -48,17 +47,13 @@ class BOM:
         for arc, depth in self.dependencies:
             yield arc, depth
 
-    def archive_named(self, name: str) -> Optional[Archive]:
-        for arc, _ in self.archives():
+    def dependency(self, name: str) -> tuple:
+        """(archive, depth) of the dependency called name, even when the
+        application has that name too; UnknownArchive unless there is one."""
+        for arc, depth in self.dependencies:
             if arc.name == name:
-                return arc
-        return None
-
-    def depth_of(self, name: str) -> Optional[int]:
-        for arc, depth in self.archives():
-            if arc.name == name:
-                return depth
-        return None
+                return arc, depth
+        raise UnknownArchive("%s is not in the application's dependency tree" % name)
 
 
 def source_files(root: Path, origin_base: Path = None) -> list:
@@ -229,6 +224,9 @@ def bom_from_json(data, artifact: str) -> BOM:
     if order != [(APPLICATION, False)] + [(DEPENDENCY, True)] * (len(order) - 1):
         raise MalformedArtifact("%s: ['archives']: expected the application first, at depth 0, "
                                 "then dependencies, deeper" % artifact)
+    names = [a["name"] for a in data["archives"][1:]]
+    if len(set(names)) < len(names):
+        raise MalformedArtifact("%s: ['archives']: expected each dependency name once" % artifact)
     archives = []
     for a in data["archives"]:
         constructs = {ConstructId(e["ctype"], e["qname"]): Construct(e["fingerprint"], None)

@@ -22,7 +22,7 @@ from .errors import VetError
 from .interp import run_tests
 from .jx.errors import JxError
 from .kb import KnowledgeBase
-from .metrics import dependency, deep_update_advice, metrics_csv, metrics_to_json, recommend
+from .metrics import deep_update_advice, metrics_csv, metrics_to_json, recommend
 from .report import assemble_report, exit_code_for, render_html
 from .traces import TraceLog, ingest_traces, load_summary, unknown_names, write_traces
 from .workspace import Workspace, shape
@@ -290,7 +290,7 @@ def _cmd_mitigate(args, ws: Workspace) -> int:
     r_static = app_reachability(bom, graph)
     r_combined = combined_reachable(graph, traces)
     reached_union = r_static.reached | r_combined.reached | traces.executed
-    dependency(bom, args.lib)  # a library outside the BOM needs no index
+    bom.dependency(args.lib)  # a library outside the BOM needs no index
     kb = KnowledgeBase(ws.kb_path)
     index = kb.load_index(args.lib)
     safe = non_vulnerable_versions(index, kb.records())

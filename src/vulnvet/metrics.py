@@ -14,8 +14,7 @@ from typing import NamedTuple, Optional
 
 from .bom import resolve_dependencies
 from .constructs import CALLABLE_CTYPES, is_version, version_key, version_newer
-from .errors import (EmptyConstructSet, MissingDependency, NoCandidates,
-                     UnknownArchive, UnknownLibrary)
+from .errors import EmptyConstructSet, MissingDependency, NoCandidates, UnknownLibrary
 from .kb import LibraryIndex
 
 
@@ -52,18 +51,10 @@ class UpdateMetrics:
         self.obs = obs
 
 
-def dependency(bom, lib: str):
-    """The archive of dependency lib; UnknownArchive unless bom has one."""
-    arc = bom.archive_named(lib)
-    if arc is None or arc is bom.application:
-        raise UnknownArchive("%s is not in the application's dependency tree" % lib)
-    return arc
-
-
 def touch_points(bom, graph, traces, lib: str) -> list:
     """Direct application-to-library call pairs with per-callee site lists,
     from the call graph's edges and the trace log's events."""
-    arc = dependency(bom, lib)
+    arc, _ = bom.dependency(lib)
     app_ids = {cid for cid in bom.application.constructs if cid.ctype in CALLABLE_CTYPES}
     lib_ids = {cid for cid in arc.constructs if cid.ctype in CALLABLE_CTYPES}
     points = {}
@@ -138,12 +129,12 @@ def recommend(lib: str, bom, index: LibraryIndex, safe, graph, traces,
     touch points, CS/DE are not applicable and only RBS/OBS are emitted.
     Rows sorted by (cs desc, de asc, rbs desc, obs desc, version desc).
     """
-    arc = dependency(bom, lib)
+    arc, depth = bom.dependency(lib)
     candidates = [v for v in safe if version_newer(v, arc.version)]
     if not candidates:
         raise NoCandidates("no newer non-vulnerable version of %s" % lib)
 
-    tps = touch_points(bom, graph, traces, lib) if bom.depth_of(lib) == 1 else []
+    tps = touch_points(bom, graph, traces, lib) if depth == 1 else []
     all_pairs = {(cid, c.fingerprint) for cid, c in arc.constructs.items()
                  if cid.ctype in CALLABLE_CTYPES}
     reach_pairs = {(cid, fp) for cid, fp in all_pairs if cid in reached_union}
@@ -190,28 +181,26 @@ def metrics_to_json(rows: list) -> list:
 def deep_update_advice(workspace: Path, bom, safe, lib: str) -> list:
     """For a vulnerable transitive dependency, name newer versions of the
     direct dependency that pull in one of safe, lib's non-vulnerable
-    versions."""
+    versions, compared as version_key compares them."""
     workspace = Path(workspace)
-    depth = bom.depth_of(lib)
-    if depth is None or depth <= 1:
+    if bom.dependency(lib)[1] == 1:
         return []
+    safe_keys = {version_key(v) for v in safe}
     notes = []
     for direct_name, _v in bom.application.declared_deps:
-        store = workspace / "libs" / direct_name
-        if not store.is_dir():
-            continue
-        current = bom.archive_named(direct_name)
+        current, _ = bom.dependency(direct_name)
         # a directory whose name is not a version is not a release: never a candidate
-        releases = [p.name for p in store.iterdir() if p.is_dir() and is_version(p.name)]
+        releases = [p.name for p in (workspace / "libs" / direct_name).iterdir()
+                    if p.is_dir() and is_version(p.name)]
         for vdir in sorted(releases, key=version_key):
-            if current is not None and not version_newer(vdir, current.version):
+            if not version_newer(vdir, current.version):
                 continue
             try:
                 closure, _ = resolve_dependencies(workspace, [(direct_name, vdir)])
             except MissingDependency:
                 continue  # this version cannot be installed from the store
             versions = {data["name"]: data["version"] for _, data, _ in closure}
-            if versions.get(lib) in safe:
+            if lib in versions and version_key(versions[lib]) in safe_keys:
                 notes.append("updating direct dependency %s to %s pulls in "
                              "non-vulnerable %s:%s"
                              % (direct_name, vdir, lib, versions[lib]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import shutil
 import time
 
 import pytest
@@ -480,3 +481,75 @@ def test_criterion_9_step_order_independence(tmp_path):
     assert {f["vulnId"]: f["evidence"] for f in data["findings"]} == {
         "VULN-J1": "COMBINED", "VULN-J2": "COMBINED"}
     print("PASS criterion 9: step orders 4,2,3,5 and 2,3,4,5 agree")
+
+
+# Metamorphic relations, end to end -------------------------------------------
+
+def _edit_manifest(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _rebundle(ws):
+    """lib1, lib2 and lib3 shaded into one archive with no dependencies."""
+    shaded = ws / "libs/shaded/7.3"
+    (shaded / "src").mkdir(parents=True)
+    for lib in ("lib1", "lib2", "lib3"):
+        for source in (ws / "libs" / lib / "1.0/src").iterdir():
+            shutil.copy(source, shaded / "src")
+        shutil.rmtree(ws / "libs" / lib)
+    (shaded / "lib.json").write_text(json.dumps(
+        {"name": "shaded", "version": "7.3", "sourceRoot": "src", "dependencies": []}))
+    _edit_manifest(ws / "app.json", lambda d: d["dependencies"][1].update(
+        name="shaded", version="7.3"))
+
+
+def _rename(ws):
+    """lib2 released as core-lib 9.9."""
+    (ws / "libs/core-lib").mkdir()
+    (ws / "libs/lib2/1.0").rename(ws / "libs/core-lib/9.9")
+    _edit_manifest(ws / "libs/core-lib/9.9/lib.json",
+                   lambda d: d.update(name="core-lib", version="9.9"))
+    _edit_manifest(ws / "libs/lib1/1.0/lib.json", lambda d: d["dependencies"][0].update(
+        name="core-lib", version="9.9"))
+
+
+def _move(ws):
+    """lib3's only source file moved and renamed within its source root."""
+    src = ws / "libs/lib3/1.0/src"
+    (src / "deep/er").mkdir(parents=True)
+    (src / "scan.jx").rename(src / "deep/er/renamed.jx")
+
+
+def _golden_pass(ws, capsys):
+    """Exit codes, stderr and report.json's findings of the golden pass over
+    ws, one sorted tuple per matched construct of a finding."""
+    codes = []
+    fx = GOLDEN / "fixes"
+    for vid, fix in (("VULN-J1", "j1"), ("VULN-J2", "j2")):
+        codes.append(vet(["--workspace", str(ws), "kb", "import-fix", "--id", vid,
+                          "--before", str(fx / fix / "before"),
+                          "--after", str(fx / fix / "after")]))
+    for step in (["scan"], ["reach", "static"], ["trace", "run", "--pattern", "test"],
+                 ["trace", "run", "--pattern", "itest"], ["reach", "combined"], ["report"]):
+        codes.append(vet(["--workspace", str(ws), *step]))
+    report = json.loads((ws / ".vet/report.json").read_text())
+    matches = [(f["vulnId"], f["verdict"], f["evidence"], m["ctype"], m["qname"], m["change"],
+                m["contained"], (m["classification"] or {}).get("verdict"),
+                m.get("evidence", {}).get("level"))
+               for f in report["findings"] for m in f["matched"]]
+    return codes, capsys.readouterr().err, sorted(matches, key=repr)
+
+
+@pytest.mark.parametrize("rewrite", [_rebundle, _rename, _move],
+                         ids=["rebundled", "renamed", "moved"])
+def test_metamorphic_relations_end_to_end(tmp_path, capsys, rewrite):
+    golden = _golden_pass(copy_workspace(GOLDEN / "workspace", tmp_path / "golden"), capsys)
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "rewritten")
+    rewrite(ws)
+    assert _golden_pass(ws, capsys) == golden
+    codes, err, matches = golden
+    assert codes == [0, 0, 1, 0, 0, 0, 0, 2] and err == "" and matches
+    print("PASS metamorphic relation: %s workspace reports what the golden one does"
+          % rewrite.__name__.lstrip("_"))

@@ -40,7 +40,7 @@ def test_version_conflict_nearest_wins(tmp_path):
     (lib2_old / "src").mkdir()
     (lib2_old / "src/core.jx").write_text("package lib2; class Core { }")
     bom = build_bom(Sources(ws / "app.json", ws))
-    assert bom.archive_named("lib2").version == "0.9"
+    assert bom.dependency("lib2")[0].version == "0.9"
     assert any("conflict" in w for w in bom.warnings)
 
 
@@ -144,6 +144,7 @@ def test_bom_and_graph_json_round_trip(tmp_path, fixture):
     lambda d: d["archives"][0]["constructs"][0].update(fingerprint=7),
     lambda d: d["archives"][0]["constructs"].append("app.Main"),
     lambda d: d.update(resolutionWarnings=[None]),
+    lambda d: d["archives"].append(dict(d["archives"][-1])),       # a dependency twice
 ])
 def test_bom_from_json_rejects_what_bom_to_json_does_not_write(tmp_path, edit):
     _, bom = _golden_bom(tmp_path)

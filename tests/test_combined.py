@@ -112,7 +112,7 @@ def test_dynamic_beats_combined(tmp_path):
     from vulnvet.kb import CODE_CHANGE, VulnerabilityRecord
     delta = ConstructId(METHOD, "lib2.Core.delta()")
     assert delta in r_t.reached
-    arc = bom.archive_named("lib2")
+    arc, _ = bom.dependency("lib2")
     observed = arc.constructs[delta]
     other = CTree("other")
     change = dif.ConstructChange(delta, dif.MOD, observed.body, other,

@@ -55,16 +55,30 @@ def test_golden_trace_summary_is_the_summary_of_the_golden_trace_log(tmp_path):
     _assert_pinned(ws.artifact_dir, GOLDEN / "expected", ("traces.jsonl", "trace-summary.json"))
 
 
-def test_update_mitigation_and_report_are_byte_identical(tmp_path):
-    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+def _update_mitigation(ws):
+    """Run the update fixture's step order of acceptance criterion 8 in ws
+    up to mitigate."""
     w = str(ws)
     assert vet(["--workspace", w, "kb", "index-lib", "--name", "libA",
                 "--root", "1.0=%s" % (ws / "libs/libA/1.0/src"),
                 "--root", "2.0=%s" % (UPDATE / "versions/2.0")]) == 0
-    # the step order of acceptance criterion 8
     assert vet(["--workspace", w, "scan"]) == 0
     assert vet(["--workspace", w, "reach", "static"]) == 0
     assert vet(["--workspace", w, "mitigate", "--lib", "libA"]) == 0
-    assert vet(["--workspace", w, "report"]) == 0
+
+
+def test_update_mitigation_and_report_are_byte_identical(tmp_path):
+    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+    _update_mitigation(ws)
+    assert vet(["--workspace", str(ws), "report"]) == 0
     _assert_pinned(ws / ".vet", UPDATE / "expected", (
         "mitigation-libA.json", "mitigation-libA.csv", "report.json"))
+
+
+def test_mitigate_takes_a_dependency_named_as_the_application(tmp_path):
+    ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
+    manifest = ws / "app.json"
+    manifest.write_text(manifest.read_text().replace('"shop-app"', '"libA"'))
+    _update_mitigation(ws)
+    _assert_pinned(ws / ".vet", UPDATE / "expected",
+                   ("mitigation-libA.json", "mitigation-libA.csv"))

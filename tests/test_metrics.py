@@ -1,6 +1,7 @@
 """Update metrics and candidate ranking."""
 
 import json
+import shutil
 
 import pytest
 
@@ -219,6 +220,24 @@ def test_deep_update_advice_skips_store_directories_that_are_not_versions(tmp_pa
     assert vet(["--workspace", str(ws), "--kb", str(tmp_path / "kb"),
                 "mitigate", "--lib", "lib3"]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_deep_update_advice_compares_versions_by_version_key(tmp_path):
+    # the index labels the fixed lib3 2.0; the store spells the same release 2.0.0
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    kb = build_golden_kb(tmp_path / "kb")
+    kb.index_library("lib3", [
+        ("1.0", ws / "libs/lib3/1.0/src"),
+        ("2.0", GOLDEN / "fixes/j2/after"),
+    ])
+    _store_lib(ws, "lib1", "2.0", [("lib2", "2.0")])
+    _store_lib(ws, "lib2", "2.0", [("lib3", "2.0.0")])
+    _store_lib(ws, "lib3", "2.0.0", [])
+    shutil.copytree(GOLDEN / "fixes/j2/after", ws / "libs/lib3/2.0.0/src")
+    bom = build_bom(Sources(ws / "app.json", ws))
+    notes = deep_update_advice(ws, bom, _screened(kb, "lib3")[1], "lib3")
+    assert notes == ["updating direct dependency lib1 to 2.0 pulls in "
+                     "non-vulnerable lib3:2.0.0"]
 
 
 def test_deep_update_advice_rejects_malformed_store_manifest(tmp_path, capsys):

@@ -154,7 +154,7 @@ def _archive(names):
 
 def _touch_points(log):
     app, lib = _archive(APP), _archive(LIB)
-    bom = SimpleNamespace(application=app, archive_named=lambda name: lib)
+    bom = SimpleNamespace(application=app, dependency=lambda name: (lib, 1))
     return [(tp.app_construct, tp.lib_callee, tp.sites)
             for tp in touch_points(bom, SimpleNamespace(edges=set()), log, "q")]
 
