@@ -57,7 +57,8 @@ class BOM:
 
 
 def source_files(root: Path, origin_base: Path = None) -> list:
-    """(origin, path) of every .jx file under root, in parse order. Origins
+    """(origin, path) of every regular .jx file under root, in parse order
+    (a directory named ``x.jx`` is not one). Origins
     are paths relative to origin_base (default: root itself), keeping
     artifacts free of absolute paths and so byte-stable across checkout
     locations."""
@@ -66,7 +67,7 @@ def source_files(root: Path, origin_base: Path = None) -> list:
     base = origin_base if origin_base is not None else root
     prefix = Path(os.path.relpath(root, base))
     return [((prefix / path.relative_to(root)).as_posix(), path)
-            for path in sorted(root.rglob("*.jx"))]
+            for path in sorted(root.rglob("*.jx")) if path.is_file()]
 
 
 def parse_source_root(root: Path, origin_base: Path = None, bodies: bool = True) -> list:
@@ -228,9 +229,12 @@ def bom_from_json(data, artifact: str) -> BOM:
     if len(set(names)) < len(names):
         raise MalformedArtifact("%s: ['archives']: expected each dependency name once" % artifact)
     archives = []
-    for a in data["archives"]:
+    for i, a in enumerate(data["archives"]):
         constructs = {ConstructId(e["ctype"], e["qname"]): Construct(e["fingerprint"], None)
                       for e in a["constructs"]}
+        if len(constructs) < len(a["constructs"]):
+            raise MalformedArtifact("%s: ['archives'][%d]['constructs']: expected each "
+                                    "construct id once" % (artifact, i))
         deps = [(d["name"], d["version"]) for d in a["declaredDependencies"]]
         archives.append((Archive(a["name"], a["version"], a["kind"], constructs, deps),
                          a["depth"]))

@@ -86,6 +86,19 @@ def deserialize(text: str) -> CTree:
     return root
 
 
+def lazy_tree(slot: str) -> property:
+    """A read-only property over the attribute ``slot``, which holds a CTree,
+    None, or a function of no arguments that returns the tree: the function
+    is called on the first read and its tree kept in the slot."""
+    def read(self):
+        tree = getattr(self, slot)
+        if callable(tree):  # a CTree is a tuple, never callable
+            tree = tree()
+            setattr(self, slot, tree)
+        return tree
+    return property(read)
+
+
 def digest(tree: CTree) -> str:
     """256-bit content hash of the canonical serialization, as hex."""
     return hashlib.sha256(serialize(tree).encode("utf-8")).hexdigest()

@@ -224,16 +224,20 @@ def _cmd_kb(args, ws: Workspace) -> int:
 def _cmd_scan(args, ws: Workspace) -> int:
     src = Sources(ws.manifest, ws.root)
     inputs = input_digest(src)
-    # the graph first, kept by no name: program and graph are freed before the BOM is built
-    _store_graph(ws, _call_graph(src), inputs)
+    # the graph first, from the one parse; its program is freed before the BOM is built
+    graph = _call_graph(src)
     bom = build_bom(src)
+    del src  # the parse lives on in the BOM's bodies, each lowered when first read
     for w in bom.warnings:
         print("bom: %s" % w, file=sys.stderr)
     kb = KnowledgeBase(ws.kb_path)
     findings = [finding_to_json(f) for f in detect(bom, kb)]
-    ws.write_json("bom.json", {**bom_to_json(bom), "inputs": inputs})
-    ws.write_json("findings.json", findings)
+    stored = {**bom_to_json(bom), "inputs": inputs}
     n_archives = 1 + len(bom.dependencies)
+    del bom  # and with it the parse: the artifacts are written without it, the graph last
+    ws.write_json("bom.json", stored)
+    ws.write_json("findings.json", findings)
+    _store_graph(ws, graph, inputs)
     print("scanned %d archives, %d findings" % (n_archives, len(findings)))
     for f in findings:
         print("  %s %s:%s %s" % (f["vulnId"], f["archive"]["name"],

@@ -9,9 +9,10 @@ fingerprints identically, while any literal or identifier change is visible.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple, Optional
 
-from .canonical import CTree, digest
+from .canonical import CTree, digest, lazy_tree
 from .jx import ast
 from .workspace import one_of
 
@@ -62,13 +63,19 @@ def guess_ctype(qname: str) -> str:
 
 class Construct:
     """A construct's body and fingerprint, the 256-bit digest of the body's
-    canonical serialization. Its ConstructId is the key it is stored under."""
+    canonical serialization. Its ConstructId is the key it is stored under.
+    The body is given as a CTree or as a function of no arguments that
+    lowers the declaration when ``body`` is first read (see
+    canonical.lazy_tree), so an inventory holds its parse, not a tree per
+    construct."""
 
-    __slots__ = ("fingerprint", "body")
+    __slots__ = ("fingerprint", "_body")
 
-    def __init__(self, fingerprint: Optional[str], body: Optional[CTree]):
+    def __init__(self, fingerprint: Optional[str], body):
         self.fingerprint = fingerprint  # hex digest; None for PACKAGE
-        self.body = body                # None for PACKAGE
+        self._body = body               # None for PACKAGE
+
+    body = lazy_tree("_body")
 
 
 # --- lowering to canonical trees ------------------------------------------
@@ -184,28 +191,29 @@ def extract_constructs(units) -> dict:
     """Inventory all constructs of a set of parsed units from their
     declarations alone, as an ordered map ConstructId -> Construct. As in the
     resolver's tables, of types sharing a qname the first in (package,
-    origin) order counts, and of a type's members sharing a signature the last."""
+    origin) order counts, and of a type's members sharing a signature the last.
+    Each body is lowered once for its fingerprint, and again when read."""
     units = sorted(units, key=lambda u: (u.package, u.origin))
     # the first type of a qname is written last, so it stays
     types = {u.package + "." + d.name: (u.package, d) for u in reversed(units) for d in u.decls}
     out = {ConstructId(PACKAGE, u.package): Construct(None, None) for u in units}
 
-    def put(cid, body):
-        out[cid] = Construct(digest(body), body)
+    def put(cid, lower, decl):
+        out[cid] = Construct(digest(lower(decl)), partial(lower, decl))
 
     for qname in sorted(types):
         pkg, decl = types[qname]
         kinds = [(METHOD, decl.methods, method_ctree)]
         if isinstance(decl, ast.InterfaceDecl):
-            put(ConstructId(INTERFACE, qname), interface_ctree(decl))
+            put(ConstructId(INTERFACE, qname), interface_ctree, decl)
         else:
-            put(ConstructId(CLASS, qname), class_ctree(decl))
+            put(ConstructId(CLASS, qname), class_ctree, decl)
             kinds.insert(0, (CONSTRUCTOR, decl.ctors, ctor_ctree))
         for ctype, decls, ctree in kinds:
             sigs = {ast.signature(d.name, [ast.type_text(p.type, pkg) for p in d.params]): d
                     for d in decls}
             for sig in sorted(sigs):
-                put(member_id(ctype, qname, sig), ctree(sigs[sig]))
+                put(member_id(ctype, qname, sig), ctree, sigs[sig])
     return out
 
 

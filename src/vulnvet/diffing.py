@@ -6,6 +6,7 @@ from pathlib import Path
 from typing import Optional
 
 from .bom import extract_root
+from .canonical import lazy_tree
 from .constructs import CALLABLE_CTYPES, Construct, ConstructId, split_member
 from .errors import EmptyRange
 from .ted import tree_edit_distance
@@ -26,12 +27,12 @@ class ConstructChange:
 
     ``ast_vuln`` and ``ast_fixed`` are the bodies before and after the fix
     (CTrees; absent for ADD and DEL respectively). A side may be given as a
-    function of no arguments that returns its CTree: it is called on the
-    first access, so a knowledge-base scan decodes only the bodies whose
-    distances it computes.
+    function of no arguments that returns its CTree (see canonical.lazy_tree):
+    it is called on the first access, so a knowledge-base scan decodes only
+    the bodies whose distances it computes.
     """
 
-    __slots__ = ("construct", "op", "fp_vuln", "fp_fixed", "_sides")
+    __slots__ = ("construct", "op", "fp_vuln", "fp_fixed", "_vuln", "_fixed")
 
     def __init__(self, construct: ConstructId, op: str, ast_vuln=None, ast_fixed=None,
                  fp_vuln: Optional[str] = None, fp_fixed: Optional[str] = None):
@@ -39,21 +40,11 @@ class ConstructChange:
         self.op = op
         self.fp_vuln = fp_vuln
         self.fp_fixed = fp_fixed
-        self._sides = [ast_vuln, ast_fixed]
+        self._vuln = ast_vuln
+        self._fixed = ast_fixed
 
-    def _side(self, k: int):
-        tree = self._sides[k]
-        if callable(tree):
-            tree = self._sides[k] = tree()
-        return tree
-
-    @property
-    def ast_vuln(self):
-        return self._side(0)
-
-    @property
-    def ast_fixed(self):
-        return self._side(1)
+    ast_vuln = lazy_tree("_vuln")
+    ast_fixed = lazy_tree("_fixed")
 
     @property
     def informative(self) -> bool:

@@ -12,6 +12,7 @@ import contextlib
 import hashlib
 import json
 import os
+from itertools import chain, islice
 from pathlib import Path
 
 from .errors import MalformedArtifact
@@ -64,7 +65,12 @@ def write_atomic(path: Path, chunks) -> str:
 
 
 def json_text(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(data, indent=2, sort_keys=True)`` and a newline. The
+    encoder yields a few pieces per value; they are joined in batches, so no
+    list holds them all."""
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+    batches = iter(lambda: "".join(islice(pieces, 2048)), "")  # no piece is empty
+    return "".join(chain(batches, ("\n",)))
 
 
 # --- shapes of JSON documents -------------------------------------------------

@@ -145,6 +145,8 @@ def test_bom_and_graph_json_round_trip(tmp_path, fixture):
     lambda d: d["archives"][0]["constructs"].append("app.Main"),
     lambda d: d.update(resolutionWarnings=[None]),
     lambda d: d["archives"].append(dict(d["archives"][-1])),       # a dependency twice
+    lambda d: d["archives"][1]["constructs"].append(               # a construct id twice
+        d["archives"][1]["constructs"][0]),
 ])
 def test_bom_from_json_rejects_what_bom_to_json_does_not_write(tmp_path, edit):
     _, bom = _golden_bom(tmp_path)

@@ -15,6 +15,7 @@ import pytest
 from helpers import GOLDEN, UPDATE, copy_workspace, deep_bodies, small_workload
 from vulnvet import bom, cli
 from vulnvet import kb as kb_module
+from vulnvet.canonical import CTree
 from vulnvet.cli import main as vet
 from vulnvet.errors import MalformedRecord
 from vulnvet.jx.parser import MAX_NESTING
@@ -812,6 +813,34 @@ def test_reach_and_mitigate_reuse_stamped_artifacts(tmp_path, builds, monkeypatc
                        "mitigation-lib1.json", "mitigation-lib1.csv"]
 
 
+def test_scan_keeps_no_tree_per_construct_past_detection(tmp_path, monkeypatch):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+
+    def trees():  # the canonical trees alive, counted by their roots
+        nodes = [o for o in gc.get_objects() if type(o) is CTree]
+        children = {id(k) for n in nodes for k in n.children}
+        return sum(id(n) not in children for n in nodes)
+
+    seen, real = [], cli.detect
+
+    def detect(bom, kb):
+        findings = real(bom, kb)
+        compared = sum(m.classification is not None and m.classification.dist_vuln is not None
+                       for f in findings for m in f.matched)
+        constructs = sum(len(arc.constructs) for arc, _depth in bom.archives())
+        seen.append((trees() - before, compared, constructs))
+        return findings
+
+    monkeypatch.setattr(cli, "detect", detect)
+    gc.collect()
+    before = trees()
+    assert vet(["--workspace", str(ws), "scan"]) == 1
+    (grown, compared, constructs), = seen
+    # a body TED compares is lowered, and both sides of its change decoded
+    assert grown <= 3 * compared < constructs
+
+
 def test_inventories_bind_no_body_and_scan_binds_each_member_once(tmp_path, monkeypatch):
     bound = []  # (program, member) of each body bound
     real = ResolvedProgram._bind_member
@@ -1068,6 +1097,29 @@ def test_a_stamped_trace_summary_with_a_malformed_body_exits_three(tmp_path, cap
         assert vet(["--workspace", str(ws), *step]) == 3, step
         err = capsys.readouterr().err
         assert "trace-summary.json" in err and "Traceback" not in err
+
+
+def test_a_directory_named_like_a_source_file_is_not_one(tmp_path, capsys):
+    runs = []
+    for name in ("plain", "dirs"):
+        ws = copy_workspace(GOLDEN / "workspace", tmp_path / name / "ws")
+        fixes = shutil.copytree(GOLDEN / "fixes", tmp_path / name / "fixes")
+        lib1 = ws / "libs/lib1/1.0/src"
+        if name == "dirs":  # an empty directory in every root vet reads
+            for root in (ws / "src", lib1, *fixes.glob("*/*")):
+                (root / "extra.jx").mkdir()
+        steps = [["kb", "import-fix", "--id", vid, "--before", str(fixes / fix / "before"),
+                  "--after", str(fixes / fix / "after")]
+                 for vid, fix in (("VULN-J1", "j1"), ("VULN-J2", "j2"))]
+        steps.append(["kb", "index-lib", "--name", "lib1", "--root", "1.0=%s" % lib1,
+                      "--root", "2.0=%s" % lib1])
+        outcome = _outcome(ws, capsys, steps + [SCAN, STATIC, *TRACES, COMBINED, MITIGATE,
+                                                ["report"]])
+        stored = {p.relative_to(ws).as_posix(): p.read_bytes()
+                  for d in (".vet", "kb") for p in sorted((ws / d).rglob("*")) if p.is_file()}
+        runs.append((outcome, stored))
+    assert runs[0] == runs[1]
+    assert [code for code, _out, _err in runs[0][0][0]] == [0, 0, 0, 1, 0, 0, 0, 0, 0, 2]
 
 
 def _outcome(ws, capsys, steps):

@@ -1,6 +1,9 @@
 """Construct extraction, fingerprints, and version ordering."""
 
+import json
 import random
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -138,6 +141,35 @@ def test_a_dotted_type_is_fully_qualified_and_a_plain_one_is_the_packages():
     assert ConstructId(METHOD, run) in extract_constructs(units[1:])
     program = resolve(units)
     assert list(program.symbols["p.B"].methods) == ["run(a.Foo,p.Foo,p.a.Foo)"]
+
+
+def _assert_bodies_are_their_fingerprints(bom):
+    for arc, _depth in bom.archives():
+        for cid, c in arc.constructs.items():
+            if cid.ctype == PACKAGE:
+                assert c.body is None and c.fingerprint is None
+                continue
+            body = c.body  # lowered now, then kept
+            assert c.body is body and digest(body) == c.fingerprint, cid
+
+
+def test_a_body_read_is_the_tree_its_fingerprint_digests_on_the_fixtures():
+    for fixture in (GOLDEN, UPDATE):
+        ws = fixture / "workspace"
+        _assert_bodies_are_their_fingerprints(build_bom(Sources(ws / "app.json", ws)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(jx_declarations())
+def test_a_body_read_is_the_tree_its_fingerprint_digests(sources):
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = Path(tmp)
+        (ws / "app.json").write_text(json.dumps({"name": "app", "version": "1.0",
+                                                 "sourceRoot": "src"}))
+        (ws / "src").mkdir()
+        for origin, src in sources:
+            (ws / "src" / origin).write_text(src)
+        _assert_bodies_are_their_fingerprints(build_bom(Sources(ws / "app.json", ws)))
 
 
 def test_version_ordering():

@@ -11,7 +11,7 @@ from helpers import (GOLDEN, build_golden_kb, copy_workspace, json_near, mutate_
 from vulnvet import bom, callgraph, cli, kb, report, traces
 from vulnvet.cli import main as vet
 from vulnvet.errors import MalformedArtifact
-from vulnvet.workspace import check, read_text, shape
+from vulnvet.workspace import check, json_text, read_text, shape
 
 
 def test_read_text_translates_every_newline_to_lf(tmp_path):
@@ -20,6 +20,28 @@ def test_read_text_translates_every_newline_to_lf(tmp_path):
                       (b"a\r\n\rb\n", "a\n\nb\n"), (b"a\nb", "a\nb")):
         path.write_bytes(raw)
         assert read_text(path, MalformedArtifact) == text
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=4),
+    max_leaves=30)
+
+
+@given(_JSON)
+def test_json_text_is_the_indented_sorted_json_and_a_newline(data):
+    assert json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("data", [
+    {"a\u00e9\u2028\U0001f600": ["\u00e9t\u00e9", "\x00\n\"", "\ud800"], "": {}, "b": []},
+    [], {}, "", [[], {}, [{}]],
+    [[[[[[[[[[[[[[[[[[[[[[[[[[[[[[1]]]]]]]]]]]]]]]]]]]]]]]]]]]]]],
+    {"k%05d" % i: [i, "v\u00e9%d" % i, {"n": None, "f": i / 7}] for i in range(3000)},
+])
+def test_json_text_of_non_ascii_empty_deep_and_many_piece_documents(data):
+    assert json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 SHAPES = shapes_of(bom, callgraph, cli, kb, report, traces)
