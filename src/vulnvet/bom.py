@@ -15,7 +15,8 @@ from .jx import parser
 from .jx.errors import JxError
 from .jx.parser import parse_unit
 from .jx.resolver import resolve
-from .workspace import check, framed_digest, leaf, load_json, one_of, read_text, shape
+from .workspace import (check, framed_digest, leaf, load_json, one_of, read_text,
+                        regular_files, shape)
 
 APPLICATION = "APPLICATION"
 DEPENDENCY = "DEPENDENCY"
@@ -67,7 +68,7 @@ def source_files(root: Path, origin_base: Path = None) -> list:
     base = origin_base if origin_base is not None else root
     prefix = Path(os.path.relpath(root, base))
     return [((prefix / path.relative_to(root)).as_posix(), path)
-            for path in sorted(root.rglob("*.jx")) if path.is_file()]
+            for path in regular_files(root, "**/*.jx")]
 
 
 def parse_source_root(root: Path, origin_base: Path = None, bodies: bool = True) -> list:

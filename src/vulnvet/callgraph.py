@@ -1,8 +1,11 @@
 """Whole-program call graph via class-hierarchy analysis, and reachability.
 
-Nodes are METHOD/CONSTRUCTOR constructs. Virtual call sites fan out to every
-override in corpus subtypes of the declared receiver type. Reflect.invoke
-sites are never resolved statically; they land in the unresolved set.
+Nodes are METHOD/CONSTRUCTOR constructs. Edges come from the resolver's
+CallSite records, which give each call its site and kind. A static or
+constructor call is one edge; a virtual call fans out to every override in
+corpus subtypes of the declared receiver type. Reflect.invoke sites are
+never resolved statically; they land in the unresolved set. A call that a
+diagnostic left unbound adds nothing.
 """
 
 from __future__ import annotations
@@ -11,13 +14,10 @@ from typing import NamedTuple
 
 from .constructs import CONSTRUCTOR, CTYPE, METHOD, ConstructId, guess_ctype, member_id
 from .errors import MalformedArtifact
-from .jx import ast
-from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
+from .jx.resolver import (CONSTRUCTOR_CALL, REFLECTION, STATIC_DISPATCH, VIRTUAL_DISPATCH,
+                          ResolvedProgram)
 from .workspace import check, leaf, one_of, shape
 
-STATIC_DISPATCH = "STATIC_DISPATCH"
-VIRTUAL_DISPATCH = "VIRTUAL_DISPATCH"
-CONSTRUCTOR_CALL = "CONSTRUCTOR_CALL"
 DYNAMIC = "DYNAMIC"  # trace-observed edges folded in for the combined pass
 STATIC_KINDS = (STATIC_DISPATCH, VIRTUAL_DISPATCH, CONSTRUCTOR_CALL)
 
@@ -65,7 +65,7 @@ class ReachResult:
 
 
 def build_call_graph(program: ResolvedProgram) -> CallGraph:
-    """The CHA graph over the call nodes of every member, all bound first."""
+    """The CHA graph over the call sites of every member, all bound first."""
     program.bind_all()
     graph = CallGraph()
     for qname, info in program.symbols.items():
@@ -75,38 +75,28 @@ def build_call_graph(program: ResolvedProgram) -> CallGraph:
             elif m.decl.body is not None:
                 caller = member_id(METHOD, qname, sig)
                 graph.nodes.add(caller)
-                _emit(graph, program, info, caller, m.calls)
+                _emit(graph, program, caller, m.calls)
         for sig, c in info.ctors.items():  # initializers run at construction
             caller = member_id(CONSTRUCTOR, qname, sig)
             graph.nodes.add(caller)
-            _emit(graph, program, info, caller, info.init_calls + c.calls)
+            _emit(graph, program, caller, info.init_calls + c.calls)
     return graph
 
 
-def _emit(graph: CallGraph, program: ResolvedProgram, info, caller, calls):
-    origin = info.unit.origin
-    for node in calls:
-        site = "%s:%d" % (origin, node.pos[0])
-        if isinstance(node, ast.ReflectInvoke):
-            graph.unresolved.add((caller, site, "reflection"))
-            continue
-        binding = program.bindings.get(id(node))
-        if binding is None:
-            continue  # unbound due to upstream diagnostics
-        if isinstance(binding, StaticCall):
-            graph.edges.add(Edge(caller, member_id(METHOD, binding.owner, binding.sig),
-                                 site, STATIC_DISPATCH))
-        elif isinstance(binding, CtorCall):
-            graph.edges.add(Edge(caller, member_id(CONSTRUCTOR, binding.owner, binding.sig),
-                                 site, CONSTRUCTOR_CALL))
-        elif isinstance(binding, VirtualCall):
-            for sub in program.subtypes_of(binding.declared_type):
-                if program.symbols[sub].is_interface:
-                    continue
-                impl = program.resolve_impl(sub, binding.sig)
+def _emit(graph: CallGraph, program: ResolvedProgram, caller, calls):
+    for call in calls:
+        if call.kind == REFLECTION:
+            graph.unresolved.add((caller, call.site, "reflection"))
+        elif call.kind == VIRTUAL_DISPATCH:  # an interface has no bodies to resolve to
+            for sub in program.subtypes_of(call.owner):
+                impl = program.resolve_impl(sub, call.sig)
                 if impl is not None:
                     graph.edges.add(Edge(caller, member_id(METHOD, impl.owner, impl.sig),
-                                         site, VIRTUAL_DISPATCH))
+                                         call.site, VIRTUAL_DISPATCH))
+        elif call.kind is not None:  # a static or a constructor call
+            ctype = CONSTRUCTOR if call.kind == CONSTRUCTOR_CALL else METHOD
+            graph.edges.add(Edge(caller, member_id(ctype, call.owner, call.sig), call.site,
+                                 call.kind))
 
 
 def reachable(graph: CallGraph, seeds) -> ReachResult:

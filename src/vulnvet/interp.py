@@ -29,7 +29,8 @@ from .constructs import CONSTRUCTOR, METHOD, ConstructId, member_id, split_membe
 from .errors import NoTestsMatched
 from .jx import ast
 from .jx.ast import INT_MAX, INT_MIN
-from .jx.resolver import CtorCall, ResolvedProgram, StaticCall, VirtualCall
+from .jx.resolver import (CONSTRUCTOR_CALL, REFLECTION, STATIC_DISPATCH, VIRTUAL_DISPATCH,
+                          ResolvedProgram)
 from .traces import TraceEvent, TraceLog, normalize
 
 STEP_BUDGET = 1_000_000  # statements and expressions evaluated per run
@@ -191,13 +192,12 @@ class Interpreter:
         chain = []
         if ctype == CONSTRUCTOR:
             for tinfo in reversed(list(self.program.class_chain(member.owner))):
-                fields, init = tinfo.decl.fields, _Compiler(self, cid, tinfo.unit.origin)
+                fields, init = tinfo.decl.fields, _Compiler(self, cid)
                 chain.append(({f.name: _DEFAULTS.get(tinfo.fields[f.name]) for f in fields},
                               [(f.name, init.expr(f.init, {}))
                                for f in fields if f.init is not None]))
         params = member.decl.params
-        comp = _Compiler(self, cid, self.program.symbols[member.owner].unit.origin,
-                         len(params) + 1)
+        comp = _Compiler(self, cid, len(params) + 1)
         stmts = comp.block(block.stmts, {p.name: i for i, p in enumerate(params, 1)})
         pad = (None,) * (comp.slots - len(params) - 1)
 
@@ -246,8 +246,8 @@ class _Compiler:
     the clock, which raises StopIteration when it runs out, so none may run
     inside ``map``, a generator or the like, which would end quietly."""
 
-    def __init__(self, vm: Interpreter, cid: ConstructId, origin: str, slots: int = 1):
-        self.vm, self.cid, self.origin, self.slots = vm, cid, origin, slots
+    def __init__(self, vm: Interpreter, cid: ConstructId, slots: int = 1):
+        self.vm, self.cid, self.slots = vm, cid, slots
 
     def block(self, stmts, scope) -> list:
         scope = dict(scope)
@@ -401,9 +401,9 @@ class _Compiler:
 
     def call(self, e, args: list, scope):
         vm, cid, program = self.vm, self.cid, self.vm.program
-        site = "%s:%d" % (self.origin, e.pos[0])
-        binding = program.bindings.get(id(e))
-        if isinstance(e, ast.ReflectInvoke):
+        call = program.bindings[id(e)]
+        site, kind = call.site, call.kind
+        if kind == REFLECTION:
             def run(frame):
                 next(vm.clock)
                 values = [a(frame) for a in args]
@@ -411,24 +411,22 @@ class _Compiler:
                     raise RuntimeTypeError("Reflect.invoke target must be text")
                 target = vm._resolve_reflect(values[0], len(values) - 1)
                 return vm._entry(METHOD, target)(values[1:], None, cid, site)
-        elif isinstance(e, ast.New) and isinstance(binding, CtorCall):
-            owner = binding.owner
-            enter = vm._entry(CONSTRUCTOR, program.symbols[owner].ctors[binding.sig])
+        elif kind == CONSTRUCTOR_CALL:
+            owner = call.owner
+            enter = vm._entry(CONSTRUCTOR, program.symbols[owner].ctors[call.sig])
             def run(frame):
                 next(vm.clock)
                 values = [a(frame) for a in args]
                 obj = Obj(owner)
                 enter(values, obj, cid, site)
                 return obj
-        elif isinstance(e, ast.New):
-            return self.fail("unresolved constructor call at %s" % site)
-        elif isinstance(binding, StaticCall):
-            enter = vm._entry(METHOD, program.symbols[binding.owner].methods[binding.sig])
+        elif kind == STATIC_DISPATCH:
+            enter = vm._entry(METHOD, program.symbols[call.owner].methods[call.sig])
             def run(frame):
                 next(vm.clock)
                 return enter([a(frame) for a in args], None, cid, site)
-        elif isinstance(binding, VirtualCall):
-            recv, sig = self.expr(e.recv, scope), binding.sig
+        elif kind == VIRTUAL_DISPATCH:
+            recv, sig = self.expr(e.recv, scope), call.sig
             def run(frame):
                 next(vm.clock)
                 obj = recv(frame)
@@ -439,6 +437,8 @@ class _Compiler:
                 if impl is None:
                     raise RuntimeTypeError("no implementation of %s for %s" % (sig, obj.cls))
                 return vm._entry(METHOD, impl)(values, obj, cid, site)
+        elif isinstance(e, ast.New):
+            return self.fail("unresolved constructor call at %s" % site)
         else:
             return self.fail("unresolved call at %s" % site)
         return run

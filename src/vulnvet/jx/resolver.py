@@ -6,16 +6,26 @@ when built and binds each body when it is first asked for it.
 Types are represented as strings: the four primitives or a class/interface
 name as ast.type_text spells it. Method signatures are ``name(type,...)``
 (ast.signature), also the member part of construct identifiers.
+
+Binding a body decides, once, what each of its calls does and where it is:
+every New, MethodCall and ReflectInvoke node becomes one CallSite record,
+its site spelled ``origin:line``. The call graph and the interpreter read
+these records, so a CHA edge and a traced call name a site alike.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import ast
 from .parser import MAX_NESTING, parse_body
 
+# what a call does: the three kinds of a call graph edge, or a reflective call
+STATIC_DISPATCH = "STATIC_DISPATCH"
+VIRTUAL_DISPATCH = "VIRTUAL_DISPATCH"
+CONSTRUCTOR_CALL = "CONSTRUCTOR_CALL"
+REFLECTION = "REFLECTION"
 ERROR_TYPE = "?"  # poisons downstream checks without cascading diagnostics
 # Python frames that parsing or binding one body may take: parsing takes the
 # most, up to three per nesting level (an expression in parentheses)
@@ -35,7 +45,7 @@ class MethodInfo:
         self.rettype = rettype
         self.param_types = param_types
         self.decl = decl  # ast.MethodDecl or ast.CtorDecl
-        self.calls = []  # New/MethodCall/ReflectInvoke nodes of the body
+        self.calls = []  # a CallSite per New/MethodCall/ReflectInvoke of the body
 
 
 class TypeInfo:
@@ -54,43 +64,33 @@ class TypeInfo:
         self.fields = {}        # name -> type
         self.methods = {}       # sig -> MethodInfo
         self.ctors = {}         # sig -> MethodInfo
-        self.init_calls = []    # call nodes of field initializers
+        self.init_calls = []    # CallSites of field initializers
 
 
-class StaticCall:
-    __slots__ = ("owner", "sig")
-
-    def __init__(self, owner: str, sig: str):
-        self.owner = owner
-        self.sig = sig
-
-
-class VirtualCall:
-    __slots__ = ("declared_type", "sig")
-
-    def __init__(self, declared_type: str, sig: str):
-        self.declared_type = declared_type
-        self.sig = sig
-
-
-class CtorCall:
-    __slots__ = ("owner", "sig")
-
-    def __init__(self, owner: str, sig: str):
-        self.owner = owner
-        self.sig = sig
+class CallSite(NamedTuple):
+    """A call node of a bound body: its site, its kind and what it names. A
+    static or virtual call names a type and a method signature, a
+    constructor call a class and a constructor signature; a reflective
+    call, and one a diagnostic left unbound (kind None), neither."""
+    site: str  # "origin:line"
+    kind: Optional[str]
+    owner: Optional[str] = None
+    sig: Optional[str] = None
 
 
 class ResolvedProgram:
     """A resolved corpus, and the resolver that binds its bodies. Its tables:
 
     - ``symbols``: qname -> TypeInfo, whose ``supertypes`` are cycle-free and
-      whose ``superclass``, per-member ``calls`` and class ``init_calls``
-      record the hierarchy and the call sites of the bodies bound so far;
+      whose ``superclass`` records the hierarchy, and whose per-member
+      ``calls`` and class ``init_calls`` list the CallSites of the bodies
+      bound so far, in the order binding meets them: a call after the
+      calls in its arguments;
     - ``direct_subtypes``: qname -> the corpus types that name it among
       their ``supertypes``; ``subtypes_of`` closes it on demand and keeps
       the closure of each type it was asked about;
-    - ``bindings``: id(call node) -> StaticCall|VirtualCall|CtorCall;
+    - ``bindings``: id(call node) -> its CallSite, for every call node of
+      the bodies bound so far, an unbound call's too (kind None);
     - ``diagnostics`` and ``warnings``: error and non-fatal (shadowing) text.
 
     The constructor resolves the declarations (types, members, hierarchy)
@@ -108,7 +108,7 @@ class ResolvedProgram:
         self.diagnostics = []
         self.warnings = []
         self.bindings = {}
-        self._calls = None  # list of call nodes of the body being bound
+        self._calls = None  # the CallSite list of the body being bound
         self._bound = set()  # the members and classes (initializers) bound
         self._collect()
         self._build_members()
@@ -491,20 +491,19 @@ class ResolvedProgram:
                 self.err("cannot instantiate interface %s" % tq, e.pos, unit)
                 tq = None
             argts = [self.bind_expr(a, env, info) for a in e.args]
-            self._calls.append(e)
-            if tq is None:
-                return ERROR_TYPE
-            if ERROR_TYPE in argts:
-                return tq
+            if tq is None or ERROR_TYPE in argts:
+                self._call(e, unit, None)
+                return tq or ERROR_TYPE
             sig = ast.signature(self.symbols[tq].decl.name, argts)
-            if sig not in self.symbols[tq].ctors:
+            if sig in self.symbols[tq].ctors:
+                self._call(e, unit, CONSTRUCTOR_CALL, tq, sig)
+            else:
                 self.err("no constructor %s in %s" % (sig, tq), e.pos, unit)
-                return tq
-            self.bindings[id(e)] = CtorCall(tq, sig)
+                self._call(e, unit, None)
             return tq
         if isinstance(e, ast.ReflectInvoke):
             argts = [self.bind_expr(a, env, info) for a in e.args]
-            self._calls.append(e)
+            self._call(e, unit, REFLECTION)
             if argts[0] not in ("text", ERROR_TYPE):
                 self.err("Reflect.invoke target must be text", e.pos, unit)
             return "void"
@@ -520,12 +519,20 @@ class ResolvedProgram:
                          % (e.op, lt, rt), e.pos, unit)
             return "boolean"
         if isinstance(e, ast.MethodCall):
-            t = self._bind_call(e, env, info)
-            self._calls.append(e)
+            t, *binding = self._bind_call(e, env, info)
+            self._call(e, unit, *binding)
             return t
         raise TypeError("unknown expression node: %r" % (e,))
 
-    def _bind_call(self, e: ast.MethodCall, env, info) -> str:
+    def _call(self, e, unit, *binding):
+        """Bind call node e, its arguments bound, to a CallSite of its kind,
+        owner and signature (``binding``), and list it in the body's calls."""
+        call = self.bindings[id(e)] = CallSite("%s:%d" % (unit.origin, e.pos[0]), *binding)
+        self._calls.append(call)
+
+    def _bind_call(self, e: ast.MethodCall, env, info) -> tuple:
+        """The type of e, and the kind, owner and signature it is bound to
+        unless a diagnostic leaves it unbound (kind None)."""
         unit = info.unit
         named = self._type_name(e.recv, env, info)
         as_type = named and self.resolve_type_name(named, info.package)
@@ -533,33 +540,31 @@ class ResolvedProgram:
             self.err("unknown name %s" % named.text(), e.pos, unit)
             for a in e.args:
                 self.bind_expr(a, env, info)
-            return ERROR_TYPE
+            return ERROR_TYPE, None
         argts = [self.bind_expr(a, env, info) for a in e.args]
         if ERROR_TYPE in argts:
             if as_type is None:  # a receiver that is not a type may hold calls
                 self.bind_expr(e.recv, env, info)
-            return ERROR_TYPE
+            return ERROR_TYPE, None
         sig = ast.signature(e.name, argts)
         if as_type is not None:
             tinfo = self.symbols[as_type]
             m = tinfo.methods.get(sig)
             if m is None or not m.static:
                 self.err("no static method %s in %s" % (sig, as_type), e.pos, unit)
-                return ERROR_TYPE
-            self.bindings[id(e)] = StaticCall(as_type, sig)
-            return m.rettype
+                return ERROR_TYPE, None
+            return m.rettype, STATIC_DISPATCH, as_type, sig
         rt = self.bind_expr(e.recv, env, info)
         if rt == ERROR_TYPE:
-            return ERROR_TYPE
+            return ERROR_TYPE, None
         if rt not in self.symbols:
             self.err("type %s has no methods" % rt, e.pos, unit)
-            return ERROR_TYPE
+            return ERROR_TYPE, None
         m = self.lookup_method(rt, sig)
         if m is None:
             self.err("no method %s in %s" % (sig, rt), e.pos, unit)
-            return ERROR_TYPE
-        self.bindings[id(e)] = VirtualCall(rt, sig)
-        return m.rettype
+            return ERROR_TYPE, None
+        return m.rettype, VIRTUAL_DISPATCH, rt, sig
 
 
 def resolve(units, precedence=None) -> ResolvedProgram:

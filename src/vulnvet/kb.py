@@ -18,7 +18,8 @@ from .constructs import CTYPE, ConstructId, version_key, version_newer
 from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
-from .workspace import check, framed_digest, json_text, load_json, one_of, shape, write_atomic
+from .workspace import (check, framed_digest, json_text, load_json, one_of, regular_files,
+                        shape, write_atomic)
 
 CODE_CHANGE = "CODE_CHANGE"
 WHOLE_LIBRARY = "WHOLE_LIBRARY"
@@ -74,6 +75,44 @@ RECORD = shape({"vulnId": str, "kind": one_of(CODE_CHANGE, WHOLE_LIBRARY),
 # a package has no body, so its fingerprint is null
 INDEX = shape({"name": str, "versions": {VERSION: [{"ctype": CTYPE, "qname": str,
                                                       "fingerprint": (None, str)}]}})
+
+
+def _repeat(values, key=lambda value: value):
+    """(value, earlier value) for the first of values whose key an earlier
+    one has, or None."""
+    seen = {}
+    for value in values:
+        k = key(value)
+        if k in seen:
+            return value, seen[k]
+        seen[k] = value
+    return None
+
+
+def _check_record(data, where: str):
+    """What a record must hold beyond its shape (RECORD), checked on write
+    and on read: each construct changes once, each range covers a version."""
+    repeat = _repeat(ConstructId(c["ctype"], c["qname"]) for c in data.get("changes", []))
+    if repeat:
+        raise MalformedRecord("%s: construct %s changes more than once" % (where, repeat[0]))
+    for a in data.get("affected", []):
+        if version_newer(a["low"], a["high"]):
+            raise MalformedRecord("%s: range %s:%s:%s covers no version: low is above high"
+                                  % (where, a["library"], a["low"], a["high"]))
+
+
+def _check_index(data, where: str):
+    """What an index must hold beyond its shape (INDEX), checked on write
+    and on read: each version once (1.0 and 1.0.0 are one), and each
+    construct once in a version."""
+    repeat = _repeat(data["versions"], version_key)
+    if repeat:
+        raise MalformedRecord("%s: version %s repeats version %s" % (where, *repeat))
+    for version, entries in data["versions"].items():
+        repeat = _repeat(ConstructId(e["ctype"], e["qname"]) for e in entries)
+        if repeat:
+            raise MalformedRecord("%s: version %s lists construct %s more than once"
+                                  % (where, version, repeat[0]))
 
 
 def _stored_tree(text, where: str, cid: ConstructId, key: str):
@@ -196,10 +235,7 @@ class KnowledgeBase:
         }
         # what is stored is what load_record accepts: a bad version is never stored
         check(data, RECORD, "kb record %s" % record.vuln_id, MalformedRecord)
-        for n, lo, hi in record.affected:
-            if version_newer(lo, hi):
-                raise MalformedRecord("kb record %s: range %s:%s:%s covers no version: "
-                                      "low is above high" % (record.vuln_id, n, lo, hi))
+        _check_record(data, "kb record %s (%s)" % (record.vuln_id, path))
         write_atomic(path, (json_text(data),))
 
     def load_record(self, vuln_id: str) -> VulnerabilityRecord:
@@ -211,6 +247,7 @@ class KnowledgeBase:
         data = load_json(path, MalformedRecord, RECORD)
         _check_stored_name(path, "vulnId", data["vulnId"], vuln_id)
         where = "kb record %s (%s)" % (data["vulnId"], path)
+        _check_record(data, where)
         return VulnerabilityRecord(
             vuln_id=data["vulnId"],
             description=data.get("description", ""),
@@ -221,7 +258,7 @@ class KnowledgeBase:
         )
 
     def records(self) -> list:
-        return [self.load_record(p.stem) for p in sorted((self.root / "vulns").glob("*.json"))]
+        return [self.load_record(p.stem) for p in regular_files(self.root / "vulns", "*.json")]
 
     # --- library indexes ---
 
@@ -234,16 +271,14 @@ class KnowledgeBase:
         if not version_roots:
             raise VetError("no versions given for library %s" % name)
         self._lib_path(name)  # before any parse
-        seen = {}
         for version, _root in version_roots:
             try:
-                key = version_key(version)
+                version_key(version)
             except ValueError as exc:
                 raise VetError("library %s: %s" % (name, exc)) from None
-            if key in seen:
-                raise VetError("library %s: version %s repeats version %s"
-                               % (name, version, seen[key]))
-            seen[key] = version
+        repeat = _repeat([version for version, _root in version_roots], version_key)
+        if repeat:
+            raise VetError("library %s: version %s repeats version %s" % (name, *repeat))
         index = LibraryIndex(name, {
             version: {cid: c.fingerprint for cid, c in extract_root(Path(root)).items()}
             for version, root in version_roots})
@@ -261,6 +296,7 @@ class KnowledgeBase:
             },
         }
         check(data, INDEX, "library %s" % index.name, MalformedRecord)
+        _check_index(data, "library %s (%s)" % (index.name, path))
         write_atomic(path, (json_text(data),))
 
     def load_index(self, name: str) -> LibraryIndex:
@@ -274,12 +310,13 @@ class KnowledgeBase:
                                  % (name, name))
         data = load_json(path, MalformedRecord, INDEX)
         _check_stored_name(path, "name", data["name"], name)
+        _check_index(data, "library %s (%s)" % (name, path))
         versions = {v: {ConstructId(e["ctype"], e["qname"]): e["fingerprint"] for e in entries}
                     for v, entries in data["versions"].items()}
         return LibraryIndex(name, versions)
 
     def library_names(self) -> list:
-        return sorted(p.stem for p in (self.root / "libs").glob("*.json"))
+        return sorted(p.stem for p in regular_files(self.root / "libs", "*.json"))
 
     # --- provenance stamp ---
 
@@ -287,6 +324,6 @@ class KnowledgeBase:
         """Content hash over the whole document set, for report stamping: each
         document as its POSIX path under the root and its bytes, every part
         length-prefixed (see workspace.framed_digest)."""
-        return framed_digest(part for path in sorted(self.root.rglob("*.json"))
+        return framed_digest(part for path in regular_files(self.root, "**/*.json")
                              for part in (path.relative_to(self.root).as_posix().encode(),
                                           path.read_bytes()))

@@ -21,7 +21,7 @@ from .detection import COMBINED, DYNAMIC, EVIDENCE_ORDER, NONE, STATIC
 from .errors import MalformedArtifact
 from .kb import KnowledgeBase
 from .traces import TraceLog, load_summary
-from .workspace import Workspace, load_json, shape
+from .workspace import Workspace, load_json, regular_files, shape
 
 
 def attach_evidence(findings, log: TraceLog, r_static: ReachResult,
@@ -106,7 +106,7 @@ def assemble_report(ws: Workspace) -> dict:
                          "constructCounts": dict(Counter(c.ctype for c in arc.constructs))})
 
     mitigation = {path.stem[len("mitigation-"):]: load_json(path, MalformedArtifact, _MITIGATION)
-                  for path in sorted(ws.artifact_dir.glob("mitigation-*.json"))}
+                  for path in regular_files(ws.artifact_dir, "mitigation-*.json")}
 
     kb = KnowledgeBase(ws.kb_path)
     kb_digest = kb.digest() if ws.kb_path.is_dir() else None

@@ -35,6 +35,12 @@ def read_text(path: Path, error) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
+def regular_files(root: Path, pattern: str) -> list:
+    """The regular files under root whose paths match the glob pattern, in
+    sorted order: a directory named like one (``x.json``) is not one."""
+    return [path for path in sorted(root.glob(pattern)) if path.is_file()]
+
+
 def framed_digest(parts) -> str:
     """SHA-256 over byte strings, each length-prefixed: no two sequences share it."""
     h = hashlib.sha256()

@@ -18,7 +18,6 @@ from vulnvet.constructs import CONSTRUCTOR, METHOD, ConstructId
 from vulnvet.jx import ast
 from vulnvet.jx.errors import ParseError
 from vulnvet.jx.lexer import KEYWORDS
-from vulnvet.jx.resolver import CtorCall, StaticCall, VirtualCall
 from vulnvet.kb import KnowledgeBase
 
 REPO = Path(__file__).resolve().parent.parent
@@ -381,19 +380,19 @@ def reference_call_graph(program) -> CallGraph:
     def emit(info, caller, calls):
         for node in calls:
             site = "%s:%d" % (info.unit.origin, node.pos[0])
-            binding = program.bindings.get(id(node))
+            binding = program.bindings[id(node)]
             if isinstance(node, ast.ReflectInvoke):
                 graph.unresolved.add((caller, site, "reflection"))
-            elif isinstance(binding, StaticCall):
+            elif binding.kind == STATIC_DISPATCH:
                 graph.edges.add(Edge(caller, ConstructId(METHOD, "%s.%s" % (
                     binding.owner, binding.sig)), site, STATIC_DISPATCH))
-            elif isinstance(binding, CtorCall):
+            elif binding.kind == CONSTRUCTOR_CALL:
                 graph.edges.add(Edge(caller, ConstructId(CONSTRUCTOR, "%s.%s" % (
                     binding.owner, binding.sig)), site, CONSTRUCTOR_CALL))
-            elif isinstance(binding, VirtualCall):
+            elif binding.kind == VIRTUAL_DISPATCH:
                 for sub in symbols:
                     if symbols[sub].is_interface or not (
-                            sub == binding.declared_type or binding.declared_type in anc[sub]):
+                            sub == binding.owner or binding.owner in anc[sub]):
                         continue
                     m = impl(sub, binding.sig)
                     if m is not None:

@@ -108,14 +108,16 @@ def test_reflection_lands_in_unresolved():
 
 
 def _recorded_and_walked(program):
-    """(recorded, walked) call nodes of every member and class initializer."""
+    """(recorded, walked) CallSites of every member and class initializer:
+    those the resolver listed, and those it bound the walked nodes to."""
     for info in program.symbols.values():
         inits = [f.init for f in info.decl.fields] if not info.is_interface else []
-        yield info.init_calls, [n for e in inits if e is not None
-                                for n in reference_call_nodes(e, [])]
+        walked = [n for e in inits if e is not None for n in reference_call_nodes(e, [])]
+        yield info.init_calls, [program.bindings[id(n)] for n in walked]
         for member in list(info.methods.values()) + list(info.ctors.values()):
             body = member.decl.body
-            yield member.calls, [] if body is None else reference_call_nodes(body, [])
+            walked = [] if body is None else reference_call_nodes(body, [])
+            yield member.calls, [program.bindings[id(n)] for n in walked]
 
 
 @pytest.mark.parametrize("stmt", [
@@ -132,7 +134,7 @@ def test_reflective_sites_survive_ill_typed_input(stmt):
     assert graph.unresolved == {(_m("p.A.m()"), "u.jx:6", "reflection")}
     assert graph == reference_call_graph(program)
     for recorded, walked in _recorded_and_walked(program):
-        assert sorted(map(id, recorded)) == sorted(map(id, walked))
+        assert list(map(id, recorded)) == list(map(id, walked))
 
 
 @pytest.mark.parametrize("source", ["golden", "update", "corpus", "kb-drift", "trace-heavy"])
@@ -148,7 +150,7 @@ def test_call_graph_equals_the_reference_walk(tmp_path, source):
     assert graph.edges
     assert graph == reference_call_graph(program)
     for recorded, walked in _recorded_and_walked(program):
-        assert sorted(map(id, recorded)) == sorted(map(id, walked))
+        assert list(map(id, recorded)) == list(map(id, walked))
 
 
 def test_reachable_skips_unknown_seeds():

@@ -440,6 +440,11 @@ def test_report_rejects_reach_artifact_without_seed_chain(tmp_path, capsys):
     '{"vulnId": "BAD", "kind": "CODE_CHANGE", "changes": '         # MOD without trees
     '[{"ctype": "METHOD", "qname": "fw.Engine.renderError()", "op": "MOD", '
     '"fpVuln": "aa", "fpFixed": "bb", "astVuln": null, "astFixed": null}]}',
+    '{"vulnId": "BAD", "kind": "CODE_CHANGE", "changes": '         # one construct twice
+    '[{"ctype": "METHOD", "qname": "fw.Engine.renderError()", "op": "DEL"}, '
+    '{"ctype": "METHOD", "qname": "fw.Engine.renderError()", "op": "DEL"}]}',
+    '{"vulnId": "BAD", "kind": "WHOLE_LIBRARY", "affected": '       # low above high
+    '[{"library": "fw", "low": "2.0", "high": "1.0"}]}',
 ])
 def test_scan_rejects_malformed_kb_record(tmp_path, capsys, text):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
@@ -617,6 +622,9 @@ def test_method_named_like_its_class_exits_three(tmp_path, capsys):
     '{"name": "libA", "versions": {"1.0": [{"ctype": "CLASS", "qname": "libA.Api"}]}}',
     '{"name": "libA", "versions": {"1.0": [{"ctype": "CLASS", "qname": "libA.Api", "fingerprint": 1}]}}',
     '{"name": "libA", "versions": {"1.x": []}}',                   # bad version
+    '{"name": "libA", "versions": {"2.0": [], "2.0.0": []}}',      # one version twice
+    '{"name": "libA", "versions": {"1.0": [{"ctype": "CLASS", "qname": "libA.Api", "fingerprint": "ab"}, '
+    '{"ctype": "CLASS", "qname": "libA.Api", "fingerprint": "ab"}]}}',  # one construct twice
 ])
 def test_malformed_library_index_is_rejected(tmp_path, capsys, text):
     ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
@@ -1120,6 +1128,28 @@ def test_a_directory_named_like_a_source_file_is_not_one(tmp_path, capsys):
         runs.append((outcome, stored))
     assert runs[0] == runs[1]
     assert [code for code, _out, _err in runs[0][0][0]] == [0, 0, 0, 1, 0, 0, 0, 0, 0, 2]
+
+
+def test_a_directory_named_like_a_json_input_is_not_one(tmp_path, capsys):
+    runs = []
+    for name in ("plain", "dirs"):
+        ws = _golden_with_index(tmp_path / name / "ws")
+        if name == "dirs":  # an empty directory where vet lists records, indexes, rankings
+            for path in ("kb/vulns/x.json", "kb/libs/x.json", ".vet/mitigation-x.json"):
+                (ws / path).mkdir(parents=True)
+        capsys.readouterr()
+        out = []
+        for step in (SCAN, STATIC, *TRACES, COMBINED, MITIGATE, ["kb", "list"], ["report"]):
+            code = vet(["--workspace", str(ws), *step])
+            io = capsys.readouterr()
+            out.append((code, io.out.replace(str(ws), "WS"), io.err))
+        stored = {p.relative_to(ws).as_posix(): p.read_bytes()
+                  for d in (".vet", "kb") for p in sorted((ws / d).rglob("*")) if p.is_file()}
+        runs.append((out, stored))
+    assert runs[0] == runs[1]
+    assert [code for code, _out, _err in runs[0][0]] == [1, 0, 0, 0, 0, 0, 0, 2]
+    digest = json.loads(runs[1][1][".vet/report.json"])["kbDigest"]
+    assert digest == KnowledgeBase(tmp_path / "plain/ws/kb").digest()
 
 
 def _outcome(ws, capsys, steps):

@@ -58,6 +58,28 @@ def test_traced_edges_are_explained_by_the_cha_graph(tmp_path, source):
             if (e.caller, e.callee) not in static and e.caller not in reflective] == []
 
 
+@pytest.mark.parametrize("source", ["golden", "corpus", "kb-drift", "trace-heavy"])
+def test_traced_sites_are_the_sites_of_the_cha_graph(tmp_path, source):
+    # a traced call and a CHA edge spell its site alike: each event with a
+    # caller is an edge at its site, or sits at an unresolved reflective site
+    if source == "golden":
+        ws, patterns = copy_workspace(GOLDEN / "workspace", tmp_path / "ws"), ("test", "itest")
+    else:
+        ws, patterns = small_workload(tmp_path, source), ("test",)
+    src = Sources(ws / "app.json", ws)
+    bom, program = build_bom(src), corpus_program(src)
+    graph = build_call_graph(program)
+    traces = TraceLog()
+    for pattern in patterns:
+        traces = traces.merge(run_tests(bom, program, pattern)[0])
+    static = {(e.caller, e.callee, e.site) for e in graph.edges}
+    reflective = {(caller, site) for caller, site, why in graph.unresolved if why == "reflection"}
+    called = [e for e in traces.events if e.caller is not None]
+    assert called and any((e.caller, e.site) in reflective for e in called)
+    assert [e for e in called if (e.caller, e.callee, e.site) not in static
+            and (e.caller, e.site) not in reflective] == []
+
+
 def test_combined_pass_with_empty_traces_reaches_nothing(tmp_path):
     _, _, graph, _ = _pipeline(tmp_path)
     result = combined_reachable(graph, TraceLog())

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (deep_bodies, jx_declarations, jx_hierarchies, naive_ancestors,
-                     random_program)
+                     random_program, reference_call_nodes)
 from printer import pretty_print
 from vulnvet.jx import ast, parser
 from vulnvet.jx.errors import ParseError
 from vulnvet.jx.parser import MAX_NESTING, parse_unit
-from vulnvet.jx.resolver import StaticCall, VirtualCall, resolve
+from vulnvet.jx.resolver import STATIC_DISPATCH, VIRTUAL_DISPATCH, resolve
 
 FULL = """
 package zoo;
@@ -143,9 +143,7 @@ def test_a_dotted_name_whose_head_is_a_field_of_this_is_a_value():
     program = resolve([parse_unit(lib, "a.jx"), parse_unit(src, "p.jx")]).bind_all()
     assert program.diagnostics == ["p.jx:6:28: type a.b used as a value"]
     call = program.symbols["p.H"].methods["call()"].calls[0]
-    binding = program.bindings[id(call)]
-    assert isinstance(binding, VirtualCall) and (binding.declared_type, binding.sig) == (
-        "a.b", "f()")
+    assert (call.kind, call.owner, call.sig) == (VIRTUAL_DISPATCH, "a.b", "f()")
 
 
 def test_unknown_types_in_signatures_are_reported_at_their_members():
@@ -425,13 +423,14 @@ def _members(program):
 def _resolution(program):
     """Each member's and each class's call nodes, by position, with their
     bindings, and the diagnostics in sorted order."""
-    def calls(nodes):
-        out = []
-        for node in nodes:
-            b = program.bindings.get(id(node))
-            out.append((type(node).__name__, node.pos,
-                        b and (type(b).__name__,) + tuple(getattr(b, s) for s in b.__slots__)))
-        return out
+    walked = [n for _q, m in _members(program) for n in reference_call_nodes(m.decl.body, [])]
+    walked += [n for info in program.symbols.values() if not info.is_interface
+               for f in info.decl.fields if f.init is not None
+               for n in reference_call_nodes(f.init, [])]
+    node = {id(program.bindings[id(n)]): n for n in walked}  # of each CallSite
+
+    def calls(sites):
+        return [(type(node[id(c)]).__name__, node[id(c)].pos, tuple(c)) for c in sites]
     table = {(q, m.sig): calls(m.calls) for q, m in _members(program)}
     table.update({q: calls(info.init_calls) for q, info in program.symbols.items()})
     return table, sorted(program.diagnostics), len(program.bindings)
@@ -466,8 +465,8 @@ def test_a_constructor_binds_the_initializers_of_its_class_chain_alone():
     kid = program.symbols["q.Kid"]
     program.body(kid.ctors["Kid()"])
     base = program.symbols["q.Base"]
-    assert [type(n).__name__ for n in base.init_calls] == ["MethodCall", "MethodCall"]
-    assert all(id(n) in program.bindings for n in base.init_calls)
+    assert [c.kind for c in base.init_calls] == [STATIC_DISPATCH, STATIC_DISPATCH]
+    assert {id(c) for c in base.init_calls} <= {id(c) for c in program.bindings.values()}
     assert program.diagnostics == ["u.jx:6:34: unknown name nosuch"]
     # no other body was parsed, and Base's own constructors find its
     # initializers bound
@@ -502,7 +501,8 @@ def test_a_body_that_fails_to_parse_stays_unbound_and_fails_each_time():
     assert len(errors) == 3 and len(set(errors)) == 1
     # bind_all bound the members before bad and stopped there; the rest
     # bind on request, and none is bound twice
-    assert len(ok.calls) == 1 and isinstance(program.bindings[id(ok.calls[0])], StaticCall)
+    assert len(ok.calls) == 1 and ok.calls[0].kind == STATIC_DISPATCH
+    assert list(program.bindings.values())[0] is ok.calls[0]
     assert isinstance(b.methods["two()"].decl.body, ast.Unparsed)
     for m in (ok, b.methods["two()"], *a.ctors.values(), *b.ctors.values()):
         assert isinstance(program.body(m), ast.Block)

@@ -9,7 +9,7 @@ from vulnvet.canonical import CTree, digest, serialize
 from vulnvet.constructs import CLASS, METHOD, ConstructId
 from vulnvet.detection import non_vulnerable_versions
 from vulnvet.diffing import ADD, DEL, ConstructChange
-from vulnvet.errors import DuplicateVuln, EmptyChangeSet, UnknownLibrary
+from vulnvet.errors import DuplicateVuln, EmptyChangeSet, MalformedRecord, UnknownLibrary
 from vulnvet.kb import (CODE_CHANGE, WHOLE_LIBRARY, KnowledgeBase, LibraryIndex,
                         VulnerabilityRecord)
 
@@ -135,3 +135,16 @@ def test_documents_are_stable_json(tmp_path):
     kb.save_record(kb.load_record("VULN-J1"))
     assert path.read_bytes() == before
     assert data["vulnId"] == "VULN-J1"
+
+
+def test_a_document_is_stored_only_if_it_would_be_read(tmp_path):
+    # the rules load_record and load_index keep hold when saving too
+    kb = KnowledgeBase(tmp_path / "kb")
+    gone = ConstructChange(ConstructId(METHOD, "p.A.f()"), DEL, fp_vuln="aa")
+    with pytest.raises(MalformedRecord, match="construct METHOD:p.A.f\\(\\) changes more than once"):
+        kb.save_record(VulnerabilityRecord("V", "", CODE_CHANGE, changes=[gone, gone]))
+    with pytest.raises(MalformedRecord, match="low is above high"):
+        kb.save_record(VulnerabilityRecord("V", "", WHOLE_LIBRARY, affected=[("l", "2.0", "1.0")]))
+    with pytest.raises(MalformedRecord, match="version 2.0.0 repeats version 2.0"):
+        kb.save_index(LibraryIndex("l", {"2.0": {}, "2.0.0": {}}))
+    assert not (tmp_path / "kb").exists()

@@ -14,7 +14,7 @@ from __future__ import annotations
 from vulnvet.constructs import CONSTRUCTOR, METHOD, member_id
 from vulnvet.interp import DivisionByZero, IntegerOverflow, Interpreter, Obj, RuntimeTypeError
 from vulnvet.jx import ast
-from vulnvet.jx.resolver import CtorCall, StaticCall, VirtualCall
+from vulnvet.jx.resolver import CONSTRUCTOR_CALL, STATIC_DISPATCH, VIRTUAL_DISPATCH
 
 _DEFAULTS = {"int": 0, "boolean": False, "text": ""}
 _MISSING = object()
@@ -175,8 +175,8 @@ class Walker(Interpreter):
             return self._binary(e.op, left, right)
         site = "%s:%d" % (origin, e.pos[0])
         if isinstance(e, ast.New):
-            binding = self.program.bindings.get(id(e))
-            if not isinstance(binding, CtorCall):
+            binding = self.program.bindings[id(e)]
+            if binding.kind != CONSTRUCTOR_CALL:
                 raise RuntimeTypeError("unresolved constructor call at %s" % site)
             args = [self._eval(a, env, this, cid, origin) for a in e.args]
             obj = Obj(binding.owner)
@@ -191,12 +191,12 @@ class Walker(Interpreter):
             return self._call(METHOD, self._resolve_reflect(target, len(args) - 1),
                               args[1:], None, cid, site)
         if isinstance(e, ast.MethodCall):
-            binding = self.program.bindings.get(id(e))
-            if isinstance(binding, StaticCall):
+            binding = self.program.bindings[id(e)]
+            if binding.kind == STATIC_DISPATCH:
                 args = [self._eval(a, env, this, cid, origin) for a in e.args]
                 return self._call(METHOD, self.program.symbols[binding.owner].methods[binding.sig],
                                   args, None, cid, site)
-            if isinstance(binding, VirtualCall):
+            if binding.kind == VIRTUAL_DISPATCH:
                 recv = self._eval(e.recv, env, this, cid, origin)
                 if not isinstance(recv, Obj):
                     raise RuntimeTypeError("instance call on a non-object")
