@@ -401,7 +401,7 @@ class _Compiler:
 
     def call(self, e, args: list, scope):
         vm, cid, program = self.vm, self.cid, self.vm.program
-        call = program.bindings[id(e)]
+        call = e.call
         site, kind = call.site, call.kind
         if kind == REFLECTION:
             def run(frame):

@@ -104,30 +104,33 @@ class FieldAccess:
 
 
 class New:
-    __slots__ = ("type", "args", "pos")
+    __slots__ = ("type", "args", "pos", "call")
 
     def __init__(self, type: NamedType, args: list, pos: Pos):
         self.type = type
         self.args = args
         self.pos = pos
+        self.call = None  # its resolver.CallSite once its body is bound
 
 
 class MethodCall:
-    __slots__ = ("recv", "name", "args", "pos")
+    __slots__ = ("recv", "name", "args", "pos", "call")
 
     def __init__(self, recv: Expr, name: str, args: list, pos: Pos):
         self.recv = recv  # receiver expression or dotted name chain (Var/FieldAccess)
         self.name = name
         self.args = args
         self.pos = pos
+        self.call = None  # as New.call
 
 
 class ReflectInvoke:
-    __slots__ = ("args", "pos")
+    __slots__ = ("args", "pos", "call")
 
     def __init__(self, args: list, pos: Pos):
         self.args = args  # first arg is the target name expression
         self.pos = pos
+        self.call = None  # as New.call
 
 
 class Binary:

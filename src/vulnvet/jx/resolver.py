@@ -8,9 +8,9 @@ name as ast.type_text spells it. Method signatures are ``name(type,...)``
 (ast.signature), also the member part of construct identifiers.
 
 Binding a body decides, once, what each of its calls does and where it is:
-every New, MethodCall and ReflectInvoke node becomes one CallSite record,
-its site spelled ``origin:line``. The call graph and the interpreter read
-these records, so a CHA edge and a traced call name a site alike.
+every New, MethodCall and ReflectInvoke node gets one CallSite record as its
+``call``, its site spelled ``origin:line``. The call graph and the interpreter
+read these records, so a CHA edge and a traced call name a site alike.
 """
 
 from __future__ import annotations
@@ -85,19 +85,18 @@ class ResolvedProgram:
       whose ``superclass`` records the hierarchy, and whose per-member
       ``calls`` and class ``init_calls`` list the CallSites of the bodies
       bound so far, in the order binding meets them: a call after the
-      calls in its arguments;
+      calls in its arguments; each is also the ``call`` of its node, an
+      unbound call's too (kind None);
     - ``direct_subtypes``: qname -> the corpus types that name it among
       their ``supertypes``; ``subtypes_of`` closes it on demand and keeps
       the closure of each type it was asked about;
-    - ``bindings``: id(call node) -> its CallSite, for every call node of
-      the bodies bound so far, an unbound call's too (kind None);
     - ``diagnostics`` and ``warnings``: error and non-fatal (shadowing) text.
 
     The constructor resolves the declarations (types, members, hierarchy)
     and binds no body. ``body`` parses (where the parser skipped it) and
     binds one member's body at its first request, ``bind_all`` every body
-    not bound yet; ``bindings``, the ``calls`` lists and ``diagnostics``
-    grow as they do, each member's once.
+    not bound yet; the ``calls`` lists and ``diagnostics`` grow as they do,
+    each member's once.
     """
 
     def __init__(self, units, precedence=None):
@@ -107,7 +106,6 @@ class ResolvedProgram:
         self.symbols = {}
         self.diagnostics = []
         self.warnings = []
-        self.bindings = {}
         self._calls = None  # the CallSite list of the body being bound
         self._bound = set()  # the members and classes (initializers) bound
         self._collect()
@@ -354,7 +352,6 @@ class ResolvedProgram:
             return
         info, decl = self.symbols[m.owner], m.decl
         if isinstance(decl.body, ast.Unparsed):
-            # bindings are keyed by id(node): the block must outlive them
             decl.body = parse_body(decl.body)
         self._calls = m.calls
         env = {} if m.static else {"this": info.qname}
@@ -527,8 +524,8 @@ class ResolvedProgram:
     def _call(self, e, unit, *binding):
         """Bind call node e, its arguments bound, to a CallSite of its kind,
         owner and signature (``binding``), and list it in the body's calls."""
-        call = self.bindings[id(e)] = CallSite("%s:%d" % (unit.origin, e.pos[0]), *binding)
-        self._calls.append(call)
+        e.call = CallSite("%s:%d" % (unit.origin, e.pos[0]), *binding)
+        self._calls.append(e.call)
 
     def _bind_call(self, e: ast.MethodCall, env, info) -> tuple:
         """The type of e, and the kind, owner and signature it is bound to

@@ -161,6 +161,14 @@ def _check_stored_name(path: Path, key: str, value: str, expected: str):
                               % (path, key, value, expected))
 
 
+def _document(path: Path, what: str) -> Path:
+    """path, the file of what, unless something other than a file is there."""
+    if path.exists() and not path.is_file():
+        raise VetError("%s: %s is not a regular file; vet neither reads nor replaces it"
+                       % (what, path))
+    return path
+
+
 class KnowledgeBase:
     def __init__(self, root: Path):
         self.root = Path(root)
@@ -170,7 +178,7 @@ class KnowledgeBase:
     def _vuln_path(self, vuln_id: str, new: bool = False) -> Path:
         """The file of record vuln_id, which with new must not exist yet."""
         _check_name(vuln_id, "kb record id")
-        path = self.root / "vulns" / (vuln_id + ".json")
+        path = _document(self.root / "vulns" / (vuln_id + ".json"), "kb record " + vuln_id)
         if new and path.exists():
             raise DuplicateVuln("kb record %s already exists (%s); pass --overwrite to "
                                 "replace it" % (vuln_id, path))
@@ -178,7 +186,7 @@ class KnowledgeBase:
 
     def _lib_path(self, name: str) -> Path:
         _check_name(name, "library name")
-        return self.root / "libs" / (name + ".json")
+        return _document(self.root / "libs" / (name + ".json"), "library " + name)
 
     # --- vulnerability records ---
 

@@ -380,7 +380,7 @@ def reference_call_graph(program) -> CallGraph:
     def emit(info, caller, calls):
         for node in calls:
             site = "%s:%d" % (info.unit.origin, node.pos[0])
-            binding = program.bindings[id(node)]
+            binding = node.call
             if isinstance(node, ast.ReflectInvoke):
                 graph.unresolved.add((caller, site, "reflection"))
             elif binding.kind == STATIC_DISPATCH:

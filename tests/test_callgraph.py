@@ -113,11 +113,11 @@ def _recorded_and_walked(program):
     for info in program.symbols.values():
         inits = [f.init for f in info.decl.fields] if not info.is_interface else []
         walked = [n for e in inits if e is not None for n in reference_call_nodes(e, [])]
-        yield info.init_calls, [program.bindings[id(n)] for n in walked]
+        yield info.init_calls, [n.call for n in walked]
         for member in list(info.methods.values()) + list(info.ctors.values()):
             body = member.decl.body
             walked = [] if body is None else reference_call_nodes(body, [])
-            yield member.calls, [program.bindings[id(n)] for n in walked]
+            yield member.calls, [n.call for n in walked]
 
 
 @pytest.mark.parametrize("stmt", [

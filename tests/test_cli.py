@@ -343,12 +343,15 @@ def test_a_fix_without_construct_changes_is_not_stored(tmp_path, capsys):
     assert not (tmp_path / "kb/vulns/VULN-E.json").exists()
 
 
-def test_mitigate_writes_json_and_csv(tmp_path):
+def test_mitigate_writes_json_and_csv(tmp_path, capsys):
     ws = copy_workspace(UPDATE / "workspace", tmp_path / "ws")
     assert vet(["--workspace", str(ws), "kb", "index-lib", "--name", "libA",
                 "--root", "1.0=%s" % (ws / "libs/libA/1.0/src"),
                 "--root", "2.0=%s" % (UPDATE / "versions/2.0")]) == 0
+    capsys.readouterr()
     assert vet(["--workspace", str(ws), "mitigate", "--lib", "libA"]) == 0
+    # the summary spells each ratio num/den, as the CSV and the JSON hold it
+    assert "  best: 2.0 (cs=1/2 de=3 rbs=1/2 obs=2/3)\n" in capsys.readouterr().out
     data = json.loads((ws / ".vet/mitigation-libA.json").read_text())
     assert data["candidates"][0]["cs"] == {"num": 1, "den": 2}
     assert data["candidates"][0]["de"] == 3
@@ -1150,6 +1153,29 @@ def test_a_directory_named_like_a_json_input_is_not_one(tmp_path, capsys):
     assert [code for code, _out, _err in runs[0][0]] == [1, 0, 0, 0, 0, 0, 0, 2]
     digest = json.loads(runs[1][1][".vet/report.json"])["kbDigest"]
     assert digest == KnowledgeBase(tmp_path / "plain/ws/kb").digest()
+
+
+def test_a_directory_at_a_document_path_is_refused_before_a_write(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    record, index = ws / "kb/vulns/VULN-X.json", ws / "kb/libs/lib1.json"
+    for path in (record, index):
+        path.mkdir(parents=True)
+    fix = GOLDEN / "fixes/j1"
+    import_fix = ["kb", "import-fix", "--id", "VULN-X", "--before", str(fix / "before"),
+                  "--after", str(fix / "after")]
+    lib1 = ws / "libs/lib1/1.0/src"
+    capsys.readouterr()
+    for step, path in ((import_fix, record), (import_fix + ["--overwrite"], record),
+                       (["kb", "add-range", "--id", "VULN-X", "--affected", "lib1:1.0:2.0"],
+                        record),
+                       (["kb", "index-lib", "--name", "lib1", "--root", "1.0=%s" % lib1],
+                        index)):
+        assert vet(["--workspace", str(ws), *step]) == 3, step
+        err = capsys.readouterr().err
+        assert "%s is not a regular file" % path in err, step
+        assert "[Errno" not in err and "Traceback" not in err
+    assert sorted(p.relative_to(ws).as_posix() for p in (ws / "kb").rglob("*")) == [
+        "kb/libs", "kb/libs/lib1.json", "kb/vulns", "kb/vulns/VULN-X.json"]
 
 
 def _outcome(ws, capsys, steps):

@@ -4,7 +4,8 @@ import pytest
 
 from helpers import GOLDEN, build_golden_kb, copy_workspace, small_workload
 from vulnvet.bom import Sources, build_bom, corpus_program
-from vulnvet.callgraph import DYNAMIC as DYN_EDGE, app_reachability, build_call_graph
+from vulnvet.callgraph import (DYNAMIC as DYN_EDGE, VIRTUAL_DISPATCH, app_reachability,
+                               build_call_graph)
 from vulnvet.combined import combined_reachable, dynamic_edges
 from vulnvet.constructs import METHOD, ConstructId
 from vulnvet.detection import COMBINED, DYNAMIC, NONE, detect, finding_to_json
@@ -35,21 +36,51 @@ def test_dynamic_edges_cross_reflection_gaps(tmp_path):
     assert all(e.kind == DYN_EDGE for e in edges)
 
 
-@pytest.mark.parametrize("source", ["golden", "corpus", "kb-drift", "trace-heavy"])
-def test_traced_edges_are_explained_by_the_cha_graph(tmp_path, source):
-    # each call the interpreter observed is a CHA edge, or leaves a caller
-    # whose reflective site static analysis could not resolve
+# calls of an interface method on two implementing classes, and one reflective call
+VIRTUAL = """package app;
+interface Shape { int area(); }
+class Square implements Shape {
+    int side;
+    Square(int side) { this.side = side; }
+    int area() { return this.side * this.side; }
+}
+class Rect implements Shape {
+    int area() { return 2; }
+}
+class Shapes {
+    static int twice(app.Shape s) { return s.area() + s.area(); }
+    static void testSquare() { app.Shape s = new app.Square(3); app.Shapes.twice(s); }
+    static void testRect() { app.Shape s = new app.Rect(); s.area(); }
+    static void testReflective() { Reflect.invoke("app.Shapes.twice", new app.Rect()); }
+}
+"""
+TRACED = ["golden", "virtual", "corpus", "kb-drift", "trace-heavy"]
+
+
+def _traced(tmp_path, source):
+    """The CHA graph of a workspace, and the merged trace of its tests."""
     if source == "golden":
         ws, patterns = copy_workspace(GOLDEN / "workspace", tmp_path / "ws"), ("test", "itest")
+    elif source == "virtual":
+        ws, patterns = tmp_path / "ws", ("test",)
+        (ws / "src").mkdir(parents=True)
+        (ws / "app.json").write_text('{"name": "app", "version": "1.0", "sourceRoot": "src"}')
+        (ws / "src/shapes.jx").write_text(VIRTUAL)
     else:
         ws, patterns = small_workload(tmp_path, source), ("test",)
     src = Sources(ws / "app.json", ws)
-    bom = build_bom(src)
-    program = corpus_program(src)
-    graph = build_call_graph(program)
+    bom, program = build_bom(src), corpus_program(src)
     traces = TraceLog()
     for pattern in patterns:
         traces = traces.merge(run_tests(bom, program, pattern)[0])
+    return build_call_graph(program), traces
+
+
+@pytest.mark.parametrize("source", TRACED)
+def test_traced_edges_are_explained_by_the_cha_graph(tmp_path, source):
+    # each call the interpreter observed is a CHA edge, or leaves a caller
+    # whose reflective site static analysis could not resolve
+    graph, traces = _traced(tmp_path, source)
     static = {(e.caller, e.callee) for e in graph.edges}
     reflective = {caller for caller, _site, why in graph.unresolved if why == "reflection"}
     observed = dynamic_edges(traces)
@@ -58,26 +89,21 @@ def test_traced_edges_are_explained_by_the_cha_graph(tmp_path, source):
             if (e.caller, e.callee) not in static and e.caller not in reflective] == []
 
 
-@pytest.mark.parametrize("source", ["golden", "corpus", "kb-drift", "trace-heavy"])
+@pytest.mark.parametrize("source", TRACED)
 def test_traced_sites_are_the_sites_of_the_cha_graph(tmp_path, source):
     # a traced call and a CHA edge spell its site alike: each event with a
     # caller is an edge at its site, or sits at an unresolved reflective site
-    if source == "golden":
-        ws, patterns = copy_workspace(GOLDEN / "workspace", tmp_path / "ws"), ("test", "itest")
-    else:
-        ws, patterns = small_workload(tmp_path, source), ("test",)
-    src = Sources(ws / "app.json", ws)
-    bom, program = build_bom(src), corpus_program(src)
-    graph = build_call_graph(program)
-    traces = TraceLog()
-    for pattern in patterns:
-        traces = traces.merge(run_tests(bom, program, pattern)[0])
+    graph, traces = _traced(tmp_path, source)
     static = {(e.caller, e.callee, e.site) for e in graph.edges}
     reflective = {(caller, site) for caller, site, why in graph.unresolved if why == "reflection"}
     called = [e for e in traces.events if e.caller is not None]
     assert called and any((e.caller, e.site) in reflective for e in called)
     assert [e for e in called if (e.caller, e.callee, e.site) not in static
             and (e.caller, e.site) not in reflective] == []
+    if source == "virtual":
+        virtual = {(e.caller, e.callee, e.site) for e in graph.edges
+                   if e.kind == VIRTUAL_DISPATCH}
+        assert any((e.caller, e.callee, e.site) in virtual for e in called)
 
 
 def test_combined_pass_with_empty_traces_reaches_nothing(tmp_path):

@@ -420,20 +420,25 @@ def _members(program):
                 yield q, m
 
 
-def _resolution(program):
-    """Each member's and each class's call nodes, by position, with their
-    bindings, and the diagnostics in sorted order."""
+def _call_nodes(program):
+    """The call nodes of every parsed body and every field initializer."""
     walked = [n for _q, m in _members(program) for n in reference_call_nodes(m.decl.body, [])]
     walked += [n for info in program.symbols.values() if not info.is_interface
                for f in info.decl.fields if f.init is not None
                for n in reference_call_nodes(f.init, [])]
-    node = {id(program.bindings[id(n)]): n for n in walked}  # of each CallSite
+    return walked
+
+
+def _resolution(program):
+    """Each member's and each class's call nodes, by position, with their
+    bindings, the diagnostics in sorted order, and the count of bound nodes."""
+    node = {id(n.call): n for n in _call_nodes(program) if n.call is not None}  # of each CallSite
 
     def calls(sites):
         return [(type(node[id(c)]).__name__, node[id(c)].pos, tuple(c)) for c in sites]
     table = {(q, m.sig): calls(m.calls) for q, m in _members(program)}
     table.update({q: calls(info.init_calls) for q, info in program.symbols.items()})
-    return table, sorted(program.diagnostics), len(program.bindings)
+    return table, sorted(program.diagnostics), len(node)
 
 
 @pytest.mark.parametrize("bodies", [True, False])
@@ -442,7 +447,7 @@ def test_bodies_parsed_and_bound_on_request_match_an_eager_resolve(src, bodies):
     eager = resolve([parse_unit(src, "u.jx")]).bind_all()
     lazy = resolve([parse_unit(src, "u.jx", bodies=bodies)])
     members = [m for _q, m in _members(lazy)]
-    assert lazy.bindings == {} and not any(m.calls for m in members)
+    assert all(n.call is None for n in _call_nodes(lazy)) and not any(m.calls for m in members)
     unparsed = [m for m in members if isinstance(m.decl.body, ast.Unparsed)]
     declared = [m for m in members if not getattr(m.decl, "synthetic", False)]
     assert len(unparsed) == (0 if bodies else len(declared)) and declared
@@ -466,7 +471,9 @@ def test_a_constructor_binds_the_initializers_of_its_class_chain_alone():
     program.body(kid.ctors["Kid()"])
     base = program.symbols["q.Base"]
     assert [c.kind for c in base.init_calls] == [STATIC_DISPATCH, STATIC_DISPATCH]
-    assert {id(c) for c in base.init_calls} <= {id(c) for c in program.bindings.values()}
+    inits = [n for f in base.decl.fields if f.init is not None
+             for n in reference_call_nodes(f.init, [])]
+    assert list(map(id, base.init_calls)) == [id(n.call) for n in inits]
     assert program.diagnostics == ["u.jx:6:34: unknown name nosuch"]
     # no other body was parsed, and Base's own constructors find its
     # initializers bound
@@ -502,9 +509,9 @@ def test_a_body_that_fails_to_parse_stays_unbound_and_fails_each_time():
     # bind_all bound the members before bad and stopped there; the rest
     # bind on request, and none is bound twice
     assert len(ok.calls) == 1 and ok.calls[0].kind == STATIC_DISPATCH
-    assert list(program.bindings.values())[0] is ok.calls[0]
+    assert reference_call_nodes(ok.decl.body, [])[0].call is ok.calls[0]
     assert isinstance(b.methods["two()"].decl.body, ast.Unparsed)
     for m in (ok, b.methods["two()"], *a.ctors.values(), *b.ctors.values()):
         assert isinstance(program.body(m), ast.Block)
-    assert len(ok.calls) == 1 and len(program.bindings) == 1
+    assert len(ok.calls) == 1 and sum(n.call is not None for n in _call_nodes(program)) == 1
     assert program.diagnostics == []

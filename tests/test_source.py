@@ -49,3 +49,29 @@ def test_every_module_level_import_is_used():
         unused += ["%s:%d: %s" % (path.relative_to(SRC).as_posix(), line, name)
                    for name, line in _module_imports(tree) if name not in used]
     assert unused == []
+
+
+# documented library API that no command calls (see the README)
+LIBRARY_API = {"diffing.py: consolidate_commits"}
+
+
+def test_every_module_level_definition_is_used():
+    # code no command uses goes: each module-level function and class is
+    # named somewhere in vulnvet outside its own definition
+    defined, used = [], set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            names = _referenced(node)
+            for part in ast.walk(node):
+                if isinstance(part, ast.Attribute):
+                    names.add(part.attr)
+                elif isinstance(part, ast.alias):
+                    names.add(part.name.rsplit(".", 1)[-1])
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append(("%s: %s" % (path.relative_to(SRC).as_posix(), node.name),
+                                node.name))
+                names.discard(node.name)
+            used |= names
+    assert [where for where, name in defined
+            if name not in used and where not in LIBRARY_API] == []

@@ -175,7 +175,7 @@ class Walker(Interpreter):
             return self._binary(e.op, left, right)
         site = "%s:%d" % (origin, e.pos[0])
         if isinstance(e, ast.New):
-            binding = self.program.bindings[id(e)]
+            binding = e.call
             if binding.kind != CONSTRUCTOR_CALL:
                 raise RuntimeTypeError("unresolved constructor call at %s" % site)
             args = [self._eval(a, env, this, cid, origin) for a in e.args]
@@ -191,7 +191,7 @@ class Walker(Interpreter):
             return self._call(METHOD, self._resolve_reflect(target, len(args) - 1),
                               args[1:], None, cid, site)
         if isinstance(e, ast.MethodCall):
-            binding = self.program.bindings[id(e)]
+            binding = e.call
             if binding.kind == STATIC_DISPATCH:
                 args = [self._eval(a, env, this, cid, origin) for a in e.args]
                 return self._call(METHOD, self.program.symbols[binding.owner].methods[binding.sig],
