@@ -6,6 +6,12 @@ constructor call is one edge; a virtual call fans out to every override in
 corpus subtypes of the declared receiver type. Reflect.invoke sites are
 never resolved statically; they land in the unresolved set. A call that a
 diagnostic left unbound adds nothing.
+
+A constructor calls what its construction runs (ResolvedProgram.
+construction): the field initializers of its class chain, root class
+first, each call at its initializer's own site, then its body. So a
+reflective call in an inherited initializer is unresolved under each
+subclass constructor, as the interpreter traces it.
 """
 
 from __future__ import annotations
@@ -70,20 +76,15 @@ def build_call_graph(program: ResolvedProgram) -> CallGraph:
     graph = CallGraph()
     for qname, info in program.symbols.items():
         for sig, m in info.methods.items():
-            if info.is_interface:
-                graph.nodes.add(member_id(METHOD, qname, sig))
-            elif m.decl.body is not None:
-                caller = member_id(METHOD, qname, sig)
-                graph.nodes.add(caller)
-                _emit(graph, program, caller, m.calls)
-        for sig, c in info.ctors.items():  # initializers run at construction
-            caller = member_id(CONSTRUCTOR, qname, sig)
-            graph.nodes.add(caller)
-            _emit(graph, program, caller, info.init_calls + c.calls)
+            _emit(graph, program, member_id(METHOD, qname, sig), m.calls)
+        for sig, c in info.ctors.items():
+            inits = [call for t in program.construction(c) for call in t.init_calls]
+            _emit(graph, program, member_id(CONSTRUCTOR, qname, sig), inits + c.calls)
     return graph
 
 
 def _emit(graph: CallGraph, program: ResolvedProgram, caller, calls):
+    graph.nodes.add(caller)
     for call in calls:
         if call.kind == REFLECTION:
             graph.unresolved.add((caller, call.site, "reflection"))

@@ -151,7 +151,7 @@ class Interpreter:
         self.test_name = test_name
         error = value = None
         try:
-            value = self._entry(METHOD, m)(call_args, None, None, None)
+            value = self._entry(m)(call_args, None, None, None)
         except JxRuntimeError as exc:
             error = "%s: %s" % (type(exc).__name__, exc)
         except StopIteration:  # the clock ran out: STEP_BUDGET + 1 steps were taken
@@ -166,32 +166,33 @@ class Interpreter:
 
     # --- invocation ---
 
-    def _entry(self, ctype, member):
+    def _entry(self, member):
         """The closure of (args, this, caller, site) that enters member, a
         MethodInfo, compiling its body the first time. A failed
         call leaves ``depth`` as it was at the failure, for run_entry."""
         entry = self._entries.get(member)
         if entry is None:
+            ctype = CONSTRUCTOR if isinstance(member.decl, ast.CtorDecl) else METHOD
             cid, body = member_id(ctype, member.owner, member.sig), None
 
             def entry(args, this, caller, site):
                 nonlocal body
                 self._enter(cid, caller, site)
                 if body is None:
-                    body = self._compile(ctype, member, cid)
+                    body = self._compile(member, cid)
                 value = body(this, args)
                 self.depth -= 1
                 return value
             self._entries[member] = entry
         return entry
 
-    def _compile(self, ctype, member, cid):
+    def _compile(self, member, cid):
         """member's body as a closure of (this, args). A constructor's sets the
-        fields of ``this``, supertypes' first, to defaults, then initializers."""
-        block = self.program.body(member)  # binds a constructor's initializers too
+        fields of each class of its construction to defaults, then initializers."""
+        block = self.program.body(member)
         chain = []
-        if ctype == CONSTRUCTOR:
-            for tinfo in reversed(list(self.program.class_chain(member.owner))):
+        if cid.ctype == CONSTRUCTOR:
+            for tinfo in self.program.construction(member):
                 fields, init = tinfo.decl.fields, _Compiler(self, cid)
                 chain.append(({f.name: _DEFAULTS.get(tinfo.fields[f.name]) for f in fields},
                               [(f.name, init.expr(f.init, {}))
@@ -410,10 +411,10 @@ class _Compiler:
                 if not isinstance(values[0], str):
                     raise RuntimeTypeError("Reflect.invoke target must be text")
                 target = vm._resolve_reflect(values[0], len(values) - 1)
-                return vm._entry(METHOD, target)(values[1:], None, cid, site)
+                return vm._entry(target)(values[1:], None, cid, site)
         elif kind == CONSTRUCTOR_CALL:
             owner = call.owner
-            enter = vm._entry(CONSTRUCTOR, program.symbols[owner].ctors[call.sig])
+            enter = vm._entry(program.symbols[owner].ctors[call.sig])
             def run(frame):
                 next(vm.clock)
                 values = [a(frame) for a in args]
@@ -421,7 +422,7 @@ class _Compiler:
                 enter(values, obj, cid, site)
                 return obj
         elif kind == STATIC_DISPATCH:
-            enter = vm._entry(METHOD, program.symbols[call.owner].methods[call.sig])
+            enter = vm._entry(program.symbols[call.owner].methods[call.sig])
             def run(frame):
                 next(vm.clock)
                 return enter([a(frame) for a in args], None, cid, site)
@@ -436,7 +437,7 @@ class _Compiler:
                 impl = program.resolve_impl(obj.cls, sig)
                 if impl is None:
                     raise RuntimeTypeError("no implementation of %s for %s" % (sig, obj.cls))
-                return vm._entry(METHOD, impl)(values, obj, cid, site)
+                return vm._entry(impl)(values, obj, cid, site)
         elif isinstance(e, ast.New):
             return self.fail("unresolved constructor call at %s" % site)
         else:

@@ -120,9 +120,8 @@ class ResolvedProgram:
         self._subtypes = {}
 
     def body(self, m: MethodInfo) -> ast.Block:
-        """The bound body of m, a method or constructor of a class. A
-        constructor runs the field initializers of its class chain, so
-        they are bound first, each class's once."""
+        """The bound body of m, a method or constructor of a class; a
+        constructor's construction is bound first."""
         if m not in self._bound:
             limit = sys.getrecursionlimit()
             # a body first entered deep in a run is parsed and bound on the
@@ -131,12 +130,21 @@ class ResolvedProgram:
             sys.setrecursionlimit(limit + _BODY_FRAMES)
             try:
                 if isinstance(m.decl, ast.CtorDecl):
-                    for info in reversed(list(self.class_chain(m.owner))):
-                        self._bind_inits(info)
+                    self.construction(m)
                 self._bind_member(m)
             finally:
                 sys.setrecursionlimit(limit)
         return m.decl.body
+
+    def construction(self, ctor: MethodInfo) -> list:
+        """What constructing an object of ctor's class runs before ctor's
+        body: the TypeInfos of the class chain, root class first, whose
+        field defaults and then initializers it runs, each class's in turn.
+        Their initializers are bound, each class's once."""
+        chain = list(self.class_chain(ctor.owner))[::-1]
+        for info in chain:
+            self._bind_inits(info)
+        return chain
 
     def bind_all(self) -> "ResolvedProgram":
         """Bind every body not bound yet: classes in qname order, in each

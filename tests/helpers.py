@@ -364,21 +364,33 @@ def naive_ancestors(symbols) -> dict:
 
 
 def reference_call_graph(program) -> CallGraph:
-    """The CHA graph from a second walk over every body (see above)."""
+    """The CHA graph from a second walk over every body (see above). A
+    constructor calls what the field initializers of its class chain call,
+    root class first, each at a site in its own class's unit, then what its
+    body calls."""
     symbols = program.symbols
     anc = naive_ancestors(symbols)
 
-    def impl(cls, sig):
+    def chain(cls):
+        """The TypeInfos of cls and its superclasses, read off supertypes."""
         while cls is not None:
             info = symbols[cls]
+            yield info
+            cls = next((s for s in info.supertypes if not symbols[s].is_interface), None)
+
+    def impl(cls, sig):
+        for info in chain(cls):
             m = info.methods.get(sig)
             if m is not None and not m.static and m.decl.body is not None:
                 return m
-            cls = next((s for s in info.supertypes if not symbols[s].is_interface), None)
         return None
 
-    def emit(info, caller, calls):
-        for node in calls:
+    def walked(info, node):
+        """(info, call node) of each call in node, a part of info's class."""
+        return [(info, n) for n in reference_call_nodes(node, [])]
+
+    def emit(caller, calls):
+        for info, node in calls:
             site = "%s:%d" % (info.unit.origin, node.pos[0])
             binding = node.call
             if isinstance(node, ast.ReflectInvoke):
@@ -406,18 +418,15 @@ def reference_call_graph(program) -> CallGraph:
                 graph.nodes.add(ConstructId(METHOD, "%s.%s" % (qname, sig)))
         if info.is_interface:
             continue
-        init_calls = []
-        for f in info.decl.fields:
-            if f.init is not None:
-                reference_call_nodes(f.init, init_calls)
+        inits = [call for c in reversed(list(chain(qname))) for f in c.decl.fields
+                 if f.init is not None for call in walked(c, f.init)]
         for sig, c in info.ctors.items():
             caller = ConstructId(CONSTRUCTOR, "%s.%s" % (qname, sig))
             graph.nodes.add(caller)
-            emit(info, caller, reference_call_nodes(c.decl.body, list(init_calls)))
+            emit(caller, inits + walked(info, c.decl.body))
         for sig, m in info.methods.items():
             if m.decl.body is not None:
-                emit(info, ConstructId(METHOD, "%s.%s" % (qname, sig)),
-                     reference_call_nodes(m.decl.body, []))
+                emit(ConstructId(METHOD, "%s.%s" % (qname, sig)), walked(info, m.decl.body))
     return graph
 
 
@@ -448,6 +457,64 @@ def jx_hierarchies(draw, max_types=6):
         body = " int m() { return %d; }" % len(decls) if draw(st.booleans()) else ""
         decls.append(head + " {%s }" % body)
     return "package h;\n" + "\n".join(decls) + "\n"
+
+
+@st.composite
+def jx_class_chains(draw, max_classes=5):
+    """(origin, source) of the units of package ``c``. Classes ``C0``..,
+    each in its own unit, extend an earlier one or none; their field
+    initializers call the static ``c.U.f`` or construct a ``c.U``; they
+    declare constructors with and without a parameter, or get the default
+    one, and may declare or override ``int m()``. A class whose chain
+    declares ``m`` may implement the interface ``c.I``. The static test
+    ``c.T.testAll()`` constructs every class by each of its constructors
+    and calls ``m`` through a variable typed as the class, a superclass or
+    ``c.I``."""
+    parent, fields, has_m, is_i, units, test_body = [], [], [], [], [], []
+    for k in range(draw(st.integers(1, max_classes))):
+        sup = draw(st.sampled_from([None, *range(k)]))
+        parent.append(sup)
+        chain = [k]
+        while parent[chain[-1]] is not None:
+            chain.append(parent[chain[-1]])
+        own = ["a%d_%d" % (k, i) for i in range(draw(st.integers(0, 2)))]
+        fields.append(own)
+        visible = [f for c in chain for f in fields[c]]
+        declares_m = draw(st.booleans())
+        has_m.append(declares_m or sup is not None and has_m[sup])
+        implements = has_m[k] and draw(st.booleans())
+        is_i.append(implements or sup is not None and is_i[sup])
+        lines = ["package c;", "class C%d%s%s {" % (
+            k, " extends c.C%d" % sup if sup is not None else "",
+            " implements c.I" if implements else "")]
+        for i, name in enumerate(own):
+            init = draw(st.sampled_from(["", " = c.U.f(%d)" % i, " = c.U.f(c.U.f(%d))" % k]))
+            lines.append("    int %s%s;" % (name, init))
+        if draw(st.booleans()):
+            lines.append("    c.U u%d = new c.U();" % k)
+        ctors = sorted(draw(st.sets(st.sampled_from(["", "int v"]))))
+        for params in ctors:
+            arg = "v" if params else "1"
+            body = " this.%s = c.U.f(%s); " % (draw(st.sampled_from(visible)), arg) \
+                if visible and draw(st.booleans()) else " "
+            lines.append("    C%d(%s) {%s}" % (k, params, body))
+        if declares_m:
+            terms = ["%d" % k] + ["this." + f for f in visible if draw(st.booleans())]
+            lines.append("    int m() { return c.U.f(%s); }" % " + ".join(terms))
+        units.append(("c/C%d.jx" % k, "\n".join(lines) + "\n}\n"))
+        for n, params in enumerate(ctors or [""]):
+            var = "v%d_%d" % (k, n)
+            types = [("c.C%d" % c, has_m[c]) for c in chain] + ([("c.I", True)] if is_i[k] else [])
+            typ, calls_m = draw(st.sampled_from(types))
+            test_body.append("        %s %s = new c.C%d(%s);"
+                             % (typ, var, k, "7" if params else ""))
+            if calls_m:
+                test_body.append("        %s.m();" % var)
+    units.append(("c/Main.jx", "package c;\n"
+                  "class U {\n    static int f(int n) { return n + 1; }\n}\n"
+                  "interface I {\n    int m();\n}\n"
+                  "class T {\n    static void testAll() {\n%s\n    }\n}\n" % "\n".join(test_body)))
+    return units
 
 
 @st.composite

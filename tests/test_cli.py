@@ -919,6 +919,38 @@ def _vet_json(ws, name):
     return json.loads((ws / ".vet" / name).read_text())
 
 
+def test_a_call_by_an_inherited_field_initializer_is_reached_statically_where_it_is_traced(
+        tmp_path, capsys):
+    # constructing app.Handler runs the initializer of its superclass
+    # lib.Base, which calls lib.Vuln.parse(): reach static must reach it
+    # through the edge trace run records, from the same caller at the same site
+    ws = tmp_path / "ws"
+    for path, text in {
+        "app.json": json.dumps({"name": "app", "version": "1.0", "sourceRoot": "src",
+                                "dependencies": [{"name": "lib", "version": "1.0"}]}),
+        "libs/lib/1.0/lib.json": json.dumps({"name": "lib", "version": "1.0",
+                                             "sourceRoot": "src"}),
+        "libs/lib/1.0/src/lib/Base.jx": "package lib;\n"
+                                        "class Vuln { static int parse() { return 1; } }\n"
+                                        "class Base { int state = lib.Vuln.parse(); }\n",
+        "src/app/Main.jx": "package app;\nclass Handler extends lib.Base { }\n"
+                           "class Main {\n    static void testHandler() "
+                           "{ app.Handler h = new app.Handler(); }\n}\n"}.items():
+        (ws / path).parent.mkdir(parents=True, exist_ok=True)
+        (ws / path).write_text(text)
+    _run(ws, SCAN)
+    capsys.readouterr()
+    _run(ws, STATIC, TRACES[0])
+    assert "3 seeds, 4 reached" in capsys.readouterr().out
+    reach = _vet_json(ws, "reach-static.json")
+    assert "lib.Vuln.parse()" in [c["qname"] for c in reach["reached"]]
+    parent = {"caller": "app.Handler.Handler()", "site": "libs/lib/1.0/src/lib/Base.jx:3"}
+    assert reach["parents"]["lib.Vuln.parse()"] == parent
+    events = [json.loads(line) for line in (ws / ".vet/traces.jsonl").read_text().splitlines()]
+    assert [{"caller": e["caller"], "site": e["site"]} for e in events
+            if e["callee"] == "lib.Vuln.parse()"] == [parent]
+
+
 @pytest.mark.parametrize("workload", ["corpus", "kb-drift", "trace-heavy"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_every_application_member_of_the_bom_is_a_graph_node(tmp_path, workload, seed):

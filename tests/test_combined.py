@@ -54,18 +54,46 @@ class Shapes {
     static void testReflective() { Reflect.invoke("app.Shapes.twice", new app.Rect()); }
 }
 """
-TRACED = ["golden", "virtual", "corpus", "kb-drift", "trace-heavy"]
+# field initializers of a superclass in another file, which a subclass's
+# constructor runs, and an overridden method called through the superclass
+INHERITED = {
+    "base/Base.jx": """package base;
+class Util {
+    static int f(int n) { return n + 1; }
+}
+class Base {
+    int seed = base.Util.f(1);
+    base.Util util = new base.Util();
+    int get() { return this.seed; }
+}
+""",
+    "app/Sub.jx": """package app;
+class Sub extends base.Base {
+    int extra;
+    Sub() { this.extra = 2; }
+    int get() { return this.extra + this.seed; }
+    static void testSub() {
+        base.Base b = new app.Sub();
+        b.get();
+        Reflect.invoke("base.Util.f", 3);
+    }
+}
+""",
+}
+TRACED = ["golden", "virtual", "inherited", "corpus", "kb-drift", "trace-heavy"]
 
 
 def _traced(tmp_path, source):
     """The CHA graph of a workspace, and the merged trace of its tests."""
     if source == "golden":
         ws, patterns = copy_workspace(GOLDEN / "workspace", tmp_path / "ws"), ("test", "itest")
-    elif source == "virtual":
+    elif source in ("virtual", "inherited"):
         ws, patterns = tmp_path / "ws", ("test",)
-        (ws / "src").mkdir(parents=True)
+        files = {"shapes.jx": VIRTUAL} if source == "virtual" else INHERITED
+        for name, text in files.items():
+            (ws / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+            (ws / "src" / name).write_text(text)
         (ws / "app.json").write_text('{"name": "app", "version": "1.0", "sourceRoot": "src"}')
-        (ws / "src/shapes.jx").write_text(VIRTUAL)
     else:
         ws, patterns = small_workload(tmp_path, source), ("test",)
     src = Sources(ws / "app.json", ws)
@@ -104,6 +132,9 @@ def test_traced_sites_are_the_sites_of_the_cha_graph(tmp_path, source):
         virtual = {(e.caller, e.callee, e.site) for e in graph.edges
                    if e.kind == VIRTUAL_DISPATCH}
         assert any((e.caller, e.callee, e.site) in virtual for e in called)
+    if source == "inherited":
+        assert any(e.caller.qname == "app.Sub.Sub()" and e.site.startswith("src/base/Base.jx:")
+                   for e in called)
 
 
 def test_combined_pass_with_empty_traces_reaches_nothing(tmp_path):

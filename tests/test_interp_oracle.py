@@ -6,10 +6,10 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import deep_bodies, small_workload
+from helpers import deep_bodies, jx_class_chains, reference_call_graph, small_workload
 from vulnvet import interp
 from vulnvet.bom import Sources, build_bom, corpus_program
 from vulnvet.callgraph import build_call_graph
@@ -102,6 +102,27 @@ def test_traced_edges_of_generated_workspaces_are_explained_by_the_cha_graph(wor
     assert observed
     assert [e for e in observed
             if (e.caller, e.callee) not in static and e.caller not in reflective] == []
+
+
+# --- generated class chains ---
+
+def _chains(units, bodies=True):
+    return resolve([parse_unit(source, origin, bodies) for origin, source in units])
+
+
+@settings(max_examples=40, deadline=None)
+@given(jx_class_chains(), st.booleans())
+def test_generated_class_chains_run_alike_and_trace_only_cha_edges(units, bodies):
+    # the compiled form agrees with the walker, each traced call with a caller
+    # is a CHA edge at its site, and the CHA graph is the reference walk's
+    assume(not _chains(units).bind_all().diagnostics)
+    program = _chains(units, bodies)
+    events = _agree(program, [("c.T.testAll()", [])])
+    graph = build_call_graph(program)
+    assert graph == reference_call_graph(program)
+    static = {(e.caller, e.callee, e.site) for e in graph.edges}
+    called = [e for e in events if e.caller is not None]
+    assert called and [e for e in called if (e.caller, e.callee, e.site) not in static] == []
 
 
 # --- hand-built programs, resolved with whatever diagnostics they have ---

@@ -61,8 +61,8 @@ class Walker(Interpreter):
 
     # --- invocation ---
 
-    def _entry(self, ctype, member):
-        return lambda args, this, caller, site: self._call(ctype, member, args, this,
+    def _entry(self, member):  # run_entry's only: a static method
+        return lambda args, this, caller, site: self._call(METHOD, member, args, this,
                                                            caller, site)
 
     def _call(self, ctype, member, args, this, caller, site):
