@@ -230,8 +230,7 @@ def _cmd_scan(args, ws: Workspace) -> int:
     del src  # the parse lives on in the BOM's bodies, each lowered when first read
     for w in bom.warnings:
         print("bom: %s" % w, file=sys.stderr)
-    kb = KnowledgeBase(ws.kb_path)
-    findings = [finding_to_json(f) for f in detect(bom, kb)]
+    findings = [finding_to_json(f) for f in detect(bom, KnowledgeBase(ws.kb_path, ws))]
     stored = {**bom_to_json(bom), "inputs": inputs}
     n_archives = 1 + len(bom.dependencies)
     del bom  # and with it the parse: the artifacts are written without it, the graph last
@@ -295,9 +294,11 @@ def _cmd_mitigate(args, ws: Workspace) -> int:
     r_combined = combined_reachable(graph, traces)
     reached_union = r_static.reached | r_combined.reached | traces.executed
     bom.dependency(args.lib)  # a library outside the BOM needs no index
-    kb = KnowledgeBase(ws.kb_path)
+    kb = KnowledgeBase(ws.kb_path, ws)
     index = kb.load_index(args.lib)
-    safe = non_vulnerable_versions(index, kb.records())
+    # only a record that names a construct of some version, or the library, can match
+    safe = non_vulnerable_versions(index, kb.records(set().union(*index.versions.values()),
+                                                     {args.lib}))
     rows = recommend(args.lib, bom, index, safe, graph, traces, reached_union)
     notes = deep_update_advice(ws.root, bom, safe, args.lib)
     ws.write_json("mitigation-%s.json" % args.lib,

@@ -77,9 +77,12 @@ def detect(bom: BOM, kb: KnowledgeBase) -> list:
     are sorted by (vulnId, archive name, version). Detection depends only on
     construct ids and fingerprints, never on archive metadata.
     """
+    archives = [arc for arc, _depth in bom.archives()]
+    # only a record that names a construct of some archive, or its name, can match
+    records = _with_ids(kb.records(set().union(*(arc.constructs for arc in archives)),
+                                   {arc.name for arc in archives}))
     findings = []
-    records = _with_ids(kb.records())
-    for arc, _depth in bom.archives():
+    for arc in archives:
         findings.extend(detect_archive(arc, records))
     findings.sort(key=lambda f: (f.vuln_id, f.archive_name, f.archive_version))
     return findings

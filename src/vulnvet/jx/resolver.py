@@ -111,6 +111,7 @@ class ResolvedProgram:
         self._collect()
         self._build_members()
         self._check_acyclic()
+        self._check_hidden_fields()
         # direct edges only: every transitive closure would cost k*k/2
         # entries on a k-class inheritance chain
         self.direct_subtypes = {q: [] for q in self.symbols}
@@ -350,6 +351,19 @@ class ResolvedProgram:
         for info in self.symbols.values():
             info.superclass = next((s for s in info.supertypes
                                     if not self.symbols[s].is_interface), None)
+
+    def _check_hidden_fields(self):
+        """Report each field named like a field of a superclass: an object
+        keys its fields by name alone, so the two would share one slot."""
+        for info in self.symbols.values():
+            if info.superclass is None:
+                continue
+            for f in info.decl.fields:
+                hidden = next((s for s in self.class_chain(info.superclass)
+                               if f.name in s.fields), None)
+                if hidden is not None:
+                    self.err("field %s of %s hides field %s of %s"
+                             % (f.name, info.qname, f.name, hidden.qname), f.pos, info.unit)
 
     # --- body binding, on request ---
 

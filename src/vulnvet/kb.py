@@ -3,13 +3,17 @@
 Persisted as a directory of JSON documents, one per vulnerability
 (``vulns/<id>.json``) and one per library (``libs/<name>.json``), with
 construct bodies stored as canonical serializations so digests round-trip
-bit-exact. A KnowledgeBase keeps nothing but its root: every read goes to
-the files. Version screening is detection.non_vulnerable_versions.
+bit-exact. A KnowledgeBase keeps nothing but its root and, for scan and
+mitigate, a workspace: every read goes to the files, and every record read
+is checked, but a selective read (see ``records``) decodes only the records
+that the workspace's ``.vet/kb-index.json`` says can match. Version
+screening is detection.non_vulnerable_versions.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 
 from .bom import VERSION, extract_root
@@ -18,8 +22,8 @@ from .constructs import CTYPE, ConstructId, version_key, version_newer
 from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
-from .workspace import (check, framed_digest, json_text, load_json, one_of, regular_files,
-                        shape, write_atomic)
+from .workspace import (check, decode_json, framed_digest, json_text, load_json, one_of,
+                        read_bytes, regular_files, shape, write_atomic)
 
 CODE_CHANGE = "CODE_CHANGE"
 WHOLE_LIBRARY = "WHOLE_LIBRARY"
@@ -75,6 +79,10 @@ RECORD = shape({"vulnId": str, "kind": one_of(CODE_CHANGE, WHOLE_LIBRARY),
 # a package has no body, so its fingerprint is null
 INDEX = shape({"name": str, "versions": {VERSION: [{"ctype": CTYPE, "qname": str,
                                                       "fingerprint": (None, str)}]}})
+# the workspace artifact that lists, per record file, what the record names
+KB_INDEX = "kb-index.json"
+_KB_INDEX = shape({"inputs": str, "records": {str: {
+    "constructs": [str], "libraries": [str]}}})
 
 
 def _repeat(values, key=lambda value: value):
@@ -161,6 +169,50 @@ def _check_stored_name(path: Path, key: str, value: str, expected: str):
                               % (path, key, value, expected))
 
 
+def _record_from_json(data, path: Path, vuln_id: str) -> VulnerabilityRecord:
+    """The record of a document RECORD accepts, stored at path as vuln_id."""
+    _check_stored_name(path, "vulnId", data["vulnId"], vuln_id)
+    where = "kb record %s (%s)" % (vuln_id, path)
+    _check_record(data, where)
+    return VulnerabilityRecord(
+        vuln_id=vuln_id,
+        description=data.get("description", ""),
+        kind=data["kind"],
+        changes=[_change_from_json(c, where) for c in data.get("changes", [])],
+        affected=[(a["library"], a["low"], a["high"]) for a in data.get("affected", [])],
+        source_note=data.get("sourceNote", ""),
+    )
+
+
+def _decoded(files) -> list:
+    """The record of each (path, bytes) of a listed record file, checked as
+    load_record checks it. The list is emptied as it goes, so the bytes of
+    each file are freed once decoded: holding them all until the end raised
+    the peak RSS of a kb-drift scan by ~0.5 MB."""
+    records = []
+    files.reverse()
+    while files:
+        path, data = files.pop()
+        _check_name(path.stem, "kb record id")
+        records.append(_record_from_json(decode_json(data, path, MalformedRecord, RECORD),
+                                         path, path.stem))
+    return records
+
+
+def _index_entry(record: VulnerabilityRecord) -> dict:
+    # an id as CTYPE:QNAME text: a third of the objects and half the bytes of
+    # {"ctype", "qname"} objects, and scan writes it while it holds the parse
+    return {"constructs": sorted(str(ch.construct) for ch in record.changes),
+            "libraries": sorted({name for name, _lo, _hi in record.affected})}
+
+
+def _selected(entry, ids, names) -> bool:
+    """Whether the record of an index entry names one of ids (ConstructIds,
+    which equal their (ctype, qname) pairs) or a library of names."""
+    return (any(tuple(c.split(":", 1)) in ids for c in entry["constructs"])
+            or not names.isdisjoint(entry["libraries"]))
+
+
 def _document(path: Path, what: str) -> Path:
     """path, the file of what, unless something other than a file is there."""
     if path.exists() and not path.is_file():
@@ -170,8 +222,9 @@ def _document(path: Path, what: str) -> Path:
 
 
 class KnowledgeBase:
-    def __init__(self, root: Path):
+    def __init__(self, root: Path, ws=None):
         self.root = Path(root)
+        self.ws = ws  # the Workspace whose .vet/ keeps the record index, if any
 
     # --- paths ---
 
@@ -252,21 +305,32 @@ class KnowledgeBase:
         MalformedRecord naming the file for a document that is not a record,
         or not the record its file name says."""
         path = self._vuln_path(vuln_id)
-        data = load_json(path, MalformedRecord, RECORD)
-        _check_stored_name(path, "vulnId", data["vulnId"], vuln_id)
-        where = "kb record %s (%s)" % (data["vulnId"], path)
-        _check_record(data, where)
-        return VulnerabilityRecord(
-            vuln_id=data["vulnId"],
-            description=data.get("description", ""),
-            kind=data["kind"],
-            changes=[_change_from_json(c, where) for c in data.get("changes", [])],
-            affected=[(a["library"], a["low"], a["high"]) for a in data.get("affected", [])],
-            source_note=data.get("sourceNote", ""),
-        )
+        return _record_from_json(load_json(path, MalformedRecord, RECORD), path, vuln_id)
 
-    def records(self) -> list:
-        return [self.load_record(p.stem) for p in regular_files(self.root / "vulns", "*.json")]
+    def records(self, ids=None, names=frozenset()) -> list:
+        """The stored records in file order, each checked as load_record
+        checks it. With ids, a set of ConstructIds, and names, a set of
+        library names: only the records whose changes name one of ids or
+        whose ranges name one of names, when the workspace's index is stamped
+        with the name and bytes of every record file (so none changed since
+        it was written); else every record. A KnowledgeBase with a workspace
+        writes the index whenever it has read every record."""
+        files = [(path, read_bytes(path)) for path in regular_files(self.root / "vulns", "*.json")]
+        if self.ws is None:
+            return _decoded(files)
+        stamp = framed_digest(part for path, data in files
+                              for part in (os.fsencode(path.name), data))
+        index = None if ids is None else self.ws.read_stamped(KB_INDEX, stamp, _KB_INDEX)
+        if index is not None:
+            entries = index["records"]  # a record the index lacks is read, to be safe
+            return _decoded([(path, data) for path, data in files
+                             if path.stem not in entries
+                             or _selected(entries[path.stem], ids, names)])
+        records = _decoded(files)
+        if not self.ws.artifact(KB_INDEX).is_dir():  # a directory there is not the index
+            self.ws.write_json(KB_INDEX, {"inputs": stamp, "records": {
+                record.vuln_id: _index_entry(record) for record in records}})
+        return records
 
     # --- library indexes ---
 

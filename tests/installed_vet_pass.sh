@@ -18,7 +18,9 @@
 #                       it); either way it binds each body when a test first
 #                       enters it, and its artifacts match the same pins
 #     update            the update pass: the library index, its version
-#                       screening and the mitigation ranking
+#                       screening and the mitigation ranking; mitigate
+#                       runs again without .vet/kb-index.json, so it
+#                       reads every record, and ranks the same
 #   WORKDIR is an existing directory outside the checkout; vet runs there.
 set -eu
 tests=$(cd "$(dirname "$0")" && pwd)
@@ -90,6 +92,11 @@ update)
     step 0 mitigate --lib libA
     step 0 report
     for name in mitigation-libA.json mitigation-libA.csv report.json; do
+        cmp "$ws/.vet/$name" "$fx/expected/$name"
+    done
+    rm "$ws/.vet/kb-index.json"
+    step 0 mitigate --lib libA
+    for name in mitigation-libA.json mitigation-libA.csv; do
         cmp "$ws/.vet/$name" "$fx/expected/$name"
     done
     ;;

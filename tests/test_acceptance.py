@@ -274,7 +274,7 @@ class _StubKB:
     def __init__(self, record):
         self._records = [record]
 
-    def records(self):
+    def records(self, ids=None, names=frozenset()):  # like a KB without an index: all
         return self._records
 
 

@@ -1321,9 +1321,9 @@ def test_mitigate_reads_the_kb_records_once(tmp_path, monkeypatch):
     calls = []
     real = KnowledgeBase.records
 
-    def counting(self):
+    def counting(self, *selection):
         calls.append(self)
-        return real(self)
+        return real(self, *selection)
 
     monkeypatch.setattr(KnowledgeBase, "records", counting)
     assert vet(["--workspace", str(ws), "mitigate", "--lib", "lib2"]) == 0
@@ -1339,18 +1339,23 @@ def test_mitigate_reads_the_library_index_once(tmp_path, monkeypatch):
         assert vet(["--workspace", str(ws), "kb", "index-lib", "--name", lib,
                     "--root", "1.0=%s" % src, "--root", "2.0=%s" % src]) == 0
     reads = []
-    real = kb_module.load_json
 
-    def counting(path, *args):
-        reads.append(Path(path).relative_to(ws / "kb").as_posix())
-        return real(path, *args)
+    def counting(real, at):  # at: the position of the path among the arguments
+        def read(*args):
+            reads.append(Path(args[at]).relative_to(ws / "kb").as_posix())
+            return real(*args)
+        return read
 
-    monkeypatch.setattr(kb_module, "load_json", counting)
+    monkeypatch.setattr(kb_module, "load_json", counting(kb_module.load_json, 0))
+    monkeypatch.setattr(kb_module, "decode_json", counting(kb_module.decode_json, 1))
     for lib in ("lib1", "lib2"):
-        reads.clear()
-        assert vet(["--workspace", str(ws), "mitigate", "--lib", lib]) == 0
-        assert sorted(reads) == ["libs/%s.json" % lib, "vulns/VULN-J1.json",
-                                 "vulns/VULN-J2.json"]
+        # without .vet/kb-index.json every record is read, and the index written;
+        # with it none is, as neither record names a construct of lib1 or lib2
+        (ws / ".vet/kb-index.json").unlink(missing_ok=True)
+        for records in (["vulns/VULN-J1.json", "vulns/VULN-J2.json"], []):
+            reads.clear()
+            assert vet(["--workspace", str(ws), "mitigate", "--lib", lib]) == 0
+            assert sorted(reads) == ["libs/%s.json" % lib, *records]
 
 
 def test_mitigate_errors_name_the_object_and_the_remedy(tmp_path, capsys):

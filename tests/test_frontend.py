@@ -146,6 +146,17 @@ def test_a_dotted_name_whose_head_is_a_field_of_this_is_a_value():
     assert (call.kind, call.owner, call.sig) == (VIRTUAL_DISPATCH, "a.b", "f()")
 
 
+def test_a_field_that_hides_an_inherited_one_is_reported():
+    # one slot per name: S's default "" would replace B's 5, and get() would fail
+    src = ("package p;\nclass B { int x = 5; int get() { return this.x + 1; } }\n"
+           "class S extends B { text x; }\nclass T extends S { int y; }\n"
+           "class U extends T { int x; }\n")
+    program = resolve([parse_unit(src, "p.jx")])
+    # the nearest superclass that has the name is named
+    assert program.diagnostics == ["p.jx:3:21: field x of p.S hides field x of p.B",
+                                   "p.jx:5:21: field x of p.U hides field x of p.S"]
+
+
 def test_unknown_types_in_signatures_are_reported_at_their_members():
     src = "package p; class B { a.Foo x; static a.Foo run(a.Foo f) { return f; } }"
     program = resolve([parse_unit(src, "b.jx")])

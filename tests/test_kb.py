@@ -1,17 +1,25 @@
-"""Knowledge base persistence and version screening."""
+"""Knowledge base persistence, version screening and the record index."""
 
+import contextlib
+import io
 import json
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import GOLDEN, build_golden_kb
+from helpers import GOLDEN, build_golden_kb, copy_workspace, small_workload
+from vulnvet import kb as kb_module
+from vulnvet.cli import main as vet
 from vulnvet.canonical import CTree, digest, serialize
 from vulnvet.constructs import CLASS, METHOD, ConstructId
 from vulnvet.detection import non_vulnerable_versions
 from vulnvet.diffing import ADD, DEL, ConstructChange
-from vulnvet.errors import DuplicateVuln, EmptyChangeSet, MalformedRecord, UnknownLibrary
+from vulnvet.errors import (DuplicateVuln, EmptyChangeSet, MalformedArtifact, MalformedRecord,
+                            UnknownLibrary)
 from vulnvet.kb import (CODE_CHANGE, WHOLE_LIBRARY, KnowledgeBase, LibraryIndex,
                         VulnerabilityRecord)
+from vulnvet.workspace import Workspace, framed_digest
 
 
 def _screen(kb, lib):
@@ -148,3 +156,172 @@ def test_a_document_is_stored_only_if_it_would_be_read(tmp_path):
     with pytest.raises(MalformedRecord, match="version 2.0.0 repeats version 2.0"):
         kb.save_index(LibraryIndex("l", {"2.0": {}, "2.0.0": {}}))
     assert not (tmp_path / "kb").exists()
+
+
+# --- the record index, .vet/kb-index.json -------------------------------------
+
+SCAN, MITIGATE = ["scan"], ["mitigate", "--lib", "lib1"]
+
+
+def _vet(ws, argv) -> tuple:
+    """Exit code, stdout and stderr of one command, the workspace path taken out."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = vet(["--workspace", str(ws), *argv])
+    return code, out.getvalue().replace(str(ws), "WS"), err.getvalue().replace(str(ws), "WS")
+
+
+def _results(ws) -> dict:
+    """Every .vet/ file but the index."""
+    return {p.name: p.read_bytes() for p in sorted((ws / ".vet").iterdir())
+            if p.name != "kb-index.json"}
+
+
+def _golden(dst):
+    """The golden workspace with its knowledge base and an index of lib1."""
+    ws = copy_workspace(GOLDEN / "workspace", dst)
+    kb = build_golden_kb(ws / "kb")
+    lib1 = ws / "libs/lib1/1.0/src"
+    kb.index_library("lib1", [("1.0", lib1), ("2.0", lib1)])
+    return ws
+
+
+def test_scan_writes_what_each_record_names_and_reads_only_what_can_match(tmp_path,
+                                                                         monkeypatch):
+    ws = _golden(tmp_path / "ws")
+    kb = KnowledgeBase(ws / "kb")
+    kb.add_whole_library("RANGE-X", [("nosuch", "1.0", "2.0"), ("fw", "0.1", "0.2")])
+    kb.add_whole_library("RANGE-Y", [("other", "1.0", "2.0")])
+    assert _vet(ws, SCAN)[0] == 1
+    index = json.loads((ws / ".vet/kb-index.json").read_text())
+    files = sorted((ws / "kb/vulns").iterdir())
+    assert index["inputs"] == framed_digest(
+        part for p in files for part in (p.name.encode(), p.read_bytes()))
+    assert index["records"]["RANGE-X"] == {"constructs": [], "libraries": ["fw", "nosuch"]}
+    assert index["records"]["VULN-J1"] == {"constructs": [
+        "CLASS:fw.Engine", "METHOD:fw.Engine.renderError()"], "libraries": []}
+    findings = (ws / ".vet/findings.json").read_bytes()
+    decoded = []
+    real = kb_module.decode_json
+    monkeypatch.setattr(kb_module, "decode_json",
+                        lambda data, path, *args: decoded.append(path.name) or real(
+                            data, path, *args))
+    assert _vet(ws, SCAN)[0] == 1
+    # RANGE-X names the archive fw; RANGE-Y names no archive
+    assert decoded == ["RANGE-X.json", "VULN-J1.json", "VULN-J2.json"]
+    assert (ws / ".vet/findings.json").read_bytes() == findings
+
+
+@pytest.fixture(scope="module")
+def drift(tmp_path_factory):
+    """A small kb-drift workspace with its knowledge base built."""
+    root = tmp_path_factory.mktemp("kb-drift")
+    ws = small_workload(root, "kb-drift")
+    setup = json.loads((root / "answers.json").read_text())["setup"]
+    cwd = os.getcwd()
+    os.chdir(ws)  # the set-up names its fix trees relative to the workspace
+    try:
+        for argv in setup:
+            assert _vet(ws, argv)[0] == 0
+    finally:
+        os.chdir(cwd)
+    return ws
+
+
+def _edit(vulns, kind: str, i: int, j: int):
+    """Remove, copy, re-describe, re-target, add or break a record file."""
+    files = sorted(vulns.glob("*.json"))
+    path, other = files[i % len(files)], files[j % len(files)]
+    data = json.loads(path.read_text())
+    if kind == "remove":
+        path.unlink()
+        return
+    if kind == "copy":  # another record that changes the same constructs
+        path = vulns / ("COPY-%d.json" % j)
+        data["vulnId"] = path.stem
+    elif kind == "describe":  # other bytes, the same meaning
+        data["description"] = "edited %d" % j
+    elif kind == "retarget":  # the constructs of another record
+        for mine, theirs in zip(data.get("changes", []),
+                                json.loads(other.read_text()).get("changes", [])):
+            mine.update(ctype=theirs["ctype"], qname=theirs["qname"])
+    elif kind == "range":
+        path = vulns / ("RANGE-%d.json" % j)
+        data = {"vulnId": path.stem, "kind": WHOLE_LIBRARY,
+                "affected": [{"library": "l%d" % (j % 4), "low": "1.0", "high": "2.0"}]}
+    else:  # refused, naming the file
+        data["kind"] = "BROKEN"
+    path.write_text(json.dumps(data))
+
+
+_STEPS = st.sampled_from([SCAN, ["mitigate", "--lib", "l0"]])
+_EDITS = st.lists(st.tuples(st.sampled_from(["remove", "copy", "describe", "retarget", "range",
+                                             "break"]),
+                            st.integers(0, 999), st.integers(0, 999)), max_size=3)
+
+
+@settings(max_examples=15, deadline=None)
+@given(first=_STEPS, second=_STEPS, edits=_EDITS)
+def test_results_with_the_index_equal_those_without(drift, tmp_path_factory, first, second,
+                                                    edits):
+    # the first step writes the index; the KB then changes, and the second step
+    # runs twice: on a stale index, then on the one it wrote, if it wrote one
+    root = tmp_path_factory.mktemp("run")
+    runs = []
+    for kept in (True, False):
+        ws = copy_workspace(drift, root / str(kept))
+        assert _vet(ws, first)[0] in (0, 1)
+        for edit in edits:
+            _edit(ws / "kb/vulns", *edit)
+        outcomes = []
+        for _ in range(2):
+            if not kept:
+                (ws / ".vet/kb-index.json").unlink(missing_ok=True)
+            outcomes.append((_vet(ws, second), _results(ws)))
+        runs.append(outcomes)
+    assert runs[0] == runs[1]
+
+
+def test_a_record_edited_after_scan_is_refused_by_mitigate(tmp_path):
+    ws = _golden(tmp_path / "ws")
+    assert _vet(ws, SCAN)[0] == 1
+    assert _vet(ws, MITIGATE)[0] == 0  # no record names lib1: the index selects none
+    path = ws / "kb/vulns/VULN-J2.json"
+    data = json.loads(path.read_text())
+    data["changes"][0]["op"] = "CHANGE"
+    path.write_text(json.dumps(data))
+    code, _out, err = _vet(ws, MITIGATE)
+    assert code == 3 and "VULN-J2.json" in err and "['op']" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("records"),
+    lambda d: d["records"].update({"VULN-J1": {"constructs": [["CLASS", "x"]],
+                                               "libraries": []}}),
+    lambda d: d["records"]["VULN-J2"].update(libraries="fw"),
+    lambda d: d["records"]["VULN-J2"].pop("constructs"),
+])
+def test_a_stamped_index_of_another_shape_exits_three(tmp_path, edit):
+    ws = _golden(tmp_path / "ws")
+    assert _vet(ws, SCAN)[0] == 1
+    path = ws / ".vet/kb-index.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    for step in (SCAN, MITIGATE):
+        code, _out, err = _vet(ws, step)
+        assert code == 3 and "kb-index.json" in err and "Traceback" not in err
+    with pytest.raises(MalformedArtifact, match="kb-index.json"):
+        KnowledgeBase(ws / "kb", Workspace(ws)).records(set(), set())
+
+
+def test_a_directory_at_the_index_path_is_no_index(tmp_path):
+    runs = []
+    for name in ("file", "dir"):
+        ws = _golden(tmp_path / name)
+        if name == "dir":
+            (ws / ".vet/kb-index.json").mkdir(parents=True)
+        runs.append([_vet(ws, step) for step in (SCAN, MITIGATE, SCAN)] + [_results(ws)])
+        assert (ws / ".vet/kb-index.json").is_dir() == (name == "dir")
+    assert runs[0] == runs[1]

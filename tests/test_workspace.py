@@ -11,7 +11,21 @@ from helpers import (GOLDEN, build_golden_kb, copy_workspace, json_near, mutate_
 from vulnvet import bom, callgraph, cli, kb, report, traces
 from vulnvet.cli import main as vet
 from vulnvet.errors import MalformedArtifact
-from vulnvet.workspace import check, json_text, read_text, shape
+from vulnvet.workspace import check, json_text, read_text, regular_files, shape
+
+
+def test_regular_files_are_in_the_order_of_sorted_paths(tmp_path):
+    # "a-b.json" < "a.json" < "a/b.json" as text, but a/b.json comes first as a path
+    for name in ("a.json", "a-b.json", "a/b.json", "a/a.json", "a b.json", "A.json", "a0/x.json",
+                 "a/c/d.json", "b.json"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("{}")
+    (tmp_path / "c.json").mkdir()  # not a regular file
+    for pattern in ("**/*.json", "*.json", "a/**/*.json"):
+        listed = regular_files(tmp_path, pattern)
+        assert listed == [p for p in sorted(tmp_path.glob(pattern)) if p.is_file()]
+    assert [p.relative_to(tmp_path).as_posix() for p in regular_files(tmp_path, "**/*.json")][
+        :5] == ["A.json", "a/a.json", "a/b.json", "a/c/d.json", "a b.json"]
 
 
 def test_read_text_translates_every_newline_to_lf(tmp_path):
@@ -51,7 +65,8 @@ def test_every_json_input_has_a_shape():
     assert sorted(SHAPES) == [
         "vulnvet.bom._BOM", "vulnvet.bom._MANIFEST", "vulnvet.callgraph._GRAPH",
         "vulnvet.callgraph._REACH", "vulnvet.cli._FAILURES", "vulnvet.kb.INDEX",
-        "vulnvet.kb.RECORD", "vulnvet.report._FINDINGS", "vulnvet.report._MITIGATION",
+        "vulnvet.kb.RECORD", "vulnvet.kb._KB_INDEX", "vulnvet.report._FINDINGS",
+        "vulnvet.report._MITIGATION",
         "vulnvet.traces.EVENT", "vulnvet.traces._SUMMARY"]
 
 
@@ -118,6 +133,7 @@ READERS = {
     ".vet/trace-summary.json": (COMBINED, REPORT),
     ".vet/test-failures.json": (TRACE,),
     ".vet/traces.jsonl": (COMBINED,),
+    ".vet/kb-index.json": (SCAN, MITIGATE),
 }
 
 
@@ -192,6 +208,7 @@ FILE_READERS = {
     ".vet/trace-summary.json": (COMBINED, REPORT),
     ".vet/test-failures.json": (TRACE,),
     ".vet/traces.jsonl": (TRACE, COMBINED),
+    ".vet/kb-index.json": (SCAN, MITIGATE),
     ".vet/report.json": (["report"],),
     ".vet/report.html": (REPORT,),
 }
