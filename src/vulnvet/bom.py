@@ -1,6 +1,8 @@
 """Bill of materials: archives, manifest loading, transitive resolution,
 read by a command through one Sources, which walks the manifests once and
-parses each source root at most once."""
+parses each source root at most once in each mode: whole, or declarations
+only (see jx.parser). ``scan`` inventories the declarations-only parse, its
+bodies fingerprinted as the program binds them (see build_bom)."""
 
 from __future__ import annotations
 
@@ -9,9 +11,10 @@ from collections import deque
 from pathlib import Path
 
 from . import __version__
-from .constructs import CTYPE, Construct, ConstructId, extract_constructs, is_version
+from .constructs import (CTYPE, Construct, ConstructId, extract_constructs, is_version,
+                         member_fingerprint)
 from .errors import MalformedArtifact, ManifestError, MissingDependency, UnknownArchive
-from .jx import parser
+from .jx import ast, parser
 from .jx.errors import JxError
 from .jx.parser import parse_unit
 from .jx.resolver import resolve
@@ -150,31 +153,53 @@ class Sources:
         return self._units[key]
 
 
-def build_bom(src: Sources) -> BOM:
+def build_bom(src: Sources, fingerprints=None) -> BOM:
     """Build the BOM: the application plus every archive of its resolved
-    transitive dependency closure, each inventoried on its own (see extract_root)."""
+    transitive dependency closure, each inventoried on its own (see extract_root).
+
+    ``fingerprints`` maps member declarations of the declarations-only
+    parse, which corpus_program(src, False) resolved, to the fingerprints
+    of the bodies its program bound (see member_fingerprint). The
+    inventories are then of that parse. Each other body in it, of a
+    declaration the program does not hold (shadowed, or a duplicate), is
+    parsed and lowered here; so every body is parsed once, none is kept,
+    and no parse error goes unmet."""
+    bodies = fingerprints is None
+    if not bodies:
+        fingerprints = {**fingerprints, **{
+            m: member_fingerprint(m) for _, _, root, _ in src.archives
+            for m in _skipped_bodies(src.units(root, False)) if m not in fingerprints}}
     archives = [(Archive(data["name"], data["version"], DEPENDENCY if depth else APPLICATION,
-                         extract_constructs(src.units(root)), _declared_deps(data)),
+                         extract_constructs(src.units(root, bodies), fingerprints),
+                         _declared_deps(data)),
                  depth)
                 for _, data, root, depth in src.archives]
     return BOM(archives[0][0], archives[1:], src.warnings)
 
 
+def _skipped_bodies(units) -> list:
+    """The methods and constructors of units whose bodies the parser skipped."""
+    return [m for u in units for d in u.decls if isinstance(d, ast.ClassDecl)
+            for m in (*d.ctors, *d.methods) if isinstance(m.body, ast.Unparsed)]
+
+
 def input_digest(src: Sources) -> str:
     """SHA-256 over everything build_bom reads: app.json and each lib.json it
     resolves, in resolution order, and every source file of their source
-    roots (see source_files), each as its workspace-relative path and its
-    bytes; and over the vet version and the nesting bound, which change what
-    a build of the same files yields. Every part is length-prefixed (see
+    roots (see source_files), each as its workspace-relative path, encoded
+    as the file system spells it (os.fsencode: a UTF-8 name gives its UTF-8
+    bytes, and any other name its own), and its bytes; and over the vet
+    version and the nesting bound, which change what a build of the same
+    files yields. Every part is length-prefixed (see
     workspace.framed_digest). A BOM or call graph stamped with the digest of
     the current inputs is the one a build would make now."""
     def parts():
         yield from (__version__.encode(), str(parser.MAX_NESTING).encode())
         for path, _, root, _ in src.archives:
-            yield from (Path(os.path.relpath(path, src.workspace)).as_posix().encode(),
+            yield from (os.fsencode(Path(os.path.relpath(path, src.workspace)).as_posix()),
                         path.read_bytes())
             for origin, source in source_files(root, src.workspace):
-                yield from (origin.encode(), source.read_bytes())
+                yield from (os.fsencode(origin), source.read_bytes())
     return framed_digest(parts())
 
 
@@ -183,7 +208,8 @@ def corpus_program(src: Sources, bodies: bool = True):
     closed unit set, archives nearest the application winning duplicate
     qualified names (classpath-first). With ``bodies`` False a body is parsed
     only when the program binds it, so no parse error in a body never bound
-    is reported: only for sources a whole parse has accepted."""
+    is reported: only for sources a whole parse has accepted, or where every
+    body is then parsed (see build_bom)."""
     roots = [(src.units(root, bodies), depth) for _, _, root, depth in src.archives]
     return resolve([u for units, _ in roots for u in units],
                    {u.origin: depth for units, depth in roots for u in units})

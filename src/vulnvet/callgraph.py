@@ -70,9 +70,11 @@ class ReachResult:
                 and self.skipped_seeds == other.skipped_seeds)
 
 
-def build_call_graph(program: ResolvedProgram) -> CallGraph:
-    """The CHA graph over the call sites of every member, all bound first."""
-    program.bind_all()
+def build_call_graph(program: ResolvedProgram, visit=None) -> CallGraph:
+    """The CHA graph over the call sites of every member, all bound first
+    (``visit``: see ResolvedProgram.bind_all). The edges are read from the
+    CallSite lists alone, so no body need stay parsed."""
+    program.bind_all(visit)
     graph = CallGraph()
     for qname, info in program.symbols.items():
         for sig, m in info.methods.items():

@@ -16,16 +16,16 @@ from .bom import Sources, bom_from_json, bom_to_json, build_bom, corpus_program,
 from .callgraph import (app_reachability, build_call_graph, graph_from_json,
                         graph_to_json, reach_to_json)
 from .combined import combined_reachable
-from .constructs import CTYPES, ConstructId
+from .constructs import CTYPES, ConstructId, member_fingerprint
 from .detection import detect, finding_to_json, non_vulnerable_versions
-from .errors import VetError
+from .errors import ManifestError, VetError
 from .interp import run_tests
 from .jx.errors import JxError
 from .kb import KnowledgeBase
 from .metrics import deep_update_advice, metrics_csv, metrics_to_json, recommend
 from .report import assemble_report, exit_code_for, render_html
 from .traces import TraceLog, ingest_traces, load_summary, unknown_names, write_traces
-from .workspace import Workspace, shape
+from .workspace import Workspace, load_json, shape
 
 EXIT_ERROR = 3
 EXIT_USAGE = 64
@@ -154,6 +154,24 @@ def _call_graph(src: Sources):
     return graph
 
 
+def _scan(src: Sources, bodies: bool):
+    """The call graph of the whole-workspace program (see corpus_program),
+    the BOM, and the program's diagnostics and warnings, from one parse.
+    Without ``bodies`` the units are parsed in declarations mode, and each
+    member body is parsed once, bound, lowered for its fingerprint and
+    dropped (see ResolvedProgram.bind_all and build_bom): one parsed body
+    is alive at a time."""
+    program = corpus_program(src, bodies)
+    fingerprints = {}
+
+    def lowered(m):
+        fingerprints[m.decl] = member_fingerprint(m.decl)
+    graph = build_call_graph(program, lowered)
+    notes = program.diagnostics, program.warnings
+    del program  # and its tables, before the BOM is built
+    return graph, build_bom(src, None if bodies else fingerprints), notes
+
+
 def _diagnose(diagnostics, warnings=()):
     for d in diagnostics:
         print("resolve: %s" % d, file=sys.stderr)
@@ -224,17 +242,22 @@ def _cmd_kb(args, ws: Workspace) -> int:
 def _cmd_scan(args, ws: Workspace) -> int:
     src = Sources(ws.manifest, ws.root)
     inputs = input_digest(src)
-    # the graph first, from the one parse; its program is freed before the BOM is built
-    graph = _call_graph(src)
-    bom = build_bom(src)
-    del src  # the parse lives on in the BOM's bodies, each lowered when first read
+    try:
+        graph, bom, notes = _scan(src, False)
+    except JxError:
+        # report what a whole parse reports: its first error in archive and
+        # file order, in its words, which a streamed parse need not meet first
+        graph, bom, notes = _scan(src, True)
+    _diagnose(*notes)
+    del src  # the BOM keeps the declarations; a body is parsed again when read
     for w in bom.warnings:
         print("bom: %s" % w, file=sys.stderr)
     findings = [finding_to_json(f) for f in detect(bom, KnowledgeBase(ws.kb_path, ws))]
     stored = {**bom_to_json(bom), "inputs": inputs}
     n_archives = 1 + len(bom.dependencies)
-    del bom  # and with it the parse: the artifacts are written without it, the graph last
+    del bom  # and with it the declarations: the artifacts are written without them
     ws.write_json("bom.json", stored)
+    del stored  # before the graph is written
     ws.write_json("findings.json", findings)
     _store_graph(ws, graph, inputs)
     print("scanned %d archives, %d findings" % (n_archives, len(findings)))
@@ -316,6 +339,9 @@ def _cmd_mitigate(args, ws: Workspace) -> int:
 
 
 def _cmd_report(args, ws: Workspace) -> int:
+    # a directory without app.json is no workspace: refused as scan refuses
+    # it, before anything is written there
+    load_json(ws.manifest, ManifestError)
     report = assemble_report(ws)
     if args.format == "html":
         path = ws.write_text("report.html", render_html(report))

@@ -5,6 +5,8 @@ globally unique qualified name (methods and constructors carry their parameter
 type list as jx.ast.type_text spells it, e.g. ``foo.Bar.baz(int)``). Bodies are
 lowered to canonical trees so that textually different but token-identical code
 fingerprints identically, while any literal or identifier change is visible.
+A body the parser skipped (jx.ast.Unparsed) is parsed for each lowering and
+not kept, so an inventory of a declarations-only parse holds no body.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class Construct:
     The body is given as a CTree or as a function of no arguments that
     lowers the declaration when ``body`` is first read (see
     canonical.lazy_tree), so an inventory holds its parse, not a tree per
-    construct."""
+    construct: of a declarations-only parse, the body's range, parsed again
+    when read."""
 
     __slots__ = ("fingerprint", "_body")
 
@@ -135,20 +138,34 @@ def stmt_ctree(s) -> CTree:
     raise TypeError("unknown statement node: %r" % (s,))
 
 
+def _block(body) -> ast.Block:
+    """The Block of a member body; one the parser skipped is parsed for the
+    caller alone."""
+    if isinstance(body, ast.Unparsed):
+        from .jx.parser import parse_body  # only a declarations-only parse needs the parser
+        return parse_body(body)
+    return body
+
+
 def method_ctree(m: ast.MethodDecl) -> CTree:
     """Full method body tree; the method's own parameter names are retained."""
     kids = [CTree("static:%s" % ("true" if m.static else "false")),
             _type_leaf(m.rettype)]
     kids.extend(CTree("param:" + p.name, (_type_leaf(p.type),)) for p in m.params)
     if m.body is not None:
-        kids.append(stmt_ctree(m.body))
+        kids.append(stmt_ctree(_block(m.body)))
     return CTree("method:" + m.name, tuple(kids))
 
 
 def ctor_ctree(c: ast.CtorDecl) -> CTree:
     kids = [CTree("param:" + p.name, (_type_leaf(p.type),)) for p in c.params]
-    kids.append(stmt_ctree(c.body))
+    kids.append(stmt_ctree(_block(c.body)))
     return CTree("ctor:" + c.name, tuple(kids))
+
+
+def member_fingerprint(decl) -> str:
+    """The fingerprint of a method or constructor declaration."""
+    return digest(ctor_ctree(decl) if isinstance(decl, ast.CtorDecl) else method_ctree(decl))
 
 
 def _method_sig_ctree(m: ast.MethodDecl) -> CTree:
@@ -187,19 +204,23 @@ def interface_ctree(decl: ast.InterfaceDecl) -> CTree:
 # --- extraction ------------------------------------------------------------
 
 
-def extract_constructs(units) -> dict:
+def extract_constructs(units, fingerprints=None) -> dict:
     """Inventory all constructs of a set of parsed units from their
     declarations alone, as an ordered map ConstructId -> Construct. As in the
     resolver's tables, of types sharing a qname the first in (package,
     origin) order counts, and of a type's members sharing a signature the last.
-    Each body is lowered once for its fingerprint, and again when read."""
+    Each body is lowered once for its fingerprint, and again when read;
+    ``fingerprints`` maps member declarations already lowered to their
+    fingerprints (see member_fingerprint), which are not lowered again."""
     units = sorted(units, key=lambda u: (u.package, u.origin))
     # the first type of a qname is written last, so it stays
     types = {u.package + "." + d.name: (u.package, d) for u in reversed(units) for d in u.decls}
     out = {ConstructId(PACKAGE, u.package): Construct(None, None) for u in units}
+    known = fingerprints or {}
 
     def put(cid, lower, decl):
-        out[cid] = Construct(digest(lower(decl)), partial(lower, decl))
+        fingerprint = known[decl] if decl in known else digest(lower(decl))
+        out[cid] = Construct(fingerprint, partial(lower, decl))
 
     for qname in sorted(types):
         pkg, decl = types[qname]

@@ -27,7 +27,11 @@ name could equal a constructor's.
 lexer's declarations mode, which skips each method and constructor body by
 its braces alone, and keeps the body as an ``ast.Unparsed`` character range,
 which ``parse_body`` lexes and parses when it is needed. It reports no error
-inside a body, so it suits only source already parsed whole.
+inside a body, and an error elsewhere need not read as the whole parse's. So
+a command that uses it either reads sources that a whole parse has accepted
+(``trace run`` under a current stamp), or parses every body itself and,
+at any error, parses every unit whole to report what that parse reports
+(``scan``).
 
 The parser does not distinguish static calls from instance calls on a field
 chain; `a.b.c(x)` is parsed as a method call whose receiver is a name chain,

@@ -96,7 +96,8 @@ class ResolvedProgram:
     and binds no body. ``body`` parses (where the parser skipped it) and
     binds one member's body at its first request, ``bind_all`` every body
     not bound yet; the ``calls`` lists and ``diagnostics`` grow as they do,
-    each member's once.
+    each member's once. A call node's record outlives its body: scan drops
+    each body once bound (see bind_all) and reads the ``calls`` lists.
     """
 
     def __init__(self, units, precedence=None):
@@ -147,15 +148,25 @@ class ResolvedProgram:
             self._bind_inits(info)
         return chain
 
-    def bind_all(self) -> "ResolvedProgram":
+    def bind_all(self, visit=None) -> "ResolvedProgram":
         """Bind every body not bound yet: classes in qname order, in each
-        the field initializers, then the constructors, then the methods."""
+        the field initializers, then the constructors, then the methods.
+
+        With ``visit``, each body the parser skipped is parsed, bound,
+        passed to ``visit(m)`` with its member, and set back to its range
+        (ast.Unparsed), so one parsed body is alive at a time. Its calls stay
+        listed; ``body`` must not be asked for it again. Only scan, which
+        reads each body once, releases them."""
         for qname in sorted(self.symbols):
             info = self.symbols[qname]
             if not info.is_interface:
                 self._bind_inits(info)
                 for m in (*info.ctors.values(), *info.methods.values()):
+                    skipped = m.decl.body
                     self._bind_member(m)
+                    if visit is not None and m.decl.body is not skipped:
+                        visit(m)
+                        m.decl.body = skipped
         return self
 
     # --- hierarchy queries ---

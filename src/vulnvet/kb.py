@@ -223,7 +223,12 @@ def _document(path: Path, what: str) -> Path:
 
 class KnowledgeBase:
     def __init__(self, root: Path, ws=None):
+        """The knowledge base at root, which may be missing (no records) but,
+        if it exists, must be a directory: a file there would read as an
+        empty knowledge base, a false "nothing found"."""
         self.root = Path(root)
+        if self.root.exists() and not self.root.is_dir():
+            raise VetError("knowledge base %s is not a directory" % self.root)
         self.ws = ws  # the Workspace whose .vet/ keeps the record index, if any
 
     # --- paths ---
@@ -394,8 +399,9 @@ class KnowledgeBase:
 
     def digest(self) -> str:
         """Content hash over the whole document set, for report stamping: each
-        document as its POSIX path under the root and its bytes, every part
+        document as its POSIX path under the root, encoded as the file system
+        spells it (os.fsencode), and its bytes, every part
         length-prefixed (see workspace.framed_digest)."""
         return framed_digest(part for path in regular_files(self.root, "**/*.json")
-                             for part in (path.relative_to(self.root).as_posix().encode(),
+                             for part in (os.fsencode(path.relative_to(self.root).as_posix()),
                                           path.read_bytes()))

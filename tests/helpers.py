@@ -11,6 +11,7 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+from vulnvet.bom import Sources
 from vulnvet.callgraph import (CONSTRUCTOR_CALL, STATIC_DISPATCH, VIRTUAL_DISPATCH,
                                CallGraph, Edge)
 from vulnvet.canonical import CTree
@@ -43,6 +44,24 @@ def small_workload(root: Path, name: str, seed: int = 1, **sizes) -> Path:
         "loop": (2, 3), "noise": min(spec.noise, 6),
         "drift_stmts": min(spec.drift_stmts, 4), **sizes}))
     return root / "ws"
+
+
+def flipped_or_truncated(rng, data: bytes) -> bytes:
+    """data cut short at a random byte, or with one random bit flipped."""
+    if rng.random() < 0.5:
+        return data[:rng.randrange(len(data))]
+    i = rng.randrange(len(data))
+    return data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1:]
+
+
+def written_bodies(ws: Path) -> list:
+    """(origin, start) of each member body written in the sources of the
+    workspace ws, in order: every body that a declarations-only parse skips."""
+    src = Sources(ws / "app.json", ws)
+    return sorted((m.body.origin, m.body.start) for _, _, root, _ in src.archives
+                  for u in src.units(root, bodies=False) for d in u.decls
+                  if isinstance(d, ast.ClassDecl) for m in (*d.ctors, *d.methods)
+                  if isinstance(m.body, ast.Unparsed))
 
 
 def build_golden_kb(kb_root: Path) -> KnowledgeBase:

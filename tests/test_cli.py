@@ -1654,3 +1654,56 @@ def test_a_shadowed_type_is_warned_of_and_the_nearest_archive_wins(tmp_path, cap
         "declaration in libs/l1/1.0/src/a.jx"]
     edges = json.loads((ws / ".vet/graph.json").read_text())["edges"]
     assert ("app.Main.testNear()", "p.A.near()") in {(e["caller"], e["callee"]) for e in edges}
+
+
+# --- file names that are not UTF-8, and inputs that are no workspace or KB -----
+
+ODD_NAME = os.fsdecode(b"\xff.jx")  # the byte 0xff, which no UTF-8 text holds
+
+
+def test_a_source_file_whose_name_is_not_utf8_is_scanned_and_traced(tmp_path):
+    ws = _golden_with_index(tmp_path / "ws")
+    (ws / "src" / ODD_NAME).write_text("package app;\n\nclass Odd {\n"
+                                       "    static int odd() {\n        return 1;\n    }\n}\n")
+    _run(ws, SCAN, *TRACES, STATIC, COMBINED, MITIGATE, ["report"])
+    stamp = json.loads((ws / ".vet/bom.json").read_text())["inputs"]
+    (ws / "src" / ODD_NAME).rename(ws / "src/odd.jx")
+    _run(ws, SCAN)  # the same bytes under another name: other inputs
+    assert json.loads((ws / ".vet/bom.json").read_text())["inputs"] != stamp
+
+
+def test_a_kb_file_whose_name_is_not_utf8_is_stamped_in_the_report(tmp_path):
+    ws = _golden_with_index(tmp_path / "ws")
+    _run(ws, SCAN, ["report"])
+    digest = json.loads((ws / ".vet/report.json").read_text())["kbDigest"]
+    (ws / "kb/vulns" / os.fsdecode(b"\xff.json")).write_text("{}")
+    _run(ws, ["report"])
+    odd = json.loads((ws / ".vet/report.json").read_text())["kbDigest"]
+    assert len(odd) == 64 and odd != digest
+
+
+@pytest.mark.parametrize("exists", [True, False])
+def test_report_outside_a_workspace_is_refused_and_writes_nothing(tmp_path, capsys, exists):
+    ws = tmp_path / "nowhere"
+    if exists:
+        ws.mkdir()
+    capsys.readouterr()
+    for argv in (["report"], ["report", "--format", "html"], SCAN):
+        assert vet(["--workspace", str(ws), *argv]) == 3
+        assert capsys.readouterr() == ("", "vet: error: %s not found\n" % (ws / "app.json"))
+    assert (list(ws.iterdir()) == []) if exists else not ws.exists()
+
+
+def test_a_kb_path_that_is_a_file_is_refused_before_any_record_is_read(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    kb = ws / "app.json"
+    expected = "vet: error: knowledge base %s is not a directory\n" % kb
+    for argv in (SCAN, ["report"], ["kb", "list"],
+                 ["kb", "import-fix", "--id", "VULN-J1", "--before", str(J1 / "before"),
+                  "--after", str(J1 / "after")]):
+        capsys.readouterr()
+        assert vet(["--workspace", str(ws), "--kb", str(kb), *argv]) == 3, argv
+        assert capsys.readouterr() == ("", expected)
+    assert not (ws / ".vet").exists()
+    # a missing knowledge base is an empty one, as before
+    assert vet(["--workspace", str(ws), "--kb", str(ws / "nokb"), *SCAN]) == 0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GOLDEN, copy_workspace, small_workload
+from helpers import GOLDEN, copy_workspace, small_workload, written_bodies
 from vulnvet.bom import Sources, corpus_program
 from vulnvet.cli import main as vet
 from vulnvet.constructs import split_member
@@ -75,14 +75,16 @@ def test_stamped_and_unstamped_trace_runs_agree_on_generated_workspaces(name, se
 
 @pytest.fixture
 def parsed_bodies(monkeypatch):
-    """(origin, token index) of each body that parse_body parses."""
+    """(origin, character index) of each body that parse_body parses, for the
+    resolver or for lowering."""
     parsed = []
-    real = resolver.parse_body
+    real = parser.parse_body
 
     def parse_body(body):
         parsed.append((body.origin, body.start))
         return real(body)
     monkeypatch.setattr(resolver, "parse_body", parse_body)
+    monkeypatch.setattr(parser, "parse_body", parse_body)
     return parsed
 
 
@@ -95,7 +97,9 @@ def test_a_stamped_trace_run_parses_the_bodies_it_enters_once_each(tmp_path, par
     else:
         ws = small_workload(tmp_path, workspace, 3)
     assert _vet(ws, "scan")[0] in (0, 1)
-    assert parsed_bodies == []  # scan parses every body whole
+    # scan parses each written body once, as it binds and fingerprints it
+    assert sorted(parsed_bodies) == written_bodies(ws) != []
+    parsed_bodies.clear()
     assert _vet(ws, "trace", "run", "--pattern", pattern)[0] == 0
     eager = corpus_program(Sources(ws / "app.json", ws))
     entered = {e.callee for e in ingest_traces(ws / ".vet/traces.jsonl").events}
@@ -143,8 +147,13 @@ def test_a_stamped_trace_run_lexes_the_declarations_and_the_bodies_it_enters(
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
     unstamped_ws = shutil.copytree(ws, tmp_path / "unstamped")
     scanned = lexed(ws, "scan")
-    files = [origin for _mode, origin, _n in scanned]
-    assert len(set(files)) == len(files) > 1 and {m for m, _o, _n in scanned} == {"eager"}
+    # scan lexes each file once in declarations mode, and each written body
+    # once in body mode, where it parses it
+    files = [origin for mode, origin, _n in scanned if mode == "declarations"]
+    bodies = [origin for mode, origin, _n in scanned if mode == "body"]
+    assert len(set(files)) == len(files) > 1 and len(files) + len(bodies) == len(scanned)
+    assert bodies == [origin for origin, _start in written_bodies(ws)]
+    parsed_bodies.clear()
     stamped = lexed(ws, "trace", "run", "--pattern", "test")
     assert [origin for mode, origin, _n in stamped if mode == "declarations"] == files
     # a body is lexed where parse_body parses it: once per written body entered
@@ -152,5 +161,5 @@ def test_a_stamped_trace_run_lexes_the_declarations_and_the_bodies_it_enters(
     assert len(entered) + len(files) == len(stamped)
     assert entered == sorted(origin for origin, _start in parsed_bodies) != []
     unstamped = lexed(unstamped_ws, "trace", "run", "--pattern", "test")
-    assert unstamped == scanned
+    assert [(mode, origin) for mode, origin, _n in unstamped] == [("eager", f) for f in files]
     assert sum(n for *_key, n in stamped) < sum(n for *_key, n in unstamped)

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (GOLDEN, build_golden_kb, copy_workspace, json_near, mutate_json,
-                     reference_bad_at, reference_fits, shapes_of)
+from helpers import (GOLDEN, build_golden_kb, copy_workspace, flipped_or_truncated, json_near,
+                     mutate_json, reference_bad_at, reference_fits, shapes_of)
 from vulnvet import bom, callgraph, cli, kb, report, traces
 from vulnvet.cli import main as vet
 from vulnvet.errors import MalformedArtifact
@@ -214,13 +214,6 @@ FILE_READERS = {
 }
 
 
-def _flipped_or_truncated(rng, data: bytes) -> bytes:
-    if rng.random() < 0.5:
-        return data[:rng.randrange(len(data))]
-    i = rng.randrange(len(data))
-    return data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1:]
-
-
 def test_flipped_or_truncated_files_exit_cleanly(tmp_path, capsys):
     ws = _golden_pass(tmp_path, REPORT)
     files = _snapshot(ws)
@@ -230,7 +223,7 @@ def test_flipped_or_truncated_files_exit_cleanly(tmp_path, capsys):
     codes = set()
     for path, steps in sorted(readers.items()):
         for _ in range(8):
-            path.write_bytes(_flipped_or_truncated(rng, files[path]))
+            path.write_bytes(flipped_or_truncated(rng, files[path]))
             for step in steps:
                 capsys.readouterr()
                 code = vet(["--workspace", str(ws), *step])
