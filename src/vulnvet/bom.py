@@ -18,8 +18,8 @@ from .jx import ast, parser
 from .jx.errors import JxError
 from .jx.parser import parse_unit
 from .jx.resolver import resolve
-from .workspace import (check, framed_digest, leaf, load_json, one_of, read_text,
-                        regular_files, shape)
+from .workspace import (check, framed_digest, leaf, load_json, one_of, read_bytes,
+                        read_text, regular_files, shape)
 
 APPLICATION = "APPLICATION"
 DEPENDENCY = "DEPENDENCY"
@@ -197,9 +197,9 @@ def input_digest(src: Sources) -> str:
         yield from (__version__.encode(), str(parser.MAX_NESTING).encode())
         for path, _, root, _ in src.archives:
             yield from (os.fsencode(Path(os.path.relpath(path, src.workspace)).as_posix()),
-                        path.read_bytes())
+                        read_bytes(path))
             for origin, source in source_files(root, src.workspace):
-                yield from (os.fsencode(origin), source.read_bytes())
+                yield from (os.fsencode(origin), read_bytes(source))
     return framed_digest(parts())
 
 

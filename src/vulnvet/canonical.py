@@ -7,9 +7,10 @@ identically, so a digest over the serialization is a content fingerprint.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from typing import NamedTuple
+
+from .workspace import sha256
 
 
 class CTree(NamedTuple):
@@ -101,4 +102,4 @@ def lazy_tree(slot: str) -> property:
 
 def digest(tree: CTree) -> str:
     """256-bit content hash of the canonical serialization, as hex."""
-    return hashlib.sha256(serialize(tree).encode("utf-8")).hexdigest()
+    return sha256(serialize(tree).encode("utf-8")).hexdigest()

@@ -12,7 +12,6 @@ screening is detection.non_vulnerable_versions.
 
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 
@@ -23,7 +22,7 @@ from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
 from .workspace import (check, decode_json, framed_digest, json_text, load_json, one_of,
-                        read_bytes, regular_files, shape, write_atomic)
+                        read_bytes, regular_files, sha256, shape, write_atomic)
 
 CODE_CHANGE = "CODE_CHANGE"
 WHOLE_LIBRARY = "WHOLE_LIBRARY"
@@ -147,7 +146,7 @@ def _change_from_json(data, where: str) -> ConstructChange:
                               % (where, cid))
     for key, fp in (("astVuln", "fpVuln"), ("astFixed", "fpFixed")):
         text = data.get(key)
-        if text and hashlib.sha256(text.encode("utf-8")).hexdigest() != data.get(fp):
+        if text and sha256(text.encode("utf-8")).hexdigest() != data.get(fp):
             raise MalformedRecord("%s: %s of %s is not the SHA-256 of its %s"
                                   % (where, fp, cid, key))
     trees = [_stored_tree(data.get(key), where, cid, key) for key in ("astVuln", "astFixed")]
@@ -404,4 +403,4 @@ class KnowledgeBase:
         length-prefixed (see workspace.framed_digest)."""
         return framed_digest(part for path in regular_files(self.root, "**/*.json")
                              for part in (os.fsencode(path.relative_to(self.root).as_posix()),
-                                          path.read_bytes()))
+                                          read_bytes(path)))

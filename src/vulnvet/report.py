@@ -9,7 +9,6 @@ on the same report.
 
 from __future__ import annotations
 
-import html
 import json
 from collections import Counter
 
@@ -139,6 +138,7 @@ def exit_code_for(findings) -> int:
 
 
 def _table(headers, rows) -> str:
+    import html
     head = "".join("<th>%s</th>" % html.escape(str(h)) for h in headers)
     body = []
     for row in rows:
@@ -150,6 +150,7 @@ def _table(headers, rows) -> str:
 
 
 def render_html(report: dict) -> str:
+    import html  # here, not at the top: only an HTML report loads html.entities
     parts = []
     parts.append("<h1>Dependency vulnerability report</h1>")
     parts.append("<p>vulnvet %s" % html.escape(report["tool"]["version"]))

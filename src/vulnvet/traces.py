@@ -17,7 +17,6 @@ while its stamp matches the trace file.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from json.encoder import encode_basestring_ascii as _quote
@@ -27,7 +26,7 @@ from typing import NamedTuple, Optional
 
 from .constructs import ConstructId, guess_ctype
 from .errors import MalformedArtifact, MalformedTraceLine
-from .workspace import Workspace, check, read_text, shape, write_atomic
+from .workspace import Workspace, check, read_text, sha256, shape, write_atomic
 
 SUMMARY = "trace-summary.json"
 CHUNK = 1024  # events written per chunk
@@ -203,7 +202,7 @@ def load_summary(ws: Workspace) -> TraceLog:
     path = ws.artifact("traces.jsonl")
     if not path.is_file():
         return TraceLog()
-    h = hashlib.sha256()
+    h = sha256()
     with open(path, "rb") as f:  # in chunks: the log is large
         while chunk := f.read(1 << 16):
             h.update(chunk)

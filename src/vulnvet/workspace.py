@@ -1,4 +1,5 @@
-"""Workspace layout, atomic file IO, and the shape check of every JSON input.
+"""Workspace layout, atomic file IO, the SHA-256 constructor of every digest
+(``sha256``), and the shape check of every JSON input.
 
 Analyses persist intermediate artifacts under ``.vet/`` so the scan steps
 compose incrementally in any order. All JSON artifacts are written with
@@ -9,13 +10,20 @@ byte-identical. Every JSON document vet reads is checked against a shape.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 from itertools import chain, islice
 from pathlib import Path
 
 from .errors import MalformedArtifact
+
+try:  # CPython's builtin SHA-256, so no process maps OpenSSL's libcrypto
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # a build without the builtin module
+        from hashlib import sha256
 
 ARTIFACT_DIR = ".vet"
 
@@ -56,9 +64,10 @@ def regular_files(root: Path, pattern: str) -> list:
 
 def framed_digest(parts) -> str:
     """SHA-256 over byte strings, each length-prefixed: no two sequences share it."""
-    h = hashlib.sha256()
+    h = sha256()
     for part in parts:
-        h.update(b"%d:%s" % (len(part), part))
+        h.update(b"%d:" % len(part))
+        h.update(part)
     return h.hexdigest()
 
 
@@ -69,7 +78,7 @@ def write_atomic(path: Path, chunks) -> str:
     fails removes the temporary file and re-raises."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    h = hashlib.sha256()
+    h = sha256()
     try:
         with open(tmp, "wb") as f:
             for data in map(str.encode, chunks):  # UTF-8; each text freed once encoded
