@@ -1,8 +1,12 @@
-"""Canonical tree form shared by fingerprinting and tree differencing.
+"""Canonical text: the one form of a construct body that is fingerprinted,
+stored and compared.
 
-Every construct body is lowered to a ``CTree``: an ordered, labeled tree
-whose serialization is whitespace- and comment-free. Equal trees serialize
-identically, so a digest over the serialization is a content fingerprint.
+A body is lowered (see constructs) straight to its canonical text, a
+pre-order s-expression over labeled nodes free of whitespace and comments: a
+leaf is its escaped label, and an inner node ``(label child ...)`` with one
+space before each child. Equal bodies have equal texts, so a digest of the
+text is a content fingerprint. A ``CTree``, the ordered labeled tree of a
+text, is decoded (see deserialize) only where tree differencing reads one.
 """
 
 from __future__ import annotations
@@ -26,80 +30,78 @@ class CTree(NamedTuple):
         return count
 
 
-def _escape(label: str) -> str:
+def escape(label: str) -> str:
+    """A label as canonical text spells it: backslash, parentheses and space
+    escaped."""
     return label.replace("\\", "\\\\").replace("(", "\\(").replace(")", "\\)").replace(" ", "\\s")
 
 
-def serialize(tree: CTree) -> str:
-    """Pre-order s-expression serialization; injective on trees."""
-    if not tree.children:
-        return _escape(tree.label)
-    return "(%s %s)" % (_escape(tree.label), " ".join(serialize(c) for c in tree.children))
+def fingerprint(text: str) -> str:
+    """256-bit content hash of a canonical text, as hex."""
+    return sha256(text.encode("utf-8")).hexdigest()
 
 
-_ESCAPE = re.compile(r"\\(.)", re.S)
-# A label runs to the next unescaped space or parenthesis; an escape pair
-# takes any second character, and a backslash that ends the text stands for
-# itself. Spaces between tokens match nothing and are skipped.
-_TOKENS = re.compile(r"\(|\)|(?:\\.|\\\Z|[^ ()\\])+", re.S)
+_ESCAPE = re.compile(r"\\(.)")
+# a node: a space before it unless it is the root, then a leaf's label, an
+# opening parenthesis and an inner node's label, or a closing parenthesis
+_TOKENS = re.compile(r"( ?)(?:(\()?((?:\\[\\()s]|[^ ()\\])+)|\))")
 
 
-def _unescape_token(tok: str) -> str:
+def _unescape(tok: str) -> str:
+    if "\\" not in tok:
+        return tok
     return _ESCAPE.sub(lambda m: " " if m.group(1) == "s" else m.group(1), tok)
 
 
 def deserialize(text: str) -> CTree:
-    """Inverse of :func:`serialize`. Raises ValueError on malformed input.
+    """The CTree of a canonical text. Raises ValueError on any other text,
+    such as one with a space that does not come before a child, a node in
+    parentheses without children, or an escape pair other than ``\\\\``,
+    ``\\(``, ``\\)`` and ``\\s``.
 
     Iterative, so nesting depth is bounded by memory only.
     """
     stack = []        # (label, children) of the open nodes
-    root = None
-    opened = False    # an opening parenthesis waits for its label
+    root, end = None, 0
     for m in _TOKENS.finditer(text):
-        tok = m.group()
-        if root is not None:
-            raise ValueError("trailing data in canonical form")
-        if opened and tok in ("(", ")"):
-            raise ValueError("empty label at offset %d" % m.start())
-        if tok == "(":
-            opened = True
+        space, opens, label = m.groups()
+        if m.start() != end or root is not None \
+                or bool(space) != (label is not None and bool(stack)) \
+                or label is None and not (stack and stack[-1][1]):
+            raise ValueError("not canonical text at offset %d" % m.start())
+        end = m.end()
+        if opens:
+            stack.append((_unescape(label), []))
             continue
-        if tok == ")":
-            if not stack:
-                raise ValueError("unbalanced ')' at offset %d" % m.start())
+        if label is None:
             label, kids = stack.pop()
             node = CTree(label, tuple(kids))
-        elif opened:
-            stack.append((_unescape_token(tok), []))
-            opened = False
-            continue
         else:
-            node = CTree(_unescape_token(tok))
+            node = CTree(_unescape(label))
         if stack:
             stack[-1][1].append(node)
         else:
             root = node
-    if opened or stack:
-        raise ValueError("unterminated canonical node")
-    if root is None:
-        raise ValueError("unexpected end of canonical form")
+    if root is None or end != len(text):
+        raise ValueError("not canonical text at offset %d" % end)
     return root
 
 
-def lazy_tree(slot: str) -> property:
-    """A read-only property over the attribute ``slot``, which holds a CTree,
-    None, or a function of no arguments that returns the tree: the function
-    is called on the first read and its tree kept in the slot."""
+def lazy_tree(name: str, slot: str, undecodable=None) -> property:
+    """A read-only property: the CTree of the canonical text that the
+    attribute ``name`` holds (None for none), decoded on the first read and
+    kept in the attribute ``slot``, so that only the trees read are built.
+    ``undecodable(obj, exc)``, if given, is the error raised in place of the
+    ValueError of a text that does not decode."""
     def read(self):
         tree = getattr(self, slot)
-        if callable(tree):  # a CTree is a tuple, never callable
-            tree = tree()
+        if tree is None and getattr(self, name) is not None:
+            try:
+                tree = deserialize(getattr(self, name))
+            except ValueError as exc:
+                if undecodable is None:
+                    raise
+                raise undecodable(self, exc) from None
             setattr(self, slot, tree)
         return tree
     return property(read)
-
-
-def digest(tree: CTree) -> str:
-    """256-bit content hash of the canonical serialization, as hex."""
-    return sha256(serialize(tree).encode("utf-8")).hexdigest()

@@ -3,10 +3,13 @@
 A construct is a package, class, interface, constructor, or method with a
 globally unique qualified name (methods and constructors carry their parameter
 type list as jx.ast.type_text spells it, e.g. ``foo.Bar.baz(int)``). Bodies are
-lowered to canonical trees so that textually different but token-identical code
+lowered straight to canonical text (see canonical) by one walk over the
+syntax tree, so that textually different but token-identical code
 fingerprints identically, while any literal or identifier change is visible.
-A body the parser skipped (jx.ast.Unparsed) is parsed for each lowering and
-not kept, so an inventory of a declarations-only parse holds no body.
+No tree is built on the way: a CTree is decoded from the text only where
+tree differencing reads one. A body the parser skipped (jx.ast.Unparsed) is
+parsed for each lowering and not kept, so an inventory of a
+declarations-only parse holds no body.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from functools import partial
 from typing import NamedTuple, Optional
 
-from .canonical import CTree, digest, lazy_tree
+from .canonical import escape, fingerprint, lazy_tree
 from .jx import ast
 from .workspace import one_of
 
@@ -65,140 +68,128 @@ def guess_ctype(qname: str) -> str:
 
 class Construct:
     """A construct's body and fingerprint, the 256-bit digest of the body's
-    canonical serialization. Its ConstructId is the key it is stored under.
-    The body is given as a CTree or as a function of no arguments that
-    lowers the declaration when ``body`` is first read (see
-    canonical.lazy_tree), so an inventory holds its parse, not a tree per
-    construct: of a declarations-only parse, the body's range, parsed again
-    when read."""
+    canonical text. Its ConstructId is the key it is stored under. The body
+    is given as its text or as a function of no arguments that lowers the
+    declaration when ``text`` is first read, so an inventory of a
+    declarations-only parse holds the body's range, parsed again when read;
+    ``body`` is its CTree (see canonical.lazy_tree). Both are kept once
+    read."""
 
-    __slots__ = ("fingerprint", "_body")
+    __slots__ = ("fingerprint", "_body", "_tree")
 
     def __init__(self, fingerprint: Optional[str], body):
         self.fingerprint = fingerprint  # hex digest; None for PACKAGE
         self._body = body               # None for PACKAGE
+        self._tree = None
 
-    body = lazy_tree("_body")
+    @property
+    def has_body(self) -> bool:
+        """Whether there is a body, told without lowering it."""
+        return self._body is not None
 
+    @property
+    def text(self) -> Optional[str]:
+        if callable(self._body):
+            self._body = self._body()
+        return self._body
 
-# --- lowering to canonical trees ------------------------------------------
-
-
-def _type_leaf(t) -> CTree:
-    return CTree("type:" + t.text())
-
-
-def expr_ctree(e) -> CTree:
-    if isinstance(e, ast.IntLit):
-        return CTree("int:%d" % e.value)
-    if isinstance(e, ast.TextLit):
-        return CTree("text:" + e.value)
-    if isinstance(e, ast.BoolLit):
-        return CTree("bool:%s" % ("true" if e.value else "false"))
-    if isinstance(e, ast.Var):
-        return CTree("var:" + e.name)
-    if isinstance(e, ast.This):
-        return CTree("this")
-    if isinstance(e, ast.FieldAccess):
-        return CTree("get:" + e.name, (expr_ctree(e.obj),))
-    if isinstance(e, ast.New):
-        return CTree("new:" + e.type.text(), tuple(expr_ctree(a) for a in e.args))
-    if isinstance(e, ast.MethodCall):
-        return CTree("call:" + e.name,
-                     (expr_ctree(e.recv),) + tuple(expr_ctree(a) for a in e.args))
-    if isinstance(e, ast.ReflectInvoke):
-        return CTree("reflect", tuple(expr_ctree(a) for a in e.args))
-    if isinstance(e, ast.Binary):
-        return CTree("op:" + e.op, (expr_ctree(e.left), expr_ctree(e.right)))
-    raise TypeError("unknown expression node: %r" % (e,))
+    body = lazy_tree("text", "_tree")
 
 
-def stmt_ctree(s) -> CTree:
-    if isinstance(s, ast.Block):
-        return CTree("block", tuple(stmt_ctree(x) for x in s.stmts))
-    if isinstance(s, ast.LocalDecl):
-        kids = [_type_leaf(s.type)]
-        if s.init is not None:
-            kids.append(expr_ctree(s.init))
-        return CTree("local:" + s.name, tuple(kids))
-    if isinstance(s, ast.Assign):
-        return CTree("assign", (expr_ctree(s.target), expr_ctree(s.value)))
-    if isinstance(s, ast.ExprStmt):
-        return CTree("expr", (expr_ctree(s.expr),))
-    if isinstance(s, ast.If):
-        kids = [expr_ctree(s.cond), stmt_ctree(s.then)]
-        if s.els is not None:
-            kids.append(stmt_ctree(s.els))
-        return CTree("if", tuple(kids))
-    if isinstance(s, ast.While):
-        return CTree("while", (expr_ctree(s.cond), stmt_ctree(s.body)))
-    if isinstance(s, ast.Return):
-        kids = (expr_ctree(s.value),) if s.value is not None else ()
-        return CTree("return", kids)
-    raise TypeError("unknown statement node: %r" % (s,))
+# --- lowering to canonical text -------------------------------------------
+#
+# Each _LOWER function appends a node's text, a space first, to a list that
+# canonical_text joins. A str is a leaf's label and a (label, kids) pair a
+# node (see _node). Only a text literal's label can hold a character that
+# escape changes: the others are identifiers, numbers and operators.
 
 
-def _block(body) -> ast.Block:
-    """The Block of a member body; one the parser skipped is parsed for the
-    caller alone."""
-    if isinstance(body, ast.Unparsed):
+def _node(label: str, kids, out: list):
+    """The node ``label`` over one child per item of kids but None; a leaf
+    if kids is empty."""
+    if not kids:
+        out.append(" " + label)
+        return
+    out.append(" (" + label)
+    for k in kids:
+        if k is not None:
+            _LOWER[type(k)](k, out)
+    out.append(")")
+
+
+def _type(t, out: list):
+    out.append(" type:" + t.text())
+
+
+_LOWER = {
+    str: lambda label, out: out.append(" " + label),
+    tuple: lambda node, out: _node(*node, out),
+    ast.PrimType: _type,
+    ast.NamedType: _type,
+    ast.Param: lambda p, out: _node("param:" + p.name, (p.type,), out),
+    ast.IntLit: lambda e, out: out.append(" int:%d" % e.value),
+    ast.TextLit: lambda e, out: out.append(" text:" + escape(e.value)),
+    ast.BoolLit: lambda e, out: out.append(" bool:true" if e.value else " bool:false"),
+    ast.Var: lambda e, out: out.append(" var:" + e.name),
+    ast.This: lambda e, out: out.append(" this"),
+    ast.FieldAccess: lambda e, out: _node("get:" + e.name, (e.obj,), out),
+    ast.New: lambda e, out: _node("new:" + e.type.text(), e.args, out),
+    ast.MethodCall: lambda e, out: _node("call:" + e.name, (e.recv, *e.args), out),
+    ast.ReflectInvoke: lambda e, out: _node("reflect", e.args, out),
+    ast.Binary: lambda e, out: _node("op:" + e.op, (e.left, e.right), out),
+    ast.Block: lambda s, out: _node("block", s.stmts, out),
+    ast.LocalDecl: lambda s, out: _node("local:" + s.name, (s.type, s.init), out),
+    ast.Assign: lambda s, out: _node("assign", (s.target, s.value), out),
+    ast.ExprStmt: lambda s, out: _node("expr", (s.expr,), out),
+    ast.If: lambda s, out: _node("if", (s.cond, s.then, s.els), out),
+    ast.While: lambda s, out: _node("while", (s.cond, s.body), out),
+    ast.Return: lambda s, out: _node("return", () if s.value is None else (s.value,), out),
+}
+
+
+def _signature(m: ast.MethodDecl) -> tuple:
+    # Signature only: parameter names of nested constructs are excluded.
+    return ("msig:" + m.name, ("static:true" if m.static else "static:false", m.rettype,
+                               *(p.type for p in m.params)))
+
+
+def _decl_node(decl) -> tuple:
+    """The (label, kids) pair of a declaration's root node."""
+    if isinstance(decl, ast.InterfaceDecl):
+        return "interface:" + decl.name, [_signature(m) for m in decl.methods]
+    if isinstance(decl, ast.ClassDecl):
+        return "class:" + decl.name, [
+            "extends:" + (decl.extends.text() if decl.extends else "-"),
+            ("implements", ["iface:" + t.text() for t in decl.implements]) if decl.implements
+            else None,
+            *(("field:" + f.name, (f.type, f.init)) for f in decl.fields),
+            *(("csig:" + c.name, [p.type for p in c.params]) for c in decl.ctors
+              if not c.synthetic),
+            *map(_signature, decl.methods)]
+    body = decl.body
+    if isinstance(body, ast.Unparsed):  # parsed for this lowering alone
         from .jx.parser import parse_body  # only a declarations-only parse needs the parser
-        return parse_body(body)
-    return body
+        body = parse_body(body)
+    block = None if body is None else ("block", body.stmts)
+    if isinstance(decl, ast.CtorDecl):
+        return "ctor:" + decl.name, (*decl.params, block)
+    return "method:" + decl.name, ("static:true" if decl.static else "static:false",
+                                   decl.rettype, *decl.params, block)
 
 
-def method_ctree(m: ast.MethodDecl) -> CTree:
-    """Full method body tree; the method's own parameter names are retained."""
-    kids = [CTree("static:%s" % ("true" if m.static else "false")),
-            _type_leaf(m.rettype)]
-    kids.extend(CTree("param:" + p.name, (_type_leaf(p.type),)) for p in m.params)
-    if m.body is not None:
-        kids.append(stmt_ctree(_block(m.body)))
-    return CTree("method:" + m.name, tuple(kids))
-
-
-def ctor_ctree(c: ast.CtorDecl) -> CTree:
-    kids = [CTree("param:" + p.name, (_type_leaf(p.type),)) for p in c.params]
-    kids.append(stmt_ctree(_block(c.body)))
-    return CTree("ctor:" + c.name, tuple(kids))
+def canonical_text(decl) -> str:
+    """The canonical text of a declaration. A method's or constructor's
+    holds its parameter names and body; a class's or interface's the
+    signatures of its members, their bodies elided."""
+    out = []
+    _node(*_decl_node(decl), out)
+    out[0] = out[0][1:]  # the root has no space before it
+    return "".join(out)
 
 
 def member_fingerprint(decl) -> str:
     """The fingerprint of a method or constructor declaration."""
-    return digest(ctor_ctree(decl) if isinstance(decl, ast.CtorDecl) else method_ctree(decl))
-
-
-def _method_sig_ctree(m: ast.MethodDecl) -> CTree:
-    # Signature only: parameter names of nested constructs are excluded.
-    kids = [CTree("static:%s" % ("true" if m.static else "false")),
-            _type_leaf(m.rettype)]
-    kids.extend(_type_leaf(p.type) for p in m.params)
-    return CTree("msig:" + m.name, tuple(kids))
-
-
-def class_ctree(decl: ast.ClassDecl) -> CTree:
-    """Class declaration with member bodies elided, signatures retained."""
-    kids = [CTree("extends:" + (decl.extends.text() if decl.extends else "-"))]
-    if decl.implements:
-        kids.append(CTree("implements", tuple(CTree("iface:" + t.text())
-                                              for t in decl.implements)))
-    for f in decl.fields:
-        fk = [_type_leaf(f.type)]
-        if f.init is not None:
-            fk.append(expr_ctree(f.init))
-        kids.append(CTree("field:" + f.name, tuple(fk)))
-    for c in decl.ctors:
-        if c.synthetic:
-            continue
-        kids.append(CTree("csig:" + c.name, tuple(_type_leaf(p.type) for p in c.params)))
-    for m in decl.methods:
-        kids.append(_method_sig_ctree(m))
-    return CTree("class:" + decl.name, tuple(kids))
-
-
-def interface_ctree(decl: ast.InterfaceDecl) -> CTree:
-    return CTree("interface:" + decl.name,
-                 tuple(_method_sig_ctree(m) for m in decl.methods))
+    return fingerprint(canonical_text(decl))
 
 
 # --- extraction ------------------------------------------------------------
@@ -209,32 +200,36 @@ def extract_constructs(units, fingerprints=None) -> dict:
     declarations alone, as an ordered map ConstructId -> Construct. As in the
     resolver's tables, of types sharing a qname the first in (package,
     origin) order counts, and of a type's members sharing a signature the last.
-    Each body is lowered once for its fingerprint, and again when read;
+    Each body is lowered to its canonical text once, and the text kept;
     ``fingerprints`` maps member declarations already lowered to their
-    fingerprints (see member_fingerprint), which are not lowered again."""
+    fingerprints (see member_fingerprint), whose bodies are not lowered
+    again until read."""
     units = sorted(units, key=lambda u: (u.package, u.origin))
     # the first type of a qname is written last, so it stays
     types = {u.package + "." + d.name: (u.package, d) for u in reversed(units) for d in u.decls}
     out = {ConstructId(PACKAGE, u.package): Construct(None, None) for u in units}
     known = fingerprints or {}
 
-    def put(cid, lower, decl):
-        fingerprint = known[decl] if decl in known else digest(lower(decl))
-        out[cid] = Construct(fingerprint, partial(lower, decl))
+    def put(cid, decl):
+        if decl in known:
+            out[cid] = Construct(known[decl], partial(canonical_text, decl))
+        else:
+            text = canonical_text(decl)
+            out[cid] = Construct(fingerprint(text), text)
 
     for qname in sorted(types):
         pkg, decl = types[qname]
-        kinds = [(METHOD, decl.methods, method_ctree)]
+        kinds = [(METHOD, decl.methods)]
         if isinstance(decl, ast.InterfaceDecl):
-            put(ConstructId(INTERFACE, qname), interface_ctree, decl)
+            put(ConstructId(INTERFACE, qname), decl)
         else:
-            put(ConstructId(CLASS, qname), class_ctree, decl)
-            kinds.insert(0, (CONSTRUCTOR, decl.ctors, ctor_ctree))
-        for ctype, decls, ctree in kinds:
+            put(ConstructId(CLASS, qname), decl)
+            kinds.insert(0, (CONSTRUCTOR, decl.ctors))
+        for ctype, decls in kinds:
             sigs = {ast.signature(d.name, [ast.type_text(p.type, pkg) for p in d.params]): d
                     for d in decls}
             for sig in sorted(sigs):
-                put(member_id(ctype, qname, sig), ctree, sigs[sig])
+                put(member_id(ctype, qname, sig), sigs[sig])
     return out
 
 

@@ -8,7 +8,7 @@ from typing import Optional
 from .bom import extract_root
 from .canonical import lazy_tree
 from .constructs import CALLABLE_CTYPES, Construct, ConstructId, split_member
-from .errors import EmptyRange
+from .errors import EmptyRange, MalformedRecord
 from .ted import tree_edit_distance
 
 ADD = "ADD"
@@ -22,29 +22,39 @@ CLOSER_TO_FIXED = "CLOSER_TO_FIXED"
 TIE = "TIE"
 
 
+def _undecodable(key: str):
+    return lambda ch, exc: MalformedRecord("%s: %s of %s does not decode: %s"
+                                           % (ch.where, key, ch.construct, exc))
+
+
 class ConstructChange:
     """One construct's entry in a fix's change set.
 
-    ``ast_vuln`` and ``ast_fixed`` are the bodies before and after the fix
-    (CTrees; absent for ADD and DEL respectively). A side may be given as a
-    function of no arguments that returns its CTree (see canonical.lazy_tree):
-    it is called on the first access, so a knowledge-base scan decodes only
-    the bodies whose distances it computes.
+    ``text_vuln`` and ``text_fixed`` are the canonical texts of the bodies
+    before and after the fix (absent for ADD and DEL respectively), and
+    ``ast_vuln`` and ``ast_fixed`` their CTrees, decoded on the first read
+    and kept (see canonical.lazy_tree): a knowledge-base scan decodes only the bodies whose
+    distances it computes. ``where`` names the stored record the change was
+    read from, and a side that does not decode is a MalformedRecord naming it.
     """
 
-    __slots__ = ("construct", "op", "fp_vuln", "fp_fixed", "_vuln", "_fixed")
+    __slots__ = ("construct", "op", "text_vuln", "text_fixed", "fp_vuln", "fp_fixed", "where",
+                 "_vuln", "_fixed")
 
-    def __init__(self, construct: ConstructId, op: str, ast_vuln=None, ast_fixed=None,
-                 fp_vuln: Optional[str] = None, fp_fixed: Optional[str] = None):
+    def __init__(self, construct: ConstructId, op: str, text_vuln: Optional[str] = None,
+                 text_fixed: Optional[str] = None, fp_vuln: Optional[str] = None,
+                 fp_fixed: Optional[str] = None, where: Optional[str] = None):
         self.construct = construct
         self.op = op
+        self.text_vuln = text_vuln
+        self.text_fixed = text_fixed
         self.fp_vuln = fp_vuln
         self.fp_fixed = fp_fixed
-        self._vuln = ast_vuln
-        self._fixed = ast_fixed
+        self.where = where
+        self._vuln = self._fixed = None  # the trees, once read
 
-    ast_vuln = lazy_tree("_vuln")
-    ast_fixed = lazy_tree("_fixed")
+    ast_vuln = lazy_tree("text_vuln", "_vuln", _undecodable("astVuln"))
+    ast_fixed = lazy_tree("text_fixed", "_fixed", _undecodable("astFixed"))
 
     @property
     def informative(self) -> bool:
@@ -82,11 +92,11 @@ def construct_changes(before: dict, after: dict) -> list:
         b = before.get(cid)
         a = after.get(cid)
         if b is not None and a is None:
-            changes[cid] = ConstructChange(cid, DEL, ast_vuln=b.body, fp_vuln=b.fingerprint)
+            changes[cid] = ConstructChange(cid, DEL, text_vuln=b.text, fp_vuln=b.fingerprint)
         elif b is None and a is not None:
-            changes[cid] = ConstructChange(cid, ADD, ast_fixed=a.body, fp_fixed=a.fingerprint)
+            changes[cid] = ConstructChange(cid, ADD, text_fixed=a.text, fp_fixed=a.fingerprint)
         elif b.fingerprint != a.fingerprint:
-            changes[cid] = ConstructChange(cid, MOD, b.body, a.body,
+            changes[cid] = ConstructChange(cid, MOD, b.text, a.text,
                                            b.fingerprint, a.fingerprint)
     for cid in list(changes):
         if cid.ctype not in CALLABLE_CTYPES:
@@ -97,7 +107,7 @@ def construct_changes(before: dict, after: dict) -> list:
             if oid in changes or oid not in before or oid not in after:
                 continue
             ob, oa = before[oid], after[oid]
-            changes[oid] = ConstructChange(oid, MOD, ob.body, oa.body,
+            changes[oid] = ConstructChange(oid, MOD, ob.text, oa.text,
                                            ob.fingerprint, oa.fingerprint)
     return [changes[cid] for cid in sorted(changes)]
 
@@ -133,12 +143,13 @@ def classify(observed: Construct, change: ConstructChange) -> Optional[Classific
         return Classification(EQUALS_VULNERABLE)
     if fp is not None and fp == change.fp_fixed:
         return Classification(EQUALS_FIXED)
-    if observed.body is None:
-        return None
     if change.op == ADD:
-        return Classification(TIE)
-    dv = tree_edit_distance(observed.body, change.ast_vuln)
-    df = tree_edit_distance(observed.body, change.ast_fixed)
+        return Classification(TIE) if observed.has_body else None
+    body = observed.body
+    if body is None:
+        return None
+    dv = tree_edit_distance(body, change.ast_vuln)
+    df = tree_edit_distance(body, change.ast_fixed)
     if dv < df:
         return Classification(CLOSER_TO_VULNERABLE, dv, df)
     if df < dv:

@@ -2,12 +2,14 @@
 
 Persisted as a directory of JSON documents, one per vulnerability
 (``vulns/<id>.json``) and one per library (``libs/<name>.json``), with
-construct bodies stored as canonical serializations so digests round-trip
-bit-exact. A KnowledgeBase keeps nothing but its root and, for scan and
-mitigate, a workspace: every read goes to the files, and every record read
-is checked, but a selective read (see ``records``) decodes only the records
-that the workspace's ``.vet/kb-index.json`` says can match. Version
-screening is detection.non_vulnerable_versions.
+construct bodies stored as the canonical text their fingerprints digest,
+written and read as is (see canonical), so digests round-trip bit-exact and
+a body's tree is decoded only when tree differencing reads it. A
+KnowledgeBase keeps nothing but its root and, for scan and mitigate, a
+workspace: every read goes to the files, and every record read is checked,
+but a selective read (see ``records``) decodes only the records that the
+workspace's ``.vet/kb-index.json`` says can match. Version screening is
+detection.non_vulnerable_versions.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import os
 from pathlib import Path
 
 from .bom import VERSION, extract_root
-from .canonical import deserialize, serialize
+from .canonical import fingerprint
 from .constructs import CTYPE, ConstructId, version_key, version_newer
 from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
 from .workspace import (check, decode_json, framed_digest, json_text, load_json, one_of,
-                        read_bytes, regular_files, sha256, shape, write_atomic)
+                        read_bytes, regular_files, shape, write_atomic)
 
 CODE_CHANGE = "CODE_CHANGE"
 WHOLE_LIBRARY = "WHOLE_LIBRARY"
@@ -61,8 +63,8 @@ def _change_to_json(ch: ConstructChange) -> dict:
         "ctype": ch.construct.ctype,
         "qname": ch.construct.qname,
         "op": ch.op,
-        "astVuln": serialize(ch.ast_vuln) if ch.ast_vuln is not None else None,
-        "astFixed": serialize(ch.ast_fixed) if ch.ast_fixed is not None else None,
+        "astVuln": ch.text_vuln,
+        "astFixed": ch.text_fixed,
         "fpVuln": ch.fp_vuln,
         "fpFixed": ch.fp_fixed,
     }
@@ -122,23 +124,10 @@ def _check_index(data, where: str):
                                   % (where, version, repeat[0]))
 
 
-def _stored_tree(text, where: str, cid: ConstructId, key: str):
-    """The canonical text of one stored body, decoded when first needed."""
-    if not text:
-        return None
-
-    def decode():
-        try:
-            return deserialize(text)
-        except ValueError as exc:
-            raise MalformedRecord("%s: %s of %s does not decode: %s"
-                                  % (where, key, cid, exc)) from None
-    return decode
-
-
 def _change_from_json(data, where: str) -> ConstructChange:
     """The change of an entry RECORD accepts. A stored tree's text must
-    hash to its fingerprint, checked without decoding it."""
+    hash to its fingerprint, checked without decoding it; a text that does
+    not decode is refused when the change's tree is first read."""
     cid = ConstructId(data["ctype"], data["qname"])
     if data["op"] == MOD and data.get("fpVuln") != data.get("fpFixed") \
             and not (data.get("astVuln") and data.get("astFixed")):
@@ -146,11 +135,12 @@ def _change_from_json(data, where: str) -> ConstructChange:
                               % (where, cid))
     for key, fp in (("astVuln", "fpVuln"), ("astFixed", "fpFixed")):
         text = data.get(key)
-        if text and sha256(text.encode("utf-8")).hexdigest() != data.get(fp):
+        if text and fingerprint(text) != data.get(fp):
             raise MalformedRecord("%s: %s of %s is not the SHA-256 of its %s"
                                   % (where, fp, cid, key))
-    trees = [_stored_tree(data.get(key), where, cid, key) for key in ("astVuln", "astFixed")]
-    return ConstructChange(cid, data["op"], *trees, data.get("fpVuln"), data.get("fpFixed"))
+    return ConstructChange(cid, data["op"], data.get("astVuln") or None,
+                           data.get("astFixed") or None, data.get("fpVuln"),
+                           data.get("fpFixed"), where)
 
 
 def _check_name(value: str, what: str):

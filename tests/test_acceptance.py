@@ -17,11 +17,11 @@ import pytest
 from helpers import (GOLDEN, UPDATE, build_golden_kb, closure_oracle,
                      copy_workspace, enum_trees, mutate, random_ctree,
                      random_program, ted_oracle, tree_size)
+from lowering import digest, serialize
 from vulnvet.bom import APPLICATION, Archive, BOM, Sources, build_bom, corpus_program
 from vulnvet.callgraph import (CallGraph, Edge, STATIC_DISPATCH,
                                app_reachability, build_call_graph, reachable,
                                witness_path)
-from vulnvet.canonical import digest, serialize
 from vulnvet.cli import main as vet
 from vulnvet.combined import combined_reachable
 from vulnvet.constructs import (CONSTRUCTOR, METHOD, Construct, ConstructId,
@@ -280,7 +280,7 @@ class _StubKB:
 
 def _make_construct(rng):
     body = random_ctree(rng, 6)
-    return Construct(digest(body), body)
+    return Construct(digest(body), serialize(body))
 
 
 def _detection_fixture(rng, trial, mode):
@@ -297,14 +297,15 @@ def _detection_fixture(rng, trial, mode):
         bf = random_ctree(rng, 6)
         while serialize(bf) == serialize(bv):
             bf = random_ctree(rng, 6)
-        changes.append(ConstructChange(cid, MOD, bv, bf, digest(bv), digest(bf)))
+        changes.append(ConstructChange(cid, MOD, serialize(bv), serialize(bf),
+                                       digest(bv), digest(bf)))
         if mode == "vuln":
             body = bv
         elif mode == "fixed":
             body = bf
         else:
             body = bv if i == 0 else bf
-        carried[cid] = Construct(digest(body), body)
+        carried[cid] = Construct(digest(body), serialize(body))
     record = VulnerabilityRecord("V%d" % trial, "", CODE_CHANGE, changes=changes)
     filler = {}
     for i in range(rng.randint(1, 4)):

@@ -1,9 +1,12 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from helpers import random_ctree
-from vulnvet.canonical import CTree, deserialize, digest, serialize
+from lowering import digest, serialize
+from vulnvet.canonical import CTree, deserialize, escape
 
 
 def test_leaf_serialization():
@@ -39,6 +42,46 @@ def test_deserialize_rejects_garbage():
     for text in ("", "(a", "a)", "(a b) c", "()"):
         with pytest.raises(ValueError):
             deserialize(text)
+
+
+def test_deserialize_rejects_text_that_serialize_never_writes():
+    for text in ("(a  b)", " a", "a ", "(a b )", "( a b)", "(a)", "(a (b) c)",
+                 "a\\q", "(a b\\q)", "a\\", "(a b\\)", "(a b) "):
+        with pytest.raises(ValueError):
+            deserialize(text)
+
+
+def test_escape_is_the_reference_spelling_of_a_label():
+    for label in ("a", "a b", "m(int)", "c\\d", ")(", "\t", "\\s"):
+        assert escape(label) == serialize(CTree(label))
+
+
+_LABELS = st.text(alphabet="ab (\\)s\t", min_size=1, max_size=4)
+_TREES = st.recursive(_LABELS.map(CTree), lambda kids: st.tuples(
+    _LABELS, st.lists(kids, min_size=1, max_size=3).map(tuple)).map(lambda t: CTree(*t)),
+    max_leaves=8)
+_LABEL = re.compile(r"(?:\\.|[^ ()\\])+")
+
+
+@given(_TREES, st.data())
+def test_a_near_canonical_text_is_refused_or_is_the_text_of_its_tree(tree, data):
+    text = serialize(tree)
+    assert deserialize(text) == tree
+    kind = data.draw(st.sampled_from(["insert", "delete", "wrap"]))
+    at = data.draw(st.integers(0, len(text)))
+    if kind == "insert":
+        piece = data.draw(st.sampled_from([" ", "(", ")", "\\", "\\q", "\\s", "a"]))
+        mutated = text[:at] + piece + text[at:]
+    elif kind == "delete":
+        mutated = text[:at] + text[at + 1:]
+    else:  # a label in parentheses, as a node without children
+        label = data.draw(st.sampled_from(list(_LABEL.finditer(text))))
+        mutated = "%s(%s)%s" % (text[:label.start()], label.group(), text[label.end():])
+    try:
+        decoded = deserialize(mutated)
+    except ValueError:
+        return
+    assert serialize(decoded) == mutated
 
 
 def test_serialization_is_injective_on_structure():

@@ -492,6 +492,27 @@ def test_scan_rejects_stored_tree_that_does_not_decode(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_scan_rejects_a_stored_tree_with_a_doubled_space(tmp_path, capsys):
+    # canonical text has one space before each child: a record whose text
+    # would decode leniently, to the same tree, is refused, not read
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    _import_golden_kb(ws)
+    eng = ws / "libs/fw/1.0/src/engine.jx"
+    eng.write_text(eng.read_text().replace("width = 640;", "width = 642;"))
+    path = ws / "kb/vulns/VULN-J1.json"
+    data = json.loads(path.read_text())
+    change = next(c for c in data["changes"] if c["ctype"] == "METHOD")
+    change["astFixed"] = change["astFixed"].replace(" ", "  ", 1)
+    change["fpFixed"] = hashlib.sha256(change["astFixed"].encode()).hexdigest()
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), "scan"]) == 3
+    err = capsys.readouterr().err
+    assert "VULN-J1.json" in err and "astFixed of METHOD:fw.Engine.renderError()" in err
+    assert "does not decode" in err and "Traceback" not in err
+    assert not (ws / ".vet/findings.json").exists()
+
+
 @pytest.mark.parametrize("key", ["fpVuln", "fpFixed"])
 def test_a_fingerprint_that_is_not_the_hash_of_its_tree_is_rejected(tmp_path, capsys, key):
     ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")

@@ -187,14 +187,15 @@ def test_dynamic_beats_combined(tmp_path):
     kb2 = KnowledgeBase(kb.root)
     # fake record targeting the executed construct delta()
     import vulnvet.diffing as dif
-    from vulnvet.canonical import CTree, digest
+    from lowering import digest, serialize
+    from vulnvet.canonical import CTree
     from vulnvet.kb import CODE_CHANGE, VulnerabilityRecord
     delta = ConstructId(METHOD, "lib2.Core.delta()")
     assert delta in r_t.reached
     arc, _ = bom.dependency("lib2")
     observed = arc.constructs[delta]
     other = CTree("other")
-    change = dif.ConstructChange(delta, dif.MOD, observed.body, other,
+    change = dif.ConstructChange(delta, dif.MOD, observed.text, serialize(other),
                                  observed.fingerprint, digest(other))
     kb2.save_record(VulnerabilityRecord("VULN-D", "", CODE_CHANGE, changes=[change]))
     fd = _evidence(tmp_path, bom, kb2, traces, r_a, r_t)["VULN-D"]

@@ -8,15 +8,17 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from helpers import GOLDEN, UPDATE, jx_declarations, random_program
+from lowering import (class_ctree, ctor_ctree, decl_ctree, digest, interface_ctree,
+                      method_ctree, serialize)
 from printer import pretty_print
 from vulnvet.bom import Sources, build_bom
 from vulnvet.callgraph import Edge
-from vulnvet.canonical import CTree, digest
+from vulnvet.canonical import CTree, deserialize, fingerprint
 from vulnvet.constructs import (CALLABLE_CTYPES, CLASS, CONSTRUCTOR, INTERFACE, METHOD,
-                                PACKAGE, ConstructId, class_ctree, ctor_ctree,
-                                extract_constructs, guess_ctype, interface_ctree,
-                                member_id, method_ctree, split_member, version_key,
-                                version_newer)
+                                PACKAGE, ConstructId, canonical_text, extract_constructs,
+                                guess_ctype, member_fingerprint, member_id, split_member,
+                                version_key, version_newer)
+from vulnvet.jx import ast
 from vulnvet.jx.parser import parse_unit
 from vulnvet.jx.resolver import resolve
 from vulnvet.traces import TraceEvent
@@ -149,8 +151,10 @@ def _assert_bodies_are_their_fingerprints(bom):
             if cid.ctype == PACKAGE:
                 assert c.body is None and c.fingerprint is None
                 continue
-            body = c.body  # lowered now, then kept
-            assert c.body is body and digest(body) == c.fingerprint, cid
+            text, body = c.text, c.body  # lowered and decoded now, then kept
+            assert c.text is text and c.body is body, cid
+            # the tree decoded from the text that the fingerprint digests
+            assert digest(body) == c.fingerprint == fingerprint(text), cid
 
 
 def test_a_body_read_is_the_tree_its_fingerprint_digests_on_the_fixtures():
@@ -170,6 +174,83 @@ def test_a_body_read_is_the_tree_its_fingerprint_digests(sources):
         for origin, src in sources:
             (ws / "src" / origin).write_text(src)
         _assert_bodies_are_their_fingerprints(build_bom(Sources(ws / "app.json", ws)))
+
+
+# --- the text lowering against the reference tree lowering ---
+
+_AT = (1, 1)
+_NAMES = st.sampled_from(["a", "b", "x1", "_t"])
+_CLASS_TYPES = st.sampled_from([ast.NamedType(("A",)), ast.NamedType(("p", "q", "B"))])
+_TYPES = st.sampled_from([ast.PrimType(n) for n in ast.PRIMITIVES]) | _CLASS_TYPES
+_OPS = st.sampled_from(["+", "-", "*", "/", "==", "!=", "<", ">"])
+
+
+def _expressions():
+    leaves = st.one_of(
+        st.integers(ast.INT_MIN, ast.INT_MAX).map(lambda v: ast.IntLit(v, _AT)),
+        st.text(alphabet="a() \\\t", max_size=5).map(lambda v: ast.TextLit(v, _AT)),
+        st.booleans().map(lambda v: ast.BoolLit(v, _AT)),
+        _NAMES.map(lambda n: ast.Var(n, _AT)),
+        st.just(_AT).map(ast.This))
+
+    def grow(kids):
+        args = st.lists(kids, max_size=3)
+        return st.one_of(
+            st.builds(lambda o, n: ast.FieldAccess(o, n, _AT), kids, _NAMES),
+            st.builds(lambda t, a: ast.New(t, a, _AT), _CLASS_TYPES, args),
+            st.builds(lambda r, n, a: ast.MethodCall(r, n, a, _AT), kids, _NAMES, args),
+            args.map(lambda a: ast.ReflectInvoke(a, _AT)),
+            st.builds(lambda op, x, y: ast.Binary(op, x, y, _AT), _OPS, kids, kids))
+    return st.recursive(leaves, grow, max_leaves=5)
+
+
+_EXPRS = _expressions()
+_OPTIONAL = st.none() | _EXPRS
+
+
+def _statements():
+    simple = st.one_of(
+        st.builds(lambda t, n, e: ast.LocalDecl(t, n, e, _AT), _TYPES, _NAMES, _OPTIONAL),
+        st.builds(lambda o, n, v: ast.Assign(ast.FieldAccess(o, n, _AT), v, _AT),
+                  _EXPRS, _NAMES, _EXPRS),
+        st.builds(lambda n, v: ast.Assign(ast.Var(n, _AT), v, _AT), _NAMES, _EXPRS),
+        _EXPRS.map(lambda e: ast.ExprStmt(e, _AT)),
+        _OPTIONAL.map(lambda e: ast.Return(e, _AT)))
+
+    def grow(kids):
+        return st.one_of(
+            st.lists(kids, max_size=3).map(lambda ss: ast.Block(ss, _AT)),
+            st.builds(lambda c, t, e: ast.If(c, t, e, _AT), _EXPRS, kids, st.none() | kids),
+            st.builds(lambda c, b: ast.While(c, b, _AT), _EXPRS, kids))
+    return st.recursive(simple, grow, max_leaves=6)
+
+
+_BODIES = st.lists(_statements(), max_size=4).map(lambda ss: ast.Block(ss, _AT))
+_PARAMS = st.lists(st.builds(ast.Param, _TYPES, _NAMES), max_size=3)
+_METHODS = st.builds(lambda s, t, n, ps, b: ast.MethodDecl(s, t, n, ps, b, _AT),
+                     st.booleans(), _TYPES, _NAMES, _PARAMS, _BODIES)
+_CTORS = st.builds(lambda ps, b, syn: ast.CtorDecl("K", ps, b, _AT, syn),
+                   _PARAMS, _BODIES, st.booleans())
+_SIGNATURES = _METHODS.map(lambda m: ast.MethodDecl(m.static, m.rettype, m.name, m.params,
+                                                    None, _AT))
+_CLASSES = st.builds(
+    lambda e, i, fs, cs, ms: ast.ClassDecl("K", e, i, fs, cs, ms, _AT),
+    st.none() | _CLASS_TYPES, st.lists(_CLASS_TYPES, max_size=2),
+    st.lists(st.builds(lambda t, n, e: ast.FieldDecl(t, n, e, _AT), _TYPES, _NAMES, _OPTIONAL),
+             max_size=2),
+    st.lists(_CTORS, max_size=2), st.lists(_SIGNATURES | _METHODS, max_size=2))
+_INTERFACES = st.lists(_SIGNATURES, max_size=2).map(lambda ms: ast.InterfaceDecl("I", ms, _AT))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_METHODS | _CTORS | _CLASSES | _INTERFACES)
+def test_the_text_lowering_is_the_reference_serialization_of_the_reference_tree(decl):
+    tree = decl_ctree(decl)
+    text = canonical_text(decl)
+    assert text == serialize(tree)
+    assert deserialize(text) == tree
+    if not isinstance(decl, (ast.ClassDecl, ast.InterfaceDecl)):
+        assert member_fingerprint(decl) == digest(tree)
 
 
 def test_version_ordering():

@@ -3,9 +3,10 @@
 from pathlib import Path
 
 from helpers import GOLDEN, build_golden_kb, copy_workspace
-from vulnvet import kb as kb_module
+from lowering import digest, serialize
+from vulnvet import canonical
 from vulnvet.bom import APPLICATION, Archive, BOM, Sources, build_bom
-from vulnvet.canonical import CTree, deserialize, digest, serialize
+from vulnvet.canonical import CTree, deserialize
 from vulnvet.constructs import METHOD, ConstructId
 from vulnvet.detection import (FIXED, MANUAL_REVIEW, VULNERABLE,
                                WHOLE_LIBRARY_AFFECTED, aggregate_verdict,
@@ -101,20 +102,24 @@ def test_scan_decodes_only_the_trees_it_measures(tmp_path, monkeypatch):
     for k in range(40):  # records whose constructs no archive holds
         cid = ConstructId(METHOD, "nomatch%d.A.m()" % k)
         kb.save_record(VulnerabilityRecord("NOISE-%d" % k, "", CODE_CHANGE, changes=[
-            ConstructChange(cid, MOD, body, fixed, digest(body), digest(fixed))]))
+            ConstructChange(cid, MOD, serialize(body), serialize(fixed), digest(body),
+                            digest(fixed))]))
     decoded = []
 
     def counting(text):
         decoded.append(text)
         return deserialize(text)
-    monkeypatch.setattr(kb_module, "deserialize", counting)
+    monkeypatch.setattr(canonical, "deserialize", counting)
 
     findings = detect(build_bom(Sources(ws / "app.json", ws)), kb)
     measured = [m for f in findings for m in f.matched
                 if m.classification is not None and m.classification.dist_vuln is not None]
     assert [m.change.construct.qname for m in measured] == ["fw.Engine.renderError()"]
     change = measured[0].change
-    assert sorted(decoded) == sorted([serialize(change.ast_vuln), serialize(change.ast_fixed)])
+    observed = next(arc for arc, _ in build_bom(Sources(ws / "app.json", ws)).archives()
+                    if change.construct in arc.constructs).constructs[change.construct]
+    # the observed body and both sides of its change, each once
+    assert sorted(decoded) == sorted([observed.text, change.text_vuln, change.text_fixed])
 
     decoded.clear()
     kb.index_library("lib3", [("1.0", GOLDEN / "workspace/libs/lib3/1.0/src")])

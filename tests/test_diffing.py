@@ -2,8 +2,9 @@
 
 import pytest
 
-from vulnvet import ted
-from vulnvet.canonical import CTree, digest
+from vulnvet import canonical, ted
+from lowering import digest, serialize
+from vulnvet.canonical import CTree
 from vulnvet.constructs import (CLASS, CONSTRUCTOR, METHOD, Construct,
                                 ConstructId, extract_constructs)
 from vulnvet.diffing import (ADD, CLOSER_TO_FIXED, CLOSER_TO_VULNERABLE, DEL,
@@ -15,6 +16,10 @@ from vulnvet.jx.parser import parse_unit
 
 def _inv(src):
     return extract_constructs([parse_unit(src, "u.jx")])
+
+
+def _construct(tree):
+    return Construct(digest(tree), serialize(tree))
 
 
 BEFORE = "package p; class A { int m() { return 1; } int k() { return 9; } }"
@@ -60,21 +65,21 @@ def test_new_class_yields_adds_for_every_construct():
 def _mod_change():
     vuln = CTree("block", (CTree("lit 1"),))
     fixed = CTree("block", (CTree("lit 2"),))
-    change = ConstructChange(ConstructId(METHOD, "p.A.m()"), MOD, vuln, fixed,
-                             digest(vuln), digest(fixed))
+    change = ConstructChange(ConstructId(METHOD, "p.A.m()"), MOD, serialize(vuln),
+                             serialize(fixed), digest(vuln), digest(fixed))
     return vuln, fixed, change
 
 
 def test_classify_digest_equality_wins():
     vuln, fixed, change = _mod_change()
-    assert classify(Construct(digest(vuln), vuln), change).verdict == EQUALS_VULNERABLE
-    assert classify(Construct(digest(fixed), fixed), change).verdict == EQUALS_FIXED
+    assert classify(_construct(vuln), change).verdict == EQUALS_VULNERABLE
+    assert classify(_construct(fixed), change).verdict == EQUALS_FIXED
 
 
 def test_classify_by_distance():
     change = _mod_change()[2]
     near_vuln = CTree("block", (CTree("lit 1"), CTree("extra")))
-    c = classify(Construct(digest(near_vuln), near_vuln), change)
+    c = classify(_construct(near_vuln), change)
     assert c.verdict == CLOSER_TO_VULNERABLE
     assert c.dist_vuln < c.dist_fixed
 
@@ -82,7 +87,7 @@ def test_classify_by_distance():
 def test_classify_tie_when_equidistant():
     change = _mod_change()[2]
     other = CTree("block", (CTree("lit 3"),))
-    c = classify(Construct(digest(other), other), change)
+    c = classify(_construct(other), change)
     assert c.verdict == TIE and c.dist_vuln == c.dist_fixed
 
 
@@ -109,7 +114,7 @@ def test_drifted_bodies_are_classified_without_zhang_shasha(monkeypatch):
         return _inv("package p; class D { static int run(int x) { %s } }"
                     % " ".join(lines))[mid]
     vuln, fixed = method(DRIFT_LINES), method([GUARD] + DRIFT_LINES)
-    change = ConstructChange(mid, MOD, vuln.body, fixed.body,
+    change = ConstructChange(mid, MOD, vuln.text, fixed.text,
                              vuln.fingerprint, fixed.fingerprint)
     drifted = [line.replace("* 3 +", "* 4 +").replace("* 7 +", "* 8 +")
                for line in DRIFT_LINES]
@@ -129,19 +134,39 @@ def test_drifted_bodies_are_classified_without_zhang_shasha(monkeypatch):
 def test_classify_del_and_add():
     cid = ConstructId(METHOD, "p.A.m()")
     body = CTree("block")
-    dele = ConstructChange(cid, DEL, ast_vuln=body, fp_vuln=digest(body))
-    assert classify(Construct(digest(body), body), dele).verdict == EQUALS_VULNERABLE
-    add = ConstructChange(cid, ADD, ast_fixed=body, fp_fixed=digest(body))
-    assert classify(Construct(digest(body), body), add).verdict == EQUALS_FIXED
+    dele = ConstructChange(cid, DEL, text_vuln=serialize(body), fp_vuln=digest(body))
+    assert classify(_construct(body), dele).verdict == EQUALS_VULNERABLE
+    add = ConstructChange(cid, ADD, text_fixed=serialize(body), fp_fixed=digest(body))
+    assert classify(_construct(body), add).verdict == EQUALS_FIXED
     other = CTree("block", (CTree("x"),))
-    assert classify(Construct(digest(other), other), add).verdict == TIE
+    assert classify(_construct(other), add).verdict == TIE
+
+
+def test_a_body_is_lowered_and_decoded_once_however_many_changes_read_it(monkeypatch):
+    vuln, fixed, _ = _mod_change()
+    other = CTree("block", (CTree("lit 3"),))
+    lowered, decoded = [], []
+    observed = Construct(digest(other), lambda: lowered.append(1) or serialize(other))
+    real = canonical.deserialize
+    monkeypatch.setattr(canonical, "deserialize", lambda t: decoded.append(t) or real(t))
+    cid = ConstructId(METHOD, "p.A.m()")
+    add = ConstructChange(cid, ADD, text_fixed=serialize(fixed), fp_fixed=digest(fixed))
+    assert classify(observed, add).verdict == TIE and lowered == []  # presence alone
+    changes = [ConstructChange(cid, MOD, serialize(vuln), serialize(fixed), digest(vuln),
+                               digest(fixed)) for _ in range(3)]
+    for change in changes * 2:
+        assert classify(observed, change).verdict == TIE
+    assert lowered == [1]
+    assert decoded == [serialize(other)] + [serialize(vuln), serialize(fixed)] * 3
+    assert observed.body is observed.body and changes[0].ast_vuln is changes[0].ast_vuln
 
 
 def test_classify_containment_only_returns_none():
     cid = ConstructId(CLASS, "p.A")
     tree = CTree("class")
-    change = ConstructChange(cid, MOD, tree, tree, digest(tree), digest(tree))
-    assert classify(Construct(digest(tree), tree), change) is None
+    change = ConstructChange(cid, MOD, serialize(tree), serialize(tree), digest(tree),
+                             digest(tree))
+    assert classify(_construct(tree), change) is None
 
 
 def test_consolidate_needs_two_revisions(tmp_path):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import GOLDEN, build_golden_kb, copy_workspace, small_workload
+from lowering import digest, serialize
 from vulnvet import kb as kb_module
 from vulnvet.cli import main as vet
-from vulnvet.canonical import CTree, digest, serialize
+from vulnvet.canonical import CTree
 from vulnvet.constructs import CLASS, METHOD, ConstructId
 from vulnvet.detection import non_vulnerable_versions
 from vulnvet.diffing import ADD, DEL, ConstructChange
@@ -105,8 +106,8 @@ def test_screening_classifies_index_digests_as_detection_does(tmp_path):
     x, y = ConstructId(METHOD, "z.A.x()"), ConstructId(METHOD, "z.A.y()")
     old, new = CTree("method:x"), CTree("method:y")
     kb.save_record(VulnerabilityRecord("VULN-Z", "", CODE_CHANGE, changes=[
-        ConstructChange(x, DEL, ast_vuln=old, fp_vuln=digest(old)),
-        ConstructChange(y, ADD, ast_fixed=new, fp_fixed=digest(new))]))
+        ConstructChange(x, DEL, text_vuln=serialize(old), fp_vuln=digest(old)),
+        ConstructChange(y, ADD, text_fixed=serialize(new), fp_fixed=digest(new))]))
     kb.save_index(LibraryIndex("libZ", {
         "1.0": {x: digest(old), y: "other"},  # DEL matches, ADD tells nothing
         "2.0": {x: digest(old), y: digest(new)},  # one side each: review

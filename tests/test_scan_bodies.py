@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import GOLDEN, copy_workspace, flipped_or_truncated, small_workload, written_bodies
+from helpers import (GOLDEN, build_golden_kb, copy_workspace, flipped_or_truncated,
+                     small_workload, written_bodies)
+from lowering import serialize
+from vulnvet import canonical, diffing
 from vulnvet.bom import Sources, bom_to_json, build_bom, corpus_program
 from vulnvet.cli import main as vet
 from vulnvet.jx import ast, parser, resolver
@@ -33,6 +36,31 @@ def _workspace(root: Path, name: str, seed: int) -> Path:
     if name == "golden":
         return copy_workspace(GOLDEN / "workspace", root / "ws")
     return small_workload(root, name, seed)
+
+
+@pytest.mark.parametrize("name", ["golden", "corpus"])
+def test_scan_decodes_only_the_trees_that_ted_compares(tmp_path, monkeypatch, name):
+    if name == "golden":  # every match is digest-equal
+        ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+        build_golden_kb(ws / "kb")
+    else:  # its drifted bodies are measured
+        ws = small_workload(tmp_path, name, 5)
+        monkeypatch.chdir(ws)  # the set-up names its fix trees relative to the workspace
+        for argv in json.loads((tmp_path / "answers.json").read_text())["setup"]:
+            assert _vet(ws, *argv)[0] == 0, argv
+    decoded, compared = [], []
+    real_decode, real_ted = canonical.deserialize, diffing.tree_edit_distance
+    monkeypatch.setattr(canonical, "deserialize",
+                        lambda text: decoded.append(text) or real_decode(text))
+    monkeypatch.setattr(diffing, "tree_edit_distance", lambda a, b: compared.append(
+        (serialize(a), serialize(b))) or real_ted(a, b))
+    assert _vet(ws, "scan")[0] in (0, 1)
+    # each body measured is decoded once, and so is each side of its change
+    assert len(compared) % 2 == 0
+    measured = [(obs, vuln, fixed)
+                for (obs, vuln), (_obs, fixed) in zip(compared[::2], compared[1::2])]
+    assert sorted(decoded) == sorted(text for texts in measured for text in texts)
+    assert (compared == []) == (name == "golden")
 
 
 class _Block(ast.Block):
