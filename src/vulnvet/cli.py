@@ -24,7 +24,8 @@ from .jx.errors import JxError
 from .kb import KnowledgeBase
 from .metrics import deep_update_advice, metrics_csv, metrics_to_json, recommend
 from .report import assemble_report, exit_code_for, render_html
-from .traces import TraceLog, ingest_traces, load_summary, unknown_names, write_traces
+from .traces import (SUMMARY, TraceLog, ingest_traces, load_summary, unknown_names,
+                     write_traces)
 from .workspace import Workspace, load_json, shape
 
 EXIT_ERROR = 3
@@ -268,6 +269,8 @@ def _cmd_scan(args, ws: Workspace) -> int:
 
 
 def _cmd_trace(args, ws: Workspace) -> int:
+    for name in ("traces.jsonl", SUMMARY, "test-failures.json"):
+        ws.output(name)  # refused before the first write, which would replace the log
     src = Sources(ws.manifest, ws.root)
     data = ws.read_stamped("bom.json", input_digest(src))
     bom = build_bom(src) if data is None else bom_from_json(data, "bom.json")

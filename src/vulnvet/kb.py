@@ -23,8 +23,8 @@ from .constructs import CTYPE, ConstructId, version_key, version_newer
 from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
-from .workspace import (check, decode_json, framed_digest, json_text, load_json, one_of,
-                        read_bytes, regular_files, shape, write_atomic)
+from .workspace import (check, decode_json, document, framed_digest, json_text, load_json,
+                        one_of, read_bytes, regular_files, shape, write_atomic)
 
 CODE_CHANGE = "CODE_CHANGE"
 WHOLE_LIBRARY = "WHOLE_LIBRARY"
@@ -202,14 +202,6 @@ def _selected(entry, ids, names) -> bool:
             or not names.isdisjoint(entry["libraries"]))
 
 
-def _document(path: Path, what: str) -> Path:
-    """path, the file of what, unless something other than a file is there."""
-    if path.exists() and not path.is_file():
-        raise VetError("%s: %s is not a regular file; vet neither reads nor replaces it"
-                       % (what, path))
-    return path
-
-
 class KnowledgeBase:
     def __init__(self, root: Path, ws=None):
         """The knowledge base at root, which may be missing (no records) but,
@@ -225,7 +217,7 @@ class KnowledgeBase:
     def _vuln_path(self, vuln_id: str, new: bool = False) -> Path:
         """The file of record vuln_id, which with new must not exist yet."""
         _check_name(vuln_id, "kb record id")
-        path = _document(self.root / "vulns" / (vuln_id + ".json"), "kb record " + vuln_id)
+        path = document(self.root / "vulns" / (vuln_id + ".json"), "kb record " + vuln_id)
         if new and path.exists():
             raise DuplicateVuln("kb record %s already exists (%s); pass --overwrite to "
                                 "replace it" % (vuln_id, path))
@@ -233,7 +225,7 @@ class KnowledgeBase:
 
     def _lib_path(self, name: str) -> Path:
         _check_name(name, "library name")
-        return _document(self.root / "libs" / (name + ".json"), "library " + name)
+        return document(self.root / "libs" / (name + ".json"), "library " + name)
 
     # --- vulnerability records ---
 

@@ -6,7 +6,11 @@ from its qualified name (``guess_ctype``); ``ctype`` is written for readers.
 Lines end at a line feed only (a raw U+2028 in a string is text). vet writes
 them as ``json.dumps(event, sort_keys=True)``, CHUNK events at a time,
 hashing the bytes written. Such a line with no escape is read by one regex
-(Mison, VLDB 2017); any other by ``json`` and ``EVENT``: errors stay theirs.
+whose groups become a TraceEvent (Mison, VLDB 2017); any other by ``json``
+and ``EVENT``: errors stay theirs.
+A log is ordered by a key computed in C. The regex's path, ``normalize``
+and the interpreter build each TraceEvent with ``tuple.__new__``, as the
+lexer builds its Tokens.
 
 The summary, ``.vet/trace-summary.json``, is {"inputs": SHA-256 of the trace
 file's bytes, "events": [...]}: the first event of each distinct (callee,
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 import re
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from pathlib import Path
 from sys import intern
 from typing import NamedTuple, Optional
@@ -64,14 +69,15 @@ class TraceLog:
         return normalize(TraceLog(kept + list(other.events)))
 
 
+_ORDER = attrgetter("test", "ts")  # a sort key computed in C
+
+
 def normalize(log: TraceLog) -> TraceLog:
     """Stable order by (test, ts) with timestamps renumbered from 1. An
     event whose ``ts`` already equals its new number is kept as it is."""
-    events = sorted(log.events, key=lambda e: (e.test, e.ts))
-    out = []
-    for i, e in enumerate(events, 1):
-        out.append(e if e.ts == i else TraceEvent(e.callee, e.caller, e.site, i, e.test))
-    return TraceLog(out)
+    new = tuple.__new__  # builds a TraceEvent without its Python-level __new__
+    return TraceLog([e if e[3] == i else new(TraceEvent, (e[0], e[1], e[2], i, e[4]))
+                     for i, e in enumerate(sorted(log.events, key=_ORDER), 1)])
 
 
 _DECODER = json.JSONDecoder()
@@ -94,11 +100,11 @@ def to_jsonl(log: TraceLog) -> str:
     sort_keys=True) gives, formatted directly, which takes a third of the
     time for a short event."""
     lines = []
-    for e in log.events:
-        caller = "null" if e.caller is None else _quote(e.caller.qname)
-        site = "null" if e.site is None else _quote(e.site)
-        lines.append(_LINE % (_quote(e.callee.qname), caller, _quote(e.callee.ctype), site,
-                              _quote(e.test), e.ts))
+    append = lines.append
+    for callee, caller, site, ts, test in log.events:
+        append(_LINE % (_quote(callee.qname), "null" if caller is None else _quote(caller.qname),
+                        _quote(callee.ctype), "null" if site is None else _quote(site),
+                        _quote(test), ts))
     return "".join(lines)
 
 
@@ -106,41 +112,12 @@ _EVENT = {"callee": str, "ts": int, "test?": str,
           "caller?": (None, str), "site?": (None, str), "ctype?": (None, str)}
 EVENT = shape(_EVENT)
 _SUMMARY = shape({"events": [_EVENT]})
-# _LINE of texts needing no escape (printable ASCII but " and \) and <= 19 digits
+# a to_jsonl line of texts needing no escape (printable ASCII but " and \)
+# and a ts of at most 19 digits
 _CANONICAL = (r'\{"callee": "(?P<callee>%s)", "caller": (?:null|"(?P<caller>%s)"), '
               r'"ctype": "(?P<ctype>%s)", "site": (?:null|"(?P<site>%s)"), '
               r'"test": "(?P<test>%s)", "ts": (?P<ts>0|-?[1-9][0-9]{0,18})\}'
               % ((r'[ !#-\[\]-~]*',) * 5))
-
-
-def canonical_decoder():
-    """A function giving the dict ``json`` decodes from a line as ``to_jsonl``
-    writes it with no escape, else None. The regex is compiled here, not at
-    import: most commands read no trace line."""
-    match = re.compile(_CANONICAL).fullmatch
-    return lambda line: (m := match(line)) and {**m.groupdict(), "ts": int(m["ts"])}
-
-
-def read_trace_lines(path: Path):
-    """Yield (line number, event dict) for every non-blank line of a trace
-    file, lines ending at a line feed. Raises MalformedTraceLine at the first line
-    that is not a valid event, naming the file and the line."""
-    # only the lines stay alive, not the whole text too: trace files are large
-    lines = read_text(path, MalformedArtifact).split("\n")
-    canonical = canonical_decoder()
-    decode = _DECODER.decode  # one decoder for every other line
-    for line_no, line in enumerate(lines, 1):
-        data = canonical(line)
-        if data is None:
-            if not line.strip():
-                continue
-            try:
-                data = decode(line)
-            except (ValueError, RecursionError) as exc:
-                raise MalformedTraceLine("%s: trace line %d: %s" % (path, line_no, exc)) from None
-            if EVENT(data) is not None:  # the message is built for a bad line only
-                check(data, EVENT, "%s: trace line %d" % (path, line_no), MalformedTraceLine)
-        yield line_no, data
 
 
 class _Ids(dict):
@@ -151,14 +128,13 @@ class _Ids(dict):
         cid = self[qname] = ConstructId(guess_ctype(qname), qname)
         return cid
 
-
-def _events(items) -> list:
-    """TraceEvents of valid event dicts, sharing names and texts; ``ctype`` is not read."""
-    ids = _Ids()
-    return [TraceEvent(ids[data["callee"]], ids[data["caller"]] if data.get("caller") else None,
-                       data.get("site") and intern(data["site"]), data["ts"],
-                       intern(data.get("test", "")))
-            for data in items]
+    def event(self, data) -> TraceEvent:
+        """The TraceEvent of a valid event dict, sharing names and texts;
+        ``ctype`` is not read."""
+        caller = data.get("caller")
+        return TraceEvent(self[data["callee"]], self[caller] if caller else None,
+                          data.get("site") and intern(data["site"]), data["ts"],
+                          intern(data.get("test", "")))
 
 
 def unknown_names(log: TraceLog, ids) -> list:
@@ -170,8 +146,33 @@ def unknown_names(log: TraceLog, ids) -> list:
 
 
 def ingest_traces(path: Path) -> TraceLog:
-    """Parse and normalise a trace file."""
-    return normalize(TraceLog(_events(data for _, data in read_trace_lines(path))))
+    """Parse and normalise a trace file, whose lines end at a line feed.
+    A line as ``to_jsonl`` writes it with no escape becomes a TraceEvent
+    straight from the groups of one regex; any other non-blank line is
+    decoded by ``json`` and checked by ``EVENT``. Raises MalformedTraceLine
+    at the first line that is not a valid event, naming the file and the
+    line."""
+    # only the lines stay alive, not the whole text too: trace files are large
+    lines = read_text(path, MalformedArtifact).split("\n")
+    match = re.compile(_CANONICAL).fullmatch  # compiled here: most commands read no trace
+    decode = _DECODER.decode  # one decoder for every other line
+    ids, new, events = _Ids(), tuple.__new__, []
+    append = events.append
+    for line_no, line in enumerate(lines, 1):
+        m = match(line)
+        if m is not None:
+            callee, caller, _, site, test, ts = m.groups()
+            append(new(TraceEvent, (ids[callee], ids[caller] if caller else None,
+                                    site and intern(site), int(ts), intern(test))))
+        elif line.strip():
+            try:
+                data = decode(line)
+            except (ValueError, RecursionError) as exc:
+                raise MalformedTraceLine("%s: trace line %d: %s" % (path, line_no, exc)) from None
+            if EVENT(data) is not None:  # the message is built for a bad line only
+                check(data, EVENT, "%s: trace line %d" % (path, line_no), MalformedTraceLine)
+            append(ids.event(data))
+    return normalize(TraceLog(events))
 
 
 def summarize(log: TraceLog) -> TraceLog:
@@ -181,15 +182,15 @@ def summarize(log: TraceLog) -> TraceLog:
     are the same on it as on the log."""
     first = {}
     for e in log.events:
-        first.setdefault((e.callee, e.caller, e.site), e)
+        first.setdefault(e[:3], e)  # (callee, caller, site)
     return TraceLog(list(first.values()))
 
 
 def write_traces(ws: Workspace, log: TraceLog):
     """Write a normalised log to .vet/traces.jsonl in chunks, and its summary beside it."""
     events = log.events
-    digest = write_atomic(ws.artifact("traces.jsonl"), (to_jsonl(TraceLog(events[i:i + CHUNK]))
-                                                        for i in range(0, len(events), CHUNK)))
+    digest = write_atomic(ws.output("traces.jsonl"), (to_jsonl(TraceLog(events[i:i + CHUNK]))
+                                                      for i in range(0, len(events), CHUNK)))
     ws.write_json(SUMMARY, {"inputs": digest,
                             "events": [event_json(e) for e in summarize(log).events]})
 
@@ -208,5 +209,6 @@ def load_summary(ws: Workspace) -> TraceLog:
             h.update(chunk)
     data = ws.read_stamped(SUMMARY, h.hexdigest(), _SUMMARY)
     if data is not None:
-        return TraceLog(_events(data["events"]))
+        ids = _Ids()
+        return TraceLog([ids.event(event) for event in data["events"]])
     return summarize(ingest_traces(path))

@@ -15,7 +15,7 @@ import os
 from itertools import chain, islice
 from pathlib import Path
 
-from .errors import MalformedArtifact
+from .errors import MalformedArtifact, VetError
 
 try:  # CPython's builtin SHA-256, so no process maps OpenSSL's libcrypto
     from _sha2 import sha256  # 3.12+
@@ -60,6 +60,15 @@ def regular_files(root: Path, pattern: str) -> list:
     # compared as tuples of text in C
     return [path for path in sorted(root.glob(pattern), key=lambda p: p.parts)
             if path.is_file()]
+
+
+def document(path: Path, what: str = None) -> Path:
+    """path, the file of what if given, unless something other than a
+    regular file is there, where a write would fail with a raw OS error."""
+    if path.exists() and not path.is_file():
+        raise VetError("%s%s is not a regular file; vet neither reads nor replaces it"
+                       % (what + ": " if what else "", path))
+    return path
 
 
 def framed_digest(parts) -> str:
@@ -249,8 +258,16 @@ class Workspace:
     def artifact(self, name: str) -> Path:
         return self.artifact_dir / name
 
+    def output(self, name: str) -> Path:
+        """The path of artifact name, to be written. Refused by name while
+        ``.vet`` is not a directory or something other than a regular file
+        is at the path (``document``)."""
+        if self.artifact_dir.exists() and not self.artifact_dir.is_dir():
+            raise VetError("%s is not a directory" % self.artifact_dir)
+        return document(self.artifact(name))
+
     def write_text(self, name: str, text: str) -> Path:
-        path = self.artifact(name)
+        path = self.output(name)
         write_atomic(path, (text,))
         return path
 

@@ -7,8 +7,9 @@
 # usage: sh tests/installed_vet_pass.sh PASS WORKDIR
 #   PASS is one of
 #     golden            the golden pass on a copy of the golden workspace;
-#                       its first trace run is run again last, which
-#                       leaves the log of both runs as it was
+#                       its first trace run is run again last, on the log
+#                       rewritten in reverse line order with one escaped
+#                       character, which leaves the log of both runs as it was
 #     golden-symlink    the same pass with the workspace spelled through a
 #                       symlink: origins are paths under the workspace as
 #                       spelled, so the artifacts match the same pins
@@ -47,6 +48,13 @@ golden() {  # the golden pass on the workspace $ws
     step 0 reach static
     step 0 trace run --pattern test
     step 0 trace run --pattern itest
+    # a log that vet did not write reads as the one it did: its lines in
+    # reverse order, one character as a \u00XX escape, which only json reads
+    log="$ws/.vet/traces.jsonl"
+    awk '{ line[NR] = $0 } END { for (i = NR; i > 0; i--) print line[i] }' "$log" |
+        sed '1s/"test": "a/"test": "\\u0061/' > "$ws.log"
+    grep -q '"test": "\\u0061' "$ws.log"
+    mv "$ws.log" "$log"
     # a re-run replaces its tests' events: read back, the log of both stays
     step 0 trace run --pattern test
     step 0 reach combined

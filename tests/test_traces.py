@@ -2,21 +2,27 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trace_reference
+from helpers import copy_workspace, small_workload
+from vulnvet.bom import Sources, build_bom, corpus_program
+from vulnvet.cli import main as vet
 from vulnvet.combined import dynamic_edges
 from vulnvet.constructs import CONSTRUCTOR, METHOD, ConstructId
-from vulnvet.errors import MalformedTraceLine
+from vulnvet.errors import MalformedTraceLine, NoTestsMatched
+from vulnvet.interp import run_tests
 from vulnvet import traces
 from vulnvet.metrics import touch_points
-from vulnvet.traces import (CHUNK, EVENT, SUMMARY, TraceEvent, TraceLog, canonical_decoder,
-                            event_json, guess_ctype, ingest_traces, normalize, summarize,
-                            to_jsonl, unknown_names, write_traces)
-from vulnvet.workspace import Workspace
+from vulnvet.traces import (CHUNK, EVENT, SUMMARY, TraceEvent, TraceLog, event_json,
+                            guess_ctype, ingest_traces, normalize, summarize, to_jsonl,
+                            unknown_names, write_traces)
+from vulnvet.workspace import Workspace, json_text
 
 
 def _ev(callee, ts, test, caller=None, site=None):
@@ -214,6 +220,14 @@ def _canonical_reference(line):
     return None
 
 
+def canonical_decoder():
+    """The fast path of ``ingest_traces``: the dict of the groups its regex
+    takes from a line, ``ts`` as an integer, or None for a line it leaves to
+    ``json``."""
+    match = re.compile(traces._CANONICAL).fullmatch
+    return lambda line: (m := match(line)) and {**m.groupdict(), "ts": int(m["ts"])}
+
+
 def _typed(data):
     return None if data is None else [(k, type(v), v) for k, v in data.items()]
 
@@ -309,6 +323,77 @@ def test_the_fast_path_reads_each_canonical_line_as_json_does(line):
     assert _typed(canonical_decoder()(line)) == _typed(json.loads(line))
 
 
+# --- the codec against the reference (tests/trace_reference.py) ---------------
+
+# names, sites and tests with and without characters that json escapes
+_QNAMES = st.sampled_from(["p.A.a()", "p.A.A()", "q.L.y(int)", "p.\u00e9.b()",
+                           'p."Q".c()', "p.B\\b()"])
+_CALLERS = st.one_of(st.none(), st.just(""), _QNAMES)
+_SITES = st.one_of(st.none(), st.just(""),
+                   st.sampled_from(["a.jx:1", "l.jx:5", "u\u2028.jx:2", "t\t.jx:3"]))
+_TESTS = st.sampled_from(["t1", "t2", "t\u00e9", ""])
+# repeated (test, ts) pairs, and a few large timestamps
+_TS = st.one_of(st.integers(0, 4), st.sampled_from([10 ** 19, -(2 ** 63)]))
+# how a line is written: as to_jsonl writes it, or in a form only json reads
+_FORMS = {
+    "canonical": lambda d: json.dumps(d, sort_keys=True),
+    "compact": lambda d: json.dumps(d, sort_keys=True, separators=(",", ":")),
+    "reversed": lambda d: json.dumps(dict(reversed(list(d.items())))),
+    "raw": lambda d: json.dumps(d, sort_keys=True, ensure_ascii=False),
+    "sparse": lambda d: json.dumps({k: v for k, v in d.items()
+                                    if k != "ctype" and v is not None}),
+    "blank": lambda d: "  ",
+}
+_BAD_LINES = ["not json", '{"callee": "p.A.a()"}', '{"callee": 1, "ts": 1, "test": "t"}',
+              '{"callee": "p.A.a()", "ts": 1, "caller": 7}', "[" * 5000]
+_LINES = st.lists(st.tuples(_QNAMES, _CALLERS, _SITES, _TESTS, _TS,
+                            st.sampled_from(sorted(_FORMS))), max_size=30)
+
+
+def _outcome(ingest, path):
+    try:
+        return ingest(path)
+    except MalformedTraceLine as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINES, st.one_of(st.none(), st.tuples(st.integers(0, 30), st.sampled_from(_BAD_LINES))))
+def test_ingest_equals_the_json_reference(tmp_path_factory, lines, bad):
+    text = [_FORMS[form]({"callee": callee, "caller": caller, "ctype": guess_ctype(callee),
+                          "site": site, "test": test, "ts": ts})
+            for callee, caller, site, test, ts, form in lines]
+    if bad is not None:
+        text.insert(min(bad[0], len(text)), bad[1])
+    path = tmp_path_factory.mktemp("codec") / "traces.jsonl"
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+    assert _outcome(ingest_traces, path) == _outcome(trace_reference.ingest, path)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(_QNAMES, _CALLERS, _SITES), min_size=1, max_size=4),
+       st.lists(_TESTS, min_size=1, max_size=3, unique=True),
+       st.lists(st.integers(0, 5), min_size=1, max_size=12),
+       st.integers(CHUNK - 3, 2 * CHUNK + 3))
+def test_a_write_is_json_dumps_per_line_where_heads_straddle_chunks(tmp_path_factory, calls,
+                                                                    tests, picks, n):
+    # a few calls made by a few tests, over more than a chunk of events: a
+    # head repeats within a chunk and across the boundaries between chunks,
+    # and a call made by two tests has a head in each
+    log = normalize(TraceLog([
+        trace_reference.event({"callee": callee, "caller": caller, "site": site,
+                               "test": tests[i % len(tests)], "ts": i})
+        for i in range(n)
+        for callee, caller, site in [calls[picks[i % len(picks)] % len(calls)]]]))
+    ws = Workspace(tmp_path_factory.mktemp("ws"))
+    write_traces(ws, log)
+    # compared as lists of lines: pytest reports the first that differs
+    lines = trace_reference.jsonl(log).splitlines(keepends=True)
+    assert ws.artifact("traces.jsonl").read_text(encoding="utf-8").splitlines(True) == lines
+    assert to_jsonl(log).splitlines(True) == lines
+    assert ws.artifact(SUMMARY).read_text(encoding="utf-8") == trace_reference.summary(log)
+
+
 def _log(n, tests=7):
     """A normalised log of n events of a few tests, over 60 calls: as a
     test suite repeats its calls, the summary is small beside the log."""
@@ -350,9 +435,11 @@ def test_a_write_that_fails_midway_leaves_the_previous_log(tmp_path, monkeypatch
     assert sorted(p.name for p in ws.artifact_dir.iterdir()) == sorted(before)
 
 
-def test_the_streamed_write_holds_less_than_half_the_text(tmp_path):
+# 10,000 tests of one event each: no line shares its head with another
+@pytest.mark.parametrize("tests", [100, 10_000])
+def test_the_streamed_write_holds_less_than_half_the_text(tmp_path, tests):
     ws = Workspace(tmp_path)
-    log = _log(10_000, tests=100)
+    log = _log(10_000, tests=tests)
     size = len(to_jsonl(log))
     tracemalloc.start()
     try:
@@ -364,3 +451,68 @@ def test_the_streamed_write_holds_less_than_half_the_text(tmp_path):
         tracemalloc.stop()
     assert ws.artifact("traces.jsonl").stat().st_size == size
     assert peak < size / 2, (peak, size)
+
+
+# --- trace runs through the CLI against a fold of merges ---------------------
+
+PATTERNS = ["test", "testA", "testB", "testA0", "testA1", "testB1", "testC"]
+
+
+@pytest.fixture(scope="module")
+def trace_workload(tmp_path_factory):
+    """A small trace-heavy workspace with one test that fails, after scan,
+    and for each pattern the log and failures of run_tests, or None where no
+    test matches."""
+    ws = small_workload(tmp_path_factory.mktemp("trace-heavy"), "trace-heavy")
+    (ws / "src/app/Deep.jx").write_text("""package app;
+class Deep {
+    static int down(int n) { if (n > 0) { return app.Deep.down(n - 1); } return 0; }
+    static void testA9() { app.Deep.down(300); }
+}
+""")
+    assert vet(["--workspace", str(ws), "scan"]) in (0, 1)
+    src = Sources(ws / "app.json", ws)
+    bom, program = build_bom(src), corpus_program(src, True)
+    runs = {}
+    for pattern in PATTERNS:
+        try:
+            runs[pattern] = run_tests(bom, program, pattern)
+        except NoTestsMatched:
+            runs[pattern] = None
+    assert list(runs["testA"][1]) == ["app.Deep.testA9()"]
+    return ws, runs
+
+
+def _vet_files(ws) -> dict:
+    return {p.name: p.read_text(encoding="utf-8") for p in (ws / ".vet").iterdir()}
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+@settings(max_examples=15, deadline=None)
+@given(runs=st.lists(st.tuples(st.sampled_from(PATTERNS), st.randoms(use_true_random=False)),
+                     min_size=1, max_size=4))
+def test_trace_runs_write_what_a_fold_of_merges_writes(trace_workload, tmp_path_factory,
+                                                       shuffle, runs):
+    base, expected = trace_workload
+    ws = copy_workspace(base, tmp_path_factory.mktemp("runs") / "ws")
+    log, latest = TraceLog(), {}
+    for pattern, rng in runs:
+        before = _vet_files(ws)
+        code = vet(["--workspace", str(ws), "trace", "run", "--pattern", pattern])
+        if expected[pattern] is None:
+            assert code == 3 and _vet_files(ws) == before
+            continue
+        new_log, failed = expected[pattern]
+        assert code == 0
+        log = log.merge(new_log)
+        latest.update((test, failed.get(test)) for test in {e.test for e in new_log.events})
+        files = _vet_files(ws)
+        assert files["traces.jsonl"] == trace_reference.jsonl(log)
+        assert files[SUMMARY] == trace_reference.summary(log)
+        assert files["test-failures.json"] == json_text(
+            {test: error for test, error in latest.items() if error is not None})
+        if shuffle:  # lines in any order, one of them in a form only json reads
+            lines = files["traces.jsonl"].splitlines()
+            rng.shuffle(lines)
+            lines[0] = json.dumps(json.loads(lines[0]), separators=(",", ":"))
+            (ws / ".vet/traces.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -251,3 +251,40 @@ def test_json_nested_too_deep_or_with_a_huge_number_exits_cleanly(tmp_path, caps
             assert vet(["--workspace", str(ws), *step]) in codes
             err = capsys.readouterr().err
             assert "Traceback" not in err and name in err
+
+
+# --- something in the way of a .vet/ write ------------------------------------
+
+@pytest.mark.parametrize("name, step", [
+    ("traces.jsonl", TRACE),
+    ("trace-summary.json", TRACE),
+    ("test-failures.json", TRACE),
+    ("reach-static.json", STATIC),
+    ("report.json", ["report"]),
+])
+def test_a_directory_at_an_output_path_is_refused_by_name(tmp_path, capsys, name, step):
+    ws = _golden_pass(tmp_path)
+    path = ws / ".vet" / name
+    path.unlink()
+    path.mkdir()
+    files = _snapshot(ws)
+    capsys.readouterr()
+    assert vet(["--workspace", str(ws), *step]) == 3
+    err = capsys.readouterr().err
+    assert err == ("vet: error: %s is not a regular file; vet neither reads nor replaces it\n"
+                   % path)
+    assert "[Errno" not in err and "Traceback" not in err
+    # trace run checks its three outputs before its first write
+    assert _snapshot(ws) == files and path.is_dir()
+
+
+def test_a_file_at_vet_is_refused_by_name(tmp_path, capsys):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    build_golden_kb(ws / "kb")
+    (ws / ".vet").write_text("not a directory\n")
+    for step in (SCAN, ["report"], TRACE, STATIC):
+        capsys.readouterr()
+        assert vet(["--workspace", str(ws), *step]) == 3, step
+        err = capsys.readouterr().err
+        assert err == "vet: error: %s is not a directory\n" % (ws / ".vet"), step
+    assert (ws / ".vet").read_text() == "not a directory\n"
