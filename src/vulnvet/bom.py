@@ -68,10 +68,9 @@ def source_files(root: Path, origin_base: Path = None) -> list:
     locations."""
     if not root.is_dir():
         raise ManifestError("source root %s does not exist" % root)
-    base = origin_base if origin_base is not None else root
-    prefix = Path(os.path.relpath(root, base))
-    return [((prefix / path.relative_to(root)).as_posix(), path)
-            for path in regular_files(root, "**/*.jx")]
+    prefix = os.path.relpath(root, root if origin_base is None else origin_base) + "/"
+    return [(rel if prefix == "./" else prefix + rel, path)
+            for rel, path in regular_files(root, ".jx", deep=True)]
 
 
 def parse_source_root(root: Path, origin_base: Path = None, bodies: bool = True) -> list:

@@ -373,5 +373,14 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run() -> int:
+    """The process entry (``vet``, ``python -m vulnvet.cli``): ``main``, then the
+    heap frozen, so CPython's shutdown collection has nothing to trace."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

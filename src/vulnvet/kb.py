@@ -23,8 +23,8 @@ from .constructs import CTYPE, ConstructId, version_key, version_newer
 from .diffing import ADD, DEL, MOD, ConstructChange, construct_changes_roots
 from .errors import (DuplicateVuln, EmptyChangeSet, MalformedRecord,
                      UnknownLibrary, VetError)
-from .workspace import (check, decode_json, document, framed_digest, json_text, load_json,
-                        one_of, read_bytes, regular_files, shape, write_atomic)
+from .workspace import (check, decode_json, decode_text, document, framed_digest, json_text,
+                        load_json, one_of, read_bytes, regular_files, shape, write_atomic)
 
 CODE_CHANGE = "CODE_CHANGE"
 WHOLE_LIBRARY = "WHOLE_LIBRARY"
@@ -183,7 +183,8 @@ def _decoded(files) -> list:
     while files:
         path, data = files.pop()
         _check_name(path.stem, "kb record id")
-        records.append(_record_from_json(decode_json(data, path, MalformedRecord, RECORD),
+        text = decode_text(data, path, MalformedRecord)
+        records.append(_record_from_json(decode_json(text, path, MalformedRecord, RECORD),
                                          path, path.stem))
     return records
 
@@ -301,7 +302,7 @@ class KnowledgeBase:
         with the name and bytes of every record file (so none changed since
         it was written); else every record. A KnowledgeBase with a workspace
         writes the index whenever it has read every record."""
-        files = [(path, read_bytes(path)) for path in regular_files(self.root / "vulns", "*.json")]
+        files = [(Path(p), read_bytes(p)) for _, p in regular_files(self.root / "vulns", ".json")]
         if self.ws is None:
             return _decoded(files)
         stamp = framed_digest(part for path, data in files
@@ -374,7 +375,7 @@ class KnowledgeBase:
         return LibraryIndex(name, versions)
 
     def library_names(self) -> list:
-        return sorted(p.stem for p in regular_files(self.root / "libs", "*.json"))
+        return sorted(Path(rel).stem for rel, _ in regular_files(self.root / "libs", ".json"))
 
     # --- provenance stamp ---
 
@@ -383,6 +384,5 @@ class KnowledgeBase:
         document as its POSIX path under the root, encoded as the file system
         spells it (os.fsencode), and its bytes, every part
         length-prefixed (see workspace.framed_digest)."""
-        return framed_digest(part for path in regular_files(self.root, "**/*.json")
-                             for part in (os.fsencode(path.relative_to(self.root).as_posix()),
-                                          read_bytes(path)))
+        return framed_digest(part for rel, path in regular_files(self.root, ".json", deep=True)
+                             for part in (os.fsencode(rel), read_bytes(path)))

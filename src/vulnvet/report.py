@@ -104,8 +104,9 @@ def assemble_report(ws: Workspace) -> dict:
                          "kind": arc.kind, "depth": depth,
                          "constructCounts": dict(Counter(c.ctype for c in arc.constructs))})
 
-    mitigation = {path.stem[len("mitigation-"):]: load_json(path, MalformedArtifact, _MITIGATION)
-                  for path in regular_files(ws.artifact_dir, "mitigation-*.json")}
+    mitigation = {rel[len("mitigation-"):-5]: load_json(path, MalformedArtifact, _MITIGATION)
+                  for rel, path in regular_files(ws.artifact_dir, ".json")
+                  if rel.startswith("mitigation-")}
 
     kb = KnowledgeBase(ws.kb_path)
     kb_digest = kb.digest() if ws.kb_path.is_dir() else None

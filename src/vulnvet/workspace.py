@@ -53,13 +53,29 @@ def decode_text(data: bytes, path: Path, error) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
-def regular_files(root: Path, pattern: str) -> list:
-    """The regular files under root whose paths match the glob pattern, in
-    sorted order: a directory named like one (``x.json``) is not one."""
-    # a path's parts in order, as PurePath's own comparison on POSIX, but
-    # compared as tuples of text in C
-    return [path for path in sorted(root.glob(pattern), key=lambda p: p.parts)
-            if path.is_file()]
+def regular_files(root: Path, suffix: str, deep: bool = False) -> list:
+    """(rel, path) of each regular file whose name ends in suffix, directly
+    under root or, if deep, at any depth, sorted by path parts: rel its path
+    below root in POSIX text, path ``str(root / rel)``. The files of
+    ``root.glob("**/*" + suffix)`` (``"*" + suffix``), found by one os.scandir
+    walk with no path arithmetic per file: a symlink to a file counts, a
+    symlinked directory is not entered, and hidden names count."""
+    prefix = "" if os.fspath(root) == "." else os.path.join(root, "")
+    found, dirs = [], [""]
+    while dirs:
+        rel = dirs.pop()
+        try:
+            with os.scandir(prefix + rel or ".") as entries:
+                for entry in entries:
+                    if deep and entry.is_dir(follow_symlinks=False):
+                        dirs.append(rel + entry.name + "/")
+                    elif entry.name.endswith(suffix) and (
+                            entry.is_file(follow_symlinks=False)
+                            or entry.is_symlink() and os.path.isfile(entry.path)):
+                        found.append(rel + entry.name)
+        except (FileNotFoundError, NotADirectoryError, PermissionError):
+            continue  # as glob: no such directory, or one it may not list
+    return [(rel, prefix + rel) for rel in sorted(found, key=lambda rel: rel.split("/"))]
 
 
 def document(path: Path, what: str = None) -> Path:
@@ -221,17 +237,17 @@ def load_json(path: Path, error, shape=None):
     JSON, or whose document does not fit ``shape``, raises ``error`` naming
     the file and, for a misfit, the JSON path of the first bad part."""
     try:
-        data = read_bytes(path)
+        text = read_text(path, error)  # the bytes are freed once decoded
     except FileNotFoundError:
         raise error("%s not found" % path) from None
-    return decode_json(data, path, error, shape)
+    return decode_json(text, path, error, shape)
 
 
-def decode_json(data: bytes, path: Path, error, shape=None):
-    """The JSON document of data, the bytes of the file at path, checked as
-    ``load_json`` checks it."""
+def decode_json(text: str, path: Path, error, shape=None):
+    """The JSON document of text, that of the file at path (see
+    ``read_text``), checked as ``load_json`` checks it."""
     try:
-        doc = json.loads(decode_text(data, path, error))
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise error("%s: %s" % (path, exc)) from None
     return doc if shape is None else check(doc, shape, path, error)

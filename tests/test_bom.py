@@ -86,7 +86,7 @@ def test_source_origins_equal_a_relpath_per_file(tmp_path):
         paths = sorted(root.rglob("*.jx"))
         assert paths
         assert source_files(root, ws) == [
-            (Path(os.path.relpath(path, ws)).as_posix(), path) for path in paths]
+            (Path(os.path.relpath(path, ws)).as_posix(), str(path)) for path in paths]
     manifest = json.loads((ws / "app.json").read_text())
     (ws / "app.json").write_text(json.dumps(dict(manifest, sourceRoot="../shared")))
     origins = {u.origin for u in corpus_program(Sources(ws / "app.json", ws)).units}

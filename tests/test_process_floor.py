@@ -1,11 +1,16 @@
-"""What every vet process loads: SHA-256 comes from CPython's builtin module,
-so no command maps OpenSSL through hashlib, and only an HTML report loads
-html. hashlib stays the oracle of the digests."""
+"""What every vet process loads, and how it ends. SHA-256 comes from
+CPython's builtin module, so no command maps OpenSSL through hashlib, and
+only an HTML report loads html; hashlib stays the oracle of the digests. A
+process entered through ``vulnvet.cli.run`` (``vet``, ``python -m
+vulnvet.cli``) freezes its heap before CPython's shutdown collection, while
+``main``, the in-process API, never freezes."""
 
+import gc
 import hashlib
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import GOLDEN, copy_workspace
-from vulnvet import workspace
+from vulnvet import cli, workspace
 
 SRC = str(Path(workspace.__file__).parents[1])
 TESTS = str(Path(__file__).parent)
@@ -104,3 +109,92 @@ print("checked")
                           env={**os.environ, "PYTHONPATH": os.pathsep.join((SRC, TESTS))})
     assert done.returncode == 0, done.stderr
     assert done.stdout == "checked\n"
+
+
+_GOLDEN_STEPS = [
+    ["kb", "import-fix", "--id", "VULN-J1", "--before", str(GOLDEN / "fixes/j1/before"),
+     "--after", str(GOLDEN / "fixes/j1/after")],
+    ["kb", "import-fix", "--id", "VULN-J2", "--before", str(GOLDEN / "fixes/j2/before"),
+     "--after", str(GOLDEN / "fixes/j2/after")],
+    ["scan"],
+    ["trace", "run", "--pattern", "test"],
+    ["trace", "run", "--pattern", "itest"],
+    ["reach", "static"],
+    ["reach", "combined"],
+    ["report"],
+]
+
+
+def _in_process(argv, capsys) -> tuple:
+    """The exit code, stdout and stderr of main(argv) in this process."""
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # a usage error, --help or --version
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_in_process_neither_freezes_nor_leaves_collection_changed(tmp_path, capsys,
+                                                                       collecting):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        assert _in_process(["--workspace", str(ws), "reach", "static"], capsys)[0] == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, collecting)
+        assert _in_process(["--workspace", str(ws), "reach", "nosuch"], capsys)[0] == 64
+        assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, collecting)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+# runs vulnvet.cli as __main__, as `python -m vulnvet.cli` does, and writes the
+# freeze count that an atexit hook sees, after the command and before shutdown
+_FROZEN_AT_EXIT = """import atexit, gc, runpy, sys
+out = sys.argv.pop(1)
+atexit.register(lambda: open(out, "w").write(str(gc.get_freeze_count())))
+runpy.run_module("vulnvet.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["reach", "nosuch"], 64),
+    (["scan"], 0),
+])
+def test_the_process_entry_freezes_the_heap_before_shutdown(tmp_path, argv, code):
+    ws = copy_workspace(GOLDEN / "workspace", tmp_path / "ws")
+    out = tmp_path / "frozen.txt"
+    done = subprocess.run([sys.executable, "-c", _FROZEN_AT_EXIT, str(out),
+                           "--workspace", str(ws), *argv],
+                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True)
+    assert done.returncode == code, done.stderr
+    assert int(out.read_text()) > 1000  # the modules' objects at least
+
+
+def test_python_m_vulnvet_cli_answers_as_main_in_process(tmp_path, capsys):
+    """stdout, stderr and the exit code of each step, run in a fresh copy of
+    the golden workspace at the same path by each side in turn."""
+    ws = tmp_path / "ws"
+    steps = [["--version"]] + _GOLDEN_STEPS + [
+        ["mitigate", "--lib", "nosuch"], ["reach", "static", "--nosuch"]]
+    answers = []
+    for side in ("main", "process"):
+        shutil.rmtree(ws, ignore_errors=True)
+        copy_workspace(GOLDEN / "workspace", ws)
+        answers.append([])
+        for step in steps:
+            argv = ["--workspace", str(ws), *step]
+            if side == "main":
+                answers[-1].append(_in_process(argv, capsys))
+            else:
+                done = subprocess.run([sys.executable, "-m", "vulnvet.cli", *argv],
+                                      env={**os.environ, "PYTHONPATH": SRC},
+                                      capture_output=True, text=True)
+                answers[-1].append((done.returncode, done.stdout, done.stderr))
+    assert answers[0] == answers[1]
+    assert [code for code, _, _ in answers[0]] == [0, 0, 0, 1, 0, 0, 0, 0, 2, 3, 64]

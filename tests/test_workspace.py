@@ -1,17 +1,26 @@
-"""Text reading, the shape check of JSON inputs, and corrupted JSON inputs."""
+"""Text reading, file listing, the shape check of JSON inputs, and corrupted JSON inputs."""
 
 import json
+import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import listing_reference
 from helpers import (GOLDEN, build_golden_kb, copy_workspace, flipped_or_truncated, json_near,
                      mutate_json, reference_bad_at, reference_fits, shapes_of)
 from vulnvet import bom, callgraph, cli, kb, report, traces
 from vulnvet.cli import main as vet
 from vulnvet.errors import MalformedArtifact
 from vulnvet.workspace import check, json_text, read_text, regular_files, shape
+
+
+def _reference(root, pattern) -> list:
+    return [(p.relative_to(root).as_posix(), str(p))
+            for p in listing_reference.regular_files(root, pattern)]
 
 
 def test_regular_files_are_in_the_order_of_sorted_paths(tmp_path):
@@ -21,11 +30,65 @@ def test_regular_files_are_in_the_order_of_sorted_paths(tmp_path):
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / name).write_text("{}")
     (tmp_path / "c.json").mkdir()  # not a regular file
-    for pattern in ("**/*.json", "*.json", "a/**/*.json"):
-        listed = regular_files(tmp_path, pattern)
-        assert listed == [p for p in sorted(tmp_path.glob(pattern)) if p.is_file()]
-    assert [p.relative_to(tmp_path).as_posix() for p in regular_files(tmp_path, "**/*.json")][
-        :5] == ["A.json", "a/a.json", "a/b.json", "a/c/d.json", "a b.json"]
+    for deep, pattern in ((True, "**/*.json"), (False, "*.json")):
+        assert regular_files(tmp_path, ".json", deep) == _reference(tmp_path, pattern)
+    assert [rel for rel, _ in regular_files(tmp_path, ".json", deep=True)][:5] == [
+        "A.json", "a/a.json", "a/b.json", "a/c/d.json", "a b.json"]
+    assert regular_files(tmp_path / "nosuch", ".json", deep=True) == []
+    assert regular_files(tmp_path / "b.json", ".json") == []
+
+
+def test_regular_files_spell_paths_under_the_current_directory_as_pathlib(tmp_path, monkeypatch):
+    (tmp_path / "q").mkdir()
+    (tmp_path / "q/a.jx").write_text("")
+    (tmp_path / "b.jx").write_text("")
+    monkeypatch.chdir(tmp_path)
+    for root in (Path("."), Path("q"), Path("./q/"), tmp_path):
+        assert regular_files(root, ".jx", deep=True) == _reference(root, "**/*.jx")
+    assert bom.source_files(Path("."), Path("q")) == [
+        (origin, str(path)) for origin, path in listing_reference.source_files(Path("."), Path("q"))]
+    assert regular_files(Path("/"), ".no-such-suffix") == []
+
+
+# names that sort apart as text and as parts, hidden ones, one that is not
+# UTF-8, and names of files that are directories or symlinks
+_NAMES = st.sampled_from(["a", "a-b", "a b", "A", ".h", "x.jx", ".jx", "b.jx", "b.JX", "y.json",
+                          ".z.json", "jx", os.fsdecode(b"\xff.jx"), "\u00e9.json"])
+_KINDS = st.sampled_from(["file", "dir", "dir", "link to file", "link to dir",
+                          "dangling link", "self link"])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(0, 30), _NAMES, _KINDS), max_size=30))
+def test_regular_files_list_what_glob_lists(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        dirs, files = [base / "root"], []
+        dirs[0].mkdir()
+        for at, name, kind in ops:
+            path = dirs[at % len(dirs)] / name
+            if os.path.lexists(path):
+                continue
+            if kind == "file":
+                path.write_bytes(b"")
+                files.append(path)
+            elif kind == "dir":
+                path.mkdir()
+                dirs.append(path)
+            elif kind == "link to file" and files:
+                path.symlink_to(files[at % len(files)])
+            elif kind == "link to dir":  # maybe an ancestor: a cycle if followed
+                path.symlink_to(dirs[at % len(dirs)])
+            elif kind in ("dangling link", "self link"):
+                path.symlink_to(path if kind == "self link" else base / "nosuch")
+        for root in dirs[:4]:
+            for deep, suffix in ((True, ".jx"), (True, ".json"), (False, ".json")):
+                assert regular_files(root, suffix, deep) == _reference(
+                    root, ("**/*" if deep else "*") + suffix)
+            for origin_base in (None, base, dirs[-1]):
+                assert bom.source_files(root, origin_base) == [
+                    (origin, str(path))
+                    for origin, path in listing_reference.source_files(root, origin_base)]
 
 
 def test_read_text_translates_every_newline_to_lf(tmp_path):
