@@ -1,8 +1,9 @@
 """Bill of materials: archives, manifest loading, transitive resolution,
 read by a command through one Sources, which walks the manifests once and
-parses each source root at most once in each mode: whole, or declarations
-only (see jx.parser). ``scan`` inventories the declarations-only parse, its
-bodies fingerprinted as the program binds them (see build_bom)."""
+parses the declarations of each source root at most once (see jx.parser).
+Each body is parsed where the program binds it or an inventory lowers it,
+and dropped (see build_bom); after a failed parse, ``check_roots`` names
+the error that a whole parse meets first."""
 
 from __future__ import annotations
 
@@ -11,10 +12,9 @@ from collections import deque
 from pathlib import Path
 
 from . import __version__
-from .constructs import (CTYPE, Construct, ConstructId, extract_constructs, is_version,
-                         member_fingerprint)
+from .constructs import CTYPE, Construct, ConstructId, extract_constructs, is_version
 from .errors import MalformedArtifact, ManifestError, MissingDependency, UnknownArchive
-from .jx import ast, parser
+from .jx import parser
 from .jx.errors import JxError
 from .jx.parser import parse_unit
 from .jx.resolver import resolve
@@ -73,11 +73,21 @@ def source_files(root: Path, origin_base: Path = None) -> list:
             for rel, path in regular_files(root, ".jx", deep=True)]
 
 
-def parse_source_root(root: Path, origin_base: Path = None, bodies: bool = True) -> list:
-    """Parse every .jx file under root (see source_files), member bodies
-    only if ``bodies`` (see jx.parser)."""
-    return [parse_unit(read_text(path, JxError), origin, bodies)
+def parse_source_root(root: Path, origin_base: Path = None) -> list:
+    """Parse the declarations of every .jx file under root (see source_files
+    and jx.parser)."""
+    return [parse_unit(read_text(path, JxError), origin)
             for origin, path in source_files(Path(root), origin_base)]
+
+
+def check_roots(roots):
+    """Raise the error that a whole parse of the .jx files under roots,
+    (root, origin base) pairs, meets first, in root and file order, if it
+    meets one (see jx.parser.check_unit). A command whose parse fails runs
+    this to report the error that a whole parse reports."""
+    for root, origin_base in roots:
+        for origin, path in source_files(Path(root), origin_base):
+            parser.check_unit(read_text(path, JxError), origin)
 
 
 def extract_root(root: Path) -> dict:
@@ -141,45 +151,27 @@ class Sources:
         resolved, self.warnings = resolve_dependencies(self.workspace, _declared_deps(app))
         self.archives = [(path, data, Path(os.path.abspath(path.parent / data["sourceRoot"])),
                           depth) for path, data, depth in [(manifest, app, 0)] + resolved]
-        self._units = {}  # (source root, bodies) -> its parsed units
+        self._units = {}  # source root -> its parsed units
 
-    def units(self, root: Path, bodies: bool = True) -> list:
-        """The units of one source root, origins relative to the workspace,
-        member bodies only if ``bodies`` (see jx.parser)."""
-        key = root, bodies
-        if key not in self._units:
-            self._units[key] = parse_source_root(root, self.workspace, bodies)
-        return self._units[key]
+    def units(self, root: Path) -> list:
+        """The units of one source root, origins relative to the workspace."""
+        if root not in self._units:
+            self._units[root] = parse_source_root(root, self.workspace)
+        return self._units[root]
 
 
 def build_bom(src: Sources, fingerprints=None) -> BOM:
     """Build the BOM: the application plus every archive of its resolved
     transitive dependency closure, each inventoried on its own (see extract_root).
-
-    ``fingerprints`` maps member declarations of the declarations-only
-    parse, which corpus_program(src, False) resolved, to the fingerprints
-    of the bodies its program bound (see member_fingerprint). The
-    inventories are then of that parse. Each other body in it, of a
-    declaration the program does not hold (shadowed, or a duplicate), is
-    parsed and lowered here; so every body is parsed once, none is kept,
-    and no parse error goes unmet."""
-    bodies = fingerprints is None
-    if not bodies:
-        fingerprints = {**fingerprints, **{
-            m: member_fingerprint(m) for _, _, root, _ in src.archives
-            for m in _skipped_bodies(src.units(root, False)) if m not in fingerprints}}
+    ``fingerprints`` maps the member declarations whose bodies the program
+    of corpus_program(src) bound to their fingerprints (see
+    member_fingerprint); the inventories parse every other body."""
     archives = [(Archive(data["name"], data["version"], DEPENDENCY if depth else APPLICATION,
-                         extract_constructs(src.units(root, bodies), fingerprints),
+                         extract_constructs(src.units(root), fingerprints),
                          _declared_deps(data)),
                  depth)
                 for _, data, root, depth in src.archives]
     return BOM(archives[0][0], archives[1:], src.warnings)
-
-
-def _skipped_bodies(units) -> list:
-    """The methods and constructors of units whose bodies the parser skipped."""
-    return [m for u in units for d in u.decls if isinstance(d, ast.ClassDecl)
-            for m in (*d.ctors, *d.methods) if isinstance(m.body, ast.Unparsed)]
 
 
 def input_digest(src: Sources) -> str:
@@ -202,14 +194,12 @@ def input_digest(src: Sources) -> str:
     return framed_digest(parts())
 
 
-def corpus_program(src: Sources, bodies: bool = True):
+def corpus_program(src: Sources):
     """Resolve the declarations of the source roots build_bom reads as one
     closed unit set, archives nearest the application winning duplicate
-    qualified names (classpath-first). With ``bodies`` False a body is parsed
-    only when the program binds it, so no parse error in a body never bound
-    is reported: only for sources a whole parse has accepted, or where every
-    body is then parsed (see build_bom)."""
-    roots = [(src.units(root, bodies), depth) for _, _, root, depth in src.archives]
+    qualified names (classpath-first). A body is parsed when the program
+    binds it (see ResolvedProgram)."""
+    roots = [(src.units(root), depth) for _, _, root, depth in src.archives]
     return resolve([u for units, _ in roots for u in units],
                    {u.origin: depth for units, depth in roots for u in units})
 

@@ -12,7 +12,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bom import Sources, bom_from_json, bom_to_json, build_bom, corpus_program, input_digest
+from .bom import (Sources, bom_from_json, bom_to_json, build_bom, check_roots, corpus_program,
+                  input_digest)
 from .callgraph import (app_reachability, build_call_graph, graph_from_json,
                         graph_to_json, reach_to_json)
 from .combined import combined_reachable
@@ -146,31 +147,12 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _call_graph(src: Sources):
-    """The call graph of the whole-workspace program (see corpus_program);
-    the program's diagnostics, then its warnings, go to stderr."""
-    program = corpus_program(src)
-    graph = build_call_graph(program)
-    _diagnose(program.diagnostics, program.warnings)
-    return graph
-
-
-def _scan(src: Sources, bodies: bool):
+def _call_graph(src: Sources, visit=lambda m: None):
     """The call graph of the whole-workspace program (see corpus_program),
-    the BOM, and the program's diagnostics and warnings, from one parse.
-    Without ``bodies`` the units are parsed in declarations mode, and each
-    member body is parsed once, bound, lowered for its fingerprint and
-    dropped (see ResolvedProgram.bind_all and build_bom): one parsed body
-    is alive at a time."""
-    program = corpus_program(src, bodies)
-    fingerprints = {}
-
-    def lowered(m):
-        fingerprints[m.decl] = member_fingerprint(m.decl)
-    graph = build_call_graph(program, lowered)
-    notes = program.diagnostics, program.warnings
-    del program  # and its tables, before the BOM is built
-    return graph, build_bom(src, None if bodies else fingerprints), notes
+    and the program's diagnostics and warnings. Each member body is parsed,
+    bound, passed to ``visit`` and dropped (see ResolvedProgram.bind_all)."""
+    program = corpus_program(src)
+    return build_call_graph(program, visit), (program.diagnostics, program.warnings)
 
 
 def _diagnose(diagnostics, warnings=()):
@@ -193,7 +175,9 @@ def _graph(ws: Workspace, src: Sources, inputs: str):
     data = ws.read_stamped("graph.json", inputs)
     if data is not None:
         return graph_from_json(data, "graph.json")
-    return _store_graph(ws, _call_graph(src), inputs)
+    graph, notes = _call_graph(src)
+    _diagnose(*notes)
+    return _store_graph(ws, graph, inputs)
 
 
 def _store_graph(ws: Workspace, graph, inputs: str):
@@ -243,14 +227,14 @@ def _cmd_kb(args, ws: Workspace) -> int:
 def _cmd_scan(args, ws: Workspace) -> int:
     src = Sources(ws.manifest, ws.root)
     inputs = input_digest(src)
-    try:
-        graph, bom, notes = _scan(src, False)
-    except JxError:
-        # report what a whole parse reports: its first error in archive and
-        # file order, in its words, which a streamed parse need not meet first
-        graph, bom, notes = _scan(src, True)
+    fingerprints = {}  # of the bodies the program binds; the inventories parse the rest
+
+    def lowered(m):
+        fingerprints[m.decl] = member_fingerprint(m.decl)
+    graph, notes = _call_graph(src, lowered)
+    bom = build_bom(src, fingerprints)
     _diagnose(*notes)
-    del src  # the BOM keeps the declarations; a body is parsed again when read
+    del src, fingerprints  # the BOM keeps the declarations; a body is parsed again when read
     for w in bom.warnings:
         print("bom: %s" % w, file=sys.stderr)
     findings = [finding_to_json(f) for f in detect(bom, KnowledgeBase(ws.kb_path, ws))]
@@ -274,9 +258,10 @@ def _cmd_trace(args, ws: Workspace) -> int:
     src = Sources(ws.manifest, ws.root)
     data = ws.read_stamped("bom.json", input_digest(src))
     bom = build_bom(src) if data is None else bom_from_json(data, "bom.json")
-    # the scan that stamped bom.json parsed these very bytes whole, so no
-    # parse error hides in a body left unparsed until a test enters it
-    program = corpus_program(src, data is None)
+    # every body of these very bytes was parsed once, by build_bom or by the
+    # scan that stamped bom.json, so no parse error hides in a body left
+    # unparsed until a test enters it
+    program = corpus_program(src)
     _diagnose(program.diagnostics, program.warnings)  # of the declarations
     declared = len(program.diagnostics)
     new_log, failed = run_tests(bom, program, pattern=args.pattern)
@@ -358,13 +343,29 @@ _COMMANDS = {"kb": _cmd_kb, "scan": _cmd_scan, "trace": _cmd_trace, "reach": _cm
              "mitigate": _cmd_mitigate, "report": _cmd_report}
 
 
+def _source_roots(args, ws: Workspace) -> list:
+    """(root, origin base) of each source root the command parses, in order."""
+    if args.command == "kb":
+        if args.kb_command == "import-fix":
+            return [(args.before, None), (args.after, None)]
+        return [(root, None) for _version, root in args.root]  # index-lib
+    src = Sources(ws.manifest, ws.root)
+    return [(root, src.workspace) for _, _, root, _ in src.archives]
+
+
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     ws = Workspace.discover(args.workspace, args.kb)
     collecting = gc.isenabled()
     gc.disable()  # a process runs one command: cycle collection would be wasted work
     try:
-        return _COMMANDS[args.command](args, ws)
+        try:
+            return _COMMANDS[args.command](args, ws)
+        except JxError:
+            # a parse of declarations, then of each body, need not meet first
+            # the error a whole parse meets first: report that one instead
+            check_roots(_source_roots(args, ws))
+            raise
     except (VetError, JxError, OSError) as exc:
         print("vet: error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

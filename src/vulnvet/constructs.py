@@ -8,8 +8,7 @@ syntax tree, so that textually different but token-identical code
 fingerprints identically, while any literal or identifier change is visible.
 No tree is built on the way: a CTree is decoded from the text only where
 tree differencing reads one. A body the parser skipped (jx.ast.Unparsed) is
-parsed for each lowering and not kept, so an inventory of a
-declarations-only parse holds no body.
+parsed for each lowering and not kept, so an inventory holds no body.
 """
 
 from __future__ import annotations
@@ -70,8 +69,8 @@ class Construct:
     """A construct's body and fingerprint, the 256-bit digest of the body's
     canonical text. Its ConstructId is the key it is stored under. The body
     is given as its text or as a function of no arguments that lowers the
-    declaration when ``text`` is first read, so an inventory of a
-    declarations-only parse holds the body's range, parsed again when read;
+    declaration when ``text`` is first read, so an inventory holds the
+    body's range, parsed again when read;
     ``body`` is its CTree (see canonical.lazy_tree). Both are kept once
     read."""
 
@@ -168,7 +167,7 @@ def _decl_node(decl) -> tuple:
             *map(_signature, decl.methods)]
     body = decl.body
     if isinstance(body, ast.Unparsed):  # parsed for this lowering alone
-        from .jx.parser import parse_body  # only a declarations-only parse needs the parser
+        from .jx.parser import parse_body  # here, so that importing constructs loads no parser
         body = parse_body(body)
     block = None if body is None else ("block", body.stmts)
     if isinstance(decl, ast.CtorDecl):
@@ -200,36 +199,33 @@ def extract_constructs(units, fingerprints=None) -> dict:
     declarations alone, as an ordered map ConstructId -> Construct. As in the
     resolver's tables, of types sharing a qname the first in (package,
     origin) order counts, and of a type's members sharing a signature the last.
-    Each body is lowered to its canonical text once, and the text kept;
-    ``fingerprints`` maps member declarations already lowered to their
-    fingerprints (see member_fingerprint), whose bodies are not lowered
-    again until read."""
-    units = sorted(units, key=lambda u: (u.package, u.origin))
-    # the first type of a qname is written last, so it stays
-    types = {u.package + "." + d.name: (u.package, d) for u in reversed(units) for d in u.decls}
-    out = {ConstructId(PACKAGE, u.package): Construct(None, None) for u in units}
+    Every declaration is lowered to its canonical text once, so every body is
+    parsed, and the text of each that counts is kept; ``fingerprints`` maps
+    member declarations already lowered to their fingerprints (see
+    member_fingerprint), whose bodies are not lowered again until read."""
     known = fingerprints or {}
 
-    def put(cid, decl):
+    def construct(decl):
         if decl in known:
-            out[cid] = Construct(known[decl], partial(canonical_text, decl))
-        else:
-            text = canonical_text(decl)
-            out[cid] = Construct(fingerprint(text), text)
+            return Construct(known[decl], partial(canonical_text, decl))
+        text = canonical_text(decl)
+        return Construct(fingerprint(text), text)
 
+    units = sorted(units, key=lambda u: (u.package, u.origin))
+    out = {ConstructId(PACKAGE, u.package): Construct(None, None) for u in units}
+    types = {}  # qname -> the constructs of its first type, in id order
+    for u in units:
+        for d in u.decls:
+            qname = u.package + "." + d.name
+            members = {member_id(ctype, qname, ast.signature(
+                m.name, [ast.type_text(p.type, u.package) for p in m.params])): construct(m)
+                for ctype, decls in ((CONSTRUCTOR, getattr(d, "ctors", ())), (METHOD, d.methods))
+                for m in decls}
+            ctype = INTERFACE if isinstance(d, ast.InterfaceDecl) else CLASS
+            types.setdefault(qname, {ConstructId(ctype, qname): construct(d),
+                                     **dict(sorted(members.items()))})
     for qname in sorted(types):
-        pkg, decl = types[qname]
-        kinds = [(METHOD, decl.methods)]
-        if isinstance(decl, ast.InterfaceDecl):
-            put(ConstructId(INTERFACE, qname), decl)
-        else:
-            put(ConstructId(CLASS, qname), decl)
-            kinds.insert(0, (CONSTRUCTOR, decl.ctors))
-        for ctype, decls in kinds:
-            sigs = {ast.signature(d.name, [ast.type_text(p.type, pkg) for p in d.params]): d
-                    for d in decls}
-            for sig in sorted(sigs):
-                put(member_id(ctype, qname, sig), sigs[sig])
+        out.update(types[qname])
     return out
 
 

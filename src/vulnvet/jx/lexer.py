@@ -12,11 +12,11 @@ position. Identifiers start with a letter or ``_`` and go on with letters,
 digits and ``_`` (``str.isalpha``/``str.isalnum``); integers are runs of
 decimal digits.
 
-In declarations mode (``bodies`` False) a member body, the one ``{`` that the
-grammar puts after a ``)`` outside bodies, is one BODY token holding its
-character range up to its closing brace; ``_SKIP`` steps over the text
-literals and comments inside. A body it cannot close, and all after it, is
-lexed eagerly, so any error is the eager lexer's own.
+A unit is lexed in declarations mode (``bodies`` False): a member body, the
+one ``{`` that the grammar puts after a ``)`` outside bodies, is one BODY
+token holding its character range up to its closing brace; ``_SKIP`` steps
+over the text literals and comments inside. A body it cannot close, and all
+after it, is lexed whole, as is a body's range, where ``if (x) {`` is no BODY.
 """
 
 from __future__ import annotations

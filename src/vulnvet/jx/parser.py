@@ -23,15 +23,15 @@ Nesting deeper than MAX_NESTING levels is a ParseError, and so are an integer
 literal above ast.INT_MAX and a method named like its type, whose qualified
 name could equal a constructor's.
 
-``parse_unit(..., bodies=False)`` parses declarations only. It lexes in the
-lexer's declarations mode, which skips each method and constructor body by
-its braces alone, and keeps the body as an ``ast.Unparsed`` character range,
-which ``parse_body`` lexes and parses when it is needed. It reports no error
-inside a body, and an error elsewhere need not read as the whole parse's. So
-a command that uses it either reads sources that a whole parse has accepted
-(``trace run`` under a current stamp), or parses every body itself and,
-at any error, parses every unit whole to report what that parse reports
-(``scan``).
+``parse_unit`` parses declarations only. It lexes in the lexer's
+declarations mode, which skips each method and constructor body by its
+braces alone, and keeps the body as an ``ast.Unparsed`` character range,
+which ``parse_body`` lexes and parses when it is needed: every command
+parses each body once, as the resolver binds it or an inventory lowers it.
+Parsed so, a unit need not meet first the error that a whole parse meets
+first, since the whole lexer takes a file at once and so reports a lexical
+error anywhere in it before a syntax error. ``check_unit``, reached only
+once a parse has failed, runs that whole parse to name its first error.
 
 The parser does not distinguish static calls from instance calls on a field
 chain; `a.b.c(x)` is parsed as a method call whose receiver is a name chain,
@@ -429,10 +429,10 @@ class _Parser:
         return out
 
 
-def parse_unit(source: str, origin: str = "<source>", bodies: bool = True) -> ast.SourceUnit:
-    """Parse one JX compilation unit; raises ParseError with line/column.
-    With ``bodies`` False, member bodies stay Unparsed (see the module doc)."""
-    return _Parser(tokenize(source, origin, bodies=bodies), origin, source).unit()
+def parse_unit(source: str, origin: str = "<source>") -> ast.SourceUnit:
+    """Parse the declarations of one JX compilation unit, its member bodies
+    left Unparsed (see the module doc); raises ParseError with line/column."""
+    return _Parser(tokenize(source, origin, bodies=False), origin, source).unit()
 
 
 def parse_body(body: ast.Unparsed) -> ast.Block:
@@ -440,3 +440,9 @@ def parse_body(body: ast.Unparsed) -> ast.Block:
     with the positions of the whole unit."""
     tokens = tokenize(body.source[body.start:body.stop], body.origin, *body.pos)
     return _Parser(tokens, body.origin).block()
+
+
+def check_unit(source: str, origin: str = "<source>"):
+    """Raise the ParseError that a whole parse of the unit meets first, if
+    it meets one: the file lexed whole, then parsed. The tree is dropped."""
+    _Parser(tokenize(source, origin), origin).unit()

@@ -96,8 +96,9 @@ class ResolvedProgram:
     and binds no body. ``body`` parses (where the parser skipped it) and
     binds one member's body at its first request, ``bind_all`` every body
     not bound yet; the ``calls`` lists and ``diagnostics`` grow as they do,
-    each member's once. A call node's record outlives its body: scan drops
-    each body once bound (see bind_all) and reads the ``calls`` lists.
+    each member's once. A call node's record outlives its body: the call
+    graph is built with each body dropped once bound (see bind_all) from
+    the ``calls`` lists.
     """
 
     def __init__(self, units, precedence=None):
@@ -128,7 +129,7 @@ class ResolvedProgram:
             limit = sys.getrecursionlimit()
             # a body first entered deep in a run is parsed and bound on the
             # stack the run holds; the headroom keeps that from failing where
-            # an eager parse and bind would not
+            # a parse and bind on a shallow stack would not
             sys.setrecursionlimit(limit + _BODY_FRAMES)
             try:
                 if isinstance(m.decl, ast.CtorDecl):
@@ -155,8 +156,8 @@ class ResolvedProgram:
         With ``visit``, each body the parser skipped is parsed, bound,
         passed to ``visit(m)`` with its member, and set back to its range
         (ast.Unparsed), so one parsed body is alive at a time. Its calls stay
-        listed; ``body`` must not be asked for it again. Only scan, which
-        reads each body once, releases them."""
+        listed; ``body`` must not be asked for it again. A command that
+        builds the call graph from source releases them."""
         for qname in sorted(self.symbols):
             info = self.symbols[qname]
             if not info.is_interface:

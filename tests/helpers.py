@@ -11,15 +11,17 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
-from vulnvet.bom import Sources
+from vulnvet.bom import Sources, source_files
 from vulnvet.callgraph import (CONSTRUCTOR_CALL, STATIC_DISPATCH, VIRTUAL_DISPATCH,
                                CallGraph, Edge)
 from vulnvet.canonical import CTree
 from vulnvet.constructs import CONSTRUCTOR, METHOD, ConstructId
 from vulnvet.jx import ast
-from vulnvet.jx.errors import ParseError
-from vulnvet.jx.lexer import KEYWORDS
+from vulnvet.jx.errors import JxError, ParseError
+from vulnvet.jx.lexer import KEYWORDS, tokenize
+from vulnvet.jx.parser import _Parser
 from vulnvet.kb import KnowledgeBase
+from vulnvet.workspace import read_text
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -54,12 +56,44 @@ def flipped_or_truncated(rng, data: bytes) -> bytes:
     return data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1:]
 
 
+def parse_whole(source: str, origin: str = "<source>") -> ast.SourceUnit:
+    """The unit of source parsed whole: the file lexed at once, then every
+    declaration and body parsed, as vet parsed before it streamed bodies.
+    The reference for the errors and trees of the streamed parse."""
+    return _Parser(tokenize(source, origin), origin).unit()
+
+
+def whole_sources(ws: Path) -> Sources:
+    """The Sources of the workspace ws, each root's units parsed whole (see
+    parse_whole); raises the first error of that parse, in archive and file
+    order."""
+    src = Sources(ws / "app.json", ws)
+    for _, _, root, _ in src.archives:
+        src._units[root] = [parse_whole(read_text(path, JxError), origin)
+                            for origin, path in source_files(root, ws)]
+    return src
+
+
+def mutate_sources(rng, ws: Path, count: int):
+    """Apply count byte faults (see flipped_or_truncated) to the .jx files of
+    the workspace ws, each to one file drawn first with probability 3/4, else
+    to any: so files with two or more faults are common. An emptied file
+    takes no more faults."""
+    sources = sorted(ws.rglob("*.jx"))
+    target = rng.choice(sources)
+    for _ in range(count):
+        path = target if rng.random() < 0.75 else rng.choice(sources)
+        data = path.read_bytes()
+        if data:
+            path.write_bytes(flipped_or_truncated(rng, data))
+
+
 def written_bodies(ws: Path) -> list:
     """(origin, start) of each member body written in the sources of the
     workspace ws, in order: every body that a declarations-only parse skips."""
     src = Sources(ws / "app.json", ws)
     return sorted((m.body.origin, m.body.start) for _, _, root, _ in src.archives
-                  for u in src.units(root, bodies=False) for d in u.decls
+                  for u in src.units(root) for d in u.decls
                   if isinstance(d, ast.ClassDecl) for m in (*d.ctors, *d.methods)
                   if isinstance(m.body, ast.Unparsed))
 

@@ -14,10 +14,15 @@
 #                       symlink: origins are paths under the workspace as
 #                       spelled, so the artifacts match the same pins
 #     golden-unstamped  the golden trace runs without scan: with no stamped
-#                       bom.json, trace run parses every file whole (after
-#                       scan it parses each body when a test first enters
-#                       it); either way it binds each body when a test first
-#                       enters it, and its artifacts match the same pins
+#                       bom.json, trace run first builds the BOM, whose
+#                       inventory parses each body once (after scan it
+#                       reads bom.json); either way it parses and binds each
+#                       body when a test first enters it, and its artifacts
+#                       match the same pins
+#     golden-stale      reach static, the golden trace runs and reach
+#                       combined without scan: the call graph and the BOM
+#                       are built from source, streamed, and no bom.json is
+#                       written; the artifacts match the same pins
 #     update            the update pass: the library index, its version
 #                       screening and the mitigation ranking; mitigate
 #                       runs again without .vet/kb-index.json, so it
@@ -90,6 +95,20 @@ golden-unstamped)
         cmp "$ws/.vet/$name" "$fx/expected/$name"
     done
     ;;
+golden-stale)
+    fx="$tests/fixtures/golden"
+    ws="$work/golden-stale"
+    cp -R "$fx/workspace" "$ws"
+    step 0 reach static
+    for name in graph.json reach-static.json; do
+        cmp "$ws/.vet/$name" "$fx/expected/$name"
+    done
+    step 0 trace run --pattern test
+    step 0 trace run --pattern itest
+    step 0 reach combined
+    cmp "$ws/.vet/reach-combined.json" "$fx/expected/reach-combined.json"
+    test ! -e "$ws/.vet/bom.json"
+    ;;
 update)
     fx="$tests/fixtures/update"
     ws="$work/update"
@@ -109,7 +128,7 @@ update)
     done
     ;;
 *)
-    echo "usage: sh tests/installed_vet_pass.sh golden|golden-symlink|golden-unstamped|update WORKDIR" >&2
+    echo "usage: sh tests/installed_vet_pass.sh golden|golden-symlink|golden-unstamped|golden-stale|update WORKDIR" >&2
     exit 64
     ;;
 esac

@@ -811,9 +811,9 @@ def test_reach_and_mitigate_reuse_stamped_artifacts(tmp_path, builds, monkeypatc
     parsed = []
     real_parse = bom.parse_unit
 
-    def parse(text, origin, *bodies):
+    def parse(text, origin):
         parsed.append(origin)
-        return real_parse(text, origin, *bodies)
+        return real_parse(text, origin)
 
     monkeypatch.setattr(bom, "parse_unit", parse)
     builds.clear()
@@ -1057,9 +1057,9 @@ def test_a_command_reads_each_manifest_once(tmp_path, monkeypatch):
         reads.append(path)
         return real_load(path, *args)
 
-    def parse(text, origin, *bodies):
+    def parse(text, origin):
         parsed.append(origin)
-        return real_parse(text, origin, *bodies)
+        return real_parse(text, origin)
 
     monkeypatch.setattr(bom, "load_json", load)
     monkeypatch.setattr(bom, "parse_unit", parse)

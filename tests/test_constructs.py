@@ -7,7 +7,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import GOLDEN, UPDATE, jx_declarations, random_program
+from helpers import GOLDEN, UPDATE, jx_declarations, parse_whole, random_program
 from lowering import (class_ctree, ctor_ctree, decl_ctree, digest, interface_ctree,
                       method_ctree, serialize)
 from printer import pretty_print
@@ -120,7 +120,7 @@ def _resolved_inventory(program):
 def test_inventory_from_declarations_equals_the_resolved_one(sources):
     # ids from the declarations alone are those the resolver derives: the
     # same types, members (the last of a repeated signature) and spellings
-    units = [parse_unit(src, origin) for origin, src in sources]
+    units = [parse_whole(src, origin) for origin, src in sources]
 
     def trees():  # the printer leaves out default constructors
         return [(pretty_print(u), [len(getattr(d, "ctors", ())) for d in u.decls])

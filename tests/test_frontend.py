@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (deep_bodies, jx_declarations, jx_hierarchies, naive_ancestors,
-                     random_program, reference_call_nodes)
+                     parse_whole, random_program, reference_call_nodes)
 from printer import pretty_print
 from vulnvet.jx import ast, parser
 from vulnvet.jx.errors import ParseError
@@ -82,13 +82,13 @@ def test_missing_package_is_an_error():
 
 def test_text_literal_escapes():
     src = 'package p; class A { static text m() { return "a\\"b\\\\c"; } }'
-    unit = parse_unit(src, "p.jx")
+    unit = parse_whole(src, "p.jx")
     printed = pretty_print(unit)
     assert '"a\\"b\\\\c"' in printed
 
 
 def _normalize(src, origin="u.jx"):
-    return pretty_print(parse_unit(src, origin))
+    return pretty_print(parse_whole(src, origin))
 
 
 def test_print_parse_round_trip_fixed():
@@ -290,7 +290,7 @@ def test_duplicate_qname_tie_is_an_error():
 def test_malformed_local_declaration_is_reported_where_it_breaks():
     src = "package p; class A { static int m() {\n    int x = 1 + ;\n} }"
     with pytest.raises(ParseError) as info:
-        parse_unit(src, "p.jx")
+        parse_whole(src, "p.jx")
     assert (info.value.line, info.value.col) == (2, 17)
     assert "expected an expression, found ';'" in str(info.value)
 
@@ -306,7 +306,7 @@ def test_nesting_bound_is_exact(shape):
     program = resolve([parse_unit(_unit_with(deep_bodies(MAX_NESTING)[shape]), "p.jx")])
     assert program.bind_all().diagnostics == []
     with pytest.raises(ParseError, match="nesting deeper than %d levels" % MAX_NESTING) as info:
-        parse_unit(_unit_with(deep_bodies(MAX_NESTING + 1)[shape]), "p.jx")
+        parse_whole(_unit_with(deep_bodies(MAX_NESTING + 1)[shape]), "p.jx")
     assert info.value.origin == "p.jx" and info.value.line == 1
 
 
@@ -366,9 +366,9 @@ def test_nesting_bound_counts_every_level(expression, blocks, bound):
     with patch.object(parser, "MAX_NESTING", bound):
         if depth > bound:
             with pytest.raises(ParseError, match="nesting deeper"):
-                parse_unit(src, "p.jx")
+                parse_whole(src, "p.jx")
             return
-        unit = parse_unit(src, "p.jx")
+        unit = parse_whole(src, "p.jx")
     body = unit.decls[0].methods[0].body
     assert _tree_depth(body) <= depth
 
@@ -398,7 +398,7 @@ def test_an_integer_literal_above_the_bound_is_a_parse_error(digits):
     # 5,000 digits are past what int() converts: no ValueError escapes
     line = "    static int m() { return 1 + %s; }" % digits
     with pytest.raises(ParseError, match="integer literal out of range") as info:
-        parse_unit("package p;\nclass A {\n%s\n}\n" % line, "p.jx")
+        parse_whole("package p;\nclass A {\n%s\n}\n" % line, "p.jx")
     assert (info.value.line, info.value.col) == (3, line.index(digits) + 1)
 
 
@@ -455,8 +455,8 @@ def _resolution(program):
 @pytest.mark.parametrize("bodies", [True, False])
 @pytest.mark.parametrize("src", [FULL, LAZY])
 def test_bodies_parsed_and_bound_on_request_match_an_eager_resolve(src, bodies):
-    eager = resolve([parse_unit(src, "u.jx")]).bind_all()
-    lazy = resolve([parse_unit(src, "u.jx", bodies=bodies)])
+    eager = resolve([parse_whole(src, "u.jx")]).bind_all()
+    lazy = resolve([(parse_whole if bodies else parse_unit)(src, "u.jx")])
     members = [m for _q, m in _members(lazy)]
     assert all(n.call is None for n in _call_nodes(lazy)) and not any(m.calls for m in members)
     unparsed = [m for m in members if isinstance(m.decl.body, ast.Unparsed)]
@@ -475,7 +475,7 @@ def test_bodies_parsed_and_bound_on_request_match_an_eager_resolve(src, bodies):
 
 
 def test_a_constructor_binds_the_initializers_of_its_class_chain_alone():
-    program = resolve([parse_unit(LAZY, "u.jx", bodies=False)])
+    program = resolve([parse_unit(LAZY, "u.jx")])
     declared = list(program.diagnostics)
     assert declared == []  # every diagnostic of LAZY is in a body or an initializer
     kid = program.symbols["q.Kid"]
@@ -497,8 +497,8 @@ def test_a_constructor_binds_the_initializers_of_its_class_chain_alone():
 def test_a_declaration_error_is_reported_without_bodies():
     # the declarations are parsed as before; only a body's inside is skipped
     with pytest.raises(ParseError, match="method A has the name of its type"):
-        parse_unit("package p; class A { int A() { ((( } }", "p.jx", bodies=False)
-    unit = parse_unit("package p; class A { int m() { ((( } }", "p.jx", bodies=False)
+        parse_unit("package p; class A { int A() { ((( } }", "p.jx")
+    unit = parse_unit("package p; class A { int m() { ((( } }", "p.jx")
     with pytest.raises(ParseError, match="expected an expression"):
         parser.parse_body(unit.decls[0].methods[0].body)
 
@@ -507,7 +507,7 @@ def test_a_body_that_fails_to_parse_stays_unbound_and_fails_each_time():
     # a member is marked bound only once its parse and bind succeed
     src = ("package p; class A { int ok() { return B.two(); } int bad() { return ((1; } }\n"
            "class B { static int two() { return 2; } }")
-    program = resolve([parse_unit(src, "p.jx", bodies=False)])
+    program = resolve([parse_unit(src, "p.jx")])
     a, b = program.symbols["p.A"], program.symbols["p.B"]
     ok, bad = a.methods["ok()"], a.methods["bad()"]
     errors = []

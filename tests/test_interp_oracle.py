@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import deep_bodies, jx_class_chains, reference_call_graph, small_workload
+from helpers import (deep_bodies, jx_class_chains, parse_whole, reference_call_graph,
+                     small_workload, whole_sources)
 from vulnvet import interp
 from vulnvet.bom import Sources, build_bom, corpus_program
 from vulnvet.callgraph import build_call_graph
@@ -60,13 +61,13 @@ _WORKLOADS = st.tuples(st.sampled_from(["corpus", "kb-drift", "trace-heavy"]),
 
 
 def _generated(workload, bodies=True):
-    """The BOM and program of a drawn workspace; with bodies False, the
-    program parses each body when it is first entered."""
+    """The BOM and program of a drawn workspace, parsed whole; with bodies
+    False, the program parses each body when it is first entered."""
     name, seed, sizes = workload
     with tempfile.TemporaryDirectory() as tmp:
         ws = small_workload(Path(tmp), name, seed, **sizes)
-        src = Sources(ws / "app.json", ws)
-        return build_bom(src), corpus_program(src, bodies)
+        src = whole_sources(ws) if bodies else Sources(ws / "app.json", ws)
+        return build_bom(src), corpus_program(src)
 
 
 def _int_entries(program, seed):
@@ -107,7 +108,8 @@ def test_traced_edges_of_generated_workspaces_are_explained_by_the_cha_graph(wor
 # --- generated class chains ---
 
 def _chains(units, bodies=True):
-    return resolve([parse_unit(source, origin, bodies) for origin, source in units])
+    return resolve([(parse_whole if bodies else parse_unit)(source, origin)
+                    for origin, source in units])
 
 
 @settings(max_examples=40, deadline=None)
@@ -128,7 +130,7 @@ def test_generated_class_chains_run_alike_and_trace_only_cha_edges(units, bodies
 # --- hand-built programs, resolved with whatever diagnostics they have ---
 
 def _unclean(src, bodies=True):
-    return resolve([parse_unit(src, "u.jx", bodies)])
+    return resolve([(parse_whole if bodies else parse_unit)(src, "u.jx")])
 
 
 def _methods(body, decls="", bodies=True):

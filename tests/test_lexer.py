@@ -3,10 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import reference_tokenize
+from helpers import parse_whole, reference_tokenize
 from vulnvet.jx.errors import ParseError
 from vulnvet.jx.lexer import Token, tokenize
-from vulnvet.jx.parser import parse_unit
 
 # Pieces of well-formed JX: words, numbers, punctuation, layout, whole
 # comments and text literals.
@@ -65,7 +64,7 @@ def test_lexer_errors_carry_their_position(source, message, line, col):
 def test_non_decimal_digit_is_a_parse_error():
     # "²" is a digit to str.isdigit but not a number int() reads
     with pytest.raises(ParseError, match="unexpected character"):
-        parse_unit("package p; class A { static int m() { return ²; } }", "p.jx")
+        parse_whole("package p; class A { static int m() { return ²; } }", "p.jx")
 
 
 # Pieces of a member body: braces, quotes and slashes inside text literals and

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (GOLDEN, build_golden_kb, copy_workspace, flipped_or_truncated,
-                     small_workload, written_bodies)
+from helpers import (GOLDEN, build_golden_kb, copy_workspace, mutate_sources, small_workload,
+                     whole_sources, written_bodies)
 from lowering import serialize
 from vulnvet import canonical, diffing
-from vulnvet.bom import Sources, bom_to_json, build_bom, corpus_program
+from vulnvet.bom import bom_to_json, build_bom, corpus_program
 from vulnvet.cli import main as vet
 from vulnvet.jx import ast, parser, resolver
 from vulnvet.jx.errors import JxError
@@ -96,10 +96,8 @@ def test_scan_parses_each_written_body_once_and_holds_one_at_a_time(tmp_path, mo
 def _whole(ws: Path):
     """What a whole parse and bind of ws report: the stderr of scan, and
     the BOM it stores (None where the parse fails)."""
-    src = Sources(ws / "app.json", ws)
     try:
-        for _, _, root, _ in src.archives:
-            src.units(root, bodies=True)
+        src = whole_sources(ws)
     except JxError as exc:  # the first error, in archive and file order
         return "vet: error: %s\n" % exc, None
     program = corpus_program(src).bind_all()
@@ -126,15 +124,11 @@ def _assert_scan_reports_the_whole_parse(ws: Path):
 @given(st.one_of(st.just(("golden", 0)),
                  st.tuples(st.sampled_from(["corpus", "kb-drift", "trace-heavy"]),
                            st.integers(0, 2 ** 16))),
-       st.integers(0, 2 ** 32), st.integers(0, 3))
+       st.integers(0, 2 ** 32), st.integers(0, 4))
 def test_scan_reports_what_a_whole_parse_and_bind_report(workspace, mutation, count):
-    rng = random.Random(mutation)
     with tempfile.TemporaryDirectory() as tmp:
         ws = _workspace(Path(tmp), *workspace)
-        sources = sorted(ws.rglob("*.jx"))
-        for _ in range(count):
-            path = rng.choice(sources)
-            path.write_bytes(flipped_or_truncated(rng, path.read_bytes()))
+        mutate_sources(random.Random(mutation), ws, count)
         _assert_scan_reports_the_whole_parse(ws)
 
 
@@ -153,6 +147,8 @@ _SHADOWING = {
     "libs/lib/1.0/src/Foo.jx": "package p;\nclass Foo {\n    static int a() { return 2; }\n}\n",
     "libs/lib/1.0/src/Bar.jx": ("package p;\nclass Bar {\n    static int b() { return 3; }\n"
                                 "    static int b() { return 4; }\n}\n"),
+    # a second p.Bar of the same archive, which neither its inventory nor the program holds
+    "libs/lib/1.0/src/Bar2.jx": "package p;\nclass Bar {\n    static int b() { return 5; }\n}\n",
 }
 
 
@@ -165,6 +161,7 @@ def test_a_shadowed_or_duplicate_body_is_fingerprinted_as_a_whole_parse_does(tmp
 @pytest.mark.parametrize("path, body", [
     ("libs/lib/1.0/src/Foo.jx", "return 2;"),  # a type the application's shadows
     ("libs/lib/1.0/src/Bar.jx", "return 3;"),  # a method a later one replaces
+    ("libs/lib/1.0/src/Bar2.jx", "return 5;"),  # a type an earlier one of its archive hides
 ])
 def test_a_syntax_error_in_a_body_no_program_member_holds_is_reported(tmp_path, path, body):
     ws = _write(tmp_path / "ws", _SHADOWING)

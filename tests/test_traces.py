@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trace_reference
-from helpers import copy_workspace, small_workload
-from vulnvet.bom import Sources, build_bom, corpus_program
+from helpers import copy_workspace, small_workload, whole_sources
+from vulnvet.bom import build_bom, corpus_program
 from vulnvet.cli import main as vet
 from vulnvet.combined import dynamic_edges
 from vulnvet.constructs import CONSTRUCTOR, METHOD, ConstructId
@@ -471,8 +471,8 @@ class Deep {
 }
 """)
     assert vet(["--workspace", str(ws), "scan"]) in (0, 1)
-    src = Sources(ws / "app.json", ws)
-    bom, program = build_bom(src), corpus_program(src, True)
+    src = whole_sources(ws)
+    bom, program = build_bom(src), corpus_program(src)
     runs = {}
     for pattern in PATTERNS:
         try:
