@@ -2,7 +2,8 @@
 read by a command through one Sources, which walks the manifests once and
 parses the declarations of each source root at most once (see jx.parser).
 Each body is parsed where the program binds it or an inventory lowers it,
-and dropped (see build_bom); after a failed parse, ``check_roots`` names
+and dropped (see build_bom), so a command that builds the BOM and the call
+graph together parses it once; after a failed parse, ``check_roots`` names
 the error that a whole parse meets first."""
 
 from __future__ import annotations

@@ -147,14 +147,6 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
-def _call_graph(src: Sources, visit=lambda m: None):
-    """The call graph of the whole-workspace program (see corpus_program),
-    and the program's diagnostics and warnings. Each member body is parsed,
-    bound, passed to ``visit`` and dropped (see ResolvedProgram.bind_all)."""
-    program = corpus_program(src)
-    return build_call_graph(program, visit), (program.diagnostics, program.warnings)
-
-
 def _diagnose(diagnostics, warnings=()):
     for d in diagnostics:
         print("resolve: %s" % d, file=sys.stderr)
@@ -162,29 +154,42 @@ def _diagnose(diagnostics, warnings=()):
         print("resolve: warning: %s" % w, file=sys.stderr)
 
 
-def _bom(ws: Workspace, src: Sources, inputs: str):
-    """The BOM of bom.json while it is stamped with the digest of the current
-    inputs (see bom.input_digest), else one built from source."""
+def _body_pass(src: Sources, bom=None):
+    """The BOM and the call graph of src from one pass over the bodies: the
+    program of corpus_program(src) parses, binds and drops each body (see
+    ResolvedProgram.bind_all), and unless ``bom`` is given, hands its
+    fingerprint to build_bom, whose inventories parse only the bodies the
+    program did not bind. The program's diagnostics are printed last."""
+    fingerprints = {}
+
+    def lowered(m):
+        if bom is None:
+            fingerprints[m.decl] = member_fingerprint(m.decl)
+    program = corpus_program(src)
+    graph = build_call_graph(program, lowered)
+    notes = program.diagnostics, program.warnings
+    del program  # before the inventories run
+    if bom is None:
+        bom = build_bom(src, fingerprints)
+    _diagnose(*notes)
+    return bom, graph
+
+
+def _bom_and_graph(ws: Workspace):
+    """The BOM and the call graph of the workspace's current inputs, each
+    read from its artifact while that is stamped with their digest (see
+    bom.input_digest), else built from source; a stale graph is built in the
+    BOM's pass (see _body_pass) and stored, stamped, for the next command."""
+    src = Sources(ws.manifest, ws.root)
+    inputs = input_digest(src)
     data = ws.read_stamped("bom.json", inputs)
-    return bom_from_json(data, "bom.json") if data is not None else build_bom(src)
-
-
-def _graph(ws: Workspace, src: Sources, inputs: str):
-    """The call graph of graph.json while it is stamped with the digest of
-    the current inputs, else one built from source and stored."""
+    bom = None if data is None else bom_from_json(data, "bom.json")
     data = ws.read_stamped("graph.json", inputs)
     if data is not None:
-        return graph_from_json(data, "graph.json")
-    graph, notes = _call_graph(src)
-    _diagnose(*notes)
-    return _store_graph(ws, graph, inputs)
-
-
-def _store_graph(ws: Workspace, graph, inputs: str):
-    """Write graph.json, stamped with the digest of the inputs it was built
-    from, and return the graph."""
+        return (build_bom(src) if bom is None else bom), graph_from_json(data, "graph.json")
+    bom, graph = _body_pass(src, bom)
     ws.write_json("graph.json", {**graph_to_json(graph), "inputs": inputs})
-    return graph
+    return bom, graph
 
 
 def _warned(log: TraceLog, bom) -> TraceLog:
@@ -227,14 +232,8 @@ def _cmd_kb(args, ws: Workspace) -> int:
 def _cmd_scan(args, ws: Workspace) -> int:
     src = Sources(ws.manifest, ws.root)
     inputs = input_digest(src)
-    fingerprints = {}  # of the bodies the program binds; the inventories parse the rest
-
-    def lowered(m):
-        fingerprints[m.decl] = member_fingerprint(m.decl)
-    graph, notes = _call_graph(src, lowered)
-    bom = build_bom(src, fingerprints)
-    _diagnose(*notes)
-    del src, fingerprints  # the BOM keeps the declarations; a body is parsed again when read
+    bom, graph = _body_pass(src)
+    del src  # the BOM keeps the declarations; a body is parsed again when read
     for w in bom.warnings:
         print("bom: %s" % w, file=sys.stderr)
     findings = [finding_to_json(f) for f in detect(bom, KnowledgeBase(ws.kb_path, ws))]
@@ -244,7 +243,7 @@ def _cmd_scan(args, ws: Workspace) -> int:
     ws.write_json("bom.json", stored)
     del stored  # before the graph is written
     ws.write_json("findings.json", findings)
-    _store_graph(ws, graph, inputs)
+    ws.write_json("graph.json", {**graph_to_json(graph), "inputs": inputs})
     print("scanned %d archives, %d findings" % (n_archives, len(findings)))
     for f in findings:
         print("  %s %s:%s %s" % (f["vulnId"], f["archive"]["name"],
@@ -283,9 +282,7 @@ def _cmd_trace(args, ws: Workspace) -> int:
 
 
 def _cmd_reach(args, ws: Workspace) -> int:
-    src = Sources(ws.manifest, ws.root)
-    inputs = input_digest(src)
-    bom, graph = _bom(ws, src, inputs), _graph(ws, src, inputs)
+    bom, graph = _bom_and_graph(ws)
     if args.reach_command == "static":
         result = app_reachability(bom, graph)
     else:
@@ -297,9 +294,7 @@ def _cmd_reach(args, ws: Workspace) -> int:
 
 
 def _cmd_mitigate(args, ws: Workspace) -> int:
-    src = Sources(ws.manifest, ws.root)
-    inputs = input_digest(src)
-    bom, graph = _bom(ws, src, inputs), _graph(ws, src, inputs)
+    bom, graph = _bom_and_graph(ws)
     traces = _warned(load_summary(ws), bom)
     r_static = app_reachability(bom, graph)
     r_combined = combined_reachable(graph, traces)

@@ -21,12 +21,16 @@
 #                       match the same pins
 #     golden-stale      reach static, the golden trace runs and reach
 #                       combined without scan: the call graph and the BOM
-#                       are built from source, streamed, and no bom.json is
-#                       written; the artifacts match the same pins
+#                       are built from source in scan's one pass, each
+#                       body parsed once, and no bom.json is written; the
+#                       artifacts match the same pins
 #     update            the update pass: the library index, its version
 #                       screening and the mitigation ranking; mitigate
 #                       runs again without .vet/kb-index.json, so it
-#                       reads every record, and ranks the same
+#                       reads every record, and ranks the same; and once
+#                       more without bom.json and graph.json, so it builds
+#                       both in scan's one pass over the bodies, writes no
+#                       bom.json, and ranks the same
 #   WORKDIR is an existing directory outside the checkout; vet runs there.
 set -eu
 tests=$(cd "$(dirname "$0")" && pwd)
@@ -126,6 +130,12 @@ update)
     for name in mitigation-libA.json mitigation-libA.csv; do
         cmp "$ws/.vet/$name" "$fx/expected/$name"
     done
+    rm "$ws/.vet/bom.json" "$ws/.vet/graph.json"
+    step 0 mitigate --lib libA
+    for name in mitigation-libA.json mitigation-libA.csv; do
+        cmp "$ws/.vet/$name" "$fx/expected/$name"
+    done
+    test ! -e "$ws/.vet/bom.json"
     ;;
 *)
     echo "usage: sh tests/installed_vet_pass.sh golden|golden-symlink|golden-unstamped|golden-stale|update WORKDIR" >&2

@@ -1022,8 +1022,9 @@ def test_an_edited_input_forces_a_rebuild(tmp_path, builds, path, edit):
     _run(ws, *TRACES)
     builds.clear()
     _run(ws, COMBINED, MITIGATE)
-    # reach combined restamps graph.json, but bom.json stays as scan left it
-    assert builds == ["build_bom", "corpus_program", "build_bom"]
+    # reach combined binds, then inventories the rest in one pass and restamps
+    # graph.json, but bom.json stays as scan left it
+    assert builds == ["corpus_program", "build_bom", "build_bom"]
 
     fresh = _golden_with_index(tmp_path / "fresh", (path, edit))
     _run(fresh, SCAN, STATIC, *TRACES)

@@ -73,6 +73,15 @@ def test_update_mitigation_and_report_are_byte_identical(tmp_path):
     assert vet(["--workspace", str(ws), "report"]) == 0
     _assert_pinned(ws / ".vet", UPDATE / "expected", (
         "mitigation-libA.json", "mitigation-libA.csv", "report.json"))
+    # without the knowledge-base index mitigate reads every record; without
+    # bom.json and graph.json it builds both in one pass and writes no bom.json
+    for stale in (["kb-index.json"], ["bom.json", "graph.json"]):
+        for name in stale:
+            (ws / ".vet" / name).unlink()
+        assert vet(["--workspace", str(ws), "mitigate", "--lib", "libA"]) == 0
+        _assert_pinned(ws / ".vet", UPDATE / "expected",
+                       ("mitigation-libA.json", "mitigation-libA.csv"))
+    assert not (ws / ".vet/bom.json").exists()
 
 
 def test_mitigate_takes_a_dependency_named_as_the_application(tmp_path):

@@ -5,9 +5,10 @@ as a whole parse reports it, and everything else as before."""
 import io
 import json
 import random
+import shutil
 import tempfile
 import weakref
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import chdir, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from lowering import serialize
 from vulnvet import canonical, diffing
 from vulnvet.bom import bom_to_json, build_bom, corpus_program
 from vulnvet.cli import main as vet
-from vulnvet.jx import ast, parser, resolver
+from vulnvet.jx import ast, lexer, parser, resolver
 from vulnvet.jx.errors import JxError
 
 
@@ -168,3 +169,49 @@ def test_a_syntax_error_in_a_body_no_program_member_holds_is_reported(tmp_path, 
     (ws / path).write_text((ws / path).read_text().replace(body, "return (;", 1))
     _assert_scan_reports_the_whole_parse(ws)
     assert _whole(ws)[0].startswith("vet: error: %s:3:" % path)
+
+
+# what may stand between two tokens: blanks, and comments holding braces,
+# quotes and slashes, which a body's skip must step over
+_COMMENTED = st.text(" x{}\"/;*\\", max_size=6)
+_GAP = st.lists(st.one_of(st.sampled_from([" ", "\n", "\t", "\r\n"]),
+                          _COMMENTED.map(lambda t: " /*%s*/ " % t.replace("*", "")),
+                          _COMMENTED.map(lambda t: " //%s\n" % t)),
+                min_size=1, max_size=3).map("".join)
+
+
+def _relaid(source: str, gaps: list, rng) -> str:
+    """source token by token (see jx.lexer._TOKEN), each token after a gap
+    drawn from gaps in place of its own blanks and comments."""
+    out = []
+    for m in lexer._TOKEN.finditer(source):
+        assert m.lastgroup != "BAD"
+        out += (rng.choice(gaps), m.group(m.lastgroup))
+        if m.lastgroup == "EOF":
+            return "".join(out)
+
+
+def _scanned(ws: Path):
+    """scan's exit code on ws, and the fingerprint bom.json stores for each
+    (archive, construct id)."""
+    code = _vet(ws, "scan")[0]
+    stored = json.loads((ws / ".vet/bom.json").read_text())
+    return code, {(a["name"], c["ctype"], c["qname"]): c["fingerprint"]
+                  for a in stored["archives"] for c in a["constructs"]}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["corpus", "kb-drift", "trace-heavy"]), st.integers(0, 2 ** 16),
+       st.lists(_GAP, min_size=1, max_size=6), st.integers(0, 2 ** 32))
+def test_scan_is_blind_to_layout_and_comments(name, seed, gaps, choice):
+    with tempfile.TemporaryDirectory() as tmp:
+        ws = small_workload(Path(tmp), name, seed)
+        with chdir(ws):  # the set-up names its fix trees relative to the workspace
+            for argv in json.loads((Path(tmp) / "answers.json").read_text())["setup"]:
+                assert _vet(ws, *argv)[0] == 0, argv
+        relaid, rng = shutil.copytree(ws, Path(tmp) / "relaid"), random.Random(choice)
+        for path in relaid.rglob("*.jx"):
+            path.write_text(_relaid(path.read_text(), gaps, rng))
+        assert _scanned(relaid) == _scanned(ws)
+        # and each body is still one the declarations parse steps over
+        assert len(written_bodies(relaid)) == len(written_bodies(ws))

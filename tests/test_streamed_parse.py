@@ -164,16 +164,23 @@ def parsed(monkeypatch):
     return log
 
 
+@pytest.mark.parametrize("command", ["reach static", "mitigate"])
 @pytest.mark.parametrize("name", ["golden", "corpus"])
-def test_a_stale_reach_static_parses_every_body_and_holds_one_at_a_time(tmp_path, parsed,
-                                                                         name):
+def test_a_stale_reach_or_mitigate_parses_each_body_once_and_holds_one_at_a_time(
+        tmp_path, parsed, name, command):
     ws = _workspace(tmp_path, name, 5)
-    assert _vet(ws, "reach", "static")[0] == 0
-    # the BOM's inventories parse every written body, then the program binds each of its own
-    assert sorted(key for key, who, _ref, _n in parsed if who == "inventory") == \
-        written_bodies(ws) != []
-    bound = [key for key, who, _ref, _n in parsed if who == "program"]
-    assert len(set(bound)) == len(bound) > 0
+    argv = command.split()
+    if command == "mitigate":  # an index of the first dependency, for a ranking
+        _path, data, root, _depth = Sources(ws / "app.json", ws).archives[1]
+        assert _vet(ws, "kb", "index-lib", "--name", data["name"],
+                    "--root", "1.0=%s" % root, "--root", "2.0=%s" % root)[0] == 0
+        argv += ["--lib", data["name"]]
+        parsed.clear()
+    assert _vet(ws, *argv)[0] == 0
+    # in one pass, the program binds its bodies and the BOM's inventories
+    # parse the rest: every written body, each once
+    assert sorted(key for key, _who, _ref, _n in parsed) == written_bodies(ws) != []
+    assert any(who == "program" for _key, who, _ref, _n in parsed)
     assert all(who is not None for _key, who, _ref, _n in parsed)  # no file lexed whole
     assert max(n for *_key, n in parsed) <= 1
 
