@@ -1142,6 +1142,21 @@ def test_a_stamped_artifact_with_a_malformed_body_exits_three(tmp_path, capsys, 
         assert name in err and "Traceback" not in err
 
 
+def test_a_malformed_graph_is_named_before_a_body_error_of_a_stale_bom(tmp_path, capsys):
+    # graph.json is read before a stale BOM is built, so its error comes
+    # first, though the BOM's pass would meet the body's
+    ws = _golden_with_index(tmp_path / "ws")
+    _run(ws, SCAN, STATIC)
+    (ws / ".vet/graph.json").write_text('{"nodes": ')
+    (ws / ".vet/bom.json").unlink()
+    (ws / "src/deep.jx").write_text("package app;\nclass Deep {\n    static int m() { return 1 +; }\n}\n")
+    capsys.readouterr()
+    for step in (STATIC, COMBINED, MITIGATE):
+        assert vet(["--workspace", str(ws), *step]) == 3
+        err = capsys.readouterr().err
+        assert "graph.json" in err and "deep.jx" not in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.pop("events"),
     lambda d: d.update(events={"callee": "app.Main.alpha()", "ts": 1}),

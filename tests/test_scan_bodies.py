@@ -4,11 +4,12 @@ as a whole parse reports it, and everything else as before."""
 
 import io
 import json
+import os
 import random
 import shutil
 import tempfile
 import weakref
-from contextlib import chdir, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -206,9 +207,13 @@ def _scanned(ws: Path):
 def test_scan_is_blind_to_layout_and_comments(name, seed, gaps, choice):
     with tempfile.TemporaryDirectory() as tmp:
         ws = small_workload(Path(tmp), name, seed)
-        with chdir(ws):  # the set-up names its fix trees relative to the workspace
+        cwd = os.getcwd()
+        os.chdir(ws)  # the set-up names its fix trees relative to the workspace
+        try:
             for argv in json.loads((Path(tmp) / "answers.json").read_text())["setup"]:
                 assert _vet(ws, *argv)[0] == 0, argv
+        finally:
+            os.chdir(cwd)
         relaid, rng = shutil.copytree(ws, Path(tmp) / "relaid"), random.Random(choice)
         for path in relaid.rglob("*.jx"):
             path.write_text(_relaid(path.read_text(), gaps, rng))
